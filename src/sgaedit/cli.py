@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import shutil
 import sys
 import time
@@ -117,10 +116,6 @@ def cmd_train_guide(cfg: dict, args) -> int:
     return 0
 
 
-def _plans_from_guiding(forced: mdl.GuidingResult, mconf: mdl.ModelConfig) -> mdl.PlanBundle:
-    return sampler.plans_from_maps(forced, mconf)
-
-
 def cmd_train_sga(cfg: dict, args) -> int:
     out = Path(cfg["out"]) / "sga"
     out.mkdir(parents=True, exist_ok=True)
@@ -152,7 +147,7 @@ def cmd_train_sga(cfg: dict, args) -> int:
             x_low, p_low = task_low.sample(rng)
             mask_low = evalbench.free_form_mask(task_low.dims, rng, region=region_low)
             forced = mdl.guiding_forward(apply_mask(x_low, mask_low), p_low, guide_weights, decoder_tokens=x_low.flat())
-            return _plans_from_guiding(forced, mconf)
+            return sampler.plans_from_maps(forced, mconf)
 
         result = evalbench.train(
             weights,
@@ -245,7 +240,6 @@ def _run_edit(cfg: dict, args, out: Path) -> int:
     assets = _load_assets(Path(args.guide))
     request, image, pixel_mask = _build_request(cfg, assets, args.image, args.semantic, args.mask)
 
-    workers = 1 if os.environ.get("SGA_DETERMINISTIC") == "1" else max(1, args.workers)
     t0 = time.perf_counter()
     guided = sampler.guide_and_plan(request, guide_weights, mconf, seed=cfg["seed"])
     t_guide = time.perf_counter() - t0
@@ -258,7 +252,7 @@ def _run_edit(cfg: dict, args, out: Path) -> int:
         n_samples=cfg["sampling"]["n_samples"],
         n_keep=cfg["sampling"]["n_keep"],
         seed=cfg["seed"],
-        workers=workers,
+        workers=max(1, args.workers),
     )
     t_sga = time.perf_counter() - t0
 

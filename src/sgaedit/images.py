@@ -34,6 +34,13 @@ def _read_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
     return values, i + 1  # single whitespace after the last header token
 
 
+def _body(path, data: bytes, offset: int, count: int) -> np.ndarray:
+    """The `count` sample bytes after the header, checked for length."""
+    if len(data) - offset < count:
+        raise ValidationError(f"{path}: truncated image body ({max(len(data) - offset, 0)} of {count} bytes)")
+    return np.frombuffer(data, dtype=np.uint8, count=count, offset=offset)
+
+
 def read_pnm(path) -> np.ndarray:
     """Read a binary PGM (P5) or PPM (P6) file into a [0, 1] float array."""
     with open(path, "rb") as fh:
@@ -46,7 +53,7 @@ def read_pnm(path) -> np.ndarray:
     if maxval <= 0 or maxval > 255:
         raise ValidationError(f"{path}: only 8-bit images supported (maxval {maxval})")
     count = w * h * channels
-    raw = np.frombuffer(data, dtype=np.uint8, count=count, offset=offset)
+    raw = _body(path, data, offset, count)
     img = raw.astype(np.float64) / maxval
     return img.reshape(h, w) if channels == 1 else img.reshape(h, w, 3)
 
@@ -77,7 +84,7 @@ def read_class_map(path) -> np.ndarray:
     offset += 2
     if maxval > 255:
         raise ValidationError(f"{path}: only 8-bit class maps supported")
-    raw = np.frombuffer(data, dtype=np.uint8, count=w * h, offset=offset)
+    raw = _body(path, data, offset, w * h)
     return raw.reshape(h, w).astype(np.int64)
 
 

@@ -10,10 +10,17 @@ float tolerance.
 Forward code is written against the tape dispatch ops, so passing weights
 wrapped in tape Tensors yields a differentiable graph while plain arrays
 give the inference path.
+
+Autoregressive inference uses `IncrementalDecoder`, the exact row-by-row
+form of `decoder_forward`: it holds the decoder PEG rows, the cross-
+attention keys/values and a growing self-attention key/value cache, and
+evaluates each new row only against the key tokens its query block keeps
+under the plan. `decoder_forward` stays the full-pass reference.
 """
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 from dataclasses import dataclass
@@ -271,7 +278,8 @@ def _multi_head(
             out_h = res.output
             maps.append(None)
         else:
-            # Training, or a decoding prefix shorter than the partition:
+            # Training, or a full-pass reference over a prefix shorter than
+            # the partition (inference decodes with IncrementalDecoder):
             # evaluate densely under the expanded plan mask (same math).
             mask = sga.build_sparse_mask(plan, part_q, part_k)[:n_q, :n_k]
             if extra_mask is not None:
@@ -310,6 +318,19 @@ def encoder_forward(
     return EncoderOutput(context=h, attn=all_maps)
 
 
+def _check_decoder_input(prev: np.ndarray, start: int, weights: ModelWeights) -> None:
+    """Validate the decoder input tokens of rows [start, start + prev.size)."""
+    cfg = weights.config
+    if prev.ndim != 1 or prev.size < 1 or start + prev.size > weights.length:
+        raise SequenceError(f"decoder prefix length {start + prev.size} invalid (max {weights.length})")
+    if start == 0 and prev[0] != cfg.start_token:
+        raise SequenceError("decoder input must begin with START")
+    if np.any(prev[1 if start == 0 else 0 :] == cfg.start_token):
+        raise SequenceError("START appears after position 0")
+    if prev.min() < 0 or prev.max() > cfg.start_token:
+        raise VocabularyError("decoder token outside embedding table")
+
+
 def decoder_forward(
     prev_tokens,
     encoder_out: EncoderOutput,
@@ -325,14 +346,7 @@ def decoder_forward(
     """
     cfg = weights.config
     prev = np.asarray(prev_tokens, dtype=np.int64)
-    if prev.ndim != 1 or prev.size < 1 or prev.size > weights.length:
-        raise SequenceError(f"decoder prefix length {prev.size} invalid (max {weights.length})")
-    if prev[0] != cfg.start_token:
-        raise SequenceError("decoder input must begin with START")
-    if np.any(prev[1:] == cfg.start_token):
-        raise SequenceError("START appears after position 0")
-    if prev.min() < 0 or prev.max() > cfg.start_token:
-        raise VocabularyError("decoder token outside embedding table")
+    _check_decoder_input(prev, 0, weights)
 
     steps = prev.size
     w = weights.params
@@ -357,6 +371,111 @@ def decoder_forward(
         cross_maps_all.append(cross_maps)
     logits = T.matmul(h, w["out_head"])
     return logits, self_maps_all, cross_maps_all
+
+
+def _kept_keys(plans, part: sga.BlockPartition, heads: int) -> list:
+    """[head][query block] -> ascending key token indices the plan keeps
+    (every token for a dense head)."""
+    block_tokens = [part.tokens_of(t) for t in range(part.n_blocks)]
+    every = np.arange(part.length)
+    out = []
+    for h in range(heads):
+        plan = plans[h] if plans is not None else None
+        if plan is None:
+            out.append([every] * part.n_blocks)
+            continue
+        if plan.n_blocks != part.n_blocks:
+            raise ShapeError("partition block counts do not match plan")
+        out.append([np.concatenate([block_tokens[t] for t in kept]) for kept in plan.kept])
+    return out
+
+
+class IncrementalDecoder:
+    """Exact incremental form of `decoder_forward` for inference.
+
+    Built once from an encoder output, the weights and the decoder plans
+    ([layer][head], None = dense). `extend(prev_rows)` appends decoder rows
+    [n, n + m), whose input tokens are `prev_rows`, and returns their logits:
+    rows [n, n + m) of `decoder_forward` over the prefix, to float rounding.
+    Each query block attends only to the key tokens its plan keeps, and
+    self-attention further keeps key t <= row, so no L x L mask is built.
+    Embeddings, layer norm and the feed-forward act row by row, so the
+    cache is exact, not an approximation. `fork()` gives an independent
+    copy that shares the read-only parts.
+    """
+
+    def __init__(self, encoder_out: EncoderOutput, weights: ModelWeights, self_plans=None, cross_plans=None):
+        cfg = weights.config
+        w = weights.params
+        part = sga.partition(weights.length, cfg.blocks)
+        context = T.value_of(encoder_out.context)
+        self.weights = weights
+        self.n = 0
+        self._block_size = part.block_size
+        self._peg = _peg_rows(context, w["dec_peg"], weights.grid)
+        self._cross_kv = [
+            (context @ w[f"dec{i}_cross_wk"], context @ w[f"dec{i}_cross_wv"]) for i in range(cfg.layers_dec)
+        ]
+        self._self_keys = [
+            _kept_keys(self_plans[i] if self_plans is not None else None, part, cfg.heads)
+            for i in range(cfg.layers_dec)
+        ]
+        self._cross_keys = [
+            _kept_keys(cross_plans[i] if cross_plans is not None else None, part, cfg.heads)
+            for i in range(cfg.layers_dec)
+        ]
+        self._k = [np.zeros((weights.length, cfg.d)) for _ in range(cfg.layers_dec)]
+        self._v = [np.zeros((weights.length, cfg.d)) for _ in range(cfg.layers_dec)]
+
+    def fork(self) -> "IncrementalDecoder":
+        other = copy.copy(self)
+        other._k = [buf.copy() for buf in self._k]
+        other._v = [buf.copy() for buf in self._v]
+        return other
+
+    def extend(self, prev_rows) -> np.ndarray:
+        prev = np.asarray(prev_rows, dtype=np.int64)
+        _check_decoder_input(prev, self.n, self.weights)
+        w = self.weights.params
+        rows = np.arange(self.n, self.n + prev.size)
+        h = w["dec_tok_emb"][prev] + w["dec_pos"][rows] + self._peg[rows]
+        for i in range(self.weights.config.layers_dec):
+            p = f"dec{i}"
+            self._k[i][rows] = h @ w[f"{p}_self_wk"]
+            self._v[i][rows] = h @ w[f"{p}_self_wv"]
+            a = self._attend(h @ w[f"{p}_self_wq"], self._k[i], self._v[i], self._self_keys[i], rows, causal=True)
+            h = T.layer_norm(h + a @ w[f"{p}_self_wo"], w[f"{p}_ln1_g"], w[f"{p}_ln1_b"])
+            ck, cv = self._cross_kv[i]
+            c = self._attend(h @ w[f"{p}_cross_wq"], ck, cv, self._cross_keys[i], rows, causal=False)
+            h = T.layer_norm(h + c @ w[f"{p}_cross_wo"], w[f"{p}_ln2_g"], w[f"{p}_ln2_b"])
+            h = T.layer_norm(h + _feed_forward(h, self.weights, p), w[f"{p}_ln3_g"], w[f"{p}_ln3_b"])
+        self.n += prev.size
+        return h @ w["out_head"]
+
+    def _attend(self, q, k, v, kept, rows, causal: bool) -> np.ndarray:
+        """Per query block and head, softmax attention over the kept key
+        tokens (and, if causal, only those at or before each row)."""
+        dh = q.shape[1] // len(kept)
+        inv_sqrt_d = 1.0 / np.sqrt(dh)
+        out = np.empty_like(q)
+        first, stop = int(rows[0]), int(rows[-1]) + 1
+        bs = self._block_size
+        for b in range(first // bs, (stop - 1) // bs + 1):
+            lo, hi = max(first, b * bs), min(stop, (b + 1) * bs)
+            sl = slice(lo - first, hi - first)
+            for head, blocks in enumerate(kept):
+                cols = slice(head * dh, (head + 1) * dh)
+                keys = blocks[b]
+                if causal:
+                    keys = keys[: np.searchsorted(keys, hi - 1, side="right")]
+                scores = (q[sl, cols] @ k[keys, cols].T) * inv_sqrt_d
+                if causal:
+                    scores[keys[None, :] > rows[sl, None]] = -np.inf
+                # every row keeps its own block, and causally its own token,
+                # so no row is fully masked
+                expd = np.exp(scores - scores.max(axis=1, keepdims=True))
+                out[sl, cols] = (expd / expd.sum(axis=1, keepdims=True)) @ v[keys, cols]
+        return out
 
 
 @dataclass

@@ -6,6 +6,13 @@ and accumulate log-probability. Candidates are generated from independent
 per-candidate random streams, so a worker pool of any size produces the
 same set as a sequential run, and are ranked by their summed (joint)
 log-probability.
+
+Decoding is incremental (`model.IncrementalDecoder`). The encoder pass and
+the forced prefix, every row up to the first masked position, are the same
+for all candidates, so they run once per call, before any worker starts.
+Each candidate forks that shared state and extends only the forced runs
+between masked positions plus one row per sampled token. `rescore` keeps
+the full `decoder_forward` pass as the reference.
 """
 
 from __future__ import annotations
@@ -13,14 +20,14 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
 from . import model as mdl
 from . import sga
 from . import tape as T
-from .errors import DegenerateRowError, ParameterError, ShapeError, ValidationError
+from .errors import NumericalError, ParameterError, ShapeError, ValidationError
 from .quantizer import TokenGrid, apply_mask
 from .rng import substream
 
@@ -129,32 +136,44 @@ def _forced_decode(
     weights: mdl.ModelWeights,
     plans: mdl.PlanBundle,
     top_k: int,
-    rng,
-) -> tuple[TokenGrid, float]:
-    """Decode positions row-major; force originals at unmasked positions,
-    sample masked positions with top-k, and accumulate their log-probs."""
+) -> Callable:
+    """Prepare a forced decode; return `decode(rng) -> (TokenGrid, logprob)`.
+
+    Positions decode row-major: originals are forced at unmasked positions,
+    masked positions are sampled with top-k and accumulate their log-probs.
+    The encoder pass and the rows up to and including the first masked
+    position run here, once; each `decode` call forks that state, so calls
+    are independent and may run on concurrent threads.
+    """
     cfg = weights.config
-    k_eff = min(top_k, cfg.vocab)
     if top_k < 1:
         raise ParameterError(f"top-k must be >= 1, got {top_k}")
+    k_eff = min(top_k, cfg.vocab)
     enc_in = apply_mask(tokens, mask)
     enc_out = mdl.encoder_forward(mdl.embed_encoder(enc_in, semantic, weights), weights, plans=plans)
     original = tokens.flat()
-    masked = np.asarray(mask, dtype=bool).ravel()
-    seq = original.copy()
-    logprob = 0.0
-    for pos in np.flatnonzero(masked):
-        prev = np.concatenate([[cfg.start_token], seq[:pos]])
-        try:
-            logits, _, _ = mdl.decoder_forward(prev, enc_out, weights, plans.dec_self, plans.dec_cross)
-        except DegenerateRowError as exc:
-            raise DegenerateRowError(f"decoding position {int(pos)}: {exc}") from exc
-        row = T.value_of(logits)[pos]
-        choice = topk_sample(row, k_eff, rng)
-        logprob += topk_logprob(row, k_eff, choice)
-        seq[pos] = choice
-    completed = TokenGrid(seq.reshape(tokens.tokens.shape), tokens.vocab)
-    return completed, float(logprob)
+    positions = np.flatnonzero(np.asarray(mask, dtype=bool).ravel())
+    shared = mdl.IncrementalDecoder(enc_out, weights, plans.dec_self, plans.dec_cross)
+    first_row = None
+    if positions.size:
+        first_row = shared.extend(np.concatenate([[cfg.start_token], original[: positions[0]]]))[-1]
+
+    def decode(rng) -> tuple[TokenGrid, float]:
+        seq = original.copy()
+        logprob = 0.0
+        if positions.size:
+            state = shared.fork()
+            for pos in positions:
+                # row pos reads token pos - 1; the shared state already holds row positions[0]
+                row = state.extend(seq[state.n - 1 : pos])[-1] if state.n <= pos else first_row
+                if not np.all(np.isfinite(row)):
+                    raise NumericalError(f"non-finite logits at decoding position {pos}")
+                choice = topk_sample(row, k_eff, rng)
+                logprob += topk_logprob(row, k_eff, choice)
+                seq[pos] = choice
+        return TokenGrid(seq.reshape(tokens.tokens.shape), tokens.vocab), float(logprob)
+
+    return decode
 
 
 def plans_from_maps(forced: mdl.GuidingResult, config: mdl.ModelConfig) -> mdl.PlanBundle:
@@ -190,15 +209,15 @@ def guide_and_plan(
     a block-affinity matrix and converted to a neighborhood+top-K plan.
     """
     k = config.top_k if top_k is None else top_k
-    completion, logprob = _forced_decode(
+    decode = _forced_decode(
         request.tokens_low,
         request.semantic_low,
         request.mask_low,
         guiding_weights,
         mdl.PlanBundle.dense(),
         max(k, 1) if k else 1,
-        substream(seed, "guide-sample"),
     )
+    completion, logprob = decode(substream(seed, "guide-sample"))
     enc_in = apply_mask(request.tokens_low, request.mask_low)
     forced = mdl.guiding_forward(enc_in, request.semantic_low, guiding_weights, decoder_tokens=completion.flat())
     return GuidePlanResult(completion_low=completion, plans=plans_from_maps(forced, config), logprob_low=logprob)
@@ -218,11 +237,10 @@ def autoregressive_edit(
     if n_samples < 1 or n_keep < 1:
         raise ParameterError("n_samples and n_keep must be >= 1")
 
+    decode = _forced_decode(request.tokens, request.semantic, request.mask, sga_weights, plans, top_k)
+
     def one(i: int) -> Candidate:
-        rng = substream(seed, f"candidate-{i}")
-        tokens, logprob = _forced_decode(
-            request.tokens, request.semantic, request.mask, sga_weights, plans, top_k, rng
-        )
+        tokens, logprob = decode(substream(seed, f"candidate-{i}"))
         return Candidate(tokens=tokens, logprob=logprob)
 
     if workers > 1:

@@ -192,6 +192,33 @@ class TestEdit:
         assert rc == 2
         assert not (tmp_path / "fail" / "edit").exists()
 
+    def test_non_finite_logits_exit_3(self, trained):
+        tmp_path, cfg = trained
+        image, semantic, mask = make_edit_inputs(tmp_path)
+        weights = mdl.load_checkpoint(tmp_path / "run" / "sga")
+        weights.params["out_head"][:, 0] = np.nan
+        mdl.save_checkpoint(tmp_path / "nan_sga", weights)
+        rc = cli.main(
+            ["edit", "--config", str(cfg), "--guide", str(tmp_path / "run" / "guide"),
+             "--sga", str(tmp_path / "nan_sga"), "--image", str(image),
+             "--semantic", str(semantic), "--mask", str(mask), "--out", str(tmp_path / "nan")]
+        )
+        assert rc == 3
+        assert not (tmp_path / "nan" / "edit").exists()
+
+    def test_truncated_image_exit_4(self, trained, capsys):
+        tmp_path, cfg = trained
+        image, semantic, mask = make_edit_inputs(tmp_path)
+        short = tmp_path / "short.pgm"
+        short.write_bytes(image.read_bytes()[:-10])
+        rc = cli.main(
+            ["edit", "--config", str(cfg), "--guide", str(tmp_path / "run" / "guide"),
+             "--sga", str(tmp_path / "run" / "sga"), "--image", str(short),
+             "--semantic", str(semantic), "--mask", str(mask), "--out", str(tmp_path / "short")]
+        )
+        assert rc == 4
+        assert "truncated" in capsys.readouterr().err
+
     def test_resolved_config_reproduces_run(self, trained):
         tmp_path, cfg = trained
         image, semantic, mask = make_edit_inputs(tmp_path)

@@ -35,6 +35,14 @@ def test_pnm_header_comments(tmp_path):
     assert img[0, 1] == pytest.approx(1 / 255)
 
 
+@pytest.mark.parametrize("reader", [images.read_pnm, images.read_class_map])
+def test_truncated_body_rejected(tmp_path, reader):
+    path = tmp_path / "short.pgm"
+    path.write_bytes(b"P5\n3 2\n255\n" + bytes(5))
+    with pytest.raises(ValidationError, match="truncated"):
+        reader(path)
+
+
 def test_class_map_round_trip(tmp_path):
     cmap = np.array([[0, 1, 2], [3, 2, 1]])
     path = tmp_path / "m.pgm"

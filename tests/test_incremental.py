@@ -1,0 +1,192 @@
+"""The incremental decoder against the full `decoder_forward` pass."""
+
+import numpy as np
+import pytest
+
+from sgaedit import model as mdl
+from sgaedit import sampler, sga
+from sgaedit.errors import SequenceError
+from sgaedit.quantizer import TokenGrid, apply_mask
+from sgaedit.rng import substream
+
+TOLERANCE = 1e-10
+PLAN_KINDS = ("dense", "guided", "random", "local", "full")
+
+
+def make_config(layers_dec):
+    return mdl.ModelConfig(
+        d=16,
+        layers_enc=1,
+        layers_dec=layers_dec,
+        heads=2,
+        vocab=8,
+        vocab_map=3,
+        grid_high=(4, 8),
+        grid_low=(2, 4),
+        blocks=8,
+        top_k=2,
+        radius=1,
+        ffw=32,
+    )
+
+
+def make_request(cfg, mask_high, seed=0):
+    rng = substream(seed, "incremental-request")
+    mask_low = np.zeros(cfg.grid_low, bool)
+    mask_low[-1, 1:3] = True
+    return sampler.EditRequest(
+        tokens=TokenGrid(rng.integers(0, cfg.vocab, size=cfg.grid_high), cfg.vocab),
+        semantic=TokenGrid(rng.integers(0, cfg.vocab_map, size=cfg.grid_high), cfg.vocab_map),
+        mask=mask_high,
+        tokens_low=TokenGrid(rng.integers(0, cfg.vocab, size=cfg.grid_low), cfg.vocab),
+        semantic_low=TokenGrid(rng.integers(0, cfg.vocab_map, size=cfg.grid_low), cfg.vocab_map),
+        mask_low=mask_low,
+    )
+
+
+def make_weights(cfg, seed=0):
+    guide = mdl.init_weights(cfg, cfg.grid_low, substream(seed, "incremental-guide"))
+    rng = substream(seed, "incremental-peg")
+    for name in guide.params:
+        if "peg" in name:  # non-zero PEG kernels, so the decoder PEG rows matter
+            guide.params[name] = rng.normal(scale=0.2, size=guide.params[name].shape)
+    return guide, mdl.init_from_guiding(guide, cfg)
+
+
+def make_plans(kind, cfg, guide, request):
+    if kind == "dense":
+        return mdl.PlanBundle.dense()
+    if kind == "guided":
+        return sampler.guide_and_plan(request, guide, cfg, seed=3).plans
+    if kind == "full":
+        return mdl.PlanBundle.uniform(cfg, lambda role, i, h: sga.full_plan(cfg.blocks))
+    seeds = iter(range(1000))
+    return mdl.PlanBundle.uniform(
+        cfg, lambda role, i, h: sga.variant_plan(kind, cfg.blocks, radius=1, k=2, seed=next(seeds))
+    )
+
+
+def encode(request, weights, plans):
+    enc_in = apply_mask(request.tokens, request.mask)
+    return mdl.encoder_forward(mdl.embed_encoder(enc_in, request.semantic, weights), weights, plans=plans)
+
+
+@pytest.mark.parametrize("layers_dec", [1, 2])
+@pytest.mark.parametrize("kind", PLAN_KINDS)
+def test_every_step_matches_full_pass(kind, layers_dec):
+    cfg = make_config(layers_dec)
+    guide, high = make_weights(cfg, layers_dec)
+    request = make_request(cfg, np.zeros(cfg.grid_high, bool))
+    plans = make_plans(kind, cfg, guide, request)
+    enc = encode(request, high, plans)
+    prev = np.concatenate([[cfg.start_token], request.tokens.flat()[:-1]])
+    dec = mdl.IncrementalDecoder(enc, high, plans.dec_self, plans.dec_cross)
+    got = []
+    # single rows, runs inside one block, and runs across block boundaries
+    for size in (1, 1, 3, 6, 1, 9, 2, 1, 7, 1):
+        got.append(dec.extend(prev[dec.n : dec.n + size]))
+        full, _, _ = mdl.decoder_forward(prev[: dec.n], enc, high, plans.dec_self, plans.dec_cross)
+        assert np.abs(np.concatenate(got) - full).max() <= TOLERANCE
+    assert dec.n == cfg.l_high
+
+
+def first_zero_mask(cfg):
+    mask = np.zeros(cfg.grid_high, bool)
+    mask[0, 0] = mask[0, 5] = mask[2, 3:6] = True
+    return mask
+
+
+def box_mask(cfg):
+    mask = np.zeros(cfg.grid_high, bool)
+    mask[2:, 2:5] = True
+    return mask
+
+
+@pytest.mark.parametrize("kind", PLAN_KINDS)
+@pytest.mark.parametrize("mask_fn", [first_zero_mask, box_mask], ids=["first-zero", "box"])
+def test_sampled_rows_match_full_pass(kind, mask_fn, monkeypatch):
+    """Every logits row the decode loop samples from equals row `pos` of a
+    full pass over the prefix that candidate had decoded by then."""
+    cfg = make_config(2)
+    guide, high = make_weights(cfg)
+    request = make_request(cfg, mask_fn(cfg), seed=1)
+    plans = make_plans(kind, cfg, guide, request)
+    steps = []  # (logits row, choice), in decode order
+    real_sample = sampler.topk_sample
+
+    def recording_sample(logits, k, rng):
+        choice = real_sample(logits, k, rng)
+        steps.append((np.array(logits), choice))
+        return choice
+
+    monkeypatch.setattr(sampler, "topk_sample", recording_sample)
+    out = sampler.autoregressive_edit(request, high, plans, n_samples=2, n_keep=2, seed=4, workers=1)
+    monkeypatch.undo()
+
+    enc = encode(request, high, plans)
+    positions = np.flatnonzero(request.mask.ravel())
+    assert len(steps) == 2 * positions.size
+    for first in (0, positions.size):  # one candidate after the other
+        cand_steps = steps[first : first + positions.size]
+        seq = request.tokens.flat().copy()
+        seq[positions] = [choice for _, choice in cand_steps]
+        prev = np.concatenate([[cfg.start_token], seq[:-1]])
+        for pos, (row, _) in zip(positions, cand_steps):
+            full, _, _ = mdl.decoder_forward(prev[: pos + 1], enc, high, plans.dec_self, plans.dec_cross)
+            assert np.abs(full[pos] - row).max() <= TOLERANCE
+    for cand in out.candidates:
+        assert abs(sampler.rescore(request, high, plans, cand.tokens) - cand.logprob) <= 1e-9
+
+
+@pytest.mark.parametrize("kind", ["dense", "guided"])
+def test_no_masked_tokens_returns_input(kind):
+    cfg = make_config(1)
+    guide, high = make_weights(cfg)
+    request = make_request(cfg, np.zeros(cfg.grid_high, bool))
+    plans = make_plans(kind, cfg, guide, request)
+    out = sampler.autoregressive_edit(request, high, plans, n_samples=3, n_keep=3, seed=0)
+    for cand in out.candidates:
+        assert np.array_equal(cand.tokens.tokens, request.tokens.tokens)
+        assert cand.logprob == 0.0
+
+
+def test_forks_do_not_alias():
+    cfg = make_config(2)
+    guide, high = make_weights(cfg)
+    request = make_request(cfg, np.zeros(cfg.grid_high, bool))
+    plans = make_plans("guided", cfg, guide, request)
+    enc = encode(request, high, plans)
+    prev = np.concatenate([[cfg.start_token], request.tokens.flat()[:-1]])
+    other = prev.copy()
+    other[10:] = (other[10:] + 1) % cfg.vocab
+
+    base = mdl.IncrementalDecoder(enc, high, plans.dec_self, plans.dec_cross)
+    base.extend(prev[:10])
+    snapshot = [(k.copy(), v.copy()) for k, v in zip(base._k, base._v)]
+    a, b = base.fork(), base.fork()
+    for fa, fb in zip(a._k + a._v, b._k + b._v):
+        assert not np.shares_memory(fa, fb)
+    got_a = a.extend(prev[10:])
+    got_b = b.extend(other[10:])
+    # the parent is untouched, and each fork equals its own full pass
+    assert base.n == 10
+    for (k, v), k0, v0 in zip(snapshot, base._k, base._v):
+        assert np.array_equal(k, k0) and np.array_equal(v, v0)
+    for seq, got in ((prev, got_a), (other, got_b)):
+        full, _, _ = mdl.decoder_forward(seq, enc, high, plans.dec_self, plans.dec_cross)
+        assert np.abs(full[10:] - got).max() <= TOLERANCE
+
+
+def test_extend_validates_input():
+    cfg = make_config(1)
+    _, high = make_weights(cfg)
+    request = make_request(cfg, np.zeros(cfg.grid_high, bool))
+    enc = encode(request, high, mdl.PlanBundle.dense())
+    dec = mdl.IncrementalDecoder(enc, high)
+    with pytest.raises(SequenceError):
+        dec.extend([1, 2])  # row 0 must read START
+    dec.extend([cfg.start_token, 1])
+    with pytest.raises(SequenceError):
+        dec.extend([cfg.start_token])  # START only at row 0
+    with pytest.raises(SequenceError):
+        dec.extend(np.ones(cfg.l_high - 1, dtype=int))  # past the grid

@@ -3,7 +3,7 @@ import pytest
 
 from sgaedit import model as mdl
 from sgaedit import sampler
-from sgaedit.errors import ParameterError, ValidationError
+from sgaedit.errors import NumericalError, ParameterError, ValidationError
 from sgaedit.quantizer import TokenGrid
 from sgaedit.rng import substream
 
@@ -183,7 +183,17 @@ class TestAutoregressiveEdit:
         out = sampler.autoregressive_edit(req, high, plans, top_k=100, n_samples=3, n_keep=3, seed=7)
         for cand in out.candidates:
             redo = sampler.rescore(req, high, plans, cand.tokens, top_k=100)
-            assert abs(redo - cand.logprob) <= 1e-5
+            assert abs(redo - cand.logprob) <= 1e-9
+
+    def test_non_finite_logits_raise_numerical_error(self, weights):
+        _, high = weights
+        broken = mdl.ModelWeights(high.config, high.grid, dict(high.params))
+        broken.params["out_head"] = high.params["out_head"].copy()
+        broken.params["out_head"][0, 3] = np.nan
+        req = make_request(8)
+        first = int(np.flatnonzero(req.mask.ravel())[0])
+        with pytest.raises(NumericalError, match=f"position {first}"):
+            sampler.autoregressive_edit(req, broken, mdl.PlanBundle.dense(), n_samples=2, n_keep=1, seed=0)
 
     def test_logprobs_non_increasing(self, weights):
         _, high = weights
