@@ -1,9 +1,11 @@
 """Scaled dot-product attention with additive masks.
 
-This is the dense reference path. It is written against the tape dispatch
-ops, so the same code serves inference (numpy in, numpy out) and training
-(Tensor in, Tensor out). The block-sparse evaluation kernel lives in `sga`
-and is verified against this implementation.
+This is the dense path: the guiding model's attention, whose maps the plans
+are pooled from, and the reference the block-sparse kernel is tested
+against. It is written against the tape dispatch ops, so the same code
+serves inference (numpy in, numpy out) and training (Tensor in, Tensor
+out). The block-sparse kernel, `sga.sparse_attention`, serves every
+planned head in training and inference alike.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import numpy as np
 
 from . import tape as T
 from .errors import ShapeError
-from .numerics import as_array, score_flops_dense  # noqa: F401  (re-export for cost model users)
+from .numerics import as_array
 
 NEG_INF = -np.inf
 

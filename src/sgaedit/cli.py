@@ -76,10 +76,14 @@ def _fit_assets(cfg: dict, directory: Path) -> None:
 
 
 def _load_assets(directory: Path):
-    meta = json.loads((directory / "assets.json").read_text())
+    try:
+        meta = json.loads((directory / "assets.json").read_bytes())
+        patch, channels = int(meta["patch"]), int(meta["channels"])
+    except (ValueError, TypeError, KeyError) as exc:
+        raise ConfigError(f"{directory / 'assets.json'}: malformed ({type(exc).__name__}: {exc})") from exc
     return {
-        "patch": int(meta["patch"]),
-        "channels": int(meta["channels"]),
+        "patch": patch,
+        "channels": channels,
         "projection": read_sgat(directory / "projection.sgat"),
         "codebook": Codebook(read_sgat(directory / "codebook.sgat")),
         "sem_projection": read_sgat(directory / "sem_projection.sgat"),

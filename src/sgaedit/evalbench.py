@@ -21,6 +21,7 @@ from . import model as mdl
 from . import tape as T
 from .errors import DivergenceError, ParameterError, ShapeError, ValidationError
 from .images import to_gray
+from .numerics import score_flops_dense
 from .quantizer import TokenGrid, apply_mask
 from .rng import substream
 
@@ -372,7 +373,7 @@ def forward_score_flops(config: mdl.ModelConfig, bundle: Optional[mdl.PlanBundle
 
     def role_flops(role_plans, layers: int) -> int:
         if role_plans is None:
-            return layers * config.heads * attention.score_flops_dense(length, length, config.d // config.heads)
+            return layers * config.heads * score_flops_dense(length, length, config.d // config.heads)
         return sum(
             sga.score_flops_plan(p, length, length, config.d // config.heads)
             for layer in role_plans
@@ -604,7 +605,7 @@ def benchmark(
                         "variant": "dense",
                         "L": length,
                         "d": d,
-                        "score_flops": attention.score_flops_dense(length, length, d),
+                        "score_flops": score_flops_dense(length, length, d),
                         "wall_s": wall,
                         "sparsity": 1.0,
                         "peak_entries": length * length,

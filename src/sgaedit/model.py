@@ -4,8 +4,10 @@ The guiding model runs dense attention on the low-resolution grid and
 exposes every attention map. The high-resolution model has the identical
 architecture but evaluates attention only over the key blocks named by a
 `PlanBundle` (one plan per layer and head for encoder self, decoder self,
-and decoder cross attention). With full-kept plans the two paths agree to
-float tolerance.
+and decoder cross attention), with the block-gather kernel
+`sga.sparse_attention`: one op per layer covering every head, in training
+and inference alike. With full-kept plans the two paths agree to float
+tolerance.
 
 Forward code is written against the tape dispatch ops, so passing weights
 wrapped in tape Tensors yields a differentiable graph while plain arrays
@@ -99,13 +101,6 @@ class ModelWeights:
     @property
     def length(self) -> int:
         return self.grid[0] * self.grid[1]
-
-    def tape_view(self, tape: T.GradTape) -> "ModelWeights":
-        """Wrap every parameter as a tape leaf (shared config/grid)."""
-        return ModelWeights(self.config, self.grid, {k: tape.param(v) for k, v in self.params.items()})
-
-    def detached(self) -> "ModelWeights":
-        return ModelWeights(self.config, self.grid, {k: np.array(T.value_of(v)) for k, v in self.params.items()})
 
 
 def parameter_shapes(config: ModelConfig, grid: tuple) -> dict:
@@ -247,45 +242,37 @@ def _multi_head(
     x_kv,
     weights: ModelWeights,
     prefix: str,
-    plans,  # list per head or None
-    part_q,
-    part_k,
-    extra_mask,
+    plans,  # list per head, or None for dense heads
+    part: sga.BlockPartition,
+    causal: bool,
     record: bool,
 ):
+    """Multi-head attention of one layer; returns (output, per-head maps).
+
+    Planned heads run as one block-gather kernel call. Dense heads (the
+    guiding model) run `attention.dense_attention` and, with `record`,
+    return their attention maps; planned heads return None maps.
+    """
     w = weights.params
     heads = weights.config.heads
-    dh = weights.config.d // heads
     q_all = T.matmul(x_q, w[f"{prefix}_wq"])
     k_all = T.matmul(x_kv, w[f"{prefix}_wk"])
     v_all = T.matmul(x_kv, w[f"{prefix}_wv"])
+    if plans is not None:
+        out = sga.sparse_attention(q_all, k_all, v_all, plans, part, part, causal=causal).output
+        return T.matmul(out, w[f"{prefix}_wo"]), [None] * heads
+
+    dh = weights.config.d // heads
     n_q = T.value_of(q_all).shape[0]
     n_k = T.value_of(k_all).shape[0]
-    taped = T.is_tensor(q_all)
-
+    mask = attention.causal_mask(n_q) if causal else np.zeros((n_q, n_k))
     outs, maps = [], []
     for h in range(heads):
-        qh = T.slice_cols(q_all, h * dh, (h + 1) * dh)
-        kh = T.slice_cols(k_all, h * dh, (h + 1) * dh)
-        vh = T.slice_cols(v_all, h * dh, (h + 1) * dh)
-        plan = plans[h] if plans is not None else None
-        if plan is None:
-            mask = extra_mask if extra_mask is not None else np.zeros((n_q, n_k))
-            out_h, weights_h = attention.dense_attention(qh, kh, vh, mask)
-            maps.append(np.array(T.value_of(weights_h)) if record else None)
-        elif not taped and n_q == part_q.length and n_k == part_k.length:
-            res = sga.sparse_attention(qh, kh, vh, plan, part_q, part_k, extra_mask=extra_mask)
-            out_h = res.output
-            maps.append(None)
-        else:
-            # Training, or a full-pass reference over a prefix shorter than
-            # the partition (inference decodes with IncrementalDecoder):
-            # evaluate densely under the expanded plan mask (same math).
-            mask = sga.build_sparse_mask(plan, part_q, part_k)[:n_q, :n_k]
-            if extra_mask is not None:
-                mask = attention.combine_masks(mask, extra_mask)
-            out_h, weights_h = attention.dense_attention(qh, kh, vh, mask)
-            maps.append(np.array(T.value_of(weights_h)) if record else None)
+        cols = (h * dh, (h + 1) * dh)
+        out_h, weights_h = attention.dense_attention(
+            T.slice_cols(q_all, *cols), T.slice_cols(k_all, *cols), T.slice_cols(v_all, *cols), mask
+        )
+        maps.append(np.array(T.value_of(weights_h)) if record else None)
         outs.append(out_h)
     return T.matmul(T.concat_cols(outs), w[f"{prefix}_wo"]), maps
 
@@ -311,7 +298,7 @@ def encoder_forward(
     for i in range(cfg.layers_enc):
         h = _peg_rows(h, w[f"enc{i}_peg"], weights.grid)
         layer_plans = plans.enc[i] if plans is not None and plans.enc is not None else None
-        attn_out, maps = _multi_head(h, h, weights, f"enc{i}", layer_plans, part, part, None, record)
+        attn_out, maps = _multi_head(h, h, weights, f"enc{i}", layer_plans, part, False, record)
         h = T.layer_norm(T.add(h, attn_out), w[f"enc{i}_ln1_g"], w[f"enc{i}_ln1_b"])
         h = T.layer_norm(T.add(h, _feed_forward(h, weights, f"enc{i}")), w[f"enc{i}_ln2_g"], w[f"enc{i}_ln2_b"])
         all_maps.append(maps)
@@ -357,37 +344,19 @@ def decoder_forward(
     peg_pos = _peg_rows(context, w["dec_peg"], weights.grid)
     h = T.add(h, T.gather_rows(peg_pos, np.arange(steps)))
 
-    causal = attention.causal_mask(steps)
     self_maps_all, cross_maps_all = [], []
     for i in range(cfg.layers_dec):
         sp = self_plans[i] if self_plans is not None else None
-        a, self_maps = _multi_head(h, h, weights, f"dec{i}_self", sp, part, part, causal, record)
+        a, self_maps = _multi_head(h, h, weights, f"dec{i}_self", sp, part, True, record)
         h = T.layer_norm(T.add(h, a), w[f"dec{i}_ln1_g"], w[f"dec{i}_ln1_b"])
         cp = cross_plans[i] if cross_plans is not None else None
-        c, cross_maps = _multi_head(h, context, weights, f"dec{i}_cross", cp, part, part, None, record)
+        c, cross_maps = _multi_head(h, context, weights, f"dec{i}_cross", cp, part, False, record)
         h = T.layer_norm(T.add(h, c), w[f"dec{i}_ln2_g"], w[f"dec{i}_ln2_b"])
         h = T.layer_norm(T.add(h, _feed_forward(h, weights, f"dec{i}")), w[f"dec{i}_ln3_g"], w[f"dec{i}_ln3_b"])
         self_maps_all.append(self_maps)
         cross_maps_all.append(cross_maps)
     logits = T.matmul(h, w["out_head"])
     return logits, self_maps_all, cross_maps_all
-
-
-def _kept_keys(plans, part: sga.BlockPartition, heads: int) -> list:
-    """[head][query block] -> ascending key token indices the plan keeps
-    (every token for a dense head)."""
-    block_tokens = [part.tokens_of(t) for t in range(part.n_blocks)]
-    every = np.arange(part.length)
-    out = []
-    for h in range(heads):
-        plan = plans[h] if plans is not None else None
-        if plan is None:
-            out.append([every] * part.n_blocks)
-            continue
-        if plan.n_blocks != part.n_blocks:
-            raise ShapeError("partition block counts do not match plan")
-        out.append([np.concatenate([block_tokens[t] for t in kept]) for kept in plan.kept])
-    return out
 
 
 class IncrementalDecoder:
@@ -397,8 +366,9 @@ class IncrementalDecoder:
     ([layer][head], None = dense). `extend(prev_rows)` appends decoder rows
     [n, n + m), whose input tokens are `prev_rows`, and returns their logits:
     rows [n, n + m) of `decoder_forward` over the prefix, to float rounding.
-    Each query block attends only to the key tokens its plan keeps, and
-    self-attention further keeps key t <= row, so no L x L mask is built.
+    Each query block attends only to the key tokens its plan keeps (read
+    off `sga.block_index`), and self-attention further keeps key t <= row,
+    so no L x L mask is built.
     Embeddings, layer norm and the feed-forward act row by row, so the
     cache is exact, not an approximation. `fork()` gives an independent
     copy that shares the read-only parts.
@@ -416,14 +386,15 @@ class IncrementalDecoder:
         self._cross_kv = [
             (context @ w[f"dec{i}_cross_wk"], context @ w[f"dec{i}_cross_wv"]) for i in range(cfg.layers_dec)
         ]
-        self._self_keys = [
-            _kept_keys(self_plans[i] if self_plans is not None else None, part, cfg.heads)
-            for i in range(cfg.layers_dec)
-        ]
-        self._cross_keys = [
-            _kept_keys(cross_plans[i] if cross_plans is not None else None, part, cfg.heads)
-            for i in range(cfg.layers_dec)
-        ]
+        full = [sga.full_plan(cfg.blocks)] * cfg.heads  # dense heads keep every block
+
+        def kept_keys(plans, i, causal):
+            # [head][query block] -> ascending key tokens, read off the kernel's index
+            index = sga.block_index(plans[i] if plans is not None else full, part, part, causal=causal)
+            return [[keys[ok] for keys, ok in zip(index.keys[h], index.valid[h])] for h in range(cfg.heads)]
+
+        self._self_keys = [kept_keys(self_plans, i, True) for i in range(cfg.layers_dec)]
+        self._cross_keys = [kept_keys(cross_plans, i, False) for i in range(cfg.layers_dec)]
         self._k = [np.zeros((weights.length, cfg.d)) for _ in range(cfg.layers_dec)]
         self._v = [np.zeros((weights.length, cfg.d)) for _ in range(cfg.layers_dec)]
 
@@ -492,13 +463,18 @@ def guiding_forward(
     weights: ModelWeights,
     decoder_tokens: Optional[np.ndarray] = None,
     record: bool = True,
+    encoder_out: Optional[EncoderOutput] = None,
 ) -> GuidingResult:
     """Dense forward pass exposing every attention map.
 
     `decoder_tokens` is the complete token sequence the decoder is forced
     over; by default the (possibly masked) input grid itself is used.
+    `encoder_out`, when given, is this model's dense encoder pass over
+    (x, p), already run by the caller; it is reused instead of recomputed.
     """
-    enc = encoder_forward(embed_encoder(x, p, weights), weights, plans=None, record=record)
+    enc = encoder_out
+    if enc is None:
+        enc = encoder_forward(embed_encoder(x, p, weights), weights, plans=None, record=record)
     seq = x.flat() if decoder_tokens is None else np.asarray(decoder_tokens, dtype=np.int64)
     if seq.size != weights.length:
         raise SequenceError(f"decoder sequence length {seq.size} != {weights.length}")
@@ -581,11 +557,19 @@ def save_checkpoint(directory, weights: ModelWeights) -> None:
 
 
 def load_checkpoint(directory) -> ModelWeights:
+    """Read a checkpoint directory. A malformed manifest raises ConfigError;
+    a malformed tensor file raises ValidationError (from `read_sgat`)."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    config = ModelConfig.from_dict(manifest["config"])
-    grid = tuple(manifest["grid"])
-    params = {name: read_sgat(directory / fname) for name, fname in manifest["params"].items()}
+    text = (directory / "manifest.json").read_bytes()
+    try:
+        manifest = json.loads(text)
+        config = ModelConfig.from_dict(manifest["config"])
+        grid = tuple(int(v) for v in manifest["grid"])
+        files = {str(name): directory / str(fname) for name, fname in manifest["params"].items()}
+    except (ValueError, TypeError, KeyError, AttributeError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError
+        raise ConfigError(f"{directory / 'manifest.json'}: malformed manifest ({type(exc).__name__}: {exc})") from exc
+    params = {name: read_sgat(path) for name, path in files.items()}
     expected = parameter_shapes(config, grid)
     for name, shape in expected.items():
         if name not in params or params[name].shape != shape:

@@ -129,9 +129,15 @@ def rank_candidates(cands: CandidateSet) -> CandidateSet:
     return CandidateSet([Candidate(c.tokens, c.logprob, rank=i) for i, c in enumerate(ordered)])
 
 
+def _encode(tokens: TokenGrid, semantic: TokenGrid, mask: np.ndarray, weights, plans, record=False):
+    """Encoder pass over the masked token grid and its semantic grid."""
+    enc_in = apply_mask(tokens, mask)
+    return mdl.encoder_forward(mdl.embed_encoder(enc_in, semantic, weights), weights, plans=plans, record=record)
+
+
 def _forced_decode(
+    enc_out: mdl.EncoderOutput,
     tokens: TokenGrid,
-    semantic: TokenGrid,
     mask: np.ndarray,
     weights: mdl.ModelWeights,
     plans: mdl.PlanBundle,
@@ -141,16 +147,15 @@ def _forced_decode(
 
     Positions decode row-major: originals are forced at unmasked positions,
     masked positions are sampled with top-k and accumulate their log-probs.
-    The encoder pass and the rows up to and including the first masked
-    position run here, once; each `decode` call forks that state, so calls
-    are independent and may run on concurrent threads.
+    `enc_out` is the encoder pass over the masked grid. The rows up to and
+    including the first masked position run here, once; each `decode` call
+    forks that state, so calls are independent and may run on concurrent
+    threads.
     """
     cfg = weights.config
     if top_k < 1:
         raise ParameterError(f"top-k must be >= 1, got {top_k}")
     k_eff = min(top_k, cfg.vocab)
-    enc_in = apply_mask(tokens, mask)
-    enc_out = mdl.encoder_forward(mdl.embed_encoder(enc_in, semantic, weights), weights, plans=plans)
     original = tokens.flat()
     positions = np.flatnonzero(np.asarray(mask, dtype=bool).ravel())
     shared = mdl.IncrementalDecoder(enc_out, weights, plans.dec_self, plans.dec_cross)
@@ -206,20 +211,19 @@ def guide_and_plan(
 
     The decoder maps come from one forced pass over the completed low-res
     sequence, so every map is a full square matrix; each map is pooled into
-    a block-affinity matrix and converted to a neighborhood+top-K plan.
+    a block-affinity matrix and converted to a neighborhood+top-K plan. One
+    encoder pass, recording its maps, serves both the sampling and that
+    forced pass.
     """
     k = config.top_k if top_k is None else top_k
-    decode = _forced_decode(
-        request.tokens_low,
-        request.semantic_low,
-        request.mask_low,
-        guiding_weights,
-        mdl.PlanBundle.dense(),
-        max(k, 1) if k else 1,
-    )
+    dense = mdl.PlanBundle.dense()
+    enc = _encode(request.tokens_low, request.semantic_low, request.mask_low, guiding_weights, dense, record=True)
+    decode = _forced_decode(enc, request.tokens_low, request.mask_low, guiding_weights, dense, max(k, 1) if k else 1)
     completion, logprob = decode(substream(seed, "guide-sample"))
     enc_in = apply_mask(request.tokens_low, request.mask_low)
-    forced = mdl.guiding_forward(enc_in, request.semantic_low, guiding_weights, decoder_tokens=completion.flat())
+    forced = mdl.guiding_forward(
+        enc_in, request.semantic_low, guiding_weights, decoder_tokens=completion.flat(), encoder_out=enc
+    )
     return GuidePlanResult(completion_low=completion, plans=plans_from_maps(forced, config), logprob_low=logprob)
 
 
@@ -237,7 +241,8 @@ def autoregressive_edit(
     if n_samples < 1 or n_keep < 1:
         raise ParameterError("n_samples and n_keep must be >= 1")
 
-    decode = _forced_decode(request.tokens, request.semantic, request.mask, sga_weights, plans, top_k)
+    enc_out = _encode(request.tokens, request.semantic, request.mask, sga_weights, plans)
+    decode = _forced_decode(enc_out, request.tokens, request.mask, sga_weights, plans, top_k)
 
     def one(i: int) -> Candidate:
         tokens, logprob = decode(substream(seed, f"candidate-{i}"))
@@ -269,8 +274,7 @@ def rescore(
     """Recompute a candidate's joint log-prob with one full forced pass."""
     cfg = sga_weights.config
     k_eff = min(top_k, cfg.vocab)
-    enc_in = apply_mask(request.tokens, request.mask)
-    enc_out = mdl.encoder_forward(mdl.embed_encoder(enc_in, request.semantic, sga_weights), sga_weights, plans=plans)
+    enc_out = _encode(request.tokens, request.semantic, request.mask, sga_weights, plans)
     seq = candidate.flat()
     prev = np.concatenate([[cfg.start_token], seq[:-1]])
     logits, _, _ = mdl.decoder_forward(prev, enc_out, sga_weights, plans.dec_self, plans.dec_cross)

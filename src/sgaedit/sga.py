@@ -4,26 +4,29 @@ The mechanism: partition the token sequence into N equal blocks, pool a
 dense low-resolution attention matrix into an N x N block-affinity matrix,
 and for each query block keep its neighborhood plus the top-K highest-
 affinity blocks outside it. Attention is then evaluated only over kept
-blocks, either by expanding the plan into an additive mask (reference) or
-with the block kernel `sparse_attention` that never materializes the full
-score matrix.
+blocks by `sparse_attention`: one block-gather kernel over every head of a
+layer (`block_index` lists each query block's kept key tokens, and
+`tape.block_attention` evaluates them with one batched matmul). It serves
+training and inference alike and never materializes the full score
+matrix. `build_sparse_mask` expands a plan into the equivalent L x L mask
+for the dense reference that the tests compare against.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Optional
+from functools import cached_property
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import tape as T
 from .errors import DegenerateRowError, ShapeError, ValidationError
 from .numerics import as_array, avg_pool_matrix
 from .rng import substream
 
 NEG_INF = -np.inf
-
-PLAN_KINDS = ("guided", "random", "local", "sliding", "global")
 
 
 @dataclass(frozen=True)
@@ -39,8 +42,13 @@ class BlockPartition:
     def block_size(self) -> int:
         return self.length // self.n_blocks
 
+    @cached_property
+    def tokens(self) -> np.ndarray:
+        """n_blocks x block_size: the ascending token indices of every block."""
+        return np.argsort(self.block_of, kind="stable").reshape(self.n_blocks, self.block_size)
+
     def tokens_of(self, block: int) -> np.ndarray:
-        return np.flatnonzero(self.block_of == block)
+        return self.tokens[block]
 
 
 def partition(
@@ -220,79 +228,131 @@ def build_sparse_mask(plan: SparsityPlan, partition_q: BlockPartition, partition
     return mask
 
 
+@dataclass(frozen=True)
+class BlockIndex:
+    """Gather index of the block kernel for one list of per-head plans.
+
+    Only query blocks holding a token below the query prefix n_q appear
+    (all N for a full-length query), in block order; N' counts them.
+    rows [N', bs_q]: the query tokens of each such block.
+    keys [H, N', K]: per (head, query block) the tokens of its live kept key
+    blocks in kept order, padded with token 0 to the largest count K.
+    valid [H, N', K]: False on padding and on keys at or past the key prefix.
+    blocked [H, N', bs_q, K] or None: True where the kernel removes a score
+    (invalid keys and, under the causal mask, keys after the query token).
+    live_blocks: the (head, query block, key block) triples evaluated.
+    """
+
+    rows: np.ndarray
+    keys: np.ndarray
+    valid: np.ndarray
+    blocked: Optional[np.ndarray]
+    live_blocks: int
+
+
+def block_index(
+    plans: Sequence[SparsityPlan],
+    partition_q: BlockPartition,
+    partition_k: BlockPartition,
+    causal: bool = False,
+    n_q: Optional[int] = None,
+    n_k: Optional[int] = None,
+) -> BlockIndex:
+    """Kept key tokens of every (head, query block), for queries [0, n_q)
+    and keys [0, n_k) (default: the full partitions).
+
+    A kept block with no visible key is left out: under the causal mask
+    every block whose first token comes after the query block's last token
+    (t > r for contiguous blocks), and every block wholly past the key
+    prefix. Plans and their FLOP counts are unchanged; only the index
+    skips them. Raises DegenerateRowError naming the token if a query row
+    below n_q has no visible key.
+    """
+    n = partition_q.n_blocks
+    if partition_k.n_blocks != n or any(p.n_blocks != n for p in plans):
+        raise ShapeError("partition block counts do not match plan")
+    n_q = partition_q.length if n_q is None else n_q
+    n_k = partition_k.length if n_k is None else n_k
+    tok_q, tok_k = partition_q.tokens, partition_k.tokens
+    keep = np.zeros((len(plans), n, n), dtype=bool)
+    for h, plan in enumerate(plans):
+        for r, ks in enumerate(plan.kept):
+            keep[h, r, list(ks)] = True
+    q_blocks = np.flatnonzero(tok_q[:, 0] < n_q)
+    live = tok_k[None, :, 0] < n_k
+    if causal:
+        live = live & (tok_k[None, :, 0] <= tok_q[q_blocks, -1:])
+    keep = keep[:, q_blocks] & live
+    count = keep.sum(axis=-1)
+    width = int(count.max())
+    order = np.argsort(~keep, axis=-1, kind="stable")[..., :width]  # kept blocks first, ascending
+    keys = tok_k[order]  # H x N' x width x bs_k
+    valid = (np.arange(width) < count[..., None])[..., None] & (keys < n_k)
+    shape = keys.shape[:2] + (-1,)
+    keys, valid = np.where(valid, keys, 0).reshape(shape), valid.reshape(shape)
+    rows = tok_q[q_blocks]
+    visible = valid[:, :, None, :]
+    if causal:
+        visible = visible & (keys[:, :, None, :] <= rows[None, :, :, None])
+    tiles = keys.shape[:2] + rows.shape[1:]
+    dead = ~np.broadcast_to(visible.any(axis=-1), tiles)
+    if (dead & (rows < n_q)).any():
+        h, r, i = (int(a[0]) for a in np.nonzero(dead & (rows < n_q)))
+        block = int(q_blocks[r])
+        raise DegenerateRowError(
+            f"query token {int(rows[r, i])} (block {block}, head {h}) has no visible key: "
+            f"kept blocks {list(plans[h].kept[block])}, key prefix {n_k}, causal {causal}"
+        )
+    blocked = None
+    if not visible.all():
+        blocked = ~np.broadcast_to(visible, tiles + keys.shape[2:])
+        blocked[dead] = False  # rows past the query prefix: computed, then dropped
+    return BlockIndex(rows=rows, keys=keys, valid=valid, blocked=blocked, live_blocks=int(count.sum()))
+
+
 @dataclass
 class SparseAttentionResult:
-    output: np.ndarray
-    # one entry per query block: (query block id, kept block ids, key token
-    # indices in gather order, local softmax weights rows x kept-width)
-    block_weights: list
+    output: object  # n_q x (H * dh) array, or a tape Tensor when an input is one
     score_flops: int
+    # entries of one (head, query block) score tile, query block against its
+    # padded kept keys; the kernel evaluates all H x N' tiles in one batch
     peak_score_entries: int
 
 
 def sparse_attention(
-    q: np.ndarray,
-    k: np.ndarray,
-    v: np.ndarray,
-    plan: SparsityPlan,
+    q,
+    k,
+    v,
+    plans: Union[SparsityPlan, Sequence[SparsityPlan]],
     partition_q: BlockPartition,
     partition_k: BlockPartition,
-    extra_mask: Optional[np.ndarray] = None,
+    causal: bool = False,
 ) -> SparseAttentionResult:
-    """Attention evaluated only over kept key blocks.
+    """Multi-head attention evaluated only over kept key blocks.
 
-    Scores are computed per query block against the concatenation of its
-    kept key blocks; the full L_q x L_k score matrix never exists. Matches
-    dense attention under the expanded plan mask to float tolerance, and
-    reports the exact score FLOPs spent (2 * d * sum_r |kept(r)| * (L/N)^2
-    for equal block sizes).
+    `plans` holds one plan per head (a single plan means one head); q is
+    n_q x (H * dh) and k, v are n_k x (H * dh), heads side by side. Queries
+    and keys may be prefixes of their partitions (n_q <= L_q, n_k <= L_k);
+    `causal` additionally removes keys after each query token. Inputs may
+    be tape Tensors: the kernel is one differentiable op. Equals dense
+    attention under the expanded plan mask (and the causal mask) to float
+    rounding, and reports the exact score FLOPs spent over live blocks:
+    2 * dh * (L_q / N) * (L_k / N) per (head, query block, live kept block).
     """
-    q, k, v = as_array(q), as_array(k), as_array(v)
-    if q.ndim != 2 or k.ndim != 2 or v.ndim != 2:
-        raise ShapeError("q, k, v must be 2D")
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"q width {q.shape[1]} != k width {k.shape[1]}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError("k and v row counts differ")
-    if partition_q.length != q.shape[0] or partition_k.length != k.shape[0]:
+    qv, kv = T.value_of(q), T.value_of(k)
+    plans = [plans] if isinstance(plans, SparsityPlan) else list(plans)
+    if qv.ndim != 2 or kv.ndim != 2 or not plans:
+        raise ShapeError("q and k must be 2D, with at least one head plan")
+    if not (1 <= qv.shape[0] <= partition_q.length and 1 <= kv.shape[0] <= partition_k.length):
         raise ShapeError("partitions do not match q/k lengths")
-    if partition_q.n_blocks != plan.n_blocks or partition_k.n_blocks != plan.n_blocks:
-        raise ShapeError("partition block counts do not match plan")
-    if extra_mask is not None:
-        extra_mask = as_array(extra_mask)
-        if extra_mask.shape != (q.shape[0], k.shape[0]):
-            raise ShapeError(f"extra mask shape {extra_mask.shape} != {(q.shape[0], k.shape[0])}")
-
-    d = q.shape[1]
-    inv_sqrt_d = 1.0 / np.sqrt(d)
-    out = np.zeros((q.shape[0], v.shape[1]), dtype=np.float64)
-    block_weights = []
-    flops = 0
-    peak = 0
-
-    for r in range(plan.n_blocks):
-        rows = partition_q.tokens_of(r)
-        kept_ids = plan.kept[r]
-        cols = np.concatenate([partition_k.tokens_of(t) for t in kept_ids])
-        scores = (q[rows] @ k[cols].T) * inv_sqrt_d
-        flops += 2 * rows.size * cols.size * d
-        peak = max(peak, rows.size * cols.size)
-        if extra_mask is not None:
-            scores = scores + extra_mask[np.ix_(rows, cols)]
-        rowmax = scores.max(axis=1, keepdims=True)
-        dead = np.isneginf(rowmax)
-        if dead.any():
-            token = int(rows[int(np.argmax(dead.ravel()))])
-            raise DegenerateRowError(
-                f"query token {token} (block {r}) has no visible key under plan "
-                f"(kept blocks {list(kept_ids)}) combined with the extra mask"
-            )
-        expd = np.exp(scores - rowmax)
-        weights = expd / expd.sum(axis=1, keepdims=True)
-        out[rows] = weights @ v[cols]
-        block_weights.append((r, kept_ids, cols, weights))
-
-    return SparseAttentionResult(output=out, block_weights=block_weights, score_flops=flops, peak_score_entries=peak)
+    index = block_index(plans, partition_q, partition_k, causal, qv.shape[0], kv.shape[0])
+    out = T.block_attention(q, k, v, index.rows, index.keys, index.blocked)
+    block_q, block_k = partition_q.block_size, partition_k.block_size
+    return SparseAttentionResult(
+        output=out,
+        score_flops=2 * (qv.shape[1] // len(plans)) * index.live_blocks * block_q * block_k,
+        peak_score_entries=block_q * index.keys.shape[2],
+    )
 
 
 def score_flops_plan(plan: SparsityPlan, length_q: int, length_k: int, d: int) -> int:

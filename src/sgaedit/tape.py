@@ -7,8 +7,9 @@ recording: the inference path) or `Tensor` handles (returning a recorded
 functions and works in both modes.
 
 The op set is deliberately closed: matmul, add, mul, scale, masked_softmax,
-layer_norm, peg, gather_rows, slice_cols, concat_cols, gelu, log, sum/mean
-reductions, and cross_entropy. There is no general broadcasting engine.
+layer_norm, peg, gather_rows, slice_cols, concat_cols, block_attention (the
+block-sparse attention kernel), gelu, log, sum/mean reductions, and
+cross_entropy. There is no general broadcasting engine.
 """
 
 from __future__ import annotations
@@ -34,6 +35,7 @@ DIFFERENTIABLE_OPS = (
     "slice_cols",
     "concat_cols",
     "reshape",
+    "block_attention",
     "gelu",
     "log",
     "sum_all",
@@ -45,14 +47,13 @@ DIFFERENTIABLE_OPS = (
 class Tensor:
     """A value recorded on a GradTape."""
 
-    __slots__ = ("value", "grad", "tape", "_backward", "_recompute")
+    __slots__ = ("value", "grad", "tape", "_backward")
 
     def __init__(self, value: np.ndarray, tape: "GradTape"):
         self.value = np.asarray(value, dtype=np.float64)
         self.grad: Optional[np.ndarray] = None
         self.tape = tape
         self._backward: Optional[Callable[[np.ndarray], None]] = None
-        self._recompute: Optional[Callable[[], np.ndarray]] = None
 
     def accumulate(self, g: np.ndarray) -> None:
         if self.grad is None:
@@ -66,7 +67,7 @@ class Tensor:
 
 
 class GradTape:
-    """Ordered record of primitive ops; replays forward, walks backward."""
+    """Ordered record of primitive ops, walked in reverse by `backward`."""
 
     def __init__(self):
         self._nodes: list[Tensor] = []
@@ -91,16 +92,6 @@ class GradTape:
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
 
-    def zero_grad(self) -> None:
-        for node in self._nodes:
-            node.grad = None
-
-    def replay(self) -> None:
-        """Recompute every recorded value in order from current leaf values."""
-        for node in self._nodes:
-            if node._recompute is not None:
-                node.value = node._recompute()
-
 
 def is_tensor(x) -> bool:
     return isinstance(x, Tensor)
@@ -117,10 +108,9 @@ def _tape_of(*args) -> GradTape:
     raise ValueError("no Tensor operand")
 
 
-def _node(tape: GradTape, value, backward, recompute) -> Tensor:
+def _node(tape: GradTape, value, backward) -> Tensor:
     node = Tensor(value, tape)
     node._backward = backward
-    node._recompute = recompute
     tape._record(node)
     return node
 
@@ -146,7 +136,7 @@ def add(a, b):
         if is_tensor(b):
             b.accumulate(g)
 
-    return _node(tape, value_of(a) + value_of(b), backward, lambda: value_of(a) + value_of(b))
+    return _node(tape, value_of(a) + value_of(b), backward)
 
 
 def add_bias(x, b):
@@ -166,7 +156,7 @@ def add_bias(x, b):
         if is_tensor(b):
             b.accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
 
-    return _node(tape, value_of(x) + value_of(b), backward, lambda: value_of(x) + value_of(b))
+    return _node(tape, value_of(x) + value_of(b), backward)
 
 
 def reshape(x, shape: tuple):
@@ -178,7 +168,7 @@ def reshape(x, shape: tuple):
     def backward(g):
         x.accumulate(g.reshape(old))
 
-    return _node(x.tape, x.value.reshape(shape), backward, lambda: x.value.reshape(shape))
+    return _node(x.tape, x.value.reshape(shape), backward)
 
 
 def mul(a, b):
@@ -193,7 +183,7 @@ def mul(a, b):
         if is_tensor(b):
             b.accumulate(g * value_of(a))
 
-    return _node(tape, value_of(a) * value_of(b), backward, lambda: value_of(a) * value_of(b))
+    return _node(tape, value_of(a) * value_of(b), backward)
 
 
 def scale(a, c: float):
@@ -205,7 +195,7 @@ def scale(a, c: float):
     def backward(g):
         a.accumulate(g * c)
 
-    return _node(a.tape, a.value * c, backward, lambda: a.value * c)
+    return _node(a.tape, a.value * c, backward)
 
 
 def _mm(av: np.ndarray, bv: np.ndarray, transpose_b: bool) -> np.ndarray:
@@ -236,7 +226,7 @@ def matmul(a, b, transpose_b: bool = False):
             if is_tensor(b):
                 b.accumulate(av.T @ g)
 
-    return _node(tape, out, backward, lambda: _mm(value_of(a), value_of(b), transpose_b))
+    return _node(tape, out, backward)
 
 
 def masked_softmax(scores, mask):
@@ -245,14 +235,12 @@ def masked_softmax(scores, mask):
     if not is_tensor(scores):
         return nm.masked_softmax(scores, mask)
 
-    def forward():
-        return nm.masked_softmax(scores.value, mask)
+    y = nm.masked_softmax(scores.value, mask)
 
     def backward(g):
-        y = nm.masked_softmax(scores.value, mask)
         scores.accumulate(y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-    return _node(scores.tape, forward(), backward, forward)
+    return _node(scores.tape, y, backward)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5):
@@ -282,7 +270,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
             ) * inv
             x.accumulate(dx)
 
-    return _node(tape, forward(), backward, forward)
+    return _node(tape, forward(), backward)
 
 
 def peg(x, kernel):
@@ -314,7 +302,7 @@ def peg(x, kernel):
                     dk[u, v] = (g * xpad[u : u + h, v : v + w]).sum(axis=(0, 1))
             kernel.accumulate(dk)
 
-    return _node(tape, forward(), backward, forward)
+    return _node(tape, forward(), backward)
 
 
 def gather_rows(table, indices):
@@ -330,7 +318,7 @@ def gather_rows(table, indices):
         np.add.at(dt, idx, g)
         table.accumulate(dt)
 
-    return _node(table.tape, table.value[idx], backward, lambda: table.value[idx])
+    return _node(table.tape, table.value[idx], backward)
 
 
 def slice_cols(x, start: int, stop: int):
@@ -342,7 +330,7 @@ def slice_cols(x, start: int, stop: int):
         dx[:, start:stop] = g
         x.accumulate(dx)
 
-    return _node(x.tape, x.value[:, start:stop], backward, lambda: x.value[:, start:stop])
+    return _node(x.tape, x.value[:, start:stop], backward)
 
 
 def concat_cols(parts: Sequence):
@@ -361,22 +349,121 @@ def concat_cols(parts: Sequence):
                 p.accumulate(g[:, offset : offset + w])
             offset += w
 
-    return _node(tape, forward(), backward, forward)
+    return _node(tape, forward(), backward)
+
+
+def block_attention(q, k, v, rows, keys, blocked=None):
+    """Softmax attention over gathered key tokens, batched over heads and query blocks.
+
+    q is n_q x (H * dh) and k, v are n_k x (H * dh), head h in columns
+    [h * dh, (h + 1) * dh). `rows` [N, bs] holds the query tokens of each
+    query block and `keys` [H, N, K] the key tokens each (head, query block)
+    attends to. `blocked` [H, N, bs, K], when given, is True where a score is
+    removed before the softmax. Row i of block n, head h is
+    softmax(q[rows[n, i]] . k[keys[h, n]] / sqrt(dh) - inf * blocked) @ v[keys[h, n]].
+
+    Every token below n_q appears once in `rows`; entries >= n_q (the tail
+    of a prefix's last block) are evaluated on a clipped query and dropped.
+    Every row must keep at least one key; `sga.block_index` checks that.
+    The forward keeps the softmax weights for the backward, which scatters
+    the key and value gradients back to token rows with one `bincount` each.
+    """
+    qv, kv, vv = value_of(q), value_of(k), value_of(v)
+    rows = np.asarray(rows, dtype=np.int64)
+    keys = np.asarray(keys, dtype=np.int64)
+    if qv.ndim != 2 or kv.ndim != 2 or vv.ndim != 2:
+        raise ShapeError("q, k, v must be 2D")
+    if rows.ndim != 2 or keys.ndim != 3 or keys.shape[1] != rows.shape[0]:
+        raise ShapeError(f"rows {rows.shape} and keys {keys.shape} disagree")
+    heads, n_blocks, width = keys.shape
+    bs = rows.shape[1]
+    n_q, n_k = qv.shape[0], kv.shape[0]
+    if qv.shape[1] != kv.shape[1] or kv.shape != vv.shape or qv.shape[1] % heads:
+        raise ShapeError(f"q {qv.shape}, k {kv.shape}, v {vv.shape} are inconsistent for {heads} heads")
+    if blocked is not None and blocked.shape != (heads, n_blocks, bs, width):
+        raise ShapeError(f"blocked {blocked.shape} != {(heads, n_blocks, bs, width)}")
+    dh = qv.shape[1] // heads
+    scale_ = 1.0 / np.sqrt(dh)
+
+    flat = rows.ravel()
+    whole = flat.size == n_q and np.array_equal(flat, np.arange(n_q))
+    out_pos = None if whole else np.flatnonzero(flat < n_q)
+    gidx = keys + n_k * np.arange(heads)[:, None, None]  # rows of the head-major H * n_k x dh table
+
+    def by_block(x):  # (N * bs) x (H * dh) -> H x N x bs x dh
+        return x.reshape(n_blocks, bs, heads, dh).transpose(2, 0, 1, 3)
+
+    def from_block(x):  # H x N x bs x dh -> n_q x (H * dh)
+        flat_out = x.transpose(1, 2, 0, 3).reshape(n_blocks * bs, heads * dh)
+        if whole:
+            return flat_out
+        out = np.empty((n_q, heads * dh))
+        out[flat[out_pos]] = flat_out[out_pos]
+        return out
+
+    def head_major(x):  # n_k x (H * dh) -> (H * n_k) x dh
+        return x.reshape(n_k, heads, dh).transpose(1, 0, 2).reshape(heads * n_k, dh)
+
+    qb = by_block(qv if whole else qv[np.minimum(flat, n_q - 1)])
+    # the gathered keys are dropped once scored and gathered again by the backward
+    w = np.matmul(qb, head_major(kv)[gidx].transpose(0, 1, 3, 2))
+    w *= scale_
+    if blocked is not None:
+        np.copyto(w, -np.inf, where=blocked)
+    w -= w.max(axis=-1, keepdims=True)
+    np.exp(w, out=w)
+    w /= w.sum(axis=-1, keepdims=True)
+    vb = head_major(vv)[gidx]
+    value = from_block(np.matmul(w, vb))
+    if not (is_tensor(q) or is_tensor(k) or is_tensor(v)):
+        return value
+    tape = _tape_of(q, k, v)
+
+    def scatter_keys(xb, idx):  # H x N x K x dh -> n_k x (H * dh), summing repeated keys
+        table = np.bincount(idx, weights=xb.ravel(), minlength=heads * n_k * dh)
+        return table.reshape(heads, n_k, dh).transpose(1, 0, 2).reshape(n_k, heads * dh)
+
+    def backward(g):
+        if whole:
+            gq = g
+        else:
+            gq = np.zeros((n_blocks * bs, heads * dh))
+            gq[out_pos] = g[flat[out_pos]]
+        gb = by_block(gq)
+        ds = np.matmul(gb, vb.transpose(0, 1, 3, 2))
+        ds -= (ds * w).sum(axis=-1, keepdims=True)
+        ds *= w
+        ds *= scale_
+        if is_tensor(q):
+            q.accumulate(from_block(np.matmul(ds, head_major(kv)[gidx])))
+        idx = (gidx[..., None] * dh + np.arange(dh)).ravel()
+        if is_tensor(k):
+            k.accumulate(scatter_keys(np.matmul(ds.transpose(0, 1, 3, 2), qb), idx))
+        if is_tensor(v):
+            v.accumulate(scatter_keys(np.matmul(w.transpose(0, 1, 3, 2), gb), idx))
+
+    return _node(tape, value, backward)
 
 
 def gelu(x):
     if not is_tensor(x):
         return nm.gelu(x)
 
-    def backward(g):
-        xv = x.value
-        c = np.sqrt(2.0 / np.pi)
-        u = c * (xv + 0.044715 * xv**3)
-        t = np.tanh(u)
-        du = c * (1.0 + 3 * 0.044715 * xv**2)
-        x.accumulate(g * (0.5 * (1.0 + t) + 0.5 * xv * (1.0 - t**2) * du))
+    xv = x.value
+    t = nm.gelu_tanh(xv)  # kept for the backward
 
-    return _node(x.tape, nm.gelu(x.value), backward, lambda: nm.gelu(x.value))
+    def backward(g):
+        # d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)
+        slope = xv * xv
+        slope *= 3 * 0.044715
+        slope += 1.0
+        slope *= nm.GELU_C * xv
+        slope *= 1.0 - t * t
+        slope += 1.0 + t
+        slope *= 0.5
+        x.accumulate(g * slope)
+
+    return _node(x.tape, 0.5 * xv * (1.0 + t), backward)
 
 
 def log(x):
@@ -386,7 +473,7 @@ def log(x):
     def backward(g):
         x.accumulate(g / x.value)
 
-    return _node(x.tape, np.log(x.value), backward, lambda: np.log(x.value))
+    return _node(x.tape, np.log(x.value), backward)
 
 
 def sum_all(x):
@@ -396,7 +483,7 @@ def sum_all(x):
     def backward(g):
         x.accumulate(np.full_like(x.value, float(g)))
 
-    return _node(x.tape, x.value.sum(), backward, lambda: x.value.sum())
+    return _node(x.tape, x.value.sum(), backward)
 
 
 def mean_all(x):
@@ -407,7 +494,7 @@ def mean_all(x):
     def backward(g):
         x.accumulate(np.full_like(x.value, float(g) / n))
 
-    return _node(x.tape, x.value.mean(), backward, lambda: x.value.mean())
+    return _node(x.tape, x.value.mean(), backward)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:
@@ -437,7 +524,7 @@ def cross_entropy(logits, targets):
         p[np.arange(tgt.shape[0]), tgt] -= 1.0
         logits.accumulate(p * (float(g) / tgt.shape[0]))
 
-    return _node(logits.tape, forward_value(logits.value), backward, lambda: forward_value(logits.value))
+    return _node(logits.tape, forward_value(logits.value), backward)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from sgaedit import attention as att
+from sgaedit import numerics as nm
 from sgaedit.errors import DegenerateRowError, ShapeError
 from sgaedit.rng import substream
 
@@ -129,4 +130,4 @@ class TestCombineMasks:
 
 
 def test_cost_model_formula():
-    assert att.score_flops_dense(4096, 4096, 64) == 2 * 4096 * 4096 * 64
+    assert nm.score_flops_dense(4096, 4096, 64) == 2 * 4096 * 4096 * 64

@@ -1,7 +1,9 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from sgaedit import cli, images
 from sgaedit import model as mdl
 from sgaedit.quantizer import TokenGrid
 from sgaedit.rng import substream
+
+SRC = str(Path(cli.__file__).resolve().parent.parent)
 
 TINY = {
     "seed": 11,
@@ -231,6 +235,50 @@ class TestEdit:
             if f.name in ("timings.json", "resolved_config.json"):
                 continue
             assert f.read_bytes() == (tmp_path / "r2" / "edit" / f.name).read_bytes(), f.name
+
+
+def _sgat_header(header: bytes) -> bytes:
+    return b"SGAT" + len(header).to_bytes(4, "little") + header
+
+
+# (name, file to replace in a copy of the guide checkpoint, its bytes, exit code)
+MALFORMED_CHECKPOINTS = [
+    ("sgat-truncated-header", "out_head.sgat", b"SGAT\x10\x00", 4),
+    ("sgat-header-past-eof", "out_head.sgat", b"SGAT\xff\x00\x00\x00{}", 4),
+    ("sgat-garbled-header", "out_head.sgat", _sgat_header(b'{"dtype": "f32", "shape": [1,'), 4),
+    ("sgat-binary-header", "out_head.sgat", _sgat_header(b"\xff\xfe\x00"), 4),
+    ("sgat-header-not-object", "out_head.sgat", _sgat_header(b"[1, 2]"), 4),
+    ("sgat-missing-shape", "out_head.sgat", _sgat_header(b'{"dtype": "f32"}'), 4),
+    ("sgat-bad-shape", "out_head.sgat", _sgat_header(b'{"dtype": "f32", "shape": ["a"]}'), 4),
+    ("manifest-garbled", "manifest.json", b'{"config": ', 2),
+    ("manifest-binary", "manifest.json", b"\x80\x81", 2),
+    ("manifest-missing-grid", "manifest.json", b'{"config": {}, "params": {}}', 2),
+    ("manifest-not-object", "manifest.json", b"[]", 2),
+    ("assets-garbled", "assets.json", b"{patch", 2),
+]
+
+
+@pytest.mark.parametrize(
+    "target,payload,code", [case[1:] for case in MALFORMED_CHECKPOINTS], ids=[case[0] for case in MALFORMED_CHECKPOINTS]
+)
+def test_malformed_checkpoint_exit_code_without_traceback(trained, tmp_path, target, payload, code):
+    """A corrupt guide checkpoint ends `edit` with its documented exit code
+    and a one-line message, never a Python traceback."""
+    run, cfg = trained
+    guide = tmp_path / "guide"
+    shutil.copytree(run / "run" / "guide", guide)
+    (guide / target).write_bytes(payload)
+    image, semantic, mask = make_edit_inputs(tmp_path)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "sgaedit.cli", "edit", "--config", str(cfg), "--guide", str(guide),
+         "--sga", str(run / "run" / "sga"), "--image", str(image), "--semantic", str(semantic),
+         "--mask", str(mask), "--out", str(tmp_path / "out")],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert result.returncode == code, result.stderr
+    assert "Traceback" not in result.stderr
+    assert target.split(".")[0] in result.stderr
 
 
 class TestOtherCommands:

@@ -3,8 +3,11 @@ from collections import deque
 import numpy as np
 import pytest
 
+from sgaedit import attention as att
 from sgaedit import evalbench as eb
 from sgaedit import model as mdl
+from sgaedit import sampler, sga
+from sgaedit import tape as T
 from sgaedit.errors import DivergenceError, ValidationError
 from sgaedit.rng import substream
 
@@ -163,6 +166,56 @@ class TestTrain:
         init = mdl.init_weights(CFG, CFG.grid_high, substream(6, "t4"))
         result = eb.train(init, self._task(), steps=3, lr=1e-3, seed=2, optimizer="adam")
         assert not np.array_equal(result.weights.params["out_head"], init.params["out_head"])
+
+    def test_guided_training_matches_expanded_mask_oracle(self, monkeypatch):
+        """Three guided fine-tuning steps through the block kernel equal the
+        same steps with every planned head evaluated densely under its
+        expanded plan mask, and build no L x L plan mask."""
+        cfg = mdl.ModelConfig(
+            d=16, layers_enc=1, layers_dec=2, heads=2, vocab=8, vocab_map=3,
+            grid_high=(8, 8), grid_low=(4, 4), blocks=8, top_k=1, radius=1, ffw=32,
+        )
+        task = eb.SyntheticTask("mirror", 8, 8, cfg.vocab, classes=cfg.vocab_map)
+        task_low = eb.SyntheticTask("mirror", 4, 4, cfg.vocab, classes=cfg.vocab_map)
+        guide = mdl.init_weights(cfg, cfg.grid_low, substream(8, "oracle-guide"))
+        init = mdl.init_from_guiding(guide, cfg)
+
+        def plan_provider(step):
+            x_low, p_low = task_low.sample(substream(step, "oracle-plans"))
+            return sampler.plans_from_maps(mdl.guiding_forward(x_low, p_low, guide), cfg)
+
+        real_multi_head = mdl._multi_head
+
+        def expanded_mask_multi_head(x_q, x_kv, weights, prefix, plans, part, causal, record):
+            if plans is None:
+                return real_multi_head(x_q, x_kv, weights, prefix, plans, part, causal, record)
+            w = weights.params
+            dh = cfg.d // cfg.heads
+            q, k, v = (T.matmul(x, w[f"{prefix}_{name}"]) for x, name in ((x_q, "wq"), (x_kv, "wk"), (x_kv, "wv")))
+            n_q, n_k = T.value_of(q).shape[0], T.value_of(k).shape[0]
+            outs = []
+            for h, plan in enumerate(plans):
+                mask = sga.build_sparse_mask(plan, part, part)[:n_q, :n_k]
+                if causal:
+                    mask = att.combine_masks(mask, att.causal_mask(n_q))
+                cols = (h * dh, (h + 1) * dh)
+                out, _ = att.dense_attention(T.slice_cols(q, *cols), T.slice_cols(k, *cols), T.slice_cols(v, *cols), mask)
+                outs.append(out)
+            return T.matmul(T.concat_cols(outs), w[f"{prefix}_wo"]), [None] * len(plans)
+
+        def no_mask(*args):
+            raise AssertionError("the model built an L x L plan mask")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(sga, "build_sparse_mask", no_mask)
+            got = eb.train(init, task, steps=3, lr=0.1, seed=5, plan_provider=plan_provider)
+        with monkeypatch.context() as patch:
+            patch.setattr(mdl, "_multi_head", expanded_mask_multi_head)
+            want = eb.train(init, task, steps=3, lr=0.1, seed=5, plan_provider=plan_provider)
+        assert plan_provider(0).mean_sparsity()["enc"] < 1.0  # the plans do drop blocks
+        assert np.abs(np.array(got.losses) - np.array(want.losses)).max() <= 1e-10
+        for name in want.weights.params:
+            assert np.abs(got.weights.params[name] - want.weights.params[name]).max() <= 1e-10, name
 
     def test_loss_improves_on_mirror_2plus2(self):
         # 8x8 mirror, 16 tokens, 2 encoder + 2 decoder layers, d=64:

@@ -5,6 +5,7 @@ import pytest
 
 from sgaedit import attention as att
 from sgaedit import sga
+from sgaedit import tape as T
 from sgaedit.errors import DegenerateRowError, ShapeError, ValidationError
 from sgaedit.rng import substream
 
@@ -180,27 +181,125 @@ class TestSparseAttention:
         part = sga.partition(16, 4)
         plan = sga.select_plan(rng.random((4, 4)), k=1, radius=1)
         causal = att.causal_mask(16)
-        res = sga.sparse_attention(q, k, v, plan, part, part, extra_mask=causal)
+        res = sga.sparse_attention(q, k, v, plan, part, part, causal=True)
         dense, _ = att.dense_attention(q, k, v, att.combine_masks(sga.build_sparse_mask(plan, part, part), causal))
         assert np.abs(res.output - dense).max() <= 1e-5
 
     def test_kept_weight_rows_are_stochastic(self):
+        # on the dense oracle: rows sum to one and put no weight outside kept blocks
         rng = substream(11, "sparse-weights")
         q, k, v = (rng.normal(size=(32, 8)) for _ in range(3))
         part = sga.partition(32, 8)
         plan = sga.select_plan(rng.random((8, 8)), k=2, radius=1)
-        res = sga.sparse_attention(q, k, v, plan, part, part)
-        for _, _, _, weights in res.block_weights:
-            assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-9
+        mask = sga.build_sparse_mask(plan, part, part)
+        _, weights = att.dense_attention(q, k, v, mask)
+        assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-9
+        assert (weights[np.isneginf(mask)] == 0.0).all()
 
     def test_degenerate_row_named(self):
+        # keys are a 2-token prefix, so query block 1 keeps only block 1 (tokens 2, 3),
+        # which lies wholly past the keys: its first row has no visible key
         q = np.zeros((4, 2))
         part = sga.partition(4, 2)
         plan = sga.SparsityPlan(2, 0, 0, ((0,), (1,)), "local")
-        extra = np.zeros((4, 4))
-        extra[2] = -np.inf
         with pytest.raises(DegenerateRowError, match="query token 2"):
-            sga.sparse_attention(q, q, q, plan, part, part, extra_mask=extra)
+            sga.sparse_attention(q, q[:2], q[:2], plan, part, part)
+
+
+def head_plans(n_blocks, seed):
+    """Three heads whose kept counts differ per head and per block, so the
+    kernel pads: a guided top-1 plan, a global plan and a local plan."""
+    rng = substream(seed, "kernel-plans")
+    return [
+        sga.select_plan(rng.random((n_blocks, n_blocks)), k=1, radius=1),
+        sga.variant_plan("global", n_blocks, radius=1, k=1, rng=rng),
+        sga.variant_plan("local", n_blocks, radius=1),
+    ]
+
+
+def expanded_mask_oracle(q, k, v, plans, part, causal):
+    """Per head, dense attention under the expanded plan mask (and the causal
+    mask), heads concatenated; accepts tape Tensors."""
+    n_q, n_k = T.value_of(q).shape[0], T.value_of(k).shape[0]
+    dh = T.value_of(q).shape[1] // len(plans)
+    outs = []
+    for h, plan in enumerate(plans):
+        mask = sga.build_sparse_mask(plan, part, part)[:n_q, :n_k]
+        if causal:
+            mask = att.combine_masks(mask, att.causal_mask(n_q))
+        cols = (h * dh, (h + 1) * dh)
+        out, _ = att.dense_attention(T.slice_cols(q, *cols), T.slice_cols(k, *cols), T.slice_cols(v, *cols), mask)
+        outs.append(out)
+    return T.concat_cols(outs)
+
+
+class TestBlockGatherKernel:
+    """The head-batched kernel against the expanded-mask dense oracle."""
+
+    @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("mode", ["contiguous", "tile2d"])
+    @pytest.mark.parametrize("n_q", [32, 13], ids=["whole", "prefix"])
+    def test_matches_expanded_mask_oracle(self, taped, causal, mode, n_q):
+        part = sga.partition(32, 8, mode=mode, grid=(4, 8), tile_grid=(2, 4))
+        plans = head_plans(8, seed=len(mode) + n_q)
+        rng = substream(n_q + 2 * causal, f"kernel-{mode}")
+        n_k = n_q if causal else 32  # causal: a self-attention prefix; else cross attention
+        q = rng.normal(size=(n_q, 6))
+        k, v = rng.normal(size=(n_k, 6)), rng.normal(size=(n_k, 6))
+        probe = rng.normal(size=(n_q, 6))
+        if not taped:
+            got = sga.sparse_attention(q, k, v, plans, part, part, causal=causal).output
+            want = expanded_mask_oracle(q, k, v, plans, part, causal)
+            assert np.abs(got - want).max() <= 1e-12
+            return
+        grads = []
+        for attend in (
+            lambda a, b, c: sga.sparse_attention(a, b, c, plans, part, part, causal=causal).output,
+            lambda a, b, c: expanded_mask_oracle(a, b, c, plans, part, causal),
+        ):
+            tape = T.GradTape()
+            leaves = [tape.param(x) for x in (q, k, v)]
+            out = attend(*leaves)
+            tape.backward(T.sum_all(T.mul(out, probe)))
+            grads.append([out.value] + [leaf.grad for leaf in leaves])
+        for got, want in zip(*grads):
+            assert np.abs(got - want).max() <= 1e-12
+
+    @pytest.mark.parametrize("operand", [0, 1, 2], ids=["q", "k", "v"])
+    def test_grad_check(self, operand):
+        part = sga.partition(16, 4)
+        plans = head_plans(4, seed=3)[:2]
+        rng = substream(operand, "kernel-grad")
+        qkv = [rng.normal(size=(16, 4)) for _ in range(3)]
+        probe = rng.normal(size=(16, 4))
+
+        def f(x):
+            args = list(qkv)
+            args[operand] = x
+            out = sga.sparse_attention(*args, plans, part, part, causal=True).output
+            return T.sum_all(T.mul(out, probe))
+
+        assert T.grad_check(f, qkv[operand], step=1e-5) <= 1e-5
+
+    def test_score_flops_count_live_blocks(self):
+        part = sga.partition(64, 8)
+        plans = head_plans(8, seed=5)
+        rng = substream(12, "kernel-flops")
+        q, k, v = (rng.normal(size=(64, 6)) for _ in range(3))
+        causal = sga.sparse_attention(q, k, v, plans, part, part, causal=True)
+        live = sum(t <= r for p in plans for r, ks in enumerate(p.kept) for t in ks)
+        assert causal.score_flops == 2 * 2 * live * 8 * 8
+        full = sga.sparse_attention(q, k, v, plans, part, part)
+        assert full.score_flops == sum(sga.score_flops_plan(p, 64, 64, 2) for p in plans)
+        assert causal.score_flops < full.score_flops
+
+    def test_causal_index_drops_dead_blocks(self):
+        part = sga.partition(32, 8)
+        plan = sga.full_plan(8)
+        index = sga.block_index([plan], part, part, causal=True)
+        for r in range(8):
+            assert index.keys[0, r][index.valid[0, r]].tolist() == list(range(4 * (r + 1)))
 
 
 class TestVariantPlans:

@@ -81,19 +81,6 @@ def test_peg_kernel_gradient():
     assert T.grad_check(f, RNG.normal(size=(5, 5, 2)), 1e-4) <= 1e-4
 
 
-def test_replay_reproduces_outputs_bit_identically():
-    tape = T.GradTape()
-    a = tape.param(RNG.normal(size=(4, 4)))
-    b = tape.param(RNG.normal(size=(4, 4)))
-    out = T.matmul(T.gelu(T.add(a, b)), b, transpose_b=True)
-    loss = T.mean_all(T.mul(out, out))
-    before_out = out.value.copy()
-    before_loss = float(loss.value)
-    tape.replay()
-    assert np.array_equal(out.value, before_out)
-    assert float(loss.value) == before_loss
-
-
 def test_backward_requires_scalar():
     tape = T.GradTape()
     a = tape.param(np.zeros((2, 2)))
