@@ -1,11 +1,13 @@
 """Scaled dot-product attention with additive masks.
 
-This is the dense path: the guiding model's attention, whose maps the plans
-are pooled from, and the reference the block-sparse kernel is tested
-against. It is written against the tape dispatch ops, so the same code
-serves inference (numpy in, numpy out) and training (Tensor in, Tensor
-out). The block-sparse kernel, `sga.sparse_attention`, serves every
-planned head in training and inference alike.
+This is the dense reference that the tests compare the attention kernel
+against; the package itself does not call it. Every head of the model,
+the guiding model's dense heads included, runs the block-gather kernel
+`sga.sparse_attention`: a dense head is its one-block full plan, and the
+kernel's softmax weights are that head's attention map. Like
+`sga.build_sparse_mask`, this module is a test oracle. It is written
+against the tape dispatch ops, so the same code serves untaped (numpy in,
+numpy out) and taped (Tensor in, Tensor out) comparisons.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import attention, sga
+from . import sga
 from . import model as mdl
 from . import tape as T
 from .errors import DivergenceError, ParameterError, ShapeError, ValidationError
@@ -140,10 +140,6 @@ def _brush_limits(area: int) -> tuple[int, int]:
     return 1, 3
 
 
-def _masked_fraction(mask: np.ndarray) -> float:
-    return float(mask.sum()) / mask.size
-
-
 def free_form_mask(dims: tuple, seed, region: Optional[np.ndarray] = None) -> np.ndarray:
     """Random-brush mask: a seeded 8-direction walk stamping square brushes.
 
@@ -169,39 +165,42 @@ def free_form_mask(dims: tuple, seed, region: Optional[np.ndarray] = None) -> np
     if cells is not None:
         pos = cells[rng.integers(cells.shape[0])]
         pos = [int(pos[0]), int(pos[1])]
-        lo = cells.min(axis=0)
-        hi = cells.max(axis=0)
+        lo = [int(v) for v in cells.min(axis=0)]
+        hi = [int(v) for v in cells.max(axis=0)]
     else:
         pos = [int(rng.integers(h)), int(rng.integers(w))]
-        lo = np.array([0, 0])
-        hi = np.array([h - 1, w - 1])
+        lo = [0, 0]
+        hi = [h - 1, w - 1]
 
     moves_8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
     moves_4 = [(-1, 0), (1, 0), (0, -1), (0, 1)]
     moves = moves_4 if r_max == 0 else moves_8  # single-cell brushes need 4-dir steps for connectivity
 
     mask = np.zeros((h, w), dtype=bool)
+    count = 0  # masked cells
     for _ in range(50 * area):
-        frac = _masked_fraction(mask)
+        frac = count / area
         if frac >= target and frac >= 0.1:
             break
         r = int(rng.integers(r_min, r_max + 1))
         stamped = False
         while r >= r_min:
-            stamp = np.zeros_like(mask)
-            stamp[max(0, pos[0] - r) : pos[0] + r + 1, max(0, pos[1] - r) : pos[1] + r + 1] = True
+            window = (slice(max(0, pos[0] - r), pos[0] + r + 1), slice(max(0, pos[1] - r), pos[1] + r + 1))
+            new = ~mask[window]
             if region is not None:
-                stamp &= region
-            if _masked_fraction(mask | stamp) <= 0.6:
-                mask |= stamp
+                new &= region[window]
+            added = int(np.count_nonzero(new))
+            if (count + added) / area <= 0.6:
+                mask[window] |= new
+                count += added
                 stamped = True
                 break
             r -= 1
-        if not stamped and _masked_fraction(mask) >= 0.1:
+        if not stamped and count / area >= 0.1:
             break
         dy, dx = moves[int(rng.integers(len(moves)))]
-        pos[0] = int(np.clip(pos[0] + dy, lo[0], hi[0]))
-        pos[1] = int(np.clip(pos[1] + dx, lo[1], hi[1]))
+        pos[0] = min(max(pos[0] + dy, lo[0]), hi[0])
+        pos[1] = min(max(pos[1] + dx, lo[1]), hi[1])
     return mask
 
 
@@ -576,7 +575,9 @@ def benchmark(
     seed: int = 0,
 ) -> BenchReport:
     """Wall-clock (median of >= repeats, one warm-up discarded) and exact
-    score-FLOPs for dense attention vs sparse-plan evaluation."""
+    score-FLOPs of the attention kernel, one head: the dense row is the
+    model's dense path (one block holding every token), the others are
+    sparse plans over `n_blocks` blocks."""
     if repeats < 5:
         raise ParameterError("repeats must be >= 5")
     report = BenchReport()
@@ -586,7 +587,6 @@ def benchmark(
         kk = rng.normal(size=(length, d))
         v = rng.normal(size=(length, d))
         part = sga.partition(length, n_blocks)
-        zero_mask = np.zeros((length, length))
 
         def timed(fn) -> float:
             fn()  # warm-up
@@ -598,27 +598,15 @@ def benchmark(
             return float(np.median(times))
 
         for variant in variants:
-            if variant == "dense":
-                wall = timed(lambda: attention.dense_attention(q, kk, v, zero_mask))
-                report.rows.append(
-                    {
-                        "variant": "dense",
-                        "L": length,
-                        "d": d,
-                        "score_flops": score_flops_dense(length, length, d),
-                        "wall_s": wall,
-                        "sparsity": 1.0,
-                        "peak_entries": length * length,
-                    }
-                )
-                continue
-            if variant == "guided":
+            if variant == "dense":  # the model's dense heads: one block holding every token
+                plan, plan_part = sga.full_plan(1), sga.partition(length, 1)
+            elif variant == "guided":
                 affinity = substream(seed, f"affinity-{length}").random((n_blocks, n_blocks))
-                plan = sga.select_plan(affinity, k=k, radius=radius)
+                plan, plan_part = sga.select_plan(affinity, k=k, radius=radius), part
             else:
-                plan = sga.variant_plan(variant, n_blocks, radius=radius, k=k, seed=seed)
-            result = sga.sparse_attention(q, kk, v, plan, part, part)
-            wall = timed(lambda: sga.sparse_attention(q, kk, v, plan, part, part))
+                plan, plan_part = sga.variant_plan(variant, n_blocks, radius=radius, k=k, seed=seed), part
+            result = sga.sparse_attention(q, kk, v, plan, plan_part, plan_part)
+            wall = timed(lambda: sga.sparse_attention(q, kk, v, plan, plan_part, plan_part))
             report.rows.append(
                 {
                     "variant": variant,

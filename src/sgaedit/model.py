@@ -4,10 +4,11 @@ The guiding model runs dense attention on the low-resolution grid and
 exposes every attention map. The high-resolution model has the identical
 architecture but evaluates attention only over the key blocks named by a
 `PlanBundle` (one plan per layer and head for encoder self, decoder self,
-and decoder cross attention), with the block-gather kernel
-`sga.sparse_attention`: one op per layer covering every head, in training
-and inference alike. With full-kept plans the two paths agree to float
-tolerance.
+and decoder cross attention). Both run the block-gather kernel
+`sga.sparse_attention`, one op per layer covering every head, in training
+and inference alike: dense heads are its one-block full plan, whose
+softmax weights are the attention maps. With full-kept plans the two
+agree to float tolerance.
 
 Forward code is written against the tape dispatch ops, so passing weights
 wrapped in tape Tensors yields a differentiable graph while plain arrays
@@ -31,7 +32,7 @@ from typing import Optional
 
 import numpy as np
 
-from . import attention, sga
+from . import sga
 from . import tape as T
 from .errors import ConfigError, SequenceError, ShapeError, VocabularyError
 from .numerics import read_sgat, write_sgat
@@ -206,7 +207,8 @@ class PlanBundle:
 @dataclass
 class EncoderOutput:
     context: object  # L x d array or Tensor
-    # attn[layer][head]: L x L row-stochastic array (dense heads only, None otherwise)
+    # attn[layer][head]: L x L row-stochastic array; attn[layer] is one
+    # read-only H x L x L array for recorded dense heads, H Nones otherwise
     attn: list
 
 
@@ -249,32 +251,27 @@ def _multi_head(
 ):
     """Multi-head attention of one layer; returns (output, per-head maps).
 
-    Planned heads run as one block-gather kernel call. Dense heads (the
-    guiding model) run `attention.dense_attention` and, with `record`,
-    return their attention maps; planned heads return None maps.
+    Every head of the layer runs in one block-gather kernel call. Dense
+    heads (the guiding model) are the one-block full plan, so the kernel's
+    softmax weights are their full attention maps; with `record` they come
+    back as one read-only H x n_q x n_k array. Planned heads, and dense
+    heads without `record`, return None maps.
     """
     w = weights.params
     heads = weights.config.heads
     q_all = T.matmul(x_q, w[f"{prefix}_wq"])
     k_all = T.matmul(x_kv, w[f"{prefix}_wk"])
     v_all = T.matmul(x_kv, w[f"{prefix}_wv"])
-    if plans is not None:
-        out = sga.sparse_attention(q_all, k_all, v_all, plans, part, part, causal=causal).output
-        return T.matmul(out, w[f"{prefix}_wo"]), [None] * heads
-
-    dh = weights.config.d // heads
-    n_q = T.value_of(q_all).shape[0]
-    n_k = T.value_of(k_all).shape[0]
-    mask = attention.causal_mask(n_q) if causal else np.zeros((n_q, n_k))
-    outs, maps = [], []
-    for h in range(heads):
-        cols = (h * dh, (h + 1) * dh)
-        out_h, weights_h = attention.dense_attention(
-            T.slice_cols(q_all, *cols), T.slice_cols(k_all, *cols), T.slice_cols(v_all, *cols), mask
-        )
-        maps.append(np.array(T.value_of(weights_h)) if record else None)
-        outs.append(out_h)
-    return T.matmul(T.concat_cols(outs), w[f"{prefix}_wo"]), maps
+    dense = plans is None
+    if dense:
+        part = sga.partition(part.length, 1)
+        plans = [sga.full_plan(1)] * heads
+    result = sga.sparse_attention(q_all, k_all, v_all, plans, part, part, causal=causal)
+    maps = [None] * heads
+    if dense and record:
+        n_q, n_k = T.value_of(q_all).shape[0], T.value_of(k_all).shape[0]
+        maps = result.weights[:, 0, :n_q, :n_k]  # one block: rows and keys are tokens 0, 1, ...
+    return T.matmul(result.output, w[f"{prefix}_wo"]), maps
 
 
 def _feed_forward(x, weights: ModelWeights, prefix: str):

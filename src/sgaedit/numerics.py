@@ -29,16 +29,6 @@ def validate_mask(mask: np.ndarray) -> np.ndarray:
     return mask
 
 
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Plain 2D matrix product with an explicit inner-dimension check."""
-    a, b = as_array(a), as_array(b)
-    if a.ndim != 2 or b.ndim != 2:
-        raise ShapeError(f"matmul expects 2D operands, got {a.shape} and {b.shape}")
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"inner dimensions differ: {a.shape} vs {b.shape}")
-    return a @ b
-
-
 def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Row-wise softmax of `scores + mask`, stabilized by row-max subtraction.
 
@@ -61,15 +51,16 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
 
 
 def avg_pool_matrix(m: np.ndarray, kernel: int) -> np.ndarray:
-    """Non-overlapping kernel x kernel mean pooling of a square matrix."""
+    """Non-overlapping kernel x kernel mean pooling of a square matrix, or of
+    each matrix in a stack [..., size, size]."""
     m = as_array(m)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ShapeError(f"expected a square matrix, got {m.shape}")
-    size = m.shape[0]
+    size = m.shape[-1]
     if kernel < 1 or size % kernel != 0:
         raise ShapeError(f"kernel {kernel} does not divide matrix size {size}")
     out = size // kernel
-    return m.reshape(out, kernel, out, kernel).mean(axis=(1, 3))
+    return m.reshape(m.shape[:-2] + (out, kernel, out, kernel)).mean(axis=(-3, -1))
 
 
 def peg(grid_features: np.ndarray, kernel: np.ndarray) -> np.ndarray:

@@ -183,14 +183,22 @@ def _forced_decode(
 
 def plans_from_maps(forced: mdl.GuidingResult, config: mdl.ModelConfig) -> mdl.PlanBundle:
     """Pool every recorded attention map into block affinities and select
-    neighborhood+top-K plans, per role, layer, and head."""
+    neighborhood+top-K plans, per role, layer, and head: each layer's heads
+    ([H, L, L] maps) are pooled and selected together."""
 
-    def plan_for(role: str, layer: int, head: int) -> sga.SparsityPlan:
-        maps = {"enc": forced.encoder.attn, "dec_self": forced.dec_self_attn, "dec_cross": forced.dec_cross_attn}[role]
-        affinity = sga.block_affinity(maps[layer][head], config.blocks)
-        return sga.select_plan(affinity, config.top_k, config.radius, provenance="guided", layer=layer, head=head)
+    def role_plans(maps: list, layers: int) -> list:
+        return [
+            sga.select_plans(
+                sga.block_affinity(maps[layer], config.blocks), config.top_k, config.radius, "guided", layer=layer
+            )
+            for layer in range(layers)
+        ]
 
-    return mdl.PlanBundle.uniform(config, plan_for)
+    return mdl.PlanBundle(
+        enc=role_plans(forced.encoder.attn, config.layers_enc),
+        dec_self=role_plans(forced.dec_self_attn, config.layers_dec),
+        dec_cross=role_plans(forced.dec_cross_attn, config.layers_dec),
+    )
 
 
 @dataclass

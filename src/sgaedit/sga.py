@@ -3,13 +3,17 @@
 The mechanism: partition the token sequence into N equal blocks, pool a
 dense low-resolution attention matrix into an N x N block-affinity matrix,
 and for each query block keep its neighborhood plus the top-K highest-
-affinity blocks outside it. Attention is then evaluated only over kept
-blocks by `sparse_attention`: one block-gather kernel over every head of a
-layer (`block_index` lists each query block's kept key tokens, and
+affinity blocks outside it (`select_plans` does this for every head of a
+layer in one sort). Attention is then evaluated only over kept blocks by
+`sparse_attention`: one block-gather kernel over every head of a layer
+(`block_index` lists each query block's kept key tokens, and
 `tape.block_attention` evaluates them with one batched matmul). It serves
 training and inference alike and never materializes the full score
-matrix. `build_sparse_mask` expands a plan into the equivalent L x L mask
-for the dense reference that the tests compare against.
+matrix. Dense heads use the same kernel with one block holding every token
+(`partition(L, 1)` and `full_plan(1)`), and its softmax weights are then
+the full attention maps. `build_sparse_mask` expands a plan into the
+equivalent L x L mask for the dense reference that the tests compare
+against.
 """
 
 from __future__ import annotations
@@ -106,11 +110,34 @@ class SparsityPlan:
                 raise ValidationError(f"query block {r} does not keep itself")
             if list(ks) != sorted(set(ks)):
                 raise ValidationError(f"kept set of block {r} not sorted/unique")
-            if any(t < 0 or t >= self.n_blocks for t in ks):
+            if ks[0] < 0 or ks[-1] >= self.n_blocks:  # sorted, so the ends bound the set
                 raise ValidationError(f"kept set of block {r} out of range")
 
     def kept_count(self) -> int:
         return sum(len(ks) for ks in self.kept)
+
+    @cached_property
+    def keep(self) -> np.ndarray:
+        """N x N read-only boolean matrix: keep[r, t] iff query block r keeps key block t."""
+        keep = np.zeros((self.n_blocks, self.n_blocks), dtype=bool)
+        for r, ks in enumerate(self.kept):
+            keep[r, list(ks)] = True
+        keep.flags.writeable = False
+        return keep
+
+    @staticmethod
+    def from_keep(keep: np.ndarray, radius: int, k: int, provenance: str, layer=None, head=None) -> "SparsityPlan":
+        """The plan whose N x N keep matrix is `keep`."""
+        keep = np.array(keep, dtype=bool)
+        n = keep.shape[0]
+        rows, cols = np.nonzero(keep)
+        cuts = np.searchsorted(rows, np.arange(1, n)).tolist()
+        cols = cols.tolist()
+        kept = tuple(tuple(cols[a:b]) for a, b in zip([0] + cuts, cuts + [len(cols)]))
+        plan = SparsityPlan(n, radius, k, kept, provenance, layer=layer, head=head)
+        keep.flags.writeable = False
+        plan.__dict__["keep"] = keep  # fills the cached property
+        return plan
 
 
 def neighborhood(r: int, radius: int, n_blocks: int) -> list[int]:
@@ -118,14 +145,35 @@ def neighborhood(r: int, radius: int, n_blocks: int) -> list[int]:
 
 
 def block_affinity(a_low: np.ndarray, n_blocks: int) -> np.ndarray:
-    """Pool a dense low-resolution attention matrix into N x N block means."""
+    """Pool a dense low-resolution attention matrix into N x N block means,
+    or a stack of them ([..., L, L], such as every head of a layer) at once."""
     a_low = as_array(a_low)
-    if a_low.ndim != 2 or a_low.shape[0] != a_low.shape[1]:
+    if a_low.ndim < 2 or a_low.shape[-1] != a_low.shape[-2]:
         raise ShapeError(f"expected a square attention matrix, got {a_low.shape}")
-    size = a_low.shape[0]
+    size = a_low.shape[-1]
     if size % n_blocks != 0:
         raise ShapeError(f"{n_blocks} blocks do not divide attention size {size}")
     return avg_pool_matrix(a_low, size // n_blocks)
+
+
+def _select_keep(b: np.ndarray, k: int, radius: int) -> np.ndarray:
+    """Keep matrices [..., N, N] of neighborhood plus top-k plans over b [..., N, N].
+
+    One stable sort per query row orders the blocks outside the
+    neighborhood first, by descending affinity, ties toward the lowest
+    block index; the first k of them join the neighborhood.
+    """
+    if b.ndim < 2 or b.shape[-1] != b.shape[-2]:
+        raise ShapeError(f"block affinity must be square, got {b.shape}")
+    if k < 0 or radius < 0:
+        raise ValidationError("k and radius must be non-negative")
+    blocks = np.arange(b.shape[-1])
+    near = np.abs(blocks[:, None] - blocks[None, :]) <= radius
+    order = np.lexsort((-b, np.broadcast_to(near, b.shape)), axis=-1)
+    keep = np.array(np.broadcast_to(near, b.shape))
+    # a k past the outside blocks picks neighbors too, which are kept already
+    np.put_along_axis(keep, order[..., :k], True, axis=-1)
+    return keep
 
 
 def select_plan(
@@ -142,21 +190,21 @@ def select_plan(
     the plan a pure function of (b, k, radius).
     """
     b = as_array(b)
-    if b.ndim != 2 or b.shape[0] != b.shape[1]:
+    if b.ndim != 2:
         raise ShapeError(f"block affinity must be square, got {b.shape}")
-    if k < 0 or radius < 0:
-        raise ValidationError("k and radius must be non-negative")
-    n = b.shape[0]
-    kept = []
-    for r in range(n):
-        nb = neighborhood(r, radius, n)
-        nb_set = set(nb)
-        outside = [t for t in range(n) if t not in nb_set]
-        outside.sort(key=lambda t: (-b[r, t], t))
-        kept.append(tuple(sorted(nb_set | set(outside[:k]))))
-    return SparsityPlan(
-        n_blocks=n, radius=radius, k=k, kept=tuple(kept), provenance=provenance, layer=layer, head=head
-    )
+    return SparsityPlan.from_keep(_select_keep(b, k, radius), radius, k, provenance, layer=layer, head=head)
+
+
+def select_plans(
+    b: np.ndarray, k: int, radius: int, provenance: str = "guided", layer: Optional[int] = None
+) -> list[SparsityPlan]:
+    """`select_plan` for every head of one layer at once: b is H x N x N,
+    and plan h (head h) equals select_plan(b[h], k, radius)."""
+    b = as_array(b)
+    if b.ndim != 3:
+        raise ShapeError(f"expected H x N x N block affinities, got {b.shape}")
+    keep = _select_keep(b, k, radius)
+    return [SparsityPlan.from_keep(m, radius, k, provenance, layer=layer, head=h) for h, m in enumerate(keep)]
 
 
 def variant_plan(
@@ -220,10 +268,7 @@ def build_sparse_mask(plan: SparsityPlan, partition_q: BlockPartition, partition
     """Expand a plan into an additive token-level mask (0 kept, -inf dropped)."""
     if partition_q.n_blocks != plan.n_blocks or partition_k.n_blocks != plan.n_blocks:
         raise ShapeError("partition block counts do not match plan")
-    keep = np.zeros((plan.n_blocks, plan.n_blocks), dtype=bool)
-    for r, ks in enumerate(plan.kept):
-        keep[r, list(ks)] = True
-    token_keep = keep[np.ix_(partition_q.block_of, partition_k.block_of)]
+    token_keep = plan.keep[np.ix_(partition_q.block_of, partition_k.block_of)]
     mask = np.where(token_keep, 0.0, NEG_INF)
     return mask
 
@@ -274,10 +319,7 @@ def block_index(
     n_q = partition_q.length if n_q is None else n_q
     n_k = partition_k.length if n_k is None else n_k
     tok_q, tok_k = partition_q.tokens, partition_k.tokens
-    keep = np.zeros((len(plans), n, n), dtype=bool)
-    for h, plan in enumerate(plans):
-        for r, ks in enumerate(plan.kept):
-            keep[h, r, list(ks)] = True
+    keep = np.stack([plan.keep for plan in plans])
     q_blocks = np.flatnonzero(tok_q[:, 0] < n_q)
     live = tok_k[None, :, 0] < n_k
     if causal:
@@ -317,6 +359,10 @@ class SparseAttentionResult:
     # entries of one (head, query block) score tile, query block against its
     # padded kept keys; the kernel evaluates all H x N' tiles in one batch
     peak_score_entries: int
+    # read-only softmax weights [H, N', bs_q, K]: weights[h, n, i, j] is the
+    # weight of query token rows[n, i] on key token keys[h, n, j] of the
+    # call's `block_index` (0 on padding and blocked keys)
+    weights: np.ndarray
 
 
 def sparse_attention(
@@ -346,12 +392,15 @@ def sparse_attention(
     if not (1 <= qv.shape[0] <= partition_q.length and 1 <= kv.shape[0] <= partition_k.length):
         raise ShapeError("partitions do not match q/k lengths")
     index = block_index(plans, partition_q, partition_k, causal, qv.shape[0], kv.shape[0])
-    out = T.block_attention(q, k, v, index.rows, index.keys, index.blocked)
+    weights = np.empty(index.keys.shape[:2] + index.rows.shape[1:] + index.keys.shape[2:])
+    out = T.block_attention(q, k, v, index.rows, index.keys, index.blocked, weights=weights)
+    weights.flags.writeable = False
     block_q, block_k = partition_q.block_size, partition_k.block_size
     return SparseAttentionResult(
         output=out,
         score_flops=2 * (qv.shape[1] // len(plans)) * index.live_blocks * block_q * block_k,
         peak_score_entries=block_q * index.keys.shape[2],
+        weights=weights,
     )
 
 

@@ -8,8 +8,15 @@ functions and works in both modes.
 
 The op set is deliberately closed: matmul, add, mul, scale, masked_softmax,
 layer_norm, peg, gather_rows, slice_cols, concat_cols, block_attention (the
-block-sparse attention kernel), gelu, log, sum/mean reductions, and
-cross_entropy. There is no general broadcasting engine.
+attention kernel of every head, dense or block-sparse), gelu, log, sum/mean
+reductions, and cross_entropy. There is no general broadcasting engine.
+The model's attention uses only block_attention; masked_softmax,
+slice_cols and concat_cols serve the dense reference the tests compare
+against.
+
+`GradTape.backward` hands its node list off as it runs, so once the caller
+drops the loss and the parameters, reference counting frees the step's
+graph; the cyclic collector is not needed.
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ DIFFERENTIABLE_OPS = (
 class Tensor:
     """A value recorded on a GradTape."""
 
-    __slots__ = ("value", "grad", "tape", "_backward")
+    __slots__ = ("value", "grad", "tape", "_backward", "__weakref__")
 
     def __init__(self, value: np.ndarray, tape: "GradTape"):
         self.value = np.asarray(value, dtype=np.float64)
@@ -82,13 +89,18 @@ class GradTape:
         self._nodes.append(node)
 
     def backward(self, loss: Tensor) -> None:
-        """Accumulate d(loss)/d(leaf) into every leaf's .grad."""
+        """Accumulate d(loss)/d(leaf) into every leaf's .grad.
+
+        The tape forgets its nodes here: every node refers to the tape, so a
+        tape that kept them would make the whole graph a reference cycle.
+        """
         if loss.tape is not self:
             raise ValueError("loss was recorded on a different tape")
         if loss.value.shape != ():
             raise ShapeError("backward requires a scalar loss")
         loss.accumulate(np.asarray(1.0))
-        for node in reversed(self._nodes):
+        nodes, self._nodes = self._nodes, []
+        for node in reversed(nodes):
             if node.grad is not None and node._backward is not None:
                 node._backward(node.grad)
 
@@ -314,9 +326,12 @@ def gather_rows(table, indices):
         return nm.as_array(table)[idx]
 
     def backward(g):
-        dt = np.zeros_like(table.value)
-        np.add.at(dt, idx, g)
-        table.accumulate(dt)
+        # one flat bincount sums repeated rows in index order, as np.add.at would
+        shape = table.value.shape
+        width = int(np.prod(shape[1:]))
+        rows = np.where(idx < 0, idx + shape[0], idx)
+        flat = (rows[:, None] * width + np.arange(width)).ravel()
+        table.accumulate(np.bincount(flat, weights=np.ravel(g), minlength=table.value.size).reshape(shape))
 
     return _node(table.tape, table.value[idx], backward)
 
@@ -352,7 +367,7 @@ def concat_cols(parts: Sequence):
     return _node(tape, forward(), backward)
 
 
-def block_attention(q, k, v, rows, keys, blocked=None):
+def block_attention(q, k, v, rows, keys, blocked=None, weights=None):
     """Softmax attention over gathered key tokens, batched over heads and query blocks.
 
     q is n_q x (H * dh) and k, v are n_k x (H * dh), head h in columns
@@ -367,6 +382,9 @@ def block_attention(q, k, v, rows, keys, blocked=None):
     Every row must keep at least one key; `sga.block_index` checks that.
     The forward keeps the softmax weights for the backward, which scatters
     the key and value gradients back to token rows with one `bincount` each.
+    `weights`, when given, is a float array of shape [H, N, bs, K] that the
+    softmax weights are written into (they must stay unchanged while a
+    backward pass may still read them).
     """
     qv, kv, vv = value_of(q), value_of(k), value_of(v)
     rows = np.asarray(rows, dtype=np.int64)
@@ -380,8 +398,9 @@ def block_attention(q, k, v, rows, keys, blocked=None):
     n_q, n_k = qv.shape[0], kv.shape[0]
     if qv.shape[1] != kv.shape[1] or kv.shape != vv.shape or qv.shape[1] % heads:
         raise ShapeError(f"q {qv.shape}, k {kv.shape}, v {vv.shape} are inconsistent for {heads} heads")
-    if blocked is not None and blocked.shape != (heads, n_blocks, bs, width):
-        raise ShapeError(f"blocked {blocked.shape} != {(heads, n_blocks, bs, width)}")
+    for name, arr in (("blocked", blocked), ("weights", weights)):
+        if arr is not None and arr.shape != (heads, n_blocks, bs, width):
+            raise ShapeError(f"{name} {arr.shape} != {(heads, n_blocks, bs, width)}")
     dh = qv.shape[1] // heads
     scale_ = 1.0 / np.sqrt(dh)
 
@@ -406,7 +425,7 @@ def block_attention(q, k, v, rows, keys, blocked=None):
 
     qb = by_block(qv if whole else qv[np.minimum(flat, n_q - 1)])
     # the gathered keys are dropped once scored and gathered again by the backward
-    w = np.matmul(qb, head_major(kv)[gidx].transpose(0, 1, 3, 2))
+    w = np.matmul(qb, head_major(kv)[gidx].transpose(0, 1, 3, 2), out=weights)
     w *= scale_
     if blocked is not None:
         np.copyto(w, -np.inf, where=blocked)

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from sgaedit import attention as att
+from sgaedit import sga
 from sgaedit import tape as T
 from sgaedit.rng import substream
 
@@ -46,3 +48,52 @@ def op_grad_case(name):
         "cross_entropy": (lambda x: T.cross_entropy(x, targets), (3, 4)),
     }
     return cases[name]
+
+
+def per_head_dense_multi_head(x_q, x_kv, weights, prefix, plans, part, causal, record):
+    """`model._multi_head` for dense heads as it was before dense heads ran
+    on the block kernel: one `attention.dense_attention` per head, under an
+    L x L causal or zero mask, heads concatenated before the output
+    projection."""
+    assert plans is None, "the oracle covers dense heads only"
+    w = weights.params
+    heads = weights.config.heads
+    q_all = T.matmul(x_q, w[f"{prefix}_wq"])
+    k_all = T.matmul(x_kv, w[f"{prefix}_wk"])
+    v_all = T.matmul(x_kv, w[f"{prefix}_wv"])
+    dh = weights.config.d // heads
+    n_q, n_k = T.value_of(q_all).shape[0], T.value_of(k_all).shape[0]
+    mask = att.causal_mask(n_q) if causal else np.zeros((n_q, n_k))
+    outs, maps = [], []
+    for h in range(heads):
+        cols = (h * dh, (h + 1) * dh)
+        out_h, weights_h = att.dense_attention(
+            T.slice_cols(q_all, *cols), T.slice_cols(k_all, *cols), T.slice_cols(v_all, *cols), mask
+        )
+        maps.append(np.array(T.value_of(weights_h)) if record else None)
+        outs.append(out_h)
+    return T.matmul(T.concat_cols(outs), w[f"{prefix}_wo"]), maps
+
+
+def per_row_sort_plan(b, k, radius, layer=None, head=None):
+    """`sga.select_plan` as a per-row Python sort: the neighborhood plus the
+    first k outside blocks ordered by (-affinity, block index)."""
+    n = b.shape[0]
+    kept = []
+    for r in range(n):
+        nb = set(range(max(0, r - radius), min(n, r + radius + 1)))
+        outside = [t for t in range(n) if t not in nb]
+        outside.sort(key=lambda t: (-b[r, t], t))
+        kept.append(tuple(sorted(nb | set(outside[:k]))))
+    return sga.SparsityPlan(n, radius, k, tuple(kept), "guided", layer=layer, head=head)
+
+
+def affinities(kind, shape, seed):
+    """Random affinities: "random", "rounded" (many exact ties) or "zero" (mostly zeros)."""
+    rng = substream(seed, f"affinity-{kind}")
+    b = rng.random(shape)
+    if kind == "rounded":
+        return np.round(b, 1)
+    if kind == "zero":
+        return np.where(rng.random(shape) < 0.9, 0.0, b)
+    return b

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from collections import deque
 
 import numpy as np
@@ -9,7 +11,10 @@ from sgaedit import model as mdl
 from sgaedit import sampler, sga
 from sgaedit import tape as T
 from sgaedit.errors import DivergenceError, ValidationError
+from sgaedit.quantizer import apply_mask
 from sgaedit.rng import substream
+
+from conftest import per_head_dense_multi_head
 
 CFG = mdl.ModelConfig(
     d=16,
@@ -91,7 +96,63 @@ def flood_fill_4(mask):
     return int(seen.sum())
 
 
+def full_grid_stamp_walk(dims, rng, region=None):
+    """`free_form_mask`'s walk with a full-grid stamp and `mask | stamp`
+    fraction per move, as it was before it stamped the brush window only."""
+    h, w = dims
+    area = h * w
+    r_min, r_max = eb._brush_limits(area)
+    target = rng.uniform(0.12, 0.5)
+    if region is not None:
+        cells = np.argwhere(region)
+        pos = cells[rng.integers(cells.shape[0])]
+        pos = [int(pos[0]), int(pos[1])]
+        lo, hi = cells.min(axis=0), cells.max(axis=0)
+    else:
+        pos = [int(rng.integers(h)), int(rng.integers(w))]
+        lo, hi = np.array([0, 0]), np.array([h - 1, w - 1])
+    moves_8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+    moves = [(-1, 0), (1, 0), (0, -1), (0, 1)] if r_max == 0 else moves_8
+    mask = np.zeros((h, w), dtype=bool)
+    for _ in range(50 * area):
+        frac = float(mask.sum()) / mask.size
+        if frac >= target and frac >= 0.1:
+            break
+        r = int(rng.integers(r_min, r_max + 1))
+        stamped = False
+        while r >= r_min:
+            stamp = np.zeros_like(mask)
+            stamp[max(0, pos[0] - r) : pos[0] + r + 1, max(0, pos[1] - r) : pos[1] + r + 1] = True
+            if region is not None:
+                stamp &= region
+            if float((mask | stamp).sum()) / mask.size <= 0.6:
+                mask |= stamp
+                stamped = True
+                break
+            r -= 1
+        if not stamped and float(mask.sum()) / mask.size >= 0.1:
+            break
+        dy, dx = moves[int(rng.integers(len(moves)))]
+        pos[0] = int(np.clip(pos[0] + dy, lo[0], hi[0]))
+        pos[1] = int(np.clip(pos[1] + dx, lo[1], hi[1]))
+    return mask
+
+
 class TestFreeFormMask:
+    @pytest.mark.parametrize("dims", [(2, 2), (4, 16), (8, 8), (16, 16), (32, 32)])
+    def test_matches_full_grid_stamp_walk(self, dims):
+        """Stamping only the brush window gives the same masks and draws the
+        same random numbers as stamping the full grid."""
+        region = np.zeros(dims, bool)
+        region[dims[0] // 2 :, :] = True
+        for seed in range(50):
+            for reg in (None, region):
+                got_rng, want_rng = substream(seed, "walk"), substream(seed, "walk")
+                got = eb.free_form_mask(dims, got_rng, region=reg)
+                want = full_grid_stamp_walk(dims, want_rng, region=reg)
+                assert np.array_equal(got, want), (dims, seed, reg is not None)
+                assert got_rng.random() == want_rng.random(), (dims, seed, reg is not None)
+
     def test_seeded_determinism(self):
         one = eb.free_form_mask((16, 16), 7)
         two = eb.free_form_mask((16, 16), 7)
@@ -216,6 +277,56 @@ class TestTrain:
         assert np.abs(np.array(got.losses) - np.array(want.losses)).max() <= 1e-10
         for name in want.weights.params:
             assert np.abs(got.weights.params[name] - want.weights.params[name]).max() <= 1e-10, name
+
+    def test_dense_training_matches_per_head_oracle(self, monkeypatch):
+        """Three dense training steps (plans=None) on the one-block kernel
+        equal the same steps with per-head dense attention, and call no
+        dense attention."""
+        cfg = mdl.ModelConfig(
+            d=16, layers_enc=1, layers_dec=2, heads=2, vocab=8, vocab_map=3,
+            grid_high=(8, 8), grid_low=(4, 4), blocks=8, top_k=1, radius=1, ffw=32,
+        )
+        task = eb.SyntheticTask("mirror", 8, 8, cfg.vocab, classes=cfg.vocab_map)
+        init = mdl.init_weights(cfg, cfg.grid_high, substream(9, "dense-oracle"))
+
+        def no_dense(*args):
+            raise AssertionError("the model called attention.dense_attention")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(att, "dense_attention", no_dense)
+            got = eb.train(init, task, steps=3, lr=0.1, seed=5)
+        with monkeypatch.context() as patch:
+            patch.setattr(mdl, "_multi_head", per_head_dense_multi_head)
+            want = eb.train(init, task, steps=3, lr=0.1, seed=5)
+        assert np.abs(np.array(got.losses) - np.array(want.losses)).max() <= 1e-10
+        for name in want.weights.params:
+            assert np.abs(got.weights.params[name] - want.weights.params[name]).max() <= 1e-10, name
+
+    def test_step_graph_freed_without_cyclic_collector(self):
+        """Once a training step's tape, loss and parameters are dropped,
+        reference counting alone frees its intermediate tensors."""
+        weights = mdl.init_weights(CFG, CFG.grid_high, substream(10, "graph"))
+        x, p = self._task().sample(substream(11, "graph-task"))
+        mask = np.zeros(CFG.grid_high, bool)
+        mask[2:, :] = True
+        gc.collect()
+        gc.disable()
+        try:
+            tape = T.GradTape()
+            tw = mdl.ModelWeights(CFG, weights.grid, {k: tape.param(v) for k, v in weights.params.items()})
+            enc = mdl.encoder_forward(mdl.embed_encoder(apply_mask(x, mask), p, tw), tw)
+            probe = weakref.ref(enc.context)
+            prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])
+            logits, _, _ = mdl.decoder_forward(prev, enc, tw)
+            rows = np.flatnonzero(mask.ravel())
+            loss = T.cross_entropy(T.gather_rows(logits, rows), x.flat()[rows])
+            tape.backward(loss)
+            grads = {k: t.grad for k, t in tw.params.items()}
+            del tape, tw, enc, logits, loss
+            assert probe() is None
+        finally:
+            gc.enable()
+        assert all(g is not None for g in grads.values())
 
     def test_loss_improves_on_mirror_2plus2(self):
         # 8x8 mirror, 16 tokens, 2 encoder + 2 decoder layers, d=64:

@@ -8,6 +8,8 @@ from sgaedit.errors import ConfigError, SequenceError, VocabularyError
 from sgaedit.quantizer import TokenGrid
 from sgaedit.rng import substream
 
+from conftest import per_head_dense_multi_head
+
 CFG = mdl.ModelConfig(
     d=16,
     layers_enc=1,
@@ -218,6 +220,28 @@ class TestGuidingForward:
         prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])
         logits, _, _ = mdl.decoder_forward(prev, enc, w, full.dec_self, full.dec_cross)
         assert np.abs(dense.logits - logits).max() <= 1e-6
+
+    @pytest.mark.parametrize("grid", [(2, 2), (8, 8)])
+    def test_matches_per_head_dense_oracle(self, grid, monkeypatch):
+        """Dense heads on the one-block kernel give the logits and every
+        encoder, decoder-self and decoder-cross map of per-head dense attention."""
+        cfg = mdl.ModelConfig(**{**CFG.to_dict(), "layers_enc": 2, "layers_dec": 2, "grid_low": grid, "grid_high": (8, 8)})
+        w = mdl.init_weights(cfg, cfg.grid_low, substream(22, "g5"))
+        x, p = random_grids(cfg.grid_low, 23)
+        got = mdl.guiding_forward(x, p, w)
+        with monkeypatch.context() as patch:
+            patch.setattr(mdl, "_multi_head", per_head_dense_multi_head)
+            want = mdl.guiding_forward(x, p, w)
+        assert np.abs(got.logits - want.logits).max() <= 1e-12
+        for role in ("encoder", "dec_self_attn", "dec_cross_attn"):
+            got_maps = got.encoder.attn if role == "encoder" else getattr(got, role)
+            want_maps = want.encoder.attn if role == "encoder" else getattr(want, role)
+            assert len(got_maps) == len(want_maps) == (2 if role == "encoder" else cfg.layers_dec)
+            for got_layer, want_layer in zip(got_maps, want_maps):
+                assert len(got_layer) == len(want_layer) == cfg.heads
+                for g, m in zip(got_layer, want_layer):
+                    assert g.shape == m.shape == (cfg.l_low, cfg.l_low)
+                    assert np.abs(g - m).max() <= 1e-12, role
 
     def test_all_maps_recorded_and_stochastic(self):
         w = mdl.init_weights(CFG, CFG.grid_low, substream(18, "g2"))

@@ -6,50 +6,6 @@ from sgaedit.errors import DegenerateRowError, ShapeError, ValidationError
 from sgaedit.rng import substream
 
 
-def naive_matmul(a, b):
-    m, k = a.shape
-    k2, n = b.shape
-    out = np.zeros((m, n))
-    for i in range(m):
-        for j in range(n):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-class TestMatmul:
-    def test_identity(self):
-        b = np.array([[5.0, 6.0], [7.0, 8.0]])
-        assert np.array_equal(nm.matmul(np.eye(2), b), b)
-
-    def test_one_by_one(self):
-        out = nm.matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-        assert out.shape == (1, 1)
-        assert out[0, 0] == pytest.approx(11.0)
-
-    def test_against_triple_loop_oracle(self):
-        rng = substream(0, "matmul-oracle")
-        a = rng.normal(size=(7, 5))
-        b = rng.normal(size=(5, 3))
-        assert np.abs(nm.matmul(a, b) - naive_matmul(a, b)).max() <= 1e-6
-
-    def test_associativity(self):
-        rng = substream(1, "matmul-assoc")
-        for _ in range(10):
-            a = rng.normal(size=(4, 3))
-            b = rng.normal(size=(3, 5))
-            c = rng.normal(size=(5, 2))
-            left = nm.matmul(nm.matmul(a, b), c)
-            right = nm.matmul(a, nm.matmul(b, c))
-            assert np.abs(left - right).max() <= 1e-5
-
-    def test_shape_error(self):
-        with pytest.raises(ShapeError):
-            nm.matmul(np.zeros((2, 3)), np.zeros((2, 3)))
-
-
 class TestMaskedSoftmax:
     def test_symmetric(self):
         out = nm.masked_softmax(np.array([[0.0, 0.0]]), np.zeros((1, 2)))

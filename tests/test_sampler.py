@@ -2,10 +2,13 @@ import numpy as np
 import pytest
 
 from sgaedit import model as mdl
+from sgaedit import numerics as nm
 from sgaedit import sampler
 from sgaedit.errors import NumericalError, ParameterError, ValidationError
 from sgaedit.quantizer import TokenGrid
 from sgaedit.rng import substream
+
+from conftest import affinities, per_row_sort_plan
 
 CFG = mdl.ModelConfig(
     d=16,
@@ -117,6 +120,39 @@ class TestGuideAndPlan:
                         assert r in kept
                         outside = set(kept) - set(range(max(0, r - 1), min(plan.n_blocks, r + 2)))
                         assert len(outside) <= CFG.top_k
+
+    @pytest.mark.parametrize("kind", ["random", "rounded", "zero"])
+    @pytest.mark.parametrize("blocks", [4, 16, 64])
+    def test_plans_from_maps_matches_per_head_oracle(self, kind, blocks):
+        """Pooling and selecting every head of a layer at once equals pooling
+        each head's map alone and a per-row sort, for maps given as one
+        [H, L, L] array per layer or as a list of per-head arrays."""
+        heads, size = 3, 64
+        enc = [affinities(kind, (heads, size, size), seed=blocks + i) for i in range(2)]
+        dec_self = [affinities(kind, (heads, size, size), seed=blocks + 2)]
+        dec_cross = [list(affinities(kind, (heads, size, size), seed=blocks + 3))]
+        forced = mdl.GuidingResult(
+            logits=None,
+            encoder=mdl.EncoderOutput(context=None, attn=enc),
+            dec_self_attn=dec_self,
+            dec_cross_attn=dec_cross,
+        )
+        for k in (0, 1, 3, blocks):
+            for radius in (0, 1, 2):
+                cfg = mdl.ModelConfig(
+                    d=6, layers_enc=2, layers_dec=1, heads=heads, grid_high=(16, 16), grid_low=(8, 8),
+                    blocks=blocks, top_k=k, radius=radius,
+                )
+                got = sampler.plans_from_maps(forced, cfg)
+                for role, maps in (("enc", enc), ("dec_self", dec_self), ("dec_cross", dec_cross)):
+                    want = [
+                        [
+                            per_row_sort_plan(nm.avg_pool_matrix(m[h], size // blocks), k, radius, layer=i, head=h)
+                            for h in range(heads)
+                        ]
+                        for i, m in enumerate(maps)
+                    ]
+                    assert getattr(got, role) == want, (role, k, radius)
 
     def test_uniform_maps_tie_break(self, weights):
         guide, _ = weights

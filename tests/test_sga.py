@@ -9,6 +9,8 @@ from sgaedit import tape as T
 from sgaedit.errors import DegenerateRowError, ShapeError, ValidationError
 from sgaedit.rng import substream
 
+from conftest import affinities, per_row_sort_plan
+
 
 class TestPartition:
     def test_paper_scale_rows(self):
@@ -102,6 +104,21 @@ class TestSelectPlan:
             base = sga.select_plan(b, k=2, radius=1)
             for factor in (0.25, 3.0, 1e6):
                 assert sga.select_plan(b * factor, k=2, radius=1).kept == base.kept
+
+    @pytest.mark.parametrize("kind", ["random", "rounded", "zero"])
+    @pytest.mark.parametrize("n", [4, 16, 64])
+    def test_matches_per_row_sort_oracle(self, kind, n):
+        """The one-sort selection equals a per-row Python sort, ties included,
+        for one head (`select_plan`) and for a stack of heads (`select_plans`)."""
+        b = affinities(kind, (3, n, n), seed=n)
+        for k in (0, 1, 3, n):
+            for radius in (0, 1, 2):
+                want = [per_row_sort_plan(b[h], k, radius, layer=2, head=h) for h in range(3)]
+                assert sga.select_plans(b, k, radius, layer=2) == want
+                for h in range(3):
+                    got = sga.select_plan(b[h], k, radius, layer=2, head=h)
+                    assert got == want[h]
+                    assert np.array_equal(got.keep, want[h].keep)  # preset matrix == one built from kept
 
 
 class TestBuildSparseMask:

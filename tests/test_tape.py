@@ -97,3 +97,19 @@ def test_numpy_fast_path_matches_tensor_path():
     xt = tape.param(x)
     assert np.array_equal(T.layer_norm(x, gain, bias), T.layer_norm(xt, gain, bias).value)
     assert np.array_equal(T.gelu(x), T.gelu(tape.param(x)).value)
+
+
+def test_gather_rows_gradient_equals_add_at():
+    """Repeated indices sum their rows' gradients in index order, bit for bit
+    as `np.add.at` does."""
+    rng = substream(5, "gather-rows")
+    for table_shape, n in (((7, 5), 40), ((3, 2), 9), ((6,), 20)):
+        idx = rng.integers(-table_shape[0], table_shape[0], size=n)  # repeats and negative indices
+        g = rng.normal(size=(n,) + table_shape[1:]) * 10.0 ** rng.integers(-8, 8, size=(n,) + table_shape[1:])
+        tape = T.GradTape()
+        table = tape.param(rng.normal(size=table_shape))
+        out = T.gather_rows(table, idx)
+        tape.backward(T.sum_all(T.mul(out, g)))
+        want = np.zeros(table_shape)
+        np.add.at(want, idx, g)
+        assert np.array_equal(table.grad, want)
