@@ -1,4 +1,4 @@
-"""Synthetic long-range tasks, training, ablations, rollout, SSIM, benchmarks.
+"""Synthetic long-range tasks, training, ablations, rollout, benchmarks.
 
 The mirror task is the canonical long-range probe: the bottom half of each
 grid is a vertical reflection of the top half, so the ground truth for a
@@ -20,7 +20,6 @@ from . import sga
 from . import model as mdl
 from . import tape as T
 from .errors import DivergenceError, ParameterError, ShapeError, ValidationError
-from .images import to_gray
 from .numerics import score_flops_dense
 from .quantizer import TokenGrid, apply_mask
 from .rng import substream
@@ -111,7 +110,7 @@ class SyntheticTask:
 
         def kept_for(r: int, shift: int) -> tuple:
             keep = set(sga.neighborhood(r, config.radius, n))
-            for t in part.tokens_of(r):
+            for t in part.tokens[r]:
                 i, j = divmod(int(t), w)
                 si, sj = self.source_position(i, j)
                 src = si * w + sj + shift
@@ -494,45 +493,6 @@ def head_averaged_maps(encoder_out: mdl.EncoderOutput) -> list:
             raise ValidationError("encoder pass did not record attention maps")
         maps.append(np.mean(present, axis=0))
     return maps
-
-
-# ---------------------------------------------------------------------------
-# SSIM
-# ---------------------------------------------------------------------------
-
-
-def _gaussian_window(size: int = 11, sigma: float = 1.5) -> np.ndarray:
-    half = (size - 1) / 2.0
-    coords = np.arange(size) - half
-    g = np.exp(-(coords**2) / (2 * sigma**2))
-    window = np.outer(g, g)
-    return window / window.sum()
-
-
-def _window_means(x: np.ndarray, window: np.ndarray) -> np.ndarray:
-    view = np.lib.stride_tricks.sliding_window_view(x, window.shape)
-    return np.tensordot(view, window, axes=([2, 3], [0, 1]))
-
-
-def ssim(a: np.ndarray, b: np.ndarray) -> float:
-    """Mean structural similarity over 11x11 Gaussian windows (sigma 1.5).
-
-    Inputs are [0, 1] images; color images are averaged to grayscale.
-    """
-    ga, gb = to_gray(a), to_gray(b)
-    if ga.shape != gb.shape:
-        raise ShapeError(f"image dims differ: {ga.shape} vs {gb.shape}")
-    if min(ga.shape) < 11:
-        raise ShapeError("images must be at least 11 x 11 for SSIM")
-    window = _gaussian_window()
-    c1, c2 = 0.01**2, 0.03**2
-    mu_a = _window_means(ga, window)
-    mu_b = _window_means(gb, window)
-    var_a = _window_means(ga * ga, window) - mu_a**2
-    var_b = _window_means(gb * gb, window) - mu_b**2
-    cov = _window_means(ga * gb, window) - mu_a * mu_b
-    score = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2))
-    return float(score.mean())
 
 
 # ---------------------------------------------------------------------------

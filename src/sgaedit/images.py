@@ -104,11 +104,6 @@ def with_channels(img: np.ndarray) -> np.ndarray:
     return img[:, :, None] if img.ndim == 2 else img
 
 
-def to_gray(img: np.ndarray) -> np.ndarray:
-    img = with_channels(img)
-    return img.mean(axis=2)
-
-
 def one_hot_map(classes: np.ndarray, n_classes: int) -> np.ndarray:
     """Class-index grid -> H x W x n_classes one-hot image."""
     classes = np.asarray(classes, dtype=np.int64)

@@ -17,8 +17,9 @@ give the inference path.
 Autoregressive inference uses `IncrementalDecoder`, the exact row-by-row
 form of `decoder_forward`: it holds the decoder PEG rows, the cross-
 attention keys/values and a growing self-attention key/value cache, and
-evaluates each new row only against the key tokens its query block keeps
-under the plan. `decoder_forward` stays the full-pass reference.
+runs the rows of each `extend` through the same block-gather kernel, so
+one kernel serves training, full-pass inference and incremental decoding.
+`decoder_forward` stays the full-pass reference.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional
@@ -37,6 +39,10 @@ from . import tape as T
 from .errors import ConfigError, SequenceError, ShapeError, VocabularyError
 from .numerics import read_sgat, write_sgat
 from .quantizer import TokenGrid
+
+
+def _is_int(value, low: int) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
 
 
 @dataclass(frozen=True)
@@ -55,10 +61,16 @@ class ModelConfig:
     ffw: int = 256
 
     def __post_init__(self):
-        object.__setattr__(self, "grid_high", tuple(int(v) for v in self.grid_high))
-        object.__setattr__(self, "grid_low", tuple(int(v) for v in self.grid_low))
-        if self.vocab < 2:
-            raise ConfigError("vocab must be >= 2")
+        for name in ("grid_high", "grid_low"):
+            grid = getattr(self, name)
+            if not (isinstance(grid, (tuple, list)) and len(grid) == 2 and all(_is_int(v, 1) for v in grid)):
+                raise ConfigError(f"{name} must be two positive ints, got {grid!r}")
+            object.__setattr__(self, name, tuple(int(v) for v in grid))
+        lows = {"d": 1, "heads": 1, "blocks": 1, "ffw": 1, "vocab": 2, "vocab_map": 2}
+        lows |= {"layers_enc": 0, "layers_dec": 0, "top_k": 0, "radius": 0}
+        for name, low in lows.items():
+            if not _is_int(getattr(self, name), low):
+                raise ConfigError(f"{name} must be an int >= {low}, got {getattr(self, name)!r}")
         if self.d % self.heads != 0:
             raise ConfigError(f"heads {self.heads} must divide width {self.d}")
         if self.l_high % self.blocks != 0 or self.l_low % self.blocks != 0:
@@ -363,12 +375,13 @@ class IncrementalDecoder:
     ([layer][head], None = dense). `extend(prev_rows)` appends decoder rows
     [n, n + m), whose input tokens are `prev_rows`, and returns their logits:
     rows [n, n + m) of `decoder_forward` over the prefix, to float rounding.
-    Each query block attends only to the key tokens its plan keeps (read
-    off `sga.block_index`), and self-attention further keeps key t <= row,
-    so no L x L mask is built.
-    Embeddings, layer norm and the feed-forward act row by row, so the
-    cache is exact, not an approximation. `fork()` gives an independent
-    copy that shares the read-only parts.
+    Attention runs the same kernel as `decoder_forward`, `tape.block_attention`,
+    over one `sga.block_index` per (layer, role) built here, for the query
+    blocks the new rows fall in; the causal rows of the self-attention index
+    hide the cache rows not yet written. Embeddings, layer norm and the
+    feed-forward act row by row, so the cache is exact, not an
+    approximation. `fork()` gives an independent copy that shares the
+    read-only parts.
     """
 
     def __init__(self, encoder_out: EncoderOutput, weights: ModelWeights, self_plans=None, cross_plans=None):
@@ -378,20 +391,17 @@ class IncrementalDecoder:
         context = T.value_of(encoder_out.context)
         self.weights = weights
         self.n = 0
-        self._block_size = part.block_size
         self._peg = _peg_rows(context, w["dec_peg"], weights.grid)
         self._cross_kv = [
             (context @ w[f"dec{i}_cross_wk"], context @ w[f"dec{i}_cross_wv"]) for i in range(cfg.layers_dec)
         ]
         full = [sga.full_plan(cfg.blocks)] * cfg.heads  # dense heads keep every block
 
-        def kept_keys(plans, i, causal):
-            # [head][query block] -> ascending key tokens, read off the kernel's index
-            index = sga.block_index(plans[i] if plans is not None else full, part, part, causal=causal)
-            return [[keys[ok] for keys, ok in zip(index.keys[h], index.valid[h])] for h in range(cfg.heads)]
+        def index(plans, i, causal):
+            return sga.block_index(plans[i] if plans is not None else full, part, part, causal=causal)
 
-        self._self_keys = [kept_keys(self_plans, i, True) for i in range(cfg.layers_dec)]
-        self._cross_keys = [kept_keys(cross_plans, i, False) for i in range(cfg.layers_dec)]
+        self._self_index = [index(self_plans, i, True) for i in range(cfg.layers_dec)]
+        self._cross_index = [index(cross_plans, i, False) for i in range(cfg.layers_dec)]
         self._k = [np.zeros((weights.length, cfg.d)) for _ in range(cfg.layers_dec)]
         self._v = [np.zeros((weights.length, cfg.d)) for _ in range(cfg.layers_dec)]
 
@@ -405,45 +415,41 @@ class IncrementalDecoder:
         prev = np.asarray(prev_rows, dtype=np.int64)
         _check_decoder_input(prev, self.n, self.weights)
         w = self.weights.params
-        rows = np.arange(self.n, self.n + prev.size)
-        h = w["dec_tok_emb"][prev] + w["dec_pos"][rows] + self._peg[rows]
+        new = slice(self.n, self.n + prev.size)
+        h = w["dec_tok_emb"][prev] + w["dec_pos"][new] + self._peg[new]
         for i in range(self.weights.config.layers_dec):
             p = f"dec{i}"
-            self._k[i][rows] = h @ w[f"{p}_self_wk"]
-            self._v[i][rows] = h @ w[f"{p}_self_wv"]
-            a = self._attend(h @ w[f"{p}_self_wq"], self._k[i], self._v[i], self._self_keys[i], rows, causal=True)
+            self._k[i][new] = h @ w[f"{p}_self_wk"]
+            self._v[i][new] = h @ w[f"{p}_self_wv"]
+            a = self._attention(h @ w[f"{p}_self_wq"], self._k[i], self._v[i], self._self_index[i])
             h = T.layer_norm(h + a @ w[f"{p}_self_wo"], w[f"{p}_ln1_g"], w[f"{p}_ln1_b"])
             ck, cv = self._cross_kv[i]
-            c = self._attend(h @ w[f"{p}_cross_wq"], ck, cv, self._cross_keys[i], rows, causal=False)
+            c = self._attention(h @ w[f"{p}_cross_wq"], ck, cv, self._cross_index[i])
             h = T.layer_norm(h + c @ w[f"{p}_cross_wo"], w[f"{p}_ln2_g"], w[f"{p}_ln2_b"])
             h = T.layer_norm(h + _feed_forward(h, self.weights, p), w[f"{p}_ln3_g"], w[f"{p}_ln3_b"])
-        self.n += prev.size
+        self.n = new.stop
         return h @ w["out_head"]
 
-    def _attend(self, q, k, v, kept, rows, causal: bool) -> np.ndarray:
-        """Per query block and head, softmax attention over the kept key
-        tokens (and, if causal, only those at or before each row)."""
-        dh = q.shape[1] // len(kept)
-        inv_sqrt_d = 1.0 / np.sqrt(dh)
-        out = np.empty_like(q)
-        first, stop = int(rows[0]), int(rows[-1]) + 1
-        bs = self._block_size
-        for b in range(first // bs, (stop - 1) // bs + 1):
-            lo, hi = max(first, b * bs), min(stop, (b + 1) * bs)
-            sl = slice(lo - first, hi - first)
-            for head, blocks in enumerate(kept):
-                cols = slice(head * dh, (head + 1) * dh)
-                keys = blocks[b]
-                if causal:
-                    keys = keys[: np.searchsorted(keys, hi - 1, side="right")]
-                scores = (q[sl, cols] @ k[keys, cols].T) * inv_sqrt_d
-                if causal:
-                    scores[keys[None, :] > rows[sl, None]] = -np.inf
-                # every row keeps its own block, and causally its own token,
-                # so no row is fully masked
-                expd = np.exp(scores - scores.max(axis=1, keepdims=True))
-                out[sl, cols] = (expd / expd.sum(axis=1, keepdims=True)) @ v[keys, cols]
-        return out
+    def _attention(self, q, k, v, index: sga.BlockIndex) -> np.ndarray:
+        """One kernel call for the query rows [n, n + len(q)) over `index`.
+
+        Blocks are contiguous, so query block b holds rows [b * bs, (b + 1) * bs).
+        A run inside one block passes exactly its rows; a run across blocks
+        passes whole blocks, its first block's earlier rows on zero queries.
+        """
+        first, stop = self.n, self.n + q.shape[0]
+        bs = index.rows.shape[1]
+        blocks = slice(first // bs, (stop - 1) // bs + 1)
+        if blocks.stop - blocks.start == 1:
+            base = first
+            cut = slice(first % bs, first % bs + q.shape[0])
+        else:
+            base = blocks.start * bs
+            cut = slice(None)
+            q = np.concatenate([np.zeros((first - base, q.shape[1])), q])
+        blocked = None if index.blocked is None else index.blocked[:, blocks, cut]
+        out = T.block_attention(q, k, v, index.rows[blocks, cut] - base, index.keys[:, blocks], blocked)
+        return out[first - base :]
 
 
 @dataclass
@@ -563,8 +569,8 @@ def load_checkpoint(directory) -> ModelWeights:
         config = ModelConfig.from_dict(manifest["config"])
         grid = tuple(int(v) for v in manifest["grid"])
         files = {str(name): directory / str(fname) for name, fname in manifest["params"].items()}
-    except (ValueError, TypeError, KeyError, AttributeError) as exc:
-        # ValueError covers JSONDecodeError and UnicodeDecodeError
+    except (ValueError, TypeError, KeyError, AttributeError, ConfigError) as exc:
+        # ValueError covers JSONDecodeError and UnicodeDecodeError; ConfigError an invalid config
         raise ConfigError(f"{directory / 'manifest.json'}: malformed manifest ({type(exc).__name__}: {exc})") from exc
     params = {name: read_sgat(path) for name, path in files.items()}
     expected = parameter_shapes(config, grid)

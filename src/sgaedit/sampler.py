@@ -11,8 +11,10 @@ Decoding is incremental (`model.IncrementalDecoder`). The encoder pass and
 the forced prefix, every row up to the first masked position, are the same
 for all candidates, so they run once per call, before any worker starts.
 Each candidate forks that shared state and extends only the forced runs
-between masked positions plus one row per sampled token. `rescore` keeps
-the full `decoder_forward` pass as the reference.
+between masked positions plus one row per sampled token. Each such run is
+one call per layer and role of the block-gather kernel that also serves
+training and the full pass. `rescore` keeps the full `decoder_forward`
+pass as the reference.
 """
 
 from __future__ import annotations
@@ -226,7 +228,7 @@ def guide_and_plan(
     k = config.top_k if top_k is None else top_k
     dense = mdl.PlanBundle.dense()
     enc = _encode(request.tokens_low, request.semantic_low, request.mask_low, guiding_weights, dense, record=True)
-    decode = _forced_decode(enc, request.tokens_low, request.mask_low, guiding_weights, dense, max(k, 1) if k else 1)
+    decode = _forced_decode(enc, request.tokens_low, request.mask_low, guiding_weights, dense, max(k, 1))
     completion, logprob = decode(substream(seed, "guide-sample"))
     enc_in = apply_mask(request.tokens_low, request.mask_low)
     forced = mdl.guiding_forward(

@@ -7,18 +7,18 @@ affinity blocks outside it (`select_plans` does this for every head of a
 layer in one sort). Attention is then evaluated only over kept blocks by
 `sparse_attention`: one block-gather kernel over every head of a layer
 (`block_index` lists each query block's kept key tokens, and
-`tape.block_attention` evaluates them with one batched matmul). It serves
-training and inference alike and never materializes the full score
-matrix. Dense heads use the same kernel with one block holding every token
-(`partition(L, 1)` and `full_plan(1)`), and its softmax weights are then
-the full attention maps. `build_sparse_mask` expands a plan into the
-equivalent L x L mask for the dense reference that the tests compare
-against.
+`tape.block_attention` evaluates them with one batched matmul). One kernel
+serves training, full-pass inference and incremental decoding (which
+calls `tape.block_attention` over a `block_index` built once per edit),
+and it never materializes the full score matrix. Dense heads use the same
+kernel with one block holding every token (`partition(L, 1)` and
+`full_plan(1)`), and its softmax weights are then the full attention maps.
+`build_sparse_mask` expands a plan into the equivalent L x L mask for the
+dense reference that the tests compare against.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Sequence, Union
@@ -50,9 +50,6 @@ class BlockPartition:
     def tokens(self) -> np.ndarray:
         """n_blocks x block_size: the ascending token indices of every block."""
         return np.argsort(self.block_of, kind="stable").reshape(self.n_blocks, self.block_size)
-
-    def tokens_of(self, block: int) -> np.ndarray:
-        return self.tokens[block]
 
 
 def partition(
@@ -356,8 +353,8 @@ def block_index(
 class SparseAttentionResult:
     output: object  # n_q x (H * dh) array, or a tape Tensor when an input is one
     score_flops: int
-    # entries of one (head, query block) score tile, query block against its
-    # padded kept keys; the kernel evaluates all H x N' tiles in one batch
+    # score entries the kernel holds at once: every (head, query block) tile
+    # of query tokens against padded kept keys, H x N' x bs_q x K
     peak_score_entries: int
     # read-only softmax weights [H, N', bs_q, K]: weights[h, n, i, j] is the
     # weight of query token rows[n, i] on key token keys[h, n, j] of the
@@ -399,7 +396,7 @@ def sparse_attention(
     return SparseAttentionResult(
         output=out,
         score_flops=2 * (qv.shape[1] // len(plans)) * index.live_blocks * block_q * block_k,
-        peak_score_entries=block_q * index.keys.shape[2],
+        peak_score_entries=weights.size,
         weights=weights,
     )
 
@@ -438,11 +435,3 @@ def plan_from_dict(obj: dict) -> SparsityPlan:
         layer=obj.get("layer"),
         head=obj.get("head"),
     )
-
-
-def plan_to_json(plan: SparsityPlan) -> str:
-    return json.dumps(plan_to_dict(plan), sort_keys=True)
-
-
-def plan_from_json(text: str) -> SparsityPlan:
-    return plan_from_dict(json.loads(text))

@@ -379,9 +379,13 @@ def block_attention(q, k, v, rows, keys, blocked=None, weights=None):
 
     Every token below n_q appears once in `rows`; entries >= n_q (the tail
     of a prefix's last block) are evaluated on a clipped query and dropped.
-    Every row must keep at least one key; `sga.block_index` checks that.
-    The forward keeps the softmax weights for the backward, which scatters
-    the key and value gradients back to token rows with one `bincount` each.
+    `rows` may also be part of a block: a run of rows sliced out of a block
+    with its `blocked` rows sliced alike, renumbered to index q. Every row
+    must keep at least one key; `sga.block_index` checks that. Each head's
+    key and value rows are gathered straight from the n_k x (H * dh)
+    arrays. The forward keeps the softmax weights for the backward, which
+    scatters the key and value gradients back to token rows with one
+    `bincount` each.
     `weights`, when given, is a float array of shape [H, N, bs, K] that the
     softmax weights are written into (they must stay unchanged while a
     backward pass may still read them).
@@ -407,7 +411,7 @@ def block_attention(q, k, v, rows, keys, blocked=None, weights=None):
     flat = rows.ravel()
     whole = flat.size == n_q and np.array_equal(flat, np.arange(n_q))
     out_pos = None if whole else np.flatnonzero(flat < n_q)
-    gidx = keys + n_k * np.arange(heads)[:, None, None]  # rows of the head-major H * n_k x dh table
+    head = np.arange(heads)[:, None, None]
 
     def by_block(x):  # (N * bs) x (H * dh) -> H x N x bs x dh
         return x.reshape(n_blocks, bs, heads, dh).transpose(2, 0, 1, 3)
@@ -420,27 +424,26 @@ def block_attention(q, k, v, rows, keys, blocked=None, weights=None):
         out[flat[out_pos]] = flat_out[out_pos]
         return out
 
-    def head_major(x):  # n_k x (H * dh) -> (H * n_k) x dh
-        return x.reshape(n_k, heads, dh).transpose(1, 0, 2).reshape(heads * n_k, dh)
+    def gather(x):  # n_k x (H * dh) -> H x N x K x dh: each head's rows of its keys
+        return x.reshape(n_k, heads, dh)[keys, head]
 
     qb = by_block(qv if whole else qv[np.minimum(flat, n_q - 1)])
     # the gathered keys are dropped once scored and gathered again by the backward
-    w = np.matmul(qb, head_major(kv)[gidx].transpose(0, 1, 3, 2), out=weights)
+    w = np.matmul(qb, gather(kv).transpose(0, 1, 3, 2), out=weights)
     w *= scale_
     if blocked is not None:
         np.copyto(w, -np.inf, where=blocked)
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
-    vb = head_major(vv)[gidx]
+    vb = gather(vv)
     value = from_block(np.matmul(w, vb))
     if not (is_tensor(q) or is_tensor(k) or is_tensor(v)):
         return value
     tape = _tape_of(q, k, v)
 
     def scatter_keys(xb, idx):  # H x N x K x dh -> n_k x (H * dh), summing repeated keys
-        table = np.bincount(idx, weights=xb.ravel(), minlength=heads * n_k * dh)
-        return table.reshape(heads, n_k, dh).transpose(1, 0, 2).reshape(n_k, heads * dh)
+        return np.bincount(idx, weights=xb.ravel(), minlength=n_k * heads * dh).reshape(n_k, heads * dh)
 
     def backward(g):
         if whole:
@@ -454,7 +457,8 @@ def block_attention(q, k, v, rows, keys, blocked=None, weights=None):
         ds *= w
         ds *= scale_
         if is_tensor(q):
-            q.accumulate(from_block(np.matmul(ds, head_major(kv)[gidx])))
+            q.accumulate(from_block(np.matmul(ds, gather(kv))))
+        gidx = keys * heads + head  # rows of the n_k * H x dh table
         idx = (gidx[..., None] * dh + np.arange(dh)).ravel()
         if is_tensor(k):
             k.accumulate(scatter_keys(np.matmul(ds.transpose(0, 1, 3, 2), qb), idx))

@@ -102,6 +102,35 @@ class TestTrainGuide:
         assert cli.main(["train-guide", "--config", str(path)]) == 2
 
 
+# model config overrides that must be rejected as config errors (exit 2)
+BAD_MODEL_CONFIGS = [
+    ("d-0", {"d": 0}),
+    ("heads-0", {"heads": 0}),
+    ("blocks-0", {"blocks": 0}),
+    ("ffw-0", {"ffw": 0}),
+    ("vocab-map-0", {"vocab_map": 0}),
+    ("vocab-map-1", {"vocab_map": 1}),
+    ("layers-enc-negative", {"layers_enc": -1}),
+    ("layers-dec-negative", {"layers_dec": -1}),
+    ("top-k-negative", {"top_k": -1}),
+    ("radius-negative", {"radius": -2}),
+    ("grid-one-int", {"grid_high": [8]}),
+    ("grid-zero", {"grid_high": [8, 0]}),
+    ("grid-not-int", {"grid_low": [2, "2"]}),
+    ("grid-not-list", {"grid_low": 2}),
+    ("blocks-not-int", {"blocks": 4.0}),
+]
+
+
+@pytest.mark.parametrize("override", [case[1] for case in BAD_MODEL_CONFIGS], ids=[case[0] for case in BAD_MODEL_CONFIGS])
+def test_invalid_model_config_exit_2_without_traceback(tmp_path, capsys, override):
+    cfg = write_config(tmp_path, {"model": override})
+    assert cli.main(["train-guide", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 class TestTrainSga:
     def test_ladder_and_stage_log(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -254,6 +283,8 @@ MALFORMED_CHECKPOINTS = [
     ("manifest-binary", "manifest.json", b"\x80\x81", 2),
     ("manifest-missing-grid", "manifest.json", b'{"config": {}, "params": {}}', 2),
     ("manifest-not-object", "manifest.json", b"[]", 2),
+    ("manifest-bad-config", "manifest.json",
+     json.dumps({"config": {**TINY["model"], "blocks": 0}, "grid": [2, 2], "params": {}}).encode(), 2),
     ("assets-garbled", "assets.json", b"{patch", 2),
 ]
 

@@ -396,50 +396,6 @@ class TestRollout:
             eb.attention_rollout([np.ones((3, 3))])
 
 
-def ssim_loop_oracle(a, b):
-    """Direct windowed-formula SSIM with explicit loops."""
-    size, sigma = 11, 1.5
-    half = (size - 1) / 2.0
-    g = np.exp(-((np.arange(size) - half) ** 2) / (2 * sigma**2))
-    w = np.outer(g, g)
-    w /= w.sum()
-    c1, c2 = 0.01**2, 0.03**2
-    h, wd = a.shape
-    vals = []
-    for i in range(h - size + 1):
-        for j in range(wd - size + 1):
-            pa = a[i : i + size, j : j + size]
-            pb = b[i : i + size, j : j + size]
-            mu_a = (w * pa).sum()
-            mu_b = (w * pb).sum()
-            va = (w * pa * pa).sum() - mu_a**2
-            vb = (w * pb * pb).sum() - mu_b**2
-            cov = (w * pa * pb).sum() - mu_a * mu_b
-            vals.append(((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2)))
-    return float(np.mean(vals))
-
-
-class TestSsim:
-    def test_self_similarity(self):
-        img = substream(9, "ssim").random((24, 24))
-        assert eb.ssim(img, img) == pytest.approx(1.0, abs=1e-6)
-
-    def test_binary_complement_non_positive(self):
-        img = (substream(10, "ssim2").random((32, 32)) > 0.5).astype(float)
-        assert eb.ssim(img, 1.0 - img) <= 0.0
-
-    def test_against_loop_oracle(self):
-        rng = substream(11, "ssim3")
-        a = rng.random((20, 20))
-        b = np.clip(a + rng.normal(scale=0.1, size=(20, 20)), 0, 1)
-        assert eb.ssim(a, b) == pytest.approx(ssim_loop_oracle(a, b), abs=1e-6)
-
-    def test_rgb_converted_by_mean(self):
-        rng = substream(12, "ssim4")
-        a = rng.random((16, 16, 3))
-        assert eb.ssim(a, a.copy()) == pytest.approx(1.0, abs=1e-6)
-
-
 class TestBenchmark:
     def test_flops_exact_and_dense_baseline(self):
         report = eb.benchmark([256], 32, ["dense", "guided", "local"], repeats=5, n_blocks=16, seed=0)

@@ -5,6 +5,7 @@ import pytest
 
 from sgaedit import model as mdl
 from sgaedit import sampler, sga
+from sgaedit import tape as T
 from sgaedit.errors import SequenceError
 from sgaedit.quantizer import TokenGrid, apply_mask
 from sgaedit.rng import substream
@@ -87,6 +88,38 @@ def test_every_step_matches_full_pass(kind, layers_dec):
         got.append(dec.extend(prev[dec.n : dec.n + size]))
         full, _, _ = mdl.decoder_forward(prev[: dec.n], enc, high, plans.dec_self, plans.dec_cross)
         assert np.abs(np.concatenate(got) - full).max() <= TOLERANCE
+    assert dec.n == cfg.l_high
+
+
+@pytest.mark.parametrize("layers_dec", [1, 2])
+@pytest.mark.parametrize("kind", ["dense", "guided"])
+def test_extend_runs_the_block_kernel_once_per_role_and_layer(kind, layers_dec, monkeypatch):
+    """Every `extend` is one `tape.block_attention` call per (role, layer);
+    a run inside one block passes exactly its rows."""
+    cfg = make_config(layers_dec)
+    guide, high = make_weights(cfg)
+    request = make_request(cfg, np.zeros(cfg.grid_high, bool))
+    plans = make_plans(kind, cfg, guide, request)
+    enc = encode(request, high, plans)
+    prev = np.concatenate([[cfg.start_token], request.tokens.flat()[:-1]])
+    dec = mdl.IncrementalDecoder(enc, high, plans.dec_self, plans.dec_cross)
+    bs = cfg.l_high // cfg.blocks
+    rows_seen = []
+    kernel = T.block_attention
+
+    def counting(q, k, v, rows, *args, **kwargs):
+        rows_seen.append(np.shape(rows))
+        return kernel(q, k, v, rows, *args, **kwargs)
+
+    monkeypatch.setattr(T, "block_attention", counting)
+    # single rows, runs inside one block, and runs across block boundaries
+    for size in (1, 2, 3, 1, 9, 2, 1, 7, 6):
+        rows_seen.clear()
+        first = dec.n
+        dec.extend(prev[first : first + size])
+        assert len(rows_seen) == 2 * layers_dec
+        if first // bs == (first + size - 1) // bs:
+            assert set(rows_seen) == {(1, size)}
     assert dec.n == cfg.l_high
 
 
