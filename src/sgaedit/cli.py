@@ -109,7 +109,6 @@ def cmd_train_guide(cfg: dict, args) -> int:
         steps=cfg["train"]["steps"],
         lr=cfg["train"]["lr"],
         seed=cfg["seed"],
-        plans=None,
         optimizer=cfg["train"]["optimizer"],
         clip=cfg["train"]["clip"],
     )

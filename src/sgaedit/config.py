@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import numbers
 from pathlib import Path
 
 from .errors import ConfigError
@@ -63,6 +65,19 @@ DEFAULTS = {
     "leakcheck": {"trials": 100, "image_size": 128},
 }
 
+# run-config values checked by `resolve`, as "block.name"
+COUNT_KEYS = (
+    "train.steps",
+    "train.stage_steps",
+    "sampling.top_k",
+    "sampling.n_samples",
+    "sampling.n_keep",
+    "ablation.steps",
+    "ablation.eval_instances",
+)
+RATE_KEYS = ("train.lr", "train.clip", "ablation.lr")
+OPTIMIZER_KEYS = ("train.optimizer", "ablation.optimizer")
+
 
 def _merge(defaults: dict, user: dict, path: str) -> dict:
     out = copy.deepcopy(defaults)
@@ -85,13 +100,32 @@ def resolve(user: dict) -> dict:
         raise ConfigError("config root must be a JSON object")
     cfg = _merge(DEFAULTS, user, "")
     model_config(cfg)  # validates model block
-    if cfg["sampling"]["top_k"] < 1:
-        raise ConfigError("sampling.top_k must be >= 1")
+    _check_int("seed", cfg["seed"])
+    for key in COUNT_KEYS:
+        _check_int(key, _value(cfg, key), 1)
+    for key in RATE_KEYS:
+        value = _value(cfg, key)
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0):
+            raise ConfigError(f"{key} must be a finite number >= 0, got {value!r}")
+    for key in OPTIMIZER_KEYS:
+        if _value(cfg, key) not in ("sgd", "adam"):
+            raise ConfigError(f"{key} must be sgd or adam, got {_value(cfg, key)!r}")
     if cfg["sampling"]["n_keep"] > cfg["sampling"]["n_samples"]:
         raise ConfigError("sampling.n_keep cannot exceed n_samples")
     if cfg["task"]["kind"] not in ("mirror", "constant-region", "copy-corner"):
         raise ConfigError(f"unknown task kind {cfg['task']['kind']!r}")
     return cfg
+
+
+def _value(cfg: dict, key: str):
+    block, name = key.split(".")
+    return cfg[block][name]
+
+
+def _check_int(key: str, value, low=None) -> None:
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and (low is None or value >= low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{key} must be an int{bound}, got {value!r}")
 
 
 def load(path, seed_override=None, out_override=None) -> dict:

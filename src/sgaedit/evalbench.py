@@ -20,7 +20,6 @@ from . import sga
 from . import model as mdl
 from . import tape as T
 from .errors import DivergenceError, ParameterError, ShapeError, ValidationError
-from .numerics import score_flops_dense
 from .quantizer import TokenGrid, apply_mask
 from .rng import substream
 
@@ -207,6 +206,9 @@ def free_form_mask(dims: tuple, seed, region: Optional[np.ndarray] = None) -> np
 # training
 # ---------------------------------------------------------------------------
 
+ADAM_BETAS = (0.9, 0.999)
+ADAM_EPS = 1e-8
+
 
 @dataclass
 class TrainResult:
@@ -231,8 +233,6 @@ def train(
     plan_provider: Optional[Callable[[int], mdl.PlanBundle]] = None,
     optimizer: str = "sgd",
     clip: float = 1.0,
-    betas: tuple = (0.9, 0.999),
-    adam_eps: float = 1e-8,
 ) -> TrainResult:
     """Teacher-forced training on masked-position cross-entropy.
 
@@ -241,10 +241,15 @@ def train(
     at masked positions against the ground truth. Gradients flow through
     the recorded tape; the global gradient norm is clipped at `clip`.
     `plan_provider(step)`, when given, supplies fresh plans per step (the
-    guiding-driven fine-tuning path); otherwise the fixed `plans` are used.
+    guiding-driven fine-tuning path); otherwise the fixed `plans` are used,
+    dense attention when none are given. Adam uses ADAM_BETAS and ADAM_EPS.
     """
+    if plans is None:
+        plans = mdl.PlanBundle.dense(weights.config)
     if steps < 1:
         raise ParameterError("steps must be >= 1")
+    if optimizer not in ("sgd", "adam"):
+        raise ParameterError(f"unknown optimizer {optimizer!r}")
     if (task.height, task.width) != weights.grid:
         raise ShapeError(f"task dims {task.dims} != model grid {weights.grid}")
     cfg = weights.config
@@ -261,15 +266,9 @@ def train(
         step_plans = plan_provider(step) if plan_provider is not None else plans
         tape = T.GradTape()
         tw = mdl.ModelWeights(cfg, weights.grid, {k: tape.param(v) for k, v in params.items()})
-        enc_out = mdl.encoder_forward(mdl.embed_encoder(apply_mask(x, mask), p, tw), tw, plans=step_plans)
+        enc_out = mdl.encoder_forward(mdl.embed_encoder(apply_mask(x, mask), p, tw), tw, step_plans)
         prev = np.concatenate([[cfg.start_token], x.flat()[:-1]])
-        logits, _, _ = mdl.decoder_forward(
-            prev,
-            enc_out,
-            tw,
-            step_plans.dec_self if step_plans else None,
-            step_plans.dec_cross if step_plans else None,
-        )
+        logits, _, _ = mdl.decoder_forward(prev, enc_out, tw, step_plans)
         rows = np.flatnonzero(mask.ravel())
         loss = T.cross_entropy(T.gather_rows(logits, rows), x.flat()[rows])
         loss_val = float(loss.value)
@@ -287,17 +286,15 @@ def train(
         if optimizer == "sgd":
             for k in params:
                 params[k] = params[k] - lr * grads[k]
-        elif optimizer == "adam":
+        else:  # adam
             t = step + 1
-            b1, b2 = betas
+            b1, b2 = ADAM_BETAS
             for k in params:
                 m_state[k] = b1 * m_state[k] + (1 - b1) * grads[k]
                 v_state[k] = b2 * v_state[k] + (1 - b2) * np.square(grads[k])
                 mhat = m_state[k] / (1 - b1**t)
                 vhat = v_state[k] / (1 - b2**t)
-                params[k] = params[k] - lr * mhat / (np.sqrt(vhat) + adam_eps)
-        else:
-            raise ParameterError(f"unknown optimizer {optimizer!r}")
+                params[k] = params[k] - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
     return TrainResult(weights=mdl.ModelWeights(cfg, weights.grid, params), losses=losses)
 
@@ -305,7 +302,7 @@ def train(
 def masked_accuracy(
     weights: mdl.ModelWeights,
     task: SyntheticTask,
-    plans: Optional[mdl.PlanBundle],
+    plans: mdl.PlanBundle,
     instances: int,
     seed: int,
 ) -> float:
@@ -318,11 +315,9 @@ def masked_accuracy(
         rng = substream(seed, f"eval-{i}")
         x, p = task.sample(rng)
         mask = free_form_mask(task.dims, rng, region=region)
-        enc_out = mdl.encoder_forward(mdl.embed_encoder(apply_mask(x, mask), p, weights), weights, plans=plans)
+        enc_out = mdl.encoder_forward(mdl.embed_encoder(apply_mask(x, mask), p, weights), weights, plans)
         prev = np.concatenate([[cfg.start_token], x.flat()[:-1]])
-        logits, _, _ = mdl.decoder_forward(
-            prev, enc_out, weights, plans.dec_self if plans else None, plans.dec_cross if plans else None
-        )
+        logits, _, _ = mdl.decoder_forward(prev, enc_out, weights, plans)
         rows = np.flatnonzero(mask.ravel())
         pred = np.argmax(T.value_of(logits)[rows], axis=1)
         hits += int((pred == x.flat()[rows]).sum())
@@ -350,10 +345,10 @@ def variant_bundle(
     task: SyntheticTask,
     seed: int = 0,
     window: int = 3,
-) -> Optional[mdl.PlanBundle]:
+) -> mdl.PlanBundle:
     """Plan bundle for one ablation variant at the task's resolution."""
     if kind == "dense":
-        return None
+        return mdl.PlanBundle.dense(config)
     if kind == "guided":
         return task.oracle_plans(config, grid=task.dims)
 
@@ -367,24 +362,12 @@ def variant_bundle(
 
 
 def forward_score_flops(config: mdl.ModelConfig, bundle: Optional[mdl.PlanBundle], length: int) -> int:
-    """Score FLOPs of one full forward pass under the cost model."""
-
-    def role_flops(role_plans, layers: int) -> int:
-        if role_plans is None:
-            return layers * config.heads * score_flops_dense(length, length, config.d // config.heads)
-        return sum(
-            sga.score_flops_plan(p, length, length, config.d // config.heads)
-            for layer in role_plans
-            for p in layer
-        )
-
-    if bundle is None:
-        bundle = mdl.PlanBundle.dense()
-    return (
-        role_flops(bundle.enc, config.layers_enc)
-        + role_flops(bundle.dec_self, config.layers_dec)
-        + role_flops(bundle.dec_cross, config.layers_dec)
-    )
+    """Score FLOPs of one full forward pass under the cost model; a None
+    bundle counts dense attention."""
+    bundle = mdl.PlanBundle.dense(config) if bundle is None else bundle
+    dh = config.d // config.heads
+    roles = (bundle.enc, bundle.dec_self, bundle.dec_cross)
+    return sum(sga.score_flops_plan(p, length, length, dh) for role in roles for layer in role for p in layer)
 
 
 @dataclass
@@ -435,14 +418,12 @@ def run_ablation(
             init = mdl.init_weights(config, task.dims, substream(seed, "init"))
             result = train(init, task, steps=steps, lr=lr, seed=seed, plans=bundle, optimizer=optimizer)
             accs.append(masked_accuracy(result.weights, task, bundle, eval_instances, seed=seed + 10_000))
-        ratios = (bundle or mdl.PlanBundle.dense()).mean_sparsity()
-        mean_ratio = float(np.mean(list(ratios.values())))
         report.rows.append(
             {
                 "variant": kind,
                 "accuracy": float(np.mean(accs)),
                 "acc_per_seed": [float(a) for a in accs],
-                "sparsity": mean_ratio if kind != "dense" else 1.0,
+                "sparsity": float(np.mean(list(bundle.mean_sparsity().values()))),
                 "score_flops": forward_score_flops(config, bundle, length),
                 "steps": steps,
                 "seeds": list(seeds),
@@ -536,8 +517,8 @@ def benchmark(
 ) -> BenchReport:
     """Wall-clock (median of >= repeats, one warm-up discarded) and exact
     score-FLOPs of the attention kernel, one head: the dense row is the
-    model's dense path (one block holding every token), the others are
-    sparse plans over `n_blocks` blocks."""
+    plan of `model.PlanBundle.dense`, `full_plan(1)` on one block holding
+    every token; the others are sparse plans over `n_blocks` blocks."""
     if repeats < 5:
         raise ParameterError("repeats must be >= 5")
     report = BenchReport()
@@ -546,7 +527,6 @@ def benchmark(
         q = rng.normal(size=(length, d))
         kk = rng.normal(size=(length, d))
         v = rng.normal(size=(length, d))
-        part = sga.partition(length, n_blocks)
 
         def timed(fn) -> float:
             fn()  # warm-up
@@ -558,13 +538,14 @@ def benchmark(
             return float(np.median(times))
 
         for variant in variants:
-            if variant == "dense":  # the model's dense heads: one block holding every token
-                plan, plan_part = sga.full_plan(1), sga.partition(length, 1)
+            if variant == "dense":
+                plan = sga.full_plan(1)
             elif variant == "guided":
                 affinity = substream(seed, f"affinity-{length}").random((n_blocks, n_blocks))
-                plan, plan_part = sga.select_plan(affinity, k=k, radius=radius), part
+                plan = sga.select_plan(affinity, k=k, radius=radius)
             else:
-                plan, plan_part = sga.variant_plan(variant, n_blocks, radius=radius, k=k, seed=seed), part
+                plan = sga.variant_plan(variant, n_blocks, radius=radius, k=k, seed=seed)
+            plan_part = sga.partition(length, plan.n_blocks)
             result = sga.sparse_attention(q, kk, v, plan, plan_part, plan_part)
             wall = timed(lambda: sga.sparse_attention(q, kk, v, plan, plan_part, plan_part))
             report.rows.append(

@@ -1,14 +1,15 @@
 """Encoder-decoder transformer over token grids, in two instantiations.
 
-The guiding model runs dense attention on the low-resolution grid and
-exposes every attention map. The high-resolution model has the identical
-architecture but evaluates attention only over the key blocks named by a
-`PlanBundle` (one plan per layer and head for encoder self, decoder self,
-and decoder cross attention). Both run the block-gather kernel
-`sga.sparse_attention`, one op per layer covering every head, in training
-and inference alike: dense heads are its one-block full plan, whose
-softmax weights are the attention maps. With full-kept plans the two
-agree to float tolerance.
+The guiding model and the high-resolution model have the identical
+architecture and differ only in the `PlanBundle` they run (one plan per
+layer and head for encoder self, decoder self, and decoder cross
+attention). Dense attention is the plan that keeps every block: the
+guide runs `PlanBundle.dense`, whose one-block full plan makes the
+kernel's softmax weights the full attention maps; the high-resolution
+model runs guided N-block plans. Every attention call, in training and
+inference alike, is one `sga.sparse_attention` op covering every head of
+a layer, over the partition its plans' block count names. With
+full-kept plans the two agree to float tolerance.
 
 Forward code is written against the tape dispatch ops, so passing weights
 wrapped in tape Tensors yields a differentiable graph while plain arrays
@@ -83,10 +84,6 @@ class ModelConfig:
     @property
     def l_low(self) -> int:
         return self.grid_low[0] * self.grid_low[1]
-
-    @property
-    def mask_token(self) -> int:
-        return self.vocab
 
     @property
     def start_token(self) -> int:
@@ -169,15 +166,21 @@ def init_weights(config: ModelConfig, grid: tuple, rng) -> ModelWeights:
 
 @dataclass
 class PlanBundle:
-    """Per-role sparsity plans: [layer][head] -> SparsityPlan. None = dense."""
+    """Per-role sparsity plans, each role a [layer][head] list of SparsityPlan.
 
-    enc: Optional[list] = None
-    dec_self: Optional[list] = None
-    dec_cross: Optional[list] = None
+    Dense attention is not a special case: `dense` keeps every block of a
+    one-block partition for every (role, layer, head).
+    """
+
+    enc: list
+    dec_self: list
+    dec_cross: list
 
     @staticmethod
-    def dense() -> "PlanBundle":
-        return PlanBundle()
+    def dense(config: ModelConfig) -> "PlanBundle":
+        """Dense attention for every head: one shared `sga.full_plan(1)`."""
+        one = sga.full_plan(1)
+        return PlanBundle.uniform(config, lambda role, layer, head: one)
 
     @staticmethod
     def uniform(config: ModelConfig, plan_fn) -> "PlanBundle":
@@ -188,31 +191,11 @@ class PlanBundle:
             dec_cross=[[plan_fn("dec_cross", i, h) for h in range(config.heads)] for i in range(config.layers_dec)],
         )
 
-    def to_dict(self) -> dict:
-        def dump(role):
-            if role is None:
-                return None
-            return [[sga.plan_to_dict(p) for p in layer] for layer in role]
-
-        return {"enc": dump(self.enc), "dec_self": dump(self.dec_self), "dec_cross": dump(self.dec_cross)}
-
-    @staticmethod
-    def from_dict(obj: dict) -> "PlanBundle":
-        def load(role):
-            if role is None:
-                return None
-            return [[sga.plan_from_dict(p) for p in layer] for layer in role]
-
-        return PlanBundle(enc=load(obj.get("enc")), dec_self=load(obj.get("dec_self")), dec_cross=load(obj.get("dec_cross")))
-
     def mean_sparsity(self) -> dict:
         out = {}
         for name, role in (("enc", self.enc), ("dec_self", self.dec_self), ("dec_cross", self.dec_cross)):
-            if role is None:
-                out[name] = 1.0
-            else:
-                ratios = [sga.sparsity_ratio(p) for layer in role for p in layer]
-                out[name] = float(np.mean(ratios)) if ratios else 1.0
+            ratios = [sga.sparsity_ratio(p) for layer in role for p in layer]
+            out[name] = float(np.mean(ratios)) if ratios else 1.0
         return out
 
 
@@ -220,7 +203,8 @@ class PlanBundle:
 class EncoderOutput:
     context: object  # L x d array or Tensor
     # attn[layer][head]: L x L row-stochastic array; attn[layer] is one
-    # read-only H x L x L array for recorded dense heads, H Nones otherwise
+    # read-only H x L x L array for recorded one-block (dense) plans, H
+    # Nones otherwise
     attn: list
 
 
@@ -251,36 +235,24 @@ def _peg_rows(rows, kernel, grid):
     return T.reshape(T.peg(T.reshape(rows, (h, w, d)), kernel), (h * w, d))
 
 
-def _multi_head(
-    x_q,
-    x_kv,
-    weights: ModelWeights,
-    prefix: str,
-    plans,  # list per head, or None for dense heads
-    part: sga.BlockPartition,
-    causal: bool,
-    record: bool,
-):
+def _multi_head(x_q, x_kv, weights: ModelWeights, prefix: str, plans: list, causal: bool, record: bool):
     """Multi-head attention of one layer; returns (output, per-head maps).
 
-    Every head of the layer runs in one block-gather kernel call. Dense
-    heads (the guiding model) are the one-block full plan, so the kernel's
-    softmax weights are their full attention maps; with `record` they come
-    back as one read-only H x n_q x n_k array. Planned heads, and dense
-    heads without `record`, return None maps.
+    Every head of the layer runs in one block-gather kernel call over the
+    partition of `plans`' block count (one plan per head). Under a
+    one-block plan (dense attention) the kernel's softmax weights are the
+    full attention maps; with `record` they come back as one read-only
+    H x n_q x n_k array. Multi-block plans, and any plan without
+    `record`, return None maps.
     """
     w = weights.params
-    heads = weights.config.heads
+    part = sga.partition(weights.length, plans[0].n_blocks)
     q_all = T.matmul(x_q, w[f"{prefix}_wq"])
     k_all = T.matmul(x_kv, w[f"{prefix}_wk"])
     v_all = T.matmul(x_kv, w[f"{prefix}_wv"])
-    dense = plans is None
-    if dense:
-        part = sga.partition(part.length, 1)
-        plans = [sga.full_plan(1)] * heads
     result = sga.sparse_attention(q_all, k_all, v_all, plans, part, part, causal=causal)
-    maps = [None] * heads
-    if dense and record:
+    maps = [None] * len(plans)
+    if record and part.n_blocks == 1:
         n_q, n_k = T.value_of(q_all).shape[0], T.value_of(k_all).shape[0]
         maps = result.weights[:, 0, :n_q, :n_k]  # one block: rows and keys are tokens 0, 1, ...
     return T.matmul(result.output, w[f"{prefix}_wo"]), maps
@@ -292,22 +264,15 @@ def _feed_forward(x, weights: ModelWeights, prefix: str):
     return T.add_bias(T.matmul(hidden, w[f"{prefix}_ff2"]), w[f"{prefix}_ff2_b"])
 
 
-def encoder_forward(
-    embeddings,
-    weights: ModelWeights,
-    plans: Optional[PlanBundle] = None,
-    record: bool = False,
-) -> EncoderOutput:
+def encoder_forward(embeddings, weights: ModelWeights, plans: PlanBundle, record: bool = False) -> EncoderOutput:
     """PEG -> self-attention -> add & norm -> feed-forward -> add & norm, per layer."""
     cfg = weights.config
-    part = sga.partition(weights.length, cfg.blocks)
     h = embeddings
     all_maps = []
     w = weights.params
     for i in range(cfg.layers_enc):
         h = _peg_rows(h, w[f"enc{i}_peg"], weights.grid)
-        layer_plans = plans.enc[i] if plans is not None and plans.enc is not None else None
-        attn_out, maps = _multi_head(h, h, weights, f"enc{i}", layer_plans, part, False, record)
+        attn_out, maps = _multi_head(h, h, weights, f"enc{i}", plans.enc[i], False, record)
         h = T.layer_norm(T.add(h, attn_out), w[f"enc{i}_ln1_g"], w[f"enc{i}_ln1_b"])
         h = T.layer_norm(T.add(h, _feed_forward(h, weights, f"enc{i}")), w[f"enc{i}_ln2_g"], w[f"enc{i}_ln2_b"])
         all_maps.append(maps)
@@ -328,14 +293,10 @@ def _check_decoder_input(prev: np.ndarray, start: int, weights: ModelWeights) ->
 
 
 def decoder_forward(
-    prev_tokens,
-    encoder_out: EncoderOutput,
-    weights: ModelWeights,
-    self_plans: Optional[list] = None,  # [layer][head]
-    cross_plans: Optional[list] = None,
-    record: bool = False,
+    prev_tokens, encoder_out: EncoderOutput, weights: ModelWeights, plans: PlanBundle, record: bool = False
 ):
-    """Causal decoder over a START-prepended prefix with cross attention.
+    """Causal decoder over a START-prepended prefix with cross attention,
+    under the decoder roles of `plans`.
 
     Returns (logits steps x vocab, self_maps, cross_maps). Row l of the
     logits depends only on prev_tokens[0..l] and the encoder output.
@@ -346,7 +307,6 @@ def decoder_forward(
 
     steps = prev.size
     w = weights.params
-    part = sga.partition(weights.length, cfg.blocks)
     context = encoder_out.context
 
     h = T.add(T.gather_rows(w["dec_tok_emb"], prev), T.gather_rows(w["dec_pos"], np.arange(steps)))
@@ -355,11 +315,9 @@ def decoder_forward(
 
     self_maps_all, cross_maps_all = [], []
     for i in range(cfg.layers_dec):
-        sp = self_plans[i] if self_plans is not None else None
-        a, self_maps = _multi_head(h, h, weights, f"dec{i}_self", sp, part, True, record)
+        a, self_maps = _multi_head(h, h, weights, f"dec{i}_self", plans.dec_self[i], True, record)
         h = T.layer_norm(T.add(h, a), w[f"dec{i}_ln1_g"], w[f"dec{i}_ln1_b"])
-        cp = cross_plans[i] if cross_plans is not None else None
-        c, cross_maps = _multi_head(h, context, weights, f"dec{i}_cross", cp, part, False, record)
+        c, cross_maps = _multi_head(h, context, weights, f"dec{i}_cross", plans.dec_cross[i], False, record)
         h = T.layer_norm(T.add(h, c), w[f"dec{i}_ln2_g"], w[f"dec{i}_ln2_b"])
         h = T.layer_norm(T.add(h, _feed_forward(h, weights, f"dec{i}")), w[f"dec{i}_ln3_g"], w[f"dec{i}_ln3_b"])
         self_maps_all.append(self_maps)
@@ -371,8 +329,9 @@ def decoder_forward(
 class IncrementalDecoder:
     """Exact incremental form of `decoder_forward` for inference.
 
-    Built once from an encoder output, the weights and the decoder plans
-    ([layer][head], None = dense). `extend(prev_rows)` appends decoder rows
+    Built once from an encoder output, the weights and the plan bundle
+    (its decoder roles; `PlanBundle.dense` gives one-block indices whose
+    rows are the whole sequence). `extend(prev_rows)` appends decoder rows
     [n, n + m), whose input tokens are `prev_rows`, and returns their logits:
     rows [n, n + m) of `decoder_forward` over the prefix, to float rounding.
     Attention runs the same kernel as `decoder_forward`, `tape.block_attention`,
@@ -384,10 +343,9 @@ class IncrementalDecoder:
     read-only parts.
     """
 
-    def __init__(self, encoder_out: EncoderOutput, weights: ModelWeights, self_plans=None, cross_plans=None):
+    def __init__(self, encoder_out: EncoderOutput, weights: ModelWeights, plans: PlanBundle):
         cfg = weights.config
         w = weights.params
-        part = sga.partition(weights.length, cfg.blocks)
         context = T.value_of(encoder_out.context)
         self.weights = weights
         self.n = 0
@@ -395,13 +353,13 @@ class IncrementalDecoder:
         self._cross_kv = [
             (context @ w[f"dec{i}_cross_wk"], context @ w[f"dec{i}_cross_wv"]) for i in range(cfg.layers_dec)
         ]
-        full = [sga.full_plan(cfg.blocks)] * cfg.heads  # dense heads keep every block
 
-        def index(plans, i, causal):
-            return sga.block_index(plans[i] if plans is not None else full, part, part, causal=causal)
+        def index(layer_plans, causal):
+            part = sga.partition(weights.length, layer_plans[0].n_blocks)
+            return sga.block_index(layer_plans, part, part, causal=causal)
 
-        self._self_index = [index(self_plans, i, True) for i in range(cfg.layers_dec)]
-        self._cross_index = [index(cross_plans, i, False) for i in range(cfg.layers_dec)]
+        self._self_index = [index(layer_plans, True) for layer_plans in plans.dec_self]
+        self._cross_index = [index(layer_plans, False) for layer_plans in plans.dec_cross]
         self._k = [np.zeros((weights.length, cfg.d)) for _ in range(cfg.layers_dec)]
         self._v = [np.zeros((weights.length, cfg.d)) for _ in range(cfg.layers_dec)]
 
@@ -475,14 +433,15 @@ def guiding_forward(
     `encoder_out`, when given, is this model's dense encoder pass over
     (x, p), already run by the caller; it is reused instead of recomputed.
     """
+    dense = PlanBundle.dense(weights.config)
     enc = encoder_out
     if enc is None:
-        enc = encoder_forward(embed_encoder(x, p, weights), weights, plans=None, record=record)
+        enc = encoder_forward(embed_encoder(x, p, weights), weights, dense, record=record)
     seq = x.flat() if decoder_tokens is None else np.asarray(decoder_tokens, dtype=np.int64)
     if seq.size != weights.length:
         raise SequenceError(f"decoder sequence length {seq.size} != {weights.length}")
     prev = np.concatenate([[weights.config.start_token], seq[:-1]])
-    logits, self_maps, cross_maps = decoder_forward(prev, enc, weights, None, None, record=record)
+    logits, self_maps, cross_maps = decoder_forward(prev, enc, weights, dense, record=record)
     return GuidingResult(logits=T.value_of(logits), encoder=enc, dec_self_attn=self_maps, dec_cross_attn=cross_maps)
 
 

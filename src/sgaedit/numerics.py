@@ -118,11 +118,6 @@ def gelu(x: np.ndarray) -> np.ndarray:
     return 0.5 * x * (1.0 + gelu_tanh(x))
 
 
-def score_flops_dense(l_q: int, l_k: int, d: int) -> int:
-    """Cost model for one attention score matrix: 2 * L_q * L_k * d."""
-    return 2 * l_q * l_k * d
-
-
 # ---------------------------------------------------------------------------
 # SGAT binary tensor format: 4-byte magic, little-endian u32 header length,
 # JSON header {"dtype": "f32", "shape": [...]}, raw little-endian row-major

@@ -16,12 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import (
-    IncompleteGridError,
-    InsufficientDataError,
-    ShapeError,
-    ValidationError,
-)
+from .errors import InsufficientDataError, ShapeError, ValidationError
 from .images import with_channels
 from .rng import substream
 
@@ -49,10 +44,6 @@ class TokenGrid:
     @property
     def w(self) -> int:
         return self.tokens.shape[1]
-
-    @property
-    def mask_token(self) -> int:
-        return self.vocab
 
     def flat(self) -> np.ndarray:
         """Row-major flattening; the canonical sequence order everywhere."""

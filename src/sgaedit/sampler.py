@@ -160,7 +160,7 @@ def _forced_decode(
     k_eff = min(top_k, cfg.vocab)
     original = tokens.flat()
     positions = np.flatnonzero(np.asarray(mask, dtype=bool).ravel())
-    shared = mdl.IncrementalDecoder(enc_out, weights, plans.dec_self, plans.dec_cross)
+    shared = mdl.IncrementalDecoder(enc_out, weights, plans)
     first_row = None
     if positions.size:
         first_row = shared.extend(np.concatenate([[cfg.start_token], original[: positions[0]]]))[-1]
@@ -226,7 +226,7 @@ def guide_and_plan(
     forced pass.
     """
     k = config.top_k if top_k is None else top_k
-    dense = mdl.PlanBundle.dense()
+    dense = mdl.PlanBundle.dense(guiding_weights.config)
     enc = _encode(request.tokens_low, request.semantic_low, request.mask_low, guiding_weights, dense, record=True)
     decode = _forced_decode(enc, request.tokens_low, request.mask_low, guiding_weights, dense, max(k, 1))
     completion, logprob = decode(substream(seed, "guide-sample"))
@@ -287,7 +287,7 @@ def rescore(
     enc_out = _encode(request.tokens, request.semantic, request.mask, sga_weights, plans)
     seq = candidate.flat()
     prev = np.concatenate([[cfg.start_token], seq[:-1]])
-    logits, _, _ = mdl.decoder_forward(prev, enc_out, sga_weights, plans.dec_self, plans.dec_cross)
+    logits, _, _ = mdl.decoder_forward(prev, enc_out, sga_weights, plans)
     rows = T.value_of(logits)
     total = 0.0
     for pos in np.flatnonzero(np.asarray(request.mask, dtype=bool).ravel()):

@@ -10,9 +10,10 @@ layer in one sort). Attention is then evaluated only over kept blocks by
 `tape.block_attention` evaluates them with one batched matmul). One kernel
 serves training, full-pass inference and incremental decoding (which
 calls `tape.block_attention` over a `block_index` built once per edit),
-and it never materializes the full score matrix. Dense heads use the same
-kernel with one block holding every token (`partition(L, 1)` and
-`full_plan(1)`), and its softmax weights are then the full attention maps.
+and it never materializes the full score matrix. Dense attention is not a
+separate path but the plan that keeps every block: `full_plan(1)` over
+`partition(L, 1)`, one block holding every token, runs the same kernel,
+and its softmax weights are then the full attention maps.
 `build_sparse_mask` expands a plan into the equivalent L x L mask for the
 dense reference that the tests compare against.
 """
@@ -407,31 +408,3 @@ def score_flops_plan(plan: SparsityPlan, length_q: int, length_k: int, d: int) -
     bk = length_k // plan.n_blocks
     return 2 * d * plan.kept_count() * bq * bk
 
-
-# ---------------------------------------------------------------------------
-# serialization
-# ---------------------------------------------------------------------------
-
-
-def plan_to_dict(plan: SparsityPlan) -> dict:
-    return {
-        "layer": plan.layer,
-        "head": plan.head,
-        "N": plan.n_blocks,
-        "radius": plan.radius,
-        "k": plan.k,
-        "kept": [list(ks) for ks in plan.kept],
-        "provenance": plan.provenance,
-    }
-
-
-def plan_from_dict(obj: dict) -> SparsityPlan:
-    return SparsityPlan(
-        n_blocks=int(obj["N"]),
-        radius=int(obj["radius"]),
-        k=int(obj["k"]),
-        kept=tuple(tuple(int(t) for t in ks) for ks in obj["kept"]),
-        provenance=str(obj["provenance"]),
-        layer=obj.get("layer"),
-        head=obj.get("head"),
-    )

@@ -46,7 +46,6 @@ DIFFERENTIABLE_OPS = (
     "gelu",
     "log",
     "sum_all",
-    "mean_all",
     "cross_entropy",
 )
 
@@ -507,17 +506,6 @@ def sum_all(x):
         x.accumulate(np.full_like(x.value, float(g)))
 
     return _node(x.tape, x.value.sum(), backward)
-
-
-def mean_all(x):
-    if not is_tensor(x):
-        return nm.as_array(x).mean()
-    n = value_of(x).size
-
-    def backward(g):
-        x.accumulate(np.full_like(x.value, float(g) / n))
-
-    return _node(x.tape, x.value.mean(), backward)
 
 
 def _log_softmax(logits: np.ndarray) -> np.ndarray:

@@ -44,18 +44,17 @@ def op_grad_case(name):
         "gelu": (lambda x: T.sum_all(T.mul(T.gelu(x), const_a)), (3, 4)),
         "log": (lambda x: T.sum_all(T.log(T.add(T.mul(x, x), np.full((3, 4), 1.0)))), (3, 4)),
         "sum_all": (lambda x: T.mul(T.sum_all(x), T.sum_all(x)), (3, 4)),
-        "mean_all": (lambda x: T.mul(T.mean_all(x), T.mean_all(x)), (3, 4)),
         "cross_entropy": (lambda x: T.cross_entropy(x, targets), (3, 4)),
     }
     return cases[name]
 
 
-def per_head_dense_multi_head(x_q, x_kv, weights, prefix, plans, part, causal, record):
-    """`model._multi_head` for dense heads as it was before dense heads ran
-    on the block kernel: one `attention.dense_attention` per head, under an
-    L x L causal or zero mask, heads concatenated before the output
+def per_head_dense_multi_head(x_q, x_kv, weights, prefix, plans, causal, record):
+    """`model._multi_head` for one-block (dense) plans as it was before dense
+    heads ran on the block kernel: one `attention.dense_attention` per head,
+    under an L x L causal or zero mask, heads concatenated before the output
     projection."""
-    assert plans is None, "the oracle covers dense heads only"
+    assert all(p.n_blocks == 1 for p in plans), "the oracle covers one-block plans only"
     w = weights.params
     heads = weights.config.heads
     q_all = T.matmul(x_q, w[f"{prefix}_wq"])

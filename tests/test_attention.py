@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sgaedit import attention as att
-from sgaedit import numerics as nm
 from sgaedit.errors import DegenerateRowError, ShapeError
 from sgaedit.rng import substream
 
@@ -127,7 +126,3 @@ class TestCombineMasks:
             for t in range(6):
                 keep = t <= r and part.block_of[t] in plan.kept[part.block_of[r]]
                 assert (combined[r, t] == 0.0) == keep
-
-
-def test_cost_model_formula():
-    assert nm.score_flops_dense(4096, 4096, 64) == 2 * 4096 * 4096 * 64

@@ -131,6 +131,40 @@ def test_invalid_model_config_exit_2_without_traceback(tmp_path, capsys, overrid
     assert not (tmp_path / "run").exists()
 
 
+# run config values that must be rejected as config errors (exit 2)
+BAD_RUN_CONFIGS = [
+    ("seed-string", {"seed": "abc"}),
+    ("seed-float", {"seed": 1.5}),
+    ("steps-string", {"train": {"steps": "x"}}),
+    ("steps-0", {"train": {"steps": 0}}),
+    ("stage-steps-0", {"train": {"stage_steps": 0}}),
+    ("stage-steps-float", {"train": {"stage_steps": 2.0}}),
+    ("lr-string", {"train": {"lr": "big"}}),
+    ("lr-negative", {"train": {"lr": -0.1}}),
+    ("lr-nan", {"train": {"lr": float("nan")}}),
+    ("clip-infinite", {"train": {"clip": float("inf")}}),
+    ("clip-bool", {"train": {"clip": True}}),
+    ("optimizer-unknown", {"train": {"optimizer": "rmsprop"}}),
+    ("top-k-string", {"sampling": {"top_k": "a"}}),
+    ("top-k-float", {"sampling": {"top_k": 1.5}}),
+    ("n-samples-0", {"sampling": {"n_samples": 0}}),
+    ("n-keep-0", {"sampling": {"n_keep": 0}}),
+    ("ablation-steps-0", {"ablation": {"steps": 0}}),
+    ("ablation-eval-instances-0", {"ablation": {"eval_instances": 0}}),
+    ("ablation-lr-string", {"ablation": {"lr": "big"}}),
+    ("ablation-optimizer-unknown", {"ablation": {"optimizer": "rmsprop"}}),
+]
+
+
+@pytest.mark.parametrize("override", [case[1] for case in BAD_RUN_CONFIGS], ids=[case[0] for case in BAD_RUN_CONFIGS])
+def test_invalid_run_config_exit_2_without_traceback(tmp_path, capsys, override):
+    cfg = write_config(tmp_path, override)
+    assert cli.main(["train-guide", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 class TestTrainSga:
     def test_ladder_and_stage_log(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -247,9 +247,10 @@ class TestTrain:
 
         real_multi_head = mdl._multi_head
 
-        def expanded_mask_multi_head(x_q, x_kv, weights, prefix, plans, part, causal, record):
-            if plans is None:
-                return real_multi_head(x_q, x_kv, weights, prefix, plans, part, causal, record)
+        def expanded_mask_multi_head(x_q, x_kv, weights, prefix, plans, causal, record):
+            part = sga.partition(weights.length, plans[0].n_blocks)
+            if part.n_blocks == 1:  # the guide's dense pass inside plan_provider
+                return real_multi_head(x_q, x_kv, weights, prefix, plans, causal, record)
             w = weights.params
             dh = cfg.d // cfg.heads
             q, k, v = (T.matmul(x, w[f"{prefix}_{name}"]) for x, name in ((x_q, "wq"), (x_kv, "wk"), (x_kv, "wv")))
@@ -279,7 +280,7 @@ class TestTrain:
             assert np.abs(got.weights.params[name] - want.weights.params[name]).max() <= 1e-10, name
 
     def test_dense_training_matches_per_head_oracle(self, monkeypatch):
-        """Three dense training steps (plans=None) on the one-block kernel
+        """Three dense training steps (no plans: the one-block plan bundle)
         equal the same steps with per-head dense attention, and call no
         dense attention."""
         cfg = mdl.ModelConfig(
@@ -309,15 +310,16 @@ class TestTrain:
         x, p = self._task().sample(substream(11, "graph-task"))
         mask = np.zeros(CFG.grid_high, bool)
         mask[2:, :] = True
+        dense = mdl.PlanBundle.dense(CFG)
         gc.collect()
         gc.disable()
         try:
             tape = T.GradTape()
             tw = mdl.ModelWeights(CFG, weights.grid, {k: tape.param(v) for k, v in weights.params.items()})
-            enc = mdl.encoder_forward(mdl.embed_encoder(apply_mask(x, mask), p, tw), tw)
+            enc = mdl.encoder_forward(mdl.embed_encoder(apply_mask(x, mask), p, tw), tw, dense)
             probe = weakref.ref(enc.context)
             prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])
-            logits, _, _ = mdl.decoder_forward(prev, enc, tw)
+            logits, _, _ = mdl.decoder_forward(prev, enc, tw, dense)
             rows = np.flatnonzero(mask.ravel())
             loss = T.cross_entropy(T.gather_rows(logits, rows), x.flat()[rows])
             tape.backward(loss)

@@ -56,7 +56,7 @@ def make_weights(cfg, seed=0):
 
 def make_plans(kind, cfg, guide, request):
     if kind == "dense":
-        return mdl.PlanBundle.dense()
+        return mdl.PlanBundle.dense(cfg)
     if kind == "guided":
         return sampler.guide_and_plan(request, guide, cfg, seed=3).plans
     if kind == "full":
@@ -81,12 +81,12 @@ def test_every_step_matches_full_pass(kind, layers_dec):
     plans = make_plans(kind, cfg, guide, request)
     enc = encode(request, high, plans)
     prev = np.concatenate([[cfg.start_token], request.tokens.flat()[:-1]])
-    dec = mdl.IncrementalDecoder(enc, high, plans.dec_self, plans.dec_cross)
+    dec = mdl.IncrementalDecoder(enc, high, plans)
     got = []
     # single rows, runs inside one block, and runs across block boundaries
     for size in (1, 1, 3, 6, 1, 9, 2, 1, 7, 1):
         got.append(dec.extend(prev[dec.n : dec.n + size]))
-        full, _, _ = mdl.decoder_forward(prev[: dec.n], enc, high, plans.dec_self, plans.dec_cross)
+        full, _, _ = mdl.decoder_forward(prev[: dec.n], enc, high, plans)
         assert np.abs(np.concatenate(got) - full).max() <= TOLERANCE
     assert dec.n == cfg.l_high
 
@@ -102,7 +102,7 @@ def test_extend_runs_the_block_kernel_once_per_role_and_layer(kind, layers_dec, 
     plans = make_plans(kind, cfg, guide, request)
     enc = encode(request, high, plans)
     prev = np.concatenate([[cfg.start_token], request.tokens.flat()[:-1]])
-    dec = mdl.IncrementalDecoder(enc, high, plans.dec_self, plans.dec_cross)
+    dec = mdl.IncrementalDecoder(enc, high, plans)
     bs = cfg.l_high // cfg.blocks
     rows_seen = []
     kernel = T.block_attention
@@ -165,7 +165,7 @@ def test_sampled_rows_match_full_pass(kind, mask_fn, monkeypatch):
         seq[positions] = [choice for _, choice in cand_steps]
         prev = np.concatenate([[cfg.start_token], seq[:-1]])
         for pos, (row, _) in zip(positions, cand_steps):
-            full, _, _ = mdl.decoder_forward(prev[: pos + 1], enc, high, plans.dec_self, plans.dec_cross)
+            full, _, _ = mdl.decoder_forward(prev[: pos + 1], enc, high, plans)
             assert np.abs(full[pos] - row).max() <= TOLERANCE
     for cand in out.candidates:
         assert abs(sampler.rescore(request, high, plans, cand.tokens) - cand.logprob) <= 1e-9
@@ -193,7 +193,7 @@ def test_forks_do_not_alias():
     other = prev.copy()
     other[10:] = (other[10:] + 1) % cfg.vocab
 
-    base = mdl.IncrementalDecoder(enc, high, plans.dec_self, plans.dec_cross)
+    base = mdl.IncrementalDecoder(enc, high, plans)
     base.extend(prev[:10])
     snapshot = [(k.copy(), v.copy()) for k, v in zip(base._k, base._v)]
     a, b = base.fork(), base.fork()
@@ -206,16 +206,29 @@ def test_forks_do_not_alias():
     for (k, v), k0, v0 in zip(snapshot, base._k, base._v):
         assert np.array_equal(k, k0) and np.array_equal(v, v0)
     for seq, got in ((prev, got_a), (other, got_b)):
-        full, _, _ = mdl.decoder_forward(seq, enc, high, plans.dec_self, plans.dec_cross)
+        full, _, _ = mdl.decoder_forward(seq, enc, high, plans)
         assert np.abs(full[10:] - got).max() <= TOLERANCE
+
+
+def test_dense_bundle_decodes_over_one_block():
+    """Dense decoding gathers the one-block index: one query block of all L rows."""
+    cfg = make_config(2)
+    _, high = make_weights(cfg)
+    request = make_request(cfg, np.zeros(cfg.grid_high, bool))
+    dense = mdl.PlanBundle.dense(cfg)
+    dec = mdl.IncrementalDecoder(encode(request, high, dense), high, dense)
+    for index in dec._self_index + dec._cross_index:
+        assert index.rows.shape == (1, cfg.l_high)
+        assert index.keys.shape == (cfg.heads, 1, cfg.l_high)
 
 
 def test_extend_validates_input():
     cfg = make_config(1)
     _, high = make_weights(cfg)
     request = make_request(cfg, np.zeros(cfg.grid_high, bool))
-    enc = encode(request, high, mdl.PlanBundle.dense())
-    dec = mdl.IncrementalDecoder(enc, high)
+    dense = mdl.PlanBundle.dense(cfg)
+    enc = encode(request, high, dense)
+    dec = mdl.IncrementalDecoder(enc, high, dense)
     with pytest.raises(SequenceError):
         dec.extend([1, 2])  # row 0 must read START
     dec.extend([cfg.start_token, 1])

@@ -24,6 +24,7 @@ CFG = mdl.ModelConfig(
     radius=1,
     ffw=32,
 )
+DENSE = mdl.PlanBundle.dense(CFG)
 
 
 def random_grids(grid, seed=0):
@@ -102,7 +103,7 @@ class TestEncoderForward:
         w = mdl.init_weights(cfg, cfg.grid_high, substream(5, "w0"))
         x, p = random_grids(cfg.grid_high, 6)
         emb = mdl.embed_encoder(x, p, w)
-        out = mdl.encoder_forward(emb, w)
+        out = mdl.encoder_forward(emb, w, mdl.PlanBundle.dense(cfg))
         assert np.array_equal(out.context, emb)
         assert out.attn == []
 
@@ -110,7 +111,7 @@ class TestEncoderForward:
         w = mdl.init_weights(CFG, CFG.grid_high, substream(6, "w1"))
         x, p = random_grids(CFG.grid_high, 7)
         emb = mdl.embed_encoder(x, p, w)
-        dense = mdl.encoder_forward(emb, w).context
+        dense = mdl.encoder_forward(emb, w, DENSE).context
         full = mdl.PlanBundle.uniform(CFG, lambda role, i, h: sga.full_plan(CFG.blocks))
         sparse = mdl.encoder_forward(emb, w, plans=full).context
         assert np.abs(dense - sparse).max() <= 1e-5
@@ -119,14 +120,14 @@ class TestEncoderForward:
         w = mdl.init_weights(CFG, CFG.grid_high, substream(7, "w2"))
         x, p = random_grids(CFG.grid_high, 8)
         emb = mdl.embed_encoder(x, p, w)
-        out = mdl.encoder_forward(emb, w).context
+        out = mdl.encoder_forward(emb, w, DENSE).context
         expected = manual_encoder_layer(emb, w.params, CFG, CFG.grid_high)
         assert np.abs(out - expected).max() <= 1e-5
 
     def test_recorded_maps_row_stochastic(self):
         w = mdl.init_weights(CFG, CFG.grid_high, substream(8, "w3"))
         x, p = random_grids(CFG.grid_high, 9)
-        out = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w, record=True)
+        out = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w, DENSE, record=True)
         assert len(out.attn) == CFG.layers_enc
         for layer in out.attn:
             assert len(layer) == CFG.heads
@@ -134,54 +135,75 @@ class TestEncoderForward:
                 assert m.shape == (16, 16)
                 assert np.abs(m.sum(axis=1) - 1.0).max() <= 1e-6
 
+    def test_record_returns_maps_for_one_block_plans_only(self):
+        w = mdl.init_weights(CFG, CFG.grid_high, substream(24, "w4"))
+        x, p = random_grids(CFG.grid_high, 25)
+        emb = mdl.embed_encoder(x, p, w)
+        dense = mdl.encoder_forward(emb, w, DENSE, record=True)
+        full = mdl.PlanBundle.uniform(CFG, lambda role, i, h: sga.full_plan(CFG.blocks))
+        blocked = mdl.encoder_forward(emb, w, full, record=True)
+        for layer in dense.attn:
+            assert layer.shape == (CFG.heads, CFG.l_high, CFG.l_high)
+        assert blocked.attn == [[None] * CFG.heads] * CFG.layers_enc
+        assert np.abs(dense.context - blocked.context).max() <= 1e-5
+
+
+class TestPlanBundle:
+    def test_dense_is_one_shared_one_block_full_plan(self):
+        plans = [p for role in (DENSE.enc, DENSE.dec_self, DENSE.dec_cross) for layer in role for p in layer]
+        assert len(plans) == (CFG.layers_enc + 2 * CFG.layers_dec) * CFG.heads
+        assert all(p is plans[0] for p in plans)
+        assert plans[0] == sga.full_plan(1)
+        assert DENSE.mean_sparsity() == {"enc": 1.0, "dec_self": 1.0, "dec_cross": 1.0}
+
 
 class TestDecoderForward:
     def _inputs(self, seed=0, grid=None):
         grid = grid or CFG.grid_high
         w = mdl.init_weights(CFG, grid, substream(seed, "dec"))
         x, p = random_grids(grid, seed + 50)
-        enc = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w)
+        enc = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w, DENSE)
         return w, x, enc
 
     def test_zero_weights_zero_logits(self):
         w = zero_weights(CFG, CFG.grid_high)
         x, p = random_grids(CFG.grid_high, 10)
-        enc = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w)
+        enc = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w, DENSE)
         prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])
-        logits, _, _ = mdl.decoder_forward(prev, enc, w)
+        logits, _, _ = mdl.decoder_forward(prev, enc, w, DENSE)
         assert np.abs(logits).max() == 0.0
 
     def test_future_perturbation_invariance_is_exact(self):
         w, x, enc = self._inputs(11)
         prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])
-        logits, _, _ = mdl.decoder_forward(prev, enc, w)
+        logits, _, _ = mdl.decoder_forward(prev, enc, w, DENSE)
         rng = substream(12, "perturb")
         for l in (3, 8, 14):
             prev2 = prev.copy()
             j = rng.integers(l + 1, prev.size)
             prev2[j] = (prev2[j] + 1 + rng.integers(CFG.vocab - 1)) % CFG.vocab
-            logits2, _, _ = mdl.decoder_forward(prev2, enc, w)
+            logits2, _, _ = mdl.decoder_forward(prev2, enc, w, DENSE)
             assert np.array_equal(logits[: l + 1], logits2[: l + 1])
 
     def test_start_position_validation(self):
         w, x, enc = self._inputs(13)
         with pytest.raises(SequenceError):
-            mdl.decoder_forward(np.zeros(4, dtype=int), enc, w)  # no START
+            mdl.decoder_forward(np.zeros(4, dtype=int), enc, w, DENSE)  # no START
         bad = np.concatenate([[CFG.start_token], x.flat()[:-1]])
         bad[5] = CFG.start_token
         with pytest.raises(SequenceError):
-            mdl.decoder_forward(bad, enc, w)
+            mdl.decoder_forward(bad, enc, w, DENSE)
 
     def test_output_dimension_is_vocab(self):
         w, x, enc = self._inputs(14)
         prev = np.concatenate([[CFG.start_token], x.flat()[: 6 - 1]])
-        logits, _, _ = mdl.decoder_forward(prev, enc, w)
+        logits, _, _ = mdl.decoder_forward(prev, enc, w, DENSE)
         assert logits.shape == (6, CFG.vocab)
 
     def test_one_layer_matches_primitive_composition(self):
         w, x, enc = self._inputs(15)
         prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])
-        logits, _, _ = mdl.decoder_forward(prev, enc, w)
+        logits, _, _ = mdl.decoder_forward(prev, enc, w, DENSE)
 
         # independent composition
         wp = w.params
@@ -218,7 +240,7 @@ class TestGuidingForward:
         full = mdl.PlanBundle.uniform(CFG, lambda role, i, h: sga.full_plan(CFG.blocks))
         enc = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w, plans=full)
         prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])
-        logits, _, _ = mdl.decoder_forward(prev, enc, w, full.dec_self, full.dec_cross)
+        logits, _, _ = mdl.decoder_forward(prev, enc, w, full)
         assert np.abs(dense.logits - logits).max() <= 1e-6
 
     @pytest.mark.parametrize("grid", [(2, 2), (8, 8)])

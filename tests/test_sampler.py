@@ -175,7 +175,7 @@ class TestAutoregressiveEdit:
     def test_empty_mask_single_unique_candidate(self, weights):
         _, high = weights
         req = make_request(mask_high=np.zeros(CFG.grid_high, bool), mask_low=np.zeros(CFG.grid_low, bool))
-        out = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(), n_samples=5, n_keep=3, seed=0)
+        out = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=5, n_keep=3, seed=0)
         assert len(out.candidates) == 3
         unique = {c.tokens.tokens.tobytes() for c in out.candidates}
         assert len(unique) == 1
@@ -185,22 +185,22 @@ class TestAutoregressiveEdit:
     def test_greedy_k1_all_identical(self, weights):
         _, high = weights
         req = make_request(2)
-        out = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(), top_k=1, n_samples=6, n_keep=6, seed=1)
+        out = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), top_k=1, n_samples=6, n_keep=6, seed=1)
         unique = {c.tokens.tokens.tobytes() for c in out.candidates}
         assert len(unique) == 1
 
     def test_seeded_determinism_byte_identical(self, weights):
         _, high = weights
         req = make_request(3)
-        one = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(), n_samples=4, n_keep=2, seed=9)
-        two = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(), n_samples=4, n_keep=2, seed=9)
+        one = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=4, n_keep=2, seed=9)
+        two = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=4, n_keep=2, seed=9)
         assert one.to_json() == two.to_json()
 
     def test_workers_do_not_change_results(self, weights):
         _, high = weights
         req = make_request(4)
-        seq = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(), n_samples=6, n_keep=4, seed=5, workers=1)
-        par = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(), n_samples=6, n_keep=4, seed=5, workers=3)
+        seq = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=6, n_keep=4, seed=5, workers=1)
+        par = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=6, n_keep=4, seed=5, workers=3)
         assert seq.to_json() == par.to_json()
 
     def test_unmasked_positions_preserved(self, weights):
@@ -229,11 +229,11 @@ class TestAutoregressiveEdit:
         req = make_request(8)
         first = int(np.flatnonzero(req.mask.ravel())[0])
         with pytest.raises(NumericalError, match=f"position {first}"):
-            sampler.autoregressive_edit(req, broken, mdl.PlanBundle.dense(), n_samples=2, n_keep=1, seed=0)
+            sampler.autoregressive_edit(req, broken, mdl.PlanBundle.dense(CFG), n_samples=2, n_keep=1, seed=0)
 
     def test_logprobs_non_increasing(self, weights):
         _, high = weights
-        out = sampler.autoregressive_edit(make_request(7), high, mdl.PlanBundle.dense(), n_samples=8, n_keep=8, seed=8)
+        out = sampler.autoregressive_edit(make_request(7), high, mdl.PlanBundle.dense(CFG), n_samples=8, n_keep=8, seed=8)
         lps = [c.logprob for c in out.candidates]
         assert lps == sorted(lps, reverse=True)
         assert [c.rank for c in out.candidates] == list(range(8))

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -92,10 +90,7 @@ class TestSelectPlan:
 
     def test_deterministic_serialization(self):
         b = substream(3, "plan-det").random((16, 16))
-        one = json.dumps(sga.plan_to_dict(sga.select_plan(b, k=3, radius=1)), sort_keys=True)
-        two = json.dumps(sga.plan_to_dict(sga.select_plan(b.copy(), k=3, radius=1)), sort_keys=True)
-        assert one == two
-        assert sga.plan_from_dict(json.loads(one)) == sga.select_plan(b, k=3, radius=1)
+        assert sga.select_plan(b, k=3, radius=1) == sga.select_plan(b.copy(), k=3, radius=1)
 
     def test_positive_scaling_invariance(self):
         rng = substream(4, "plan-scale")
@@ -411,11 +406,3 @@ def test_full_kept_guided_plan_reproduces_dense_exactly():
     res = sga.sparse_attention(q, k, v, plan, part, part)
     dense, _ = att.dense_attention(q, k, v, np.zeros((32, 32)))
     assert np.abs(res.output - dense).max() <= 1e-6
-
-
-def test_plan_json_fields():
-    plan = sga.select_plan(np.eye(4), k=1, radius=1, layer=2, head=3)
-    obj = json.loads(json.dumps(sga.plan_to_dict(plan), sort_keys=True))
-    assert obj["N"] == 4 and obj["k"] == 1 and obj["radius"] == 1
-    assert obj["layer"] == 2 and obj["head"] == 3 and obj["provenance"] == "guided"
-    assert len(obj["kept"]) == 4
