@@ -422,7 +422,6 @@ def _parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
         p.add_argument("--out", default=None, help="override output directory")
-        p.add_argument("--workers", type=int, default=1, help="candidate sampling workers")
 
     p = sub.add_parser("train-guide", help="train the dense low-resolution guiding model")
     common(p)
@@ -436,6 +435,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, help="PGM/PPM input image")
     p.add_argument("--semantic", required=True, help="PGM class map")
     p.add_argument("--mask", required=True, help="PGM pixel mask (>=128 = edit)")
+    p.add_argument("--workers", type=int, default=1, help="candidate sampling workers")
     p = sub.add_parser("bench", help="attention cost benchmark")
     common(p)
     p = sub.add_parser("ablate", help="attention-variant ablation on a synthetic task")

@@ -14,6 +14,7 @@ import numbers
 from pathlib import Path
 
 from .errors import ConfigError
+from .evalbench import ABLATION_VARIANTS
 from .model import ModelConfig
 
 DEFAULTS = {
@@ -65,16 +66,23 @@ DEFAULTS = {
     "leakcheck": {"trials": 100, "image_size": 128},
 }
 
-# run-config values checked by `resolve`, as "block.name"
-COUNT_KEYS = (
-    "train.steps",
-    "train.stage_steps",
-    "sampling.top_k",
-    "sampling.n_samples",
-    "sampling.n_keep",
-    "ablation.steps",
-    "ablation.eval_instances",
-)
+# run-config values checked by `resolve`, as "block.name"; ints with their lower bound
+INT_KEYS = {
+    "train.steps": 1,
+    "train.stage_steps": 1,
+    "sampling.top_k": 1,
+    "sampling.n_samples": 1,
+    "sampling.n_keep": 1,
+    "ablation.steps": 1,
+    "ablation.eval_instances": 1,
+    "ablation.window": 1,
+    "bench.d": 1,
+    "bench.blocks": 1,
+    "bench.repeats": 5,
+    "bench.radius": 0,
+    "bench.top_k": 0,
+}
+VARIANT_KEYS = ("ablation.variants", "bench.variants")
 RATE_KEYS = ("train.lr", "train.clip", "ablation.lr")
 OPTIMIZER_KEYS = ("train.optimizer", "ablation.optimizer")
 
@@ -101,8 +109,23 @@ def resolve(user: dict) -> dict:
     cfg = _merge(DEFAULTS, user, "")
     model_config(cfg)  # validates model block
     _check_int("seed", cfg["seed"])
-    for key in COUNT_KEYS:
-        _check_int(key, _value(cfg, key), 1)
+    for key, low in INT_KEYS.items():
+        _check_int(key, _value(cfg, key), low)
+    if cfg["ablation"]["window"] % 2 == 0:
+        raise ConfigError(f"ablation.window must be odd, got {cfg['ablation']['window']}")
+    for key in VARIANT_KEYS:
+        value = _value(cfg, key)
+        if not (isinstance(value, list) and value and all(v in ABLATION_VARIANTS for v in value)):
+            raise ConfigError(f"{key} must be a non-empty list of {', '.join(ABLATION_VARIANTS)}, got {value!r}")
+    for key, low in (("ablation.seeds", None), ("bench.lengths", 1)):
+        value = _value(cfg, key)
+        if not (isinstance(value, list) and value):
+            raise ConfigError(f"{key} must be a non-empty list of ints, got {value!r}")
+        for item in value:
+            _check_int(key, item, low)
+    for length in cfg["bench"]["lengths"]:
+        if length % cfg["bench"]["blocks"]:
+            raise ConfigError(f"bench.blocks {cfg['bench']['blocks']} does not divide bench length {length}")
     for key in RATE_KEYS:
         value = _value(cfg, key)
         if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0):

@@ -105,23 +105,18 @@ class SyntheticTask:
         h, w = grid if grid is not None else (self.height, self.width)
         length = h * w
         part = sga.partition(length, config.blocks)
-        n = config.blocks
 
-        def kept_for(r: int, shift: int) -> tuple:
-            keep = set(sga.neighborhood(r, config.radius, n))
-            for t in part.tokens[r]:
-                i, j = divmod(int(t), w)
-                si, sj = self.source_position(i, j)
-                src = si * w + sj + shift
-                keep.add(int(part.block_of[min(max(src, 0), length - 1)]))
-            return tuple(sorted(keep))
+        def plan_for(shift: int) -> sga.SparsityPlan:
+            keep = sga.band(config.blocks, config.radius)
+            for r, tokens in enumerate(part.tokens):
+                for t in tokens:
+                    i, j = divmod(int(t), w)
+                    si, sj = self.source_position(i, j)
+                    keep[r, part.block_of[min(max(si * w + sj + shift, 0), length - 1)]] = True
+            return sga.SparsityPlan(keep)
 
-        def plan_for(role: str, layer: int, head: int) -> sga.SparsityPlan:
-            shift = 1 if role == "dec_self" else 0
-            kept = tuple(kept_for(r, shift) for r in range(n))
-            return sga.SparsityPlan(n, config.radius, n, kept, "guided", layer=layer, head=head)
-
-        return mdl.PlanBundle.uniform(config, plan_for)
+        plans = {shift: plan_for(shift) for shift in (0, 1)}
+        return mdl.PlanBundle.uniform(config, lambda role, layer, head: plans[1 if role == "dec_self" else 0])
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +362,7 @@ def forward_score_flops(config: mdl.ModelConfig, bundle: Optional[mdl.PlanBundle
     bundle = mdl.PlanBundle.dense(config) if bundle is None else bundle
     dh = config.d // config.heads
     roles = (bundle.enc, bundle.dec_self, bundle.dec_cross)
-    return sum(sga.score_flops_plan(p, length, length, dh) for role in roles for layer in role for p in layer)
+    return sum(sga.score_flops_plan(p, length, dh) for role in roles for layer in role for p in layer)
 
 
 @dataclass
@@ -466,12 +461,12 @@ def attention_rollout(layer_maps: list) -> np.ndarray:
 
 
 def head_averaged_maps(encoder_out: mdl.EncoderOutput) -> list:
-    """Per-layer mean over recorded head maps."""
+    """Per-layer mean over the head maps of a dense (one-block) encoder pass."""
     maps = []
     for layer in encoder_out.attn:
         present = [m for m in layer if m is not None]
         if not present:
-            raise ValidationError("encoder pass did not record attention maps")
+            raise ValidationError("encoder pass has no attention maps (multi-block plans)")
         maps.append(np.mean(present, axis=0))
     return maps
 
@@ -518,7 +513,9 @@ def benchmark(
     """Wall-clock (median of >= repeats, one warm-up discarded) and exact
     score-FLOPs of the attention kernel, one head: the dense row is the
     plan of `model.PlanBundle.dense`, `full_plan(1)` on one block holding
-    every token; the others are sparse plans over `n_blocks` blocks."""
+    every token; the others are sparse plans over `n_blocks` blocks.
+    `peak_entries` is the size of the kernel's softmax weights, the score
+    tiles of every query block against its padded kept keys, held at once."""
     if repeats < 5:
         raise ParameterError("repeats must be >= 5")
     report = BenchReport()
@@ -539,15 +536,14 @@ def benchmark(
 
         for variant in variants:
             if variant == "dense":
-                plan = sga.full_plan(1)
+                plans = [sga.full_plan(1)]
             elif variant == "guided":
-                affinity = substream(seed, f"affinity-{length}").random((n_blocks, n_blocks))
-                plan = sga.select_plan(affinity, k=k, radius=radius)
+                affinity = substream(seed, f"affinity-{length}").random((1, n_blocks, n_blocks))
+                plans = sga.select_plans(affinity, k=k, radius=radius)
             else:
-                plan = sga.variant_plan(variant, n_blocks, radius=radius, k=k, seed=seed)
-            plan_part = sga.partition(length, plan.n_blocks)
-            result = sga.sparse_attention(q, kk, v, plan, plan_part, plan_part)
-            wall = timed(lambda: sga.sparse_attention(q, kk, v, plan, plan_part, plan_part))
+                plans = [sga.variant_plan(variant, n_blocks, radius=radius, k=k, seed=seed)]
+            result = sga.sparse_attention(q, kk, v, plans, length)
+            wall = timed(lambda: sga.sparse_attention(q, kk, v, plans, length))
             report.rows.append(
                 {
                     "variant": variant,
@@ -555,8 +551,8 @@ def benchmark(
                     "d": d,
                     "score_flops": result.score_flops,
                     "wall_s": wall,
-                    "sparsity": sga.sparsity_ratio(plan),
-                    "peak_entries": result.peak_score_entries,
+                    "sparsity": sga.sparsity_ratio(plans[0]),
+                    "peak_entries": result.weights.size,
                 }
             )
     return report

@@ -8,7 +8,7 @@ guide runs `PlanBundle.dense`, whose one-block full plan makes the
 kernel's softmax weights the full attention maps; the high-resolution
 model runs guided N-block plans. Every attention call, in training and
 inference alike, is one `sga.sparse_attention` op covering every head of
-a layer, over the partition its plans' block count names. With
+a layer, over the contiguous blocks its plans' block count names. With
 full-kept plans the two agree to float tolerance.
 
 Forward code is written against the tape dispatch ops, so passing weights
@@ -203,8 +203,8 @@ class PlanBundle:
 class EncoderOutput:
     context: object  # L x d array or Tensor
     # attn[layer][head]: L x L row-stochastic array; attn[layer] is one
-    # read-only H x L x L array for recorded one-block (dense) plans, H
-    # Nones otherwise
+    # read-only H x L x L view of the kernel weights under one-block
+    # (dense) plans, H Nones under multi-block plans
     attn: list
 
 
@@ -235,24 +235,22 @@ def _peg_rows(rows, kernel, grid):
     return T.reshape(T.peg(T.reshape(rows, (h, w, d)), kernel), (h * w, d))
 
 
-def _multi_head(x_q, x_kv, weights: ModelWeights, prefix: str, plans: list, causal: bool, record: bool):
+def _multi_head(x_q, x_kv, weights: ModelWeights, prefix: str, plans: list, causal: bool):
     """Multi-head attention of one layer; returns (output, per-head maps).
 
     Every head of the layer runs in one block-gather kernel call over the
-    partition of `plans`' block count (one plan per head). Under a
-    one-block plan (dense attention) the kernel's softmax weights are the
-    full attention maps; with `record` they come back as one read-only
-    H x n_q x n_k array. Multi-block plans, and any plan without
-    `record`, return None maps.
+    model's sequence in the contiguous blocks of `plans` (one plan per
+    head). Under one-block plans (dense attention) the kernel's softmax
+    weights are the full attention maps, returned as one read-only
+    H x n_q x n_k view of them; multi-block plans return None maps.
     """
     w = weights.params
-    part = sga.partition(weights.length, plans[0].n_blocks)
     q_all = T.matmul(x_q, w[f"{prefix}_wq"])
     k_all = T.matmul(x_kv, w[f"{prefix}_wk"])
     v_all = T.matmul(x_kv, w[f"{prefix}_wv"])
-    result = sga.sparse_attention(q_all, k_all, v_all, plans, part, part, causal=causal)
+    result = sga.sparse_attention(q_all, k_all, v_all, plans, weights.length, causal=causal)
     maps = [None] * len(plans)
-    if record and part.n_blocks == 1:
+    if plans[0].n_blocks == 1:
         n_q, n_k = T.value_of(q_all).shape[0], T.value_of(k_all).shape[0]
         maps = result.weights[:, 0, :n_q, :n_k]  # one block: rows and keys are tokens 0, 1, ...
     return T.matmul(result.output, w[f"{prefix}_wo"]), maps
@@ -264,7 +262,7 @@ def _feed_forward(x, weights: ModelWeights, prefix: str):
     return T.add_bias(T.matmul(hidden, w[f"{prefix}_ff2"]), w[f"{prefix}_ff2_b"])
 
 
-def encoder_forward(embeddings, weights: ModelWeights, plans: PlanBundle, record: bool = False) -> EncoderOutput:
+def encoder_forward(embeddings, weights: ModelWeights, plans: PlanBundle) -> EncoderOutput:
     """PEG -> self-attention -> add & norm -> feed-forward -> add & norm, per layer."""
     cfg = weights.config
     h = embeddings
@@ -272,7 +270,7 @@ def encoder_forward(embeddings, weights: ModelWeights, plans: PlanBundle, record
     w = weights.params
     for i in range(cfg.layers_enc):
         h = _peg_rows(h, w[f"enc{i}_peg"], weights.grid)
-        attn_out, maps = _multi_head(h, h, weights, f"enc{i}", plans.enc[i], False, record)
+        attn_out, maps = _multi_head(h, h, weights, f"enc{i}", plans.enc[i], False)
         h = T.layer_norm(T.add(h, attn_out), w[f"enc{i}_ln1_g"], w[f"enc{i}_ln1_b"])
         h = T.layer_norm(T.add(h, _feed_forward(h, weights, f"enc{i}")), w[f"enc{i}_ln2_g"], w[f"enc{i}_ln2_b"])
         all_maps.append(maps)
@@ -292,9 +290,7 @@ def _check_decoder_input(prev: np.ndarray, start: int, weights: ModelWeights) ->
         raise VocabularyError("decoder token outside embedding table")
 
 
-def decoder_forward(
-    prev_tokens, encoder_out: EncoderOutput, weights: ModelWeights, plans: PlanBundle, record: bool = False
-):
+def decoder_forward(prev_tokens, encoder_out: EncoderOutput, weights: ModelWeights, plans: PlanBundle):
     """Causal decoder over a START-prepended prefix with cross attention,
     under the decoder roles of `plans`.
 
@@ -315,9 +311,9 @@ def decoder_forward(
 
     self_maps_all, cross_maps_all = [], []
     for i in range(cfg.layers_dec):
-        a, self_maps = _multi_head(h, h, weights, f"dec{i}_self", plans.dec_self[i], True, record)
+        a, self_maps = _multi_head(h, h, weights, f"dec{i}_self", plans.dec_self[i], True)
         h = T.layer_norm(T.add(h, a), w[f"dec{i}_ln1_g"], w[f"dec{i}_ln1_b"])
-        c, cross_maps = _multi_head(h, context, weights, f"dec{i}_cross", plans.dec_cross[i], False, record)
+        c, cross_maps = _multi_head(h, context, weights, f"dec{i}_cross", plans.dec_cross[i], False)
         h = T.layer_norm(T.add(h, c), w[f"dec{i}_ln2_g"], w[f"dec{i}_ln2_b"])
         h = T.layer_norm(T.add(h, _feed_forward(h, weights, f"dec{i}")), w[f"dec{i}_ln3_g"], w[f"dec{i}_ln3_b"])
         self_maps_all.append(self_maps)
@@ -354,12 +350,8 @@ class IncrementalDecoder:
             (context @ w[f"dec{i}_cross_wk"], context @ w[f"dec{i}_cross_wv"]) for i in range(cfg.layers_dec)
         ]
 
-        def index(layer_plans, causal):
-            part = sga.partition(weights.length, layer_plans[0].n_blocks)
-            return sga.block_index(layer_plans, part, part, causal=causal)
-
-        self._self_index = [index(layer_plans, True) for layer_plans in plans.dec_self]
-        self._cross_index = [index(layer_plans, False) for layer_plans in plans.dec_cross]
+        self._self_index = [sga.block_index(layer_plans, weights.length, True) for layer_plans in plans.dec_self]
+        self._cross_index = [sga.block_index(layer_plans, weights.length) for layer_plans in plans.dec_cross]
         self._k = [np.zeros((weights.length, cfg.d)) for _ in range(cfg.layers_dec)]
         self._v = [np.zeros((weights.length, cfg.d)) for _ in range(cfg.layers_dec)]
 
@@ -423,7 +415,6 @@ def guiding_forward(
     p: TokenGrid,
     weights: ModelWeights,
     decoder_tokens: Optional[np.ndarray] = None,
-    record: bool = True,
     encoder_out: Optional[EncoderOutput] = None,
 ) -> GuidingResult:
     """Dense forward pass exposing every attention map.
@@ -436,12 +427,12 @@ def guiding_forward(
     dense = PlanBundle.dense(weights.config)
     enc = encoder_out
     if enc is None:
-        enc = encoder_forward(embed_encoder(x, p, weights), weights, dense, record=record)
+        enc = encoder_forward(embed_encoder(x, p, weights), weights, dense)
     seq = x.flat() if decoder_tokens is None else np.asarray(decoder_tokens, dtype=np.int64)
     if seq.size != weights.length:
         raise SequenceError(f"decoder sequence length {seq.size} != {weights.length}")
     prev = np.concatenate([[weights.config.start_token], seq[:-1]])
-    logits, self_maps, cross_maps = decoder_forward(prev, enc, weights, dense, record=record)
+    logits, self_maps, cross_maps = decoder_forward(prev, enc, weights, dense)
     return GuidingResult(logits=T.value_of(logits), encoder=enc, dec_self_attn=self_maps, dec_cross_attn=cross_maps)
 
 

@@ -50,19 +50,6 @@ def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=-1, keepdims=True)
 
 
-def avg_pool_matrix(m: np.ndarray, kernel: int) -> np.ndarray:
-    """Non-overlapping kernel x kernel mean pooling of a square matrix, or of
-    each matrix in a stack [..., size, size]."""
-    m = as_array(m)
-    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
-        raise ShapeError(f"expected a square matrix, got {m.shape}")
-    size = m.shape[-1]
-    if kernel < 1 or size % kernel != 0:
-        raise ShapeError(f"kernel {kernel} does not divide matrix size {size}")
-    out = size // kernel
-    return m.reshape(m.shape[:-2] + (out, kernel, out, kernel)).mean(axis=(-3, -1))
-
-
 def peg(grid_features: np.ndarray, kernel: np.ndarray) -> np.ndarray:
     """Residual depth-wise 5x5 convolution over an H x W x d feature grid.
 

@@ -131,10 +131,10 @@ def rank_candidates(cands: CandidateSet) -> CandidateSet:
     return CandidateSet([Candidate(c.tokens, c.logprob, rank=i) for i, c in enumerate(ordered)])
 
 
-def _encode(tokens: TokenGrid, semantic: TokenGrid, mask: np.ndarray, weights, plans, record=False):
+def _encode(tokens: TokenGrid, semantic: TokenGrid, mask: np.ndarray, weights, plans):
     """Encoder pass over the masked token grid and its semantic grid."""
     enc_in = apply_mask(tokens, mask)
-    return mdl.encoder_forward(mdl.embed_encoder(enc_in, semantic, weights), weights, plans=plans, record=record)
+    return mdl.encoder_forward(mdl.embed_encoder(enc_in, semantic, weights), weights, plans=plans)
 
 
 def _forced_decode(
@@ -190,9 +190,7 @@ def plans_from_maps(forced: mdl.GuidingResult, config: mdl.ModelConfig) -> mdl.P
 
     def role_plans(maps: list, layers: int) -> list:
         return [
-            sga.select_plans(
-                sga.block_affinity(maps[layer], config.blocks), config.top_k, config.radius, "guided", layer=layer
-            )
+            sga.select_plans(sga.block_affinity(maps[layer], config.blocks), config.top_k, config.radius)
             for layer in range(layers)
         ]
 
@@ -222,12 +220,12 @@ def guide_and_plan(
     The decoder maps come from one forced pass over the completed low-res
     sequence, so every map is a full square matrix; each map is pooled into
     a block-affinity matrix and converted to a neighborhood+top-K plan. One
-    encoder pass, recording its maps, serves both the sampling and that
-    forced pass.
+    dense encoder pass, whose maps come with it, serves both the sampling
+    and that forced pass.
     """
     k = config.top_k if top_k is None else top_k
     dense = mdl.PlanBundle.dense(guiding_weights.config)
-    enc = _encode(request.tokens_low, request.semantic_low, request.mask_low, guiding_weights, dense, record=True)
+    enc = _encode(request.tokens_low, request.semantic_low, request.mask_low, guiding_weights, dense)
     decode = _forced_decode(enc, request.tokens_low, request.mask_low, guiding_weights, dense, max(k, 1))
     completion, logprob = decode(substream(seed, "guide-sample"))
     enc_in = apply_mask(request.tokens_low, request.mask_low)

@@ -49,7 +49,7 @@ def op_grad_case(name):
     return cases[name]
 
 
-def per_head_dense_multi_head(x_q, x_kv, weights, prefix, plans, causal, record):
+def per_head_dense_multi_head(x_q, x_kv, weights, prefix, plans, causal):
     """`model._multi_head` for one-block (dense) plans as it was before dense
     heads ran on the block kernel: one `attention.dense_attention` per head,
     under an L x L causal or zero mask, heads concatenated before the output
@@ -69,22 +69,23 @@ def per_head_dense_multi_head(x_q, x_kv, weights, prefix, plans, causal, record)
         out_h, weights_h = att.dense_attention(
             T.slice_cols(q_all, *cols), T.slice_cols(k_all, *cols), T.slice_cols(v_all, *cols), mask
         )
-        maps.append(np.array(T.value_of(weights_h)) if record else None)
+        maps.append(np.array(T.value_of(weights_h)))
         outs.append(out_h)
     return T.matmul(T.concat_cols(outs), w[f"{prefix}_wo"]), maps
 
 
-def per_row_sort_plan(b, k, radius, layer=None, head=None):
-    """`sga.select_plan` as a per-row Python sort: the neighborhood plus the
-    first k outside blocks ordered by (-affinity, block index)."""
+def per_row_sort_plan(b, k, radius):
+    """One head of `sga.select_plans` as a per-row Python sort: the
+    neighborhood plus the first k outside blocks ordered by (-affinity,
+    block index)."""
     n = b.shape[0]
-    kept = []
+    keep = np.zeros((n, n), dtype=bool)
     for r in range(n):
         nb = set(range(max(0, r - radius), min(n, r + radius + 1)))
         outside = [t for t in range(n) if t not in nb]
         outside.sort(key=lambda t: (-b[r, t], t))
-        kept.append(tuple(sorted(nb | set(outside[:k]))))
-    return sga.SparsityPlan(n, radius, k, tuple(kept), "guided", layer=layer, head=head)
+        keep[r, sorted(nb | set(outside[:k]))] = True
+    return sga.SparsityPlan(keep)
 
 
 def affinities(kind, shape, seed):

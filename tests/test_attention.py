@@ -119,8 +119,8 @@ class TestCombineMasks:
         from sgaedit import sga
 
         part = sga.partition(6, 3)
-        plan = sga.SparsityPlan(3, 0, 1, ((0, 2), (1,), (0, 2)), "guided")
-        sparse = sga.build_sparse_mask(plan, part, part)
+        plan = sga.SparsityPlan([[True, False, True], [False, True, False], [True, False, True]])
+        sparse = sga.build_sparse_mask(plan, 6)
         combined = att.combine_masks(att.causal_mask(6), sparse)
         for r in range(6):
             for t in range(6):

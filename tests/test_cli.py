@@ -153,6 +153,26 @@ BAD_RUN_CONFIGS = [
     ("ablation-eval-instances-0", {"ablation": {"eval_instances": 0}}),
     ("ablation-lr-string", {"ablation": {"lr": "big"}}),
     ("ablation-optimizer-unknown", {"ablation": {"optimizer": "rmsprop"}}),
+    ("ablation-window-even", {"ablation": {"window": 2}}),
+    ("ablation-window-0", {"ablation": {"window": 0}}),
+    ("ablation-window-float", {"ablation": {"window": 3.0}}),
+    ("ablation-variants-unknown", {"ablation": {"variants": ["bogus"]}}),
+    ("ablation-variants-empty", {"ablation": {"variants": []}}),
+    ("ablation-variants-string", {"ablation": {"variants": "dense"}}),
+    ("ablation-seeds-empty", {"ablation": {"seeds": []}}),
+    ("ablation-seeds-float", {"ablation": {"seeds": [0.5]}}),
+    ("bench-variants-unknown", {"bench": {"variants": ["bogus"]}}),
+    ("bench-variants-empty", {"bench": {"variants": []}}),
+    ("bench-lengths-indivisible", {"bench": {"lengths": [60]}}),
+    ("bench-lengths-empty", {"bench": {"lengths": []}}),
+    ("bench-lengths-not-list", {"bench": {"lengths": 64}}),
+    ("bench-lengths-0", {"bench": {"lengths": [0]}}),
+    ("bench-d-0", {"bench": {"d": 0}}),
+    ("bench-blocks-0", {"bench": {"blocks": 0}}),
+    ("bench-repeats-4", {"bench": {"repeats": 4}}),
+    ("bench-radius-negative", {"bench": {"radius": -1}}),
+    ("bench-top-k-negative", {"bench": {"top_k": -1}}),
+    ("bench-top-k-float", {"bench": {"top_k": 1.5}}),
 ]
 
 
@@ -162,6 +182,15 @@ def test_invalid_run_config_exit_2_without_traceback(tmp_path, capsys, override)
     assert cli.main(["train-guide", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
+def test_workers_is_an_edit_option_only(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train-guide", "--config", str(cfg), "--workers", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 

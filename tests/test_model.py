@@ -127,7 +127,7 @@ class TestEncoderForward:
     def test_recorded_maps_row_stochastic(self):
         w = mdl.init_weights(CFG, CFG.grid_high, substream(8, "w3"))
         x, p = random_grids(CFG.grid_high, 9)
-        out = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w, DENSE, record=True)
+        out = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w, DENSE)
         assert len(out.attn) == CFG.layers_enc
         for layer in out.attn:
             assert len(layer) == CFG.heads
@@ -139,11 +139,12 @@ class TestEncoderForward:
         w = mdl.init_weights(CFG, CFG.grid_high, substream(24, "w4"))
         x, p = random_grids(CFG.grid_high, 25)
         emb = mdl.embed_encoder(x, p, w)
-        dense = mdl.encoder_forward(emb, w, DENSE, record=True)
+        dense = mdl.encoder_forward(emb, w, DENSE)
         full = mdl.PlanBundle.uniform(CFG, lambda role, i, h: sga.full_plan(CFG.blocks))
-        blocked = mdl.encoder_forward(emb, w, full, record=True)
+        blocked = mdl.encoder_forward(emb, w, full)
         for layer in dense.attn:
             assert layer.shape == (CFG.heads, CFG.l_high, CFG.l_high)
+            assert not layer.flags.writeable
         assert blocked.attn == [[None] * CFG.heads] * CFG.layers_enc
         assert np.abs(dense.context - blocked.context).max() <= 1e-5
 
@@ -153,7 +154,7 @@ class TestPlanBundle:
         plans = [p for role in (DENSE.enc, DENSE.dec_self, DENSE.dec_cross) for layer in role for p in layer]
         assert len(plans) == (CFG.layers_enc + 2 * CFG.layers_dec) * CFG.heads
         assert all(p is plans[0] for p in plans)
-        assert plans[0] == sga.full_plan(1)
+        assert plans[0].kept == sga.full_plan(1).kept == ((0,),)
         assert DENSE.mean_sparsity() == {"enc": 1.0, "dec_self": 1.0, "dec_cross": 1.0}
 
 
@@ -236,7 +237,7 @@ class TestGuidingForward:
     def test_dense_equals_sga_path_with_full_plans(self):
         w = mdl.init_weights(CFG, CFG.grid_low, substream(16, "g"))
         x, p = random_grids(CFG.grid_low, 17)
-        dense = mdl.guiding_forward(x, p, w, record=False)
+        dense = mdl.guiding_forward(x, p, w)
         full = mdl.PlanBundle.uniform(CFG, lambda role, i, h: sga.full_plan(CFG.blocks))
         enc = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w, plans=full)
         prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])

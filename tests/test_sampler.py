@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from sgaedit import model as mdl
-from sgaedit import numerics as nm
-from sgaedit import sampler
+from sgaedit import sampler, sga
 from sgaedit.errors import NumericalError, ParameterError, ValidationError
 from sgaedit.quantizer import TokenGrid
 from sgaedit.rng import substream
@@ -146,13 +145,10 @@ class TestGuideAndPlan:
                 got = sampler.plans_from_maps(forced, cfg)
                 for role, maps in (("enc", enc), ("dec_self", dec_self), ("dec_cross", dec_cross)):
                     want = [
-                        [
-                            per_row_sort_plan(nm.avg_pool_matrix(m[h], size // blocks), k, radius, layer=i, head=h)
-                            for h in range(heads)
-                        ]
-                        for i, m in enumerate(maps)
+                        [per_row_sort_plan(sga.block_affinity(m[h], blocks), k, radius).kept for h in range(heads)]
+                        for m in maps
                     ]
-                    assert getattr(got, role) == want, (role, k, radius)
+                    assert [[p.kept for p in layer] for layer in getattr(got, role)] == want, (role, k, radius)
 
     def test_uniform_maps_tie_break(self, weights):
         guide, _ = weights

@@ -10,6 +10,15 @@ from sgaedit.rng import substream
 from conftest import affinities, per_row_sort_plan
 
 
+def select(b, k, radius):
+    """The plan `select_plans` gives one head with affinities b."""
+    return sga.select_plans(np.asarray(b)[None], k, radius)[0]
+
+
+def own_block_only(n_blocks):
+    return sga.SparsityPlan(np.eye(n_blocks, dtype=bool))
+
+
 class TestPartition:
     def test_paper_scale_rows(self):
         # 64 x 64 token grid flattened to L=4096, 64 blocks: one grid row each.
@@ -27,15 +36,6 @@ class TestPartition:
         assert part.block_size == 4
         assert part.block_of[0] == part.block_of[3] == 0
         assert part.block_of[4] == 1
-
-    def test_tile2d(self):
-        part = sga.partition(16, 4, mode="tile2d", grid=(4, 4), tile_grid=(2, 2))
-        blocks = part.block_of.reshape(4, 4)
-        assert blocks[0, 0] == blocks[1, 1] == 0
-        assert blocks[0, 2] == 1 and blocks[2, 0] == 2 and blocks[3, 3] == 3
-        # non-overlapping cover with equal sizes
-        sizes = [part.tokens[b].size for b in range(4)]
-        assert sizes == [4, 4, 4, 4]
 
     def test_divisibility(self):
         with pytest.raises(ShapeError):
@@ -61,16 +61,45 @@ class TestBlockAffinity:
                 assert b[r, t] == pytest.approx(expected, abs=1e-12)
 
 
+class TestSparsityPlan:
+    def test_non_square_rejected(self):
+        for keep in (np.ones((3, 4), dtype=bool), np.ones(3, dtype=bool)):
+            with pytest.raises(ShapeError):
+                sga.SparsityPlan(keep)
+
+    def test_block_must_keep_itself(self):
+        keep = np.ones((4, 4), dtype=bool)
+        keep[2, 2] = False
+        with pytest.raises(ValidationError, match="query block 2"):
+            sga.SparsityPlan(keep)
+
+    def test_keep_is_read_only_copy(self):
+        keep = np.eye(4, dtype=bool)
+        plan = sga.SparsityPlan(keep)
+        with pytest.raises(ValueError):
+            plan.keep[0, 1] = True
+        keep[0, 1] = True  # the caller's array is not the plan's
+        assert not plan.keep[0, 1]
+
+    def test_kept_is_per_row_flatnonzero(self):
+        keep = substream(16, "plan-keep").random((9, 9)) < 0.4
+        np.fill_diagonal(keep, True)
+        plan = sga.SparsityPlan(keep)
+        assert plan.kept == tuple(tuple(np.flatnonzero(row).tolist()) for row in keep)
+        assert all(type(t) is int for row in plan.kept for t in row)
+        assert plan.n_blocks == 9 and plan.kept_count() == int(keep.sum())
+
+
 class TestSelectPlan:
     def test_k_zero_is_neighborhood_only(self):
         b = substream(1, "plan").random((8, 8))
-        plan = sga.select_plan(b, k=0, radius=1)
+        plan = select(b, k=0, radius=1)
         for r in range(8):
-            assert plan.kept[r] == tuple(sga.neighborhood(r, 1, 8))
+            assert plan.kept[r] == tuple(range(max(0, r - 1), min(8, r + 2)))
 
     def test_paper_sparsity_count(self):
         b = substream(2, "plan64").random((64, 64))
-        plan = sga.select_plan(b, k=3, radius=1)
+        plan = select(b, k=3, radius=1)
         # 62 interior blocks keep 3+3, the 2 edge blocks keep 2+3.
         assert plan.kept_count() == 62 * 6 + 2 * 5 == 382
         ratio = sga.sparsity_ratio(plan)
@@ -80,52 +109,48 @@ class TestSelectPlan:
     def test_explicit_row_example(self):
         b = np.zeros((8, 8))
         b[0] = [0.9, 0.1, 0.2, 0.8, 0.7, 0.3, 0.5, 0.4]
-        plan = sga.select_plan(b, k=2, radius=1)
+        plan = select(b, k=2, radius=1)
         assert plan.kept[0] == (0, 1, 3, 4)
 
     def test_tie_break_lowest_index(self):
         b = np.zeros((6, 6))  # all ties
-        plan = sga.select_plan(b, k=2, radius=1)
+        plan = select(b, k=2, radius=1)
         assert plan.kept[0] == (0, 1, 2, 3)  # neighborhood {0,1} + first two outside
 
     def test_deterministic_serialization(self):
         b = substream(3, "plan-det").random((16, 16))
-        assert sga.select_plan(b, k=3, radius=1) == sga.select_plan(b.copy(), k=3, radius=1)
+        assert select(b, k=3, radius=1).kept == select(b.copy(), k=3, radius=1).kept
 
     def test_positive_scaling_invariance(self):
         rng = substream(4, "plan-scale")
         for _ in range(10):
             b = rng.random((12, 12))
-            base = sga.select_plan(b, k=2, radius=1)
+            base = select(b, k=2, radius=1)
             for factor in (0.25, 3.0, 1e6):
-                assert sga.select_plan(b * factor, k=2, radius=1).kept == base.kept
+                assert select(b * factor, k=2, radius=1).kept == base.kept
 
     @pytest.mark.parametrize("kind", ["random", "rounded", "zero"])
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_matches_per_row_sort_oracle(self, kind, n):
-        """The one-sort selection equals a per-row Python sort, ties included,
-        for one head (`select_plan`) and for a stack of heads (`select_plans`)."""
+        """The one-sort selection over a stack of heads equals a per-row
+        Python sort of each head, ties included."""
         b = affinities(kind, (3, n, n), seed=n)
         for k in (0, 1, 3, n):
             for radius in (0, 1, 2):
-                want = [per_row_sort_plan(b[h], k, radius, layer=2, head=h) for h in range(3)]
-                assert sga.select_plans(b, k, radius, layer=2) == want
+                want = [per_row_sort_plan(b[h], k, radius) for h in range(3)]
+                got = sga.select_plans(b, k, radius)
+                assert [p.kept for p in got] == [p.kept for p in want]
                 for h in range(3):
-                    got = sga.select_plan(b[h], k, radius, layer=2, head=h)
-                    assert got == want[h]
-                    assert np.array_equal(got.keep, want[h].keep)  # preset matrix == one built from kept
+                    assert np.array_equal(got[h].keep, want[h].keep)
 
 
 class TestBuildSparseMask:
     def test_full_plan_is_dense(self):
-        part = sga.partition(12, 4)
-        mask = sga.build_sparse_mask(sga.full_plan(4), part, part)
+        mask = sga.build_sparse_mask(sga.full_plan(4), 12)
         assert (mask == 0.0).all()
 
     def test_own_block_only_is_block_diagonal(self):
-        part = sga.partition(8, 4)
-        plan = sga.SparsityPlan(4, 0, 0, tuple((r,) for r in range(4)), "local")
-        mask = sga.build_sparse_mask(plan, part, part)
+        mask = sga.build_sparse_mask(own_block_only(4), 8)
         for r in range(8):
             for t in range(8):
                 assert (mask[r, t] == 0.0) == (r // 2 == t // 2)
@@ -133,8 +158,8 @@ class TestBuildSparseMask:
     def test_token_level_membership_oracle(self):
         rng = substream(5, "mask-oracle")
         part = sga.partition(32, 8)
-        plan = sga.select_plan(rng.random((8, 8)), k=2, radius=1)
-        mask = sga.build_sparse_mask(plan, part, part)
+        plan = select(rng.random((8, 8)), k=2, radius=1)
+        mask = sga.build_sparse_mask(plan, 32)
         for r in range(32):
             for t in range(32):
                 keep = part.block_of[t] in plan.kept[part.block_of[r]]
@@ -145,17 +170,14 @@ class TestSparseAttention:
     def test_full_plan_reduces_to_dense(self):
         rng = substream(6, "sparse-full")
         q, k, v = (rng.normal(size=(16, 8)) for _ in range(3))
-        part = sga.partition(16, 4)
-        res = sga.sparse_attention(q, k, v, sga.full_plan(4), part, part)
+        res = sga.sparse_attention(q, k, v, [sga.full_plan(4)], 16)
         dense, _ = att.dense_attention(q, k, v, np.zeros((16, 16)))
         assert np.abs(res.output - dense).max() <= 1e-6
 
     def test_own_block_size_one_returns_own_value(self):
         rng = substream(7, "sparse-own")
         q, k, v = (rng.normal(size=(6, 4)) for _ in range(3))
-        part = sga.partition(6, 6)
-        plan = sga.SparsityPlan(6, 0, 0, tuple((r,) for r in range(6)), "local")
-        res = sga.sparse_attention(q, k, v, plan, part, part)
+        res = sga.sparse_attention(q, k, v, [own_block_only(6)], 6)
         assert np.abs(res.output - v).max() <= 1e-12
 
     @pytest.mark.parametrize("length,n_blocks", [(16, 4), (64, 8), (256, 16)])
@@ -163,46 +185,41 @@ class TestSparseAttention:
         rng = substream(length, "sparse-oracle")
         for trial in range(5):
             q, k, v = (rng.normal(size=(length, 8)) for _ in range(3))
-            plan = sga.select_plan(rng.random((n_blocks, n_blocks)), k=2, radius=1)
-            part = sga.partition(length, n_blocks)
-            res = sga.sparse_attention(q, k, v, plan, part, part)
-            dense, _ = att.dense_attention(q, k, v, sga.build_sparse_mask(plan, part, part))
+            plan = select(rng.random((n_blocks, n_blocks)), k=2, radius=1)
+            res = sga.sparse_attention(q, k, v, [plan], length)
+            dense, _ = att.dense_attention(q, k, v, sga.build_sparse_mask(plan, length))
             assert np.abs(res.output - dense).max() <= 1e-5
 
     def test_never_materializes_full_scores(self):
         rng = substream(8, "sparse-peak")
         q, k, v = (rng.normal(size=(64, 8)) for _ in range(3))
-        part = sga.partition(64, 8)
-        plan = sga.select_plan(rng.random((8, 8)), k=1, radius=1)
-        res = sga.sparse_attention(q, k, v, plan, part, part)
-        assert res.peak_score_entries == res.weights.size < 64 * 64
+        plan = select(rng.random((8, 8)), k=1, radius=1)
+        res = sga.sparse_attention(q, k, v, [plan], 64)
+        assert res.weights.size < 64 * 64
 
     def test_reported_flops_match_cost_model(self):
         rng = substream(9, "sparse-flops")
         q, k, v = (rng.normal(size=(64, 16)) for _ in range(3))
-        part = sga.partition(64, 8)
-        plan = sga.select_plan(rng.random((8, 8)), k=2, radius=1)
-        res = sga.sparse_attention(q, k, v, plan, part, part)
-        assert res.score_flops == sga.score_flops_plan(plan, 64, 64, 16)
+        plan = select(rng.random((8, 8)), k=2, radius=1)
+        res = sga.sparse_attention(q, k, v, [plan], 64)
+        assert res.score_flops == sga.score_flops_plan(plan, 64, 16)
         assert res.score_flops == 2 * 16 * plan.kept_count() * 8 * 8
 
     def test_causal_extra_mask(self):
         rng = substream(10, "sparse-causal")
         q, k, v = (rng.normal(size=(16, 4)) for _ in range(3))
-        part = sga.partition(16, 4)
-        plan = sga.select_plan(rng.random((4, 4)), k=1, radius=1)
+        plan = select(rng.random((4, 4)), k=1, radius=1)
         causal = att.causal_mask(16)
-        res = sga.sparse_attention(q, k, v, plan, part, part, causal=True)
-        dense, _ = att.dense_attention(q, k, v, att.combine_masks(sga.build_sparse_mask(plan, part, part), causal))
+        res = sga.sparse_attention(q, k, v, [plan], 16, causal=True)
+        dense, _ = att.dense_attention(q, k, v, att.combine_masks(sga.build_sparse_mask(plan, 16), causal))
         assert np.abs(res.output - dense).max() <= 1e-5
 
     def test_kept_weight_rows_are_stochastic(self):
         # on the dense oracle: rows sum to one and put no weight outside kept blocks
         rng = substream(11, "sparse-weights")
         q, k, v = (rng.normal(size=(32, 8)) for _ in range(3))
-        part = sga.partition(32, 8)
-        plan = sga.select_plan(rng.random((8, 8)), k=2, radius=1)
-        mask = sga.build_sparse_mask(plan, part, part)
+        plan = select(rng.random((8, 8)), k=2, radius=1)
+        mask = sga.build_sparse_mask(plan, 32)
         _, weights = att.dense_attention(q, k, v, mask)
         assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-9
         assert (weights[np.isneginf(mask)] == 0.0).all()
@@ -211,10 +228,8 @@ class TestSparseAttention:
         # keys are a 2-token prefix, so query block 1 keeps only block 1 (tokens 2, 3),
         # which lies wholly past the keys: its first row has no visible key
         q = np.zeros((4, 2))
-        part = sga.partition(4, 2)
-        plan = sga.SparsityPlan(2, 0, 0, ((0,), (1,)), "local")
         with pytest.raises(DegenerateRowError, match="query token 2"):
-            sga.sparse_attention(q, q[:2], q[:2], plan, part, part)
+            sga.sparse_attention(q, q[:2], q[:2], [own_block_only(2)], 4)
 
 
 def head_plans(n_blocks, seed):
@@ -222,20 +237,20 @@ def head_plans(n_blocks, seed):
     kernel pads: a guided top-1 plan, a global plan and a local plan."""
     rng = substream(seed, "kernel-plans")
     return [
-        sga.select_plan(rng.random((n_blocks, n_blocks)), k=1, radius=1),
+        select(rng.random((n_blocks, n_blocks)), k=1, radius=1),
         sga.variant_plan("global", n_blocks, radius=1, k=1, rng=rng),
         sga.variant_plan("local", n_blocks, radius=1),
     ]
 
 
-def expanded_mask_oracle(q, k, v, plans, part, causal):
+def expanded_mask_oracle(q, k, v, plans, length, causal):
     """Per head, dense attention under the expanded plan mask (and the causal
     mask), heads concatenated; accepts tape Tensors."""
     n_q, n_k = T.value_of(q).shape[0], T.value_of(k).shape[0]
     dh = T.value_of(q).shape[1] // len(plans)
     outs = []
     for h, plan in enumerate(plans):
-        mask = sga.build_sparse_mask(plan, part, part)[:n_q, :n_k]
+        mask = sga.build_sparse_mask(plan, length)[:n_q, :n_k]
         if causal:
             mask = att.combine_masks(mask, att.causal_mask(n_q))
         cols = (h * dh, (h + 1) * dh)
@@ -249,25 +264,23 @@ class TestBlockGatherKernel:
 
     @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
-    @pytest.mark.parametrize("mode", ["contiguous", "tile2d"])
     @pytest.mark.parametrize("n_q", [32, 13], ids=["whole", "prefix"])
-    def test_matches_expanded_mask_oracle(self, taped, causal, mode, n_q):
-        part = sga.partition(32, 8, mode=mode, grid=(4, 8), tile_grid=(2, 4))
-        plans = head_plans(8, seed=len(mode) + n_q)
-        rng = substream(n_q + 2 * causal, f"kernel-{mode}")
+    def test_matches_expanded_mask_oracle(self, taped, causal, n_q):
+        plans = head_plans(8, seed=n_q)
+        rng = substream(n_q + 2 * causal, "kernel")
         n_k = n_q if causal else 32  # causal: a self-attention prefix; else cross attention
         q = rng.normal(size=(n_q, 6))
         k, v = rng.normal(size=(n_k, 6)), rng.normal(size=(n_k, 6))
         probe = rng.normal(size=(n_q, 6))
         if not taped:
-            got = sga.sparse_attention(q, k, v, plans, part, part, causal=causal).output
-            want = expanded_mask_oracle(q, k, v, plans, part, causal)
+            got = sga.sparse_attention(q, k, v, plans, 32, causal=causal).output
+            want = expanded_mask_oracle(q, k, v, plans, 32, causal)
             assert np.abs(got - want).max() <= 1e-12
             return
         grads = []
         for attend in (
-            lambda a, b, c: sga.sparse_attention(a, b, c, plans, part, part, causal=causal).output,
-            lambda a, b, c: expanded_mask_oracle(a, b, c, plans, part, causal),
+            lambda a, b, c: sga.sparse_attention(a, b, c, plans, 32, causal=causal).output,
+            lambda a, b, c: expanded_mask_oracle(a, b, c, plans, 32, causal),
         ):
             tape = T.GradTape()
             leaves = [tape.param(x) for x in (q, k, v)]
@@ -279,7 +292,6 @@ class TestBlockGatherKernel:
 
     @pytest.mark.parametrize("operand", [0, 1, 2], ids=["q", "k", "v"])
     def test_grad_check(self, operand):
-        part = sga.partition(16, 4)
         plans = head_plans(4, seed=3)[:2]
         rng = substream(operand, "kernel-grad")
         qkv = [rng.normal(size=(16, 4)) for _ in range(3)]
@@ -288,34 +300,31 @@ class TestBlockGatherKernel:
         def f(x):
             args = list(qkv)
             args[operand] = x
-            out = sga.sparse_attention(*args, plans, part, part, causal=True).output
+            out = sga.sparse_attention(*args, plans, 16, causal=True).output
             return T.sum_all(T.mul(out, probe))
 
         assert T.grad_check(f, qkv[operand], step=1e-5) <= 1e-5
 
     def test_score_flops_count_live_blocks(self):
-        part = sga.partition(64, 8)
         plans = head_plans(8, seed=5)
         rng = substream(12, "kernel-flops")
         q, k, v = (rng.normal(size=(64, 6)) for _ in range(3))
-        causal = sga.sparse_attention(q, k, v, plans, part, part, causal=True)
+        causal = sga.sparse_attention(q, k, v, plans, 64, causal=True)
         live = sum(t <= r for p in plans for r, ks in enumerate(p.kept) for t in ks)
         assert causal.score_flops == 2 * 2 * live * 8 * 8
-        full = sga.sparse_attention(q, k, v, plans, part, part)
-        assert full.score_flops == sum(sga.score_flops_plan(p, 64, 64, 2) for p in plans)
+        full = sga.sparse_attention(q, k, v, plans, 64)
+        assert full.score_flops == sum(sga.score_flops_plan(p, 64, 2) for p in plans)
         assert causal.score_flops < full.score_flops
 
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
-    @pytest.mark.parametrize("mode", ["contiguous", "tile2d"])
-    def test_rows_part_of_a_block(self, causal, mode):
+    def test_rows_part_of_a_block(self, causal):
         """`rows` a run inside one block, its `blocked` rows sliced alike and
         renumbered to index q, gives those rows of the whole pass."""
-        part = sga.partition(32, 8, mode=mode, grid=(4, 8), tile_grid=(2, 4))
         plans = head_plans(8, seed=7)
-        rng = substream(21 + causal, f"kernel-rows-{mode}")
+        rng = substream(21 + causal, "kernel-rows")
         q, k, v = (rng.normal(size=(32, 6)) for _ in range(3))
-        want = expanded_mask_oracle(q, k, v, plans, part, causal)
-        index = sga.block_index(plans, part, part, causal=causal)
+        want = expanded_mask_oracle(q, k, v, plans, 32, causal)
+        index = sga.block_index(plans, 32, causal=causal)
         for b, lo, hi in ((0, 0, 1), (3, 1, 3), (5, 2, 4), (7, 3, 4)):
             tokens = index.rows[b, lo:hi]
             blocked = None if index.blocked is None else index.blocked[:, b : b + 1, lo:hi]
@@ -327,12 +336,11 @@ class TestBlockGatherKernel:
         """Rows [first, stop) across whole blocks: the first block's earlier
         rows run on zero queries and the last block's tail on clipped ones;
         the rows kept equal the whole pass."""
-        part = sga.partition(32, 8)
         plans = head_plans(8, seed=8)
         rng = substream(23 + causal, "kernel-zero-rows")
         q, k, v = (rng.normal(size=(32, 6)) for _ in range(3))
-        want = expanded_mask_oracle(q, k, v, plans, part, causal)
-        index = sga.block_index(plans, part, part, causal=causal)
+        want = expanded_mask_oracle(q, k, v, plans, 32, causal)
+        index = sga.block_index(plans, 32, causal=causal)
         for first, stop in ((5, 11), (9, 16), (1, 32), (3, 5)):
             blocks = slice(first // 4, (stop - 1) // 4 + 1)
             base = 4 * blocks.start
@@ -342,17 +350,18 @@ class TestBlockGatherKernel:
             assert np.abs(got[first - base :] - want[first:stop]).max() <= 1e-12
 
     def test_causal_index_drops_dead_blocks(self):
-        part = sga.partition(32, 8)
-        plan = sga.full_plan(8)
-        index = sga.block_index([plan], part, part, causal=True)
+        index = sga.block_index([sga.full_plan(8)], 32, causal=True)
+        assert index.live_blocks == 8 * 9 // 2  # key blocks t <= r
         for r in range(8):
-            assert index.keys[0, r][index.valid[0, r]].tolist() == list(range(4 * (r + 1)))
+            live = 4 * (r + 1)
+            assert index.keys[0, r, :live].tolist() == list(range(live))
+            assert index.blocked[0, r, :, live:].all()  # padding
 
 
 class TestVariantPlans:
     def test_local_equals_select_plan_k0(self):
         b = substream(12, "var").random((8, 8))
-        assert sga.variant_plan("local", 8, radius=1).kept == sga.select_plan(b, k=0, radius=1).kept
+        assert sga.variant_plan("local", 8, radius=1).kept == select(b, k=0, radius=1).kept
 
     def test_global_first_and_last_blocks(self):
         plan = sga.variant_plan("global", 8, radius=1, k=2, seed=3)
@@ -365,7 +374,7 @@ class TestVariantPlans:
         one = sga.variant_plan("random", 16, radius=1, k=3, seed=11)
         two = sga.variant_plan("random", 16, radius=1, k=3, seed=11)
         other = sga.variant_plan("random", 16, radius=1, k=3, seed=12)
-        assert one == two
+        assert one.kept == two.kept
         assert one.kept != other.kept  # overwhelmingly likely
 
     def test_sliding_window(self):
@@ -378,8 +387,25 @@ class TestVariantPlans:
         plan = sga.variant_plan("random", 16, radius=1, k=3, seed=0)
         for r in range(16):
             kept = set(plan.kept[r])
-            assert set(sga.neighborhood(r, 1, 16)) <= kept
-            assert len(kept - set(sga.neighborhood(r, 1, 16))) <= 3
+            near = set(range(max(0, r - 1), min(16, r + 2)))
+            assert near <= kept
+            assert len(kept - near) <= 3
+
+    @pytest.mark.parametrize("kind", ["random", "global"])
+    def test_draws_match_set_based_reference(self, kind):
+        """The same `rng.choice` calls, over each row's ascending outside
+        blocks, as a per-row set construction of the plan."""
+        n, radius, k = 12, 1, 3
+        rng = substream(17, "variant-reference")
+        kept = []
+        for r in range(n):
+            near = set(range(max(0, r - radius), min(n, r + radius + 1)))
+            outside = np.array([t for t in range(n) if t not in near], dtype=np.int64)
+            kept.append(near | {int(t) for t in rng.choice(outside, size=min(k, outside.size), replace=False)})
+        if kind == "global":
+            kept = [set(range(n)) if r in (0, n - 1) else s | {0, n - 1} for r, s in enumerate(kept)]
+        plan = sga.variant_plan(kind, n, radius=radius, k=k, rng=substream(17, "variant-reference"))
+        assert plan.kept == tuple(tuple(sorted(s)) for s in kept)
 
 
 class TestSparsityRatio:
@@ -387,22 +413,20 @@ class TestSparsityRatio:
         assert sga.sparsity_ratio(sga.full_plan(8)) == 1.0
 
     def test_own_block_only(self):
-        plan = sga.SparsityPlan(8, 0, 0, tuple((r,) for r in range(8)), "local")
-        assert sga.sparsity_ratio(plan) == 1.0 / 8
+        assert sga.sparsity_ratio(own_block_only(8)) == 1.0 / 8
 
     def test_guided_bound(self):
-        plan = sga.select_plan(substream(13, "ratio").random((64, 64)), k=3, radius=1)
+        plan = select(substream(13, "ratio").random((64, 64)), k=3, radius=1)
         assert sga.sparsity_ratio(plan) <= 6 / 64
 
 
 def test_full_kept_guided_plan_reproduces_dense_exactly():
     # keep everything: k = N - |neighborhood| per query block
     b = substream(14, "full-guided").random((8, 8))
-    plan = sga.select_plan(b, k=8, radius=1)
+    plan = select(b, k=8, radius=1)
     assert plan.kept == tuple(tuple(range(8)) for _ in range(8))
     rng = substream(15, "full-guided-qkv")
     q, k, v = (rng.normal(size=(32, 8)) for _ in range(3))
-    part = sga.partition(32, 8)
-    res = sga.sparse_attention(q, k, v, plan, part, part)
+    res = sga.sparse_attention(q, k, v, [plan], 32)
     dense, _ = att.dense_attention(q, k, v, np.zeros((32, 32)))
     assert np.abs(res.output - dense).max() <= 1e-6
