@@ -81,6 +81,12 @@ INT_KEYS = {
     "bench.repeats": 5,
     "bench.radius": 0,
     "bench.top_k": 0,
+    "quantizer.patch": 1,
+    "quantizer.iterations": 1,
+    "quantizer.channels": 1,
+    "quantizer.corpus_images": 1,
+    "leakcheck.trials": 1,
+    "leakcheck.image_size": 1,
 }
 VARIANT_KEYS = ("ablation.variants", "bench.variants")
 RATE_KEYS = ("train.lr", "train.clip", "ablation.lr")
@@ -111,6 +117,8 @@ def resolve(user: dict) -> dict:
     _check_int("seed", cfg["seed"])
     for key, low in INT_KEYS.items():
         _check_int(key, _value(cfg, key), low)
+    if cfg["quantizer"]["channels"] not in (1, 3):
+        raise ConfigError(f"quantizer.channels must be 1 or 3, got {cfg['quantizer']['channels']!r}")
     if cfg["ablation"]["window"] % 2 == 0:
         raise ConfigError(f"ablation.window must be odd, got {cfg['ablation']['window']}")
     for key in VARIANT_KEYS:

@@ -242,7 +242,7 @@ def _multi_head(x_q, x_kv, weights: ModelWeights, prefix: str, plans: list, caus
     model's sequence in the contiguous blocks of `plans` (one plan per
     head). Under one-block plans (dense attention) the kernel's softmax
     weights are the full attention maps, returned as one read-only
-    H x n_q x n_k view of them; multi-block plans return None maps.
+    H x L x L view of them; multi-block plans return None maps.
     """
     w = weights.params
     q_all = T.matmul(x_q, w[f"{prefix}_wq"])
@@ -251,8 +251,7 @@ def _multi_head(x_q, x_kv, weights: ModelWeights, prefix: str, plans: list, caus
     result = sga.sparse_attention(q_all, k_all, v_all, plans, weights.length, causal=causal)
     maps = [None] * len(plans)
     if plans[0].n_blocks == 1:
-        n_q, n_k = T.value_of(q_all).shape[0], T.value_of(k_all).shape[0]
-        maps = result.weights[:, 0, :n_q, :n_k]  # one block: rows and keys are tokens 0, 1, ...
+        maps = result.weights[:, 0]  # one block: rows and keys are tokens 0, 1, ...
     return T.matmul(result.output, w[f"{prefix}_wo"]), maps
 
 
@@ -291,14 +290,16 @@ def _check_decoder_input(prev: np.ndarray, start: int, weights: ModelWeights) ->
 
 
 def decoder_forward(prev_tokens, encoder_out: EncoderOutput, weights: ModelWeights, plans: PlanBundle):
-    """Causal decoder over a START-prepended prefix with cross attention,
-    under the decoder roles of `plans`.
+    """Causal decoder over the whole START-prepended sequence (L tokens)
+    with cross attention, under the decoder roles of `plans`.
 
-    Returns (logits steps x vocab, self_maps, cross_maps). Row l of the
+    Returns (logits L x vocab, self_maps, cross_maps). Row l of the
     logits depends only on prev_tokens[0..l] and the encoder output.
     """
     cfg = weights.config
     prev = np.asarray(prev_tokens, dtype=np.int64)
+    if prev.shape != (weights.length,):
+        raise SequenceError(f"decoder input of shape {prev.shape} is not the {weights.length}-token sequence")
     _check_decoder_input(prev, 0, weights)
 
     steps = prev.size
@@ -327,16 +328,17 @@ class IncrementalDecoder:
 
     Built once from an encoder output, the weights and the plan bundle
     (its decoder roles; `PlanBundle.dense` gives one-block indices whose
-    rows are the whole sequence). `extend(prev_rows)` appends decoder rows
-    [n, n + m), whose input tokens are `prev_rows`, and returns their logits:
-    rows [n, n + m) of `decoder_forward` over the prefix, to float rounding.
-    Attention runs the same kernel as `decoder_forward`, `tape.block_attention`,
-    over one `sga.block_index` per (layer, role) built here, for the query
-    blocks the new rows fall in; the causal rows of the self-attention index
-    hide the cache rows not yet written. Embeddings, layer norm and the
-    feed-forward act row by row, so the cache is exact, not an
-    approximation. `fork()` gives an independent copy that shares the
-    read-only parts.
+    query block is the whole sequence). `extend(prev_rows)` appends decoder
+    rows [n, n + m), whose input tokens are `prev_rows`, and returns their
+    logits: rows [n, n + m) of `decoder_forward` over any sequence that
+    begins with the rows given so far (its causal mask makes them
+    independent of the later ones), to float rounding. Attention runs the
+    same kernel as `decoder_forward`, `tape.block_attention`, over one
+    `sga.block_index` per (layer, role) built here, for the query blocks the
+    new rows fall in; the causal rows of the self-attention index hide the
+    cache rows not yet written. Embeddings, layer norm and the feed-forward
+    act row by row, so the cache is exact, not an approximation. `fork()`
+    gives an independent copy that shares the read-only parts.
     """
 
     def __init__(self, encoder_out: EncoderOutput, weights: ModelWeights, plans: PlanBundle):
@@ -383,12 +385,13 @@ class IncrementalDecoder:
     def _attention(self, q, k, v, index: sga.BlockIndex) -> np.ndarray:
         """One kernel call for the query rows [n, n + len(q)) over `index`.
 
-        Blocks are contiguous, so query block b holds rows [b * bs, (b + 1) * bs).
-        A run inside one block passes exactly its rows; a run across blocks
-        passes whole blocks, its first block's earlier rows on zero queries.
+        Query block b holds rows [b * bs, (b + 1) * bs). A run inside one
+        block passes exactly its rows, with their `blocked` rows; a run
+        across blocks is padded with zero query rows to whole blocks, and
+        its rows are sliced back out.
         """
         first, stop = self.n, self.n + q.shape[0]
-        bs = index.rows.shape[1]
+        bs = self.weights.length // index.keys.shape[1]
         blocks = slice(first // bs, (stop - 1) // bs + 1)
         if blocks.stop - blocks.start == 1:
             base = first
@@ -396,10 +399,10 @@ class IncrementalDecoder:
         else:
             base = blocks.start * bs
             cut = slice(None)
-            q = np.concatenate([np.zeros((first - base, q.shape[1])), q])
+            q = np.pad(q, ((first - base, blocks.stop * bs - stop), (0, 0)))
         blocked = None if index.blocked is None else index.blocked[:, blocks, cut]
-        out = T.block_attention(q, k, v, index.rows[blocks, cut] - base, index.keys[:, blocks], blocked)
-        return out[first - base :]
+        out = T.block_attention(q, k, v, index.keys[:, blocks], blocked)
+        return out[first - base : stop - base]
 
 
 @dataclass
@@ -429,9 +432,7 @@ def guiding_forward(
     if enc is None:
         enc = encoder_forward(embed_encoder(x, p, weights), weights, dense)
     seq = x.flat() if decoder_tokens is None else np.asarray(decoder_tokens, dtype=np.int64)
-    if seq.size != weights.length:
-        raise SequenceError(f"decoder sequence length {seq.size} != {weights.length}")
-    prev = np.concatenate([[weights.config.start_token], seq[:-1]])
+    prev = np.concatenate([[weights.config.start_token], seq])[:-1]  # `decoder_forward` checks the length
     logits, self_maps, cross_maps = decoder_forward(prev, enc, weights, dense)
     return GuidingResult(logits=T.value_of(logits), encoder=enc, dec_self_attn=self_maps, dec_cross_attn=cross_maps)
 

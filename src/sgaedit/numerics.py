@@ -82,9 +82,11 @@ def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1
     x, gain, bias = as_array(x), as_array(gain), as_array(bias)
     if x.shape[-1] != gain.shape[-1] or x.shape[-1] != bias.shape[-1]:
         raise ShapeError(f"gain/bias width must match x width {x.shape[-1]}")
-    mean = x.mean(axis=-1, keepdims=True)
-    var = np.square(x - mean).mean(axis=-1, keepdims=True)
-    return (x - mean) / np.sqrt(var + eps) * gain + bias
+    # sums over the width, not `mean`: the same arithmetic without numpy's Python-level wrapper
+    width = x.shape[-1]
+    centered = x - x.sum(axis=-1, keepdims=True) / width
+    var = np.square(centered).sum(axis=-1, keepdims=True) / width
+    return centered / np.sqrt(var + eps) * gain + bias
 
 
 GELU_C = np.sqrt(2.0 / np.pi)

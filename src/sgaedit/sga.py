@@ -10,9 +10,10 @@ layout is fixed by N and the sequence length. Attention is then evaluated
 only over kept blocks by `sparse_attention`: one block-gather kernel over
 every head of a layer (`block_index` lists each query block's kept key
 tokens, and `tape.block_attention` evaluates them with one batched
-matmul). One kernel serves training, full-pass inference and incremental
-decoding (which calls `tape.block_attention` over a `block_index` built
-once per edit), and it never materializes the full score matrix. Dense
+matmul, reading query block n as rows [n * bs, (n + 1) * bs)). One
+kernel serves training, full-pass inference and incremental decoding
+(which calls `tape.block_attention` over a `block_index` built once per
+edit), and it never materializes the full score matrix. Dense
 attention is not a separate path but the plan that keeps every block:
 `full_plan(1)`, one block holding every token, runs the same kernel, and
 its softmax weights are then the full attention maps. `build_sparse_mask`
@@ -29,7 +30,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from . import tape as T
-from .errors import DegenerateRowError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 from .numerics import as_array
 from .rng import substream
 
@@ -197,85 +198,55 @@ def build_sparse_mask(plan: SparsityPlan, length: int) -> np.ndarray:
 class BlockIndex:
     """Gather index of the block kernel for one list of per-head plans.
 
-    Only query blocks holding a token below the query prefix n_q appear
-    (all N for a full-length query), in block order; N' counts them.
-    rows [N', bs]: the query tokens of each such block.
-    keys [H, N', K]: per (head, query block) the tokens of its live kept key
+    Query block n is tokens [n * bs, (n + 1) * bs) of the contiguous blocks.
+    keys [H, N, K]: per (head, query block) the tokens of its live kept key
     blocks in ascending order, padded with token 0 to the largest count K.
-    blocked [H, N', bs, K] or None: True where the kernel removes a score
-    (padding, keys at or past the key prefix and, under the causal mask,
-    keys after the query token).
+    blocked [H, N, bs, K] or None: True where the kernel removes a score
+    (padding and, under the causal mask, keys after the query token).
     live_blocks: the (head, query block, key block) triples evaluated.
     """
 
-    rows: np.ndarray
     keys: np.ndarray
     blocked: Optional[np.ndarray]
     live_blocks: int
 
 
-def block_index(
-    plans: Sequence[SparsityPlan],
-    length: int,
-    causal: bool = False,
-    n_q: Optional[int] = None,
-    n_k: Optional[int] = None,
-) -> BlockIndex:
+def block_index(plans: Sequence[SparsityPlan], length: int, causal: bool = False) -> BlockIndex:
     """Kept key tokens of every (head, query block) of `length` tokens in
-    the plans' contiguous blocks, for queries [0, n_q) and keys [0, n_k)
-    (default: all `length`).
+    the plans' contiguous blocks.
 
-    A kept block with no visible key is left out: under the causal mask
-    every key block t after the query block r (t > r), and every block
-    wholly past the key prefix. Plans and their FLOP counts are unchanged;
-    only the index skips them. Raises DegenerateRowError naming the token
-    if a query row below n_q has no visible key.
+    Under the causal mask a kept key block t after the query block r
+    (t > r) has no visible key and is left out; plans and their FLOP counts
+    are unchanged, only the index skips it. Every query row sees a key:
+    each plan keeps its own block, which holds the row's own token.
     """
     n = plans[0].n_blocks
     if any(p.n_blocks != n for p in plans):
         raise ShapeError("head plans differ in block count")
     tokens = partition(length, n).tokens
-    n_q = length if n_q is None else n_q
-    n_k = length if n_k is None else n_k
     keep = np.stack([plan.keep for plan in plans])
-    q_blocks = np.flatnonzero(tokens[:, 0] < n_q)
-    live = tokens[None, :, 0] < n_k
     if causal:
-        live = live & (np.arange(n)[None, :] <= q_blocks[:, None])
-    keep = keep[:, q_blocks] & live
+        keep = keep & np.tri(n, dtype=bool)
     count = keep.sum(axis=-1)
     width = int(count.max())
     order = np.argsort(~keep, axis=-1, kind="stable")[..., :width]  # kept blocks first, ascending
-    keys = tokens[order]  # H x N' x width x bs
-    valid = (np.arange(width) < count[..., None])[..., None] & (keys < n_k)
-    shape = keys.shape[:2] + (-1,)
-    keys, valid = np.where(valid, keys, 0).reshape(shape), valid.reshape(shape)
-    rows = tokens[q_blocks]
+    valid = np.repeat(np.arange(width) < count[..., None], tokens.shape[1], axis=-1)
+    keys = np.where(valid, tokens[order].reshape(valid.shape), 0)  # H x N x (width * bs)
     visible = valid[:, :, None, :]
     if causal:
-        visible = visible & (keys[:, :, None, :] <= rows[None, :, :, None])
-    tiles = keys.shape[:2] + rows.shape[1:]
-    dead = ~np.broadcast_to(visible.any(axis=-1), tiles)
-    if (dead & (rows < n_q)).any():
-        h, r, i = (int(a[0]) for a in np.nonzero(dead & (rows < n_q)))
-        block = int(q_blocks[r])
-        raise DegenerateRowError(
-            f"query token {int(rows[r, i])} (block {block}, head {h}) has no visible key: "
-            f"kept blocks {list(plans[h].kept[block])}, key prefix {n_k}, causal {causal}"
-        )
+        visible = visible & (keys[:, :, None, :] <= tokens[None, :, :, None])
     blocked = None
     if not visible.all():
-        blocked = ~np.broadcast_to(visible, tiles + keys.shape[2:])
-        blocked[dead] = False  # rows past the query prefix: computed, then dropped
-    return BlockIndex(rows=rows, keys=keys, blocked=blocked, live_blocks=int(count.sum()))
+        blocked = ~np.broadcast_to(visible, keys.shape[:2] + tokens.shape[1:] + keys.shape[2:])
+    return BlockIndex(keys=keys, blocked=blocked, live_blocks=int(count.sum()))
 
 
 @dataclass
 class SparseAttentionResult:
-    output: object  # n_q x (H * dh) array, or a tape Tensor when an input is one
+    output: object  # length x (H * dh) array, or a tape Tensor when an input is one
     score_flops: int
-    # read-only softmax weights [H, N', bs_q, K]: weights[h, n, i, j] is the
-    # weight of query token rows[n, i] on key token keys[h, n, j] of the
+    # read-only softmax weights [H, N, bs, K]: weights[h, n, i, j] is the
+    # weight of query token n * bs + i on key token keys[h, n, j] of the
     # call's `block_index` (0 on padding and blocked keys); every (head,
     # query block) tile the kernel holds at once
     weights: np.ndarray
@@ -285,8 +256,7 @@ def sparse_attention(q, k, v, plans: Sequence[SparsityPlan], length: int, causal
     """Multi-head attention evaluated only over kept key blocks.
 
     `plans` holds one plan per head over `length` tokens in contiguous
-    blocks; q is n_q x (H * dh) and k, v are n_k x (H * dh), heads side by
-    side. Queries and keys may be prefixes (n_q, n_k <= length); `causal`
+    blocks; q, k and v are length x (H * dh), heads side by side. `causal`
     additionally removes keys after each query token. Inputs may be tape
     Tensors: the kernel is one differentiable op. Equals dense attention
     under the expanded plan mask (and the causal mask) to float rounding,
@@ -296,13 +266,13 @@ def sparse_attention(q, k, v, plans: Sequence[SparsityPlan], length: int, causal
     qv, kv = T.value_of(q), T.value_of(k)
     if qv.ndim != 2 or kv.ndim != 2 or not plans:
         raise ShapeError("q and k must be 2D, with at least one head plan")
-    if not (1 <= qv.shape[0] <= length and 1 <= kv.shape[0] <= length):
-        raise ShapeError(f"q/k lengths {qv.shape[0]}/{kv.shape[0]} do not fit {length} tokens")
-    index = block_index(plans, length, causal, qv.shape[0], kv.shape[0])
-    weights = np.empty(index.keys.shape[:2] + index.rows.shape[1:] + index.keys.shape[2:])
-    out = T.block_attention(q, k, v, index.rows, index.keys, index.blocked, weights=weights)
+    if qv.shape[0] != length or kv.shape[0] != length:
+        raise ShapeError(f"q/k lengths {qv.shape[0]}/{kv.shape[0]} are not {length} tokens")
+    index = block_index(plans, length, causal)
+    bs = length // plans[0].n_blocks
+    weights = np.empty(index.keys.shape[:2] + (bs,) + index.keys.shape[2:])
+    out = T.block_attention(q, k, v, index.keys, index.blocked, weights=weights)
     weights.flags.writeable = False
-    bs = index.rows.shape[1]
     return SparseAttentionResult(
         output=out, score_flops=2 * (qv.shape[1] // len(plans)) * index.live_blocks * bs * bs, weights=weights
     )

@@ -264,20 +264,20 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
 
     def backward(g):
         xv = value_of(x)
-        mean = xv.mean(axis=-1, keepdims=True)
-        var = np.square(xv - mean).mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt(var + eps)
-        xhat = (xv - mean) * inv
+        width = xv.shape[-1]
+        centered = xv - xv.sum(axis=-1, keepdims=True) / width
+        inv = 1.0 / np.sqrt(np.square(centered).sum(axis=-1, keepdims=True) / width + eps)
+        xhat = centered * inv
         if is_tensor(gain):
-            gain.accumulate((g * xhat).reshape(-1, xv.shape[-1]).sum(axis=0))
+            gain.accumulate((g * xhat).reshape(-1, width).sum(axis=0))
         if is_tensor(bias):
-            bias.accumulate(g.reshape(-1, xv.shape[-1]).sum(axis=0))
+            bias.accumulate(g.reshape(-1, width).sum(axis=0))
         if is_tensor(x):
             dxhat = g * value_of(gain)
             dx = (
                 dxhat
-                - dxhat.mean(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=-1, keepdims=True)
+                - dxhat.sum(axis=-1, keepdims=True) / width
+                - xhat * ((dxhat * xhat).sum(axis=-1, keepdims=True) / width)
             ) * inv
             x.accumulate(dx)
 
@@ -366,39 +366,35 @@ def concat_cols(parts: Sequence):
     return _node(tape, forward(), backward)
 
 
-def block_attention(q, k, v, rows, keys, blocked=None, weights=None):
+def block_attention(q, k, v, keys, blocked=None, weights=None):
     """Softmax attention over gathered key tokens, batched over heads and query blocks.
 
     q is n_q x (H * dh) and k, v are n_k x (H * dh), head h in columns
-    [h * dh, (h + 1) * dh). `rows` [N, bs] holds the query tokens of each
-    query block and `keys` [H, N, K] the key tokens each (head, query block)
-    attends to. `blocked` [H, N, bs, K], when given, is True where a score is
-    removed before the softmax. Row i of block n, head h is
-    softmax(q[rows[n, i]] . k[keys[h, n]] / sqrt(dh) - inf * blocked) @ v[keys[h, n]].
+    [h * dh, (h + 1) * dh). q holds N whole query blocks of bs = n_q / N
+    consecutive rows: block n is rows [n * bs, (n + 1) * bs). `keys`
+    [H, N, K] holds the key tokens each (head, query block) attends to.
+    `blocked` [H, N, bs, K], when given, is True where a score is removed
+    before the softmax. Row i of block n, head h is
+    softmax(q[n * bs + i] . k[keys[h, n]] / sqrt(dh) - inf * blocked) @ v[keys[h, n]].
 
-    Every token below n_q appears once in `rows`; entries >= n_q (the tail
-    of a prefix's last block) are evaluated on a clipped query and dropped.
-    `rows` may also be part of a block: a run of rows sliced out of a block
-    with its `blocked` rows sliced alike, renumbered to index q. Every row
-    must keep at least one key; `sga.block_index` checks that. Each head's
-    key and value rows are gathered straight from the n_k x (H * dh)
-    arrays. The forward keeps the softmax weights for the backward, which
-    scatters the key and value gradients back to token rows with one
-    `bincount` each.
+    Every row must keep at least one key; `sga.block_index` gives every row
+    its own block. Each head's key and value rows are gathered straight
+    from the n_k x (H * dh) arrays. The forward keeps the softmax weights
+    for the backward, which scatters the key and value gradients back to
+    token rows with one `bincount` each.
     `weights`, when given, is a float array of shape [H, N, bs, K] that the
     softmax weights are written into (they must stay unchanged while a
     backward pass may still read them).
     """
     qv, kv, vv = value_of(q), value_of(k), value_of(v)
-    rows = np.asarray(rows, dtype=np.int64)
     keys = np.asarray(keys, dtype=np.int64)
     if qv.ndim != 2 or kv.ndim != 2 or vv.ndim != 2:
         raise ShapeError("q, k, v must be 2D")
-    if rows.ndim != 2 or keys.ndim != 3 or keys.shape[1] != rows.shape[0]:
-        raise ShapeError(f"rows {rows.shape} and keys {keys.shape} disagree")
+    if keys.ndim != 3 or not keys.shape[1] or qv.shape[0] % keys.shape[1]:
+        raise ShapeError(f"q {qv.shape} is not whole query blocks of keys {keys.shape}")
     heads, n_blocks, width = keys.shape
-    bs = rows.shape[1]
     n_q, n_k = qv.shape[0], kv.shape[0]
+    bs = n_q // n_blocks
     if qv.shape[1] != kv.shape[1] or kv.shape != vv.shape or qv.shape[1] % heads:
         raise ShapeError(f"q {qv.shape}, k {kv.shape}, v {vv.shape} are inconsistent for {heads} heads")
     for name, arr in (("blocked", blocked), ("weights", weights)):
@@ -406,27 +402,18 @@ def block_attention(q, k, v, rows, keys, blocked=None, weights=None):
             raise ShapeError(f"{name} {arr.shape} != {(heads, n_blocks, bs, width)}")
     dh = qv.shape[1] // heads
     scale_ = 1.0 / np.sqrt(dh)
-
-    flat = rows.ravel()
-    whole = flat.size == n_q and np.array_equal(flat, np.arange(n_q))
-    out_pos = None if whole else np.flatnonzero(flat < n_q)
     head = np.arange(heads)[:, None, None]
 
-    def by_block(x):  # (N * bs) x (H * dh) -> H x N x bs x dh
+    def by_block(x):  # n_q x (H * dh) -> H x N x bs x dh
         return x.reshape(n_blocks, bs, heads, dh).transpose(2, 0, 1, 3)
 
     def from_block(x):  # H x N x bs x dh -> n_q x (H * dh)
-        flat_out = x.transpose(1, 2, 0, 3).reshape(n_blocks * bs, heads * dh)
-        if whole:
-            return flat_out
-        out = np.empty((n_q, heads * dh))
-        out[flat[out_pos]] = flat_out[out_pos]
-        return out
+        return x.transpose(1, 2, 0, 3).reshape(n_q, heads * dh)
 
     def gather(x):  # n_k x (H * dh) -> H x N x K x dh: each head's rows of its keys
         return x.reshape(n_k, heads, dh)[keys, head]
 
-    qb = by_block(qv if whole else qv[np.minimum(flat, n_q - 1)])
+    qb = by_block(qv)
     # the gathered keys are dropped once scored and gathered again by the backward
     w = np.matmul(qb, gather(kv).transpose(0, 1, 3, 2), out=weights)
     w *= scale_
@@ -445,12 +432,7 @@ def block_attention(q, k, v, rows, keys, blocked=None, weights=None):
         return np.bincount(idx, weights=xb.ravel(), minlength=n_k * heads * dh).reshape(n_k, heads * dh)
 
     def backward(g):
-        if whole:
-            gq = g
-        else:
-            gq = np.zeros((n_blocks * bs, heads * dh))
-            gq[out_pos] = g[flat[out_pos]]
-        gb = by_block(gq)
+        gb = by_block(g)
         ds = np.matmul(gb, vb.transpose(0, 1, 3, 2))
         ds -= (ds * w).sum(axis=-1, keepdims=True)
         ds *= w

@@ -173,6 +173,14 @@ BAD_RUN_CONFIGS = [
     ("bench-radius-negative", {"bench": {"radius": -1}}),
     ("bench-top-k-negative", {"bench": {"top_k": -1}}),
     ("bench-top-k-float", {"bench": {"top_k": 1.5}}),
+    ("quantizer-patch-0", {"quantizer": {"patch": 0}}),
+    ("quantizer-iterations-string", {"quantizer": {"iterations": "x"}}),
+    ("quantizer-corpus-images-0", {"quantizer": {"corpus_images": 0}}),
+    ("quantizer-channels-2", {"quantizer": {"channels": 2}}),
+    ("quantizer-channels-float", {"quantizer": {"channels": 3.0}}),
+    ("leakcheck-trials-string", {"leakcheck": {"trials": "x"}}),
+    ("leakcheck-trials-0", {"leakcheck": {"trials": 0}}),
+    ("leakcheck-image-size-0", {"leakcheck": {"image_size": 0}}),
 ]
 
 

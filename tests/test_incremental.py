@@ -82,12 +82,12 @@ def test_every_step_matches_full_pass(kind, layers_dec):
     enc = encode(request, high, plans)
     prev = np.concatenate([[cfg.start_token], request.tokens.flat()[:-1]])
     dec = mdl.IncrementalDecoder(enc, high, plans)
+    full, _, _ = mdl.decoder_forward(prev, enc, high, plans)
     got = []
     # single rows, runs inside one block, and runs across block boundaries
     for size in (1, 1, 3, 6, 1, 9, 2, 1, 7, 1):
         got.append(dec.extend(prev[dec.n : dec.n + size]))
-        full, _, _ = mdl.decoder_forward(prev[: dec.n], enc, high, plans)
-        assert np.abs(np.concatenate(got) - full).max() <= TOLERANCE
+        assert np.abs(np.concatenate(got) - full[: dec.n]).max() <= TOLERANCE
     assert dec.n == cfg.l_high
 
 
@@ -95,7 +95,7 @@ def test_every_step_matches_full_pass(kind, layers_dec):
 @pytest.mark.parametrize("kind", ["dense", "guided"])
 def test_extend_runs_the_block_kernel_once_per_role_and_layer(kind, layers_dec, monkeypatch):
     """Every `extend` is one `tape.block_attention` call per (role, layer);
-    a run inside one block passes exactly its rows."""
+    a run inside one block passes exactly its rows, as one query block."""
     cfg = make_config(layers_dec)
     guide, high = make_weights(cfg)
     request = make_request(cfg, np.zeros(cfg.grid_high, bool))
@@ -107,9 +107,9 @@ def test_extend_runs_the_block_kernel_once_per_role_and_layer(kind, layers_dec, 
     rows_seen = []
     kernel = T.block_attention
 
-    def counting(q, k, v, rows, *args, **kwargs):
-        rows_seen.append(np.shape(rows))
-        return kernel(q, k, v, rows, *args, **kwargs)
+    def counting(q, k, v, keys, *args, **kwargs):
+        rows_seen.append((np.shape(q)[0], np.shape(keys)[1]))  # (query rows, query blocks)
+        return kernel(q, k, v, keys, *args, **kwargs)
 
     monkeypatch.setattr(T, "block_attention", counting)
     # single rows, runs inside one block, and runs across block boundaries
@@ -119,7 +119,7 @@ def test_extend_runs_the_block_kernel_once_per_role_and_layer(kind, layers_dec, 
         dec.extend(prev[first : first + size])
         assert len(rows_seen) == 2 * layers_dec
         if first // bs == (first + size - 1) // bs:
-            assert set(rows_seen) == {(1, size)}
+            assert set(rows_seen) == {(size, 1)}
     assert dec.n == cfg.l_high
 
 
@@ -139,7 +139,8 @@ def box_mask(cfg):
 @pytest.mark.parametrize("mask_fn", [first_zero_mask, box_mask], ids=["first-zero", "box"])
 def test_sampled_rows_match_full_pass(kind, mask_fn, monkeypatch):
     """Every logits row the decode loop samples from equals row `pos` of a
-    full pass over the prefix that candidate had decoded by then."""
+    full pass over the candidate: its causal mask makes that row depend
+    only on the tokens the candidate had decoded by then."""
     cfg = make_config(2)
     guide, high = make_weights(cfg)
     request = make_request(cfg, mask_fn(cfg), seed=1)
@@ -164,8 +165,8 @@ def test_sampled_rows_match_full_pass(kind, mask_fn, monkeypatch):
         seq = request.tokens.flat().copy()
         seq[positions] = [choice for _, choice in cand_steps]
         prev = np.concatenate([[cfg.start_token], seq[:-1]])
+        full, _, _ = mdl.decoder_forward(prev, enc, high, plans)
         for pos, (row, _) in zip(positions, cand_steps):
-            full, _, _ = mdl.decoder_forward(prev[: pos + 1], enc, high, plans)
             assert np.abs(full[pos] - row).max() <= TOLERANCE
     for cand in out.candidates:
         assert abs(sampler.rescore(request, high, plans, cand.tokens) - cand.logprob) <= 1e-9
@@ -211,14 +212,14 @@ def test_forks_do_not_alias():
 
 
 def test_dense_bundle_decodes_over_one_block():
-    """Dense decoding gathers the one-block index: one query block of all L rows."""
+    """Dense decoding gathers the one-block index: one query block of all L rows,
+    whose keys are every token."""
     cfg = make_config(2)
     _, high = make_weights(cfg)
     request = make_request(cfg, np.zeros(cfg.grid_high, bool))
     dense = mdl.PlanBundle.dense(cfg)
     dec = mdl.IncrementalDecoder(encode(request, high, dense), high, dense)
     for index in dec._self_index + dec._cross_index:
-        assert index.rows.shape == (1, cfg.l_high)
         assert index.keys.shape == (cfg.heads, 1, cfg.l_high)
 
 

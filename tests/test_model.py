@@ -189,17 +189,20 @@ class TestDecoderForward:
     def test_start_position_validation(self):
         w, x, enc = self._inputs(13)
         with pytest.raises(SequenceError):
-            mdl.decoder_forward(np.zeros(4, dtype=int), enc, w, DENSE)  # no START
-        bad = np.concatenate([[CFG.start_token], x.flat()[:-1]])
+            mdl.decoder_forward(np.zeros(CFG.l_high, dtype=int), enc, w, DENSE)  # no START
+        good = np.concatenate([[CFG.start_token], x.flat()[:-1]])
+        bad = good.copy()
         bad[5] = CFG.start_token
         with pytest.raises(SequenceError):
             mdl.decoder_forward(bad, enc, w, DENSE)
+        with pytest.raises(SequenceError):
+            mdl.decoder_forward(good[:6], enc, w, DENSE)  # a prefix, not the whole sequence
 
     def test_output_dimension_is_vocab(self):
         w, x, enc = self._inputs(14)
-        prev = np.concatenate([[CFG.start_token], x.flat()[: 6 - 1]])
+        prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])
         logits, _, _ = mdl.decoder_forward(prev, enc, w, DENSE)
-        assert logits.shape == (6, CFG.vocab)
+        assert logits.shape == (CFG.l_high, CFG.vocab)
 
     def test_one_layer_matches_primitive_composition(self):
         w, x, enc = self._inputs(15)

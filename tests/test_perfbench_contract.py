@@ -6,6 +6,8 @@
 loaded here as they are, so an API change that breaks them fails Tier-1.
 """
 
+import ast
+import importlib
 import importlib.util
 import math
 from pathlib import Path
@@ -74,6 +76,28 @@ def test_traced_guide_and_plan_gives_plan_counts():
     assert sorted(counts) == sorted(PLAN_COUNTS)
     assert all(math.isfinite(value) for value in counts.values())
     assert 0.0 < counts["sga.score_flops_ratio"] < 1.0
+
+
+def traced_layer_names():
+    """The names in `perfbench/run.py`'s LAYERS, read without running the file."""
+    tree = ast.parse((PERFBENCH / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(target, "id", None) == "LAYERS" for target in node.targets):
+            return [name for name, _ in ast.literal_eval(node.value)]
+    raise AssertionError("perfbench/run.py defines no LAYERS")
+
+
+def test_every_traced_layer_name_resolves():
+    """A rename in the package fails here rather than reading as zero calls."""
+    names = traced_layer_names()
+    assert "tape.GradTape.backward" in names
+    for name in names:
+        module, *path = name.split(".")
+        obj = importlib.import_module(f"sgaedit.{module}")
+        for attr in path:
+            assert hasattr(obj, attr), f"{name}: sgaedit.{module} has no {'.'.join(path)}"
+            obj = getattr(obj, attr)
+        assert callable(obj), name
 
 
 def test_forward_score_flops_of_none_is_the_dense_bundle():

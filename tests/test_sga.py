@@ -4,7 +4,7 @@ import pytest
 from sgaedit import attention as att
 from sgaedit import sga
 from sgaedit import tape as T
-from sgaedit.errors import DegenerateRowError, ShapeError, ValidationError
+from sgaedit.errors import ShapeError, ValidationError
 from sgaedit.rng import substream
 
 from conftest import affinities, per_row_sort_plan
@@ -224,12 +224,11 @@ class TestSparseAttention:
         assert np.abs(weights.sum(axis=1) - 1.0).max() <= 1e-9
         assert (weights[np.isneginf(mask)] == 0.0).all()
 
-    def test_degenerate_row_named(self):
-        # keys are a 2-token prefix, so query block 1 keeps only block 1 (tokens 2, 3),
-        # which lies wholly past the keys: its first row has no visible key
+    def test_q_and_k_must_be_the_whole_sequence(self):
         q = np.zeros((4, 2))
-        with pytest.raises(DegenerateRowError, match="query token 2"):
-            sga.sparse_attention(q, q[:2], q[:2], [own_block_only(2)], 4)
+        for args in ((q[:2], q, q), (q, q[:2], q[:2])):
+            with pytest.raises(ShapeError):
+                sga.sparse_attention(*args, [own_block_only(2)], 4)
 
 
 def head_plans(n_blocks, seed):
@@ -246,13 +245,12 @@ def head_plans(n_blocks, seed):
 def expanded_mask_oracle(q, k, v, plans, length, causal):
     """Per head, dense attention under the expanded plan mask (and the causal
     mask), heads concatenated; accepts tape Tensors."""
-    n_q, n_k = T.value_of(q).shape[0], T.value_of(k).shape[0]
     dh = T.value_of(q).shape[1] // len(plans)
     outs = []
     for h, plan in enumerate(plans):
-        mask = sga.build_sparse_mask(plan, length)[:n_q, :n_k]
+        mask = sga.build_sparse_mask(plan, length)
         if causal:
-            mask = att.combine_masks(mask, att.causal_mask(n_q))
+            mask = att.combine_masks(mask, att.causal_mask(length))
         cols = (h * dh, (h + 1) * dh)
         out, _ = att.dense_attention(T.slice_cols(q, *cols), T.slice_cols(k, *cols), T.slice_cols(v, *cols), mask)
         outs.append(out)
@@ -264,13 +262,11 @@ class TestBlockGatherKernel:
 
     @pytest.mark.parametrize("taped", [False, True], ids=["untaped", "taped"])
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
-    @pytest.mark.parametrize("n_q", [32, 13], ids=["whole", "prefix"])
+    @pytest.mark.parametrize("n_q", [32], ids=["whole"])  # the kernel takes whole query blocks only
     def test_matches_expanded_mask_oracle(self, taped, causal, n_q):
         plans = head_plans(8, seed=n_q)
         rng = substream(n_q + 2 * causal, "kernel")
-        n_k = n_q if causal else 32  # causal: a self-attention prefix; else cross attention
-        q = rng.normal(size=(n_q, 6))
-        k, v = rng.normal(size=(n_k, 6)), rng.normal(size=(n_k, 6))
+        q, k, v = (rng.normal(size=(n_q, 6)) for _ in range(3))
         probe = rng.normal(size=(n_q, 6))
         if not taped:
             got = sga.sparse_attention(q, k, v, plans, 32, causal=causal).output
@@ -318,24 +314,23 @@ class TestBlockGatherKernel:
 
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
     def test_rows_part_of_a_block(self, causal):
-        """`rows` a run inside one block, its `blocked` rows sliced alike and
-        renumbered to index q, gives those rows of the whole pass."""
+        """A run of rows inside one block, passed as one query block with its
+        `blocked` rows sliced alike, gives those rows of the whole pass."""
         plans = head_plans(8, seed=7)
         rng = substream(21 + causal, "kernel-rows")
         q, k, v = (rng.normal(size=(32, 6)) for _ in range(3))
         want = expanded_mask_oracle(q, k, v, plans, 32, causal)
         index = sga.block_index(plans, 32, causal=causal)
         for b, lo, hi in ((0, 0, 1), (3, 1, 3), (5, 2, 4), (7, 3, 4)):
-            tokens = index.rows[b, lo:hi]
+            tokens = slice(4 * b + lo, 4 * b + hi)
             blocked = None if index.blocked is None else index.blocked[:, b : b + 1, lo:hi]
-            got = T.block_attention(q[tokens], k, v, np.arange(hi - lo)[None], index.keys[:, b : b + 1], blocked)
+            got = T.block_attention(q[tokens], k, v, index.keys[:, b : b + 1], blocked)
             assert np.abs(got - want[tokens]).max() <= 1e-12
 
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
     def test_zero_query_rows_dropped(self, causal):
-        """Rows [first, stop) across whole blocks: the first block's earlier
-        rows run on zero queries and the last block's tail on clipped ones;
-        the rows kept equal the whole pass."""
+        """Rows [first, stop) across blocks, padded with zero query rows on
+        both sides to whole blocks: the rows kept equal the whole pass."""
         plans = head_plans(8, seed=8)
         rng = substream(23 + causal, "kernel-zero-rows")
         q, k, v = (rng.normal(size=(32, 6)) for _ in range(3))
@@ -344,10 +339,17 @@ class TestBlockGatherKernel:
         for first, stop in ((5, 11), (9, 16), (1, 32), (3, 5)):
             blocks = slice(first // 4, (stop - 1) // 4 + 1)
             base = 4 * blocks.start
-            q_run = np.concatenate([np.zeros((first - base, 6)), q[first:stop]])
+            q_run = np.zeros((4 * blocks.stop - base, 6))
+            q_run[first - base : stop - base] = q[first:stop]
             blocked = None if index.blocked is None else index.blocked[:, blocks]
-            got = T.block_attention(q_run, k, v, index.rows[blocks] - base, index.keys[:, blocks], blocked)
-            assert np.abs(got[first - base :] - want[first:stop]).max() <= 1e-12
+            got = T.block_attention(q_run, k, v, index.keys[:, blocks], blocked)
+            assert np.abs(got[first - base : stop - base] - want[first:stop]).max() <= 1e-12
+
+    def test_query_rows_must_be_whole_blocks(self):
+        index = sga.block_index(head_plans(8, seed=9), 32)
+        q = np.zeros((30, 6))
+        with pytest.raises(ShapeError):
+            T.block_attention(q, q, q, index.keys, index.blocked)
 
     def test_causal_index_drops_dead_blocks(self):
         index = sga.block_index([sga.full_plan(8)], 32, causal=True)
@@ -356,6 +358,25 @@ class TestBlockGatherKernel:
             live = 4 * (r + 1)
             assert index.keys[0, r, :live].tolist() == list(range(live))
             assert index.blocked[0, r, :, live:].all()  # padding
+
+    @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
+    @pytest.mark.parametrize("per_block", [1, 4])
+    @pytest.mark.parametrize("n_blocks", [1, 2, 4, 8, 16])
+    def test_every_row_sees_a_key(self, n_blocks, per_block, causal):
+        """Every plan keeps its own block, so no row of any index, not even
+        of the sparsest plans, has every score blocked."""
+        rng = substream(n_blocks * per_block + causal, "index-rows")
+        families = [
+            [sga.full_plan(n_blocks)],
+            [sga.variant_plan("local", n_blocks, radius=0)],
+            [sga.variant_plan("sliding", n_blocks, window=1)],
+            [sga.variant_plan("random", n_blocks, radius=0, k=1, rng=rng)],
+            [sga.variant_plan("global", n_blocks, radius=0, k=1, rng=rng)],
+            sga.select_plans(rng.random((2, n_blocks, n_blocks)), k=1, radius=0),
+        ]
+        for plans in families + [[p for family in families for p in family]]:
+            index = sga.block_index(plans, n_blocks * per_block, causal=causal)
+            assert index.blocked is None or not index.blocked.all(axis=-1).any()
 
 
 class TestVariantPlans:
