@@ -103,12 +103,14 @@ def cmd_train_guide(cfg: dict, args) -> int:
     mconf = cfgmod.model_config(cfg)
     task = _task_for(cfg, mconf.grid_low)
     init = mdl.init_weights(mconf, mconf.grid_low, substream(cfg["seed"], "init-guide"))
+    dense = mdl.PlanBundle.dense(mconf)
     result = evalbench.train(
         init,
         task,
         steps=cfg["train"]["steps"],
         lr=cfg["train"]["lr"],
         seed=cfg["seed"],
+        plans=lambda step: dense,
         optimizer=cfg["train"]["optimizer"],
         clip=cfg["train"]["clip"],
     )
@@ -132,7 +134,6 @@ def cmd_train_sga(cfg: dict, args) -> int:
         raise ConfigError(f"guide checkpoint grid {guide_weights.grid} != grid_low {mconf.grid_low}")
 
     task_low = _task_for(cfg, mconf.grid_low)
-    region_low = task_low.mask_region()
     seed = cfg["seed"]
     log_lines = []
     weights = guide_weights
@@ -145,10 +146,8 @@ def cmd_train_sga(cfg: dict, args) -> int:
         )
         task = _task_for(cfg, stage)
 
-        def plan_provider(step: int, _si=si) -> mdl.PlanBundle:
-            rng = substream(seed, f"sga-plans-{_si}-{step}")
-            x_low, p_low = task_low.sample(rng)
-            mask_low = evalbench.free_form_mask(task_low.dims, rng, region=region_low)
+        def guided_plans(step: int, _si=si) -> mdl.PlanBundle:
+            x_low, p_low, mask_low = task_low.instance(substream(seed, f"sga-plans-{_si}-{step}"))
             forced = mdl.guiding_forward(apply_mask(x_low, mask_low), p_low, guide_weights, decoder_tokens=x_low.flat())
             return sampler.plans_from_maps(forced, mconf)
 
@@ -158,7 +157,7 @@ def cmd_train_sga(cfg: dict, args) -> int:
             steps=cfg["train"]["stage_steps"],
             lr=cfg["train"]["lr"],
             seed=_derived_seed(seed, f"sga-stage-{si}"),
-            plan_provider=plan_provider,
+            plans=guided_plans,
             optimizer=cfg["train"]["optimizer"],
             clip=cfg["train"]["clip"],
         )
@@ -360,11 +359,9 @@ def cmd_rollout(cfg: dict, args) -> int:
     else:
         weights = mdl.init_weights(mconf, mconf.grid_low, substream(cfg["seed"], "init-guide"))
     task = _task_for(cfg, weights.grid)
-    rng = substream(cfg["seed"], "rollout-instance")
-    x, p = task.sample(rng)
-    mask = evalbench.free_form_mask(task.dims, rng, region=task.mask_region())
-    forced = mdl.guiding_forward(apply_mask(x, mask), p, weights)
-    rollout = evalbench.attention_rollout(evalbench.head_averaged_maps(forced.encoder))
+    x, p, mask = task.instance(substream(cfg["seed"], "rollout-instance"))
+    encoder = mdl.encode(apply_mask(x, mask), p, weights, mdl.PlanBundle.dense(weights.config))
+    rollout = evalbench.attention_rollout(evalbench.head_averaged_maps(encoder))
     write_sgat(out / "rollout.sgat", rollout)
     row_err = float(np.abs(rollout.sum(axis=1) - 1.0).max())
     (out / "report.json").write_text(

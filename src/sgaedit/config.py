@@ -13,8 +13,8 @@ import math
 import numbers
 from pathlib import Path
 
-from .errors import ConfigError
-from .evalbench import ABLATION_VARIANTS
+from .errors import ConfigError, ShapeError
+from .evalbench import ABLATION_VARIANTS, TASK_KINDS, SyntheticTask
 from .model import ModelConfig
 
 DEFAULTS = {
@@ -113,8 +113,24 @@ def resolve(user: dict) -> dict:
     if not isinstance(user, dict):
         raise ConfigError("config root must be a JSON object")
     cfg = _merge(DEFAULTS, user, "")
-    model_config(cfg)  # validates model block
+    model = model_config(cfg)  # validates model block
     _check_int("seed", cfg["seed"])
+    if not isinstance(cfg["out"], str):
+        raise ConfigError(f"out must be a string, got {cfg['out']!r}")
+    if cfg["task"]["kind"] not in TASK_KINDS:
+        raise ConfigError(f"unknown task kind {cfg['task']['kind']!r}")
+    stages = cfg["train"]["stages"]
+    if not (isinstance(stages, list) and all(isinstance(s, list) and len(s) == 2 for s in stages)):
+        raise ConfigError(f"train.stages must be a list of [height, width] pairs, got {stages!r}")
+    for grid in [model.grid_low, model.grid_high] + stages:
+        for side in grid:
+            _check_int("train.stages", side, 1)
+        if grid[0] * grid[1] % model.blocks:
+            raise ConfigError(f"model.blocks {model.blocks} does not tile grid {grid}")
+        try:
+            SyntheticTask(cfg["task"]["kind"], grid[0], grid[1], model.vocab)
+        except ShapeError as exc:
+            raise ConfigError(f"grid {grid}: {exc}") from exc
     for key, low in INT_KEYS.items():
         _check_int(key, _value(cfg, key), low)
     if cfg["quantizer"]["channels"] not in (1, 3):
@@ -143,8 +159,6 @@ def resolve(user: dict) -> dict:
             raise ConfigError(f"{key} must be sgd or adam, got {_value(cfg, key)!r}")
     if cfg["sampling"]["n_keep"] > cfg["sampling"]["n_samples"]:
         raise ConfigError("sampling.n_keep cannot exceed n_samples")
-    if cfg["task"]["kind"] not in ("mirror", "constant-region", "copy-corner"):
-        raise ConfigError(f"unknown task kind {cfg['task']['kind']!r}")
     return cfg
 
 
@@ -164,8 +178,8 @@ def load(path, seed_override=None, out_override=None) -> dict:
     if not p.is_file():
         raise ConfigError(f"config file not found: {path}")
     try:
-        user = json.loads(p.read_text())
-    except json.JSONDecodeError as exc:
+        user = json.loads(p.read_bytes())
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     cfg = resolve(user)
     if seed_override is not None:

@@ -63,6 +63,12 @@ class SyntheticTask:
         semantic = np.zeros((h, w), dtype=np.int64)
         return TokenGrid(tokens, self.vocab), TokenGrid(semantic, self.classes)
 
+    def instance(self, rng) -> tuple[TokenGrid, TokenGrid, np.ndarray]:
+        """One masked instance (tokens, semantic, mask): `sample`, then a
+        `free_form_mask` inside `mask_region`, both drawn from `rng`."""
+        x, p = self.sample(rng)
+        return x, p, free_form_mask(self.dims, rng, region=self.mask_region())
+
     def check(self, grid: TokenGrid) -> bool:
         """Exact defining constraint of the family."""
         t = grid.tokens
@@ -224,23 +230,20 @@ def train(
     steps: int,
     lr: float,
     seed: int,
-    plans: Optional[mdl.PlanBundle] = None,
-    plan_provider: Optional[Callable[[int], mdl.PlanBundle]] = None,
+    plans: Callable[[int], mdl.PlanBundle],
     optimizer: str = "sgd",
     clip: float = 1.0,
 ) -> TrainResult:
     """Teacher-forced training on masked-position cross-entropy.
 
-    Per step: sample a task instance and a free-form mask, run the model on
-    the masked input, and take the mean cross-entropy of the decoder logits
-    at masked positions against the ground truth. Gradients flow through
-    the recorded tape; the global gradient norm is clipped at `clip`.
-    `plan_provider(step)`, when given, supplies fresh plans per step (the
-    guiding-driven fine-tuning path); otherwise the fixed `plans` are used,
-    dense attention when none are given. Adam uses ADAM_BETAS and ADAM_EPS.
+    Per step: draw a masked task instance, run `model.forward` on the
+    masked input under `plans(step)`, and take the mean cross-entropy of
+    the decoder logits at masked positions against the ground truth.
+    Gradients flow through the recorded tape; the global gradient norm is
+    clipped at `clip`. Fixed plans are a `plans` that ignores the step;
+    the guiding-driven fine-tuning path gives fresh plans per step. Adam
+    uses ADAM_BETAS and ADAM_EPS.
     """
-    if plans is None:
-        plans = mdl.PlanBundle.dense(weights.config)
     if steps < 1:
         raise ParameterError("steps must be >= 1")
     if optimizer not in ("sgd", "adam"):
@@ -251,19 +254,13 @@ def train(
     params = {k: np.array(T.value_of(v)) for k, v in weights.params.items()}
     m_state = {k: np.zeros_like(v) for k, v in params.items()} if optimizer == "adam" else None
     v_state = {k: np.zeros_like(v) for k, v in params.items()} if optimizer == "adam" else None
-    region = task.mask_region()
     losses = []
 
     for step in range(steps):
-        rng = substream(seed, f"train-{step}")
-        x, p = task.sample(rng)
-        mask = free_form_mask(task.dims, rng, region=region)
-        step_plans = plan_provider(step) if plan_provider is not None else plans
+        x, p, mask = task.instance(substream(seed, f"train-{step}"))
         tape = T.GradTape()
         tw = mdl.ModelWeights(cfg, weights.grid, {k: tape.param(v) for k, v in params.items()})
-        enc_out = mdl.encoder_forward(mdl.embed_encoder(apply_mask(x, mask), p, tw), tw, step_plans)
-        prev = np.concatenate([[cfg.start_token], x.flat()[:-1]])
-        logits, _, _ = mdl.decoder_forward(prev, enc_out, tw, step_plans)
+        logits = mdl.forward(apply_mask(x, mask), p, tw, plans(step), x.flat()).logits
         rows = np.flatnonzero(mask.ravel())
         loss = T.cross_entropy(T.gather_rows(logits, rows), x.flat()[rows])
         loss_val = float(loss.value)
@@ -302,19 +299,13 @@ def masked_accuracy(
     seed: int,
 ) -> float:
     """Teacher-forced argmax accuracy at masked positions on fresh instances."""
-    cfg = weights.config
-    region = task.mask_region()
     hits = 0
     total = 0
     for i in range(instances):
-        rng = substream(seed, f"eval-{i}")
-        x, p = task.sample(rng)
-        mask = free_form_mask(task.dims, rng, region=region)
-        enc_out = mdl.encoder_forward(mdl.embed_encoder(apply_mask(x, mask), p, weights), weights, plans)
-        prev = np.concatenate([[cfg.start_token], x.flat()[:-1]])
-        logits, _, _ = mdl.decoder_forward(prev, enc_out, weights, plans)
+        x, p, mask = task.instance(substream(seed, f"eval-{i}"))
+        logits = mdl.forward(apply_mask(x, mask), p, weights, plans, x.flat()).logits
         rows = np.flatnonzero(mask.ravel())
-        pred = np.argmax(T.value_of(logits)[rows], axis=1)
+        pred = np.argmax(logits[rows], axis=1)
         hits += int((pred == x.flat()[rows]).sum())
         total += rows.size
     return hits / total if total else 0.0
@@ -411,7 +402,7 @@ def run_ablation(
         accs = []
         for seed in seeds:
             init = mdl.init_weights(config, task.dims, substream(seed, "init"))
-            result = train(init, task, steps=steps, lr=lr, seed=seed, plans=bundle, optimizer=optimizer)
+            result = train(init, task, steps=steps, lr=lr, seed=seed, plans=lambda step: bundle, optimizer=optimizer)
             accs.append(masked_accuracy(result.weights, task, bundle, eval_instances, seed=seed + 10_000))
         report.rows.append(
             {

@@ -12,13 +12,14 @@ import numpy as np
 from .errors import ShapeError, ValidationError
 
 
-def _read_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
-    """Parse `count` whitespace/comment-separated integers, return (values, offset)."""
+def _read_header(path, data: bytes) -> tuple[int, int, int, int]:
+    """Parse the width, height and maxval after the 2-byte magic, whitespace-
+    and comment-separated; return (width, height, maxval, body offset)."""
     values: list[int] = []
-    i = 0
-    while len(values) < count:
+    i = 2
+    while len(values) < 3:
         if i >= len(data):
-            raise ValidationError("truncated netpbm header")
+            raise ValidationError(f"{path}: truncated netpbm header")
         c = data[i : i + 1]
         if c == b"#":
             while i < len(data) and data[i : i + 1] != b"\n":
@@ -29,9 +30,14 @@ def _read_header_tokens(data: bytes, count: int) -> tuple[list[int], int]:
             j = i
             while j < len(data) and not data[j : j + 1].isspace():
                 j += 1
+            if not data[i:j].isdigit():
+                raise ValidationError(f"{path}: header token {data[i:j]!r} is not a non-negative integer")
             values.append(int(data[i:j]))
             i = j
-    return values, i + 1  # single whitespace after the last header token
+    w, h, maxval = values
+    if w < 1 or h < 1:
+        raise ValidationError(f"{path}: image size {w}x{h} is empty")
+    return w, h, maxval, i + 1  # single whitespace after the last header token
 
 
 def _body(path, data: bytes, offset: int, count: int) -> np.ndarray:
@@ -48,8 +54,7 @@ def read_pnm(path) -> np.ndarray:
     if data[:2] not in (b"P5", b"P6"):
         raise ValidationError(f"{path}: not a binary PGM/PPM file")
     channels = 1 if data[:2] == b"P5" else 3
-    (w, h, maxval), offset = _read_header_tokens(data[2:], 3)
-    offset += 2
+    w, h, maxval, offset = _read_header(path, data)
     if maxval <= 0 or maxval > 255:
         raise ValidationError(f"{path}: only 8-bit images supported (maxval {maxval})")
     count = w * h * channels
@@ -80,8 +85,7 @@ def read_class_map(path) -> np.ndarray:
         data = fh.read()
     if data[:2] != b"P5":
         raise ValidationError(f"{path}: class maps must be PGM (P5)")
-    (w, h, maxval), offset = _read_header_tokens(data[2:], 3)
-    offset += 2
+    w, h, maxval, offset = _read_header(path, data)
     if maxval > 255:
         raise ValidationError(f"{path}: only 8-bit class maps supported")
     raw = _body(path, data, offset, w * h)

@@ -11,9 +11,12 @@ inference alike, is one `sga.sparse_attention` op covering every head of
 a layer, over the contiguous blocks its plans' block count names. With
 full-kept plans the two agree to float tolerance.
 
-Forward code is written against the tape dispatch ops, so passing weights
+Forward code is written against the tape ops, so passing weights
 wrapped in tape Tensors yields a differentiable graph while plain arrays
-give the inference path.
+give the inference path. `forward` is the one teacher-forced pass, for
+training, evaluation, rescoring and the guide's maps alike, and the only
+place START is prepended; `encode` is the one encoder pass over a masked
+grid, and `guiding_forward` is `forward` under `PlanBundle.dense`.
 
 Autoregressive inference uses `IncrementalDecoder`, the exact row-by-row
 form of `decoder_forward`: it holds the decoder PEG rows, the cross-
@@ -405,12 +408,42 @@ class IncrementalDecoder:
         return out[first - base : stop - base]
 
 
+def encode(x: TokenGrid, p: TokenGrid, weights: ModelWeights, plans: PlanBundle) -> EncoderOutput:
+    """The encoder pass over a (masked) token grid `x` and its semantic grid `p`."""
+    return encoder_forward(embed_encoder(x, p, weights), weights, plans)
+
+
 @dataclass
-class GuidingResult:
-    logits: np.ndarray
+class ForwardResult:
+    logits: object  # L x vocab array or Tensor
     encoder: EncoderOutput
     dec_self_attn: list
     dec_cross_attn: list
+
+
+def forward(
+    x: TokenGrid,
+    p: TokenGrid,
+    weights: ModelWeights,
+    plans: PlanBundle,
+    decoder_tokens,
+    encoder_out: Optional[EncoderOutput] = None,
+) -> ForwardResult:
+    """The teacher-forced pass: `encode(x, p)`, then the decoder forced over
+    the L-token sequence `decoder_tokens` shifted right behind START, so
+    logits row l predicts decoder_tokens[l] from the tokens before it.
+
+    `encoder_out`, when given, is this model's encoder pass over (x, p)
+    under `plans`, already run by the caller; it is reused instead of
+    recomputed.
+    """
+    enc = encode(x, p, weights, plans) if encoder_out is None else encoder_out
+    seq = np.asarray(decoder_tokens, dtype=np.int64)
+    if seq.shape != (weights.length,):
+        raise SequenceError(f"decoder tokens of shape {seq.shape} are not the {weights.length}-token sequence")
+    prev = np.concatenate([[weights.config.start_token], seq[:-1]])
+    logits, self_maps, cross_maps = decoder_forward(prev, enc, weights, plans)
+    return ForwardResult(logits=logits, encoder=enc, dec_self_attn=self_maps, dec_cross_attn=cross_maps)
 
 
 def guiding_forward(
@@ -419,22 +452,13 @@ def guiding_forward(
     weights: ModelWeights,
     decoder_tokens: Optional[np.ndarray] = None,
     encoder_out: Optional[EncoderOutput] = None,
-) -> GuidingResult:
-    """Dense forward pass exposing every attention map.
+) -> ForwardResult:
+    """`forward` under `PlanBundle.dense`, exposing every attention map.
 
-    `decoder_tokens` is the complete token sequence the decoder is forced
-    over; by default the (possibly masked) input grid itself is used.
-    `encoder_out`, when given, is this model's dense encoder pass over
-    (x, p), already run by the caller; it is reused instead of recomputed.
+    `decoder_tokens` defaults to the (possibly masked) input grid itself.
     """
-    dense = PlanBundle.dense(weights.config)
-    enc = encoder_out
-    if enc is None:
-        enc = encoder_forward(embed_encoder(x, p, weights), weights, dense)
-    seq = x.flat() if decoder_tokens is None else np.asarray(decoder_tokens, dtype=np.int64)
-    prev = np.concatenate([[weights.config.start_token], seq])[:-1]  # `decoder_forward` checks the length
-    logits, self_maps, cross_maps = decoder_forward(prev, enc, weights, dense)
-    return GuidingResult(logits=T.value_of(logits), encoder=enc, dec_self_attn=self_maps, dec_cross_attn=cross_maps)
+    seq = x.flat() if decoder_tokens is None else decoder_tokens
+    return forward(x, p, weights, PlanBundle.dense(weights.config), seq, encoder_out)
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,15 @@ per-candidate random streams, so a worker pool of any size produces the
 same set as a sequential run, and are ranked by their summed (joint)
 log-probability.
 
-Decoding is incremental (`model.IncrementalDecoder`). The encoder pass and
-the forced prefix, every row up to the first masked position, are the same
-for all candidates, so they run once per call, before any worker starts.
+Decoding is incremental (`model.IncrementalDecoder`). The encoder pass
+(`model.encode`) and the forced prefix, every row up to the first masked
+position, are the same for all candidates, so they run once per call,
+before any worker starts.
 Each candidate forks that shared state and extends only the forced runs
 between masked positions plus one row per sampled token. Each such run is
 one call per layer and role of the block-gather kernel that also serves
-training and the full pass. `rescore` keeps the full `decoder_forward`
-pass as the reference.
+training and the full pass. `rescore` keeps the full teacher-forced
+`model.forward` pass as the reference.
 """
 
 from __future__ import annotations
@@ -22,13 +23,12 @@ from __future__ import annotations
 import json
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import model as mdl
 from . import sga
-from . import tape as T
 from .errors import NumericalError, ParameterError, ShapeError, ValidationError
 from .quantizer import TokenGrid, apply_mask
 from .rng import substream
@@ -131,12 +131,6 @@ def rank_candidates(cands: CandidateSet) -> CandidateSet:
     return CandidateSet([Candidate(c.tokens, c.logprob, rank=i) for i, c in enumerate(ordered)])
 
 
-def _encode(tokens: TokenGrid, semantic: TokenGrid, mask: np.ndarray, weights, plans):
-    """Encoder pass over the masked token grid and its semantic grid."""
-    enc_in = apply_mask(tokens, mask)
-    return mdl.encoder_forward(mdl.embed_encoder(enc_in, semantic, weights), weights, plans=plans)
-
-
 def _forced_decode(
     enc_out: mdl.EncoderOutput,
     tokens: TokenGrid,
@@ -183,7 +177,7 @@ def _forced_decode(
     return decode
 
 
-def plans_from_maps(forced: mdl.GuidingResult, config: mdl.ModelConfig) -> mdl.PlanBundle:
+def plans_from_maps(forced: mdl.ForwardResult, config: mdl.ModelConfig) -> mdl.PlanBundle:
     """Pool every recorded attention map into block affinities and select
     neighborhood+top-K plans, per role, layer, and head: each layer's heads
     ([H, L, L] maps) are pooled and selected together."""
@@ -213,7 +207,6 @@ def guide_and_plan(
     guiding_weights: mdl.ModelWeights,
     config: mdl.ModelConfig,
     seed: int = 0,
-    top_k: Optional[int] = None,
 ) -> GuidePlanResult:
     """Run the low-resolution edit densely and turn its attention into plans.
 
@@ -221,14 +214,13 @@ def guide_and_plan(
     sequence, so every map is a full square matrix; each map is pooled into
     a block-affinity matrix and converted to a neighborhood+top-K plan. One
     dense encoder pass, whose maps come with it, serves both the sampling
-    and that forced pass.
+    and that forced pass. The guide samples with top-k `max(config.top_k, 1)`.
     """
-    k = config.top_k if top_k is None else top_k
     dense = mdl.PlanBundle.dense(guiding_weights.config)
-    enc = _encode(request.tokens_low, request.semantic_low, request.mask_low, guiding_weights, dense)
-    decode = _forced_decode(enc, request.tokens_low, request.mask_low, guiding_weights, dense, max(k, 1))
-    completion, logprob = decode(substream(seed, "guide-sample"))
     enc_in = apply_mask(request.tokens_low, request.mask_low)
+    enc = mdl.encode(enc_in, request.semantic_low, guiding_weights, dense)
+    decode = _forced_decode(enc, request.tokens_low, request.mask_low, guiding_weights, dense, max(config.top_k, 1))
+    completion, logprob = decode(substream(seed, "guide-sample"))
     forced = mdl.guiding_forward(
         enc_in, request.semantic_low, guiding_weights, decoder_tokens=completion.flat(), encoder_out=enc
     )
@@ -249,7 +241,7 @@ def autoregressive_edit(
     if n_samples < 1 or n_keep < 1:
         raise ParameterError("n_samples and n_keep must be >= 1")
 
-    enc_out = _encode(request.tokens, request.semantic, request.mask, sga_weights, plans)
+    enc_out = mdl.encode(apply_mask(request.tokens, request.mask), request.semantic, sga_weights, plans)
     decode = _forced_decode(enc_out, request.tokens, request.mask, sga_weights, plans, top_k)
 
     def one(i: int) -> Candidate:
@@ -280,13 +272,10 @@ def rescore(
     top_k: int = 100,
 ) -> float:
     """Recompute a candidate's joint log-prob with one full forced pass."""
-    cfg = sga_weights.config
-    k_eff = min(top_k, cfg.vocab)
-    enc_out = _encode(request.tokens, request.semantic, request.mask, sga_weights, plans)
+    k_eff = min(top_k, sga_weights.config.vocab)
     seq = candidate.flat()
-    prev = np.concatenate([[cfg.start_token], seq[:-1]])
-    logits, _, _ = mdl.decoder_forward(prev, enc_out, sga_weights, plans)
-    rows = T.value_of(logits)
+    enc_in = apply_mask(request.tokens, request.mask)
+    rows = mdl.forward(enc_in, request.semantic, sga_weights, plans, seq).logits
     total = 0.0
     for pos in np.flatnonzero(np.asarray(request.mask, dtype=bool).ravel()):
         total += topk_logprob(rows[pos], k_eff, int(seq[pos]))

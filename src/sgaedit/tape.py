@@ -1,15 +1,17 @@
 """Reverse-mode autodiff over the exact primitive set the model needs.
 
 A `GradTape` holds an ordered record of primitive applications. Each op
-below accepts either plain numpy arrays (returning plain arrays, no
-recording: the inference path) or `Tensor` handles (returning a recorded
-`Tensor`: the training path). Model code is written once against these
-functions and works in both modes.
+below computes its value once, from the `value_of` of its inputs, and returns
+through `_record`: when any input is a `Tensor`, the value comes back as a
+`Tensor` recorded with the op's backward (the training path); otherwise it
+comes back as the plain numpy array (the inference path). Model code is
+written once against these functions and works in both modes.
 
-The op set is deliberately closed: matmul, add, mul, scale, masked_softmax,
-layer_norm, peg, gather_rows, slice_cols, concat_cols, block_attention (the
-attention kernel of every head, dense or block-sparse), gelu, log, sum/mean
-reductions, and cross_entropy. There is no general broadcasting engine.
+The op set is deliberately closed, and is `DIFFERENTIABLE_OPS`: add,
+add_bias, mul, scale, matmul, masked_softmax, layer_norm, peg,
+gather_rows, slice_cols, concat_cols, reshape, block_attention (the
+attention kernel of every head, dense or block-sparse), gelu, log,
+sum_all and cross_entropy. There is no general broadcasting engine.
 The model's attention uses only block_attention; masked_softmax,
 slice_cols and concat_cols serve the dense reference the tests compare
 against.
@@ -84,9 +86,6 @@ class GradTape:
         self._nodes.append(node)
         return node
 
-    def _record(self, node: Tensor) -> None:
-        self._nodes.append(node)
-
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into every leaf's .grad.
 
@@ -112,18 +111,17 @@ def value_of(x) -> np.ndarray:
     return x.value if isinstance(x, Tensor) else np.asarray(x, dtype=np.float64)
 
 
-def _tape_of(*args) -> GradTape:
-    for a in args:
-        if isinstance(a, Tensor):
-            return a.tape
-    raise ValueError("no Tensor operand")
-
-
-def _node(tape: GradTape, value, backward) -> Tensor:
-    node = Tensor(value, tape)
-    node._backward = backward
-    tape._record(node)
-    return node
+def _record(value, backward, *inputs):
+    """`value` as a Tensor whose gradient flows through `backward`, recorded
+    on the tape of the first Tensor among `inputs`; with no Tensor input,
+    `value` itself, unrecorded."""
+    for x in inputs:
+        if isinstance(x, Tensor):
+            node = Tensor(value, x.tape)
+            node._backward = backward
+            x.tape._nodes.append(node)
+            return node
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +130,9 @@ def _node(tape: GradTape, value, backward) -> Tensor:
 
 
 def add(a, b):
-    if not (is_tensor(a) or is_tensor(b)):
-        av, bv = nm.as_array(a), nm.as_array(b)
-        if av.shape != bv.shape:
-            raise ShapeError(f"add shapes differ: {av.shape} vs {bv.shape}")
-        return av + bv
-    tape = _tape_of(a, b)
-    if value_of(a).shape != value_of(b).shape:
-        raise ShapeError(f"add shapes differ: {value_of(a).shape} vs {value_of(b).shape}")
+    av, bv = value_of(a), value_of(b)
+    if av.shape != bv.shape:
+        raise ShapeError(f"add shapes differ: {av.shape} vs {bv.shape}")
 
     def backward(g):
         if is_tensor(a):
@@ -147,19 +140,14 @@ def add(a, b):
         if is_tensor(b):
             b.accumulate(g)
 
-    return _node(tape, value_of(a) + value_of(b), backward)
+    return _record(av + bv, backward, a, b)
 
 
 def add_bias(x, b):
     """Add a width-d bias row vector to every row of x."""
-    if not (is_tensor(x) or is_tensor(b)):
-        xv, bv = nm.as_array(x), nm.as_array(b)
-        if xv.shape[-1] != bv.shape[-1] or bv.ndim != 1:
-            raise ShapeError(f"bias {bv.shape} incompatible with {xv.shape}")
-        return xv + bv
-    tape = _tape_of(x, b)
-    if value_of(b).ndim != 1 or value_of(x).shape[-1] != value_of(b).shape[0]:
-        raise ShapeError(f"bias {value_of(b).shape} incompatible with {value_of(x).shape}")
+    xv, bv = value_of(x), value_of(b)
+    if bv.ndim != 1 or xv.shape[-1] != bv.shape[0]:
+        raise ShapeError(f"bias {bv.shape} incompatible with {xv.shape}")
 
     def backward(g):
         if is_tensor(x):
@@ -167,65 +155,50 @@ def add_bias(x, b):
         if is_tensor(b):
             b.accumulate(g.reshape(-1, g.shape[-1]).sum(axis=0))
 
-    return _node(tape, value_of(x) + value_of(b), backward)
+    return _record(xv + bv, backward, x, b)
 
 
 def reshape(x, shape: tuple):
-    shape = tuple(int(s) for s in shape)
-    if not is_tensor(x):
-        return nm.as_array(x).reshape(shape)
-    old = x.value.shape
+    xv = value_of(x)
 
     def backward(g):
-        x.accumulate(g.reshape(old))
+        x.accumulate(g.reshape(xv.shape))
 
-    return _node(x.tape, x.value.reshape(shape), backward)
+    return _record(xv.reshape(tuple(int(s) for s in shape)), backward, x)
 
 
 def mul(a, b):
     """Elementwise (Hadamard) product."""
-    if not (is_tensor(a) or is_tensor(b)):
-        return nm.as_array(a) * nm.as_array(b)
-    tape = _tape_of(a, b)
+    av, bv = value_of(a), value_of(b)
 
     def backward(g):
         if is_tensor(a):
-            a.accumulate(g * value_of(b))
+            a.accumulate(g * bv)
         if is_tensor(b):
-            b.accumulate(g * value_of(a))
+            b.accumulate(g * av)
 
-    return _node(tape, value_of(a) * value_of(b), backward)
+    return _record(av * bv, backward, a, b)
 
 
 def scale(a, c: float):
     """Multiply by a python constant."""
     c = float(c)
-    if not is_tensor(a):
-        return nm.as_array(a) * c
 
     def backward(g):
         a.accumulate(g * c)
 
-    return _node(a.tape, a.value * c, backward)
+    return _record(value_of(a) * c, backward, a)
 
 
-def _mm(av: np.ndarray, bv: np.ndarray, transpose_b: bool) -> np.ndarray:
+def matmul(a, b, transpose_b: bool = False):
+    av, bv = value_of(a), value_of(b)
     if av.ndim != 2 or bv.ndim != 2:
         raise ShapeError(f"matmul expects 2D operands, got {av.shape} and {bv.shape}")
     inner_b = bv.shape[1] if transpose_b else bv.shape[0]
     if av.shape[1] != inner_b:
         raise ShapeError(f"inner dimensions differ: {av.shape} vs {bv.shape} (transpose_b={transpose_b})")
-    return av @ bv.T if transpose_b else av @ bv
-
-
-def matmul(a, b, transpose_b: bool = False):
-    if not (is_tensor(a) or is_tensor(b)):
-        return _mm(nm.as_array(a), nm.as_array(b), transpose_b)
-    tape = _tape_of(a, b)
-    out = _mm(value_of(a), value_of(b), transpose_b)
 
     def backward(g):
-        av, bv = value_of(a), value_of(b)
         if transpose_b:
             if is_tensor(a):
                 a.accumulate(g @ bv)
@@ -237,33 +210,23 @@ def matmul(a, b, transpose_b: bool = False):
             if is_tensor(b):
                 b.accumulate(av.T @ g)
 
-    return _node(tape, out, backward)
+    return _record(av @ bv.T if transpose_b else av @ bv, backward, a, b)
 
 
 def masked_softmax(scores, mask):
     """Row softmax of scores + mask; the mask is a non-differentiable constant."""
-    mask = nm.as_array(mask)
-    if not is_tensor(scores):
-        return nm.masked_softmax(scores, mask)
-
-    y = nm.masked_softmax(scores.value, mask)
+    y = nm.masked_softmax(value_of(scores), mask)
 
     def backward(g):
         scores.accumulate(y * (g - (g * y).sum(axis=-1, keepdims=True)))
 
-    return _node(scores.tape, y, backward)
+    return _record(y, backward, scores)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5):
-    if not (is_tensor(x) or is_tensor(gain) or is_tensor(bias)):
-        return nm.layer_norm(x, gain, bias, eps)
-    tape = _tape_of(x, gain, bias)
-
-    def forward():
-        return nm.layer_norm(value_of(x), value_of(gain), value_of(bias), eps)
+    xv, gv = value_of(x), value_of(gain)
 
     def backward(g):
-        xv = value_of(x)
         width = xv.shape[-1]
         centered = xv - xv.sum(axis=-1, keepdims=True) / width
         inv = 1.0 / np.sqrt(np.square(centered).sum(axis=-1, keepdims=True) / width + eps)
@@ -273,7 +236,7 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
         if is_tensor(bias):
             bias.accumulate(g.reshape(-1, width).sum(axis=0))
         if is_tensor(x):
-            dxhat = g * value_of(gain)
+            dxhat = g * gv
             dx = (
                 dxhat
                 - dxhat.sum(axis=-1, keepdims=True) / width
@@ -281,20 +244,14 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
             ) * inv
             x.accumulate(dx)
 
-    return _node(tape, forward(), backward)
+    return _record(nm.layer_norm(xv, gv, value_of(bias), eps), backward, x, gain, bias)
 
 
 def peg(x, kernel):
     """Residual depth-wise 5x5 convolution (see numerics.peg)."""
-    if not (is_tensor(x) or is_tensor(kernel)):
-        return nm.peg(x, kernel)
-    tape = _tape_of(x, kernel)
-
-    def forward():
-        return nm.peg(value_of(x), value_of(kernel))
+    xv, kv = value_of(x), value_of(kernel)
 
     def backward(g):
-        xv, kv = value_of(x), value_of(kernel)
         h, w, d = xv.shape
         if is_tensor(x):
             gpad = np.zeros((h + 4, w + 4, d), dtype=np.float64)
@@ -313,7 +270,7 @@ def peg(x, kernel):
                     dk[u, v] = (g * xpad[u : u + h, v : v + w]).sum(axis=(0, 1))
             kernel.accumulate(dk)
 
-    return _node(tape, forward(), backward)
+    return _record(nm.peg(xv, kv), backward, x, kernel)
 
 
 def gather_rows(table, indices):
@@ -321,49 +278,41 @@ def gather_rows(table, indices):
     idx = np.asarray(indices, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows expects 1D indices, got {idx.shape}")
-    if not is_tensor(table):
-        return nm.as_array(table)[idx]
+    tv = value_of(table)
 
     def backward(g):
         # one flat bincount sums repeated rows in index order, as np.add.at would
-        shape = table.value.shape
-        width = int(np.prod(shape[1:]))
-        rows = np.where(idx < 0, idx + shape[0], idx)
+        width = int(np.prod(tv.shape[1:]))
+        rows = np.where(idx < 0, idx + tv.shape[0], idx)
         flat = (rows[:, None] * width + np.arange(width)).ravel()
-        table.accumulate(np.bincount(flat, weights=np.ravel(g), minlength=table.value.size).reshape(shape))
+        table.accumulate(np.bincount(flat, weights=np.ravel(g), minlength=tv.size).reshape(tv.shape))
 
-    return _node(table.tape, table.value[idx], backward)
+    return _record(tv[idx], backward, table)
 
 
 def slice_cols(x, start: int, stop: int):
-    if not is_tensor(x):
-        return nm.as_array(x)[:, start:stop]
+    xv = value_of(x)
 
     def backward(g):
-        dx = np.zeros_like(x.value)
+        dx = np.zeros_like(xv)
         dx[:, start:stop] = g
         x.accumulate(dx)
 
-    return _node(x.tape, x.value[:, start:stop], backward)
+    return _record(xv[:, start:stop], backward, x)
 
 
 def concat_cols(parts: Sequence):
-    if not any(is_tensor(p) for p in parts):
-        return np.concatenate([nm.as_array(p) for p in parts], axis=1)
-    tape = _tape_of(*parts)
-    widths = [value_of(p).shape[1] for p in parts]
-
-    def forward():
-        return np.concatenate([value_of(p) for p in parts], axis=1)
+    values = [value_of(p) for p in parts]
 
     def backward(g):
         offset = 0
-        for p, w in zip(parts, widths):
+        for p, pv in zip(parts, values):
+            width = pv.shape[1]
             if is_tensor(p):
-                p.accumulate(g[:, offset : offset + w])
-            offset += w
+                p.accumulate(g[:, offset : offset + width])
+            offset += width
 
-    return _node(tape, forward(), backward)
+    return _record(np.concatenate(values, axis=1), backward, *parts)
 
 
 def block_attention(q, k, v, keys, blocked=None, weights=None):
@@ -423,15 +372,11 @@ def block_attention(q, k, v, keys, blocked=None, weights=None):
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)
     vb = gather(vv)
-    value = from_block(np.matmul(w, vb))
-    if not (is_tensor(q) or is_tensor(k) or is_tensor(v)):
-        return value
-    tape = _tape_of(q, k, v)
-
-    def scatter_keys(xb, idx):  # H x N x K x dh -> n_k x (H * dh), summing repeated keys
-        return np.bincount(idx, weights=xb.ravel(), minlength=n_k * heads * dh).reshape(n_k, heads * dh)
 
     def backward(g):
+        def scatter_keys(xb, idx):  # H x N x K x dh -> n_k x (H * dh), summing repeated keys
+            return np.bincount(idx, weights=xb.ravel(), minlength=n_k * heads * dh).reshape(n_k, heads * dh)
+
         gb = by_block(g)
         ds = np.matmul(gb, vb.transpose(0, 1, 3, 2))
         ds -= (ds * w).sum(axis=-1, keepdims=True)
@@ -446,14 +391,11 @@ def block_attention(q, k, v, keys, blocked=None, weights=None):
         if is_tensor(v):
             v.accumulate(scatter_keys(np.matmul(w.transpose(0, 1, 3, 2), gb), idx))
 
-    return _node(tape, value, backward)
+    return _record(from_block(np.matmul(w, vb)), backward, q, k, v)
 
 
 def gelu(x):
-    if not is_tensor(x):
-        return nm.gelu(x)
-
-    xv = x.value
+    xv = value_of(x)
     t = nm.gelu_tanh(xv)  # kept for the backward
 
     def backward(g):
@@ -467,33 +409,30 @@ def gelu(x):
         slope *= 0.5
         x.accumulate(g * slope)
 
-    return _node(x.tape, 0.5 * xv * (1.0 + t), backward)
+    # 0.5 x (1 + t) in place: scaling by 0.5 is exact, so the order of the
+    # products does not change the result
+    out = 1.0 + t
+    out *= xv
+    out *= 0.5
+    return _record(out, backward, x)
 
 
 def log(x):
-    if not is_tensor(x):
-        return np.log(nm.as_array(x))
+    xv = value_of(x)
 
     def backward(g):
-        x.accumulate(g / x.value)
+        x.accumulate(g / xv)
 
-    return _node(x.tape, np.log(x.value), backward)
+    return _record(np.log(xv), backward, x)
 
 
 def sum_all(x):
-    if not is_tensor(x):
-        return nm.as_array(x).sum()
+    xv = value_of(x)
 
     def backward(g):
-        x.accumulate(np.full_like(x.value, float(g)))
+        x.accumulate(np.full_like(xv, float(g)))
 
-    return _node(x.tape, x.value.sum(), backward)
-
-
-def _log_softmax(logits: np.ndarray) -> np.ndarray:
-    m = logits.max(axis=-1, keepdims=True)
-    shifted = logits - m
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    return _record(xv.sum(), backward, x)
 
 
 def cross_entropy(logits, targets):
@@ -501,23 +440,19 @@ def cross_entropy(logits, targets):
     tgt = np.asarray(targets, dtype=np.int64)
     if tgt.ndim != 1:
         raise ShapeError(f"targets must be 1D, got {tgt.shape}")
-
-    def forward_value(lv: np.ndarray) -> np.ndarray:
-        if lv.ndim != 2 or lv.shape[0] != tgt.shape[0]:
-            raise ShapeError(f"logits {lv.shape} incompatible with {tgt.shape[0]} targets")
-        logp = _log_softmax(lv)
-        return np.asarray(-logp[np.arange(tgt.shape[0]), tgt].mean())
-
-    if not is_tensor(logits):
-        return forward_value(nm.as_array(logits))
+    lv = value_of(logits)
+    if lv.ndim != 2 or lv.shape[0] != tgt.shape[0]:
+        raise ShapeError(f"logits {lv.shape} incompatible with {tgt.shape[0]} targets")
+    shifted = lv - lv.max(axis=-1, keepdims=True)
+    logp = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))  # kept for the backward
+    rows = np.arange(tgt.shape[0])
 
     def backward(g):
-        lv = logits.value
-        p = np.exp(_log_softmax(lv))
-        p[np.arange(tgt.shape[0]), tgt] -= 1.0
+        p = np.exp(logp)
+        p[rows, tgt] -= 1.0
         logits.accumulate(p * (float(g) / tgt.shape[0]))
 
-    return _node(logits.tape, forward_value(logits.value), backward)
+    return _record(np.asarray(-logp[rows, tgt].mean()), backward, logits)
 
 
 # ---------------------------------------------------------------------------

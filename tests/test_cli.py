@@ -42,12 +42,12 @@ TINY = {
 
 def write_config(tmp_path, overrides=None, name="config.json"):
     cfg = json.loads(json.dumps(TINY))
+    cfg["out"] = str(tmp_path / "run")
     for key, value in (overrides or {}).items():
         if isinstance(value, dict):
             cfg.setdefault(key, {}).update(value)
         else:
             cfg[key] = value
-    cfg["out"] = str(tmp_path / "run")
     path = tmp_path / name
     path.write_text(json.dumps(cfg))
     return path
@@ -181,12 +181,31 @@ BAD_RUN_CONFIGS = [
     ("leakcheck-trials-string", {"leakcheck": {"trials": "x"}}),
     ("leakcheck-trials-0", {"leakcheck": {"trials": 0}}),
     ("leakcheck-image-size-0", {"leakcheck": {"image_size": 0}}),
+    ("stages-entry-not-pair", {"train": {"stages": [[8, 8], 5]}}),
+    ("stages-entry-float", {"train": {"stages": [[8, 8.0]]}}),
+    ("stages-entry-0", {"train": {"stages": [[0, 4], [4, 4]]}}),
+    ("stages-not-list", {"train": {"stages": 4}}),
+    (
+        "stage-grid-blocks",
+        {"model": {"grid_high": [8, 8], "grid_low": [4, 4], "blocks": 8}, "train": {"stages": [[6, 6], [8, 8]]}},
+    ),
+    ("stage-grid-mirror-odd", {"train": {"stages": [[3, 4], [4, 4]]}}),
+    ("grid-low-mirror-odd", {"model": {"grid_low": [3, 4]}}),
+    ("grid-high-mirror-odd", {"model": {"grid_high": [5, 4], "grid_low": [2, 4], "blocks": 4}}),
+    ("grid-low-copy-corner-odd", {"task": {"kind": "copy-corner"}, "model": {"grid_low": [2, 3], "blocks": 2}}),
+    ("out-int", {"out": 5}),
+    ("out-null", {"out": None}),
+    ("config-not-utf8", b'{"seed": "\xff\xfe"}'),
 ]
 
 
 @pytest.mark.parametrize("override", [case[1] for case in BAD_RUN_CONFIGS], ids=[case[0] for case in BAD_RUN_CONFIGS])
 def test_invalid_run_config_exit_2_without_traceback(tmp_path, capsys, override):
-    cfg = write_config(tmp_path, override)
+    if isinstance(override, bytes):  # the whole config file
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(override)
+    else:
+        cfg = write_config(tmp_path, override)
     assert cli.main(["train-guide", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
@@ -391,6 +410,16 @@ class TestOtherCommands:
         assert report["clean"] is True
         assert report["leaked_tokens"] == 0
         assert "0 leaked tokens" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("header", [b"P5\nabc 4\n255\n", b"P5\n-4 4\n255\n"], ids=["not-int", "negative"])
+    def test_leakcheck_malformed_image_exit_4(self, tmp_path, capsys, header):
+        cfg = write_config(tmp_path)
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(header + bytes(16))
+        assert cli.main(["leakcheck", "--config", str(cfg), "--image", str(bad)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation:") and "Traceback" not in err
+        assert "bad.pgm: header token" in err
 
     def test_bench_includes_dense_row(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -30,6 +30,11 @@ CFG = mdl.ModelConfig(
     radius=1,
     ffw=32,
 )
+DENSE = mdl.PlanBundle.dense(CFG)
+
+
+def dense_plans(step):
+    return DENSE
 
 
 class TestTasks:
@@ -191,7 +196,7 @@ class TestTrain:
 
     def test_lr_zero_leaves_weights_and_flat_loss(self):
         init = mdl.init_weights(CFG, CFG.grid_high, substream(2, "t0"))
-        result = eb.train(init, self._task(), steps=3, lr=0.0, seed=0)
+        result = eb.train(init, self._task(), steps=3, lr=0.0, seed=0, plans=dense_plans)
         for name in init.params:
             assert np.array_equal(result.weights.params[name], init.params[name])
         assert len(result.losses) == 3
@@ -200,17 +205,17 @@ class TestTrain:
         # exactly uniform logits with a zeroed model
         shapes = mdl.parameter_shapes(CFG, CFG.grid_high)
         zero = mdl.ModelWeights(CFG, CFG.grid_high, {k: np.zeros(s) for k, s in shapes.items()})
-        result = eb.train(zero, self._task(), steps=1, lr=0.0, seed=1)
+        result = eb.train(zero, self._task(), steps=1, lr=0.0, seed=1, plans=dense_plans)
         assert result.losses[0] == pytest.approx(np.log(CFG.vocab), abs=1e-9)
         # random init stays in the same ballpark
         init = mdl.init_weights(CFG, CFG.grid_high, substream(3, "t1"))
-        result = eb.train(init, self._task(), steps=1, lr=0.0, seed=1)
+        result = eb.train(init, self._task(), steps=1, lr=0.0, seed=1, plans=dense_plans)
         assert abs(result.losses[0] - np.log(CFG.vocab)) < 0.75
 
     def test_determinism_to_the_last_bit(self):
         init = mdl.init_weights(CFG, CFG.grid_high, substream(4, "t2"))
-        a = eb.train(init, self._task(), steps=5, lr=0.1, seed=3)
-        b = eb.train(init, self._task(), steps=5, lr=0.1, seed=3)
+        a = eb.train(init, self._task(), steps=5, lr=0.1, seed=3, plans=dense_plans)
+        b = eb.train(init, self._task(), steps=5, lr=0.1, seed=3, plans=dense_plans)
         assert a.losses == b.losses
         for name in a.weights.params:
             assert np.array_equal(a.weights.params[name], b.weights.params[name])
@@ -220,12 +225,12 @@ class TestTrain:
         init.params["out_head"][:] = 1e308  # logits overflow -> non-finite loss
         with pytest.raises(DivergenceError) as err:
             with np.errstate(over="ignore", invalid="ignore"):
-                eb.train(init, self._task(), steps=2, lr=1e-2, seed=0, clip=0.0)
+                eb.train(init, self._task(), steps=2, lr=1e-2, seed=0, plans=dense_plans, clip=0.0)
         assert err.value.step == 0
 
     def test_adam_option_updates(self):
         init = mdl.init_weights(CFG, CFG.grid_high, substream(6, "t4"))
-        result = eb.train(init, self._task(), steps=3, lr=1e-3, seed=2, optimizer="adam")
+        result = eb.train(init, self._task(), steps=3, lr=1e-3, seed=2, plans=dense_plans, optimizer="adam")
         assert not np.array_equal(result.weights.params["out_head"], init.params["out_head"])
 
     def test_guided_training_matches_expanded_mask_oracle(self, monkeypatch):
@@ -241,14 +246,14 @@ class TestTrain:
         guide = mdl.init_weights(cfg, cfg.grid_low, substream(8, "oracle-guide"))
         init = mdl.init_from_guiding(guide, cfg)
 
-        def plan_provider(step):
+        def guided_plans(step):
             x_low, p_low = task_low.sample(substream(step, "oracle-plans"))
             return sampler.plans_from_maps(mdl.guiding_forward(x_low, p_low, guide), cfg)
 
         real_multi_head = mdl._multi_head
 
         def expanded_mask_multi_head(x_q, x_kv, weights, prefix, plans, causal):
-            if plans[0].n_blocks == 1:  # the guide's dense pass inside plan_provider
+            if plans[0].n_blocks == 1:  # the guide's dense pass inside guided_plans
                 return real_multi_head(x_q, x_kv, weights, prefix, plans, causal)
             w = weights.params
             dh = cfg.d // cfg.heads
@@ -269,17 +274,17 @@ class TestTrain:
 
         with monkeypatch.context() as patch:
             patch.setattr(sga, "build_sparse_mask", no_mask)
-            got = eb.train(init, task, steps=3, lr=0.1, seed=5, plan_provider=plan_provider)
+            got = eb.train(init, task, steps=3, lr=0.1, seed=5, plans=guided_plans)
         with monkeypatch.context() as patch:
             patch.setattr(mdl, "_multi_head", expanded_mask_multi_head)
-            want = eb.train(init, task, steps=3, lr=0.1, seed=5, plan_provider=plan_provider)
-        assert plan_provider(0).mean_sparsity()["enc"] < 1.0  # the plans do drop blocks
+            want = eb.train(init, task, steps=3, lr=0.1, seed=5, plans=guided_plans)
+        assert guided_plans(0).mean_sparsity()["enc"] < 1.0  # the plans do drop blocks
         assert np.abs(np.array(got.losses) - np.array(want.losses)).max() <= 1e-10
         for name in want.weights.params:
             assert np.abs(got.weights.params[name] - want.weights.params[name]).max() <= 1e-10, name
 
     def test_dense_training_matches_per_head_oracle(self, monkeypatch):
-        """Three dense training steps (no plans: the one-block plan bundle)
+        """Three dense training steps (`PlanBundle.dense`, the one-block plans)
         equal the same steps with per-head dense attention, and call no
         dense attention."""
         cfg = mdl.ModelConfig(
@@ -288,16 +293,17 @@ class TestTrain:
         )
         task = eb.SyntheticTask("mirror", 8, 8, cfg.vocab, classes=cfg.vocab_map)
         init = mdl.init_weights(cfg, cfg.grid_high, substream(9, "dense-oracle"))
+        dense = mdl.PlanBundle.dense(cfg)
 
         def no_dense(*args):
             raise AssertionError("the model called attention.dense_attention")
 
         with monkeypatch.context() as patch:
             patch.setattr(att, "dense_attention", no_dense)
-            got = eb.train(init, task, steps=3, lr=0.1, seed=5)
+            got = eb.train(init, task, steps=3, lr=0.1, seed=5, plans=lambda step: dense)
         with monkeypatch.context() as patch:
             patch.setattr(mdl, "_multi_head", per_head_dense_multi_head)
-            want = eb.train(init, task, steps=3, lr=0.1, seed=5)
+            want = eb.train(init, task, steps=3, lr=0.1, seed=5, plans=lambda step: dense)
         assert np.abs(np.array(got.losses) - np.array(want.losses)).max() <= 1e-10
         for name in want.weights.params:
             assert np.abs(got.weights.params[name] - want.weights.params[name]).max() <= 1e-10, name
@@ -338,9 +344,10 @@ class TestTrain:
         )
         task = eb.SyntheticTask("mirror", 8, 8, 16, classes=4)
         window = 500
+        dense = mdl.PlanBundle.dense(cfg)
         for seed in range(3):
             init = mdl.init_weights(cfg, (8, 8), substream(seed, "improve"))
-            result = eb.train(init, task, steps=2 * window, lr=0.2, seed=seed)
+            result = eb.train(init, task, steps=2 * window, lr=0.2, seed=seed, plans=lambda step: dense)
             first = float(np.mean(result.losses[:window]))
             last = float(np.mean(result.losses[-window:]))
             assert last < first, (seed, first, last)

@@ -43,6 +43,19 @@ def test_truncated_body_rejected(tmp_path, reader):
         reader(path)
 
 
+@pytest.mark.parametrize("reader", [images.read_pnm, images.read_class_map])
+@pytest.mark.parametrize(
+    "header",
+    [b"P5\nabc 4\n255\n", b"P5\n4 4.0\n255\n", b"P5\n-4 4\n255\n", b"P5\n4 0\n255\n", b"P5\n0 0\n255\n"],
+    ids=["not-int", "float", "negative-width", "zero-height", "empty"],
+)
+def test_malformed_header_size_rejected(tmp_path, reader, header):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(header + bytes(16))
+    with pytest.raises(ValidationError, match="header token|is empty"):
+        reader(path)
+
+
 def test_class_map_round_trip(tmp_path):
     cmap = np.array([[0, 1, 2], [3, 2, 1]])
     path = tmp_path / "m.pgm"

@@ -269,6 +269,18 @@ class TestGuidingForward:
                     assert g.shape == m.shape == (cfg.l_low, cfg.l_low)
                     assert np.abs(g - m).max() <= 1e-12, role
 
+    def test_forward_prepends_start_to_the_whole_sequence(self):
+        w = mdl.init_weights(CFG, CFG.grid_low, substream(24, "g6"))
+        x, p = random_grids(CFG.grid_low, 25)
+        dense = mdl.PlanBundle.dense(CFG)
+        got = mdl.forward(x, p, w, dense, x.flat())
+        prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])
+        want, _, _ = mdl.decoder_forward(prev, mdl.encode(x, p, w, dense), w, dense)
+        assert np.array_equal(got.logits, want)
+        for tokens in (x.flat()[:-1], np.append(x.flat(), 0), []):
+            with pytest.raises(SequenceError):
+                mdl.forward(x, p, w, dense, tokens)
+
     def test_all_maps_recorded_and_stochastic(self):
         w = mdl.init_weights(CFG, CFG.grid_low, substream(18, "g2"))
         x, p = random_grids(CFG.grid_low, 19)

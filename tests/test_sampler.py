@@ -130,7 +130,7 @@ class TestGuideAndPlan:
         enc = [affinities(kind, (heads, size, size), seed=blocks + i) for i in range(2)]
         dec_self = [affinities(kind, (heads, size, size), seed=blocks + 2)]
         dec_cross = [list(affinities(kind, (heads, size, size), seed=blocks + 3))]
-        forced = mdl.GuidingResult(
+        forced = mdl.ForwardResult(
             logits=None,
             encoder=mdl.EncoderOutput(context=None, attn=enc),
             dec_self_attn=dec_self,
@@ -153,7 +153,7 @@ class TestGuideAndPlan:
     def test_uniform_maps_tie_break(self, weights):
         guide, _ = weights
         uniform = np.full((CFG.l_low, CFG.l_low), 1.0 / CFG.l_low)
-        forced = mdl.GuidingResult(
+        forced = mdl.ForwardResult(
             logits=np.zeros((CFG.l_low, CFG.vocab)),
             encoder=mdl.EncoderOutput(context=np.zeros((CFG.l_low, CFG.d)), attn=[[uniform] * CFG.heads]),
             dec_self_attn=[[uniform] * CFG.heads],

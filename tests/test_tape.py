@@ -90,6 +90,14 @@ def test_backward_requires_scalar():
 
 
 def test_numpy_fast_path_matches_tensor_path():
+    """Every op gives plain arrays the value it records for Tensors, bit for bit."""
+    for name in T.DIFFERENTIABLE_OPS:
+        f, shape = op_grad_case(name)
+        point = substream(7, f"fast-path-{name}").normal(size=shape)
+        untaped = f(point)
+        taped = f(T.GradTape().param(point))
+        assert not isinstance(untaped, T.Tensor) and isinstance(taped, T.Tensor), name
+        assert np.array_equal(untaped, taped.value), name
     x = RNG.normal(size=(3, 4))
     gain = RNG.normal(size=4)
     bias = RNG.normal(size=4)
