@@ -1,13 +1,14 @@
-"""Scaled dot-product attention with additive masks.
+"""Scaled dot-product attention under an additive mask.
 
-This is the dense reference that the tests compare the attention kernel
-against; the package itself does not call it. Every head of the model,
-the guiding model's dense heads included, runs the block-gather kernel
-`sga.sparse_attention`: a dense head is its one-block full plan, and the
-kernel's softmax weights are that head's attention map. Like
-`sga.build_sparse_mask`, this module is a test oracle. It is written
-against the tape dispatch ops, so the same code serves untaped (numpy in,
-numpy out) and taped (Tensor in, Tensor out) comparisons.
+`dense_attention` is the dense reference that the tests compare the
+attention kernel against; the package itself does not call it. Every head
+of the model, the guiding model's dense heads included, runs the
+block-gather kernel `sga.sparse_attention`: a dense head is its one-block
+full plan, and the kernel's softmax weights are that head's attention
+map. Like `sga.build_sparse_mask`, it is a test oracle that stays in the
+package because the benchmark traces it by name. It is written against
+the tape ops, so the same code serves untaped (numpy in, numpy out) and
+taped (Tensor in, Tensor out) comparisons.
 """
 
 from __future__ import annotations
@@ -17,26 +18,6 @@ import numpy as np
 from . import tape as T
 from .errors import ShapeError
 from .numerics import as_array
-
-NEG_INF = -np.inf
-
-
-def causal_mask(length: int) -> np.ndarray:
-    """Additive mask keeping (r, t) iff t <= r."""
-    if length < 1:
-        raise ShapeError("mask length must be >= 1")
-    mask = np.zeros((length, length), dtype=np.float64)
-    mask[np.triu_indices(length, k=1)] = NEG_INF
-    return mask
-
-
-def combine_masks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Entrywise AND of two additive masks (keep only if kept in both)."""
-    a, b = as_array(a), as_array(b)
-    if a.shape != b.shape:
-        raise ShapeError(f"mask shapes differ: {a.shape} vs {b.shape}")
-    return np.minimum(a, b)
-
 
 def dense_attention(q, k, v, mask):
     """softmax((q @ k^T) / sqrt(d) + mask) @ v.

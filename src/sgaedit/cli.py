@@ -38,6 +38,16 @@ def _task_for(cfg: dict, dims: tuple) -> evalbench.SyntheticTask:
     return evalbench.SyntheticTask(cfg["task"]["kind"], dims[0], dims[1], mconf.vocab, classes=mconf.vocab_map)
 
 
+def _load_model(directory, mconf: mdl.ModelConfig, grid_key: str) -> mdl.ModelWeights:
+    """Load a checkpoint and check that it is this run config's model at its `grid_key` grid."""
+    weights = mdl.load_checkpoint(Path(directory))
+    if weights.config != mconf:
+        raise ConfigError(f"{directory}: checkpoint config differs from run config")
+    if weights.grid != getattr(mconf, grid_key):
+        raise ConfigError(f"{directory}: checkpoint grid {weights.grid} != {grid_key} {getattr(mconf, grid_key)}")
+    return weights
+
+
 def _derived_seed(seed: int, name: str) -> int:
     return int(substream(seed, name).integers(2**31 - 1))
 
@@ -125,13 +135,8 @@ def cmd_train_sga(cfg: dict, args) -> int:
     out = Path(cfg["out"]) / "sga"
     out.mkdir(parents=True, exist_ok=True)
     cfgmod.write_resolved(cfg, out)
-    guide_dir = Path(args.guide)
-    guide_weights = mdl.load_checkpoint(guide_dir)
     mconf = cfgmod.model_config(cfg)
-    if guide_weights.config != mconf:
-        raise ConfigError("guide checkpoint config differs from run config")
-    if guide_weights.grid != mconf.grid_low:
-        raise ConfigError(f"guide checkpoint grid {guide_weights.grid} != grid_low {mconf.grid_low}")
+    guide_weights = _load_model(args.guide, mconf, "grid_low")
 
     task_low = _task_for(cfg, mconf.grid_low)
     seed = cfg["seed"]
@@ -235,10 +240,8 @@ def cmd_edit(cfg: dict, args) -> int:
 def _run_edit(cfg: dict, args, out: Path) -> int:
     cfgmod.write_resolved(cfg, out)
     mconf = cfgmod.model_config(cfg)
-    guide_weights = mdl.load_checkpoint(Path(args.guide))
-    sga_weights = mdl.load_checkpoint(Path(args.sga))
-    if guide_weights.config != mconf or sga_weights.config != mconf:
-        raise ConfigError("checkpoint configs differ from run config")
+    guide_weights = _load_model(args.guide, mconf, "grid_low")
+    sga_weights = _load_model(args.sga, mconf, "grid_high")
     assets = _load_assets(Path(args.guide))
     request, image, pixel_mask = _build_request(cfg, assets, args.image, args.semantic, args.mask)
 
@@ -380,8 +383,6 @@ def cmd_leakcheck(cfg: dict, args) -> int:
     seed = cfg["seed"]
     patch, channels = q["patch"], q["channels"]
     size = cfg["leakcheck"]["image_size"]
-    if size % patch:
-        raise ConfigError(f"leakcheck.image_size {size} not divisible by patch {patch}")
     if args.image:
         image = images.read_pnm(args.image)
         if image.shape[0] % patch or image.shape[1] % patch:

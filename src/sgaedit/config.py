@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .errors import ConfigError, ShapeError
 from .evalbench import ABLATION_VARIANTS, TASK_KINDS, SyntheticTask
-from .model import ModelConfig
+from .model import ModelConfig, check_int
 
 DEFAULTS = {
     "seed": 0,
@@ -114,7 +114,7 @@ def resolve(user: dict) -> dict:
         raise ConfigError("config root must be a JSON object")
     cfg = _merge(DEFAULTS, user, "")
     model = model_config(cfg)  # validates model block
-    _check_int("seed", cfg["seed"])
+    check_int("seed", cfg["seed"])
     if not isinstance(cfg["out"], str):
         raise ConfigError(f"out must be a string, got {cfg['out']!r}")
     if cfg["task"]["kind"] not in TASK_KINDS:
@@ -122,17 +122,19 @@ def resolve(user: dict) -> dict:
     stages = cfg["train"]["stages"]
     if not (isinstance(stages, list) and all(isinstance(s, list) and len(s) == 2 for s in stages)):
         raise ConfigError(f"train.stages must be a list of [height, width] pairs, got {stages!r}")
-    for grid in [model.grid_low, model.grid_high] + stages:
+    grids = [("model.grid_low", model.grid_low), ("model.grid_high", model.grid_high)]
+    for key, grid in grids + [("train.stages", stage) for stage in stages]:
         for side in grid:
-            _check_int("train.stages", side, 1)
+            check_int(key, side, 2)  # the synthetic tasks' masks need two rows and columns
         if grid[0] * grid[1] % model.blocks:
-            raise ConfigError(f"model.blocks {model.blocks} does not tile grid {grid}")
+            raise ConfigError(f"model.blocks {model.blocks} does not tile {key} grid {grid}")
         try:
             SyntheticTask(cfg["task"]["kind"], grid[0], grid[1], model.vocab)
         except ShapeError as exc:
-            raise ConfigError(f"grid {grid}: {exc}") from exc
+            raise ConfigError(f"{key} grid {grid}: {exc}") from exc
+    stage_ladder(cfg)
     for key, low in INT_KEYS.items():
-        _check_int(key, _value(cfg, key), low)
+        check_int(key, _value(cfg, key), low)
     if cfg["quantizer"]["channels"] not in (1, 3):
         raise ConfigError(f"quantizer.channels must be 1 or 3, got {cfg['quantizer']['channels']!r}")
     if cfg["ablation"]["window"] % 2 == 0:
@@ -146,7 +148,10 @@ def resolve(user: dict) -> dict:
         if not (isinstance(value, list) and value):
             raise ConfigError(f"{key} must be a non-empty list of ints, got {value!r}")
         for item in value:
-            _check_int(key, item, low)
+            check_int(key, item, low)
+    patch, size = cfg["quantizer"]["patch"], cfg["leakcheck"]["image_size"]
+    if size < 2 * patch or size % patch:  # a codebook needs 2 entries, so at least 2 patches
+        raise ConfigError(f"leakcheck.image_size {size} must be a multiple >= 2 x quantizer.patch {patch}")
     for length in cfg["bench"]["lengths"]:
         if length % cfg["bench"]["blocks"]:
             raise ConfigError(f"bench.blocks {cfg['bench']['blocks']} does not divide bench length {length}")
@@ -167,12 +172,6 @@ def _value(cfg: dict, key: str):
     return cfg[block][name]
 
 
-def _check_int(key: str, value, low=None) -> None:
-    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and (low is None or value >= low)):
-        bound = "" if low is None else f" >= {low}"
-        raise ConfigError(f"{key} must be an int{bound}, got {value!r}")
-
-
 def load(path, seed_override=None, out_override=None) -> dict:
     p = Path(path)
     if not p.is_file():
@@ -190,23 +189,9 @@ def load(path, seed_override=None, out_override=None) -> dict:
 
 
 def model_config(cfg: dict) -> ModelConfig:
-    m = cfg["model"]
     try:
-        return ModelConfig(
-            d=m["d"],
-            layers_enc=m["layers_enc"],
-            layers_dec=m["layers_dec"],
-            heads=m["heads"],
-            vocab=m["vocab"],
-            vocab_map=m["vocab_map"],
-            grid_high=tuple(m["grid_high"]),
-            grid_low=tuple(m["grid_low"]),
-            blocks=m["blocks"],
-            top_k=m["top_k"],
-            radius=m["radius"],
-            ffw=m["ffw"],
-        )
-    except (KeyError, TypeError) as exc:
+        return ModelConfig(**cfg["model"])
+    except TypeError as exc:
         raise ConfigError(f"bad model config: {exc}") from exc
 
 

@@ -45,8 +45,11 @@ from .numerics import read_sgat, write_sgat
 from .quantizer import TokenGrid
 
 
-def _is_int(value, low: int) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= low
+def check_int(key: str, value, low=None) -> None:
+    """Raise ConfigError naming `key` unless `value` is an int, not a bool, and >= `low`."""
+    if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and (low is None or value >= low)):
+        bound = "" if low is None else f" >= {low}"
+        raise ConfigError(f"{key} must be an int{bound}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -67,14 +70,15 @@ class ModelConfig:
     def __post_init__(self):
         for name in ("grid_high", "grid_low"):
             grid = getattr(self, name)
-            if not (isinstance(grid, (tuple, list)) and len(grid) == 2 and all(_is_int(v, 1) for v in grid)):
-                raise ConfigError(f"{name} must be two positive ints, got {grid!r}")
+            if not (isinstance(grid, (tuple, list)) and len(grid) == 2):
+                raise ConfigError(f"{name} must be a [height, width] pair, got {grid!r}")
+            for side in grid:
+                check_int(name, side, 1)
             object.__setattr__(self, name, tuple(int(v) for v in grid))
         lows = {"d": 1, "heads": 1, "blocks": 1, "ffw": 1, "vocab": 2, "vocab_map": 2}
         lows |= {"layers_enc": 0, "layers_dec": 0, "top_k": 0, "radius": 0}
         for name, low in lows.items():
-            if not _is_int(getattr(self, name), low):
-                raise ConfigError(f"{name} must be an int >= {low}, got {getattr(self, name)!r}")
+            check_int(name, getattr(self, name), low)
         if self.d % self.heads != 0:
             raise ConfigError(f"heads {self.heads} must divide width {self.d}")
         if self.l_high % self.blocks != 0 or self.l_low % self.blocks != 0:
@@ -91,16 +95,6 @@ class ModelConfig:
     @property
     def start_token(self) -> int:
         return self.vocab + 1
-
-    def to_dict(self) -> dict:
-        out = dataclasses.asdict(self)
-        out["grid_high"] = list(self.grid_high)
-        out["grid_low"] = list(self.grid_low)
-        return out
-
-    @staticmethod
-    def from_dict(obj: dict) -> "ModelConfig":
-        return ModelConfig(**{**obj, "grid_high": tuple(obj["grid_high"]), "grid_low": tuple(obj["grid_low"])})
 
 
 @dataclass
@@ -525,7 +519,7 @@ def save_checkpoint(directory, weights: ModelWeights) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
-        "config": weights.config.to_dict(),
+        "config": dataclasses.asdict(weights.config),
         "grid": list(weights.grid),
         "params": {name: f"{name}.sgat" for name in sorted(weights.params)},
     }
@@ -541,7 +535,7 @@ def load_checkpoint(directory) -> ModelWeights:
     text = (directory / "manifest.json").read_bytes()
     try:
         manifest = json.loads(text)
-        config = ModelConfig.from_dict(manifest["config"])
+        config = ModelConfig(**manifest["config"])
         grid = tuple(int(v) for v in manifest["grid"])
         files = {str(name): directory / str(fname) for name, fname in manifest["params"].items()}
     except (ValueError, TypeError, KeyError, AttributeError, ConfigError) as exc:

@@ -1,8 +1,8 @@
-"""Dense array primitives for the transformer stack.
+"""Array coercion and the SGAT tensor file format.
 
-All functions are pure and operate on float64 numpy arrays (the package
-computes in 64-bit throughout; the on-disk tensor format is 32-bit). Masks
-are additive: 0 keeps an entry, -inf removes it before the softmax.
+The package computes in float64 throughout (`as_array`); checkpoints and
+quantizer assets are stored as SGAT files, whose payload is float32. The
+ops themselves, forward and backward, live in `tape`.
 """
 
 from __future__ import annotations
@@ -12,99 +12,13 @@ import struct
 
 import numpy as np
 
-from .errors import DegenerateRowError, ShapeError, ValidationError
+from .errors import ValidationError
 
 SGAT_MAGIC = b"SGAT"
 
 
 def as_array(x) -> np.ndarray:
     return np.asarray(x, dtype=np.float64)
-
-
-def validate_mask(mask: np.ndarray) -> np.ndarray:
-    """Check that an additive attention mask uses only 0 and -inf."""
-    mask = as_array(mask)
-    if not np.all((mask == 0.0) | np.isneginf(mask)):
-        raise ValidationError("attention mask entries must be 0 or -inf")
-    return mask
-
-
-def masked_softmax(scores: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Row-wise softmax of `scores + mask`, stabilized by row-max subtraction.
-
-    Masked entries come out exactly 0. A row with every entry masked is an
-    error rather than a silent uniform fallback: such rows indicate a broken
-    sparsity plan upstream.
-    """
-    scores = as_array(scores)
-    mask = validate_mask(mask)
-    if scores.shape != mask.shape:
-        raise ShapeError(f"scores {scores.shape} vs mask {mask.shape}")
-    shifted = scores + mask
-    rowmax = shifted.max(axis=-1, keepdims=True)
-    dead = np.isneginf(rowmax)
-    if dead.any():
-        row = int(np.argmax(dead.ravel()))
-        raise DegenerateRowError(f"softmax row {row} is fully masked")
-    expd = np.exp(shifted - rowmax)
-    return expd / expd.sum(axis=-1, keepdims=True)
-
-
-def peg(grid_features: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    """Residual depth-wise 5x5 convolution over an H x W x d feature grid.
-
-    Output = input + conv(input), zero padding 2, one 5x5 filter per channel.
-    Injects relative position information without a fixed positional table.
-    """
-    x = as_array(grid_features)
-    ker = as_array(kernel)
-    if x.ndim != 3:
-        raise ShapeError(f"expected H x W x d features, got {x.shape}")
-    if ker.shape != (5, 5, x.shape[2]):
-        raise ShapeError(f"kernel must be 5 x 5 x {x.shape[2]}, got {ker.shape}")
-    return x + depthwise_conv5(x, ker)
-
-
-def depthwise_conv5(x: np.ndarray, ker: np.ndarray) -> np.ndarray:
-    """5x5 per-channel correlation with zero padding 2 (no residual)."""
-    h, w, d = x.shape
-    padded = np.zeros((h + 4, w + 4, d), dtype=np.float64)
-    padded[2 : 2 + h, 2 : 2 + w] = x
-    acc = np.zeros_like(x, dtype=np.float64)
-    for u in range(5):
-        for v in range(5):
-            acc += padded[u : u + h, v : v + w] * ker[u, v]
-    return acc
-
-
-def layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, eps: float = 1e-5) -> np.ndarray:
-    """Per-row normalization: (x - mean) / sqrt(var + eps) * gain + bias."""
-    x, gain, bias = as_array(x), as_array(gain), as_array(bias)
-    if x.shape[-1] != gain.shape[-1] or x.shape[-1] != bias.shape[-1]:
-        raise ShapeError(f"gain/bias width must match x width {x.shape[-1]}")
-    # sums over the width, not `mean`: the same arithmetic without numpy's Python-level wrapper
-    width = x.shape[-1]
-    centered = x - x.sum(axis=-1, keepdims=True) / width
-    var = np.square(centered).sum(axis=-1, keepdims=True) / width
-    return centered / np.sqrt(var + eps) * gain + bias
-
-
-GELU_C = np.sqrt(2.0 / np.pi)
-
-
-def gelu_tanh(x: np.ndarray) -> np.ndarray:
-    """tanh(sqrt(2 / pi) * (x + 0.044715 x^3)), the inner term of `gelu`.
-
-    The cube is two multiplies: `x**3` goes through `np.power`, which is
-    many times slower on large arrays.
-    """
-    return np.tanh(GELU_C * (x + 0.044715 * (x * x * x)))
-
-
-def gelu(x: np.ndarray) -> np.ndarray:
-    """Smooth tanh-form GELU: 0.5 x (1 + gelu_tanh(x))."""
-    x = as_array(x)
-    return 0.5 * x * (1.0 + gelu_tanh(x))
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,16 @@ through `_record`: when any input is a `Tensor`, the value comes back as a
 comes back as the plain numpy array (the inference path). Model code is
 written once against these functions and works in both modes.
 
-The op set is deliberately closed, and is `DIFFERENTIABLE_OPS`: add,
-add_bias, mul, scale, matmul, masked_softmax, layer_norm, peg,
-gather_rows, slice_cols, concat_cols, reshape, block_attention (the
-attention kernel of every head, dense or block-sparse), gelu, log,
-sum_all and cross_entropy. There is no general broadcasting engine.
-The model's attention uses only block_attention; masked_softmax,
-slice_cols and concat_cols serve the dense reference the tests compare
-against.
+This module is the package's one op layer: each op's forward and
+backward arithmetic are both written here. The op set is deliberately
+closed, and is `DIFFERENTIABLE_OPS`: add, add_bias, scale, matmul,
+masked_softmax, layer_norm, peg, gather_rows, reshape, block_attention
+(the attention kernel of every head, dense or block-sparse), gelu and
+cross_entropy, each called by some other module of the package. There
+is no general broadcasting engine. The model's attention uses only
+block_attention; masked_softmax, and the scale and
+`matmul(transpose_b=True)` around it, serve `attention.dense_attention`,
+the dense reference the tests compare against.
 
 `GradTape.backward` hands its node list off as it runs, so once the caller
 drops the loss and the parameters, reference counting frees the step's
@@ -23,31 +25,25 @@ graph; the cyclic collector is not needed.
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 import numpy as np
 
-from . import numerics as nm
-from .errors import NumericalError, ShapeError
+from .errors import DegenerateRowError, NumericalError, ShapeError, ValidationError
 
 # Ops with gradient support; the test suite checks every name listed here.
 DIFFERENTIABLE_OPS = (
     "add",
     "add_bias",
-    "mul",
     "scale",
     "matmul",
     "masked_softmax",
     "layer_norm",
     "peg",
     "gather_rows",
-    "slice_cols",
-    "concat_cols",
     "reshape",
     "block_attention",
     "gelu",
-    "log",
-    "sum_all",
     "cross_entropy",
 )
 
@@ -167,19 +163,6 @@ def reshape(x, shape: tuple):
     return _record(xv.reshape(tuple(int(s) for s in shape)), backward, x)
 
 
-def mul(a, b):
-    """Elementwise (Hadamard) product."""
-    av, bv = value_of(a), value_of(b)
-
-    def backward(g):
-        if is_tensor(a):
-            a.accumulate(g * bv)
-        if is_tensor(b):
-            b.accumulate(g * av)
-
-    return _record(av * bv, backward, a, b)
-
-
 def scale(a, c: float):
     """Multiply by a python constant."""
     c = float(c)
@@ -214,8 +197,26 @@ def matmul(a, b, transpose_b: bool = False):
 
 
 def masked_softmax(scores, mask):
-    """Row softmax of scores + mask; the mask is a non-differentiable constant."""
-    y = nm.masked_softmax(value_of(scores), mask)
+    """Row softmax of `scores + mask`, stabilized by row-max subtraction.
+
+    The mask is a non-differentiable additive constant: 0 keeps an entry
+    and -inf removes it, so masked entries come out exactly 0. A row with
+    every entry masked is an error rather than a silent uniform fallback:
+    such rows indicate a broken sparsity plan upstream.
+    """
+    sv = value_of(scores)
+    mask = np.asarray(mask, dtype=np.float64)
+    if not np.all((mask == 0.0) | np.isneginf(mask)):
+        raise ValidationError("attention mask entries must be 0 or -inf")
+    if sv.shape != mask.shape:
+        raise ShapeError(f"scores {sv.shape} vs mask {mask.shape}")
+    shifted = sv + mask
+    rowmax = shifted.max(axis=-1, keepdims=True)
+    dead = np.isneginf(rowmax)
+    if dead.any():
+        raise DegenerateRowError(f"softmax row {int(np.argmax(dead.ravel()))} is fully masked")
+    expd = np.exp(shifted - rowmax)
+    y = expd / expd.sum(axis=-1, keepdims=True)
 
     def backward(g):
         scores.accumulate(y * (g - (g * y).sum(axis=-1, keepdims=True)))
@@ -224,12 +225,18 @@ def masked_softmax(scores, mask):
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5):
-    xv, gv = value_of(x), value_of(gain)
+    """Per-row normalization: (x - mean) / sqrt(var + eps) * gain + bias."""
+    xv, gv, bv = value_of(x), value_of(gain), value_of(bias)
+    width = xv.shape[-1]
+    if gv.shape[-1] != width or bv.shape[-1] != width:
+        raise ShapeError(f"gain/bias width must match x width {width}")
+    # sums over the width, not `mean`: the same arithmetic without numpy's Python-level wrapper
+    centered = xv - xv.sum(axis=-1, keepdims=True) / width
+    std = np.sqrt(np.square(centered).sum(axis=-1, keepdims=True) / width + eps)  # kept for the backward
 
     def backward(g):
-        width = xv.shape[-1]
         centered = xv - xv.sum(axis=-1, keepdims=True) / width
-        inv = 1.0 / np.sqrt(np.square(centered).sum(axis=-1, keepdims=True) / width + eps)
+        inv = 1.0 / std
         xhat = centered * inv
         if is_tensor(gain):
             gain.accumulate((g * xhat).reshape(-1, width).sum(axis=0))
@@ -244,15 +251,30 @@ def layer_norm(x, gain, bias, eps: float = 1e-5):
             ) * inv
             x.accumulate(dx)
 
-    return _record(nm.layer_norm(xv, gv, value_of(bias), eps), backward, x, gain, bias)
+    return _record(centered / std * gv + bv, backward, x, gain, bias)
 
 
 def peg(x, kernel):
-    """Residual depth-wise 5x5 convolution (see numerics.peg)."""
+    """Residual depth-wise 5x5 convolution over an H x W x d feature grid.
+
+    Output = input + conv(input), zero padding 2, one 5x5 filter per
+    channel. Injects relative position information without a fixed
+    positional table.
+    """
     xv, kv = value_of(x), value_of(kernel)
+    if xv.ndim != 3:
+        raise ShapeError(f"expected H x W x d features, got {xv.shape}")
+    h, w, d = xv.shape
+    if kv.shape != (5, 5, d):
+        raise ShapeError(f"kernel must be 5 x 5 x {d}, got {kv.shape}")
+    padded = np.zeros((h + 4, w + 4, d), dtype=np.float64)
+    padded[2 : 2 + h, 2 : 2 + w] = xv
+    acc = np.zeros_like(xv)
+    for u in range(5):
+        for v in range(5):
+            acc += padded[u : u + h, v : v + w] * kv[u, v]
 
     def backward(g):
-        h, w, d = xv.shape
         if is_tensor(x):
             gpad = np.zeros((h + 4, w + 4, d), dtype=np.float64)
             gpad[2 : 2 + h, 2 : 2 + w] = g
@@ -270,7 +292,7 @@ def peg(x, kernel):
                     dk[u, v] = (g * xpad[u : u + h, v : v + w]).sum(axis=(0, 1))
             kernel.accumulate(dk)
 
-    return _record(nm.peg(xv, kv), backward, x, kernel)
+    return _record(xv + acc, backward, x, kernel)
 
 
 def gather_rows(table, indices):
@@ -288,31 +310,6 @@ def gather_rows(table, indices):
         table.accumulate(np.bincount(flat, weights=np.ravel(g), minlength=tv.size).reshape(tv.shape))
 
     return _record(tv[idx], backward, table)
-
-
-def slice_cols(x, start: int, stop: int):
-    xv = value_of(x)
-
-    def backward(g):
-        dx = np.zeros_like(xv)
-        dx[:, start:stop] = g
-        x.accumulate(dx)
-
-    return _record(xv[:, start:stop], backward, x)
-
-
-def concat_cols(parts: Sequence):
-    values = [value_of(p) for p in parts]
-
-    def backward(g):
-        offset = 0
-        for p, pv in zip(parts, values):
-            width = pv.shape[1]
-            if is_tensor(p):
-                p.accumulate(g[:, offset : offset + width])
-            offset += width
-
-    return _record(np.concatenate(values, axis=1), backward, *parts)
 
 
 def block_attention(q, k, v, keys, blocked=None, weights=None):
@@ -394,16 +391,22 @@ def block_attention(q, k, v, keys, blocked=None, weights=None):
     return _record(from_block(np.matmul(w, vb)), backward, q, k, v)
 
 
+_GELU_C = np.sqrt(2.0 / np.pi)
+
+
 def gelu(x):
+    """Smooth tanh-form GELU: 0.5 x (1 + tanh(sqrt(2 / pi) (x + 0.044715 x^3)))."""
     xv = value_of(x)
-    t = nm.gelu_tanh(xv)  # kept for the backward
+    # the cube is two multiplies: `x**3` goes through `np.power`, which is
+    # many times slower on large arrays
+    t = np.tanh(_GELU_C * (xv + 0.044715 * (xv * xv * xv)))  # kept for the backward
 
     def backward(g):
         # d gelu / dx = 0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 3 * 0.044715 x^2)
         slope = xv * xv
         slope *= 3 * 0.044715
         slope += 1.0
-        slope *= nm.GELU_C * xv
+        slope *= _GELU_C * xv
         slope *= 1.0 - t * t
         slope += 1.0 + t
         slope *= 0.5
@@ -415,24 +418,6 @@ def gelu(x):
     out *= xv
     out *= 0.5
     return _record(out, backward, x)
-
-
-def log(x):
-    xv = value_of(x)
-
-    def backward(g):
-        x.accumulate(g / xv)
-
-    return _record(np.log(xv), backward, x)
-
-
-def sum_all(x):
-    xv = value_of(x)
-
-    def backward(g):
-        x.accumulate(np.full_like(xv, float(g)))
-
-    return _record(xv.sum(), backward, x)
 
 
 def cross_entropy(logits, targets):

@@ -5,6 +5,8 @@ from sgaedit import attention as att
 from sgaedit.errors import DegenerateRowError, ShapeError
 from sgaedit.rng import substream
 
+from conftest import causal_mask, combine_masks
+
 
 def sequential_oracle(q, k, v, mask):
     """Step-by-step float64 reference (explicit loops, no vector shortcuts)."""
@@ -82,11 +84,13 @@ class TestDenseAttention:
 
 
 class TestCausalMask:
+    """The test suite's causal mask (`conftest.causal_mask`)."""
+
     def test_length_one(self):
-        assert np.array_equal(att.causal_mask(1), [[0.0]])
+        assert np.array_equal(causal_mask(1), [[0.0]])
 
     def test_length_three(self):
-        m = att.causal_mask(3)
+        m = causal_mask(3)
         for r in range(3):
             for t in range(3):
                 assert m[r, t] == (0.0 if t <= r else -np.inf)
@@ -96,7 +100,7 @@ class TestCausalMask:
         q = rng.normal(size=(5, 4))
         k = rng.normal(size=(5, 4))
         v = rng.normal(size=(5, 4))
-        mask = att.causal_mask(5)
+        mask = causal_mask(5)
         out1, _ = att.dense_attention(q, k, v, mask)
         for r in range(4):
             k2, v2 = k.copy(), v.copy()
@@ -107,13 +111,15 @@ class TestCausalMask:
 
 
 class TestCombineMasks:
+    """The test suite's mask conjunction (`conftest.combine_masks`)."""
+
     def test_zero_is_identity(self):
-        m = att.causal_mask(4)
-        assert np.array_equal(att.combine_masks(m, np.zeros((4, 4))), m)
+        m = causal_mask(4)
+        assert np.array_equal(combine_masks(m, np.zeros((4, 4))), m)
 
     def test_idempotent(self):
-        m = att.causal_mask(4)
-        assert np.array_equal(att.combine_masks(m, m), m)
+        m = causal_mask(4)
+        assert np.array_equal(combine_masks(m, m), m)
 
     def test_enumerated_conjunction(self):
         from sgaedit import sga
@@ -121,7 +127,7 @@ class TestCombineMasks:
         part = sga.partition(6, 3)
         plan = sga.SparsityPlan([[True, False, True], [False, True, False], [True, False, True]])
         sparse = sga.build_sparse_mask(plan, 6)
-        combined = att.combine_masks(att.causal_mask(6), sparse)
+        combined = combine_masks(causal_mask(6), sparse)
         for r in range(6):
             for t in range(6):
                 keep = t <= r and part.block_of[t] in plan.kept[part.block_of[r]]

@@ -181,6 +181,8 @@ BAD_RUN_CONFIGS = [
     ("leakcheck-trials-string", {"leakcheck": {"trials": "x"}}),
     ("leakcheck-trials-0", {"leakcheck": {"trials": 0}}),
     ("leakcheck-image-size-0", {"leakcheck": {"image_size": 0}}),
+    ("leakcheck-image-size-one-patch", {"quantizer": {"patch": 16}, "leakcheck": {"image_size": 16}}),
+    ("leakcheck-image-size-indivisible", {"leakcheck": {"image_size": 18}}),
     ("stages-entry-not-pair", {"train": {"stages": [[8, 8], 5]}}),
     ("stages-entry-float", {"train": {"stages": [[8, 8.0]]}}),
     ("stages-entry-0", {"train": {"stages": [[0, 4], [4, 4]]}}),
@@ -193,6 +195,10 @@ BAD_RUN_CONFIGS = [
     ("grid-low-mirror-odd", {"model": {"grid_low": [3, 4]}}),
     ("grid-high-mirror-odd", {"model": {"grid_high": [5, 4], "grid_low": [2, 4], "blocks": 4}}),
     ("grid-low-copy-corner-odd", {"task": {"kind": "copy-corner"}, "model": {"grid_low": [2, 3], "blocks": 2}}),
+    ("grid-low-side-1", {"task": {"kind": "constant-region"}, "model": {"grid_low": [1, 4]}}),
+    ("stages-side-1", {"task": {"kind": "constant-region"}, "train": {"stages": [[1, 4], [4, 4]]}}),
+    ("ladder-unreachable", {"model": {"grid_high": [8, 8], "grid_low": [4, 4]}, "train": {"stages": [[4, 4]]}}),
+    ("ladder-not-doubling", {"model": {"grid_high": [6, 6], "grid_low": [2, 2]}}),
     ("out-int", {"out": 5}),
     ("out-null", {"out": None}),
     ("config-not-utf8", b'{"seed": "\xff\xfe"}'),
@@ -314,6 +320,19 @@ class TestEdit:
         )
         assert rc == 2
         assert not (tmp_path / "fail" / "edit").exists()
+
+    def test_guide_checkpoint_as_sga_exit_2(self, trained, capsys):
+        tmp_path, cfg = trained
+        image, semantic, mask = make_edit_inputs(tmp_path)
+        guide = str(tmp_path / "run" / "guide")
+        rc = cli.main(
+            ["edit", "--config", str(cfg), "--guide", guide, "--sga", guide, "--image", str(image),
+             "--semantic", str(semantic), "--mask", str(mask), "--out", str(tmp_path / "swapped")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "grid_high" in err and "Traceback" not in err
+        assert not (tmp_path / "swapped" / "edit").exists()
 
     def test_non_finite_logits_exit_3(self, trained):
         tmp_path, cfg = trained

@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import weakref
 from collections import deque
@@ -14,7 +15,7 @@ from sgaedit.errors import DivergenceError, ValidationError
 from sgaedit.quantizer import apply_mask
 from sgaedit.rng import substream
 
-from conftest import per_head_dense_multi_head
+from conftest import causal_mask, combine_masks, per_head_dense, per_head_dense_multi_head
 
 CFG = mdl.ModelConfig(
     d=16,
@@ -73,7 +74,7 @@ class TestTasks:
     def test_oracle_plans_cover_sources(self):
         from sgaedit import sga
 
-        cfg = mdl.ModelConfig(**{**CFG.to_dict(), "d": 16, "blocks": 8, "grid_high": (8, 8), "grid_low": (4, 4)})
+        cfg = dataclasses.replace(CFG, d=16, blocks=8, grid_high=(8, 8), grid_low=(4, 4))
         task = eb.SyntheticTask("mirror", 8, 8, 16)
         plans = task.oracle_plans(cfg, grid=(8, 8))
         part = sga.partition(64, 8)
@@ -256,18 +257,13 @@ class TestTrain:
             if plans[0].n_blocks == 1:  # the guide's dense pass inside guided_plans
                 return real_multi_head(x_q, x_kv, weights, prefix, plans, causal)
             w = weights.params
-            dh = cfg.d // cfg.heads
             q, k, v = (T.matmul(x, w[f"{prefix}_{name}"]) for x, name in ((x_q, "wq"), (x_kv, "wk"), (x_kv, "wv")))
             n_q, n_k = T.value_of(q).shape[0], T.value_of(k).shape[0]
-            outs = []
-            for h, plan in enumerate(plans):
-                mask = sga.build_sparse_mask(plan, weights.length)[:n_q, :n_k]
-                if causal:
-                    mask = att.combine_masks(mask, att.causal_mask(n_q))
-                cols = (h * dh, (h + 1) * dh)
-                out, _ = att.dense_attention(T.slice_cols(q, *cols), T.slice_cols(k, *cols), T.slice_cols(v, *cols), mask)
-                outs.append(out)
-            return T.matmul(T.concat_cols(outs), w[f"{prefix}_wo"]), [None] * len(plans)
+            masks = [sga.build_sparse_mask(plan, weights.length)[:n_q, :n_k] for plan in plans]
+            if causal:
+                masks = [combine_masks(mask, causal_mask(n_q)) for mask in masks]
+            out, _ = per_head_dense(q, k, v, masks)
+            return T.matmul(out, w[f"{prefix}_wo"]), [None] * len(plans)
 
         def no_mask(*args):
             raise AssertionError("the model built an L x L plan mask")

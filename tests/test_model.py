@@ -1,9 +1,11 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sgaedit import model as mdl
-from sgaedit import numerics as nm
 from sgaedit import sga
+from sgaedit import tape as T
 from sgaedit.errors import ConfigError, SequenceError, VocabularyError
 from sgaedit.quantizer import TokenGrid
 from sgaedit.rng import substream
@@ -76,12 +78,17 @@ class TestEmbedEncoder:
             mdl.embed_encoder(x, p_bad, w)
 
 
+def numpy_gelu(x):
+    """tanh-form GELU, written apart from `tape.gelu`."""
+    return 0.5 * x * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x + 0.044715 * x**3)))
+
+
 def manual_encoder_layer(emb, w, cfg, grid, prefix="enc0"):
     """Independent step-by-step composition of the encoder layer from
-    numerics primitives only."""
+    untaped primitive ops, per-head numpy attention and a numpy GELU."""
     h, wdt = grid
     d = cfg.d
-    rows = nm.peg(emb.reshape(h, wdt, d), w[f"{prefix}_peg"]).reshape(h * wdt, d)
+    rows = T.peg(emb.reshape(h, wdt, d), w[f"{prefix}_peg"]).reshape(h * wdt, d)
     q = rows @ w[f"{prefix}_wq"]
     k = rows @ w[f"{prefix}_wk"]
     v = rows @ w[f"{prefix}_wv"]
@@ -89,17 +96,17 @@ def manual_encoder_layer(emb, w, cfg, grid, prefix="enc0"):
     heads = []
     for i in range(cfg.heads):
         qs, ks, vs = (m[:, i * dh : (i + 1) * dh] for m in (q, k, v))
-        weights = nm.masked_softmax(qs @ ks.T / np.sqrt(dh), np.zeros((rows.shape[0], rows.shape[0])))
+        weights = T.masked_softmax(qs @ ks.T / np.sqrt(dh), np.zeros((rows.shape[0], rows.shape[0])))
         heads.append(weights @ vs)
     attn = np.concatenate(heads, axis=1) @ w[f"{prefix}_wo"]
-    rows = nm.layer_norm(rows + attn, w[f"{prefix}_ln1_g"], w[f"{prefix}_ln1_b"])
-    ff = nm.gelu(rows @ w[f"{prefix}_ff1"] + w[f"{prefix}_ff1_b"]) @ w[f"{prefix}_ff2"] + w[f"{prefix}_ff2_b"]
-    return nm.layer_norm(rows + ff, w[f"{prefix}_ln2_g"], w[f"{prefix}_ln2_b"])
+    rows = T.layer_norm(rows + attn, w[f"{prefix}_ln1_g"], w[f"{prefix}_ln1_b"])
+    ff = numpy_gelu(rows @ w[f"{prefix}_ff1"] + w[f"{prefix}_ff1_b"]) @ w[f"{prefix}_ff2"] + w[f"{prefix}_ff2_b"]
+    return T.layer_norm(rows + ff, w[f"{prefix}_ln2_g"], w[f"{prefix}_ln2_b"])
 
 
 class TestEncoderForward:
     def test_zero_layers_returns_embeddings(self):
-        cfg = mdl.ModelConfig(**{**CFG.to_dict(), "layers_enc": 0, "grid_high": CFG.grid_high, "grid_low": CFG.grid_low})
+        cfg = dataclasses.replace(CFG, layers_enc=0)
         w = mdl.init_weights(cfg, cfg.grid_high, substream(5, "w0"))
         x, p = random_grids(cfg.grid_high, 6)
         emb = mdl.embed_encoder(x, p, w)
@@ -215,7 +222,7 @@ class TestDecoderForward:
         d, dh = CFG.d, CFG.d // CFG.heads
         steps = prev.size
         rows = wp["dec_tok_emb"][prev] + wp["dec_pos"][:steps]
-        peg_rows = nm.peg(enc.context.reshape(h, wdt, d), wp["dec_peg"]).reshape(h * wdt, d)
+        peg_rows = T.peg(enc.context.reshape(h, wdt, d), wp["dec_peg"]).reshape(h * wdt, d)
         rows = rows + peg_rows[:steps]
         causal = np.where(np.arange(steps)[None, :] <= np.arange(steps)[:, None], 0.0, -np.inf)
 
@@ -224,14 +231,14 @@ class TestDecoderForward:
             outs = []
             for i in range(CFG.heads):
                 qs, ks, vs = (m[:, i * dh : (i + 1) * dh] for m in (q, k, v))
-                outs.append(nm.masked_softmax(qs @ ks.T / np.sqrt(dh), mask) @ vs)
+                outs.append(T.masked_softmax(qs @ ks.T / np.sqrt(dh), mask) @ vs)
             return np.concatenate(outs, axis=1) @ wp[f"{prefix}_wo"]
 
-        rows = nm.layer_norm(rows + mha(rows, rows, "dec0_self", causal), wp["dec0_ln1_g"], wp["dec0_ln1_b"])
+        rows = T.layer_norm(rows + mha(rows, rows, "dec0_self", causal), wp["dec0_ln1_g"], wp["dec0_ln1_b"])
         cross_mask = np.zeros((steps, enc.context.shape[0]))
-        rows = nm.layer_norm(rows + mha(rows, enc.context, "dec0_cross", cross_mask), wp["dec0_ln2_g"], wp["dec0_ln2_b"])
-        ff = nm.gelu(rows @ wp["dec0_ff1"] + wp["dec0_ff1_b"]) @ wp["dec0_ff2"] + wp["dec0_ff2_b"]
-        rows = nm.layer_norm(rows + ff, wp["dec0_ln3_g"], wp["dec0_ln3_b"])
+        rows = T.layer_norm(rows + mha(rows, enc.context, "dec0_cross", cross_mask), wp["dec0_ln2_g"], wp["dec0_ln2_b"])
+        ff = numpy_gelu(rows @ wp["dec0_ff1"] + wp["dec0_ff1_b"]) @ wp["dec0_ff2"] + wp["dec0_ff2_b"]
+        rows = T.layer_norm(rows + ff, wp["dec0_ln3_g"], wp["dec0_ln3_b"])
         expected = rows @ wp["out_head"]
         assert np.abs(logits - expected).max() <= 1e-5
 
@@ -251,7 +258,7 @@ class TestGuidingForward:
     def test_matches_per_head_dense_oracle(self, grid, monkeypatch):
         """Dense heads on the one-block kernel give the logits and every
         encoder, decoder-self and decoder-cross map of per-head dense attention."""
-        cfg = mdl.ModelConfig(**{**CFG.to_dict(), "layers_enc": 2, "layers_dec": 2, "grid_low": grid, "grid_high": (8, 8)})
+        cfg = dataclasses.replace(CFG, layers_enc=2, layers_dec=2, grid_low=grid, grid_high=(8, 8))
         w = mdl.init_weights(cfg, cfg.grid_low, substream(22, "g5"))
         x, p = random_grids(cfg.grid_low, 23)
         got = mdl.guiding_forward(x, p, w)
@@ -339,7 +346,7 @@ class TestInitFromGuiding:
 
     def test_config_mismatch_raises(self):
         w = mdl.init_weights(CFG, CFG.grid_low, substream(25, "i4"))
-        other = mdl.ModelConfig(**{**CFG.to_dict(), "d": 32, "grid_high": CFG.grid_high, "grid_low": CFG.grid_low})
+        other = dataclasses.replace(CFG, d=32)
         with pytest.raises(ConfigError):
             mdl.init_from_guiding(w, other)
 

@@ -3,17 +3,20 @@ import pytest
 
 from sgaedit import numerics as nm
 from sgaedit import sga
+from sgaedit import tape as T
 from sgaedit.errors import DegenerateRowError, ShapeError, ValidationError
 from sgaedit.rng import substream
 
 
 class TestMaskedSoftmax:
+    """`tape.masked_softmax` on plain arrays (the untaped op)."""
+
     def test_symmetric(self):
-        out = nm.masked_softmax(np.array([[0.0, 0.0]]), np.zeros((1, 2)))
+        out = T.masked_softmax(np.array([[0.0, 0.0]]), np.zeros((1, 2)))
         assert np.allclose(out, [[0.5, 0.5]])
 
     def test_single_survivor(self):
-        out = nm.masked_softmax(np.array([[3.0, 9.0]]), np.array([[0.0, -np.inf]]))
+        out = T.masked_softmax(np.array([[3.0, 9.0]]), np.array([[0.0, -np.inf]]))
         assert out[0, 0] == 1.0
         assert out[0, 1] == 0.0
 
@@ -21,7 +24,7 @@ class TestMaskedSoftmax:
         mp = pytest.importorskip("mpmath")
         mp.mp.dps = 50
         scores = np.array([[1.0, 2.0, 3.0]])
-        out = nm.masked_softmax(scores, np.zeros((1, 3)))
+        out = T.masked_softmax(scores, np.zeros((1, 3)))
         exps = [mp.e ** mp.mpf(v) for v in scores[0]]
         total = sum(exps)
         expected = np.array([float(e / total) for e in exps])
@@ -33,18 +36,18 @@ class TestMaskedSoftmax:
             scores = rng.normal(size=(6, 9)) * 10
             mask = np.where(rng.random((6, 9)) < 0.4, -np.inf, 0.0)
             mask[:, 0] = 0.0  # never fully masked
-            out = nm.masked_softmax(scores, mask)
+            out = T.masked_softmax(scores, mask)
             assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-6
             assert (out[np.isneginf(mask)] == 0.0).all()
             assert (out >= 0).all()
 
     def test_fully_masked_row_raises(self):
         with pytest.raises(DegenerateRowError):
-            nm.masked_softmax(np.zeros((2, 2)), np.array([[0.0, 0.0], [-np.inf, -np.inf]]))
+            T.masked_softmax(np.zeros((2, 2)), np.array([[0.0, 0.0], [-np.inf, -np.inf]]))
 
     def test_mask_values_validated(self):
         with pytest.raises(ValidationError):
-            nm.masked_softmax(np.zeros((1, 2)), np.array([[0.0, -1.0]]))
+            T.masked_softmax(np.zeros((1, 2)), np.array([[0.0, -1.0]]))
 
 
 class TestAvgPool:
@@ -94,37 +97,41 @@ def conv_oracle(x, ker):
 
 
 class TestPeg:
+    """`tape.peg` on plain arrays."""
+
     def test_zero_kernel_is_identity(self):
         rng = substream(4, "peg")
         x = rng.normal(size=(3, 5, 2))
-        assert np.abs(nm.peg(x, np.zeros((5, 5, 2))) - x).max() <= 1e-7
+        assert np.abs(T.peg(x, np.zeros((5, 5, 2))) - x).max() <= 1e-7
 
     def test_center_one_kernel_doubles(self):
         rng = substream(5, "peg2")
         x = rng.normal(size=(4, 4, 3))
         ker = np.zeros((5, 5, 3))
         ker[2, 2, :] = 1.0
-        assert np.allclose(nm.peg(x, ker), 2.0 * x)
+        assert np.allclose(T.peg(x, ker), 2.0 * x)
 
     def test_against_direct_sum_oracle(self):
         rng = substream(6, "peg3")
         x = rng.normal(size=(4, 4, 2))
         ker = rng.normal(size=(5, 5, 2))
         expected = x + conv_oracle(x, ker)
-        assert np.abs(nm.peg(x, ker) - expected).max() <= 1e-6
+        assert np.abs(T.peg(x, ker) - expected).max() <= 1e-6
 
     def test_kernel_shape_checked(self):
         with pytest.raises(ShapeError):
-            nm.peg(np.zeros((4, 4, 2)), np.zeros((3, 3, 2)))
+            T.peg(np.zeros((4, 4, 2)), np.zeros((3, 3, 2)))
 
 
 class TestLayerNorm:
+    """`tape.layer_norm` on plain arrays."""
+
     def test_constant_row_is_zero(self):
-        out = nm.layer_norm(np.full((1, 6), 4.0), np.ones(6), np.zeros(6))
+        out = T.layer_norm(np.full((1, 6), 4.0), np.ones(6), np.zeros(6))
         assert np.abs(out).max() <= 1e-9
 
     def test_already_unit_variance(self):
-        out = nm.layer_norm(np.array([[-1.0, 1.0]]), np.ones(2), np.zeros(2))
+        out = T.layer_norm(np.array([[-1.0, 1.0]]), np.ones(2), np.zeros(2))
         assert np.allclose(out, [[-1.0, 1.0]], atol=1e-4)
 
     def test_against_two_pass_oracle(self):
@@ -132,7 +139,7 @@ class TestLayerNorm:
         x = rng.normal(size=(3, 16)) * 5
         gain = rng.normal(size=16)
         bias = rng.normal(size=16)
-        out = nm.layer_norm(x, gain, bias)
+        out = T.layer_norm(x, gain, bias)
         for r in range(3):
             mean = sum(x[r]) / 16
             var = sum((v - mean) ** 2 for v in x[r]) / 16

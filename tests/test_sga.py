@@ -7,7 +7,7 @@ from sgaedit import tape as T
 from sgaedit.errors import ShapeError, ValidationError
 from sgaedit.rng import substream
 
-from conftest import affinities, per_row_sort_plan
+from conftest import affinities, causal_mask, combine_masks, dot, per_head_dense, per_row_sort_plan
 
 
 def select(b, k, radius):
@@ -209,9 +209,9 @@ class TestSparseAttention:
         rng = substream(10, "sparse-causal")
         q, k, v = (rng.normal(size=(16, 4)) for _ in range(3))
         plan = select(rng.random((4, 4)), k=1, radius=1)
-        causal = att.causal_mask(16)
+        causal = causal_mask(16)
         res = sga.sparse_attention(q, k, v, [plan], 16, causal=True)
-        dense, _ = att.dense_attention(q, k, v, att.combine_masks(sga.build_sparse_mask(plan, 16), causal))
+        dense, _ = att.dense_attention(q, k, v, combine_masks(sga.build_sparse_mask(plan, 16), causal))
         assert np.abs(res.output - dense).max() <= 1e-5
 
     def test_kept_weight_rows_are_stochastic(self):
@@ -245,16 +245,10 @@ def head_plans(n_blocks, seed):
 def expanded_mask_oracle(q, k, v, plans, length, causal):
     """Per head, dense attention under the expanded plan mask (and the causal
     mask), heads concatenated; accepts tape Tensors."""
-    dh = T.value_of(q).shape[1] // len(plans)
-    outs = []
-    for h, plan in enumerate(plans):
-        mask = sga.build_sparse_mask(plan, length)
-        if causal:
-            mask = att.combine_masks(mask, att.causal_mask(length))
-        cols = (h * dh, (h + 1) * dh)
-        out, _ = att.dense_attention(T.slice_cols(q, *cols), T.slice_cols(k, *cols), T.slice_cols(v, *cols), mask)
-        outs.append(out)
-    return T.concat_cols(outs)
+    masks = [sga.build_sparse_mask(plan, length) for plan in plans]
+    if causal:
+        masks = [combine_masks(mask, causal_mask(length)) for mask in masks]
+    return per_head_dense(q, k, v, masks)[0]
 
 
 class TestBlockGatherKernel:
@@ -281,7 +275,7 @@ class TestBlockGatherKernel:
             tape = T.GradTape()
             leaves = [tape.param(x) for x in (q, k, v)]
             out = attend(*leaves)
-            tape.backward(T.sum_all(T.mul(out, probe)))
+            tape.backward(dot(out, probe))
             grads.append([out.value] + [leaf.grad for leaf in leaves])
         for got, want in zip(*grads):
             assert np.abs(got - want).max() <= 1e-12
@@ -297,7 +291,7 @@ class TestBlockGatherKernel:
             args = list(qkv)
             args[operand] = x
             out = sga.sparse_attention(*args, plans, 16, causal=True).output
-            return T.sum_all(T.mul(out, probe))
+            return dot(out, probe)
 
         assert T.grad_check(f, qkv[operand], step=1e-5) <= 1e-5
 

@@ -1,3 +1,6 @@
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -5,26 +8,28 @@ from sgaedit import tape as T
 from sgaedit.attention import dense_attention
 from sgaedit.rng import substream
 
+from conftest import cols, dot, op_grad_case
+
 RNG = substream(0, "tape-tests")
 
 
 def test_quadratic_gradient_is_exact():
     point = RNG.normal(size=(3, 4))
-    err = T.grad_check(lambda x: T.sum_all(T.mul(x, x)), point, step=1e-3)
+    err = T.grad_check(lambda x: dot(x, x), point, step=1e-3)
     assert err <= 1e-5
 
 
 def test_masked_softmax_cross_entropy_on_four_logits():
+    """-log of the masked softmax's target entry, as cross entropy over the
+    masked logits."""
     mask = np.array([[0.0, 0.0, -np.inf, 0.0]])
-    onehot = np.zeros((1, 4))
-    onehot[0, 1] = 1.0
 
     def f(x):
-        probs = T.masked_softmax(x, mask)
-        return T.scale(T.log(T.sum_all(T.mul(probs, onehot))), -1.0)
+        return T.cross_entropy(T.add(x, mask), [1])
 
     for i in range(5):
         point = substream(i, "ce-point").normal(size=(1, 4))
+        assert abs(f(point) + np.log(T.masked_softmax(point, mask)[0, 1])) <= 1e-12
         assert T.grad_check(f, point, step=1e-4) <= 1e-4
 
 
@@ -34,9 +39,9 @@ def test_one_layer_attention_loss_gradient():
     target = np.array([2, 0, 1])
 
     def f(packed):
-        q = T.slice_cols(packed, 0, 4)
-        k = T.slice_cols(packed, 4, 8)
-        v = T.slice_cols(packed, 8, 12)
+        q = cols(packed, 0, 4)
+        k = cols(packed, 4, 8)
+        v = cols(packed, 8, 12)
         out, _ = dense_attention(q, k, v, mask)
         return T.cross_entropy(out, target)
 
@@ -44,8 +49,6 @@ def test_one_layer_attention_loss_gradient():
         point = substream(i, "attn-point").normal(size=(3, 12))
         assert T.grad_check(f, point, step=1e-4) <= 1e-4
 
-
-from conftest import op_grad_case
 
 LN_GAIN = substream(2, "ln-gain").normal(size=4)
 LN_BIAS = substream(3, "ln-bias").normal(size=4)
@@ -63,10 +66,10 @@ def test_layer_norm_param_gradients():
     x = RNG.normal(size=(3, 4))
 
     def f_gain(g):
-        return T.sum_all(T.layer_norm(x, g, LN_BIAS))
+        return dot(T.layer_norm(x, g, LN_BIAS), np.ones((3, 4)))
 
     def f_bias(b):
-        return T.sum_all(T.mul(T.layer_norm(x, LN_GAIN, b), x))
+        return dot(T.layer_norm(x, LN_GAIN, b), x)
 
     assert T.grad_check(f_gain, RNG.normal(size=4), 1e-4) <= 1e-4
     assert T.grad_check(f_bias, RNG.normal(size=4), 1e-4) <= 1e-4
@@ -76,7 +79,7 @@ def test_peg_kernel_gradient():
     x = RNG.normal(size=(3, 4, 2))
 
     def f(ker):
-        return T.sum_all(T.mul(T.peg(x, ker), T.peg(x, ker)))
+        return dot(T.peg(x, ker), T.peg(x, ker))
 
     assert T.grad_check(f, RNG.normal(size=(5, 5, 2)), 1e-4) <= 1e-4
 
@@ -117,7 +120,29 @@ def test_gather_rows_gradient_equals_add_at():
         tape = T.GradTape()
         table = tape.param(rng.normal(size=table_shape))
         out = T.gather_rows(table, idx)
-        tape.backward(T.sum_all(T.mul(out, g)))
+        tape.backward(dot(out, g))
         want = np.zeros(table_shape)
         np.add.at(want, idx, g)
         assert np.array_equal(table.grad, want)
+
+
+def test_every_registered_op_is_called_by_the_package():
+    """The op set is the set the program runs: each op is called through the
+    `tape` module by some package module other than `tape.py`."""
+    called = set()
+    for path in Path(T.__file__).parent.glob("*.py"):
+        if path.name == "tape.py":
+            continue
+        tree = ast.parse(path.read_text())
+        aliases = {
+            alias.asname or alias.name
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module is None
+            for alias in node.names
+            if alias.name == "tape"
+        }
+        for node in ast.walk(tree):
+            func = getattr(node, "func", None) if isinstance(node, ast.Call) else None
+            if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in aliases:
+                called.add(func.attr)
+    assert [op for op in T.DIFFERENTIABLE_OPS if op not in called] == []
