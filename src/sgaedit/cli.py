@@ -257,7 +257,6 @@ def _run_edit(cfg: dict, args, out: Path) -> int:
         n_samples=cfg["sampling"]["n_samples"],
         n_keep=cfg["sampling"]["n_keep"],
         seed=cfg["seed"],
-        workers=max(1, args.workers),
     )
     t_sga = time.perf_counter() - t0
 
@@ -375,9 +374,6 @@ def cmd_rollout(cfg: dict, args) -> int:
 
 
 def cmd_leakcheck(cfg: dict, args) -> int:
-    out = Path(cfg["out"]) / "leakcheck"
-    out.mkdir(parents=True, exist_ok=True)
-    cfgmod.write_resolved(cfg, out)
     mconf = cfgmod.model_config(cfg)
     q = cfg["quantizer"]
     seed = cfg["seed"]
@@ -385,10 +381,14 @@ def cmd_leakcheck(cfg: dict, args) -> int:
     size = cfg["leakcheck"]["image_size"]
     if args.image:
         image = images.read_pnm(args.image)
-        if image.shape[0] % patch or image.shape[1] % patch:
-            raise ConfigError("image dims not divisible by patch")
+        # the rule `leakcheck.image_size` follows: a codebook needs 2 entries, so at least 2 patches a side
+        if any(side % patch or side < 2 * patch for side in image.shape[:2]):
+            raise ConfigError(f"image dims {image.shape[:2]} must be multiples >= 2 x quantizer.patch {patch}")
     else:
         image = images.synthetic_image(size, size, channels, substream(seed, "leakcheck-image"))
+    out = Path(cfg["out"]) / "leakcheck"
+    out.mkdir(parents=True, exist_ok=True)
+    cfgmod.write_resolved(cfg, out)
     proj = random_projection(patch, 1 if image.ndim == 2 else 3, mconf.d, seed, "projection-image")
     feats = encode_patches(image, patch, proj).reshape(-1, mconf.d)
     size_cb = min(mconf.vocab, np.unique(feats, axis=0).shape[0])
@@ -433,7 +433,7 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--image", required=True, help="PGM/PPM input image")
     p.add_argument("--semantic", required=True, help="PGM class map")
     p.add_argument("--mask", required=True, help="PGM pixel mask (>=128 = edit)")
-    p.add_argument("--workers", type=int, default=1, help="candidate sampling workers")
+    p.add_argument("--workers", type=int, default=1, help="no effect: all candidates decode as one batch")
     p = sub.add_parser("bench", help="attention cost benchmark")
     common(p)
     p = sub.add_parser("ablate", help="attention-variant ablation on a synthetic task")

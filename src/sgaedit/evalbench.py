@@ -144,7 +144,8 @@ def free_form_mask(dims: tuple, seed, region: Optional[np.ndarray] = None) -> np
 
     The masked fraction always lands in [0.1, 0.6] and the mask is one
     4-connected component. `seed` may be an int or a numpy Generator;
-    `region` (bool array) confines the walk, e.g. to a reflection half.
+    `region` (bool array) confines the walk, e.g. to a reflection half;
+    the walk stops once every region cell is masked.
     """
     h, w = int(dims[0]), int(dims[1])
     if h < 2 or w < 2:
@@ -177,9 +178,10 @@ def free_form_mask(dims: tuple, seed, region: Optional[np.ndarray] = None) -> np
 
     mask = np.zeros((h, w), dtype=bool)
     count = 0  # masked cells
+    reachable = area if region is None else int(np.count_nonzero(region))
     for _ in range(50 * area):
         frac = count / area
-        if frac >= target and frac >= 0.1:
+        if (frac >= target and frac >= 0.1) or count == reachable:  # a full region can grow no further
             break
         r = int(rng.integers(r_min, r_max + 1))
         stamped = False

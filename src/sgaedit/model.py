@@ -19,11 +19,12 @@ place START is prepended; `encode` is the one encoder pass over a masked
 grid, and `guiding_forward` is `forward` under `PlanBundle.dense`.
 
 Autoregressive inference uses `IncrementalDecoder`, the exact row-by-row
-form of `decoder_forward`: it holds the decoder PEG rows, the cross-
-attention keys/values and a growing self-attention key/value cache, and
-runs the rows of each `extend` through the same block-gather kernel, so
-one kernel serves training, full-pass inference and incremental decoding.
-`decoder_forward` stays the full-pass reference.
+form of `decoder_forward` over a batch of candidates: it holds the decoder
+PEG rows, the cross-attention keys/values shared by every candidate and a
+growing self-attention key/value cache per candidate, and runs the rows of
+each `extend`, for all candidates at once, through the same block-gather
+kernel, so one kernel serves training, full-pass inference and
+incremental decoding. `decoder_forward` stays the full-pass reference.
 """
 
 from __future__ import annotations
@@ -274,13 +275,14 @@ def encoder_forward(embeddings, weights: ModelWeights, plans: PlanBundle) -> Enc
 
 
 def _check_decoder_input(prev: np.ndarray, start: int, weights: ModelWeights) -> None:
-    """Validate the decoder input tokens of rows [start, start + prev.size)."""
+    """Validate the [C, m] decoder input tokens of rows [start, start + m) of C sequences."""
     cfg = weights.config
-    if prev.ndim != 1 or prev.size < 1 or start + prev.size > weights.length:
-        raise SequenceError(f"decoder prefix length {start + prev.size} invalid (max {weights.length})")
-    if start == 0 and prev[0] != cfg.start_token:
+    m = prev.shape[1]
+    if m < 1 or start + m > weights.length:
+        raise SequenceError(f"decoder prefix length {start + m} invalid (max {weights.length})")
+    if start == 0 and np.any(prev[:, 0] != cfg.start_token):
         raise SequenceError("decoder input must begin with START")
-    if np.any(prev[1 if start == 0 else 0 :] == cfg.start_token):
+    if np.any(prev[:, 1 if start == 0 else 0 :] == cfg.start_token):
         raise SequenceError("START appears after position 0")
     if prev.min() < 0 or prev.max() > cfg.start_token:
         raise VocabularyError("decoder token outside embedding table")
@@ -297,7 +299,7 @@ def decoder_forward(prev_tokens, encoder_out: EncoderOutput, weights: ModelWeigh
     prev = np.asarray(prev_tokens, dtype=np.int64)
     if prev.shape != (weights.length,):
         raise SequenceError(f"decoder input of shape {prev.shape} is not the {weights.length}-token sequence")
-    _check_decoder_input(prev, 0, weights)
+    _check_decoder_input(prev[None], 0, weights)
 
     steps = prev.size
     w = weights.params
@@ -321,21 +323,31 @@ def decoder_forward(prev_tokens, encoder_out: EncoderOutput, weights: ModelWeigh
 
 
 class IncrementalDecoder:
-    """Exact incremental form of `decoder_forward` for inference.
+    """Exact incremental form of `decoder_forward` for inference, over a
+    batch of C candidates that share the encoder output.
 
     Built once from an encoder output, the weights and the plan bundle
     (its decoder roles; `PlanBundle.dense` gives one-block indices whose
-    query block is the whole sequence). `extend(prev_rows)` appends decoder
-    rows [n, n + m), whose input tokens are `prev_rows`, and returns their
-    logits: rows [n, n + m) of `decoder_forward` over any sequence that
-    begins with the rows given so far (its causal mask makes them
-    independent of the later ones), to float rounding. Attention runs the
-    same kernel as `decoder_forward`, `tape.block_attention`, over one
-    `sga.block_index` per (layer, role) built here, for the query blocks the
-    new rows fall in; the causal rows of the self-attention index hide the
-    cache rows not yet written. Embeddings, layer norm and the feed-forward
-    act row by row, so the cache is exact, not an approximation. `fork()`
-    gives an independent copy that shares the read-only parts.
+    query block is the whole sequence), for one candidate. `branch(C)`
+    gives a decoder of C candidates that all continue from its rows.
+    `extend(prev_rows)` takes a [C, m] block of input tokens, appends
+    decoder rows [n, n + m) to every candidate and returns their [C, m,
+    vocab] logits: candidate c's rows equal rows [n, n + m) of
+    `decoder_forward` over any sequence that begins with c's rows so far
+    (its causal mask makes them independent of the later ones), to float
+    rounding.
+
+    Inside `extend` the rows are ordered (row, candidate). Attention runs
+    the same kernel as `decoder_forward`, `tape.block_attention`, once per
+    (layer, role) over one `sga.block_index` built here, for the query
+    blocks the new rows fall in. Self-attention puts the candidates on the
+    kernel's head axis: each candidate's key/value cache is its own d
+    columns of an [L, C * d] table, and the index is tiled C times; the
+    causal rows of the index hide the cache rows not yet written.
+    Cross-attention keys are the same for every candidate, so there the
+    candidates are extra query rows of one [L, d] key table. Embeddings,
+    layer norm and the feed-forward act row by row, so the cache is exact,
+    not an approximation.
     """
 
     def __init__(self, encoder_out: EncoderOutput, weights: ModelWeights, plans: PlanBundle):
@@ -344,6 +356,7 @@ class IncrementalDecoder:
         context = T.value_of(encoder_out.context)
         self.weights = weights
         self.n = 0
+        self.candidates = 1
         self._peg = _peg_rows(context, w["dec_peg"], weights.grid)
         self._cross_kv = [
             (context @ w[f"dec{i}_cross_wk"], context @ w[f"dec{i}_cross_wv"]) for i in range(cfg.layers_dec)
@@ -351,55 +364,73 @@ class IncrementalDecoder:
 
         self._self_index = [sga.block_index(layer_plans, weights.length, True) for layer_plans in plans.dec_self]
         self._cross_index = [sga.block_index(layer_plans, weights.length) for layer_plans in plans.dec_cross]
-        self._k = [np.zeros((weights.length, cfg.d)) for _ in range(cfg.layers_dec)]
-        self._v = [np.zeros((weights.length, cfg.d)) for _ in range(cfg.layers_dec)]
+        # per layer, the self-attention keys and values: [L, C, d], candidate c in [:, c]
+        self._k = [np.zeros((weights.length, 1, cfg.d)) for _ in range(cfg.layers_dec)]
+        self._v = [np.zeros((weights.length, 1, cfg.d)) for _ in range(cfg.layers_dec)]
 
-    def fork(self) -> "IncrementalDecoder":
+    def branch(self, candidates: int) -> "IncrementalDecoder":
+        """A decoder of `candidates` candidates, each starting from this
+        single-candidate decoder's rows; this decoder is left unchanged."""
+        if self.candidates != 1 or candidates < 1:
+            raise ShapeError(f"cannot branch {self.candidates} candidates into {candidates}")
         other = copy.copy(self)
-        other._k = [buf.copy() for buf in self._k]
-        other._v = [buf.copy() for buf in self._v]
+        other.candidates = candidates
+        other._k = [np.repeat(buf, candidates, axis=1) for buf in self._k]
+        other._v = [np.repeat(buf, candidates, axis=1) for buf in self._v]
         return other
 
     def extend(self, prev_rows) -> np.ndarray:
         prev = np.asarray(prev_rows, dtype=np.int64)
+        c = self.candidates
+        if prev.ndim != 2 or prev.shape[0] != c:
+            raise SequenceError(f"decoder input of shape {prev.shape} is not [{c}, rows]")
         _check_decoder_input(prev, self.n, self.weights)
         w = self.weights.params
-        new = slice(self.n, self.n + prev.size)
-        h = w["dec_tok_emb"][prev] + w["dec_pos"][new] + self._peg[new]
-        for i in range(self.weights.config.layers_dec):
+        cfg = self.weights.config
+        m, d = prev.shape[1], cfg.d
+        new = slice(self.n, self.n + m)
+        h = (w["dec_tok_emb"][prev.T] + w["dec_pos"][new, None] + self._peg[new, None]).reshape(m * c, d)
+        for i in range(cfg.layers_dec):
             p = f"dec{i}"
-            self._k[i][new] = h @ w[f"{p}_self_wk"]
-            self._v[i][new] = h @ w[f"{p}_self_wv"]
-            a = self._attention(h @ w[f"{p}_self_wq"], self._k[i], self._v[i], self._self_index[i])
+            self._k[i][new] = (h @ w[f"{p}_self_wk"]).reshape(m, c, d)
+            self._v[i][new] = (h @ w[f"{p}_self_wv"]).reshape(m, c, d)
+            q = (h @ w[f"{p}_self_wq"]).reshape(m, c * d)
+            k, v = (buf.reshape(-1, c * d) for buf in (self._k[i], self._v[i]))
+            a = self._attention(q, k, v, self._self_index[i], heads=c, rows=1).reshape(m * c, d)
             h = T.layer_norm(h + a @ w[f"{p}_self_wo"], w[f"{p}_ln1_g"], w[f"{p}_ln1_b"])
             ck, cv = self._cross_kv[i]
-            c = self._attention(h @ w[f"{p}_cross_wq"], ck, cv, self._cross_index[i])
-            h = T.layer_norm(h + c @ w[f"{p}_cross_wo"], w[f"{p}_ln2_g"], w[f"{p}_ln2_b"])
+            a = self._attention(h @ w[f"{p}_cross_wq"], ck, cv, self._cross_index[i], heads=1, rows=c)
+            h = T.layer_norm(h + a @ w[f"{p}_cross_wo"], w[f"{p}_ln2_g"], w[f"{p}_ln2_b"])
             h = T.layer_norm(h + _feed_forward(h, self.weights, p), w[f"{p}_ln3_g"], w[f"{p}_ln3_b"])
         self.n = new.stop
-        return h @ w["out_head"]
+        return (h @ w["out_head"]).reshape(m, c, -1).transpose(1, 0, 2)
 
-    def _attention(self, q, k, v, index: sga.BlockIndex) -> np.ndarray:
-        """One kernel call for the query rows [n, n + len(q)) over `index`.
+    def _attention(self, q, k, v, index: sga.BlockIndex, heads: int, rows: int) -> np.ndarray:
+        """One kernel call for the query rows [n, n + m) over `index`, its
+        heads tiled `heads` times and each row repeated `rows` times.
 
-        Query block b holds rows [b * bs, (b + 1) * bs). A run inside one
-        block passes exactly its rows, with their `blocked` rows; a run
-        across blocks is padded with zero query rows to whole blocks, and
-        its rows are sliced back out.
+        q holds `rows` consecutive query rows per token. Query block b holds
+        tokens [b * bs, (b + 1) * bs). A run inside one block passes exactly
+        its rows, with their `blocked` rows; a run across blocks is padded
+        with zero query rows to whole blocks, and its rows are sliced back
+        out.
         """
-        first, stop = self.n, self.n + q.shape[0]
+        first, stop = self.n, self.n + q.shape[0] // rows
         bs = self.weights.length // index.keys.shape[1]
         blocks = slice(first // bs, (stop - 1) // bs + 1)
         if blocks.stop - blocks.start == 1:
             base = first
-            cut = slice(first % bs, first % bs + q.shape[0])
+            cut = slice(first % bs, first % bs + stop - first)
         else:
             base = blocks.start * bs
             cut = slice(None)
-            q = np.pad(q, ((first - base, blocks.stop * bs - stop), (0, 0)))
-        blocked = None if index.blocked is None else index.blocked[:, blocks, cut]
-        out = T.block_attention(q, k, v, index.keys[:, blocks], blocked)
-        return out[first - base : stop - base]
+            q = np.pad(q, (((first - base) * rows, (blocks.stop * bs - stop) * rows), (0, 0)))
+        keys = np.tile(index.keys[:, blocks], (heads, 1, 1))
+        blocked = None
+        if index.blocked is not None:
+            blocked = np.tile(np.repeat(index.blocked[:, blocks, cut], rows, axis=2), (heads, 1, 1, 1))
+        out = T.block_attention(q, k, v, keys, blocked)
+        return out[(first - base) * rows : (stop - base) * rows]
 
 
 def encode(x: TokenGrid, p: TokenGrid, weights: ModelWeights, plans: PlanBundle) -> EncoderOutput:

@@ -2,28 +2,28 @@
 
 Unmasked positions are forced to the original tokens and contribute no
 probability; masked positions are sampled from the top-k truncated softmax
-and accumulate log-probability. Candidates are generated from independent
-per-candidate random streams, so a worker pool of any size produces the
-same set as a sequential run, and are ranked by their summed (joint)
-log-probability.
+and accumulate log-probability. Candidate i draws only from its own random
+stream, one uniform per masked position, so its tokens do not depend on
+how many candidates are drawn with it. Candidates are ranked by their
+summed (joint) log-probability.
 
 Decoding is incremental (`model.IncrementalDecoder`). The encoder pass
 (`model.encode`) and the forced prefix, every row up to the first masked
-position, are the same for all candidates, so they run once per call,
-before any worker starts.
-Each candidate forks that shared state and extends only the forced runs
-between masked positions plus one row per sampled token. Each such run is
+position, are the same for all candidates, so they run once per call. The
+decoder then branches into all candidates, which share the mask and so
+extend the same rows at every step: the forced runs between masked
+positions and one row per sampled position, as one batch. Each such run is
 one call per layer and role of the block-gather kernel that also serves
-training and the full pass. `rescore` keeps the full teacher-forced
+training and the full pass, and each sampled position is one `topk_sample`
+call over every candidate's logits. The guide's own decode is the same
+path with one candidate. `rescore` keeps the full teacher-forced
 `model.forward` pass as the reference.
 """
 
 from __future__ import annotations
 
 import json
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -34,36 +34,50 @@ from .quantizer import TokenGrid, apply_mask
 from .rng import substream
 
 
-def topk_sample(logits: np.ndarray, k: int, rng) -> int:
-    """Sample proportionally to softmax over the k highest logits.
+def _top_k(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Per row of [R, vocab] logits: the k kept indices, highest logit first
+    with ties toward lower indices, and their logits minus the row's largest."""
+    logits = np.asarray(logits, dtype=np.float64)
+    if logits.ndim != 2:
+        raise ShapeError(f"logits must be [rows, vocab], got {logits.shape}")
+    if k < 1 or k > logits.shape[1]:
+        raise ParameterError(f"top-k {k} out of range [1, {logits.shape[1]}]")
+    kept = np.lexsort((np.broadcast_to(np.arange(logits.shape[1]), logits.shape), -logits))[:, :k]
+    top = np.take_along_axis(logits, kept, axis=1)
+    return kept, top - top[:, :1]
+
+
+def topk_sample(logits: np.ndarray, k: int, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Sample each row of [C, vocab] logits proportionally to softmax over
+    its k highest logits, drawing one uniform from that row's own
+    generator `rngs[c]`; return the C choices and their log-probabilities
+    under the top-k distribution.
 
     Ties at the k-th logit are resolved toward lower indices; probability
     outside the kept set is exactly zero.
     """
-    logits = np.asarray(logits, dtype=np.float64)
-    if logits.ndim != 1:
-        raise ShapeError(f"logits must be 1D, got {logits.shape}")
-    if k < 1 or k > logits.size:
-        raise ParameterError(f"top-k {k} out of range [1, {logits.size}]")
-    kept = np.lexsort((np.arange(logits.size), -logits))[:k]
-    shifted = logits[kept] - logits[kept].max()
+    kept, shifted = _top_k(logits, k)
+    if len(rngs) != kept.shape[0]:
+        raise ShapeError(f"{len(rngs)} generators for {kept.shape[0]} rows of logits")
     probs = np.exp(shifted)
-    probs /= probs.sum()
-    u = rng.random()
-    pick = int(np.searchsorted(np.cumsum(probs), u, side="right").clip(0, k - 1))
-    return int(kept[pick])
+    total = probs.sum(axis=1, keepdims=True)
+    probs /= total
+    u = np.array([rng.random() for rng in rngs])
+    # the first index whose cumulative probability exceeds u
+    pick = np.minimum((np.cumsum(probs, axis=1) <= u[:, None]).sum(axis=1), k - 1)
+    rows = np.arange(kept.shape[0])
+    return kept[rows, pick], shifted[rows, pick] - np.log(total[:, 0])
 
 
-def topk_logprob(logits: np.ndarray, k: int, index: int) -> float:
-    """Log-probability of `index` under the normalized top-k distribution."""
-    logits = np.asarray(logits, dtype=np.float64)
-    kept = np.lexsort((np.arange(logits.size), -logits))[:k]
-    where = np.nonzero(kept == index)[0]
-    if where.size == 0:
-        raise ValidationError(f"index {index} not inside the top-{k} set")
-    shifted = logits[kept] - logits[kept].max()
-    logz = float(np.log(np.exp(shifted).sum()))
-    return float(shifted[where[0]] - logz)
+def topk_logprob(logits: np.ndarray, k: int, index) -> np.ndarray:
+    """Log-probability of `index[r]` under row r's normalized top-k
+    distribution, for each row of [R, vocab] logits."""
+    kept, shifted = _top_k(logits, k)
+    hit = kept == np.asarray(index)[:, None]
+    if not hit.any(axis=1).all():
+        raise ValidationError(f"an index is not inside its row's top-{k} set")
+    logz = np.log(np.exp(shifted).sum(axis=1))
+    return shifted[hit] - logz
 
 
 @dataclass
@@ -138,43 +152,38 @@ def _forced_decode(
     weights: mdl.ModelWeights,
     plans: mdl.PlanBundle,
     top_k: int,
-) -> Callable:
-    """Prepare a forced decode; return `decode(rng) -> (TokenGrid, logprob)`.
+    rngs: list,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Decode one candidate per generator in `rngs`, all as one batch;
+    return their [C, L] token sequences and [C] log-probabilities.
 
     Positions decode row-major: originals are forced at unmasked positions,
     masked positions are sampled with top-k and accumulate their log-probs.
     `enc_out` is the encoder pass over the masked grid. The rows up to and
-    including the first masked position run here, once; each `decode` call
-    forks that state, so calls are independent and may run on concurrent
-    threads.
+    including the first masked position run once, for one candidate, and
+    the decoder then branches into all of them.
     """
     cfg = weights.config
     if top_k < 1:
         raise ParameterError(f"top-k must be >= 1, got {top_k}")
     k_eff = min(top_k, cfg.vocab)
-    original = tokens.flat()
+    seqs = np.tile(tokens.flat(), (len(rngs), 1))
+    logprobs = np.zeros(len(rngs))
     positions = np.flatnonzero(np.asarray(mask, dtype=bool).ravel())
-    shared = mdl.IncrementalDecoder(enc_out, weights, plans)
-    first_row = None
     if positions.size:
-        first_row = shared.extend(np.concatenate([[cfg.start_token], original[: positions[0]]]))[-1]
-
-    def decode(rng) -> tuple[TokenGrid, float]:
-        seq = original.copy()
-        logprob = 0.0
-        if positions.size:
-            state = shared.fork()
-            for pos in positions:
-                # row pos reads token pos - 1; the shared state already holds row positions[0]
-                row = state.extend(seq[state.n - 1 : pos])[-1] if state.n <= pos else first_row
-                if not np.all(np.isfinite(row)):
-                    raise NumericalError(f"non-finite logits at decoding position {pos}")
-                choice = topk_sample(row, k_eff, rng)
-                logprob += topk_logprob(row, k_eff, choice)
-                seq[pos] = choice
-        return TokenGrid(seq.reshape(tokens.tokens.shape), tokens.vocab), float(logprob)
-
-    return decode
+        shared = mdl.IncrementalDecoder(enc_out, weights, plans)
+        first = shared.extend(np.concatenate([[cfg.start_token], seqs[0, : positions[0]]])[None])[:, -1]
+        dec = shared.branch(len(rngs))
+        rows = np.repeat(first, len(rngs), axis=0)
+        for pos in positions:
+            # row pos reads token pos - 1; the shared rows already hold row positions[0]
+            if dec.n <= pos:
+                rows = dec.extend(seqs[:, dec.n - 1 : pos])[:, -1]
+            if not np.all(np.isfinite(rows)):
+                raise NumericalError(f"non-finite logits at decoding position {pos}")
+            seqs[:, pos], logprob = topk_sample(rows, k_eff, rngs)
+            logprobs += logprob
+    return seqs, logprobs
 
 
 def plans_from_maps(forced: mdl.ForwardResult, config: mdl.ModelConfig) -> mdl.PlanBundle:
@@ -219,12 +228,13 @@ def guide_and_plan(
     dense = mdl.PlanBundle.dense(guiding_weights.config)
     enc_in = apply_mask(request.tokens_low, request.mask_low)
     enc = mdl.encode(enc_in, request.semantic_low, guiding_weights, dense)
-    decode = _forced_decode(enc, request.tokens_low, request.mask_low, guiding_weights, dense, max(config.top_k, 1))
-    completion, logprob = decode(substream(seed, "guide-sample"))
-    forced = mdl.guiding_forward(
-        enc_in, request.semantic_low, guiding_weights, decoder_tokens=completion.flat(), encoder_out=enc
+    seqs, logprobs = _forced_decode(
+        enc, request.tokens_low, request.mask_low, guiding_weights, dense, max(config.top_k, 1),
+        [substream(seed, "guide-sample")],
     )
-    return GuidePlanResult(completion_low=completion, plans=plans_from_maps(forced, config), logprob_low=logprob)
+    forced = mdl.guiding_forward(enc_in, request.semantic_low, guiding_weights, decoder_tokens=seqs[0], encoder_out=enc)
+    completion = TokenGrid(seqs[0].reshape(request.tokens_low.tokens.shape), request.tokens_low.vocab)
+    return GuidePlanResult(completion, plans_from_maps(forced, config), float(logprobs[0]))
 
 
 def autoregressive_edit(
@@ -235,30 +245,21 @@ def autoregressive_edit(
     n_samples: int = 50,
     n_keep: int = 10,
     seed: int = 0,
-    workers: int = 1,
 ) -> CandidateSet:
-    """Sample n_samples completions, rank by joint log-prob, keep n_keep."""
+    """Sample n_samples completions as one batch, rank by joint log-prob,
+    keep n_keep."""
     if n_samples < 1 or n_keep < 1:
         raise ParameterError("n_samples and n_keep must be >= 1")
 
     enc_out = mdl.encode(apply_mask(request.tokens, request.mask), request.semantic, sga_weights, plans)
-    decode = _forced_decode(enc_out, request.tokens, request.mask, sga_weights, plans, top_k)
+    rngs = [substream(seed, f"candidate-{i}") for i in range(n_samples)]
+    seqs, logprobs = _forced_decode(enc_out, request.tokens, request.mask, sga_weights, plans, top_k, rngs)
 
-    def one(i: int) -> Candidate:
-        tokens, logprob = decode(substream(seed, f"candidate-{i}"))
-        return Candidate(tokens=tokens, logprob=logprob)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cands = list(pool.map(one, range(n_samples)))
-    else:
-        cands = [one(i) for i in range(n_samples)]
-
-    unmasked = ~np.asarray(request.mask, dtype=bool)
-    originals = request.tokens.tokens
-    for c in cands:
-        if not np.array_equal(c.tokens.tokens[unmasked], originals[unmasked]):
-            raise ValidationError("candidate modified an unmasked token")
+    unmasked = ~np.asarray(request.mask, dtype=bool).ravel()
+    if np.any(seqs[:, unmasked] != request.tokens.flat()[unmasked]):
+        raise ValidationError("candidate modified an unmasked token")
+    shape, vocab = request.tokens.tokens.shape, request.tokens.vocab
+    cands = [Candidate(TokenGrid(seq.reshape(shape), vocab), float(lp)) for seq, lp in zip(seqs, logprobs)]
 
     ranked = rank_candidates(CandidateSet(cands))
     return CandidateSet(ranked.candidates[:n_keep])
@@ -276,7 +277,5 @@ def rescore(
     seq = candidate.flat()
     enc_in = apply_mask(request.tokens, request.mask)
     rows = mdl.forward(enc_in, request.semantic, sga_weights, plans, seq).logits
-    total = 0.0
-    for pos in np.flatnonzero(np.asarray(request.mask, dtype=bool).ravel()):
-        total += topk_logprob(rows[pos], k_eff, int(seq[pos]))
-    return float(total)
+    positions = np.flatnonzero(np.asarray(request.mask, dtype=bool).ravel())
+    return float(topk_logprob(rows[positions], k_eff, seq[positions]).sum())

@@ -218,6 +218,26 @@ def test_invalid_run_config_exit_2_without_traceback(tmp_path, capsys, override)
     assert not (tmp_path / "run").exists()
 
 
+# leakcheck --image inputs that break the `leakcheck.image_size` rule, at quantizer.patch 4
+BAD_LEAKCHECK_IMAGES = [
+    ("one-patch", (4, 4)),
+    ("one-patch-tall", (4, 8)),
+    ("one-patch-wide", (8, 4)),
+    ("indivisible", (6, 8)),
+]
+
+
+@pytest.mark.parametrize("shape", [case[1] for case in BAD_LEAKCHECK_IMAGES], ids=[case[0] for case in BAD_LEAKCHECK_IMAGES])
+def test_invalid_leakcheck_image_exit_2_without_traceback(tmp_path, capsys, shape):
+    cfg = write_config(tmp_path)
+    image = tmp_path / "small.pgm"
+    images.write_pnm(image, images.synthetic_image(shape[0], shape[1], 1, substream(0, "leakcheck-small")))
+    assert cli.main(["leakcheck", "--config", str(cfg), "--image", str(image)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "run").exists()
+
+
 def test_workers_is_an_edit_option_only(tmp_path, capsys):
     cfg = write_config(tmp_path)
     with pytest.raises(SystemExit) as exc:

@@ -144,7 +144,83 @@ def full_grid_stamp_walk(dims, rng, region=None):
     return mask
 
 
+def unbounded_walk(dims, rng, region=None):
+    """`free_form_mask` as it was before it stopped on a full region: the
+    walk runs on through every one of its 50 * area moves."""
+    h, w = dims
+    area = h * w
+    r_min, r_max = eb._brush_limits(area)
+    target = rng.uniform(0.12, 0.5)
+    if region is not None:
+        cells = np.argwhere(region)
+        pos = cells[rng.integers(cells.shape[0])]
+        pos = [int(pos[0]), int(pos[1])]
+        lo, hi = [int(v) for v in cells.min(axis=0)], [int(v) for v in cells.max(axis=0)]
+    else:
+        pos = [int(rng.integers(h)), int(rng.integers(w))]
+        lo, hi = [0, 0], [h - 1, w - 1]
+    moves_8 = [(-1, -1), (-1, 0), (-1, 1), (0, -1), (0, 1), (1, -1), (1, 0), (1, 1)]
+    moves = [(-1, 0), (1, 0), (0, -1), (0, 1)] if r_max == 0 else moves_8
+    mask = np.zeros((h, w), dtype=bool)
+    count = 0
+    for _ in range(50 * area):
+        frac = count / area
+        if frac >= target and frac >= 0.1:
+            break
+        r = int(rng.integers(r_min, r_max + 1))
+        stamped = False
+        while r >= r_min:
+            window = (slice(max(0, pos[0] - r), pos[0] + r + 1), slice(max(0, pos[1] - r), pos[1] + r + 1))
+            new = ~mask[window]
+            if region is not None:
+                new &= region[window]
+            added = int(np.count_nonzero(new))
+            if (count + added) / area <= 0.6:
+                mask[window] |= new
+                count += added
+                stamped = True
+                break
+            r -= 1
+        if not stamped and count / area >= 0.1:
+            break
+        dy, dx = moves[int(rng.integers(len(moves)))]
+        pos[0] = min(max(pos[0] + dy, lo[0]), hi[0])
+        pos[1] = min(max(pos[1] + dx, lo[1]), hi[1])
+    return mask
+
+
+class CountingRng:
+    """A Generator that counts the draws made through it."""
+
+    def __init__(self, rng):
+        self.rng, self.draws = rng, 0
+
+    def uniform(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.uniform(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.draws += 1
+        return self.rng.integers(*args, **kwargs)
+
+
 class TestFreeFormMask:
+    @pytest.mark.parametrize("dims", [(8, 8), (16, 16)])
+    @pytest.mark.parametrize("kind", ["copy-corner", "mirror", "constant-region"])
+    def test_matches_unbounded_walk(self, kind, dims):
+        """Stopping once the region is full gives the same masks as walking
+        on through every move; a copy-corner quarter that fills up stops
+        after a few moves instead of 50 * area."""
+        region = eb.SyntheticTask(kind, dims[0], dims[1], vocab=4).mask_region()
+        for seed in range(12):
+            got_rng = CountingRng(substream(seed, "unbounded"))
+            got = eb.free_form_mask(dims, got_rng, region=region)
+            want = unbounded_walk(dims, substream(seed, "unbounded"), region=region)
+            assert np.array_equal(got, want), (kind, dims, seed)
+            if region is not None and got.sum() == region.sum():
+                # the unbounded walk draws at least 2 numbers per move, 100 * area in all
+                assert got_rng.draws < 10 * got.size, (kind, dims, seed, got_rng.draws)
+
     @pytest.mark.parametrize("dims", [(2, 2), (4, 16), (8, 8), (16, 16), (32, 32)])
     def test_matches_full_grid_stamp_walk(self, dims):
         """Stamping only the brush window gives the same masks and draws the

@@ -1,4 +1,5 @@
-"""The incremental decoder against the full `decoder_forward` pass."""
+"""The incremental decoder, one candidate or a batch, against the full
+`decoder_forward` pass."""
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ import pytest
 from sgaedit import model as mdl
 from sgaedit import sampler, sga
 from sgaedit import tape as T
-from sgaedit.errors import SequenceError
+from sgaedit.errors import SequenceError, ShapeError
 from sgaedit.quantizer import TokenGrid, apply_mask
 from sgaedit.rng import substream
 
@@ -86,7 +87,7 @@ def test_every_step_matches_full_pass(kind, layers_dec):
     got = []
     # single rows, runs inside one block, and runs across block boundaries
     for size in (1, 1, 3, 6, 1, 9, 2, 1, 7, 1):
-        got.append(dec.extend(prev[dec.n : dec.n + size]))
+        got.append(dec.extend(prev[None, dec.n : dec.n + size])[0])
         assert np.abs(np.concatenate(got) - full[: dec.n]).max() <= TOLERANCE
     assert dec.n == cfg.l_high
 
@@ -116,11 +117,67 @@ def test_extend_runs_the_block_kernel_once_per_role_and_layer(kind, layers_dec, 
     for size in (1, 2, 3, 1, 9, 2, 1, 7, 6):
         rows_seen.clear()
         first = dec.n
-        dec.extend(prev[first : first + size])
+        dec.extend(prev[None, first : first + size])
         assert len(rows_seen) == 2 * layers_dec
         if first // bs == (first + size - 1) // bs:
             assert set(rows_seen) == {(size, 1)}
     assert dec.n == cfg.l_high
+
+
+def candidate_inputs(prev, candidates, split, vocab):
+    """`candidates` decoder inputs that share rows [0, split) and differ
+    from one another in every later row."""
+    out = np.repeat(prev[None], candidates, axis=0)
+    out[:, split:] = (prev[split:] + np.arange(candidates)[:, None]) % vocab
+    return out
+
+
+@pytest.mark.parametrize("layers_dec", [1, 2])
+@pytest.mark.parametrize("kind", PLAN_KINDS)
+def test_batched_extend_matches_each_candidates_full_pass(kind, layers_dec, monkeypatch):
+    """A batch branched after a shared prefix: each candidate's rows equal
+    its own full pass, for single rows, runs inside one block and runs
+    across blocks, and every `extend` is one kernel call per (role, layer)
+    for all candidates: self-attention with the candidates on the head
+    axis, cross-attention with them on the query rows."""
+    cfg = make_config(layers_dec)
+    guide, high = make_weights(cfg, layers_dec)
+    request = make_request(cfg, np.zeros(cfg.grid_high, bool))
+    plans = make_plans(kind, cfg, guide, request)
+    enc = encode(request, high, plans)
+    prev = np.concatenate([[cfg.start_token], request.tokens.flat()[:-1]])
+    bs = cfg.l_high // plans.dec_self[0][0].n_blocks
+    c, heads = 3, cfg.heads
+    calls = []
+    kernel = T.block_attention
+
+    def counting(q, k, v, keys, *args, **kwargs):
+        calls.append((np.shape(q)[0], np.shape(keys)[0]))  # (query rows, heads)
+        return kernel(q, k, v, keys, *args, **kwargs)
+
+    for split in (1, 6):
+        seqs = candidate_inputs(prev, c, split, cfg.vocab)
+        shared = mdl.IncrementalDecoder(enc, high, plans)
+        got = [np.repeat(shared.extend(prev[None, :split]), c, axis=0)]
+        dec = shared.branch(c)
+        monkeypatch.setattr(T, "block_attention", counting)
+        for size in (1, 2, 1, 5, 3, 1, 7, 2, 9, 32):
+            if dec.n == cfg.l_high:
+                break
+            size = min(size, cfg.l_high - dec.n)
+            first = dec.n
+            calls.clear()
+            got.append(dec.extend(seqs[:, first : first + size]))
+            assert len(calls) == 2 * layers_dec
+            assert sorted(h for _, h in calls) == [heads] * layers_dec + [c * heads] * layers_dec
+            if first // bs == (first + size - 1) // bs:
+                assert set(calls) == {(size, c * heads), (c * size, heads)}
+        monkeypatch.undo()
+        rows = np.concatenate(got, axis=1)
+        assert dec.n == cfg.l_high and rows.shape == (c, cfg.l_high, cfg.vocab)
+        for seq, row in zip(seqs, rows):
+            full, _, _ = mdl.decoder_forward(seq, enc, high, plans)
+            assert np.abs(full - row).max() <= TOLERANCE
 
 
 def first_zero_mask(cfg):
@@ -145,29 +202,28 @@ def test_sampled_rows_match_full_pass(kind, mask_fn, monkeypatch):
     guide, high = make_weights(cfg)
     request = make_request(cfg, mask_fn(cfg), seed=1)
     plans = make_plans(kind, cfg, guide, request)
-    steps = []  # (logits row, choice), in decode order
+    steps = []  # (logits rows, choices) of every candidate, in decode order
     real_sample = sampler.topk_sample
 
-    def recording_sample(logits, k, rng):
-        choice = real_sample(logits, k, rng)
-        steps.append((np.array(logits), choice))
-        return choice
+    def recording_sample(logits, k, rngs):
+        choices, logprobs = real_sample(logits, k, rngs)
+        steps.append((np.array(logits), choices.copy()))
+        return choices, logprobs
 
     monkeypatch.setattr(sampler, "topk_sample", recording_sample)
-    out = sampler.autoregressive_edit(request, high, plans, n_samples=2, n_keep=2, seed=4, workers=1)
+    out = sampler.autoregressive_edit(request, high, plans, n_samples=2, n_keep=2, seed=4)
     monkeypatch.undo()
 
     enc = encode(request, high, plans)
     positions = np.flatnonzero(request.mask.ravel())
-    assert len(steps) == 2 * positions.size
-    for first in (0, positions.size):  # one candidate after the other
-        cand_steps = steps[first : first + positions.size]
+    assert len(steps) == positions.size
+    for cand in range(2):
         seq = request.tokens.flat().copy()
-        seq[positions] = [choice for _, choice in cand_steps]
+        seq[positions] = [choices[cand] for _, choices in steps]
         prev = np.concatenate([[cfg.start_token], seq[:-1]])
         full, _, _ = mdl.decoder_forward(prev, enc, high, plans)
-        for pos, (row, _) in zip(positions, cand_steps):
-            assert np.abs(full[pos] - row).max() <= TOLERANCE
+        for pos, (rows, _) in zip(positions, steps):
+            assert np.abs(full[pos] - rows[cand]).max() <= TOLERANCE
     for cand in out.candidates:
         assert abs(sampler.rescore(request, high, plans, cand.tokens) - cand.logprob) <= 1e-9
 
@@ -184,31 +240,34 @@ def test_no_masked_tokens_returns_input(kind):
         assert cand.logprob == 0.0
 
 
-def test_forks_do_not_alias():
+def test_batch_candidates_do_not_alias():
+    """A branched batch writes each candidate's rows into its own cache
+    columns, never into another candidate's or the shared prefix's."""
     cfg = make_config(2)
     guide, high = make_weights(cfg)
     request = make_request(cfg, np.zeros(cfg.grid_high, bool))
     plans = make_plans("guided", cfg, guide, request)
     enc = encode(request, high, plans)
     prev = np.concatenate([[cfg.start_token], request.tokens.flat()[:-1]])
-    other = prev.copy()
-    other[10:] = (other[10:] + 1) % cfg.vocab
+    seqs = candidate_inputs(prev, 2, 10, cfg.vocab)
 
     base = mdl.IncrementalDecoder(enc, high, plans)
-    base.extend(prev[:10])
-    snapshot = [(k.copy(), v.copy()) for k, v in zip(base._k, base._v)]
-    a, b = base.fork(), base.fork()
-    for fa, fb in zip(a._k + a._v, b._k + b._v):
-        assert not np.shares_memory(fa, fb)
-    got_a = a.extend(prev[10:])
-    got_b = b.extend(other[10:])
-    # the parent is untouched, and each fork equals its own full pass
+    base.extend(prev[None, :10])
+    snapshot = [buf.copy() for buf in base._k + base._v]
+    batch = base.branch(2)
+    for buf in batch._k + batch._v:
+        assert not any(np.shares_memory(buf, other) for other in base._k + base._v)
+    got = batch.extend(seqs[:, 10:])
+    # the prefix is untouched, the candidates' rows differ, and each equals its own full pass
     assert base.n == 10
-    for (k, v), k0, v0 in zip(snapshot, base._k, base._v):
-        assert np.array_equal(k, k0) and np.array_equal(v, v0)
-    for seq, got in ((prev, got_a), (other, got_b)):
+    for before, after in zip(snapshot, base._k + base._v):
+        assert np.array_equal(before, after)
+    for buf, before in zip(batch._k + batch._v, snapshot):
+        assert np.array_equal(buf[:10, 0], before[:10, 0]) and np.array_equal(buf[:10, 1], before[:10, 0])
+        assert not np.any(np.all(buf[10:, 0] == buf[10:, 1], axis=-1))
+    for seq, rows in zip(seqs, got):
         full, _, _ = mdl.decoder_forward(seq, enc, high, plans)
-        assert np.abs(full[10:] - got).max() <= TOLERANCE
+        assert np.abs(full[10:] - rows).max() <= TOLERANCE
 
 
 def test_dense_bundle_decodes_over_one_block():
@@ -231,9 +290,18 @@ def test_extend_validates_input():
     enc = encode(request, high, dense)
     dec = mdl.IncrementalDecoder(enc, high, dense)
     with pytest.raises(SequenceError):
-        dec.extend([1, 2])  # row 0 must read START
-    dec.extend([cfg.start_token, 1])
+        dec.extend([[1, 2]])  # row 0 must read START
     with pytest.raises(SequenceError):
-        dec.extend([cfg.start_token])  # START only at row 0
+        dec.extend([cfg.start_token, 1])  # not a [candidates, rows] block
+    dec.extend([[cfg.start_token, 1]])
     with pytest.raises(SequenceError):
-        dec.extend(np.ones(cfg.l_high - 1, dtype=int))  # past the grid
+        dec.extend([[cfg.start_token]])  # START only at row 0
+    with pytest.raises(SequenceError):
+        dec.extend(np.ones((1, cfg.l_high - 1), dtype=int))  # past the grid
+    batch = dec.branch(2)
+    with pytest.raises(SequenceError):
+        batch.extend([[1]])  # one row block for two candidates
+    with pytest.raises(SequenceError):
+        batch.extend([[1], [cfg.start_token]])  # START only at row 0, in every candidate
+    with pytest.raises(ShapeError):
+        batch.branch(2)  # only a single candidate branches

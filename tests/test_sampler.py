@@ -3,7 +3,7 @@ import pytest
 
 from sgaedit import model as mdl
 from sgaedit import sampler, sga
-from sgaedit.errors import NumericalError, ParameterError, ValidationError
+from sgaedit.errors import NumericalError, ParameterError, ShapeError, ValidationError
 from sgaedit.quantizer import TokenGrid
 from sgaedit.rng import substream
 
@@ -50,16 +50,33 @@ def weights():
     return guide, high
 
 
+def one_row_topk_sample(logits, k, rng):
+    """The one-row top-k sampler that decoded one candidate at a time:
+    (choice, its top-k log-probability)."""
+    kept = np.lexsort((np.arange(logits.size), -logits))[:k]
+    shifted = logits[kept] - logits[kept].max()
+    probs = np.exp(shifted)
+    probs /= probs.sum()
+    pick = int(np.searchsorted(np.cumsum(probs), rng.random(), side="right").clip(0, k - 1))
+    return int(kept[pick]), float(shifted[pick] - np.log(np.exp(shifted).sum()))
+
+
+def draw(logits, k, rng) -> int:
+    """One `topk_sample` draw from a single row of logits."""
+    choices, _ = sampler.topk_sample(np.asarray(logits)[None], k, [rng])
+    return int(choices[0])
+
+
 class TestTopkSample:
     def test_k1_is_argmax(self):
         logits = np.array([0.1, 3.0, -1.0, 2.9])
         rng = substream(2, "topk")
-        assert all(sampler.topk_sample(logits, 1, rng) == 1 for _ in range(20))
+        assert all(draw(logits, 1, rng) == 1 for _ in range(20))
 
     def test_dominant_logit_frequency(self):
         logits = np.array([10.0, 0.0, 0.0])
         rng = substream(3, "topk2")
-        draws = [sampler.topk_sample(logits, 3, rng) for _ in range(10_000)]
+        draws = [draw(logits, 3, rng) for _ in range(10_000)]
         freq = draws.count(0) / len(draws)
         # softmax oracle: p0 = e^10 / (e^10 + 2) = 0.99991...
         assert freq >= 0.99
@@ -69,7 +86,7 @@ class TestTopkSample:
         logits = np.zeros(vocab)
         rng = substream(4, "topk3")
         n = 16_000
-        counts = np.bincount([sampler.topk_sample(logits, vocab, rng) for _ in range(n)], minlength=vocab)
+        counts = np.bincount([draw(logits, vocab, rng) for _ in range(n)], minlength=vocab)
         p = 1.0 / vocab
         sigma = np.sqrt(n * p * (1 - p))
         assert np.abs(counts - n * p).max() <= 3 * sigma
@@ -77,27 +94,48 @@ class TestTopkSample:
     def test_zero_probability_outside_top_k(self):
         logits = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
         rng = substream(5, "topk4")
-        draws = {sampler.topk_sample(logits, 2, rng) for _ in range(200)}
+        draws = {draw(logits, 2, rng) for _ in range(200)}
         assert draws <= {0, 1}
 
     def test_tie_break_lowest_index(self):
         logits = np.array([1.0, 1.0, 1.0])
         rng = substream(6, "topk5")
-        draws = {sampler.topk_sample(logits, 2, rng) for _ in range(200)}
+        draws = {draw(logits, 2, rng) for _ in range(200)}
         assert draws <= {0, 1}  # index 2 excluded by the tie-break
 
     def test_k_out_of_range(self):
         rng = substream(7, "topk6")
         with pytest.raises(ParameterError):
-            sampler.topk_sample(np.zeros(4), 0, rng)
+            sampler.topk_sample(np.zeros((1, 4)), 0, [rng])
         with pytest.raises(ParameterError):
-            sampler.topk_sample(np.zeros(4), 5, rng)
+            sampler.topk_sample(np.zeros((1, 4)), 5, [rng])
+        with pytest.raises(ShapeError):
+            sampler.topk_sample(np.zeros((2, 4)), 2, [rng])  # one generator per row
 
     def test_logprob_matches_oracle(self):
         logits = np.array([2.0, 1.0, 0.5, -3.0])
-        lp = sampler.topk_logprob(logits, 2, 1)
+        lp = sampler.topk_logprob(logits[None], 2, [1])[0]
         expected = np.log(np.exp(1.0) / (np.exp(2.0) + np.exp(1.0)))
         assert lp == pytest.approx(expected, abs=1e-12)
+
+    def test_logprob_outside_top_k_rejected(self):
+        with pytest.raises(ValidationError):
+            sampler.topk_logprob(np.array([[2.0, 1.0, 0.5], [0.0, 1.0, 2.0]]), 2, [1, 0])
+
+    def test_rows_match_the_one_row_loop(self):
+        """A batch draw equals the one-row sampler it replaced, row by row
+        from the same streams: choices exactly, and log-probabilities to
+        the bit, also against `topk_logprob`."""
+        logits = substream(9, "topk7").normal(scale=2.0, size=(6, 16))
+        logits[2, :5] = logits[2, 0]  # ties at the top
+        logits[3, 7:] = logits[3].max()  # ties across the k-th logit
+        for k in (1, 3, 16):
+            for seed in range(20):
+                choices, logprobs = sampler.topk_sample(logits, k, [substream(seed, f"row-{r}") for r in range(6)])
+                for r in range(6):
+                    want, want_lp = one_row_topk_sample(logits[r], k, substream(seed, f"row-{r}"))
+                    assert choices[r] == want and logprobs[r] == want_lp
+                assert np.array_equal(logprobs, sampler.topk_logprob(logits, k, choices))
 
 
 class TestGuideAndPlan:
@@ -192,12 +230,23 @@ class TestAutoregressiveEdit:
         two = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=4, n_keep=2, seed=9)
         assert one.to_json() == two.to_json()
 
-    def test_workers_do_not_change_results(self, weights):
-        _, high = weights
+    def test_batch_size_does_not_change_candidates(self, weights):
+        """Candidate i draws only from its own stream, so the tokens of
+        candidates 0-2 of a 6-candidate batch are byte-identical to those of
+        a 3-candidate one, under dense and under guided plans; their
+        log-probabilities agree to rounding."""
+        guide, high = weights
         req = make_request(4)
-        seq = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=6, n_keep=4, seed=5, workers=1)
-        par = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=6, n_keep=4, seed=5, workers=3)
-        assert seq.to_json() == par.to_json()
+        for plans in (mdl.PlanBundle.dense(CFG), sampler.guide_and_plan(req, guide, CFG, seed=1).plans):
+
+            def candidates(n):
+                out = sampler.autoregressive_edit(req, high, plans, n_samples=n, n_keep=n, seed=5)
+                return {c.tokens.tokens.tobytes(): c.logprob for c in out.candidates}
+
+            six, three = candidates(6), candidates(3)
+            assert len(three) > 1  # the candidates differ, so the check below can fail
+            for tokens, logprob in three.items():
+                assert abs(six[tokens] - logprob) <= 1e-12
 
     def test_unmasked_positions_preserved(self, weights):
         guide, high = weights
