@@ -3,7 +3,7 @@
 `dense_attention` is the dense reference that the tests compare the
 attention kernel against; the package itself does not call it. Every head
 of the model, the guiding model's dense heads included, runs the
-block-gather kernel `sga.sparse_attention`: a dense head is its one-block
+block-gather kernel `tape.block_attention`: a dense head is its one-block
 full plan, and the kernel's softmax weights are that head's attention
 map. Like `sga.build_sparse_mask`, it is a test oracle that stays in the
 package because the benchmark traces it by name. It is written against

@@ -352,14 +352,14 @@ def cmd_ablate(cfg: dict, args) -> int:
 
 
 def cmd_rollout(cfg: dict, args) -> int:
+    mconf = cfgmod.model_config(cfg)
+    if args.guide:
+        weights = _load_model(args.guide, mconf, "grid_low")
+    else:
+        weights = mdl.init_weights(mconf, mconf.grid_low, substream(cfg["seed"], "init-guide"))
     out = Path(cfg["out"]) / "rollout"
     out.mkdir(parents=True, exist_ok=True)
     cfgmod.write_resolved(cfg, out)
-    mconf = cfgmod.model_config(cfg)
-    if args.guide:
-        weights = mdl.load_checkpoint(Path(args.guide))
-    else:
-        weights = mdl.init_weights(mconf, mconf.grid_low, substream(cfg["seed"], "init-guide"))
     task = _task_for(cfg, weights.grid)
     x, p, mask = task.instance(substream(cfg["seed"], "rollout-instance"))
     encoder = mdl.encode(apply_mask(x, mask), p, weights, mdl.PlanBundle.dense(weights.config))

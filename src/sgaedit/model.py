@@ -7,8 +7,8 @@ attention). Dense attention is the plan that keeps every block: the
 guide runs `PlanBundle.dense`, whose one-block full plan makes the
 kernel's softmax weights the full attention maps; the high-resolution
 model runs guided N-block plans. Every attention call, in training and
-inference alike, is one `sga.sparse_attention` op covering every head of
-a layer, over the contiguous blocks its plans' block count names. With
+inference alike, is one `tape.block_attention` call covering every head
+of a layer, over the contiguous blocks its plans' block count names. With
 full-kept plans the two agree to float tolerance.
 
 Forward code is written against the tape ops, so passing weights
@@ -18,13 +18,13 @@ training, evaluation, rescoring and the guide's maps alike, and the only
 place START is prepended; `encode` is the one encoder pass over a masked
 grid, and `guiding_forward` is `forward` under `PlanBundle.dense`.
 
-Autoregressive inference uses `IncrementalDecoder`, the exact row-by-row
-form of `decoder_forward` over a batch of candidates: it holds the decoder
-PEG rows, the cross-attention keys/values shared by every candidate and a
-growing self-attention key/value cache per candidate, and runs the rows of
-each `extend`, for all candidates at once, through the same block-gather
-kernel, so one kernel serves training, full-pass inference and
-incremental decoding. `decoder_forward` stays the full-pass reference.
+The decoder is written once, as `IncrementalDecoder`, over a batch of
+candidates: it holds the decoder PEG rows, the cross-attention
+keys/values shared by every candidate and a growing self-attention
+key/value cache per candidate, and runs the rows of each `extend`, for
+all candidates at once, through the block kernel. `decoder_forward`, the
+teacher-forced decoder pass, is one such decoder extended by the whole
+sequence at once; autoregressive inference extends one row by row.
 """
 
 from __future__ import annotations
@@ -233,24 +233,10 @@ def _peg_rows(rows, kernel, grid):
     return T.reshape(T.peg(T.reshape(rows, (h, w, d)), kernel), (h * w, d))
 
 
-def _multi_head(x_q, x_kv, weights: ModelWeights, prefix: str, plans: list, causal: bool):
-    """Multi-head attention of one layer; returns (output, per-head maps).
-
-    Every head of the layer runs in one block-gather kernel call over the
-    model's sequence in the contiguous blocks of `plans` (one plan per
-    head). Under one-block plans (dense attention) the kernel's softmax
-    weights are the full attention maps, returned as one read-only
-    H x L x L view of them; multi-block plans return None maps.
-    """
-    w = weights.params
-    q_all = T.matmul(x_q, w[f"{prefix}_wq"])
-    k_all = T.matmul(x_kv, w[f"{prefix}_wk"])
-    v_all = T.matmul(x_kv, w[f"{prefix}_wv"])
-    result = sga.sparse_attention(q_all, k_all, v_all, plans, weights.length, causal=causal)
-    maps = [None] * len(plans)
-    if plans[0].n_blocks == 1:
-        maps = result.weights[:, 0]  # one block: rows and keys are tokens 0, 1, ...
-    return T.matmul(result.output, w[f"{prefix}_wo"]), maps
+def _maps(weights: np.ndarray):
+    """A layer's maps from its kernel weights [H, N, bs, K]: one H x L x L
+    view of them under one-block (dense) plans, H Nones under multi-block plans."""
+    return weights[:, 0] if weights.shape[1] == 1 else [None] * weights.shape[0]
 
 
 def _feed_forward(x, weights: ModelWeights, prefix: str):
@@ -266,11 +252,13 @@ def encoder_forward(embeddings, weights: ModelWeights, plans: PlanBundle) -> Enc
     all_maps = []
     w = weights.params
     for i in range(cfg.layers_enc):
-        h = _peg_rows(h, w[f"enc{i}_peg"], weights.grid)
-        attn_out, maps = _multi_head(h, h, weights, f"enc{i}", plans.enc[i], False)
-        h = T.layer_norm(T.add(h, attn_out), w[f"enc{i}_ln1_g"], w[f"enc{i}_ln1_b"])
-        h = T.layer_norm(T.add(h, _feed_forward(h, weights, f"enc{i}")), w[f"enc{i}_ln2_g"], w[f"enc{i}_ln2_b"])
-        all_maps.append(maps)
+        p = f"enc{i}"
+        h = _peg_rows(h, w[f"{p}_peg"], weights.grid)
+        q, k, v = (T.matmul(h, w[f"{p}_{name}"]) for name in ("wq", "wk", "wv"))
+        attn = sga.sparse_attention(q, k, v, plans.enc[i], weights.length)
+        h = T.layer_norm(T.add(h, T.matmul(attn.output, w[f"{p}_wo"])), w[f"{p}_ln1_g"], w[f"{p}_ln1_b"])
+        h = T.layer_norm(T.add(h, _feed_forward(h, weights, p)), w[f"{p}_ln2_g"], w[f"{p}_ln2_b"])
+        all_maps.append(_maps(attn.weights))
     return EncoderOutput(context=h, attn=all_maps)
 
 
@@ -290,41 +278,23 @@ def _check_decoder_input(prev: np.ndarray, start: int, weights: ModelWeights) ->
 
 def decoder_forward(prev_tokens, encoder_out: EncoderOutput, weights: ModelWeights, plans: PlanBundle):
     """Causal decoder over the whole START-prepended sequence (L tokens)
-    with cross attention, under the decoder roles of `plans`.
+    with cross attention, under the decoder roles of `plans`: one
+    `IncrementalDecoder` extended by all L rows at once.
 
     Returns (logits L x vocab, self_maps, cross_maps). Row l of the
     logits depends only on prev_tokens[0..l] and the encoder output.
     """
-    cfg = weights.config
     prev = np.asarray(prev_tokens, dtype=np.int64)
     if prev.shape != (weights.length,):
         raise SequenceError(f"decoder input of shape {prev.shape} is not the {weights.length}-token sequence")
-    _check_decoder_input(prev[None], 0, weights)
-
-    steps = prev.size
-    w = weights.params
-    context = encoder_out.context
-
-    h = T.add(T.gather_rows(w["dec_tok_emb"], prev), T.gather_rows(w["dec_pos"], np.arange(steps)))
-    peg_pos = _peg_rows(context, w["dec_peg"], weights.grid)
-    h = T.add(h, T.gather_rows(peg_pos, np.arange(steps)))
-
-    self_maps_all, cross_maps_all = [], []
-    for i in range(cfg.layers_dec):
-        a, self_maps = _multi_head(h, h, weights, f"dec{i}_self", plans.dec_self[i], True)
-        h = T.layer_norm(T.add(h, a), w[f"dec{i}_ln1_g"], w[f"dec{i}_ln1_b"])
-        c, cross_maps = _multi_head(h, context, weights, f"dec{i}_cross", plans.dec_cross[i], False)
-        h = T.layer_norm(T.add(h, c), w[f"dec{i}_ln2_g"], w[f"dec{i}_ln2_b"])
-        h = T.layer_norm(T.add(h, _feed_forward(h, weights, f"dec{i}")), w[f"dec{i}_ln3_g"], w[f"dec{i}_ln3_b"])
-        self_maps_all.append(self_maps)
-        cross_maps_all.append(cross_maps)
-    logits = T.matmul(h, w["out_head"])
-    return logits, self_maps_all, cross_maps_all
+    dec = IncrementalDecoder(encoder_out, weights, plans)
+    logits = dec.extend(prev[None])
+    return T.reshape(logits, (weights.length, -1)), dec.self_maps, dec.cross_maps
 
 
 class IncrementalDecoder:
-    """Exact incremental form of `decoder_forward` for inference, over a
-    batch of C candidates that share the encoder output.
+    """The decoder, over a batch of C candidates that share the encoder
+    output: teacher-forced over the whole sequence at once, or row by row.
 
     Built once from an encoder output, the weights and the plan bundle
     (its decoder roles; `PlanBundle.dense` gives one-block indices whose
@@ -332,41 +302,44 @@ class IncrementalDecoder:
     gives a decoder of C candidates that all continue from its rows.
     `extend(prev_rows)` takes a [C, m] block of input tokens, appends
     decoder rows [n, n + m) to every candidate and returns their [C, m,
-    vocab] logits: candidate c's rows equal rows [n, n + m) of
-    `decoder_forward` over any sequence that begins with c's rows so far
-    (its causal mask makes them independent of the later ones), to float
-    rounding.
+    vocab] logits; by the causal mask, any split of a sequence gives the
+    rows of one call over the whole of it, to float rounding. That call
+    (`decoder_forward`) takes its self-attention keys from its own rows,
+    writes no cache, accepts tape Tensors and collects every layer's maps
+    into `self_maps` and `cross_maps` (as `EncoderOutput.attn`); other
+    calls take plain arrays.
 
     Inside `extend` the rows are ordered (row, candidate). Attention runs
-    the same kernel as `decoder_forward`, `tape.block_attention`, once per
-    (layer, role) over one `sga.block_index` built here, for the query
-    blocks the new rows fall in. Self-attention puts the candidates on the
-    kernel's head axis: each candidate's key/value cache is its own d
-    columns of an [L, C * d] table, and the index is tiled C times; the
-    causal rows of the index hide the cache rows not yet written.
-    Cross-attention keys are the same for every candidate, so there the
-    candidates are extra query rows of one [L, d] key table. Embeddings,
-    layer norm and the feed-forward act row by row, so the cache is exact,
-    not an approximation.
+    `tape.block_attention` once per (layer, role) over one
+    `sga.block_index` built here, for the query blocks the new rows fall
+    in. Self-attention puts the candidates on the kernel's head axis: each
+    candidate's key/value cache is its own d columns of an [L, C * d]
+    table, and the index is tiled C times; the causal rows of the index
+    hide the cache rows not yet written. Cross-attention keys are the same
+    for every candidate, so there the candidates are extra query rows of
+    one [L, d] key table. Embeddings, layer norm and the feed-forward act
+    row by row, so the cache is exact, not an approximation.
     """
 
     def __init__(self, encoder_out: EncoderOutput, weights: ModelWeights, plans: PlanBundle):
         cfg = weights.config
         w = weights.params
-        context = T.value_of(encoder_out.context)
+        context = encoder_out.context
         self.weights = weights
         self.n = 0
         self.candidates = 1
+        self.self_maps, self.cross_maps = [], []
         self._peg = _peg_rows(context, w["dec_peg"], weights.grid)
         self._cross_kv = [
-            (context @ w[f"dec{i}_cross_wk"], context @ w[f"dec{i}_cross_wv"]) for i in range(cfg.layers_dec)
+            (T.matmul(context, w[f"dec{i}_cross_wk"]), T.matmul(context, w[f"dec{i}_cross_wv"]))
+            for i in range(cfg.layers_dec)
         ]
 
         self._self_index = [sga.block_index(layer_plans, weights.length, True) for layer_plans in plans.dec_self]
         self._cross_index = [sga.block_index(layer_plans, weights.length) for layer_plans in plans.dec_cross]
-        # per layer, the self-attention keys and values: [L, C, d], candidate c in [:, c]
-        self._k = [np.zeros((weights.length, 1, cfg.d)) for _ in range(cfg.layers_dec)]
-        self._v = [np.zeros((weights.length, 1, cfg.d)) for _ in range(cfg.layers_dec)]
+        # per layer, the self-attention keys and values: [L, C, d], candidate c in [:, c];
+        # made by the first call that is not over the whole sequence
+        self._k, self._v = [], []
 
     def branch(self, candidates: int) -> "IncrementalDecoder":
         """A decoder of `candidates` candidates, each starting from this
@@ -379,7 +352,7 @@ class IncrementalDecoder:
         other._v = [np.repeat(buf, candidates, axis=1) for buf in self._v]
         return other
 
-    def extend(self, prev_rows) -> np.ndarray:
+    def extend(self, prev_rows):
         prev = np.asarray(prev_rows, dtype=np.int64)
         c = self.candidates
         if prev.ndim != 2 or prev.shape[0] != c:
@@ -388,49 +361,69 @@ class IncrementalDecoder:
         w = self.weights.params
         cfg = self.weights.config
         m, d = prev.shape[1], cfg.d
+        whole = m == self.weights.length
         new = slice(self.n, self.n + m)
-        h = (w["dec_tok_emb"][prev.T] + w["dec_pos"][new, None] + self._peg[new, None]).reshape(m * c, d)
+        if not (whole or self._k):
+            self._k = [np.zeros((self.weights.length, c, d)) for _ in range(cfg.layers_dec)]
+            self._v = [np.zeros((self.weights.length, c, d)) for _ in range(cfg.layers_dec)]
+        rows = np.repeat(np.arange(new.start, new.stop), c)
+        h = T.add(T.gather_rows(w["dec_tok_emb"], prev.T.ravel()), T.gather_rows(w["dec_pos"], rows))
+        h = T.add(h, T.gather_rows(self._peg, rows))
         for i in range(cfg.layers_dec):
             p = f"dec{i}"
-            self._k[i][new] = (h @ w[f"{p}_self_wk"]).reshape(m, c, d)
-            self._v[i][new] = (h @ w[f"{p}_self_wv"]).reshape(m, c, d)
-            q = (h @ w[f"{p}_self_wq"]).reshape(m, c * d)
-            k, v = (buf.reshape(-1, c * d) for buf in (self._k[i], self._v[i]))
-            a = self._attention(q, k, v, self._self_index[i], heads=c, rows=1).reshape(m * c, d)
-            h = T.layer_norm(h + a @ w[f"{p}_self_wo"], w[f"{p}_ln1_g"], w[f"{p}_ln1_b"])
-            ck, cv = self._cross_kv[i]
-            a = self._attention(h @ w[f"{p}_cross_wq"], ck, cv, self._cross_index[i], heads=1, rows=c)
-            h = T.layer_norm(h + a @ w[f"{p}_cross_wo"], w[f"{p}_ln2_g"], w[f"{p}_ln2_b"])
-            h = T.layer_norm(h + _feed_forward(h, self.weights, p), w[f"{p}_ln3_g"], w[f"{p}_ln3_b"])
+            # q first: the tape sums h's gradient in reverse recording order
+            q, k, v = (T.matmul(h, w[f"{p}_self_{name}"]) for name in ("wq", "wk", "wv"))
+            if whole:
+                k, v = T.reshape(k, (m, c * d)), T.reshape(v, (m, c * d))
+            else:
+                self._k[i][new] = k.reshape(m, c, d)
+                self._v[i][new] = v.reshape(m, c, d)
+                k, v = (buf.reshape(-1, c * d) for buf in (self._k[i], self._v[i]))
+            a = self._attention(T.reshape(q, (m, c * d)), k, v, self._self_index[i], self.self_maps, heads=c, rows=1)
+            a = T.matmul(T.reshape(a, (m * c, d)), w[f"{p}_self_wo"])
+            h = T.layer_norm(T.add(h, a), w[f"{p}_ln1_g"], w[f"{p}_ln1_b"])
+            q = T.matmul(h, w[f"{p}_cross_wq"])
+            a = self._attention(q, *self._cross_kv[i], self._cross_index[i], self.cross_maps, heads=1, rows=c)
+            h = T.layer_norm(T.add(h, T.matmul(a, w[f"{p}_cross_wo"])), w[f"{p}_ln2_g"], w[f"{p}_ln2_b"])
+            h = T.layer_norm(T.add(h, _feed_forward(h, self.weights, p)), w[f"{p}_ln3_g"], w[f"{p}_ln3_b"])
         self.n = new.stop
-        return (h @ w["out_head"]).reshape(m, c, -1).transpose(1, 0, 2)
+        logits = T.matmul(h, w["out_head"])
+        if c == 1:  # a reshape, which a Tensor pass can take
+            return T.reshape(logits, (1, m, -1))
+        return logits.reshape(m, c, -1).transpose(1, 0, 2)
 
-    def _attention(self, q, k, v, index: sga.BlockIndex, heads: int, rows: int) -> np.ndarray:
+    def _attention(self, q, k, v, index: sga.BlockIndex, maps: list, heads: int, rows: int):
         """One kernel call for the query rows [n, n + m) over `index`, its
-        heads tiled `heads` times and each row repeated `rows` times.
+        heads tiled `heads` times and each row repeated `rows` times; a call
+        over the whole sequence appends the layer's maps to `maps`.
 
         q holds `rows` consecutive query rows per token. Query block b holds
         tokens [b * bs, (b + 1) * bs). A run inside one block passes exactly
         its rows, with their `blocked` rows; a run across blocks is padded
         with zero query rows to whole blocks, and its rows are sliced back
-        out.
+        out (a run of whole blocks needs neither).
         """
-        first, stop = self.n, self.n + q.shape[0] // rows
+        first, stop = self.n, self.n + T.value_of(q).shape[0] // rows
         bs = self.weights.length // index.keys.shape[1]
         blocks = slice(first // bs, (stop - 1) // bs + 1)
-        if blocks.stop - blocks.start == 1:
-            base = first
-            cut = slice(first % bs, first % bs + stop - first)
-        else:
-            base = blocks.start * bs
-            cut = slice(None)
-            q = np.pad(q, (((first - base) * rows, (blocks.stop * bs - stop) * rows), (0, 0)))
+        pad, cut = (0, 0), slice(first % bs, first % bs + stop - first)
+        if blocks.stop - blocks.start > 1:
+            pad, cut = (first - blocks.start * bs, blocks.stop * bs - stop), slice(None)
+        if any(pad):
+            q = np.pad(q, ((pad[0] * rows, pad[1] * rows), (0, 0)))
         keys = np.tile(index.keys[:, blocks], (heads, 1, 1))
         blocked = None
         if index.blocked is not None:
             blocked = np.tile(np.repeat(index.blocked[:, blocks, cut], rows, axis=2), (heads, 1, 1, 1))
-        out = T.block_attention(q, k, v, keys, blocked)
-        return out[(first - base) * rows : (stop - base) * rows]
+        whole = stop - first == self.weights.length
+        weights = np.empty(keys.shape[:2] + (T.value_of(q).shape[0] // keys.shape[1], keys.shape[2])) if whole else None
+        out = T.block_attention(q, k, v, keys, blocked, weights)
+        if whole:
+            weights.flags.writeable = False
+            maps.append(_maps(weights))
+        if any(pad):
+            out = out[pad[0] * rows : (pad[0] + stop - first) * rows]
+        return out
 
 
 def encode(x: TokenGrid, p: TokenGrid, weights: ModelWeights, plans: PlanBundle) -> EncoderOutput:

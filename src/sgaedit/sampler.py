@@ -13,11 +13,11 @@ position, are the same for all candidates, so they run once per call. The
 decoder then branches into all candidates, which share the mask and so
 extend the same rows at every step: the forced runs between masked
 positions and one row per sampled position, as one batch. Each such run is
-one call per layer and role of the block-gather kernel that also serves
-training and the full pass, and each sampled position is one `topk_sample`
-call over every candidate's logits. The guide's own decode is the same
-path with one candidate. `rescore` keeps the full teacher-forced
-`model.forward` pass as the reference.
+one call per layer and role of the block-gather kernel, and each sampled
+position is one `topk_sample` call over every candidate's logits. The
+guide's own decode is the same path with one candidate. `rescore` scores
+a candidate with one teacher-forced `model.forward` pass, whose decoder
+is the same one extended by the whole sequence at once.
 """
 
 from __future__ import annotations

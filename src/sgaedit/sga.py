@@ -11,9 +11,9 @@ only over kept blocks by `sparse_attention`: one block-gather kernel over
 every head of a layer (`block_index` lists each query block's kept key
 tokens, and `tape.block_attention` evaluates them with one batched
 matmul, reading query block n as rows [n * bs, (n + 1) * bs)). One
-kernel serves training, full-pass inference and incremental decoding
-(which calls `tape.block_attention` over a `block_index` built once per
-edit), and it never materializes the full score matrix. Dense
+kernel serves every head (the decoder calls `tape.block_attention` over
+a `block_index` it builds once), and it never materializes the full
+score matrix. Dense
 attention is not a separate path but the plan that keeps every block:
 `full_plan(1)`, one block holding every token, runs the same kernel, and
 its softmax weights are then the full attention maps. `build_sparse_mask`

@@ -160,7 +160,7 @@ def reshape(x, shape: tuple):
     def backward(g):
         x.accumulate(g.reshape(xv.shape))
 
-    return _record(xv.reshape(tuple(int(s) for s in shape)), backward, x)
+    return _record(xv.reshape(shape), backward, x)
 
 
 def scale(a, c: float):

@@ -56,6 +56,17 @@ def join_cols(parts):
     return out
 
 
+def randomize_norms(params: dict, rng) -> None:
+    """Draw every layer-norm gain and bias, feed-forward bias and PEG kernel
+    of a model's `params` at random, in place, so that a swapped or dropped
+    one changes the model's output."""
+    for name, value in params.items():
+        if name.endswith("_g"):
+            params[name] = rng.normal(loc=1.0, scale=0.5, size=value.shape)
+        elif name.endswith("_b") or "peg" in name:
+            params[name] = rng.normal(scale=0.2, size=value.shape)
+
+
 def op_grad_case(name):
     """(scalar function, point shape) exercising one registered tape op."""
     r = substream(hash(name) % (2**31), f"case-{name}")
@@ -101,20 +112,48 @@ def per_head_dense(q, k, v, masks):
     return join_cols(outs), maps
 
 
-def per_head_dense_multi_head(x_q, x_kv, weights, prefix, plans, causal):
-    """`model._multi_head` for one-block (dense) plans as it was before dense
-    heads ran on the block kernel: one `attention.dense_attention` per head,
-    under an L x L causal or zero mask, heads concatenated before the output
-    projection."""
-    assert all(p.n_blocks == 1 for p in plans), "the oracle covers one-block plans only"
-    w = weights.params
-    q_all = T.matmul(x_q, w[f"{prefix}_wq"])
-    k_all = T.matmul(x_kv, w[f"{prefix}_wk"])
-    v_all = T.matmul(x_kv, w[f"{prefix}_wv"])
-    n_q, n_k = T.value_of(q_all).shape[0], T.value_of(k_all).shape[0]
-    mask = causal_mask(n_q) if causal else np.zeros((n_q, n_k))
-    out, maps = per_head_dense(q_all, k_all, v_all, [mask] * weights.config.heads)
-    return T.matmul(out, w[f"{prefix}_wo"]), [np.array(T.value_of(m)) for m in maps]
+class DenseBlockAttention:
+    """Reference for `tape.block_attention(q, k, v, keys, blocked, weights)`:
+    `per_head_dense` under the n_q x n_k masks that `keys` and `blocked`
+    spell out, filling `weights` when it is given. Every call's
+    [H, n_q, n_k] additive mask is kept in `masks`, in call order."""
+
+    def __init__(self):
+        self.masks = []
+
+    def __call__(self, q, k, v, keys, blocked=None, weights=None):
+        heads, n_blocks, width = keys.shape
+        n_q, n_k = T.value_of(q).shape[0], T.value_of(k).shape[0]
+        rows = np.arange(n_q).reshape(n_blocks, -1)  # query block n is rows [n * bs, (n + 1) * bs)
+        visible = np.ones((heads,) + rows.shape + (width,), bool) if blocked is None else ~blocked
+        cells = np.broadcast_arrays(np.arange(heads)[:, None, None, None], rows[None, :, :, None], keys[:, :, None, :])
+        cells = tuple(c[visible] for c in cells)
+        count = np.zeros((heads, n_q, n_k), np.int64)
+        np.add.at(count, cells, 1)
+        assert count.max() <= 1, "a key listed twice in one row counts twice in the kernel"
+        mask = np.where(count > 0, 0.0, -np.inf)
+        self.masks.append(mask)
+        out, maps = per_head_dense(q, k, v, list(mask))
+        if weights is not None:
+            for h, m in enumerate(maps):
+                weights[h] = np.where(visible[h], T.value_of(m)[rows[:, :, None], keys[h][:, None, :]], 0.0)
+        return out
+
+
+def plan_masks(plans, length):
+    """The [H, L, L] mask of every attention call of one forward pass under
+    the bundle `plans`, in call order: the encoder layers, then decoder self
+    (plan and causal masks) and cross per layer; each head's plan expanded
+    by `sga.build_sparse_mask`."""
+
+    def layer(layer_plans, causal=False):
+        masks = [sga.build_sparse_mask(plan, length) for plan in layer_plans]
+        return np.stack([combine_masks(m, causal_mask(length)) if causal else m for m in masks])
+
+    out = [layer(layer_plans) for layer_plans in plans.enc]
+    for self_plans, cross_plans in zip(plans.dec_self, plans.dec_cross):
+        out += [layer(self_plans, causal=True), layer(cross_plans)]
+    return out
 
 
 def per_row_sort_plan(b, k, radius):

@@ -490,6 +490,20 @@ class TestOtherCommands:
         assert a != b
 
 
+@pytest.mark.parametrize(
+    "change", [{"vocab": 9}, {"grid_low": (4, 4)}, {"vocab_map": 4}], ids=["vocab", "grid_low", "vocab_map"]
+)
+def test_rollout_guide_of_another_model_exit_2_without_traceback(tmp_path, capsys, change):
+    """`rollout --guide` checks the checkpoint against the run config, as `edit` does."""
+    cfg = write_config(tmp_path)
+    other = mdl.ModelConfig(**{**TINY["model"], **change})
+    mdl.save_checkpoint(tmp_path / "guide", mdl.init_weights(other, other.grid_low, substream(0, "other-guide")))
+    assert cli.main(["rollout", "--config", str(cfg), "--guide", str(tmp_path / "guide")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "run" / "rollout").exists()
+
+
 def test_console_entry_point_runs():
     env = dict(os.environ)
     result = subprocess.run(

@@ -15,7 +15,7 @@ from sgaedit.errors import DivergenceError, ValidationError
 from sgaedit.quantizer import apply_mask
 from sgaedit.rng import substream
 
-from conftest import causal_mask, combine_masks, per_head_dense, per_head_dense_multi_head
+from conftest import DenseBlockAttention, plan_masks
 
 CFG = mdl.ModelConfig(
     d=16,
@@ -327,30 +327,21 @@ class TestTrain:
             x_low, p_low = task_low.sample(substream(step, "oracle-plans"))
             return sampler.plans_from_maps(mdl.guiding_forward(x_low, p_low, guide), cfg)
 
-        real_multi_head = mdl._multi_head
-
-        def expanded_mask_multi_head(x_q, x_kv, weights, prefix, plans, causal):
-            if plans[0].n_blocks == 1:  # the guide's dense pass inside guided_plans
-                return real_multi_head(x_q, x_kv, weights, prefix, plans, causal)
-            w = weights.params
-            q, k, v = (T.matmul(x, w[f"{prefix}_{name}"]) for x, name in ((x_q, "wq"), (x_kv, "wk"), (x_kv, "wv")))
-            n_q, n_k = T.value_of(q).shape[0], T.value_of(k).shape[0]
-            masks = [sga.build_sparse_mask(plan, weights.length)[:n_q, :n_k] for plan in plans]
-            if causal:
-                masks = [combine_masks(mask, causal_mask(n_q)) for mask in masks]
-            out, _ = per_head_dense(q, k, v, masks)
-            return T.matmul(out, w[f"{prefix}_wo"]), [None] * len(plans)
-
         def no_mask(*args):
             raise AssertionError("the model built an L x L plan mask")
 
         with monkeypatch.context() as patch:
             patch.setattr(sga, "build_sparse_mask", no_mask)
-            got = eb.train(init, task, steps=3, lr=0.1, seed=5, plans=guided_plans)
+            steps = [guided_plans(step) for step in range(3)]  # made once, so the oracle run reuses them
+            got = eb.train(init, task, steps=3, lr=0.1, seed=5, plans=steps.__getitem__)
+        oracle = DenseBlockAttention()
         with monkeypatch.context() as patch:
-            patch.setattr(mdl, "_multi_head", expanded_mask_multi_head)
-            want = eb.train(init, task, steps=3, lr=0.1, seed=5, plans=guided_plans)
-        assert guided_plans(0).mean_sparsity()["enc"] < 1.0  # the plans do drop blocks
+            patch.setattr(T, "block_attention", oracle)
+            want = eb.train(init, task, steps=3, lr=0.1, seed=5, plans=steps.__getitem__)
+        assert steps[0].mean_sparsity()["enc"] < 1.0  # the plans do drop blocks
+        expected = [mask for plans in steps for mask in plan_masks(plans, cfg.l_high)]
+        assert len(oracle.masks) == len(expected)
+        assert all(np.array_equal(m, e) for m, e in zip(oracle.masks, expected))
         assert np.abs(np.array(got.losses) - np.array(want.losses)).max() <= 1e-10
         for name in want.weights.params:
             assert np.abs(got.weights.params[name] - want.weights.params[name]).max() <= 1e-10, name
@@ -373,9 +364,13 @@ class TestTrain:
         with monkeypatch.context() as patch:
             patch.setattr(att, "dense_attention", no_dense)
             got = eb.train(init, task, steps=3, lr=0.1, seed=5, plans=lambda step: dense)
+        oracle = DenseBlockAttention()
         with monkeypatch.context() as patch:
-            patch.setattr(mdl, "_multi_head", per_head_dense_multi_head)
+            patch.setattr(T, "block_attention", oracle)
             want = eb.train(init, task, steps=3, lr=0.1, seed=5, plans=lambda step: dense)
+        expected = plan_masks(dense, cfg.l_high) * 3
+        assert len(oracle.masks) == len(expected)
+        assert all(np.array_equal(m, e) for m, e in zip(oracle.masks, expected))
         assert np.abs(np.array(got.losses) - np.array(want.losses)).max() <= 1e-10
         for name in want.weights.params:
             assert np.abs(got.weights.params[name] - want.weights.params[name]).max() <= 1e-10, name

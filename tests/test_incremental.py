@@ -1,5 +1,7 @@
-"""The incremental decoder, one candidate or a batch, against the full
-`decoder_forward` pass."""
+"""The decoder extended row by row, one candidate or a batch, against the
+same decoder extended by the whole sequence at once (`decoder_forward`):
+its cache, its index slicing and its candidate layouts must give the
+whole-sequence rows."""
 
 import numpy as np
 import pytest
@@ -10,6 +12,8 @@ from sgaedit import tape as T
 from sgaedit.errors import SequenceError, ShapeError
 from sgaedit.quantizer import TokenGrid, apply_mask
 from sgaedit.rng import substream
+
+from conftest import randomize_norms
 
 TOLERANCE = 1e-10
 PLAN_KINDS = ("dense", "guided", "random", "local", "full")
@@ -48,10 +52,7 @@ def make_request(cfg, mask_high, seed=0):
 
 def make_weights(cfg, seed=0):
     guide = mdl.init_weights(cfg, cfg.grid_low, substream(seed, "incremental-guide"))
-    rng = substream(seed, "incremental-peg")
-    for name in guide.params:
-        if "peg" in name:  # non-zero PEG kernels, so the decoder PEG rows matter
-            guide.params[name] = rng.normal(scale=0.2, size=guide.params[name].shape)
+    randomize_norms(guide.params, substream(seed, "incremental-norms"))
     return guide, mdl.init_from_guiding(guide, cfg)
 
 

@@ -10,7 +10,7 @@ from sgaedit.errors import ConfigError, SequenceError, VocabularyError
 from sgaedit.quantizer import TokenGrid
 from sgaedit.rng import substream
 
-from conftest import per_head_dense_multi_head
+from conftest import DenseBlockAttention, plan_masks, randomize_norms
 
 CFG = mdl.ModelConfig(
     d=16,
@@ -169,6 +169,7 @@ class TestDecoderForward:
     def _inputs(self, seed=0, grid=None):
         grid = grid or CFG.grid_high
         w = mdl.init_weights(CFG, grid, substream(seed, "dec"))
+        randomize_norms(w.params, substream(seed, "dec-norms"))
         x, p = random_grids(grid, seed + 50)
         enc = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w, DENSE)
         return w, x, enc
@@ -262,9 +263,14 @@ class TestGuidingForward:
         w = mdl.init_weights(cfg, cfg.grid_low, substream(22, "g5"))
         x, p = random_grids(cfg.grid_low, 23)
         got = mdl.guiding_forward(x, p, w)
+        oracle = DenseBlockAttention()
         with monkeypatch.context() as patch:
-            patch.setattr(mdl, "_multi_head", per_head_dense_multi_head)
+            patch.setattr(T, "block_attention", oracle)
             want = mdl.guiding_forward(x, p, w)
+        # every call masks what its role should: nothing, or the causal mask for decoder self
+        expected = plan_masks(mdl.PlanBundle.dense(cfg), cfg.l_low)
+        assert len(oracle.masks) == len(expected)
+        assert all(np.array_equal(m, e) for m, e in zip(oracle.masks, expected))
         assert np.abs(got.logits - want.logits).max() <= 1e-12
         for role in ("encoder", "dec_self_attn", "dec_cross_attn"):
             got_maps = got.encoder.attn if role == "encoder" else getattr(got, role)
