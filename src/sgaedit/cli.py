@@ -197,10 +197,7 @@ def _build_request(cfg: dict, assets: dict, image_path, semantic_path, mask_path
         raise ConfigError("mask must be a PGM with image dims")
     pixel_mask = pixel_mask >= 0.5
 
-    fy = mconf.grid_high[0] // mconf.grid_low[0]
-    fx = mconf.grid_high[1] // mconf.grid_low[1]
-    if fy != fx or mconf.grid_low[0] * fy != mconf.grid_high[0]:
-        raise ConfigError("grid_high must be an integer multiple of grid_low")
+    fy = mconf.grid_high[0] // mconf.grid_low[0]  # a whole multiple, by `config.resolve`
     image_low = images.downsample_box(image, fy)
     cmap_low = images.downsample_nearest(cmap, fy)
 
@@ -353,6 +350,8 @@ def cmd_ablate(cfg: dict, args) -> int:
 
 def cmd_rollout(cfg: dict, args) -> int:
     mconf = cfgmod.model_config(cfg)
+    if mconf.layers_enc < 1:
+        raise ConfigError("rollout multiplies encoder attention maps, so it needs model.layers_enc >= 1")
     if args.guide:
         weights = _load_model(args.guide, mconf, "grid_low")
     else:

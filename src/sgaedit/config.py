@@ -132,6 +132,11 @@ def resolve(user: dict) -> dict:
             SyntheticTask(cfg["task"]["kind"], grid[0], grid[1], model.vocab)
         except ShapeError as exc:
             raise ConfigError(f"{key} grid {grid}: {exc}") from exc
+    factor = model.grid_high[0] // model.grid_low[0]
+    if model.grid_high != (model.grid_low[0] * factor, model.grid_low[1] * factor):
+        raise ConfigError(
+            f"model.grid_high {list(model.grid_high)} is not a whole multiple of model.grid_low {list(model.grid_low)}"
+        )
     stage_ladder(cfg)
     for key, low in INT_KEYS.items():
         check_int(key, _value(cfg, key), low)

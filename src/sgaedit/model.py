@@ -314,11 +314,12 @@ class IncrementalDecoder:
     `sga.block_index` built here, for the query blocks the new rows fall
     in. Self-attention puts the candidates on the kernel's head axis: each
     candidate's key/value cache is its own d columns of an [L, C * d]
-    table, and the index is tiled C times; the causal rows of the index
-    hide the cache rows not yet written. Cross-attention keys are the same
-    for every candidate, so there the candidates are extra query rows of
-    one [L, d] key table. Embeddings, layer norm and the feed-forward act
-    row by row, so the cache is exact, not an approximation.
+    table, and the index is tiled C times; the kernel's causal mask, from
+    the token of the first query row, hides the cache rows not yet
+    written. Cross-attention keys are the same for every candidate, so
+    there the candidates are extra query rows of one [L, d] key table.
+    Embeddings, layer norm and the feed-forward act row by row, so the
+    cache is exact, not an approximation.
     """
 
     def __init__(self, encoder_out: EncoderOutput, weights: ModelWeights, plans: PlanBundle):
@@ -379,11 +380,11 @@ class IncrementalDecoder:
                 self._k[i][new] = k.reshape(m, c, d)
                 self._v[i][new] = v.reshape(m, c, d)
                 k, v = (buf.reshape(-1, c * d) for buf in (self._k[i], self._v[i]))
-            a = self._attention(T.reshape(q, (m, c * d)), k, v, self._self_index[i], self.self_maps, heads=c, rows=1)
+            a = self._attention(T.reshape(q, (m, c * d)), k, v, self._self_index[i], self.self_maps, causal=True)
             a = T.matmul(T.reshape(a, (m * c, d)), w[f"{p}_self_wo"])
             h = T.layer_norm(T.add(h, a), w[f"{p}_ln1_g"], w[f"{p}_ln1_b"])
             q = T.matmul(h, w[f"{p}_cross_wq"])
-            a = self._attention(q, *self._cross_kv[i], self._cross_index[i], self.cross_maps, heads=1, rows=c)
+            a = self._attention(q, *self._cross_kv[i], self._cross_index[i], self.cross_maps, causal=False)
             h = T.layer_norm(T.add(h, T.matmul(a, w[f"{p}_cross_wo"])), w[f"{p}_ln2_g"], w[f"{p}_ln2_b"])
             h = T.layer_norm(T.add(h, _feed_forward(h, self.weights, p)), w[f"{p}_ln3_g"], w[f"{p}_ln3_b"])
         self.n = new.stop
@@ -392,32 +393,29 @@ class IncrementalDecoder:
             return T.reshape(logits, (1, m, -1))
         return logits.reshape(m, c, -1).transpose(1, 0, 2)
 
-    def _attention(self, q, k, v, index: sga.BlockIndex, maps: list, heads: int, rows: int):
-        """One kernel call for the query rows [n, n + m) over `index`, its
-        heads tiled `heads` times and each row repeated `rows` times; a call
-        over the whole sequence appends the layer's maps to `maps`.
+    def _attention(self, q, k, v, keys: np.ndarray, maps: list, causal: bool):
+        """One kernel call for the query rows [n, n + m) over the index
+        `keys`; a call over the whole sequence appends the layer's maps to
+        `maps`. Causal self-attention tiles the index once per candidate,
+        and passes the kernel the token of q's first row, padded or not;
+        cross-attention has each query row once per candidate.
 
-        q holds `rows` consecutive query rows per token. Query block b holds
-        tokens [b * bs, (b + 1) * bs). A run inside one block passes exactly
-        its rows, with their `blocked` rows; a run across blocks is padded
-        with zero query rows to whole blocks, and its rows are sliced back
-        out (a run of whole blocks needs neither).
+        Query block b holds tokens [b * bs, (b + 1) * bs). A run inside one
+        block passes exactly its rows; a run across blocks is padded with
+        zero query rows to whole blocks, and its rows are sliced back out
+        (a run of whole blocks needs neither).
         """
+        heads, rows = (self.candidates, 1) if causal else (1, self.candidates)
         first, stop = self.n, self.n + T.value_of(q).shape[0] // rows
-        bs = self.weights.length // index.keys.shape[1]
+        bs = self.weights.length // keys.shape[1]
         blocks = slice(first // bs, (stop - 1) // bs + 1)
-        pad, cut = (0, 0), slice(first % bs, first % bs + stop - first)
-        if blocks.stop - blocks.start > 1:
-            pad, cut = (first - blocks.start * bs, blocks.stop * bs - stop), slice(None)
+        pad = (first - blocks.start * bs, blocks.stop * bs - stop) if blocks.stop - blocks.start > 1 else (0, 0)
         if any(pad):
             q = np.pad(q, ((pad[0] * rows, pad[1] * rows), (0, 0)))
-        keys = np.tile(index.keys[:, blocks], (heads, 1, 1))
-        blocked = None
-        if index.blocked is not None:
-            blocked = np.tile(np.repeat(index.blocked[:, blocks, cut], rows, axis=2), (heads, 1, 1, 1))
+        keys = np.tile(keys[:, blocks], (heads, 1, 1))
         whole = stop - first == self.weights.length
         weights = np.empty(keys.shape[:2] + (T.value_of(q).shape[0] // keys.shape[1], keys.shape[2])) if whole else None
-        out = T.block_attention(q, k, v, keys, blocked, weights)
+        out = T.block_attention(q, k, v, keys, first - pad[0] if causal else None, weights)
         if whole:
             weights.flags.writeable = False
             maps.append(_maps(weights))

@@ -52,9 +52,6 @@ class TokenGrid:
     def masked_positions(self) -> np.ndarray:
         return self.tokens == self.vocab
 
-    def copy(self) -> "TokenGrid":
-        return TokenGrid(self.tokens.copy(), self.vocab)
-
     def to_json(self) -> str:
         serialized = np.where(self.tokens == self.vocab, -1, self.tokens)
         return json.dumps(

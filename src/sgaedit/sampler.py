@@ -22,7 +22,6 @@ is the same one extended by the whole sequence at once.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -118,22 +117,6 @@ class CandidateSet:
         for c in self.candidates:
             if c.tokens.masked_positions().any():
                 raise ValidationError("completed candidate still contains MASK")
-
-    def to_json(self) -> str:
-        rows = [
-            {"tokens": json.loads(c.tokens.to_json()), "logprob": c.logprob, "rank": c.rank}
-            for c in self.candidates
-        ]
-        return json.dumps(rows, sort_keys=True)
-
-    @staticmethod
-    def from_json(text: str) -> "CandidateSet":
-        rows = json.loads(text)
-        cands = [
-            Candidate(TokenGrid.from_json(json.dumps(r["tokens"])), float(r["logprob"]), int(r["rank"]))
-            for r in rows
-        ]
-        return CandidateSet(cands)
 
 
 def rank_candidates(cands: CandidateSet) -> CandidateSet:

@@ -8,12 +8,13 @@ block-affinity matrix, and for each query block keep its neighborhood (a
 `SparsityPlan`, is nothing but that N x N boolean keep matrix; its block
 layout is fixed by N and the sequence length. Attention is then evaluated
 only over kept blocks by `sparse_attention`: one block-gather kernel over
-every head of a layer (`block_index` lists each query block's kept key
-tokens, and `tape.block_attention` evaluates them with one batched
-matmul, reading query block n as rows [n * bs, (n + 1) * bs)). One
-kernel serves every head (the decoder calls `tape.block_attention` over
-a `block_index` it builds once), and it never materializes the full
-score matrix. Dense
+every head of a layer (`block_index`, one int array, lists each query
+block's kept key tokens padded with the sentinel token `length`, and
+`tape.block_attention` evaluates them with one batched matmul, reading
+query block n as rows [n * bs, (n + 1) * bs) and masking the padding and,
+when asked, the causal future itself). One kernel serves every head (the
+decoder calls `tape.block_attention` over a `block_index` it builds
+once), and it never materializes the full score matrix. Dense
 attention is not a separate path but the plan that keeps every block:
 `full_plan(1)`, one block holding every token, runs the same kernel, and
 its softmax weights are then the full attention maps. `build_sparse_mask`
@@ -194,31 +195,17 @@ def build_sparse_mask(plan: SparsityPlan, length: int) -> np.ndarray:
     return np.where(plan.keep[np.ix_(block_of, block_of)], 0.0, NEG_INF)
 
 
-@dataclass(frozen=True)
-class BlockIndex:
-    """Gather index of the block kernel for one list of per-head plans.
-
-    Query block n is tokens [n * bs, (n + 1) * bs) of the contiguous blocks.
-    keys [H, N, K]: per (head, query block) the tokens of its live kept key
-    blocks in ascending order, padded with token 0 to the largest count K.
-    blocked [H, N, bs, K] or None: True where the kernel removes a score
-    (padding and, under the causal mask, keys after the query token).
-    live_blocks: the (head, query block, key block) triples evaluated.
-    """
-
-    keys: np.ndarray
-    blocked: Optional[np.ndarray]
-    live_blocks: int
-
-
-def block_index(plans: Sequence[SparsityPlan], length: int, causal: bool = False) -> BlockIndex:
-    """Kept key tokens of every (head, query block) of `length` tokens in
-    the plans' contiguous blocks.
+def block_index(plans: Sequence[SparsityPlan], length: int, causal: bool = False) -> np.ndarray:
+    """Gather index of the block kernel for one list of per-head plans over
+    `length` tokens in the plans' contiguous blocks: [H, N, K], per (head,
+    query block) the tokens of its live kept key blocks in ascending order,
+    padded with the sentinel token `length` to the largest count K.
 
     Under the causal mask a kept key block t after the query block r
     (t > r) has no visible key and is left out; plans and their FLOP counts
-    are unchanged, only the index skips it. Every query row sees a key:
-    each plan keeps its own block, which holds the row's own token.
+    are unchanged, only the index skips it. The kernel itself masks the
+    keys after each query token. Every query row sees a key: each plan
+    keeps its own block, which holds the row's own token.
     """
     n = plans[0].n_blocks
     if any(p.n_blocks != n for p in plans):
@@ -230,15 +217,8 @@ def block_index(plans: Sequence[SparsityPlan], length: int, causal: bool = False
     count = keep.sum(axis=-1)
     width = int(count.max())
     order = np.argsort(~keep, axis=-1, kind="stable")[..., :width]  # kept blocks first, ascending
-    valid = np.repeat(np.arange(width) < count[..., None], tokens.shape[1], axis=-1)
-    keys = np.where(valid, tokens[order].reshape(valid.shape), 0)  # H x N x (width * bs)
-    visible = valid[:, :, None, :]
-    if causal:
-        visible = visible & (keys[:, :, None, :] <= tokens[None, :, :, None])
-    blocked = None
-    if not visible.all():
-        blocked = ~np.broadcast_to(visible, keys.shape[:2] + tokens.shape[1:] + keys.shape[2:])
-    return BlockIndex(keys=keys, blocked=blocked, live_blocks=int(count.sum()))
+    valid = (np.arange(width) < count[..., None])[..., None]
+    return np.where(valid, tokens[order], length).reshape(keep.shape[:2] + (-1,))
 
 
 @dataclass
@@ -247,35 +227,33 @@ class SparseAttentionResult:
     score_flops: int
     # read-only softmax weights [H, N, bs, K]: weights[h, n, i, j] is the
     # weight of query token n * bs + i on key token keys[h, n, j] of the
-    # call's `block_index` (0 on padding and blocked keys); every (head,
-    # query block) tile the kernel holds at once
+    # call's `block_index` (0 on the padding token); every (head, query
+    # block) tile the kernel holds at once
     weights: np.ndarray
 
 
-def sparse_attention(q, k, v, plans: Sequence[SparsityPlan], length: int, causal: bool = False) -> SparseAttentionResult:
+def sparse_attention(q, k, v, plans: Sequence[SparsityPlan], length: int) -> SparseAttentionResult:
     """Multi-head attention evaluated only over kept key blocks.
 
     `plans` holds one plan per head over `length` tokens in contiguous
-    blocks; q, k and v are length x (H * dh), heads side by side. `causal`
-    additionally removes keys after each query token. Inputs may be tape
-    Tensors: the kernel is one differentiable op. Equals dense attention
-    under the expanded plan mask (and the causal mask) to float rounding,
-    and reports the exact score FLOPs spent over live blocks:
-    2 * dh * (length / N)^2 per (head, query block, live kept block).
+    blocks; q, k and v are length x (H * dh), heads side by side. Inputs
+    may be tape Tensors: the kernel is one differentiable op. Equals dense
+    attention under the expanded plan mask to float rounding, and reports
+    the exact score FLOPs spent over kept blocks:
+    2 * dh * (length / N)^2 per (head, query block, kept key block).
     """
     qv, kv = T.value_of(q), T.value_of(k)
     if qv.ndim != 2 or kv.ndim != 2 or not plans:
         raise ShapeError("q and k must be 2D, with at least one head plan")
     if qv.shape[0] != length or kv.shape[0] != length:
         raise ShapeError(f"q/k lengths {qv.shape[0]}/{kv.shape[0]} are not {length} tokens")
-    index = block_index(plans, length, causal)
+    keys = block_index(plans, length)
     bs = length // plans[0].n_blocks
-    weights = np.empty(index.keys.shape[:2] + (bs,) + index.keys.shape[2:])
-    out = T.block_attention(q, k, v, index.keys, index.blocked, weights=weights)
+    weights = np.empty(keys.shape[:2] + (bs,) + keys.shape[2:])
+    out = T.block_attention(q, k, v, keys, weights=weights)
     weights.flags.writeable = False
-    return SparseAttentionResult(
-        output=out, score_flops=2 * (qv.shape[1] // len(plans)) * index.live_blocks * bs * bs, weights=weights
-    )
+    flops = 2 * (qv.shape[1] // len(plans)) * int(np.count_nonzero(keys < length)) * bs
+    return SparseAttentionResult(output=out, score_flops=flops, weights=weights)
 
 
 def score_flops_plan(plan: SparsityPlan, length: int, d: int) -> int:

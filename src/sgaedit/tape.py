@@ -11,8 +11,9 @@ This module is the package's one op layer: each op's forward and
 backward arithmetic are both written here. The op set is deliberately
 closed, and is `DIFFERENTIABLE_OPS`: add, add_bias, scale, matmul,
 masked_softmax, layer_norm, peg, gather_rows, reshape, block_attention
-(the attention kernel of every head, dense or block-sparse), gelu and
-cross_entropy, each called by some other module of the package. There
+(the attention kernel of every head, dense or block-sparse, which works
+out its padding and causal mask from key and query token indices), gelu
+and cross_entropy, each called by some other module of the package. There
 is no general broadcasting engine. The model's attention uses only
 block_attention; masked_softmax, and the scale and
 `matmul(transpose_b=True)` around it, serve `attention.dense_attention`,
@@ -312,22 +313,26 @@ def gather_rows(table, indices):
     return _record(tv[idx], backward, table)
 
 
-def block_attention(q, k, v, keys, blocked=None, weights=None):
+def block_attention(q, k, v, keys, first=None, weights=None):
     """Softmax attention over gathered key tokens, batched over heads and query blocks.
 
     q is n_q x (H * dh) and k, v are n_k x (H * dh), head h in columns
     [h * dh, (h + 1) * dh). q holds N whole query blocks of bs = n_q / N
     consecutive rows: block n is rows [n * bs, (n + 1) * bs). `keys`
-    [H, N, K] holds the key tokens each (head, query block) attends to.
-    `blocked` [H, N, bs, K], when given, is True where a score is removed
-    before the softmax. Row i of block n, head h is
-    softmax(q[n * bs + i] . k[keys[h, n]] / sqrt(dh) - inf * blocked) @ v[keys[h, n]].
+    [H, N, K] holds the key tokens each (head, query block) attends to,
+    each in [0, n_k] (any other raises ShapeError); token n_k is padding.
+    Row r of q sees the listed keys up to its last visible token: n_k - 1
+    when `first` is None, and first + r otherwise, which is the causal mask
+    of rows whose first is token `first`. Row i of block n, head h is the
+    softmax of q[n * bs + i] . k[j] / sqrt(dh) over the visible keys j of
+    keys[h, n], applied to v[j].
 
-    Every row must keep at least one key; `sga.block_index` gives every row
+    Every row must see at least one key; `sga.block_index` gives every row
     its own block. Each head's key and value rows are gathered straight
-    from the n_k x (H * dh) arrays. The forward keeps the softmax weights
-    for the backward, which scatters the key and value gradients back to
-    token rows with one `bincount` each.
+    from the n_k x (H * dh) arrays (padding reads row n_k - 1, with weight
+    0). The forward keeps the softmax weights for the backward, which
+    scatters the key and value gradients back to token rows with one
+    `bincount` each.
     `weights`, when given, is a float array of shape [H, N, bs, K] that the
     softmax weights are written into (they must stay unchanged while a
     backward pass may still read them).
@@ -343,9 +348,16 @@ def block_attention(q, k, v, keys, blocked=None, weights=None):
     bs = n_q // n_blocks
     if qv.shape[1] != kv.shape[1] or kv.shape != vv.shape or qv.shape[1] % heads:
         raise ShapeError(f"q {qv.shape}, k {kv.shape}, v {vv.shape} are inconsistent for {heads} heads")
-    for name, arr in (("blocked", blocked), ("weights", weights)):
-        if arr is not None and arr.shape != (heads, n_blocks, bs, width):
-            raise ShapeError(f"{name} {arr.shape} != {(heads, n_blocks, bs, width)}")
+    if weights is not None and weights.shape != (heads, n_blocks, bs, width):
+        raise ShapeError(f"weights {weights.shape} != {(heads, n_blocks, bs, width)}")
+    top = keys.max()
+    if keys.min() < 0 or top > n_k:
+        raise ShapeError(f"key tokens outside [0, {n_k}]")
+    hidden = None
+    if first is not None or top == n_k:  # some score is removed
+        last = n_k - 1 if first is None else first + np.arange(n_q).reshape(n_blocks, bs, 1)
+        hidden = keys[:, :, None, :] > last  # H x N x (1 or bs) x K
+        keys = np.minimum(keys, n_k - 1)
     dh = qv.shape[1] // heads
     scale_ = 1.0 / np.sqrt(dh)
     head = np.arange(heads)[:, None, None]
@@ -363,8 +375,8 @@ def block_attention(q, k, v, keys, blocked=None, weights=None):
     # the gathered keys are dropped once scored and gathered again by the backward
     w = np.matmul(qb, gather(kv).transpose(0, 1, 3, 2), out=weights)
     w *= scale_
-    if blocked is not None:
-        np.copyto(w, -np.inf, where=blocked)
+    if hidden is not None:
+        np.copyto(w, -np.inf, where=hidden)
     w -= w.max(axis=-1, keepdims=True)
     np.exp(w, out=w)
     w /= w.sum(axis=-1, keepdims=True)

@@ -75,11 +75,10 @@ def op_grad_case(name):
     mask[:, 0] = 0.0
     idx = np.array([1, 0, 2, 1])
     targets = np.array([0, 3, 1])
-    # two heads of width 2 over 4 tokens in 2 query blocks of 2 rows; token 3
-    # is repeated in one key list, and the blocked entries leave every row a key
-    keys = np.array([[[0, 1, 3], [2, 3, 3]], [[1, 2, 3], [0, 1, 2]]])
-    blocked = r.random((2, 2, 2, 3)) < 0.3
-    blocked[..., 0] = False
+    # two heads of width 2 over 4 tokens in 2 query blocks of 2 rows: token 3
+    # is repeated in one key list, token 4 is the padding sentinel, and
+    # under the causal mask (rows are tokens 0..3) every row still sees a key
+    keys = np.array([[[0, 1, 4], [2, 3, 3]], [[0, 2, 4], [0, 1, 2]]])
     const_b = r.normal(size=(4, 4))
     cases = {
         "add": (lambda x: dot(T.add(x, const_a), T.add(x, const_a)), (3, 4)),
@@ -91,7 +90,12 @@ def op_grad_case(name):
         "peg": (lambda x: dot(T.peg(x, _KERNEL), T.peg(x, _KERNEL)), (3, 4, 2)),
         "gather_rows": (lambda x: dot(T.gather_rows(x, idx), T.gather_rows(x, idx)), (3, 4)),
         "reshape": (lambda x: dot(T.reshape(x, (4, 3)), T.reshape(x, (4, 3))), (3, 4)),
-        "block_attention": (lambda x: dot(T.block_attention(x, x, x, keys, blocked), const_b), (4, 4)),
+        "block_attention": (
+            lambda x: T.add(
+                dot(T.block_attention(x, x, x, keys), const_b), dot(T.block_attention(x, x, x, keys, first=0), const_b)
+            ),
+            (4, 4),
+        ),
         "gelu": (lambda x: dot(T.gelu(x), const_a), (3, 4)),
         "cross_entropy": (lambda x: T.cross_entropy(x, targets), (3, 4)),
     }
@@ -113,19 +117,22 @@ def per_head_dense(q, k, v, masks):
 
 
 class DenseBlockAttention:
-    """Reference for `tape.block_attention(q, k, v, keys, blocked, weights)`:
-    `per_head_dense` under the n_q x n_k masks that `keys` and `blocked`
-    spell out, filling `weights` when it is given. Every call's
-    [H, n_q, n_k] additive mask is kept in `masks`, in call order."""
+    """Reference for `tape.block_attention(q, k, v, keys, first, weights)`:
+    `per_head_dense` under the n_q x n_k masks that `keys` and `first`
+    spell out (row r sees its listed keys up to token n_k - 1, or up to
+    first + r when `first` is given; the sentinel n_k is never seen),
+    filling `weights` when it is given. Every call's [H, n_q, n_k] additive
+    mask is kept in `masks`, in call order."""
 
     def __init__(self):
         self.masks = []
 
-    def __call__(self, q, k, v, keys, blocked=None, weights=None):
+    def __call__(self, q, k, v, keys, first=None, weights=None):
         heads, n_blocks, width = keys.shape
         n_q, n_k = T.value_of(q).shape[0], T.value_of(k).shape[0]
         rows = np.arange(n_q).reshape(n_blocks, -1)  # query block n is rows [n * bs, (n + 1) * bs)
-        visible = np.ones((heads,) + rows.shape + (width,), bool) if blocked is None else ~blocked
+        last = np.full(rows.shape, n_k - 1) if first is None else first + rows
+        visible = keys[:, :, None, :] <= last[None, :, :, None]
         cells = np.broadcast_arrays(np.arange(heads)[:, None, None, None], rows[None, :, :, None], keys[:, :, None, :])
         cells = tuple(c[visible] for c in cells)
         count = np.zeros((heads, n_q, n_k), np.int64)
@@ -135,8 +142,9 @@ class DenseBlockAttention:
         self.masks.append(mask)
         out, maps = per_head_dense(q, k, v, list(mask))
         if weights is not None:
+            safe = np.minimum(keys, n_k - 1)
             for h, m in enumerate(maps):
-                weights[h] = np.where(visible[h], T.value_of(m)[rows[:, :, None], keys[h][:, None, :]], 0.0)
+                weights[h] = np.where(visible[h], T.value_of(m)[rows[:, :, None], safe[h][:, None, :]], 0.0)
         return out
 
 

@@ -199,6 +199,11 @@ BAD_RUN_CONFIGS = [
     ("stages-side-1", {"task": {"kind": "constant-region"}, "train": {"stages": [[1, 4], [4, 4]]}}),
     ("ladder-unreachable", {"model": {"grid_high": [8, 8], "grid_low": [4, 4]}, "train": {"stages": [[4, 4]]}}),
     ("ladder-not-doubling", {"model": {"grid_high": [6, 6], "grid_low": [2, 2]}}),
+    (
+        "grid-high-not-multiple",
+        {"model": {"grid_low": [4, 4], "grid_high": [6, 6], "blocks": 4}, "train": {"stages": [[6, 6]]}},
+    ),
+    ("grid-high-ratio-differs", {"model": {"grid_low": [2, 4], "grid_high": [4, 4]}, "train": {"stages": [[4, 4]]}}),
     ("out-int", {"out": 5}),
     ("out-null", {"out": None}),
     ("config-not-utf8", b'{"seed": "\xff\xfe"}'),
@@ -501,6 +506,14 @@ def test_rollout_guide_of_another_model_exit_2_without_traceback(tmp_path, capsy
     assert cli.main(["rollout", "--config", str(cfg), "--guide", str(tmp_path / "guide")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "Traceback" not in err
+    assert not (tmp_path / "run" / "rollout").exists()
+
+
+def test_rollout_without_encoder_layer_exit_2_without_traceback(tmp_path, capsys):
+    cfg = write_config(tmp_path, {"model": {"layers_enc": 0}})
+    assert cli.main(["rollout", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "model.layers_enc" in err and "Traceback" not in err
     assert not (tmp_path / "run" / "rollout").exists()
 
 

@@ -279,8 +279,8 @@ def test_dense_bundle_decodes_over_one_block():
     request = make_request(cfg, np.zeros(cfg.grid_high, bool))
     dense = mdl.PlanBundle.dense(cfg)
     dec = mdl.IncrementalDecoder(encode(request, high, dense), high, dense)
-    for index in dec._self_index + dec._cross_index:
-        assert index.keys.shape == (cfg.heads, 1, cfg.l_high)
+    for keys in dec._self_index + dec._cross_index:
+        assert keys.shape == (cfg.heads, 1, cfg.l_high)
 
 
 def test_extend_validates_input():

@@ -228,7 +228,10 @@ class TestAutoregressiveEdit:
         req = make_request(3)
         one = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=4, n_keep=2, seed=9)
         two = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=4, n_keep=2, seed=9)
-        assert one.to_json() == two.to_json()
+        assert len(one.candidates) == len(two.candidates) == 2
+        for a, b in zip(one.candidates, two.candidates):
+            assert a.tokens.tokens.tobytes() == b.tokens.tokens.tobytes()
+            assert (a.logprob, a.rank) == (b.logprob, b.rank)
 
     def test_batch_size_does_not_change_candidates(self, weights):
         """Candidate i draws only from its own stream, so the tokens of
@@ -316,10 +319,3 @@ class TestRankCandidates:
         cands = sampler.CandidateSet([sampler.Candidate(self._grid(), float("nan"))])
         with pytest.raises(ValidationError):
             sampler.rank_candidates(cands)
-
-    def test_candidate_set_json_round_trip(self):
-        cands = sampler.rank_candidates(
-            sampler.CandidateSet([sampler.Candidate(self._grid(), -2.5), sampler.Candidate(self._grid(), -1.5)])
-        )
-        back = sampler.CandidateSet.from_json(cands.to_json())
-        assert back.to_json() == cands.to_json()

@@ -210,9 +210,9 @@ class TestSparseAttention:
         q, k, v = (rng.normal(size=(16, 4)) for _ in range(3))
         plan = select(rng.random((4, 4)), k=1, radius=1)
         causal = causal_mask(16)
-        res = sga.sparse_attention(q, k, v, [plan], 16, causal=True)
+        got = T.block_attention(q, k, v, sga.block_index([plan], 16, causal=True), first=0)
         dense, _ = att.dense_attention(q, k, v, combine_masks(sga.build_sparse_mask(plan, 16), causal))
-        assert np.abs(res.output - dense).max() <= 1e-5
+        assert np.abs(got - dense).max() <= 1e-5
 
     def test_kept_weight_rows_are_stochastic(self):
         # on the dense oracle: rows sum to one and put no weight outside kept blocks
@@ -242,6 +242,14 @@ def head_plans(n_blocks, seed):
     ]
 
 
+def kernel_pass(q, k, v, plans, length, causal):
+    """`sparse_attention`, or under the causal mask the kernel over the
+    causal index with rows from token 0, as the decoder's whole pass runs it."""
+    if not causal:
+        return sga.sparse_attention(q, k, v, plans, length).output
+    return T.block_attention(q, k, v, sga.block_index(plans, length, causal=True), first=0)
+
+
 def expanded_mask_oracle(q, k, v, plans, length, causal):
     """Per head, dense attention under the expanded plan mask (and the causal
     mask), heads concatenated; accepts tape Tensors."""
@@ -263,13 +271,13 @@ class TestBlockGatherKernel:
         q, k, v = (rng.normal(size=(n_q, 6)) for _ in range(3))
         probe = rng.normal(size=(n_q, 6))
         if not taped:
-            got = sga.sparse_attention(q, k, v, plans, 32, causal=causal).output
+            got = kernel_pass(q, k, v, plans, 32, causal)
             want = expanded_mask_oracle(q, k, v, plans, 32, causal)
             assert np.abs(got - want).max() <= 1e-12
             return
         grads = []
         for attend in (
-            lambda a, b, c: sga.sparse_attention(a, b, c, plans, 32, causal=causal).output,
+            lambda a, b, c: kernel_pass(a, b, c, plans, 32, causal),
             lambda a, b, c: expanded_mask_oracle(a, b, c, plans, 32, causal),
         ):
             tape = T.GradTape()
@@ -290,75 +298,87 @@ class TestBlockGatherKernel:
         def f(x):
             args = list(qkv)
             args[operand] = x
-            out = sga.sparse_attention(*args, plans, 16, causal=True).output
+            out = kernel_pass(*args, plans, 16, causal=True)
             return dot(out, probe)
 
         assert T.grad_check(f, qkv[operand], step=1e-5) <= 1e-5
 
     def test_score_flops_count_live_blocks(self):
+        """`sparse_attention` counts the keys its index lists, which are
+        every kept block's; the causal index lists the live blocks only."""
         plans = head_plans(8, seed=5)
         rng = substream(12, "kernel-flops")
         q, k, v = (rng.normal(size=(64, 6)) for _ in range(3))
-        causal = sga.sparse_attention(q, k, v, plans, 64, causal=True)
-        live = sum(t <= r for p in plans for r, ks in enumerate(p.kept) for t in ks)
-        assert causal.score_flops == 2 * 2 * live * 8 * 8
         full = sga.sparse_attention(q, k, v, plans, 64)
         assert full.score_flops == sum(sga.score_flops_plan(p, 64, 2) for p in plans)
-        assert causal.score_flops < full.score_flops
+        live = sum(t <= r for p in plans for r, ks in enumerate(p.kept) for t in ks)
+        assert np.count_nonzero(sga.block_index(plans, 64, causal=True) < 64) == live * 8
+        assert live < sum(p.kept_count() for p in plans)
 
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
     def test_rows_part_of_a_block(self, causal):
         """A run of rows inside one block, passed as one query block with its
-        `blocked` rows sliced alike, gives those rows of the whole pass."""
+        first token as `first` under the causal mask, gives those rows of
+        the whole pass."""
         plans = head_plans(8, seed=7)
         rng = substream(21 + causal, "kernel-rows")
         q, k, v = (rng.normal(size=(32, 6)) for _ in range(3))
         want = expanded_mask_oracle(q, k, v, plans, 32, causal)
-        index = sga.block_index(plans, 32, causal=causal)
+        keys = sga.block_index(plans, 32, causal=causal)
         for b, lo, hi in ((0, 0, 1), (3, 1, 3), (5, 2, 4), (7, 3, 4)):
             tokens = slice(4 * b + lo, 4 * b + hi)
-            blocked = None if index.blocked is None else index.blocked[:, b : b + 1, lo:hi]
-            got = T.block_attention(q[tokens], k, v, index.keys[:, b : b + 1], blocked)
+            got = T.block_attention(q[tokens], k, v, keys[:, b : b + 1], tokens.start if causal else None)
             assert np.abs(got - want[tokens]).max() <= 1e-12
 
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
     def test_zero_query_rows_dropped(self, causal):
         """Rows [first, stop) across blocks, padded with zero query rows on
-        both sides to whole blocks: the rows kept equal the whole pass."""
+        both sides to whole blocks, whose first token is `first` under the
+        causal mask: the rows kept equal the whole pass."""
         plans = head_plans(8, seed=8)
         rng = substream(23 + causal, "kernel-zero-rows")
         q, k, v = (rng.normal(size=(32, 6)) for _ in range(3))
         want = expanded_mask_oracle(q, k, v, plans, 32, causal)
-        index = sga.block_index(plans, 32, causal=causal)
+        keys = sga.block_index(plans, 32, causal=causal)
         for first, stop in ((5, 11), (9, 16), (1, 32), (3, 5)):
             blocks = slice(first // 4, (stop - 1) // 4 + 1)
             base = 4 * blocks.start
             q_run = np.zeros((4 * blocks.stop - base, 6))
             q_run[first - base : stop - base] = q[first:stop]
-            blocked = None if index.blocked is None else index.blocked[:, blocks]
-            got = T.block_attention(q_run, k, v, index.keys[:, blocks], blocked)
+            got = T.block_attention(q_run, k, v, keys[:, blocks], base if causal else None)
             assert np.abs(got[first - base : stop - base] - want[first:stop]).max() <= 1e-12
 
     def test_query_rows_must_be_whole_blocks(self):
-        index = sga.block_index(head_plans(8, seed=9), 32)
+        keys = sga.block_index(head_plans(8, seed=9), 32)
         q = np.zeros((30, 6))
         with pytest.raises(ShapeError):
-            T.block_attention(q, q, q, index.keys, index.blocked)
+            T.block_attention(q, q, q, keys)
+
+    @pytest.mark.parametrize("token", [-1, 33], ids=["below", "above"])
+    def test_key_outside_tokens_rejected(self, token):
+        """Keys lie in [0, n_k], n_k being the padding sentinel; any other
+        key is an error, not padding."""
+        keys = sga.block_index(head_plans(8, seed=9), 32)
+        keys[1, 2, 0] = token
+        q = np.zeros((32, 6))
+        with pytest.raises(ShapeError):
+            T.block_attention(q, q, q, keys)
 
     def test_causal_index_drops_dead_blocks(self):
-        index = sga.block_index([sga.full_plan(8)], 32, causal=True)
-        assert index.live_blocks == 8 * 9 // 2  # key blocks t <= r
+        keys = sga.block_index([sga.full_plan(8)], 32, causal=True)
+        assert np.count_nonzero(keys < 32) == 4 * 8 * 9 // 2  # key blocks t <= r
         for r in range(8):
             live = 4 * (r + 1)
-            assert index.keys[0, r, :live].tolist() == list(range(live))
-            assert index.blocked[0, r, :, live:].all()  # padding
+            assert keys[0, r, :live].tolist() == list(range(live))
+            assert (keys[0, r, live:] == 32).all()  # padding is the sentinel token
 
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
     @pytest.mark.parametrize("per_block", [1, 4])
     @pytest.mark.parametrize("n_blocks", [1, 2, 4, 8, 16])
     def test_every_row_sees_a_key(self, n_blocks, per_block, causal):
-        """Every plan keeps its own block, so no row of any index, not even
-        of the sparsest plans, has every score blocked."""
+        """Every plan keeps its own block, so every row of any index, even
+        of the sparsest plans, sees a key: one that is not the sentinel and,
+        under the causal mask, is not after the row's own token."""
         rng = substream(n_blocks * per_block + causal, "index-rows")
         families = [
             [sga.full_plan(n_blocks)],
@@ -369,8 +389,10 @@ class TestBlockGatherKernel:
             sga.select_plans(rng.random((2, n_blocks, n_blocks)), k=1, radius=0),
         ]
         for plans in families + [[p for family in families for p in family]]:
-            index = sga.block_index(plans, n_blocks * per_block, causal=causal)
-            assert index.blocked is None or not index.blocked.all(axis=-1).any()
+            length = n_blocks * per_block
+            keys = sga.block_index(plans, length, causal=causal)
+            last = sga.partition(length, n_blocks).tokens[..., None] if causal else length - 1
+            assert (keys[:, :, None, :] <= last).any(axis=-1).all()
 
 
 class TestVariantPlans:
