@@ -88,8 +88,12 @@ def _fit_assets(cfg: dict, directory: Path) -> None:
 def _load_assets(directory: Path):
     try:
         meta = json.loads((directory / "assets.json").read_bytes())
-        patch, channels = int(meta["patch"]), int(meta["channels"])
-    except (ValueError, TypeError, KeyError) as exc:
+        patch, channels = meta["patch"], meta["channels"]
+        mdl.check_int("patch", patch, 1)
+        mdl.check_int("channels", channels)
+        if channels not in (1, 3):
+            raise ConfigError(f"channels must be 1 or 3, got {channels}")
+    except (ValueError, TypeError, KeyError, ConfigError) as exc:
         raise ConfigError(f"{directory / 'assets.json'}: malformed ({type(exc).__name__}: {exc})") from exc
     return {
         "patch": patch,

@@ -104,12 +104,12 @@ class SyntheticTask:
             return (i % (self.height // 2), j % (self.width // 2))
         return (0, 0)
 
-    def oracle_plans(self, config: mdl.ModelConfig, grid: Optional[tuple] = None) -> mdl.PlanBundle:
-        """Ideal guiding plans: neighborhood plus the blocks holding each
-        query block's source positions (shifted by one for the decoder's
-        START offset). This is what a perfect guiding pass would select."""
-        h, w = grid if grid is not None else (self.height, self.width)
-        length = h * w
+    def oracle_plans(self, config: mdl.ModelConfig) -> mdl.PlanBundle:
+        """Ideal guiding plans at the task's resolution: neighborhood plus the
+        blocks holding each query block's source positions (shifted by one for
+        the decoder's START offset), as a perfect guiding pass would select."""
+        w = self.width
+        length = self.height * w
         part = sga.partition(length, config.blocks)
 
         def plan_for(shift: int) -> sga.SparsityPlan:
@@ -338,7 +338,7 @@ def variant_bundle(
     if kind == "dense":
         return mdl.PlanBundle.dense(config)
     if kind == "guided":
-        return task.oracle_plans(config, grid=task.dims)
+        return task.oracle_plans(config)
 
     def plan_for(role: str, layer: int, head: int) -> sga.SparsityPlan:
         if kind in ("random", "global"):

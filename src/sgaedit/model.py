@@ -53,6 +53,15 @@ def check_int(key: str, value, low=None) -> None:
         raise ConfigError(f"{key} must be an int{bound}, got {value!r}")
 
 
+def check_grid(key: str, grid) -> tuple:
+    """`grid` as a (height, width) tuple of ints >= 1, else ConfigError naming `key`."""
+    if not (isinstance(grid, (tuple, list)) and len(grid) == 2):
+        raise ConfigError(f"{key} must be a [height, width] pair, got {grid!r}")
+    for side in grid:
+        check_int(key, side, 1)
+    return tuple(int(v) for v in grid)
+
+
 @dataclass(frozen=True)
 class ModelConfig:
     d: int = 64
@@ -70,12 +79,7 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("grid_high", "grid_low"):
-            grid = getattr(self, name)
-            if not (isinstance(grid, (tuple, list)) and len(grid) == 2):
-                raise ConfigError(f"{name} must be a [height, width] pair, got {grid!r}")
-            for side in grid:
-                check_int(name, side, 1)
-            object.__setattr__(self, name, tuple(int(v) for v in grid))
+            object.__setattr__(self, name, check_grid(name, getattr(self, name)))
         lows = {"d": 1, "heads": 1, "blocks": 1, "ffw": 1, "vocab": 2, "vocab_map": 2}
         lows |= {"layers_enc": 0, "layers_dec": 0, "top_k": 0, "radius": 0}
         for name, low in lows.items():
@@ -166,7 +170,9 @@ def init_weights(config: ModelConfig, grid: tuple, rng) -> ModelWeights:
 class PlanBundle:
     """Per-role sparsity plans, each role a [layer][head] list of SparsityPlan.
 
-    Dense attention is not a special case: `dense` keeps every block of a
+    Decoder self-attention is causal, so on construction every `dec_self`
+    plan, whatever made it, is replaced by its lower triangle. Dense
+    attention is not a special case: `dense` keeps every block of a
     one-block partition for every (role, layer, head).
     """
 
@@ -174,11 +180,13 @@ class PlanBundle:
     dec_self: list
     dec_cross: list
 
+    def __post_init__(self):
+        self.dec_self = [[sga.SparsityPlan(np.tril(p.keep)) for p in layer] for layer in self.dec_self]
+
     @staticmethod
     def dense(config: ModelConfig) -> "PlanBundle":
-        """Dense attention for every head: one shared `sga.full_plan(1)`."""
-        one = sga.full_plan(1)
-        return PlanBundle.uniform(config, lambda role, layer, head: one)
+        """Dense attention for every head: `sga.full_plan(1)`."""
+        return PlanBundle.uniform(config, lambda role, layer, head: sga.full_plan(1))
 
     @staticmethod
     def uniform(config: ModelConfig, plan_fn) -> "PlanBundle":
@@ -335,8 +343,7 @@ class IncrementalDecoder:
             (T.matmul(context, w[f"dec{i}_cross_wk"]), T.matmul(context, w[f"dec{i}_cross_wv"]))
             for i in range(cfg.layers_dec)
         ]
-
-        self._self_index = [sga.block_index(layer_plans, weights.length, True) for layer_plans in plans.dec_self]
+        self._self_index = [sga.block_index(layer_plans, weights.length) for layer_plans in plans.dec_self]
         self._cross_index = [sga.block_index(layer_plans, weights.length) for layer_plans in plans.dec_cross]
         # per layer, the self-attention keys and values: [L, C, d], candidate c in [:, c];
         # made by the first call that is not over the whole sequence
@@ -558,7 +565,7 @@ def load_checkpoint(directory) -> ModelWeights:
     try:
         manifest = json.loads(text)
         config = ModelConfig(**manifest["config"])
-        grid = tuple(int(v) for v in manifest["grid"])
+        grid = check_grid("grid", manifest["grid"])
         files = {str(name): directory / str(fname) for name, fname in manifest["params"].items()}
     except (ValueError, TypeError, KeyError, AttributeError, ConfigError) as exc:
         # ValueError covers JSONDecodeError and UnicodeDecodeError; ConfigError an invalid config

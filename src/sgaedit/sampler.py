@@ -172,7 +172,8 @@ def _forced_decode(
 def plans_from_maps(forced: mdl.ForwardResult, config: mdl.ModelConfig) -> mdl.PlanBundle:
     """Pool every recorded attention map into block affinities and select
     neighborhood+top-K plans, per role, layer, and head: each layer's heads
-    ([H, L, L] maps) are pooled and selected together."""
+    ([H, L, L] maps) are pooled and selected together. The bundle keeps
+    the lower triangle of each decoder self-attention plan."""
 
     def role_plans(maps: list, layers: int) -> list:
         return [

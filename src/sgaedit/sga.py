@@ -6,15 +6,17 @@ block-affinity matrix, and for each query block keep its neighborhood (a
 `band` of blocks) plus the top-K highest-affinity blocks outside it
 (`select_plans` does this for every head of a layer in one sort). A plan,
 `SparsityPlan`, is nothing but that N x N boolean keep matrix; its block
-layout is fixed by N and the sequence length. Attention is then evaluated
-only over kept blocks by `sparse_attention`: one block-gather kernel over
-every head of a layer (`block_index`, one int array, lists each query
-block's kept key tokens padded with the sentinel token `length`, and
-`tape.block_attention` evaluates them with one batched matmul, reading
-query block n as rows [n * bs, (n + 1) * bs) and masking the padding and,
-when asked, the causal future itself). One kernel serves every head (the
-decoder calls `tape.block_attention` over a `block_index` it builds
-once), and it never materializes the full score matrix. Dense
+layout is fixed by N and the sequence length, and it holds only what its
+attention can see (`model.PlanBundle` makes causal plans lower
+triangular). Attention is then evaluated only over kept blocks by
+`sparse_attention`: one block-gather kernel over every head of a layer
+(`block_index`, one int array, lists each query block's kept key tokens
+padded with the sentinel token `length`, and `tape.block_attention`
+evaluates them with one batched matmul, reading query block n as rows
+[n * bs, (n + 1) * bs) and masking the padding and, when asked, the keys
+after each query token). One kernel serves every head (the decoder calls
+`tape.block_attention` over a `block_index` it builds once), and it
+never materializes the full score matrix. Dense
 attention is not a separate path but the plan that keeps every block:
 `full_plan(1)`, one block holding every token, runs the same kernel, and
 its softmax weights are then the full attention maps. `build_sparse_mask`
@@ -195,25 +197,21 @@ def build_sparse_mask(plan: SparsityPlan, length: int) -> np.ndarray:
     return np.where(plan.keep[np.ix_(block_of, block_of)], 0.0, NEG_INF)
 
 
-def block_index(plans: Sequence[SparsityPlan], length: int, causal: bool = False) -> np.ndarray:
+def block_index(plans: Sequence[SparsityPlan], length: int) -> np.ndarray:
     """Gather index of the block kernel for one list of per-head plans over
     `length` tokens in the plans' contiguous blocks: [H, N, K], per (head,
-    query block) the tokens of its live kept key blocks in ascending order,
+    query block) the tokens of its kept key blocks in ascending order,
     padded with the sentinel token `length` to the largest count K.
 
-    Under the causal mask a kept key block t after the query block r
-    (t > r) has no visible key and is left out; plans and their FLOP counts
-    are unchanged, only the index skips it. The kernel itself masks the
-    keys after each query token. Every query row sees a key: each plan
-    keeps its own block, which holds the row's own token.
+    Every query row sees a key: each plan keeps its own block, which holds
+    the row's own token. Under the causal mask the kernel itself hides the
+    keys after each query token.
     """
     n = plans[0].n_blocks
     if any(p.n_blocks != n for p in plans):
         raise ShapeError("head plans differ in block count")
     tokens = partition(length, n).tokens
     keep = np.stack([plan.keep for plan in plans])
-    if causal:
-        keep = keep & np.tri(n, dtype=bool)
     count = keep.sum(axis=-1)
     width = int(count.max())
     order = np.argsort(~keep, axis=-1, kind="stable")[..., :width]  # kept blocks first, ascending
@@ -239,8 +237,8 @@ def sparse_attention(q, k, v, plans: Sequence[SparsityPlan], length: int) -> Spa
     blocks; q, k and v are length x (H * dh), heads side by side. Inputs
     may be tape Tensors: the kernel is one differentiable op. Equals dense
     attention under the expanded plan mask to float rounding, and reports
-    the exact score FLOPs spent over kept blocks:
-    2 * dh * (length / N)^2 per (head, query block, kept key block).
+    the exact score FLOPs spent over kept blocks, `score_flops_plan` summed
+    over the heads.
     """
     qv, kv = T.value_of(q), T.value_of(k)
     if qv.ndim != 2 or kv.ndim != 2 or not plans:
@@ -248,11 +246,10 @@ def sparse_attention(q, k, v, plans: Sequence[SparsityPlan], length: int) -> Spa
     if qv.shape[0] != length or kv.shape[0] != length:
         raise ShapeError(f"q/k lengths {qv.shape[0]}/{kv.shape[0]} are not {length} tokens")
     keys = block_index(plans, length)
-    bs = length // plans[0].n_blocks
-    weights = np.empty(keys.shape[:2] + (bs,) + keys.shape[2:])
+    weights = np.empty(keys.shape[:2] + (length // plans[0].n_blocks,) + keys.shape[2:])
     out = T.block_attention(q, k, v, keys, weights=weights)
     weights.flags.writeable = False
-    flops = 2 * (qv.shape[1] // len(plans)) * int(np.count_nonzero(keys < length)) * bs
+    flops = sum(score_flops_plan(plan, length, qv.shape[1] // len(plans)) for plan in plans)
     return SparseAttentionResult(output=out, score_flops=flops, weights=weights)
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 
 from sgaedit import attention as att
+from sgaedit import model as mdl
 from sgaedit import sga
 from sgaedit import tape as T
 from sgaedit.errors import ShapeError
@@ -20,6 +21,12 @@ def causal_mask(length: int) -> np.ndarray:
     mask = np.zeros((length, length), dtype=np.float64)
     mask[np.triu_indices(length, k=1)] = -np.inf
     return mask
+
+
+def causal_plans(plans):
+    """Per-head plans as a decoder self-attention layer holds them: the
+    lower triangles that `model.PlanBundle` keeps."""
+    return mdl.PlanBundle(enc=[], dec_self=[list(plans)], dec_cross=[]).dec_self[0]
 
 
 def combine_masks(a: np.ndarray, b: np.ndarray) -> np.ndarray:

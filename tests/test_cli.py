@@ -446,6 +446,38 @@ def test_malformed_checkpoint_exit_code_without_traceback(trained, tmp_path, tar
     assert target.split(".")[0] in result.stderr
 
 
+# (name, file of the guide checkpoint, key, a value that truncates to a valid one)
+NON_INTEGER_CHECKPOINT_FIELDS = [
+    ("manifest-float-grid", "manifest.json", "grid", [2.9, 2.2]),
+    ("assets-float-patch", "assets.json", "patch", 4.7),
+    ("assets-true-channels", "assets.json", "channels", True),
+]
+
+
+@pytest.mark.parametrize(
+    "target,key,value", [case[1:] for case in NON_INTEGER_CHECKPOINT_FIELDS],
+    ids=[case[0] for case in NON_INTEGER_CHECKPOINT_FIELDS],
+)
+def test_non_integer_checkpoint_field_exit_2_without_traceback(trained, tmp_path, capsys, target, key, value):
+    """An integer field of a guide checkpoint that holds a float or a bool
+    is a config error, not read as the int it truncates to."""
+    run, cfg = trained
+    guide = tmp_path / "guide"
+    shutil.copytree(run / "run" / "guide", guide)
+    meta = json.loads((guide / target).read_text())
+    meta[key] = value
+    (guide / target).write_text(json.dumps(meta))
+    image, semantic, mask = make_edit_inputs(tmp_path)
+    rc = cli.main(
+        ["edit", "--config", str(cfg), "--guide", str(guide), "--sga", str(run / "run" / "sga"),
+         "--image", str(image), "--semantic", str(semantic), "--mask", str(mask), "--out", str(tmp_path / "out")]
+    )
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert err.startswith("config error:") and target in err and key in err and "Traceback" not in err
+    assert not (tmp_path / "out" / "edit").exists()
+
+
 class TestOtherCommands:
     def test_leakcheck_clean_exit_zero(self, tmp_path, capsys):
         cfg = write_config(tmp_path)

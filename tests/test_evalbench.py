@@ -76,7 +76,7 @@ class TestTasks:
 
         cfg = dataclasses.replace(CFG, d=16, blocks=8, grid_high=(8, 8), grid_low=(4, 4))
         task = eb.SyntheticTask("mirror", 8, 8, 16)
-        plans = task.oracle_plans(cfg, grid=(8, 8))
+        plans = task.oracle_plans(cfg)
         part = sga.partition(64, 8)
         plan = plans.dec_cross[0][0]
         for l in range(64):
@@ -507,10 +507,13 @@ class TestBenchmark:
         assert row["wall_s"] == 4.0  # the mean is 8.4; timing the warm-up too gives 4.5
 
     def test_forward_score_flops_cost_model(self):
+        """Every kept block of the local plan, but of decoder self-attention
+        only the blocks t <= r that the causal mask leaves visible."""
         bundle = eb.variant_bundle("local", CFG, eb.SyntheticTask("mirror", *CFG.grid_high, CFG.vocab))
         flops = eb.forward_score_flops(CFG, bundle, CFG.l_high)
         plan = bundle.enc[0][0]
-        dh = CFG.d // CFG.heads
-        per_head = 2 * dh * plan.kept_count() * (CFG.l_high // CFG.blocks) ** 2
-        expected = per_head * CFG.heads * (CFG.layers_enc + 2 * CFG.layers_dec)
-        assert flops == expected
+        causal = sum(t <= r for r, ks in enumerate(plan.kept) for t in ks)
+        assert causal < plan.kept_count()
+        per_block = 2 * (CFG.d // CFG.heads) * (CFG.l_high // CFG.blocks) ** 2
+        kept = plan.kept_count() * (CFG.layers_enc + CFG.layers_dec) + causal * CFG.layers_dec
+        assert flops == per_block * CFG.heads * kept

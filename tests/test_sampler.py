@@ -163,8 +163,13 @@ class TestGuideAndPlan:
     def test_plans_from_maps_matches_per_head_oracle(self, kind, blocks):
         """Pooling and selecting every head of a layer at once equals pooling
         each head's map alone and a per-row sort, for maps given as one
-        [H, L, L] array per layer or as a list of per-head arrays."""
+        [H, L, L] array per layer or as a list of per-head arrays; of a
+        decoder self-attention plan the bundle keeps the lower triangle."""
         heads, size = 3, 64
+
+        def oracle(m, k, radius, seen):
+            return sga.SparsityPlan(per_row_sort_plan(sga.block_affinity(m, blocks), k, radius).keep & seen).kept
+
         enc = [affinities(kind, (heads, size, size), seed=blocks + i) for i in range(2)]
         dec_self = [affinities(kind, (heads, size, size), seed=blocks + 2)]
         dec_cross = [list(affinities(kind, (heads, size, size), seed=blocks + 3))]
@@ -182,10 +187,8 @@ class TestGuideAndPlan:
                 )
                 got = sampler.plans_from_maps(forced, cfg)
                 for role, maps in (("enc", enc), ("dec_self", dec_self), ("dec_cross", dec_cross)):
-                    want = [
-                        [per_row_sort_plan(sga.block_affinity(m[h], blocks), k, radius).kept for h in range(heads)]
-                        for m in maps
-                    ]
+                    seen = np.tri(blocks, dtype=bool) if role == "dec_self" else True
+                    want = [[oracle(m[h], k, radius, seen) for h in range(heads)] for m in maps]
                     assert [[p.kept for p in layer] for layer in getattr(got, role)] == want, (role, k, radius)
 
     def test_uniform_maps_tie_break(self, weights):

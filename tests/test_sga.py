@@ -7,7 +7,7 @@ from sgaedit import tape as T
 from sgaedit.errors import ShapeError, ValidationError
 from sgaedit.rng import substream
 
-from conftest import affinities, causal_mask, combine_masks, dot, per_head_dense, per_row_sort_plan
+from conftest import affinities, causal_mask, causal_plans, combine_masks, dot, per_head_dense, per_row_sort_plan
 
 
 def select(b, k, radius):
@@ -210,7 +210,7 @@ class TestSparseAttention:
         q, k, v = (rng.normal(size=(16, 4)) for _ in range(3))
         plan = select(rng.random((4, 4)), k=1, radius=1)
         causal = causal_mask(16)
-        got = T.block_attention(q, k, v, sga.block_index([plan], 16, causal=True), first=0)
+        got = T.block_attention(q, k, v, sga.block_index(causal_plans([plan]), 16), first=0)
         dense, _ = att.dense_attention(q, k, v, combine_masks(sga.build_sparse_mask(plan, 16), causal))
         assert np.abs(got - dense).max() <= 1e-5
 
@@ -244,10 +244,11 @@ def head_plans(n_blocks, seed):
 
 def kernel_pass(q, k, v, plans, length, causal):
     """`sparse_attention`, or under the causal mask the kernel over the
-    causal index with rows from token 0, as the decoder's whole pass runs it."""
+    causal plans' index with rows from token 0, as the decoder's whole pass
+    runs it."""
     if not causal:
         return sga.sparse_attention(q, k, v, plans, length).output
-    return T.block_attention(q, k, v, sga.block_index(plans, length, causal=True), first=0)
+    return T.block_attention(q, k, v, sga.block_index(causal_plans(plans), length), first=0)
 
 
 def expanded_mask_oracle(q, k, v, plans, length, causal):
@@ -304,15 +305,19 @@ class TestBlockGatherKernel:
         assert T.grad_check(f, qkv[operand], step=1e-5) <= 1e-5
 
     def test_score_flops_count_live_blocks(self):
-        """`sparse_attention` counts the keys its index lists, which are
-        every kept block's; the causal index lists the live blocks only."""
+        """`sparse_attention` counts every kept block of its plans, which are
+        the keys its index lists; causal plans keep the live blocks only."""
         plans = head_plans(8, seed=5)
         rng = substream(12, "kernel-flops")
         q, k, v = (rng.normal(size=(64, 6)) for _ in range(3))
         full = sga.sparse_attention(q, k, v, plans, 64)
         assert full.score_flops == sum(sga.score_flops_plan(p, 64, 2) for p in plans)
+        assert full.score_flops == 2 * 2 * np.count_nonzero(sga.block_index(plans, 64) < 64) * 8
         live = sum(t <= r for p in plans for r, ks in enumerate(p.kept) for t in ks)
-        assert np.count_nonzero(sga.block_index(plans, 64, causal=True) < 64) == live * 8
+        causal = causal_plans(plans)
+        assert sum(p.kept_count() for p in causal) == live
+        assert np.count_nonzero(sga.block_index(causal, 64) < 64) == live * 8
+        assert sga.sparse_attention(q, k, v, causal, 64).score_flops == 2 * 2 * live * 8 * 8
         assert live < sum(p.kept_count() for p in plans)
 
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
@@ -324,7 +329,7 @@ class TestBlockGatherKernel:
         rng = substream(21 + causal, "kernel-rows")
         q, k, v = (rng.normal(size=(32, 6)) for _ in range(3))
         want = expanded_mask_oracle(q, k, v, plans, 32, causal)
-        keys = sga.block_index(plans, 32, causal=causal)
+        keys = sga.block_index(causal_plans(plans) if causal else plans, 32)
         for b, lo, hi in ((0, 0, 1), (3, 1, 3), (5, 2, 4), (7, 3, 4)):
             tokens = slice(4 * b + lo, 4 * b + hi)
             got = T.block_attention(q[tokens], k, v, keys[:, b : b + 1], tokens.start if causal else None)
@@ -339,7 +344,7 @@ class TestBlockGatherKernel:
         rng = substream(23 + causal, "kernel-zero-rows")
         q, k, v = (rng.normal(size=(32, 6)) for _ in range(3))
         want = expanded_mask_oracle(q, k, v, plans, 32, causal)
-        keys = sga.block_index(plans, 32, causal=causal)
+        keys = sga.block_index(causal_plans(plans) if causal else plans, 32)
         for first, stop in ((5, 11), (9, 16), (1, 32), (3, 5)):
             blocks = slice(first // 4, (stop - 1) // 4 + 1)
             base = 4 * blocks.start
@@ -365,7 +370,7 @@ class TestBlockGatherKernel:
             T.block_attention(q, q, q, keys)
 
     def test_causal_index_drops_dead_blocks(self):
-        keys = sga.block_index([sga.full_plan(8)], 32, causal=True)
+        keys = sga.block_index(causal_plans([sga.full_plan(8)]), 32)
         assert np.count_nonzero(keys < 32) == 4 * 8 * 9 // 2  # key blocks t <= r
         for r in range(8):
             live = 4 * (r + 1)
@@ -390,7 +395,7 @@ class TestBlockGatherKernel:
         ]
         for plans in families + [[p for family in families for p in family]]:
             length = n_blocks * per_block
-            keys = sga.block_index(plans, length, causal=causal)
+            keys = sga.block_index(causal_plans(plans) if causal else plans, length)
             last = sga.partition(length, n_blocks).tokens[..., None] if causal else length - 1
             assert (keys[:, :, None, :] <= last).any(axis=-1).all()
 
