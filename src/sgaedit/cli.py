@@ -261,26 +261,29 @@ def _run_edit(cfg: dict, args, out: Path) -> int:
     )
     t_sga = time.perf_counter() - t0
 
-    patch = assets["patch"]
+    t0 = time.perf_counter()
     levels = 1
     while levels < 4 and image.shape[0] % (2 ** (levels + 1)) == 0 and image.shape[1] % (2 ** (levels + 1)) == 0:
         levels += 1
-    rows = []
-    seen = set()
+    kept, seen = [], set()
     for cand in cands.candidates:
         key = cand.tokens.tokens.tobytes()
-        if key in seen:
-            continue
-        seen.add(key)
-        rank = len(rows)
+        if key not in seen:
+            seen.add(key)
+            kept.append(cand)
+    grids = [cand.tokens for cand in kept]
+    recons = compositing.tokens_to_image(grids, assets["codebook"], assets["projection"], assets["patch"])
+    comps = compositing.composite(image, recons, pixel_mask)
+    del recons  # the blend then holds C full-size images in and C out, not 2C in
+    blended = compositing.laplacian_blend(comps, image, pixel_mask.astype(np.float64), levels=levels)
+    rows = []
+    for rank, (cand, img) in enumerate(zip(kept, blended)):
         tok_file = f"candidate_{rank:02d}.json"
         img_file = f"candidate_{rank:02d}" + (".pgm" if image.ndim == 2 else ".ppm")
         (out / tok_file).write_text(cand.tokens.to_json())
-        recon = compositing.tokens_to_image(cand.tokens, assets["codebook"], assets["projection"], patch)
-        comp = compositing.composite(image, recon, pixel_mask)
-        blended = compositing.laplacian_blend(comp, image, pixel_mask.astype(np.float64), levels=levels)
-        images.write_pnm(out / img_file, blended)
+        images.write_pnm(out / img_file, img)
         rows.append({"rank": rank, "logprob": cand.logprob, "tokens": tok_file, "image": img_file})
+    t_output = time.perf_counter() - t0
 
     report = {
         "candidates": rows,
@@ -295,7 +298,12 @@ def _run_edit(cfg: dict, args, out: Path) -> int:
     total = t_guide + t_sga
     (out / "timings.json").write_text(
         json.dumps(
-            {"guide_s": t_guide, "sga_s": t_sga, "guide_share": t_guide / total if total else 0.0},
+            {
+                "guide_s": t_guide,
+                "sga_s": t_sga,
+                "guide_share": t_guide / total if total else 0.0,
+                "output_s": t_output,
+            },
             indent=2,
             sort_keys=True,
         )

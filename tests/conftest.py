@@ -194,3 +194,46 @@ def affinities(kind, shape, seed):
     if kind == "zero":
         return np.where(rng.random(shape) < 0.9, 0.0, b)
     return b
+
+
+_BLUR5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
+
+
+def _full_blur(img):
+    x = img[:, :, None] if img.ndim == 2 else img
+    padded = np.pad(x, ((2, 2), (0, 0), (0, 0)), mode="edge")
+    x = sum(_BLUR5[i] * padded[i : i + img.shape[0]] for i in range(5))
+    padded = np.pad(x, ((0, 0), (2, 2), (0, 0)), mode="edge")
+    x = sum(_BLUR5[i] * padded[:, i : i + img.shape[1]] for i in range(5))
+    return x[:, :, 0] if img.ndim == 2 else x
+
+
+def _full_up(img):
+    return _full_blur(np.repeat(np.repeat(img, 2, axis=0), 2, axis=1))
+
+
+def full_image_blend(a, b, mask, levels):
+    """Reference for `compositing.laplacian_blend` on one image `a`: the
+    Laplacian-pyramid blend of a over b under the blurred mask, computed
+    over the whole image (both pyramids, the weights and the collapse at
+    full size), clamped to [0, 1]."""
+    a, b, mask = (np.asarray(x, dtype=np.float64) for x in (a, b, mask))
+    pyramids = []
+    for img in (a, b):
+        bands, current = [], img
+        for _ in range(levels - 1):
+            smaller = _full_blur(current)[::2, ::2]
+            bands.append(current - _full_up(smaller))
+            current = smaller
+        pyramids.append(bands + [current])
+    weights = [_full_blur(mask)]
+    for _ in range(levels - 1):
+        weights.append(_full_blur(weights[-1])[::2, ::2])
+    mixed = []
+    for la, lb, w in zip(*pyramids, weights):
+        w = w if la.ndim == 2 else w[:, :, None]
+        mixed.append(w * la + (1.0 - w) * lb)
+    out = mixed[-1]
+    for band in reversed(mixed[:-1]):
+        out = _full_up(out) + band
+    return np.clip(out, 0.0, 1.0)

@@ -8,9 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sgaedit import cli, images
+from conftest import full_image_blend
+from sgaedit import cli, compositing, images
 from sgaedit import model as mdl
-from sgaedit.quantizer import TokenGrid
+from sgaedit.numerics import read_sgat
+from sgaedit.quantizer import Codebook, TokenGrid
 from sgaedit.rng import substream
 
 SRC = str(Path(cli.__file__).resolve().parent.parent)
@@ -298,6 +300,7 @@ class TestEdit:
         assert lps == sorted(lps, reverse=True)
         timings = json.loads((out / "timings.json").read_text())
         assert 0.0 <= timings["guide_share"] <= 1.0
+        assert timings["output_s"] > 0.0
         # unmasked tokens preserved: compare candidate tokens against input encoding
         cand = TokenGrid.from_json((out / "candidate_00.json").read_text())
         assert cand.tokens.shape == (4, 4)
@@ -398,6 +401,76 @@ class TestEdit:
             if f.name in ("timings.json", "resolved_config.json"):
                 continue
             assert f.read_bytes() == (tmp_path / "r2" / "edit" / f.name).read_bytes(), f.name
+
+
+BLEND_REACH = 5 * 2 ** (4 - 1) - 3  # `laplacian_blend`'s reach at 4 levels, which a 64 px image gets
+MASK_BOX = ((0, 16), (0, 32))  # the two top-left 16 px tokens
+
+
+@pytest.fixture(scope="module", params=[1, 3], ids=["gray", "rgb"])
+def edited(request, tmp_path_factory):
+    """A finished 64 x 64 px edit (4 x 4 tokens of 16 px) of a gray or an
+    RGB image, two of its tokens masked and two candidates kept."""
+    channels = request.param
+    tmp_path = tmp_path_factory.mktemp(f"edit-{channels}ch")
+    cfg = write_config(tmp_path, {"quantizer": {"patch": 16, "channels": channels}, "leakcheck": {"image_size": 32}})
+    guide, sga = tmp_path / "run" / "guide", tmp_path / "run" / "sga"
+    assert cli.main(["train-guide", "--config", str(cfg)]) == 0
+    assert cli.main(["train-sga", "--config", str(cfg), "--guide", str(guide)]) == 0
+    rng = substream(channels, "cli-blend-inputs")
+    image = tmp_path / ("input.pgm" if channels == 1 else "input.ppm")
+    images.write_pnm(image, images.synthetic_image(64, 64, channels, rng))
+    images.write_class_map(tmp_path / "semantic.pgm", images.synthetic_class_map(64, 64, 3, rng))
+    mask = np.zeros((64, 64))
+    (r0, r1), (c0, c1) = MASK_BOX
+    mask[r0:r1, c0:c1] = 1.0
+    images.write_pnm(tmp_path / "mask.pgm", mask)
+    rc = cli.main(
+        ["edit", "--config", str(cfg), "--guide", str(guide), "--sga", str(sga), "--image", str(image),
+         "--semantic", str(tmp_path / "semantic.pgm"), "--mask", str(tmp_path / "mask.pgm")]
+    )
+    assert rc == 0
+    out = tmp_path / "run" / "edit"
+    rows = json.loads((out / "report.json").read_text())["candidates"]
+    assert len(rows) == 2
+    return out, guide, image, mask, rows
+
+
+def _pixels(path, channels):
+    """The raw sample bytes of a PNM file, H x W (x 3)."""
+    count = 64 * 64 * channels
+    raw = np.frombuffer(path.read_bytes()[-count:], dtype=np.uint8)
+    return raw.reshape(64, 64) if channels == 1 else raw.reshape(64, 64, 3)
+
+
+class TestEditOutputImages:
+    def test_pixels_beyond_blend_reach_are_the_input_bytes(self, edited):
+        """The pixel form of "unmasked tokens never change": no written image
+        differs from the input farther than the blend's reach from the mask."""
+        out, _, image, _, rows = edited
+        channels = 1 if image.suffix == ".pgm" else 3
+        (r0, r1), (c0, c1) = MASK_BOX
+        far = np.ones((64, 64), bool)
+        far[max(0, r0 - BLEND_REACH) : r1 + BLEND_REACH, max(0, c0 - BLEND_REACH) : c1 + BLEND_REACH] = False
+        assert far.sum() >= 64 * 8
+        original = _pixels(image, channels)
+        for row in rows:
+            written = _pixels(out / row["image"], channels)
+            assert np.array_equal(written[far], original[far]), row["image"]
+            assert not np.array_equal(written, original), row["image"]
+
+    def test_each_image_is_the_full_image_blend_of_its_tokens(self, edited, tmp_path):
+        out, guide, image, mask, rows = edited
+        projection = read_sgat(guide / "projection.sgat")
+        codebook = Codebook(read_sgat(guide / "codebook.sgat"))
+        original = images.read_pnm(image)
+        for row in rows:
+            grid = TokenGrid.from_json((out / row["tokens"]).read_text())
+            recon = compositing.tokens_to_image([grid], codebook, projection, 16)[0]
+            blended = full_image_blend(compositing.composite(original, recon, mask > 0), original, mask, 4)
+            expected = tmp_path / row["image"]
+            images.write_pnm(expected, blended)
+            assert (out / row["image"]).read_bytes() == expected.read_bytes(), row["image"]
 
 
 def _sgat_header(header: bytes) -> bytes:

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from conftest import full_image_blend
 from sgaedit import compositing as comp
 from sgaedit import quantizer as qz
 from sgaedit.errors import IncompleteGridError, ShapeError
@@ -45,6 +46,18 @@ class TestComposite:
     def test_dim_mismatch(self):
         with pytest.raises(ShapeError):
             comp.composite(np.zeros((4, 4)), np.zeros((4, 5)), np.zeros((4, 4), bool))
+        with pytest.raises(ShapeError):
+            comp.composite(np.zeros((4, 4)), np.zeros((2, 4, 5)), np.zeros((4, 4), bool))
+
+    def test_stack_composites_each_candidate(self):
+        rng = substream(4, "comp5")
+        orig = rng.random((6, 8, 3))
+        gen = rng.random((3, 6, 8, 3))
+        mask = rng.random((6, 8)) > 0.5
+        out = comp.composite(orig, gen, mask)
+        assert out.shape == gen.shape
+        for c in range(3):
+            assert np.array_equal(out[c], comp.composite(orig, gen[c], mask))
 
 
 class TestPyramid:
@@ -76,14 +89,14 @@ class TestLaplacianBlend:
     def test_blend_of_equals(self):
         rng = substream(4, "blend")
         a = rng.random((16, 16))
-        out = comp.laplacian_blend(a, a.copy(), rng.random((16, 16)), levels=2)
+        out = comp.laplacian_blend(a[None], a.copy(), rng.random((16, 16)), levels=2)[0]
         assert np.abs(out - np.clip(a, 0, 1)).max() <= 1e-5
 
     def test_mask_all_ones_returns_a(self):
         rng = substream(5, "blend2")
         a = rng.random((16, 16))
         b = rng.random((16, 16))
-        out = comp.laplacian_blend(a, b, np.ones((16, 16)), levels=3)
+        out = comp.laplacian_blend(a[None], b, np.ones((16, 16)), levels=3)[0]
         assert np.abs(out - a).max() <= 1e-4
 
     def test_single_level_closed_form(self):
@@ -91,7 +104,7 @@ class TestLaplacianBlend:
         a = rng.random((16, 16))
         b = rng.random((16, 16))
         mask = (rng.random((16, 16)) > 0.5).astype(float)
-        out = comp.laplacian_blend(a, b, mask, levels=1)
+        out = comp.laplacian_blend(a[None], b, mask, levels=1)[0]
         blurred = comp._blur(mask)
         expected = np.clip(blurred * a + (1 - blurred) * b, 0, 1)
         assert np.abs(out - expected).max() <= 1e-5
@@ -101,8 +114,115 @@ class TestLaplacianBlend:
         a = rng.random((16, 16)) * 1.0
         b = rng.random((16, 16))
         mask = rng.random((16, 16))
-        out = comp.laplacian_blend(a, b, mask, levels=4)
+        out = comp.laplacian_blend(a[None], b, mask, levels=4)[0]
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+
+def blend_case(seed, levels, channels, mask_kind, candidates=3):
+    """(a, b, mask) for one windowed-blend case: `a` is a stack of random
+    candidates composited over `b` under `mask`, as an edit makes them."""
+    rng = substream(seed, f"blend-case-{levels}-{channels}-{mask_kind}")
+    step = 2**levels
+    h, w = step * int(rng.integers(2, 10)), step * int(rng.integers(2, 10))
+    shape = (h, w) if channels == 1 else (h, w, channels)
+    b = np.rint(255 * rng.random(shape)) / 255  # an 8-bit image, as `read_pnm` gives
+    mask = np.zeros((h, w))
+    mh, mw = int(rng.integers(1, h // 2 + 1)), int(rng.integers(1, w // 2 + 1))
+    y0, x0 = int(rng.integers(0, h - mh + 1)), int(rng.integers(0, w - mw + 1))
+    y0 = {"top": 0, "bottom": h - mh}.get(mask_kind, y0)
+    x0 = {"left": 0, "right": w - mw}.get(mask_kind, x0)
+    if mask_kind == "full":
+        mask[:] = 1.0
+    elif mask_kind != "empty":
+        mask[y0 : y0 + mh, x0 : x0 + mw] = 1.0
+        if mask_kind == "free-form":
+            mask *= rng.random((h, w)) < 0.6
+        if mask_kind == "soft":
+            mask *= rng.random((h, w))
+    a = comp.composite(b, rng.random((candidates,) + shape), mask > 0)
+    return a, b, mask
+
+
+MASK_KINDS = ["inside", "top", "bottom", "left", "right", "free-form", "soft", "empty", "full"]
+
+
+class TestWindowedBlend:
+    """The windowed, stacked blend against `full_image_blend`, the blend
+    computed over the whole image one candidate at a time."""
+
+    @pytest.mark.parametrize("mask_kind", MASK_KINDS)
+    @pytest.mark.parametrize("channels", [1, 3])
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_equals_full_image_oracle(self, levels, channels, mask_kind):
+        for seed in range(3):
+            a, b, mask = blend_case(seed, levels, channels, mask_kind)
+            out = comp.laplacian_blend(a, b, mask, levels)
+            assert out.shape == a.shape
+            for c in range(a.shape[0]):
+                ref = full_image_blend(a[c], b, mask, levels)
+                assert np.abs(out[c] - ref).max() <= 1e-12
+                assert np.array_equal(np.rint(255 * out[c]), np.rint(255 * ref))
+            outside = np.ones(mask.shape, bool)
+            window = comp.blend_window(mask, levels)
+            if window is not None:
+                outside[window] = False
+            assert np.array_equal(out[:, outside], np.broadcast_to(b[outside], (a.shape[0],) + b[outside].shape))
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_window_covers_mask_with_aligned_margin(self, levels):
+        rng = substream(levels, "window")
+        step, margin = 2**levels, 2 ** (levels + 2)
+        for _ in range(20):
+            h, w = step * int(rng.integers(1, 20)), step * int(rng.integers(1, 20))
+            mask = rng.random((h, w)) < 0.01
+            window = comp.blend_window(mask, levels)
+            if not mask.any():
+                assert window is None
+                continue
+            ys, xs = np.nonzero(mask)
+            for span, lo, hi, size in zip(window, (ys.min(), xs.min()), (ys.max(), xs.max()), (h, w)):
+                assert span.start % step == 0 and (span.stop % step == 0 or span.stop == size)
+                assert span.start <= max(0, lo - margin) and span.stop >= min(size, hi + 1 + margin)
+                assert span.start > lo - margin - step and span.stop < hi + 1 + margin + step
+
+    @pytest.mark.parametrize("levels", [1, 2, 3, 4])
+    def test_reach_within_docstring_bound(self, levels):
+        """A one-pixel edit at every alignment to the coarsest grid changes
+        no pixel farther than 5 * 2**(levels - 1) - 3 px, under the margin
+        less one coarsest pixel. On a constant image the pyramid of `b` is
+        exact, so every changed pixel is the edit's reach."""
+        bound = 5 * 2 ** (levels - 1) - 3
+        step = 2**levels
+        n = 2 * (2 ** (levels + 2) + step)
+        reach = 0
+        for oy in range(step):
+            for ox in range(step):
+                y, x = n // 2 + oy, n // 2 + ox
+                b = np.full((n, n), 0.5)
+                a = b.copy()
+                a[y, x] = 0.9
+                mask = np.zeros((n, n))
+                mask[y, x] = 1.0
+                ys, xs = np.nonzero(full_image_blend(a, b, mask, levels) != 0.5)
+                reach = max(reach, np.abs(ys - y).max(), np.abs(xs - x).max())
+        assert reach <= bound < 2 ** (levels + 2) - 2 ** (levels - 1)
+        assert levels == 1 or reach >= bound - 2  # the bound is close: 35 of 37 px at 4 levels
+
+    def test_empty_mask_returns_clamped_original_per_candidate(self):
+        rng = substream(12, "blend-empty")
+        b = rng.random((16, 16, 3)) * 1.2 - 0.1
+        out = comp.laplacian_blend(rng.random((2, 16, 16, 3)), b, np.zeros((16, 16)), levels=4)
+        assert np.array_equal(out, np.stack([np.clip(b, 0, 1)] * 2))
+
+    def test_shape_contract(self):
+        with pytest.raises(ShapeError):
+            comp.laplacian_blend(np.zeros((16, 16)), np.zeros((16, 16)), np.zeros((16, 16)))
+        with pytest.raises(ShapeError):
+            comp.laplacian_blend(np.zeros((2, 16, 8)), np.zeros((16, 16)), np.zeros((16, 16)))
+        with pytest.raises(ShapeError):
+            comp.laplacian_blend(np.zeros((1, 16, 16)), np.zeros((16, 16)), np.zeros((8, 8)))
+        with pytest.raises(ShapeError):  # dims checked even where the window would fit
+            comp.laplacian_blend(np.zeros((1, 24, 24)), np.zeros((24, 24)), np.zeros((24, 24)), levels=4)
 
 
 class TestTokensToImage:
@@ -123,16 +243,16 @@ class TestTokensToImage:
     def test_round_trip_of_codebook_exact_image(self):
         patch, proj, cb, _ = self._setup()
         tokens = TokenGrid(np.arange(8).reshape(2, 4) % cb.size, cb.size)
-        img = comp.tokens_to_image(tokens, cb, proj, patch)
+        img = comp.tokens_to_image([tokens], cb, proj, patch)[0]
         regrid = qz.quantize(qz.encode_patches(img, patch, proj), cb)
         assert np.array_equal(regrid.tokens, tokens.tokens)
-        again = comp.tokens_to_image(regrid, cb, proj, patch)
+        again = comp.tokens_to_image([regrid], cb, proj, patch)[0]
         assert np.abs(again - img).max() <= 1e-9
 
     def test_decodes_to_exact_preimage_patch(self):
         patch, proj, cb, patches = self._setup()
         tokens = TokenGrid(np.array([[3]]), cb.size)
-        img = comp.tokens_to_image(tokens, cb, proj, patch)
+        img = comp.tokens_to_image([tokens], cb, proj, patch)[0]
         assert np.abs(img.reshape(-1) - patches[3]).max() <= 1e-9
 
     def test_constant_image_with_matching_entry(self):
@@ -144,17 +264,42 @@ class TestTokensToImage:
         entries = np.vstack([entry, entry + 10.0])
         cb = qz.Codebook(entries)
         tokens = TokenGrid(np.zeros((3, 3), dtype=int), 2)
-        img = comp.tokens_to_image(tokens, cb, proj, patch)
+        img = comp.tokens_to_image([tokens], cb, proj, patch)[0]
         assert np.abs(img - 0.5).max() <= 1e-8
 
     def test_output_shape_contract(self):
         patch, proj, cb, _ = self._setup()
         tokens = TokenGrid(np.zeros((5, 7), dtype=int), cb.size)
-        img = comp.tokens_to_image(tokens, cb, proj, patch)
-        assert img.shape == (5 * patch, 7 * patch)
+        img = comp.tokens_to_image([tokens, tokens, tokens], cb, proj, patch)
+        assert img.shape == (3, 5 * patch, 7 * patch)
+
+    def test_batch_equals_per_grid_inverse(self):
+        """One pixel table gathered per token gives each grid's image as
+        `codebook vectors @ pinv(projection)` does, to the written byte."""
+        rng = substream(11, "t2i-batch")
+        patch, channels, d, vocab = 4, 3, 16, 12
+        proj = rng.normal(size=(patch * patch * channels, d))
+        cb = qz.Codebook(rng.normal(scale=0.3, size=(vocab, d)))
+        grids = [TokenGrid(rng.integers(0, vocab, size=(6, 5)), vocab) for _ in range(4)]
+        batch = comp.tokens_to_image(grids, cb, proj, patch)
+        assert batch.shape == (4, 6 * patch, 5 * patch, channels)
+        inverse = np.linalg.pinv(proj)
+        for grid, img in zip(grids, batch):
+            patches = (cb.entries[grid.flat()] @ inverse).reshape(6, 5, patch, patch, channels)
+            ref = np.clip(patches.transpose(0, 2, 1, 3, 4).reshape(6 * patch, 5 * patch, channels), 0.0, 1.0)
+            assert np.abs(img - ref).max() <= 1e-12
+            assert np.array_equal(np.rint(255 * img), np.rint(255 * ref))
+
+    def test_grids_of_different_shapes_or_none_rejected(self):
+        patch, proj, cb, _ = self._setup()
+        with pytest.raises(ShapeError):
+            comp.tokens_to_image([], cb, proj, patch)
+        with pytest.raises(ShapeError):
+            grids = [TokenGrid(np.zeros((2, 2), int), cb.size), TokenGrid(np.zeros((2, 3), int), cb.size)]
+            comp.tokens_to_image(grids, cb, proj, patch)
 
     def test_mask_rejected(self):
         patch, proj, cb, _ = self._setup()
         grid = qz.apply_mask(TokenGrid(np.zeros((2, 2), dtype=int), cb.size), np.array([[True, False], [False, False]]))
         with pytest.raises(IncompleteGridError):
-            comp.tokens_to_image(grid, cb, proj, patch)
+            comp.tokens_to_image([grid], cb, proj, patch)
