@@ -23,6 +23,7 @@ from .errors import ConfigError, NumericalError, SgaError
 from .numerics import read_sgat, write_sgat
 from .quantizer import (
     Codebook,
+    TokenGrid,
     apply_mask,
     encode_patches,
     fit_codebook,
@@ -250,7 +251,7 @@ def _run_edit(cfg: dict, args, out: Path) -> int:
     guided = sampler.guide_and_plan(request, guide_weights, mconf, seed=cfg["seed"])
     t_guide = time.perf_counter() - t0
     t0 = time.perf_counter()
-    cands = sampler.autoregressive_edit(
+    tokens, logprobs = sampler.autoregressive_edit(
         request,
         sga_weights,
         guided.plans,
@@ -265,24 +266,20 @@ def _run_edit(cfg: dict, args, out: Path) -> int:
     levels = 1
     while levels < 4 and image.shape[0] % (2 ** (levels + 1)) == 0 and image.shape[1] % (2 ** (levels + 1)) == 0:
         levels += 1
-    kept, seen = [], set()
-    for cand in cands.candidates:
-        key = cand.tokens.tokens.tobytes()
-        if key not in seen:
-            seen.add(key)
-            kept.append(cand)
-    grids = [cand.tokens for cand in kept]
-    recons = compositing.tokens_to_image(grids, assets["codebook"], assets["projection"], assets["patch"])
-    comps = compositing.composite(image, recons, pixel_mask)
-    del recons  # the blend then holds C full-size images in and C out, not 2C in
-    blended = compositing.laplacian_blend(comps, image, pixel_mask.astype(np.float64), levels=levels)
+    first = {}  # each distinct candidate's first index, in rank order
+    for i, row in enumerate(tokens):
+        first.setdefault(row.tobytes(), i)
+    keep = list(first.values())
+    tokens, logprobs = tokens[keep], logprobs[keep]
+    recons = compositing.tokens_to_image(tokens, assets["codebook"], assets["projection"], assets["patch"])
+    blended = compositing.laplacian_blend(recons, image, pixel_mask.astype(np.float64), levels=levels)
     rows = []
-    for rank, (cand, img) in enumerate(zip(kept, blended)):
+    for rank, (row, logprob, img) in enumerate(zip(tokens, logprobs, blended)):
         tok_file = f"candidate_{rank:02d}.json"
         img_file = f"candidate_{rank:02d}" + (".pgm" if image.ndim == 2 else ".ppm")
-        (out / tok_file).write_text(cand.tokens.to_json())
+        (out / tok_file).write_text(TokenGrid(row, request.tokens.vocab).to_json())
         images.write_pnm(out / img_file, img)
-        rows.append({"rank": rank, "logprob": cand.logprob, "tokens": tok_file, "image": img_file})
+        rows.append({"rank": rank, "logprob": float(logprob), "tokens": tok_file, "image": img_file})
     t_output = time.perf_counter() - t0
 
     report = {

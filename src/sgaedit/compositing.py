@@ -1,27 +1,27 @@
-"""Output assembly: masked compositing, pyramid blending, token decoding.
+"""Output assembly: token decoding and masked pyramid blending.
 
 Quantization round-trips are lossy, so generated pixels are kept only
 inside the mask while everything else comes from the original image,
-followed by Laplacian-pyramid blending (Burt & Adelson's multiresolution
-spline) to soften the seam.
+with Laplacian-pyramid blending (Burt & Adelson's multiresolution spline)
+to soften the seam.
 
-An edit's kept candidates go through as one stack `[C, H, W(, ch)]` over
-one original `[H, W(, ch)]`: `tokens_to_image` decodes all of them with
-one pixel table, `composite` pastes each over the original and
-`laplacian_blend` blends them in one call. The stack costs C full-size
+An edit's kept candidates go through as one token stack `[C, h, w]`:
+`tokens_to_image` decodes all of them with one pixel table into one image
+stack `[C, H, W(, ch)]`, and `laplacian_blend` blends that stack over the
+one original `[H, W(, ch)]` in one call, taking each candidate's pixels
+inside the mask and the original's outside. The stack costs C full-size
 images in and C out; the blend's pyramids cover only the window
 `blend_window` around the mask, where a blend can differ from the original.
 """
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IncompleteGridError, ShapeError
-from .quantizer import Codebook, TokenGrid
+from .errors import IncompleteGridError, ShapeError, VocabularyError
+from .quantizer import Codebook
 
 # Separable binomial smoothing kernel (Burt-Adelson).
 _KERNEL5 = np.array([1.0, 4.0, 6.0, 4.0, 1.0]) / 16.0
@@ -98,23 +98,6 @@ def collapse(pyr: Pyramid) -> np.ndarray:
     return out
 
 
-def composite(original: np.ndarray, generated: np.ndarray, mask_pixels: np.ndarray) -> np.ndarray:
-    """Generated pixels inside the mask, original pixels (bit-exact) outside.
-
-    `generated` is one image shaped like `original`, or a stack of them
-    `[C, *original.shape]`; the result has its shape.
-    """
-    orig = np.asarray(original, dtype=np.float64)
-    gen = np.asarray(generated, dtype=np.float64)
-    mask = np.asarray(mask_pixels, dtype=bool)
-    if gen.shape != orig.shape and gen.shape[1:] != orig.shape:
-        raise ShapeError(f"image dims differ: {orig.shape} vs {gen.shape}")
-    if mask.shape != orig.shape[:2]:
-        raise ShapeError(f"mask dims {mask.shape} != image dims {orig.shape[:2]}")
-    sel = mask if orig.ndim == 2 else mask[:, :, None]
-    return np.where(sel, gen, orig)
-
-
 def blend_window(mask: np.ndarray, levels: int) -> tuple[slice, slice] | None:
     """The rows and columns `laplacian_blend` computes: the bounding box of
     the mask's nonzero pixels grown by `2**(levels + 2)` px, with corners on
@@ -137,10 +120,10 @@ def laplacian_blend(a: np.ndarray, b: np.ndarray, mask: np.ndarray, levels: int 
     """Blend each image of the stack `a` over the one image `b` through
     Laplacian pyramids with a blurred soft mask; return the blended stack.
 
-    `a` is `[C, H, W(, ch)]` and `b` is `[H, W(, ch)]`, with `a[c] == b`
-    wherever `mask` is 0 (as `composite` makes them). With levels=1 this
-    reduces to a direct alpha blend under the blurred mask. Output is
-    clamped to [0, 1].
+    `a` is `[C, H, W(, ch)]` and `b` is `[H, W(, ch)]`. Each candidate is
+    `a[c]` where `mask > 0` and `b` elsewhere, so `a` outside the mask is
+    never read. With levels=1 this reduces to a direct alpha blend under
+    the blurred mask. Output is clamped to [0, 1].
 
     Only the window `blend_window(mask, levels)` is blended; every pixel
     outside it is `b`'s (clamped), bit-exactly. In exact arithmetic that is
@@ -148,7 +131,7 @@ def laplacian_blend(a: np.ndarray, b: np.ndarray, mask: np.ndarray, levels: int 
 
     - The blend is linear and `collapse(build_pyramid(b)) == b`, so it is
       `b` plus the collapse of the weighted pyramid of `a - b`, and
-      `a - b` is 0 outside the mask.
+      `a - b` is 0 outside the mask, where the candidate is `b`.
     - Reach. Level k's pixels sit every 2**k px. Its weights (the mask
       blurred, then blurred and halved k times, each blur reaching 2
       pixels of its level) are 0 beyond `2 + 2 + 4 + ... + 2**k = 2**(k+1)`
@@ -183,9 +166,11 @@ def laplacian_blend(a: np.ndarray, b: np.ndarray, mask: np.ndarray, levels: int 
         return np.repeat(np.clip(b, 0.0, 1.0)[None], a.shape[0], axis=0)
     rows, cols = window
     # the candidate axis rides after the spatial axes, where the pyramid
-    # carries it; a copy, because the levels are mixed in place
-    pyr = build_pyramid(np.array(np.moveaxis(a[:, rows, cols], 0, 2)), levels)
-    pyr_b = build_pyramid(b[rows, cols][:, :, None], levels)
+    # carries it; `where` makes a new array, which the levels are mixed into
+    b_win = b[rows, cols][:, :, None]
+    inside = (mask[rows, cols] > 0).reshape(b_win.shape[:2] + (1,) * (b_win.ndim - 2))
+    pyr = build_pyramid(np.where(inside, np.moveaxis(a[:, rows, cols], 0, 2), b_win), levels)
+    pyr_b = build_pyramid(b_win, levels)
     weights = [_blur(mask[rows, cols])]
     for _ in range(levels - 1):
         weights.append(_down(weights[-1]))
@@ -199,22 +184,22 @@ def laplacian_blend(a: np.ndarray, b: np.ndarray, mask: np.ndarray, levels: int 
     return out
 
 
-def tokens_to_image(grids: Sequence[TokenGrid], codebook: Codebook, projection: np.ndarray, patch: int) -> np.ndarray:
+def tokens_to_image(tokens: np.ndarray, codebook: Codebook, projection: np.ndarray, patch: int) -> np.ndarray:
     """Nearest-codebook patch reconstruction via the projection pseudo-inverse.
 
-    `grids` is a sequence of same-shape token grids; the result is their
-    images as one stack `[C, H, W(, ch)]`. Each codebook vector is mapped
-    back to pixel space with the minimum-norm least-squares inverse of the
-    patch projection and clipped to [0, 1], once per call: the grids gather
-    their patches from that table.
+    `tokens` is an int array `[C, h, w]` of codebook indices; the result is
+    their images as one stack `[C, H, W(, ch)]`. Each codebook vector is
+    mapped back to pixel space with the minimum-norm least-squares inverse
+    of the patch projection and clipped to [0, 1], once per call: the grids
+    gather their patches from that table.
     """
-    grids = list(grids)
-    if not grids:
-        raise ShapeError("no token grids to decode")
-    if any(grid.masked_positions().any() for grid in grids):
+    tokens = np.asarray(tokens)
+    if tokens.ndim != 3 or tokens.size == 0 or not np.issubdtype(tokens.dtype, np.integer):
+        raise ShapeError(f"tokens must be a non-empty int array [C, h, w], got {tokens.dtype} {tokens.shape}")
+    if np.any(tokens == codebook.size):
         raise IncompleteGridError("grid still contains MASK tokens")
-    if any(grid.tokens.shape != grids[0].tokens.shape for grid in grids):
-        raise ShapeError("token grids differ in shape")
+    if tokens.min() < 0 or tokens.max() >= codebook.size:
+        raise VocabularyError(f"token outside the codebook's {codebook.size} entries")
     projection = np.asarray(projection, dtype=np.float64)
     n_in = projection.shape[0]
     channels = n_in // (patch * patch)
@@ -222,7 +207,6 @@ def tokens_to_image(grids: Sequence[TokenGrid], codebook: Codebook, projection: 
         raise ShapeError(f"projection rows {n_in} not a multiple of patch^2")
     table = np.clip(codebook.entries @ np.linalg.pinv(projection), 0.0, 1.0)  # vocab x (patch*patch*channels)
     pixel_rows = table.reshape(-1, patch, patch * channels)  # token -> its patch's rows of pixels
-    tokens = np.stack([grid.tokens for grid in grids])
     c, h, w = tokens.shape
     # gathered straight into [c, h, patch row, w, patch columns x channels], the image's row-major order
     img = pixel_rows[tokens[:, :, None, :], np.arange(patch)[None, None, :, None]]

@@ -389,8 +389,8 @@ def run_ablation(
     steps: int,
     seeds: list,
     lr: float,
-    optimizer: str = "adam",
-    eval_instances: int = 32,
+    optimizer: str,
+    eval_instances: int,
     window: int = 3,
 ) -> AblationReport:
     """Train each attention variant under an identical budget and compare
@@ -534,7 +534,8 @@ def benchmark(
                 affinity = substream(seed, f"affinity-{length}").random((1, n_blocks, n_blocks))
                 plans = sga.select_plans(affinity, k=k, radius=radius)
             else:
-                plans = [sga.variant_plan(variant, n_blocks, radius=radius, k=k, seed=seed)]
+                rng = substream(seed, f"variant-plan-{variant}")
+                plans = [sga.variant_plan(variant, n_blocks, radius=radius, k=k, rng=rng)]
             result = sga.sparse_attention(q, kk, v, plans, length)
             wall = timed(lambda: sga.sparse_attention(q, kk, v, plans, length))
             report.rows.append(

@@ -14,8 +14,9 @@ full-kept plans the two agree to float tolerance.
 Forward code is written against the tape ops, so passing weights
 wrapped in tape Tensors yields a differentiable graph while plain arrays
 give the inference path. `forward` is the one teacher-forced pass, for
-training, evaluation, rescoring and the guide's maps alike, and the only
-place START is prepended; `encode` is the one encoder pass over a masked
+training, evaluation, rescoring and the guide's maps alike, and prepends
+START to its decoder input (`sampler`'s incremental decode prepends it
+to the shared prefix); `encode` is the one encoder pass over a masked
 grid, and `guiding_forward` is `forward` under `PlanBundle.dense`.
 
 The decoder is written once, as `IncrementalDecoder`, over a batch of
@@ -473,15 +474,11 @@ def guiding_forward(
     x: TokenGrid,
     p: TokenGrid,
     weights: ModelWeights,
-    decoder_tokens: Optional[np.ndarray] = None,
+    decoder_tokens: np.ndarray,
     encoder_out: Optional[EncoderOutput] = None,
 ) -> ForwardResult:
-    """`forward` under `PlanBundle.dense`, exposing every attention map.
-
-    `decoder_tokens` defaults to the (possibly masked) input grid itself.
-    """
-    seq = x.flat() if decoder_tokens is None else decoder_tokens
-    return forward(x, p, weights, PlanBundle.dense(weights.config), seq, encoder_out)
+    """`forward` under `PlanBundle.dense`, exposing every attention map."""
+    return forward(x, p, weights, PlanBundle.dense(weights.config), decoder_tokens, encoder_out)
 
 
 # ---------------------------------------------------------------------------

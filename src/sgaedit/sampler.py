@@ -5,7 +5,8 @@ probability; masked positions are sampled from the top-k truncated softmax
 and accumulate log-probability. Candidate i draws only from its own random
 stream, one uniform per masked position, so its tokens do not depend on
 how many candidates are drawn with it. Candidates are ranked by their
-summed (joint) log-probability.
+summed (joint) log-probability. An edit's candidates stay arrays: one
+`[C, h, w]` token stack and its `[C]` log-probabilities, highest first.
 
 Decoding is incremental (`model.IncrementalDecoder`). The encoder pass
 (`model.encode`) and the forced prefix, every row up to the first masked
@@ -100,32 +101,6 @@ class EditRequest:
         for sem in (self.semantic, self.semantic_low):
             if sem.masked_positions().any():
                 raise ValidationError("semantic grids may not contain MASK")
-
-
-@dataclass
-class Candidate:
-    tokens: TokenGrid
-    logprob: float
-    rank: int = -1
-
-
-@dataclass
-class CandidateSet:
-    candidates: list
-
-    def __post_init__(self):
-        for c in self.candidates:
-            if c.tokens.masked_positions().any():
-                raise ValidationError("completed candidate still contains MASK")
-
-
-def rank_candidates(cands: CandidateSet) -> CandidateSet:
-    """Stable descending sort by log-probability; ties keep generation order."""
-    for c in cands.candidates:
-        if not np.isfinite(c.logprob):
-            raise ValidationError("candidate log-probability not finite")
-    ordered = sorted(cands.candidates, key=lambda c: -c.logprob)
-    return CandidateSet([Candidate(c.tokens, c.logprob, rank=i) for i, c in enumerate(ordered)])
 
 
 def _forced_decode(
@@ -229,9 +204,10 @@ def autoregressive_edit(
     n_samples: int = 50,
     n_keep: int = 10,
     seed: int = 0,
-) -> CandidateSet:
+) -> tuple[np.ndarray, np.ndarray]:
     """Sample n_samples completions as one batch, rank by joint log-prob,
-    keep n_keep."""
+    keep n_keep: their int64 tokens `[n_keep, h, w]` and log-probs
+    `[n_keep]`, highest first, ties in generation order."""
     if n_samples < 1 or n_keep < 1:
         raise ParameterError("n_samples and n_keep must be >= 1")
 
@@ -242,11 +218,12 @@ def autoregressive_edit(
     unmasked = ~np.asarray(request.mask, dtype=bool).ravel()
     if np.any(seqs[:, unmasked] != request.tokens.flat()[unmasked]):
         raise ValidationError("candidate modified an unmasked token")
-    shape, vocab = request.tokens.tokens.shape, request.tokens.vocab
-    cands = [Candidate(TokenGrid(seq.reshape(shape), vocab), float(lp)) for seq, lp in zip(seqs, logprobs)]
-
-    ranked = rank_candidates(CandidateSet(cands))
-    return CandidateSet(ranked.candidates[:n_keep])
+    if np.any(seqs == request.tokens.vocab):
+        raise ValidationError("completed candidate still contains MASK")
+    if not np.all(np.isfinite(logprobs)):
+        raise ValidationError("candidate log-probability not finite")
+    order = np.argsort(-logprobs, kind="stable")[:n_keep]
+    return seqs[order].reshape((-1,) + request.tokens.tokens.shape), logprobs[order]
 
 
 def rescore(

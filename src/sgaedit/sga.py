@@ -28,14 +28,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import tape as T
 from .errors import ShapeError, ValidationError
 from .numerics import as_array
-from .rng import substream
 
 NEG_INF = -np.inf
 
@@ -147,7 +146,6 @@ def variant_plan(
     radius: int = 1,
     k: int = 3,
     window: int = 3,
-    seed: Optional[int] = None,
     rng=None,
 ) -> SparsityPlan:
     """Ablation plan families: random, local, sliding, global.
@@ -155,7 +153,8 @@ def variant_plan(
     random: neighborhood plus k uniformly chosen non-neighbor blocks.
     local: neighborhood only. sliding: window of `window` blocks centered on
     the query block. global: random plan where additionally the first and
-    last blocks are kept by everyone and attend to everything.
+    last blocks are kept by everyone and attend to everything. random and
+    global draw their blocks from the generator `rng`.
     """
     if kind == "local":
         return SparsityPlan(band(n_blocks, radius))
@@ -164,10 +163,6 @@ def variant_plan(
             raise ValidationError("sliding window must be odd and >= 1")
         return SparsityPlan(band(n_blocks, window // 2))
     if kind in ("random", "global"):
-        if rng is None:
-            if seed is None:
-                raise ValidationError(f"{kind} plans need a seed or rng")
-            rng = substream(seed, f"variant-plan-{kind}")
         keep = band(n_blocks, radius)
         for r in range(n_blocks):
             outside = np.flatnonzero(~keep[r])

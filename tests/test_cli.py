@@ -307,6 +307,38 @@ class TestEdit:
         assert not cand.masked_positions().any()
         assert (out / "candidate_00.pgm").exists()
 
+    def test_duplicate_candidates_written_once_in_rank_order(self, trained, monkeypatch):
+        """Ranked candidates A, B, A, C, B are written as A, B, C: the first
+        occurrence of each distinct token grid, with its own log-prob. A, B
+        and C are in no token order, so a sort by tokens shows."""
+        tmp_path, cfg = trained
+        image, semantic, mask = make_edit_inputs(tmp_path)
+        vocab = TINY["model"]["vocab"]
+        rows = []
+
+        def ranked(request, *args, **kwargs):
+            pos = np.flatnonzero(request.mask.ravel())[0]
+            for shift in (2, 1, 2, 0, 1):
+                row = request.tokens.flat().copy()
+                row[pos] = (row[pos] + shift) % vocab
+                rows.append(row.reshape(request.tokens.tokens.shape))
+            return np.stack(rows), np.array([-1.0, -2.0, -2.0, -3.0, -4.0])
+
+        monkeypatch.setattr(cli.sampler, "autoregressive_edit", ranked)
+        rc = cli.main(
+            ["edit", "--config", str(cfg), "--guide", str(tmp_path / "run" / "guide"),
+             "--sga", str(tmp_path / "run" / "sga"), "--image", str(image),
+             "--semantic", str(semantic), "--mask", str(mask), "--out", str(tmp_path / "dup")]
+        )
+        assert rc == 0
+        out = tmp_path / "dup" / "edit"
+        report = json.loads((out / "report.json").read_text())["candidates"]
+        assert [(c["rank"], c["logprob"]) for c in report] == [(0, -1.0), (1, -2.0), (2, -3.0)]
+        for c, want in zip(report, (rows[0], rows[1], rows[3])):
+            assert np.array_equal(TokenGrid.from_json((out / c["tokens"]).read_text()).tokens, want)
+            assert (out / c["image"]).exists()
+        assert len(list(out.glob("candidate_*"))) == 6
+
     def test_empty_mask_single_candidate_identical_to_input(self, trained):
         tmp_path, cfg = trained
         image, semantic, _ = make_edit_inputs(tmp_path)
@@ -466,8 +498,9 @@ class TestEditOutputImages:
         original = images.read_pnm(image)
         for row in rows:
             grid = TokenGrid.from_json((out / row["tokens"]).read_text())
-            recon = compositing.tokens_to_image([grid], codebook, projection, 16)[0]
-            blended = full_image_blend(compositing.composite(original, recon, mask > 0), original, mask, 4)
+            recon = compositing.tokens_to_image(grid.tokens[None], codebook, projection, 16)[0]
+            inside = mask > 0 if original.ndim == 2 else (mask > 0)[:, :, None]
+            blended = full_image_blend(np.where(inside, recon, original), original, mask, 4)
             expected = tmp_path / row["image"]
             images.write_pnm(expected, blended)
             assert (out / row["image"]).read_bytes() == expected.read_bytes(), row["image"]

@@ -4,60 +4,9 @@ import pytest
 from conftest import full_image_blend
 from sgaedit import compositing as comp
 from sgaedit import quantizer as qz
-from sgaedit.errors import IncompleteGridError, ShapeError
+from sgaedit.errors import IncompleteGridError, ShapeError, VocabularyError
 from sgaedit.quantizer import TokenGrid
 from sgaedit.rng import substream
-
-
-class TestComposite:
-    def test_empty_mask_bit_exact_original(self):
-        rng = substream(0, "comp")
-        orig = rng.random((8, 8, 3))
-        gen = rng.random((8, 8, 3))
-        out = comp.composite(orig, gen, np.zeros((8, 8), bool))
-        assert np.array_equal(out, orig)
-
-    def test_full_mask_bit_exact_generated(self):
-        rng = substream(1, "comp2")
-        orig = rng.random((8, 8))
-        gen = rng.random((8, 8))
-        out = comp.composite(orig, gen, np.ones((8, 8), bool))
-        assert np.array_equal(out, gen)
-
-    def test_per_pixel_select_oracle(self):
-        rng = substream(2, "comp3")
-        orig = rng.random((6, 7))
-        gen = rng.random((6, 7))
-        mask = rng.random((6, 7)) > 0.5
-        out = comp.composite(orig, gen, mask)
-        for i in range(6):
-            for j in range(7):
-                assert out[i, j] == (gen[i, j] if mask[i, j] else orig[i, j])
-
-    def test_idempotent(self):
-        rng = substream(3, "comp4")
-        orig = rng.random((8, 8))
-        gen = rng.random((8, 8))
-        mask = rng.random((8, 8)) > 0.3
-        once = comp.composite(orig, gen, mask)
-        twice = comp.composite(orig, once, mask)
-        assert np.array_equal(once, twice)
-
-    def test_dim_mismatch(self):
-        with pytest.raises(ShapeError):
-            comp.composite(np.zeros((4, 4)), np.zeros((4, 5)), np.zeros((4, 4), bool))
-        with pytest.raises(ShapeError):
-            comp.composite(np.zeros((4, 4)), np.zeros((2, 4, 5)), np.zeros((4, 4), bool))
-
-    def test_stack_composites_each_candidate(self):
-        rng = substream(4, "comp5")
-        orig = rng.random((6, 8, 3))
-        gen = rng.random((3, 6, 8, 3))
-        mask = rng.random((6, 8)) > 0.5
-        out = comp.composite(orig, gen, mask)
-        assert out.shape == gen.shape
-        for c in range(3):
-            assert np.array_equal(out[c], comp.composite(orig, gen[c], mask))
 
 
 class TestPyramid:
@@ -106,7 +55,7 @@ class TestLaplacianBlend:
         mask = (rng.random((16, 16)) > 0.5).astype(float)
         out = comp.laplacian_blend(a[None], b, mask, levels=1)[0]
         blurred = comp._blur(mask)
-        expected = np.clip(blurred * a + (1 - blurred) * b, 0, 1)
+        expected = np.clip(blurred * np.where(mask > 0, a, b) + (1 - blurred) * b, 0, 1)
         assert np.abs(out - expected).max() <= 1e-5
 
     def test_output_in_unit_range(self):
@@ -120,7 +69,7 @@ class TestLaplacianBlend:
 
 def blend_case(seed, levels, channels, mask_kind, candidates=3):
     """(a, b, mask) for one windowed-blend case: `a` is a stack of random
-    candidates composited over `b` under `mask`, as an edit makes them."""
+    candidates inside `mask` and `b` outside it."""
     rng = substream(seed, f"blend-case-{levels}-{channels}-{mask_kind}")
     step = 2**levels
     h, w = step * int(rng.integers(2, 10)), step * int(rng.integers(2, 10))
@@ -139,7 +88,8 @@ def blend_case(seed, levels, channels, mask_kind, candidates=3):
             mask *= rng.random((h, w)) < 0.6
         if mask_kind == "soft":
             mask *= rng.random((h, w))
-    a = comp.composite(b, rng.random((candidates,) + shape), mask > 0)
+    inside = (mask > 0).reshape(mask.shape + (1,) * (len(shape) - 2))
+    a = np.where(inside, rng.random((candidates,) + shape), b)
     return a, b, mask
 
 
@@ -167,6 +117,10 @@ class TestWindowedBlend:
             if window is not None:
                 outside[window] = False
             assert np.array_equal(out[:, outside], np.broadcast_to(b[outside], (a.shape[0],) + b[outside].shape))
+            # the candidates' pixels outside the mask are never read
+            changed = a.copy()
+            changed[:, mask <= 0] = np.nan
+            assert np.array_equal(comp.laplacian_blend(changed, b, mask, levels), out)
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
     def test_window_covers_mask_with_aligned_margin(self, levels):
@@ -243,16 +197,15 @@ class TestTokensToImage:
     def test_round_trip_of_codebook_exact_image(self):
         patch, proj, cb, _ = self._setup()
         tokens = TokenGrid(np.arange(8).reshape(2, 4) % cb.size, cb.size)
-        img = comp.tokens_to_image([tokens], cb, proj, patch)[0]
+        img = comp.tokens_to_image(tokens.tokens[None], cb, proj, patch)[0]
         regrid = qz.quantize(qz.encode_patches(img, patch, proj), cb)
         assert np.array_equal(regrid.tokens, tokens.tokens)
-        again = comp.tokens_to_image([regrid], cb, proj, patch)[0]
+        again = comp.tokens_to_image(regrid.tokens[None], cb, proj, patch)[0]
         assert np.abs(again - img).max() <= 1e-9
 
     def test_decodes_to_exact_preimage_patch(self):
         patch, proj, cb, patches = self._setup()
-        tokens = TokenGrid(np.array([[3]]), cb.size)
-        img = comp.tokens_to_image([tokens], cb, proj, patch)[0]
+        img = comp.tokens_to_image(np.array([[[3]]]), cb, proj, patch)[0]
         assert np.abs(img.reshape(-1) - patches[3]).max() <= 1e-9
 
     def test_constant_image_with_matching_entry(self):
@@ -263,14 +216,12 @@ class TestTokensToImage:
         entry = const_patch @ proj
         entries = np.vstack([entry, entry + 10.0])
         cb = qz.Codebook(entries)
-        tokens = TokenGrid(np.zeros((3, 3), dtype=int), 2)
-        img = comp.tokens_to_image([tokens], cb, proj, patch)[0]
+        img = comp.tokens_to_image(np.zeros((1, 3, 3), dtype=int), cb, proj, patch)[0]
         assert np.abs(img - 0.5).max() <= 1e-8
 
     def test_output_shape_contract(self):
         patch, proj, cb, _ = self._setup()
-        tokens = TokenGrid(np.zeros((5, 7), dtype=int), cb.size)
-        img = comp.tokens_to_image([tokens, tokens, tokens], cb, proj, patch)
+        img = comp.tokens_to_image(np.zeros((3, 5, 7), dtype=int), cb, proj, patch)
         assert img.shape == (3, 5 * patch, 7 * patch)
 
     def test_batch_equals_per_grid_inverse(self):
@@ -280,26 +231,36 @@ class TestTokensToImage:
         patch, channels, d, vocab = 4, 3, 16, 12
         proj = rng.normal(size=(patch * patch * channels, d))
         cb = qz.Codebook(rng.normal(scale=0.3, size=(vocab, d)))
-        grids = [TokenGrid(rng.integers(0, vocab, size=(6, 5)), vocab) for _ in range(4)]
+        grids = rng.integers(0, vocab, size=(4, 6, 5))
         batch = comp.tokens_to_image(grids, cb, proj, patch)
         assert batch.shape == (4, 6 * patch, 5 * patch, channels)
         inverse = np.linalg.pinv(proj)
         for grid, img in zip(grids, batch):
-            patches = (cb.entries[grid.flat()] @ inverse).reshape(6, 5, patch, patch, channels)
+            patches = (cb.entries[grid.ravel()] @ inverse).reshape(6, 5, patch, patch, channels)
             ref = np.clip(patches.transpose(0, 2, 1, 3, 4).reshape(6 * patch, 5 * patch, channels), 0.0, 1.0)
             assert np.abs(img - ref).max() <= 1e-12
             assert np.array_equal(np.rint(255 * img), np.rint(255 * ref))
 
     def test_grids_of_different_shapes_or_none_rejected(self):
+        """Only a non-empty int stack [C, h, w] decodes: not no grids, one
+        bare grid, or float tokens."""
         patch, proj, cb, _ = self._setup()
-        with pytest.raises(ShapeError):
-            comp.tokens_to_image([], cb, proj, patch)
-        with pytest.raises(ShapeError):
-            grids = [TokenGrid(np.zeros((2, 2), int), cb.size), TokenGrid(np.zeros((2, 3), int), cb.size)]
-            comp.tokens_to_image(grids, cb, proj, patch)
+        for tokens in (np.zeros((0, 2, 2), int), np.zeros((2, 2), int), np.zeros((1, 2, 2))):
+            with pytest.raises(ShapeError):
+                comp.tokens_to_image(tokens, cb, proj, patch)
 
     def test_mask_rejected(self):
         patch, proj, cb, _ = self._setup()
         grid = qz.apply_mask(TokenGrid(np.zeros((2, 2), dtype=int), cb.size), np.array([[True, False], [False, False]]))
         with pytest.raises(IncompleteGridError):
-            comp.tokens_to_image([grid], cb, proj, patch)
+            comp.tokens_to_image(grid.tokens[None], cb, proj, patch)
+
+    @pytest.mark.parametrize("bad", [-1, -8, 9], ids=["minus-one", "minus-vocab", "past-mask"])
+    def test_tokens_outside_codebook_rejected(self, bad):
+        """Negative and past-MASK tokens would otherwise index the pixel table."""
+        patch, proj, cb, _ = self._setup()
+        assert cb.size == 8
+        tokens = np.zeros((2, 2, 2), dtype=np.int64)
+        tokens[1, 1, 0] = bad
+        with pytest.raises(VocabularyError):
+            comp.tokens_to_image(tokens, cb, proj, patch)

@@ -325,7 +325,7 @@ class TestTrain:
 
         def guided_plans(step):
             x_low, p_low = task_low.sample(substream(step, "oracle-plans"))
-            return sampler.plans_from_maps(mdl.guiding_forward(x_low, p_low, guide), cfg)
+            return sampler.plans_from_maps(mdl.guiding_forward(x_low, p_low, guide, x_low.flat()), cfg)
 
         def no_mask(*args):
             raise AssertionError("the model built an L x L plan mask")
@@ -424,7 +424,7 @@ class TestAblationHarness:
     def test_rows_share_budget_and_include_dense(self):
         task = eb.SyntheticTask("mirror", *CFG.grid_high, CFG.vocab, classes=CFG.vocab_map)
         report = eb.run_ablation(
-            ["dense", "local", "random"], task, CFG, steps=2, seeds=[0, 1], lr=0.1, eval_instances=2
+            ["dense", "local", "random"], task, CFG, steps=2, seeds=[0, 1], lr=0.1, optimizer="adam", eval_instances=2
         )
         assert [r["variant"] for r in report.rows] == ["dense", "local", "random"]
         assert all(r["steps"] == 2 and r["seeds"] == [0, 1] for r in report.rows)
@@ -438,7 +438,7 @@ class TestAblationHarness:
     def test_unknown_variant_rejected(self):
         task = eb.SyntheticTask("mirror", *CFG.grid_high, CFG.vocab)
         with pytest.raises(ValidationError):
-            eb.run_ablation(["nope"], task, CFG, steps=1, seeds=[0], lr=0.1)
+            eb.run_ablation(["nope"], task, CFG, steps=1, seeds=[0], lr=0.1, optimizer="sgd", eval_instances=16)
 
 
 class TestRollout:

@@ -65,7 +65,9 @@ def make_plans(kind, cfg, guide, request):
         return mdl.PlanBundle.uniform(cfg, lambda role, i, h: sga.full_plan(cfg.blocks))
     seeds = iter(range(1000))
     return mdl.PlanBundle.uniform(
-        cfg, lambda role, i, h: sga.variant_plan(kind, cfg.blocks, radius=1, k=2, seed=next(seeds))
+        cfg, lambda role, i, h: sga.variant_plan(
+            kind, cfg.blocks, radius=1, k=2, rng=substream(next(seeds), f"variant-plan-{kind}")
+        )
     )
 
 
@@ -212,7 +214,7 @@ def test_sampled_rows_match_full_pass(kind, mask_fn, monkeypatch):
         return choices, logprobs
 
     monkeypatch.setattr(sampler, "topk_sample", recording_sample)
-    out = sampler.autoregressive_edit(request, high, plans, n_samples=2, n_keep=2, seed=4)
+    tokens, logprobs = sampler.autoregressive_edit(request, high, plans, n_samples=2, n_keep=2, seed=4)
     monkeypatch.undo()
 
     enc = encode(request, high, plans)
@@ -225,8 +227,8 @@ def test_sampled_rows_match_full_pass(kind, mask_fn, monkeypatch):
         full, _, _ = mdl.decoder_forward(prev, enc, high, plans)
         for pos, (rows, _) in zip(positions, steps):
             assert np.abs(full[pos] - rows[cand]).max() <= TOLERANCE
-    for cand in out.candidates:
-        assert abs(sampler.rescore(request, high, plans, cand.tokens) - cand.logprob) <= 1e-9
+    for row, logprob in zip(tokens, logprobs):
+        assert abs(sampler.rescore(request, high, plans, TokenGrid(row, cfg.vocab)) - logprob) <= 1e-9
 
 
 @pytest.mark.parametrize("kind", ["dense", "guided"])
@@ -235,10 +237,9 @@ def test_no_masked_tokens_returns_input(kind):
     guide, high = make_weights(cfg)
     request = make_request(cfg, np.zeros(cfg.grid_high, bool))
     plans = make_plans(kind, cfg, guide, request)
-    out = sampler.autoregressive_edit(request, high, plans, n_samples=3, n_keep=3, seed=0)
-    for cand in out.candidates:
-        assert np.array_equal(cand.tokens.tokens, request.tokens.tokens)
-        assert cand.logprob == 0.0
+    tokens, logprobs = sampler.autoregressive_edit(request, high, plans, n_samples=3, n_keep=3, seed=0)
+    assert np.array_equal(tokens, np.broadcast_to(request.tokens.tokens, tokens.shape))
+    assert np.array_equal(logprobs, np.zeros(3))
 
 
 def test_batch_candidates_do_not_alias():

@@ -248,7 +248,7 @@ class TestGuidingForward:
     def test_dense_equals_sga_path_with_full_plans(self):
         w = mdl.init_weights(CFG, CFG.grid_low, substream(16, "g"))
         x, p = random_grids(CFG.grid_low, 17)
-        dense = mdl.guiding_forward(x, p, w)
+        dense = mdl.guiding_forward(x, p, w, x.flat())
         full = mdl.PlanBundle.uniform(CFG, lambda role, i, h: sga.full_plan(CFG.blocks))
         enc = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w, plans=full)
         prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])
@@ -262,11 +262,11 @@ class TestGuidingForward:
         cfg = dataclasses.replace(CFG, layers_enc=2, layers_dec=2, grid_low=grid, grid_high=(8, 8))
         w = mdl.init_weights(cfg, cfg.grid_low, substream(22, "g5"))
         x, p = random_grids(cfg.grid_low, 23)
-        got = mdl.guiding_forward(x, p, w)
+        got = mdl.guiding_forward(x, p, w, x.flat())
         oracle = DenseBlockAttention()
         with monkeypatch.context() as patch:
             patch.setattr(T, "block_attention", oracle)
-            want = mdl.guiding_forward(x, p, w)
+            want = mdl.guiding_forward(x, p, w, x.flat())
         # every call masks what its role should: nothing, or the causal mask for decoder self
         expected = plan_masks(mdl.PlanBundle.dense(cfg), cfg.l_low)
         assert len(oracle.masks) == len(expected)
@@ -297,7 +297,7 @@ class TestGuidingForward:
     def test_all_maps_recorded_and_stochastic(self):
         w = mdl.init_weights(CFG, CFG.grid_low, substream(18, "g2"))
         x, p = random_grids(CFG.grid_low, 19)
-        res = mdl.guiding_forward(x, p, w)
+        res = mdl.guiding_forward(x, p, w, x.flat())
         for group in (res.encoder.attn, res.dec_self_attn, res.dec_cross_attn):
             for layer in group:
                 for m in layer:
@@ -312,7 +312,7 @@ class TestGuidingForward:
         rng = substream(21, "g4")
         x = TokenGrid(rng.integers(0, 4, size=(16, 16)), 4)
         p = TokenGrid(np.zeros((16, 16), dtype=int), 2)
-        res = mdl.guiding_forward(x, p, w)
+        res = mdl.guiding_forward(x, p, w, x.flat())
         assert res.encoder.attn[0][0].shape == (256, 256)
         assert res.dec_cross_attn[0][0].shape == (256, 256)
 

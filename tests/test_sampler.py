@@ -212,29 +212,25 @@ class TestAutoregressiveEdit:
     def test_empty_mask_single_unique_candidate(self, weights):
         _, high = weights
         req = make_request(mask_high=np.zeros(CFG.grid_high, bool), mask_low=np.zeros(CFG.grid_low, bool))
-        out = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=5, n_keep=3, seed=0)
-        assert len(out.candidates) == 3
-        unique = {c.tokens.tokens.tobytes() for c in out.candidates}
-        assert len(unique) == 1
-        assert all(c.logprob == 0.0 for c in out.candidates)
-        assert np.array_equal(out.candidates[0].tokens.tokens, req.tokens.tokens)
+        tokens, logprobs = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=5, n_keep=3, seed=0)
+        assert tokens.shape == (3,) + CFG.grid_high and tokens.dtype == np.int64
+        assert np.array_equal(tokens, np.broadcast_to(req.tokens.tokens, tokens.shape))
+        assert np.array_equal(logprobs, np.zeros(3))
 
     def test_greedy_k1_all_identical(self, weights):
         _, high = weights
         req = make_request(2)
-        out = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), top_k=1, n_samples=6, n_keep=6, seed=1)
-        unique = {c.tokens.tokens.tobytes() for c in out.candidates}
-        assert len(unique) == 1
+        tokens, _ = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), top_k=1, n_samples=6, n_keep=6, seed=1)
+        assert len(np.unique(tokens.reshape(6, -1), axis=0)) == 1
 
     def test_seeded_determinism_byte_identical(self, weights):
         _, high = weights
         req = make_request(3)
         one = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=4, n_keep=2, seed=9)
         two = sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=4, n_keep=2, seed=9)
-        assert len(one.candidates) == len(two.candidates) == 2
-        for a, b in zip(one.candidates, two.candidates):
-            assert a.tokens.tokens.tobytes() == b.tokens.tokens.tobytes()
-            assert (a.logprob, a.rank) == (b.logprob, b.rank)
+        assert len(one[0]) == len(two[0]) == 2
+        assert one[0].tobytes() == two[0].tobytes()
+        assert one[1].tobytes() == two[1].tobytes()
 
     def test_batch_size_does_not_change_candidates(self, weights):
         """Candidate i draws only from its own stream, so the tokens of
@@ -246,8 +242,8 @@ class TestAutoregressiveEdit:
         for plans in (mdl.PlanBundle.dense(CFG), sampler.guide_and_plan(req, guide, CFG, seed=1).plans):
 
             def candidates(n):
-                out = sampler.autoregressive_edit(req, high, plans, n_samples=n, n_keep=n, seed=5)
-                return {c.tokens.tokens.tobytes(): c.logprob for c in out.candidates}
+                tokens, logprobs = sampler.autoregressive_edit(req, high, plans, n_samples=n, n_keep=n, seed=5)
+                return {row.tobytes(): logprob for row, logprob in zip(tokens, logprobs)}
 
             six, three = candidates(6), candidates(3)
             assert len(three) > 1  # the candidates differ, so the check below can fail
@@ -258,19 +254,19 @@ class TestAutoregressiveEdit:
         guide, high = weights
         req = make_request(5)
         plans = sampler.guide_and_plan(req, guide, CFG, seed=2).plans
-        out = sampler.autoregressive_edit(req, high, plans, n_samples=4, n_keep=4, seed=3)
-        for cand in out.candidates:
-            assert np.array_equal(cand.tokens.tokens[~req.mask], req.tokens.tokens[~req.mask])
-            assert not cand.tokens.masked_positions().any()
+        tokens, _ = sampler.autoregressive_edit(req, high, plans, n_samples=4, n_keep=4, seed=3)
+        for row in tokens:
+            assert np.array_equal(row[~req.mask], req.tokens.tokens[~req.mask])
+            assert np.all((row >= 0) & (row < CFG.vocab))
 
     def test_rescoring_reproduces_logprob(self, weights):
         guide, high = weights
         req = make_request(6)
         plans = sampler.guide_and_plan(req, guide, CFG, seed=4).plans
-        out = sampler.autoregressive_edit(req, high, plans, top_k=100, n_samples=3, n_keep=3, seed=7)
-        for cand in out.candidates:
-            redo = sampler.rescore(req, high, plans, cand.tokens, top_k=100)
-            assert abs(redo - cand.logprob) <= 1e-9
+        tokens, logprobs = sampler.autoregressive_edit(req, high, plans, top_k=100, n_samples=3, n_keep=3, seed=7)
+        for row, logprob in zip(tokens, logprobs):
+            redo = sampler.rescore(req, high, plans, TokenGrid(row, CFG.vocab), top_k=100)
+            assert abs(redo - logprob) <= 1e-9
 
     def test_non_finite_logits_raise_numerical_error(self, weights):
         _, high = weights
@@ -284,41 +280,60 @@ class TestAutoregressiveEdit:
 
     def test_logprobs_non_increasing(self, weights):
         _, high = weights
-        out = sampler.autoregressive_edit(make_request(7), high, mdl.PlanBundle.dense(CFG), n_samples=8, n_keep=8, seed=8)
-        lps = [c.logprob for c in out.candidates]
-        assert lps == sorted(lps, reverse=True)
-        assert [c.rank for c in out.candidates] == list(range(8))
+        _, logprobs = sampler.autoregressive_edit(
+            make_request(7), high, mdl.PlanBundle.dense(CFG), n_samples=8, n_keep=8, seed=8
+        )
+        assert logprobs.shape == (8,)
+        assert list(logprobs) == sorted(logprobs, reverse=True)
 
 
 class TestRankCandidates:
-    def _grid(self):
-        return TokenGrid(np.zeros(CFG.grid_high, dtype=int), CFG.vocab)
+    """`autoregressive_edit`'s ranking and checks, on crafted decoder output:
+    one stable descending sort by log-probability, ties in generation order."""
 
-    def test_explicit_order(self):
-        cands = sampler.CandidateSet(
-            [sampler.Candidate(self._grid(), lp) for lp in (-1.0, -2.0, -0.5)]
-        )
-        ranked = sampler.rank_candidates(cands)
-        assert [c.logprob for c in ranked.candidates] == [-0.5, -1.0, -2.0]
+    @staticmethod
+    def edit(weights, monkeypatch, logprobs, seqs=None, n_keep=None):
+        """Rank crafted `_forced_decode` output: candidate i's tokens are the
+        request's with the first masked token set to i mod vocab, unless
+        `seqs` is given."""
+        _, high = weights
+        req = make_request(9)
+        n = len(logprobs)
+        if seqs is None:
+            seqs = np.tile(req.tokens.flat(), (n, 1))
+            seqs[:, np.flatnonzero(req.mask.ravel())[0]] = np.arange(n) % CFG.vocab
+        monkeypatch.setattr(sampler, "_forced_decode", lambda *args: (seqs, np.asarray(logprobs, dtype=np.float64)))
+        return sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=n, n_keep=n_keep or n)
 
-    def test_stability_on_ties(self):
-        grids = []
-        for i in range(3):
-            g = self._grid()
-            g.tokens[0, 0] = i
-            grids.append(g)
-        cands = sampler.CandidateSet([sampler.Candidate(g, -1.0) for g in grids])
-        ranked = sampler.rank_candidates(cands)
-        assert [c.tokens.tokens[0, 0] for c in ranked.candidates] == [0, 1, 2]
+    def test_explicit_order(self, weights, monkeypatch):
+        tokens, logprobs = self.edit(weights, monkeypatch, [-1.0, -2.0, -0.5], n_keep=2)
+        assert list(logprobs) == [-0.5, -1.0]
+        first = np.flatnonzero(make_request(9).mask.ravel())[0]
+        assert list(tokens.reshape(2, -1)[:, first]) == [2, 0]
 
-    def test_matches_reference_sort(self):
+    def test_stability_on_ties(self, weights, monkeypatch):
+        tokens, logprobs = self.edit(weights, monkeypatch, [-1.0, -3.0, -1.0, 0.0, -0.0, -1.0])
+        first = np.flatnonzero(make_request(9).mask.ravel())[0]
+        assert list(tokens.reshape(6, -1)[:, first]) == [3, 4, 0, 2, 5, 1]
+        assert list(logprobs) == [0.0, 0.0, -1.0, -1.0, -1.0, -3.0]
+
+    def test_matches_reference_sort(self, weights, monkeypatch):
         rng = substream(8, "rank")
-        lps = list(rng.normal(size=20))
-        cands = sampler.CandidateSet([sampler.Candidate(self._grid(), lp) for lp in lps])
-        ranked = sampler.rank_candidates(cands)
-        assert [c.logprob for c in ranked.candidates] == sorted(lps, reverse=True)
+        lps = list(np.round(rng.normal(size=20), 1))  # rounded, so some tie
+        tokens, logprobs = self.edit(weights, monkeypatch, lps)
+        first = np.flatnonzero(make_request(9).mask.ravel())[0]
+        order = sorted(range(20), key=lambda i: -lps[i])
+        assert list(logprobs) == [lps[i] for i in order]
+        assert list(tokens.reshape(20, -1)[:, first]) == [i % CFG.vocab for i in order]
 
-    def test_non_finite_rejected(self):
-        cands = sampler.CandidateSet([sampler.Candidate(self._grid(), float("nan"))])
-        with pytest.raises(ValidationError):
-            sampler.rank_candidates(cands)
+    def test_non_finite_rejected(self, weights, monkeypatch):
+        for bad in (float("nan"), float("inf"), -float("inf")):
+            with pytest.raises(ValidationError, match="not finite"):
+                self.edit(weights, monkeypatch, [-1.0, bad])
+
+    def test_leftover_mask_rejected(self, weights, monkeypatch):
+        req = make_request(9)
+        seqs = np.tile(req.tokens.flat(), (2, 1))
+        seqs[1, np.flatnonzero(req.mask.ravel())[-1]] = CFG.vocab
+        with pytest.raises(ValidationError, match="MASK"):
+            self.edit(weights, monkeypatch, [-1.0, -2.0], seqs=seqs)

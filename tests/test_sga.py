@@ -406,16 +406,16 @@ class TestVariantPlans:
         assert sga.variant_plan("local", 8, radius=1).kept == select(b, k=0, radius=1).kept
 
     def test_global_first_and_last_blocks(self):
-        plan = sga.variant_plan("global", 8, radius=1, k=2, seed=3)
+        plan = sga.variant_plan("global", 8, radius=1, k=2, rng=substream(3, "variant-plan-global"))
         assert plan.kept[0] == tuple(range(8))
         assert plan.kept[7] == tuple(range(8))
         for r in range(1, 7):
             assert 0 in plan.kept[r] and 7 in plan.kept[r]
 
     def test_random_seeded_reproducible(self):
-        one = sga.variant_plan("random", 16, radius=1, k=3, seed=11)
-        two = sga.variant_plan("random", 16, radius=1, k=3, seed=11)
-        other = sga.variant_plan("random", 16, radius=1, k=3, seed=12)
+        one = sga.variant_plan("random", 16, radius=1, k=3, rng=substream(11, "variant-plan-random"))
+        two = sga.variant_plan("random", 16, radius=1, k=3, rng=substream(11, "variant-plan-random"))
+        other = sga.variant_plan("random", 16, radius=1, k=3, rng=substream(12, "variant-plan-random"))
         assert one.kept == two.kept
         assert one.kept != other.kept  # overwhelmingly likely
 
@@ -426,7 +426,7 @@ class TestVariantPlans:
             sga.variant_plan("sliding", 8, window=4)
 
     def test_random_respects_neighborhood_and_k(self):
-        plan = sga.variant_plan("random", 16, radius=1, k=3, seed=0)
+        plan = sga.variant_plan("random", 16, radius=1, k=3, rng=substream(0, "variant-plan-random"))
         for r in range(16):
             kept = set(plan.kept[r])
             near = set(range(max(0, r - 1), min(16, r + 2)))

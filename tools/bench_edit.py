@@ -58,13 +58,13 @@ def main() -> None:
     seconds = []
     for _ in range(args.repeats):
         t0 = time.perf_counter()
-        out = sampler.autoregressive_edit(
+        tokens, logprobs = sampler.autoregressive_edit(
             request, high, plans, top_k=100, n_samples=args.samples, n_keep=args.samples, seed=args.seed
         )
         seconds.append(time.perf_counter() - t0)
         print(f"autoregressive_edit {seconds[-1]:.3f} s")
     # in token order, not rank order: log-probabilities equal to rounding may rank near-ties either way
-    cands = sorted((c.tokens.tokens.astype(np.int64).tobytes(), c.logprob) for c in out.candidates)
+    cands = sorted((row.tobytes(), float(logprob)) for row, logprob in zip(tokens, logprobs))
     result = {
         "grid": side,
         "masked_tokens": int(mask.sum()),

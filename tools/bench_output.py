@@ -1,26 +1,23 @@
-"""Time an edit's output stage: decode, composite, blend and write C candidates.
+"""Time an edit's output stage: decode, blend and write C candidates.
 
-The stage is what `sgaedit edit` does after sampling: `tokens_to_image`,
-`composite`, `laplacian_blend` at 4 levels and `write_pnm` for every kept
-candidate. The input is a synthetic gray image of `--grid` x `--grid`
-tokens of 16 px (perfbench's patch), a 64-d random projection and a
-16-entry codebook fitted to the image's patches. The mask is the
+The stage is what `sgaedit edit` does after sampling: `tokens_to_image`
+and `laplacian_blend` at 4 levels over all kept candidates at once, and
+`write_pnm` for each. The input is a synthetic gray image of `--grid` x
+`--grid` tokens of 16 px (perfbench's patch), a 64-d random projection
+and a 16-entry codebook fitted to the image's patches. The mask is the
 `edit-hires` workload's shape: 4 x 2 tokens over the last two token rows.
 Each candidate is the image's tokens with the masked ones redrawn at
 random. Each repeat runs the whole stage into a temporary directory and
 the median is reported. The last line of output is one JSON object that
 also holds a digest of the written image bytes in candidate order, so two
-checkouts can be compared for equal outputs. Checkouts whose
-`tokens_to_image` decodes one grid per call run the stage one candidate
-at a time, as their `edit` does. Run from a checkout's root, with that
-checkout's sources:
+checkouts can be compared for equal outputs. Run from a checkout's
+root, with that checkout's sources:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/bench_output.py --grid 32 --candidates 10 --repeats 5
 """
 
 import argparse
 import hashlib
-import inspect
 import json
 import statistics
 import tempfile
@@ -30,28 +27,20 @@ from pathlib import Path
 import numpy as np
 
 from sgaedit import compositing, images
-from sgaedit.quantizer import TokenGrid, encode_patches, fit_codebook, quantize, random_projection
+from sgaedit.quantizer import encode_patches, fit_codebook, quantize, random_projection
 from sgaedit.rng import substream
 
 PATCH = 16
 LEVELS = 4
-STACKED = "grids" in inspect.signature(compositing.tokens_to_image).parameters
 
 
-def output_stage(grids, image, pixel_mask, codebook, projection, out: Path) -> list:
-    """Write every grid's blended image to `out`; return the paths in order."""
-    paths = [out / f"candidate_{rank:02d}.pgm" for rank in range(len(grids))]
-    weights = pixel_mask.astype(np.float64)
-    if STACKED:
-        recons = compositing.tokens_to_image(grids, codebook, projection, PATCH)
-        blended = compositing.laplacian_blend(compositing.composite(image, recons, pixel_mask), image, weights, LEVELS)
-        for path, img in zip(paths, blended):
-            images.write_pnm(path, img)
-    else:
-        for path, grid in zip(paths, grids):
-            recon = compositing.tokens_to_image(grid, codebook, projection, PATCH)
-            comp = compositing.composite(image, recon, pixel_mask)
-            images.write_pnm(path, compositing.laplacian_blend(comp, image, weights, levels=LEVELS))
+def output_stage(tokens, image, pixel_mask, codebook, projection, out: Path) -> list:
+    """Write the blended image of every grid of the stack `tokens` to `out`;
+    return the paths in order."""
+    paths = [out / f"candidate_{rank:02d}.pgm" for rank in range(len(tokens))]
+    recons = compositing.tokens_to_image(tokens, codebook, projection, PATCH)
+    for path, img in zip(paths, compositing.laplacian_blend(recons, image, pixel_mask.astype(np.float64), LEVELS)):
+        images.write_pnm(path, img)
     return paths
 
 
@@ -72,18 +61,16 @@ def main() -> None:
     tokens = quantize(features, codebook).tokens
     mask = np.zeros((side, side), bool)
     mask[side - 2 :, side // 2 - 2 : side // 2 + 2] = True
-    grids = []
-    for _ in range(args.candidates):
-        drawn = tokens.copy()
+    stack = np.repeat(tokens[None], args.candidates, axis=0)
+    for drawn in stack:
         drawn[mask] = rng.integers(0, codebook.size, size=int(mask.sum()))
-        grids.append(TokenGrid(drawn, codebook.size))
     pixel_mask = np.kron(mask, np.ones((PATCH, PATCH), bool))
 
     seconds = []
     for _ in range(args.repeats):
         with tempfile.TemporaryDirectory() as tmp:
             t0 = time.perf_counter()
-            paths = output_stage(grids, image, pixel_mask, codebook, projection, Path(tmp))
+            paths = output_stage(stack, image, pixel_mask, codebook, projection, Path(tmp))
             seconds.append(time.perf_counter() - t0)
             digest = hashlib.sha256(b"".join(path.read_bytes() for path in paths)).hexdigest()
         print(f"output stage {seconds[-1]:.4f} s")
@@ -92,7 +79,6 @@ def main() -> None:
         "pixels": px,
         "masked_tokens": int(mask.sum()),
         "candidates": args.candidates,
-        "stacked": STACKED,
         "seconds": seconds,
         "median_s": statistics.median(seconds),
         "images_sha256": digest,
