@@ -309,6 +309,13 @@ def _run_edit(cfg: dict, args, out: Path) -> int:
     return 0
 
 
+def _write_table(table: evalbench.Table, out: Path) -> int:
+    (out / "report.json").write_text(table.to_json())
+    (out / "report.txt").write_text(table.to_text() + "\n")
+    print(table.to_text())
+    return 0
+
+
 def cmd_bench(cfg: dict, args) -> int:
     out = Path(cfg["out"]) / "bench"
     out.mkdir(parents=True, exist_ok=True)
@@ -327,10 +334,7 @@ def cmd_bench(cfg: dict, args) -> int:
         k=b["top_k"],
         seed=cfg["seed"],
     )
-    (out / "report.json").write_text(report.to_json())
-    (out / "report.txt").write_text(report.to_text() + "\n")
-    print(report.to_text())
-    return 0
+    return _write_table(report, out)
 
 
 def cmd_ablate(cfg: dict, args) -> int:
@@ -351,10 +355,7 @@ def cmd_ablate(cfg: dict, args) -> int:
         eval_instances=a["eval_instances"],
         window=a["window"],
     )
-    (out / "report.json").write_text(report.to_json())
-    (out / "report.txt").write_text(report.to_text() + "\n")
-    print(report.to_text())
-    return 0
+    return _write_table(report, out)
 
 
 def cmd_rollout(cfg: dict, args) -> int:

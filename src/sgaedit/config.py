@@ -3,6 +3,12 @@
 Unknown keys are rejected (typos should fail loudly) and the fully
 resolved document, defaults included, is written next to every command's
 outputs so a run can be reproduced from it alone.
+
+`train-sga` fine-tunes through a ladder of grids that is worked out from
+the two grids, not configured (`stage_ladder`): start at
+`model.grid_low`, double while the doubled grid divides `model.grid_high`
+and is smaller than it, and end at `model.grid_high`. Every stage is a
+whole multiple of `grid_low`, so the checks on the two grids hold for it.
 """
 
 from __future__ import annotations
@@ -40,7 +46,6 @@ DEFAULTS = {
         "lr": 0.2,
         "optimizer": "sgd",
         "clip": 1.0,
-        "stages": [],  # SGA fine-tune grid ladder; [] = double per side up to grid_high
         "stage_steps": 100,
     },
     "sampling": {"top_k": 100, "n_samples": 50, "n_keep": 10},
@@ -119,11 +124,7 @@ def resolve(user: dict) -> dict:
         raise ConfigError(f"out must be a string, got {cfg['out']!r}")
     if cfg["task"]["kind"] not in TASK_KINDS:
         raise ConfigError(f"unknown task kind {cfg['task']['kind']!r}")
-    stages = cfg["train"]["stages"]
-    if not (isinstance(stages, list) and all(isinstance(s, list) and len(s) == 2 for s in stages)):
-        raise ConfigError(f"train.stages must be a list of [height, width] pairs, got {stages!r}")
-    grids = [("model.grid_low", model.grid_low), ("model.grid_high", model.grid_high)]
-    for key, grid in grids + [("train.stages", stage) for stage in stages]:
+    for key, grid in (("model.grid_low", model.grid_low), ("model.grid_high", model.grid_high)):
         for side in grid:
             check_int(key, side, 2)  # the synthetic tasks' masks need two rows and columns
         if grid[0] * grid[1] % model.blocks:
@@ -137,7 +138,6 @@ def resolve(user: dict) -> dict:
         raise ConfigError(
             f"model.grid_high {list(model.grid_high)} is not a whole multiple of model.grid_low {list(model.grid_low)}"
         )
-    stage_ladder(cfg)
     for key, low in INT_KEYS.items():
         check_int(key, _value(cfg, key), low)
     if cfg["quantizer"]["channels"] not in (1, 3):
@@ -206,18 +206,16 @@ def write_resolved(cfg: dict, directory) -> None:
 
 
 def stage_ladder(cfg: dict) -> list:
-    """Fine-tuning grids: configured stages, or doubling from low to high."""
-    stages = [tuple(s) for s in cfg["train"]["stages"]]
+    """Fine-tuning grids, from `model.grid_low` (exclusive) up to
+    `model.grid_high`: double while the doubled grid divides `grid_high`
+    and is smaller than it, then end at `grid_high`. A grid factor of 1,
+    2 or 3 gives `[high]`, 4 or 6 gives `[2x, high]`, 8 or 12 gives
+    `[2x, 4x, high]`. `resolve` has checked that `grid_high` is a whole
+    multiple of `grid_low`, so comparing heights is enough."""
     model = model_config(cfg)
-    if stages:
-        if stages[-1] != model.grid_high:
-            raise ConfigError("last fine-tune stage must equal model.grid_high")
-        return stages
     h, w = model.grid_low
     ladder = []
-    while (h, w) != model.grid_high:
-        h, w = h * 2, w * 2
-        if h > model.grid_high[0] or w > model.grid_high[1]:
-            raise ConfigError("grid_high is not reachable by doubling grid_low; set train.stages")
+    while model.grid_high[0] % (2 * h) == 0 and 2 * h < model.grid_high[0]:
+        h, w = 2 * h, 2 * w
         ladder.append((h, w))
-    return ladder or [model.grid_high]
+    return ladder + [model.grid_high]

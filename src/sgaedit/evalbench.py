@@ -359,27 +359,37 @@ def forward_score_flops(config: mdl.ModelConfig, bundle: Optional[mdl.PlanBundle
 
 
 @dataclass
-class AblationReport:
+class Table:
+    """Result rows, one dict each. `to_json` writes the rows; `to_text`
+    right-aligns every cell in `width` characters, a row's value formatted
+    with its column's format spec and a list's items joined by "/"."""
+
+    columns: tuple  # (name, format spec) pairs
+    width: int
     rows: list = field(default_factory=list)
 
     def to_json(self) -> str:
         return json.dumps(self.rows, sort_keys=True, indent=2)
 
     def to_text(self) -> str:
-        cols = ["variant", "accuracy", "acc_per_seed", "sparsity", "score_flops", "steps", "seeds"]
-        lines = ["  ".join(f"{c:>14}" for c in cols)]
-        for row in self.rows:
-            cells = [
-                row["variant"],
-                f"{row['accuracy']:.4f}",
-                "/".join(f"{a:.3f}" for a in row["acc_per_seed"]),
-                f"{row['sparsity']:.4f}",
-                str(row["score_flops"]),
-                str(row["steps"]),
-                "/".join(str(s) for s in row["seeds"]),
-            ]
-            lines.append("  ".join(f"{c:>14}" for c in cells))
-        return "\n".join(lines)
+        def cell(value, spec: str) -> str:
+            if isinstance(value, list):
+                return "/".join(format(v, spec) for v in value)
+            return format(value, spec)
+
+        lines = [[name for name, _ in self.columns]]
+        lines += [[cell(row[name], spec) for name, spec in self.columns] for row in self.rows]
+        return "\n".join("  ".join(f"{c:>{self.width}}" for c in line) for line in lines)
+
+
+ABLATION_COLUMNS = (
+    ("variant", ""), ("accuracy", ".4f"), ("acc_per_seed", ".3f"), ("sparsity", ".4f"),
+    ("score_flops", ""), ("steps", ""), ("seeds", ""),
+)
+BENCH_COLUMNS = (
+    ("variant", ""), ("L", ""), ("d", ""), ("score_flops", ""), ("wall_s", ".5f"), ("sparsity", ".5f"),
+    ("peak_entries", ""),
+)
 
 
 def run_ablation(
@@ -392,10 +402,10 @@ def run_ablation(
     optimizer: str,
     eval_instances: int,
     window: int = 3,
-) -> AblationReport:
+) -> Table:
     """Train each attention variant under an identical budget and compare
     masked-token accuracy on held-out instances."""
-    report = AblationReport()
+    report = Table(ABLATION_COLUMNS, 14)
     length = task.height * task.width
     for kind in variants:
         if kind not in ABLATION_VARIANTS:
@@ -469,30 +479,6 @@ def head_averaged_maps(encoder_out: mdl.EncoderOutput) -> list:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BenchReport:
-    rows: list = field(default_factory=list)
-
-    def to_json(self) -> str:
-        return json.dumps(self.rows, sort_keys=True, indent=2)
-
-    def to_text(self) -> str:
-        cols = ["variant", "L", "d", "score_flops", "wall_s", "sparsity", "peak_entries"]
-        lines = ["  ".join(f"{c:>12}" for c in cols)]
-        for r in self.rows:
-            cells = [
-                r["variant"],
-                str(r["L"]),
-                str(r["d"]),
-                str(r["score_flops"]),
-                f"{r['wall_s']:.5f}",
-                f"{r['sparsity']:.5f}",
-                str(r["peak_entries"]),
-            ]
-            lines.append("  ".join(f"{c:>12}" for c in cells))
-        return "\n".join(lines)
-
-
 def benchmark(
     l_values: list,
     d: int,
@@ -502,7 +488,7 @@ def benchmark(
     radius: int = 1,
     k: int = 3,
     seed: int = 0,
-) -> BenchReport:
+) -> Table:
     """Wall-clock (median of >= repeats, one warm-up discarded) and exact
     score-FLOPs of the attention kernel, one head: the dense row is the
     plan of `model.PlanBundle.dense`, `full_plan(1)` on one block holding
@@ -511,7 +497,7 @@ def benchmark(
     tiles of every query block against its padded kept keys, held at once."""
     if repeats < 5:
         raise ParameterError("repeats must be >= 5")
-    report = BenchReport()
+    report = Table(BENCH_COLUMNS, 12)
     for length in l_values:
         rng = substream(seed, f"bench-{length}")
         q = rng.normal(size=(length, d))

@@ -8,6 +8,8 @@ ops themselves, forward and backward, live in `tape`.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 
 import numpy as np
@@ -60,12 +62,17 @@ def read_sgat(path) -> np.ndarray:
         if header.get("dtype") != "f32":
             raise ValidationError(f"{path}: unsupported dtype {header.get('dtype')!r}")
         shape = header.get("shape")
-        if not isinstance(shape, list) or not all(isinstance(s, int) and s >= 0 for s in shape):
+        if not isinstance(shape, list) or not all(type(s) is int and s >= 0 for s in shape):
             raise ValidationError(f"{path}: header shape {shape!r} is not a list of sizes")
         shape = tuple(shape)
-        count = int(np.prod(shape)) if shape else 1
+        count = math.prod(shape)  # exact: np.prod wraps around in int64
+        if 4 * count > os.fstat(fh.fileno()).st_size - fh.tell():  # before a read that size allocates
+            raise ValidationError(f"{path}: truncated payload")
         payload = fh.read(4 * count)
         if len(payload) != 4 * count:
             raise ValidationError(f"{path}: truncated payload")
     data = np.frombuffer(payload, dtype="<f4", count=count)
-    return data.reshape(shape).astype(np.float64)
+    try:
+        return data.reshape(shape).astype(np.float64)
+    except ValueError as exc:  # an empty shape numpy cannot hold, such as [0, 2**70]
+        raise ValidationError(f"{path}: header shape {list(shape)} is not representable ({exc})") from exc

@@ -33,6 +33,8 @@ from .errors import NumericalError, ParameterError, ShapeError, ValidationError
 from .quantizer import TokenGrid, apply_mask
 from .rng import substream
 
+GUIDE_TOP_K = 3  # the guide's sampling top-k; `ModelConfig.top_k` counts plan blocks
+
 
 def _top_k(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Per row of [R, vocab] logits: the k kept indices, highest logit first
@@ -182,13 +184,14 @@ def guide_and_plan(
     sequence, so every map is a full square matrix; each map is pooled into
     a block-affinity matrix and converted to a neighborhood+top-K plan. One
     dense encoder pass, whose maps come with it, serves both the sampling
-    and that forced pass. The guide samples with top-k `max(config.top_k, 1)`.
+    and that forced pass. The guide samples with top-k `GUIDE_TOP_K`;
+    `config.top_k` and `config.radius` only shape the plans.
     """
     dense = mdl.PlanBundle.dense(guiding_weights.config)
     enc_in = apply_mask(request.tokens_low, request.mask_low)
     enc = mdl.encode(enc_in, request.semantic_low, guiding_weights, dense)
     seqs, logprobs = _forced_decode(
-        enc, request.tokens_low, request.mask_low, guiding_weights, dense, max(config.top_k, 1),
+        enc, request.tokens_low, request.mask_low, guiding_weights, dense, GUIDE_TOP_K,
         [substream(seed, "guide-sample")],
     )
     forced = mdl.guiding_forward(enc_in, request.semantic_low, guiding_weights, decoder_tokens=seqs[0], encoder_out=enc)

@@ -10,7 +10,9 @@ import pytest
 
 from conftest import full_image_blend
 from sgaedit import cli, compositing, images
+from sgaedit import config as cfgmod
 from sgaedit import model as mdl
+from sgaedit.errors import ConfigError
 from sgaedit.numerics import read_sgat
 from sgaedit.quantizer import Codebook, TokenGrid
 from sgaedit.rng import substream
@@ -185,27 +187,13 @@ BAD_RUN_CONFIGS = [
     ("leakcheck-image-size-0", {"leakcheck": {"image_size": 0}}),
     ("leakcheck-image-size-one-patch", {"quantizer": {"patch": 16}, "leakcheck": {"image_size": 16}}),
     ("leakcheck-image-size-indivisible", {"leakcheck": {"image_size": 18}}),
-    ("stages-entry-not-pair", {"train": {"stages": [[8, 8], 5]}}),
-    ("stages-entry-float", {"train": {"stages": [[8, 8.0]]}}),
-    ("stages-entry-0", {"train": {"stages": [[0, 4], [4, 4]]}}),
-    ("stages-not-list", {"train": {"stages": 4}}),
-    (
-        "stage-grid-blocks",
-        {"model": {"grid_high": [8, 8], "grid_low": [4, 4], "blocks": 8}, "train": {"stages": [[6, 6], [8, 8]]}},
-    ),
-    ("stage-grid-mirror-odd", {"train": {"stages": [[3, 4], [4, 4]]}}),
+    ("train-stages-removed", {"train": {"stages": []}}),
     ("grid-low-mirror-odd", {"model": {"grid_low": [3, 4]}}),
     ("grid-high-mirror-odd", {"model": {"grid_high": [5, 4], "grid_low": [2, 4], "blocks": 4}}),
     ("grid-low-copy-corner-odd", {"task": {"kind": "copy-corner"}, "model": {"grid_low": [2, 3], "blocks": 2}}),
     ("grid-low-side-1", {"task": {"kind": "constant-region"}, "model": {"grid_low": [1, 4]}}),
-    ("stages-side-1", {"task": {"kind": "constant-region"}, "train": {"stages": [[1, 4], [4, 4]]}}),
-    ("ladder-unreachable", {"model": {"grid_high": [8, 8], "grid_low": [4, 4]}, "train": {"stages": [[4, 4]]}}),
-    ("ladder-not-doubling", {"model": {"grid_high": [6, 6], "grid_low": [2, 2]}}),
-    (
-        "grid-high-not-multiple",
-        {"model": {"grid_low": [4, 4], "grid_high": [6, 6], "blocks": 4}, "train": {"stages": [[6, 6]]}},
-    ),
-    ("grid-high-ratio-differs", {"model": {"grid_low": [2, 4], "grid_high": [4, 4]}, "train": {"stages": [[4, 4]]}}),
+    ("grid-high-not-multiple", {"model": {"grid_low": [4, 4], "grid_high": [6, 6], "blocks": 4}}),
+    ("grid-high-ratio-differs", {"model": {"grid_low": [2, 4], "grid_high": [4, 4]}}),
     ("out-int", {"out": 5}),
     ("out-null", {"out": None}),
     ("config-not-utf8", b'{"seed": "\xff\xfe"}'),
@@ -266,12 +254,37 @@ class TestTrainSga:
         assert "interpolated" in log and "4x4" in log
         assert (out / "loss_stage0.csv").exists()
 
+    def test_grid_factor_3_trains_in_one_stage(self, tmp_path):
+        cfg = write_config(tmp_path, {"model": {"grid_low": [2, 2], "grid_high": [6, 6], "blocks": 4}})
+        assert cli.main(["train-guide", "--config", str(cfg)]) == 0
+        assert cli.main(["train-sga", "--config", str(cfg), "--guide", str(tmp_path / "run" / "guide")]) == 0
+        out = tmp_path / "run" / "sga"
+        assert mdl.load_checkpoint(out).grid == (6, 6)
+        assert (out / "stages.log").read_text() == "stage 0: grid 6x6, positional tables interpolated from 2x2\n"
+        assert sorted(p.name for p in out.glob("loss_stage*.csv")) == ["loss_stage0.csv"]
+
     def test_incompatible_guide_rejected(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["train-guide", "--config", str(cfg)]) == 0
         other = write_config(tmp_path, {"model": {"d": 32, "ffw": 64}}, name="other.json")
         rc = cli.main(["train-sga", "--config", str(other), "--guide", str(tmp_path / "run" / "guide")])
         assert rc == 2
+
+
+# grid factor -> the fine-tuning ladder from a 2x2 guide, as factors of it
+STAGE_LADDERS = {1: [1], 2: [2], 3: [3], 4: [2, 4], 6: [2, 6], 8: [2, 4, 8], 12: [2, 4, 12]}
+
+
+@pytest.mark.parametrize("factor", list(STAGE_LADDERS))
+def test_stage_ladder_doubles_while_it_divides(factor):
+    cfg = cfgmod.resolve({"model": {"grid_low": [2, 2], "grid_high": [2 * factor, 2 * factor], "blocks": 4}})
+    assert cfgmod.stage_ladder(cfg) == [(2 * f, 2 * f) for f in STAGE_LADDERS[factor]]
+
+
+@pytest.mark.parametrize("grids", [([4, 4], [6, 6]), ([2, 4], [4, 4])], ids=["not-multiple", "ratio-differs"])
+def test_grid_high_not_whole_multiple_message(grids):
+    with pytest.raises(ConfigError, match="is not a whole multiple of model.grid_low"):
+        cfgmod.resolve({"model": {"grid_low": grids[0], "grid_high": grids[1], "blocks": 4}})
 
 
 @pytest.fixture(scope="module")
@@ -510,6 +523,11 @@ def _sgat_header(header: bytes) -> bytes:
     return b"SGAT" + len(header).to_bytes(4, "little") + header
 
 
+def _sgat_shape(shape: list) -> bytes:
+    """An f32 SGAT header that claims `shape`, with no payload."""
+    return _sgat_header(json.dumps({"dtype": "f32", "shape": shape}).encode())
+
+
 # (name, file to replace in a copy of the guide checkpoint, its bytes, exit code)
 MALFORMED_CHECKPOINTS = [
     ("sgat-truncated-header", "out_head.sgat", b"SGAT\x10\x00", 4),
@@ -519,6 +537,10 @@ MALFORMED_CHECKPOINTS = [
     ("sgat-header-not-object", "out_head.sgat", _sgat_header(b"[1, 2]"), 4),
     ("sgat-missing-shape", "out_head.sgat", _sgat_header(b'{"dtype": "f32"}'), 4),
     ("sgat-bad-shape", "out_head.sgat", _sgat_header(b'{"dtype": "f32", "shape": ["a"]}'), 4),
+    ("sgat-bool-shape", "out_head.sgat", _sgat_shape([True, 2]) + bytes(8), 4),
+    ("sgat-shape-count-wraps", "out_head.sgat", _sgat_shape([2**40, 2**40]), 4),
+    ("sgat-shape-past-eof", "out_head.sgat", _sgat_shape([10**12]), 4),
+    ("sgat-empty-shape-too-big", "out_head.sgat", _sgat_shape([0, 2**70]), 4),
     ("manifest-garbled", "manifest.json", b'{"config": ', 2),
     ("manifest-binary", "manifest.json", b"\x80\x81", 2),
     ("manifest-missing-grid", "manifest.json", b'{"config": {}, "params": {}}', 2),

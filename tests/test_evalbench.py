@@ -402,22 +402,19 @@ class TestTrain:
             gc.enable()
         assert all(g is not None for g in grads.values())
 
-    def test_loss_improves_on_mirror_2plus2(self):
-        # 8x8 mirror, 16 tokens, 2 encoder + 2 decoder layers, d=64:
-        # mean loss over the final window < mean over the initial window, 3 seeds.
+    def test_dense_model_learns_mirror(self):
+        # 8x8 mirror, d 64, 1 encoder + 1 decoder layer, Adam at lr 1e-3:
+        # masked accuracy far above chance (1/16) on held-out instances.
         cfg = mdl.ModelConfig(
-            d=64, layers_enc=2, layers_dec=2, heads=4, vocab=16, vocab_map=4,
+            d=64, layers_enc=1, layers_dec=1, heads=4, vocab=16, vocab_map=4,
             grid_high=(8, 8), grid_low=(4, 4), blocks=8, top_k=3, radius=1, ffw=256,
         )
         task = eb.SyntheticTask("mirror", 8, 8, 16, classes=4)
-        window = 500
         dense = mdl.PlanBundle.dense(cfg)
-        for seed in range(3):
-            init = mdl.init_weights(cfg, (8, 8), substream(seed, "improve"))
-            result = eb.train(init, task, steps=2 * window, lr=0.2, seed=seed, plans=lambda step: dense)
-            first = float(np.mean(result.losses[:window]))
-            last = float(np.mean(result.losses[-window:]))
-            assert last < first, (seed, first, last)
+        init = mdl.init_weights(cfg, (8, 8), substream(1, "improve"))
+        result = eb.train(init, task, steps=1500, lr=1e-3, seed=1, plans=lambda step: dense, optimizer="adam")
+        assert float(np.mean(result.losses[-100:])) < 0.5
+        assert eb.masked_accuracy(result.weights, task, dense, 64, seed=10_001) >= 0.9
 
 
 class TestAblationHarness:
@@ -439,6 +436,32 @@ class TestAblationHarness:
         task = eb.SyntheticTask("mirror", *CFG.grid_high, CFG.vocab)
         with pytest.raises(ValidationError):
             eb.run_ablation(["nope"], task, CFG, steps=1, seeds=[0], lr=0.1, optimizer="sgd", eval_instances=16)
+
+
+class TestTable:
+    def test_text_layout(self):
+        """The ablation and benchmark tables' text: cells right-aligned in the
+        table's width, floats in their column's format, a list's items joined
+        by "/"."""
+        task = eb.SyntheticTask("mirror", *CFG.grid_high, CFG.vocab)
+        ablation = eb.run_ablation(["dense"], task, CFG, steps=1, seeds=[0], lr=0.1, optimizer="sgd", eval_instances=1)
+        ablation.rows[:] = [
+            {"variant": "dense", "accuracy": 0.5, "acc_per_seed": [0.25, 0.75], "sparsity": 1.0,
+             "score_flops": 4096, "steps": 2, "seeds": [0, 1]}
+        ]
+        assert ablation.to_text().split("\n") == [
+            "       variant        accuracy    acc_per_seed        sparsity     score_flops           steps           seeds",
+            "         dense          0.5000     0.250/0.750          1.0000            4096               2             0/1",
+        ]
+        bench = eb.benchmark([16], 4, ["dense"], n_blocks=4)
+        bench.rows[:] = [
+            {"variant": "guided", "L": 64, "d": 16, "score_flops": 123, "wall_s": 0.000123456, "sparsity": 0.5,
+             "peak_entries": 77}
+        ]
+        assert bench.to_text().split("\n") == [
+            "     variant             L             d   score_flops        wall_s      sparsity  peak_entries",
+            "      guided            64            16           123       0.00012       0.50000            77",
+        ]
 
 
 class TestRollout:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -157,6 +159,17 @@ class TestGuideAndPlan:
                         assert r in kept
                         outside = set(kept) - set(range(max(0, r - 1), min(plan.n_blocks, r + 2)))
                         assert len(outside) <= CFG.top_k
+
+    def test_guide_sampling_ignores_plan_top_k(self, weights):
+        """The guide samples with `GUIDE_TOP_K` whatever the plans' count of
+        extra key blocks: its completion and log-prob are the same for every
+        `top_k`, while the plans may differ."""
+        guide, _ = weights
+        req = make_request(1)
+        results = [sampler.guide_and_plan(req, guide, dataclasses.replace(CFG, top_k=k), 1) for k in (0, 2, 3, 5)]
+        for res in results:
+            assert np.array_equal(res.completion_low.tokens, results[0].completion_low.tokens)
+            assert res.logprob_low == results[0].logprob_low
 
     @pytest.mark.parametrize("kind", ["random", "rounded", "zero"])
     @pytest.mark.parametrize("blocks", [4, 16, 64])

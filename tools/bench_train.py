@@ -1,10 +1,9 @@
 """Time `evalbench.train` steps on random weights.
 
 Three cases:
-- `dense-sgd` and `dense-adam`: the config of the Tier-1 test
-  `test_loss_improves_on_mirror_2plus2` (8x8 `mirror`, d 64, 4 heads,
-  2 encoder + 2 decoder layers, vocab 16, `PlanBundle.dense`), with SGD at
-  lr 0.2 and with Adam at lr 1e-3;
+- `dense-sgd` and `dense-adam`: 8x8 `mirror`, d 64, 4 heads, 2 encoder
+  + 2 decoder layers, vocab 16, `PlanBundle.dense`, with SGD at lr 0.2
+  and with Adam at lr 1e-3;
 - `guided-16x16`: the config of perfbench's `train` workload (16x16 tokens,
   guide 8x8, 16 blocks, 2 decoder layers, other sizes at their defaults),
   SGD at lr 0.2, with fresh guided plans per step from a random guide, as
