@@ -321,6 +321,7 @@ def cmd_bench(cfg: dict, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfgmod.write_resolved(cfg, out)
     b = cfg["bench"]
+    mconf = cfgmod.model_config(cfg)
     variants = b["variants"]
     if "dense" not in variants:
         variants = ["dense"] + list(variants)
@@ -330,8 +331,8 @@ def cmd_bench(cfg: dict, args) -> int:
         variants,
         repeats=b["repeats"],
         n_blocks=b["blocks"],
-        radius=b["radius"],
-        k=b["top_k"],
+        radius=mconf.radius,
+        k=mconf.top_k,
         seed=cfg["seed"],
     )
     return _write_table(report, out)
@@ -342,18 +343,18 @@ def cmd_ablate(cfg: dict, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     cfgmod.write_resolved(cfg, out)
     mconf = cfgmod.model_config(cfg)
-    a = cfg["ablation"]
+    a, t = cfg["ablation"], cfg["train"]
     task = _task_for(cfg, mconf.grid_high)
     report = evalbench.run_ablation(
         a["variants"],
         task,
         mconf,
-        steps=a["steps"],
+        steps=t["steps"],
         seeds=a["seeds"],
-        lr=a["lr"],
-        optimizer=a["optimizer"],
+        lr=t["lr"],
+        optimizer=t["optimizer"],
         eval_instances=a["eval_instances"],
-        window=a["window"],
+        clip=t["clip"],
     )
     return _write_table(report, out)
 

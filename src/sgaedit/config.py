@@ -4,6 +4,19 @@ Unknown keys are rejected (typos should fail loudly) and the fully
 resolved document, defaults included, is written next to every command's
 outputs so a run can be reproduced from it alone.
 
+Every setting has one source. The commands that read each block:
+
+- `model`: every command. Its plan shape (`blocks`, `radius`, `top_k`)
+  is read by train-sga, edit and ablate; bench plans with its `radius`
+  and `top_k`.
+- `task`: train-guide, train-sga, ablate, rollout.
+- `train`, the one training recipe: train-guide and ablate train for
+  `steps`, train-sga for `stage_steps` per stage, all three with `lr`,
+  `optimizer` and `clip`.
+- `sampling`: edit. `quantizer`: train-guide, leakcheck. `ablation`:
+  ablate. `leakcheck`: leakcheck. `bench`: bench, whose `lengths`, `d`
+  and `blocks` are its own because its sequences are not the model's.
+
 `train-sga` fine-tunes through a ladder of grids that is worked out from
 the two grids, not configured (`stage_ladder`): start at
 `model.grid_low`, double while the doubled grid divides `model.grid_high`
@@ -52,12 +65,8 @@ DEFAULTS = {
     "quantizer": {"patch": 16, "iterations": 50, "channels": 1, "corpus_images": 6},
     "ablation": {
         "variants": ["dense", "guided", "local"],
-        "steps": 200,
         "seeds": [0, 1, 2],
-        "lr": 0.2,
-        "optimizer": "sgd",
         "eval_instances": 16,
-        "window": 3,
     },
     "bench": {
         "lengths": [256, 1024],
@@ -65,8 +74,6 @@ DEFAULTS = {
         "variants": ["dense", "guided"],
         "repeats": 5,
         "blocks": 64,
-        "radius": 1,
-        "top_k": 3,
     },
     "leakcheck": {"trials": 100, "image_size": 128},
 }
@@ -78,14 +85,10 @@ INT_KEYS = {
     "sampling.top_k": 1,
     "sampling.n_samples": 1,
     "sampling.n_keep": 1,
-    "ablation.steps": 1,
     "ablation.eval_instances": 1,
-    "ablation.window": 1,
     "bench.d": 1,
     "bench.blocks": 1,
     "bench.repeats": 5,
-    "bench.radius": 0,
-    "bench.top_k": 0,
     "quantizer.patch": 1,
     "quantizer.iterations": 1,
     "quantizer.channels": 1,
@@ -94,8 +97,7 @@ INT_KEYS = {
     "leakcheck.image_size": 1,
 }
 VARIANT_KEYS = ("ablation.variants", "bench.variants")
-RATE_KEYS = ("train.lr", "train.clip", "ablation.lr")
-OPTIMIZER_KEYS = ("train.optimizer", "ablation.optimizer")
+RATE_KEYS = ("train.lr", "train.clip")
 
 
 def _merge(defaults: dict, user: dict, path: str) -> dict:
@@ -127,8 +129,6 @@ def resolve(user: dict) -> dict:
     for key, grid in (("model.grid_low", model.grid_low), ("model.grid_high", model.grid_high)):
         for side in grid:
             check_int(key, side, 2)  # the synthetic tasks' masks need two rows and columns
-        if grid[0] * grid[1] % model.blocks:
-            raise ConfigError(f"model.blocks {model.blocks} does not tile {key} grid {grid}")
         try:
             SyntheticTask(cfg["task"]["kind"], grid[0], grid[1], model.vocab)
         except ShapeError as exc:
@@ -142,8 +142,6 @@ def resolve(user: dict) -> dict:
         check_int(key, _value(cfg, key), low)
     if cfg["quantizer"]["channels"] not in (1, 3):
         raise ConfigError(f"quantizer.channels must be 1 or 3, got {cfg['quantizer']['channels']!r}")
-    if cfg["ablation"]["window"] % 2 == 0:
-        raise ConfigError(f"ablation.window must be odd, got {cfg['ablation']['window']}")
     for key in VARIANT_KEYS:
         value = _value(cfg, key)
         if not (isinstance(value, list) and value and all(v in ABLATION_VARIANTS for v in value)):
@@ -164,9 +162,8 @@ def resolve(user: dict) -> dict:
         value = _value(cfg, key)
         if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0):
             raise ConfigError(f"{key} must be a finite number >= 0, got {value!r}")
-    for key in OPTIMIZER_KEYS:
-        if _value(cfg, key) not in ("sgd", "adam"):
-            raise ConfigError(f"{key} must be sgd or adam, got {_value(cfg, key)!r}")
+    if cfg["train"]["optimizer"] not in ("sgd", "adam"):
+        raise ConfigError(f"train.optimizer must be sgd or adam, got {cfg['train']['optimizer']!r}")
     if cfg["sampling"]["n_keep"] > cfg["sampling"]["n_samples"]:
         raise ConfigError("sampling.n_keep cannot exceed n_samples")
     return cfg

@@ -324,7 +324,7 @@ def write_loss_csv(path, losses) -> None:
 # ablation harness
 # ---------------------------------------------------------------------------
 
-ABLATION_VARIANTS = ("dense", "guided", "local", "sliding", "random", "global")
+ABLATION_VARIANTS = ("dense", "guided", "local", "random", "global")
 
 
 def variant_bundle(
@@ -332,7 +332,6 @@ def variant_bundle(
     config: mdl.ModelConfig,
     task: SyntheticTask,
     seed: int = 0,
-    window: int = 3,
 ) -> mdl.PlanBundle:
     """Plan bundle for one ablation variant at the task's resolution."""
     if kind == "dense":
@@ -344,7 +343,7 @@ def variant_bundle(
         if kind in ("random", "global"):
             rng = substream(seed, f"plan-{kind}-{role}-{layer}-{head}")
             return sga.variant_plan(kind, config.blocks, radius=config.radius, k=config.top_k, rng=rng)
-        return sga.variant_plan(kind, config.blocks, radius=config.radius, window=window)
+        return sga.variant_plan(kind, config.blocks, radius=config.radius)
 
     return mdl.PlanBundle.uniform(config, plan_for)
 
@@ -401,20 +400,23 @@ def run_ablation(
     lr: float,
     optimizer: str,
     eval_instances: int,
-    window: int = 3,
+    clip: float = 1.0,
 ) -> Table:
-    """Train each attention variant under an identical budget and compare
-    masked-token accuracy on held-out instances."""
+    """Train each attention variant under an identical budget (the same
+    steps, lr, optimizer and gradient clip) and compare masked-token
+    accuracy on held-out instances."""
     report = Table(ABLATION_COLUMNS, 14)
     length = task.height * task.width
     for kind in variants:
         if kind not in ABLATION_VARIANTS:
             raise ValidationError(f"unknown ablation variant {kind!r}")
-        bundle = variant_bundle(kind, config, task, seed=seeds[0] if seeds else 0, window=window)
+        bundle = variant_bundle(kind, config, task, seed=seeds[0] if seeds else 0)
         accs = []
         for seed in seeds:
             init = mdl.init_weights(config, task.dims, substream(seed, "init"))
-            result = train(init, task, steps=steps, lr=lr, seed=seed, plans=lambda step: bundle, optimizer=optimizer)
+            result = train(
+                init, task, steps=steps, lr=lr, seed=seed, plans=lambda step: bundle, optimizer=optimizer, clip=clip
+            )
             accs.append(masked_accuracy(result.weights, task, bundle, eval_instances, seed=seed + 10_000))
         report.rows.append(
             {

@@ -66,10 +66,12 @@ def read_sgat(path) -> np.ndarray:
             raise ValidationError(f"{path}: header shape {shape!r} is not a list of sizes")
         shape = tuple(shape)
         count = math.prod(shape)  # exact: np.prod wraps around in int64
-        if 4 * count > os.fstat(fh.fileno()).st_size - fh.tell():  # before a read that size allocates
-            raise ValidationError(f"{path}: truncated payload")
-        payload = fh.read(4 * count)
-        if len(payload) != 4 * count:
+        size = os.fstat(fh.fileno()).st_size - fh.tell()  # checked before a read that size allocates
+        if size != 4 * count:
+            kind = "truncated payload" if size < 4 * count else "trailing bytes after the payload"
+            raise ValidationError(f"{path}: {kind}: {size} bytes, header declares {4 * count}")
+        payload = fh.read(size)
+        if len(payload) != size:
             raise ValidationError(f"{path}: truncated payload")
     data = np.frombuffer(payload, dtype="<f4", count=count)
     try:

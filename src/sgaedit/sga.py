@@ -145,23 +145,18 @@ def variant_plan(
     *,
     radius: int = 1,
     k: int = 3,
-    window: int = 3,
     rng=None,
 ) -> SparsityPlan:
-    """Ablation plan families: random, local, sliding, global.
+    """Ablation plan families: local, random, global.
 
-    random: neighborhood plus k uniformly chosen non-neighbor blocks.
-    local: neighborhood only. sliding: window of `window` blocks centered on
-    the query block. global: random plan where additionally the first and
-    last blocks are kept by everyone and attend to everything. random and
+    local: neighborhood only, the 2 * radius + 1 blocks centered on the
+    query block. random: neighborhood plus k uniformly chosen non-neighbor
+    blocks. global: random plan where additionally the first and last
+    blocks are kept by everyone and attend to everything. random and
     global draw their blocks from the generator `rng`.
     """
     if kind == "local":
         return SparsityPlan(band(n_blocks, radius))
-    if kind == "sliding":
-        if window < 1 or window % 2 == 0:
-            raise ValidationError("sliding window must be odd and >= 1")
-        return SparsityPlan(band(n_blocks, window // 2))
     if kind in ("random", "global"):
         keep = band(n_blocks, radius)
         for r in range(n_blocks):

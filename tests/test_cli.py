@@ -38,7 +38,7 @@ TINY = {
     "train": {"steps": 2, "stage_steps": 2},
     "sampling": {"top_k": 100, "n_samples": 4, "n_keep": 2},
     "quantizer": {"patch": 4, "corpus_images": 3},
-    "ablation": {"variants": ["dense", "local"], "steps": 2, "seeds": [0], "eval_instances": 2},
+    "ablation": {"variants": ["dense", "local"], "seeds": [0], "eval_instances": 2},
     "bench": {"lengths": [64], "d": 16, "variants": ["dense", "guided"], "repeats": 5, "blocks": 16},
     "leakcheck": {"trials": 10, "image_size": 16},
 }
@@ -123,6 +123,8 @@ BAD_MODEL_CONFIGS = [
     ("grid-not-int", {"grid_low": [2, "2"]}),
     ("grid-not-list", {"grid_low": 2}),
     ("blocks-not-int", {"blocks": 4.0}),
+    ("blocks-not-dividing", {"blocks": 3}),
+    ("vocab-1", {"vocab": 1}),
 ]
 
 
@@ -153,20 +155,17 @@ BAD_RUN_CONFIGS = [
     ("top-k-float", {"sampling": {"top_k": 1.5}}),
     ("n-samples-0", {"sampling": {"n_samples": 0}}),
     ("n-keep-0", {"sampling": {"n_keep": 0}}),
-    ("ablation-steps-0", {"ablation": {"steps": 0}}),
+    ("task-kind-unknown", {"task": {"kind": "spiral"}}),
     ("ablation-eval-instances-0", {"ablation": {"eval_instances": 0}}),
-    ("ablation-lr-string", {"ablation": {"lr": "big"}}),
-    ("ablation-optimizer-unknown", {"ablation": {"optimizer": "rmsprop"}}),
-    ("ablation-window-even", {"ablation": {"window": 2}}),
-    ("ablation-window-0", {"ablation": {"window": 0}}),
-    ("ablation-window-float", {"ablation": {"window": 3.0}}),
     ("ablation-variants-unknown", {"ablation": {"variants": ["bogus"]}}),
+    ("ablation-variants-sliding", {"ablation": {"variants": ["dense", "sliding"]}}),
     ("ablation-variants-empty", {"ablation": {"variants": []}}),
     ("ablation-variants-string", {"ablation": {"variants": "dense"}}),
     ("ablation-seeds-empty", {"ablation": {"seeds": []}}),
     ("ablation-seeds-float", {"ablation": {"seeds": [0.5]}}),
     ("bench-variants-unknown", {"bench": {"variants": ["bogus"]}}),
     ("bench-variants-empty", {"bench": {"variants": []}}),
+    ("bench-variants-sliding", {"bench": {"variants": ["sliding"]}}),
     ("bench-lengths-indivisible", {"bench": {"lengths": [60]}}),
     ("bench-lengths-empty", {"bench": {"lengths": []}}),
     ("bench-lengths-not-list", {"bench": {"lengths": 64}}),
@@ -174,9 +173,6 @@ BAD_RUN_CONFIGS = [
     ("bench-d-0", {"bench": {"d": 0}}),
     ("bench-blocks-0", {"bench": {"blocks": 0}}),
     ("bench-repeats-4", {"bench": {"repeats": 4}}),
-    ("bench-radius-negative", {"bench": {"radius": -1}}),
-    ("bench-top-k-negative", {"bench": {"top_k": -1}}),
-    ("bench-top-k-float", {"bench": {"top_k": 1.5}}),
     ("quantizer-patch-0", {"quantizer": {"patch": 0}}),
     ("quantizer-iterations-string", {"quantizer": {"iterations": "x"}}),
     ("quantizer-corpus-images-0", {"quantizer": {"corpus_images": 0}}),
@@ -187,7 +183,14 @@ BAD_RUN_CONFIGS = [
     ("leakcheck-image-size-0", {"leakcheck": {"image_size": 0}}),
     ("leakcheck-image-size-one-patch", {"quantizer": {"patch": 16}, "leakcheck": {"image_size": 16}}),
     ("leakcheck-image-size-indivisible", {"leakcheck": {"image_size": 18}}),
-    ("train-stages-removed", {"train": {"stages": []}}),
+    # keys that are gone, each set to a value its old check accepted
+    ("train-stages-removed", {"train": {"stages": [[4, 4]]}}),
+    ("ablation-steps-removed", {"ablation": {"steps": 2}}),
+    ("ablation-lr-removed", {"ablation": {"lr": 0.2}}),
+    ("ablation-optimizer-removed", {"ablation": {"optimizer": "sgd"}}),
+    ("ablation-window-removed", {"ablation": {"window": 3}}),
+    ("bench-radius-removed", {"bench": {"radius": 1}}),
+    ("bench-top-k-removed", {"bench": {"top_k": 3}}),
     ("grid-low-mirror-odd", {"model": {"grid_low": [3, 4]}}),
     ("grid-high-mirror-odd", {"model": {"grid_high": [5, 4], "grid_low": [2, 4], "blocks": 4}}),
     ("grid-low-copy-corner-odd", {"task": {"kind": "copy-corner"}, "model": {"grid_low": [2, 3], "blocks": 2}}),
@@ -200,8 +203,16 @@ BAD_RUN_CONFIGS = [
 ]
 
 
-@pytest.mark.parametrize("override", [case[1] for case in BAD_RUN_CONFIGS], ids=[case[0] for case in BAD_RUN_CONFIGS])
-def test_invalid_run_config_exit_2_without_traceback(tmp_path, capsys, override):
+def leaves(tree: dict, prefix: str = "") -> list:
+    """The dotted paths of a nested config dict's non-dict values."""
+    out = []
+    for key, value in tree.items():
+        out += leaves(value, f"{prefix}{key}.") if isinstance(value, dict) else [f"{prefix}{key}"]
+    return out
+
+
+@pytest.mark.parametrize("name,override", BAD_RUN_CONFIGS, ids=[case[0] for case in BAD_RUN_CONFIGS])
+def test_invalid_run_config_exit_2_without_traceback(tmp_path, capsys, name, override):
     if isinstance(override, bytes):  # the whole config file
         cfg = tmp_path / "config.json"
         cfg.write_bytes(override)
@@ -209,8 +220,19 @@ def test_invalid_run_config_exit_2_without_traceback(tmp_path, capsys, override)
         cfg = write_config(tmp_path, override)
     assert cli.main(["train-guide", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("config error:") and "Traceback" not in err
+    assert err.startswith("config error:") and err.count("\n") == 1 and "Traceback" not in err
+    if name.endswith("-removed"):
+        (key,) = leaves(override)
+        assert err == f"config error: unknown config key: {key}\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_every_config_leaf_has_a_bad_value_case():
+    """Every setting in `config.DEFAULTS` has a value that some case above
+    must reject, so dropping the check on any setting fails a test."""
+    named = {key for _, override in BAD_RUN_CONFIGS if isinstance(override, dict) for key in leaves(override)}
+    named |= {key for _, override in BAD_MODEL_CONFIGS for key in leaves(override, "model.")}
+    assert sorted(set(leaves(cfgmod.DEFAULTS)) - named) == []
 
 
 # leakcheck --image inputs that break the `leakcheck.image_size` rule, at quantizer.patch 4
@@ -541,6 +563,8 @@ MALFORMED_CHECKPOINTS = [
     ("sgat-shape-count-wraps", "out_head.sgat", _sgat_shape([2**40, 2**40]), 4),
     ("sgat-shape-past-eof", "out_head.sgat", _sgat_shape([10**12]), 4),
     ("sgat-empty-shape-too-big", "out_head.sgat", _sgat_shape([0, 2**70]), 4),
+    # the right shape for TINY's out_head (d x vocab), 4 bytes past its payload
+    ("sgat-trailing-bytes", "out_head.sgat", _sgat_shape([16, 8]) + bytes(4 * 16 * 8 + 4), 4),
     ("manifest-garbled", "manifest.json", b'{"config": ', 2),
     ("manifest-binary", "manifest.json", b"\x80\x81", 2),
     ("manifest-missing-grid", "manifest.json", b'{"config": {}, "params": {}}', 2),
@@ -632,12 +656,42 @@ class TestOtherCommands:
         assert any(r["variant"] == "dense" for r in rows)
         assert (tmp_path / "run" / "bench" / "report.txt").exists()
 
+    def test_bench_plans_with_the_model_radius_and_top_k(self, tmp_path, monkeypatch):
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append(kwargs)
+            return real(*args, **kwargs)
+
+        real = cli.evalbench.benchmark
+        monkeypatch.setattr(cli.evalbench, "benchmark", recording)
+        cfg = write_config(tmp_path, {"model": {"radius": 2, "top_k": 1}})
+        assert cli.main(["bench", "--config", str(cfg)]) == 0
+        assert [(c["radius"], c["k"]) for c in calls] == [(2, 1)]
+
     def test_ablate_rows_common_budget(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["ablate", "--config", str(cfg)]) == 0
         rows = json.loads((tmp_path / "run" / "ablate" / "report.json").read_text())
         assert [r["variant"] for r in rows] == ["dense", "local"]
         assert all(r["steps"] == rows[0]["steps"] and r["seeds"] == rows[0]["seeds"] for r in rows)
+
+    def test_ablate_trains_with_the_train_recipe(self, tmp_path, monkeypatch):
+        """Every variant and seed trains with `train.steps/lr/optimizer/clip`."""
+        recipe = {"steps": 3, "lr": 0.05, "optimizer": "adam", "clip": 0.5}
+        calls = []
+
+        def recording(*args, **kwargs):
+            calls.append({key: kwargs.get(key) for key in recipe})
+            return real(*args, **kwargs)
+
+        real = cli.evalbench.train
+        monkeypatch.setattr(cli.evalbench, "train", recording)
+        cfg = write_config(tmp_path, {"train": recipe, "ablation": {"seeds": [0, 1]}})
+        assert cli.main(["ablate", "--config", str(cfg)]) == 0
+        assert calls == [recipe] * 4
+        rows = json.loads((tmp_path / "run" / "ablate" / "report.json").read_text())
+        assert [r["steps"] for r in rows] == [3, 3]
 
     def test_rollout_row_sums(self, tmp_path):
         cfg = write_config(tmp_path)

@@ -169,6 +169,15 @@ class TestSgat:
         header = raw[8 : 8 + hlen].decode()
         assert '"dtype": "f32"' in header and '"shape": [2, 2]' in header
 
+    @pytest.mark.parametrize("extra", [-4, -1, 1, 4])
+    def test_payload_size_must_match_header(self, tmp_path, extra):
+        path = tmp_path / "t.sgat"
+        nm.write_sgat(path, np.zeros((2, 3)))
+        raw = path.read_bytes()
+        path.write_bytes(raw[:extra] if extra < 0 else raw + bytes(extra))
+        with pytest.raises(ValidationError, match="header declares 24"):
+            nm.read_sgat(path)
+
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.sgat"
         path.write_bytes(b"NOPE" + b"\x00" * 16)

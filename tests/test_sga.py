@@ -388,7 +388,6 @@ class TestBlockGatherKernel:
         families = [
             [sga.full_plan(n_blocks)],
             [sga.variant_plan("local", n_blocks, radius=0)],
-            [sga.variant_plan("sliding", n_blocks, window=1)],
             [sga.variant_plan("random", n_blocks, radius=0, k=1, rng=rng)],
             [sga.variant_plan("global", n_blocks, radius=0, k=1, rng=rng)],
             sga.select_plans(rng.random((2, n_blocks, n_blocks)), k=1, radius=0),
@@ -419,11 +418,12 @@ class TestVariantPlans:
         assert one.kept == two.kept
         assert one.kept != other.kept  # overwhelmingly likely
 
-    def test_sliding_window(self):
-        plan = sga.variant_plan("sliding", 8, window=5)
+    def test_local_window(self):
+        plan = sga.variant_plan("local", 8, radius=2)
         assert plan.kept[4] == (2, 3, 4, 5, 6)
-        with pytest.raises(ValidationError):
-            sga.variant_plan("sliding", 8, window=4)
+        assert plan.kept[0] == (0, 1, 2) and plan.kept[7] == (5, 6, 7)
+        with pytest.raises(ValidationError, match="unknown plan kind 'sliding'"):
+            sga.variant_plan("sliding", 8)
 
     def test_random_respects_neighborhood_and_k(self):
         plan = sga.variant_plan("random", 16, radius=1, k=3, rng=substream(0, "variant-plan-random"))
