@@ -149,7 +149,7 @@ def cmd_train_sga(cfg: dict, args) -> int:
     weights = guide_weights
     for si, stage in enumerate(cfgmod.stage_ladder(cfg)):
         source_grid = weights.grid
-        weights = mdl.init_from_guiding(weights, mconf, grid=stage)
+        weights = mdl.init_from_guiding(weights, grid=stage)
         log_lines.append(
             f"stage {si}: grid {stage[0]}x{stage[1]}, positional tables interpolated "
             f"from {source_grid[0]}x{source_grid[1]}"
@@ -263,16 +263,13 @@ def _run_edit(cfg: dict, args, out: Path) -> int:
     t_sga = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    levels = 1
-    while levels < 4 and image.shape[0] % (2 ** (levels + 1)) == 0 and image.shape[1] % (2 ** (levels + 1)) == 0:
-        levels += 1
     first = {}  # each distinct candidate's first index, in rank order
     for i, row in enumerate(tokens):
         first.setdefault(row.tobytes(), i)
     keep = list(first.values())
     tokens, logprobs = tokens[keep], logprobs[keep]
     recons = compositing.tokens_to_image(tokens, assets["codebook"], assets["projection"], assets["patch"])
-    blended = compositing.laplacian_blend(recons, image, pixel_mask.astype(np.float64), levels=levels)
+    blended = compositing.laplacian_blend(recons, image, pixel_mask.astype(np.float64))
     rows = []
     for rank, (row, logprob, img) in enumerate(zip(tokens, logprobs, blended)):
         tok_file = f"candidate_{rank:02d}.json"
@@ -383,18 +380,21 @@ def cmd_rollout(cfg: dict, args) -> int:
     return 0
 
 
+LEAKCHECK_PATCHES = 8  # patches a side of leakcheck's synthetic image: 128 px at quantizer.patch 16
+
+
 def cmd_leakcheck(cfg: dict, args) -> int:
     mconf = cfgmod.model_config(cfg)
     q = cfg["quantizer"]
     seed = cfg["seed"]
     patch, channels = q["patch"], q["channels"]
-    size = cfg["leakcheck"]["image_size"]
     if args.image:
         image = images.read_pnm(args.image)
-        # the rule `leakcheck.image_size` follows: a codebook needs 2 entries, so at least 2 patches a side
+        # a codebook needs 2 entries, so at least 2 patches a side
         if any(side % patch or side < 2 * patch for side in image.shape[:2]):
             raise ConfigError(f"image dims {image.shape[:2]} must be multiples >= 2 x quantizer.patch {patch}")
     else:
+        size = LEAKCHECK_PATCHES * patch
         image = images.synthetic_image(size, size, channels, substream(seed, "leakcheck-image"))
     out = Path(cfg["out"]) / "leakcheck"
     out.mkdir(parents=True, exist_ok=True)
@@ -405,7 +405,7 @@ def cmd_leakcheck(cfg: dict, args) -> int:
     codebook = fit_codebook(feats, size_cb, q["iterations"], _derived_seed(seed, "codebook-leak"))
     grid_dims = (image.shape[0] // patch, image.shape[1] // patch)
     mask = evalbench.free_form_mask(grid_dims, substream(seed, "leakcheck-mask"))
-    report = leakage_report(image, mask, codebook, proj, trials=cfg["leakcheck"]["trials"], seed=seed, patch=patch)
+    report = leakage_report(image, mask, codebook, proj, trials=cfg["leakcheck"]["trials"], seed=seed)
     payload = {
         "trials": report.trials,
         "leaked_tokens": len(report.changed_positions),
@@ -479,8 +479,8 @@ def main(argv=None) -> int:
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return 3
-    except FileNotFoundError as exc:
-        print(f"missing file: {exc}", file=sys.stderr)
+    except OSError as exc:  # a missing file, a directory where a file belongs, or the reverse
+        print(f"file error: {exc}", file=sys.stderr)
         return 2
     except SgaError as exc:
         print(f"invariant violation: {exc}", file=sys.stderr)

@@ -68,10 +68,20 @@ class Pyramid:
 
 
 def _check_levels(h: int, w: int, levels: int) -> None:
+    """A pyramid of `levels` levels halves the image `levels - 1` times."""
     if levels < 1:
         raise ShapeError("levels must be >= 1")
-    if h % (2**levels) or w % (2**levels):
-        raise ShapeError(f"dims {h}x{w} not divisible by 2^{levels}")
+    if h % (2 ** (levels - 1)) or w % (2 ** (levels - 1)):
+        raise ShapeError(f"dims {h}x{w} not divisible by 2^{levels - 1}")
+
+
+def _blend_levels(h: int, w: int) -> int:
+    """The pyramid depth `laplacian_blend` uses for an h x w image: the
+    deepest of 1 to 4 levels whose 2**levels divides both sides, else 1."""
+    levels = 1
+    while levels < 4 and h % 2 ** (levels + 1) == 0 and w % 2 ** (levels + 1) == 0:
+        levels += 1
+    return levels
 
 
 def build_pyramid(img: np.ndarray, levels: int) -> Pyramid:
@@ -116,14 +126,16 @@ def blend_window(mask: np.ndarray, levels: int) -> tuple[slice, slice] | None:
     return span(int(rows[0]), int(rows[-1]), mask.shape[0]), span(int(cols[0]), int(cols[-1]), mask.shape[1])
 
 
-def laplacian_blend(a: np.ndarray, b: np.ndarray, mask: np.ndarray, levels: int = 4) -> np.ndarray:
+def laplacian_blend(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Blend each image of the stack `a` over the one image `b` through
     Laplacian pyramids with a blurred soft mask; return the blended stack.
 
     `a` is `[C, H, W(, ch)]` and `b` is `[H, W(, ch)]`. Each candidate is
     `a[c]` where `mask > 0` and `b` elsewhere, so `a` outside the mask is
-    never read. With levels=1 this reduces to a direct alpha blend under
-    the blurred mask. Output is clamped to [0, 1].
+    never read. The pyramids' depth `levels` is worked out from the image
+    size: the deepest of 1 to 4 levels whose 2**levels divides both sides,
+    so 4 at 64, 256 or 512 px, and 1 for an odd side, which is a direct
+    alpha blend under the blurred mask. Output is clamped to [0, 1].
 
     Only the window `blend_window(mask, levels)` is blended; every pixel
     outside it is `b`'s (clamped), bit-exactly. In exact arithmetic that is
@@ -159,7 +171,7 @@ def laplacian_blend(a: np.ndarray, b: np.ndarray, mask: np.ndarray, levels: int 
     mask = np.asarray(mask, dtype=np.float64)
     if mask.shape != b.shape[:2]:
         raise ShapeError(f"mask dims {mask.shape} != image dims {b.shape[:2]}")
-    _check_levels(b.shape[0], b.shape[1], levels)
+    levels = _blend_levels(b.shape[0], b.shape[1])
 
     window = blend_window(mask, levels)
     if window is None:

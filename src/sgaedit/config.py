@@ -14,8 +14,11 @@ Every setting has one source. The commands that read each block:
   `steps`, train-sga for `stage_steps` per stage, all three with `lr`,
   `optimizer` and `clip`.
 - `sampling`: edit. `quantizer`: train-guide, leakcheck. `ablation`:
-  ablate. `leakcheck`: leakcheck. `bench`: bench, whose `lengths`, `d`
-  and `blocks` are its own because its sequences are not the model's.
+  ablate. `bench`: bench, whose `lengths`, `d` and `blocks` are its own
+  because its sequences are not the model's.
+- `leakcheck`: leakcheck, which re-encodes its image `trials` times. Its
+  image is `--image` or else synthetic, `cli.LEAKCHECK_PATCHES` = 8
+  patches of `quantizer.patch` px a side (128 px at the default 16).
 
 `train-sga` fine-tunes through a ladder of grids that is worked out from
 the two grids, not configured (`stage_ladder`): start at
@@ -30,6 +33,7 @@ import copy
 import json
 import math
 import numbers
+from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError, ShapeError
@@ -39,20 +43,8 @@ from .model import ModelConfig, check_int
 DEFAULTS = {
     "seed": 0,
     "out": "runs/out",
-    "model": {
-        "d": 64,
-        "layers_enc": 2,
-        "layers_dec": 1,
-        "heads": 4,
-        "vocab": 16,
-        "vocab_map": 4,
-        "grid_high": [8, 8],
-        "grid_low": [4, 4],
-        "blocks": 8,
-        "top_k": 3,
-        "radius": 1,
-        "ffw": 256,
-    },
+    # `ModelConfig`'s defaults, its grids as JSON lists
+    "model": {f.name: list(f.default) if isinstance(f.default, tuple) else f.default for f in fields(ModelConfig)},
     "task": {"kind": "mirror"},
     "train": {
         "steps": 200,
@@ -75,7 +67,7 @@ DEFAULTS = {
         "repeats": 5,
         "blocks": 64,
     },
-    "leakcheck": {"trials": 100, "image_size": 128},
+    "leakcheck": {"trials": 100},
 }
 
 # run-config values checked by `resolve`, as "block.name"; ints with their lower bound
@@ -94,7 +86,6 @@ INT_KEYS = {
     "quantizer.channels": 1,
     "quantizer.corpus_images": 1,
     "leakcheck.trials": 1,
-    "leakcheck.image_size": 1,
 }
 VARIANT_KEYS = ("ablation.variants", "bench.variants")
 RATE_KEYS = ("train.lr", "train.clip")
@@ -152,9 +143,6 @@ def resolve(user: dict) -> dict:
             raise ConfigError(f"{key} must be a non-empty list of ints, got {value!r}")
         for item in value:
             check_int(key, item, low)
-    patch, size = cfg["quantizer"]["patch"], cfg["leakcheck"]["image_size"]
-    if size < 2 * patch or size % patch:  # a codebook needs 2 entries, so at least 2 patches
-        raise ConfigError(f"leakcheck.image_size {size} must be a multiple >= 2 x quantizer.patch {patch}")
     for length in cfg["bench"]["lengths"]:
         if length % cfg["bench"]["blocks"]:
             raise ConfigError(f"bench.blocks {cfg['bench']['blocks']} does not divide bench length {length}")

@@ -139,18 +139,17 @@ def _brush_limits(area: int) -> tuple[int, int]:
     return 1, 3
 
 
-def free_form_mask(dims: tuple, seed, region: Optional[np.ndarray] = None) -> np.ndarray:
-    """Random-brush mask: a seeded 8-direction walk stamping square brushes.
+def free_form_mask(dims: tuple, rng: np.random.Generator, region: Optional[np.ndarray] = None) -> np.ndarray:
+    """Random-brush mask: an 8-direction walk, drawn from `rng`, stamping
+    square brushes.
 
     The masked fraction always lands in [0.1, 0.6] and the mask is one
-    4-connected component. `seed` may be an int or a numpy Generator;
-    `region` (bool array) confines the walk, e.g. to a reflection half;
-    the walk stops once every region cell is masked.
+    4-connected component. `region` (bool array) confines the walk, e.g.
+    to a reflection half; the walk stops once every region cell is masked.
     """
     h, w = int(dims[0]), int(dims[1])
     if h < 2 or w < 2:
         raise ShapeError("mask dims must be at least 2 x 2")
-    rng = substream(seed, "mask") if isinstance(seed, (int, np.integer)) else seed
     if region is not None:
         region = np.asarray(region, dtype=bool)
         if region.shape != (h, w):
@@ -469,10 +468,9 @@ def head_averaged_maps(encoder_out: mdl.EncoderOutput) -> list:
     """Per-layer mean over the head maps of a dense (one-block) encoder pass."""
     maps = []
     for layer in encoder_out.attn:
-        present = [m for m in layer if m is not None]
-        if not present:
+        if layer is None:
             raise ValidationError("encoder pass has no attention maps (multi-block plans)")
-        maps.append(np.mean(present, axis=0))
+        maps.append(layer.mean(axis=0))
     return maps
 
 
@@ -524,8 +522,8 @@ def benchmark(
             else:
                 rng = substream(seed, f"variant-plan-{variant}")
                 plans = [sga.variant_plan(variant, n_blocks, radius=radius, k=k, rng=rng)]
-            result = sga.sparse_attention(q, kk, v, plans, length)
-            wall = timed(lambda: sga.sparse_attention(q, kk, v, plans, length))
+            result = sga.sparse_attention(q, kk, v, plans)
+            wall = timed(lambda: sga.sparse_attention(q, kk, v, plans))
             report.rows.append(
                 {
                     "variant": variant,

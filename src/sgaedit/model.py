@@ -71,9 +71,9 @@ class ModelConfig:
     heads: int = 4
     vocab: int = 16
     vocab_map: int = 4
-    grid_high: tuple = (16, 16)
-    grid_low: tuple = (8, 8)
-    blocks: int = 16
+    grid_high: tuple = (8, 8)
+    grid_low: tuple = (4, 4)
+    blocks: int = 8
     top_k: int = 3
     radius: int = 1
     ffw: int = 256
@@ -209,9 +209,9 @@ class PlanBundle:
 @dataclass
 class EncoderOutput:
     context: object  # L x d array or Tensor
-    # attn[layer][head]: L x L row-stochastic array; attn[layer] is one
-    # read-only H x L x L view of the kernel weights under one-block
-    # (dense) plans, H Nones under multi-block plans
+    # attn[layer]: under one-block (dense) plans, one read-only H x L x L
+    # view of the kernel weights, whose attn[layer][head] is an L x L
+    # row-stochastic map; None under multi-block plans
     attn: list
 
 
@@ -244,8 +244,8 @@ def _peg_rows(rows, kernel, grid):
 
 def _maps(weights: np.ndarray):
     """A layer's maps from its kernel weights [H, N, bs, K]: one H x L x L
-    view of them under one-block (dense) plans, H Nones under multi-block plans."""
-    return weights[:, 0] if weights.shape[1] == 1 else [None] * weights.shape[0]
+    view of them under one-block (dense) plans, None under multi-block plans."""
+    return weights[:, 0] if weights.shape[1] == 1 else None
 
 
 def _feed_forward(x, weights: ModelWeights, prefix: str):
@@ -264,7 +264,7 @@ def encoder_forward(embeddings, weights: ModelWeights, plans: PlanBundle) -> Enc
         p = f"enc{i}"
         h = _peg_rows(h, w[f"{p}_peg"], weights.grid)
         q, k, v = (T.matmul(h, w[f"{p}_{name}"]) for name in ("wq", "wk", "wv"))
-        attn = sga.sparse_attention(q, k, v, plans.enc[i], weights.length)
+        attn = sga.sparse_attention(q, k, v, plans.enc[i])
         h = T.layer_norm(T.add(h, T.matmul(attn.output, w[f"{p}_wo"])), w[f"{p}_ln1_g"], w[f"{p}_ln1_b"])
         h = T.layer_norm(T.add(h, _feed_forward(h, weights, p)), w[f"{p}_ln2_g"], w[f"{p}_ln2_b"])
         all_maps.append(_maps(attn.weights))
@@ -315,7 +315,8 @@ class IncrementalDecoder:
     rows of one call over the whole of it, to float rounding. That call
     (`decoder_forward`) takes its self-attention keys from its own rows,
     writes no cache, accepts tape Tensors and collects every layer's maps
-    into `self_maps` and `cross_maps` (as `EncoderOutput.attn`); other
+    into `self_maps` and `cross_maps` (as `EncoderOutput.attn`: an H x L x
+    L view under one-block plans, None under multi-block plans); other
     calls take plain arrays.
 
     Inside `extend` the rows are ordered (row, candidate). Attention runs
@@ -513,19 +514,15 @@ def bilinear_resize_table(table: np.ndarray, grid_src: tuple, grid_dst: tuple) -
     return out.reshape(hd * wd, table.shape[1])
 
 
-def init_from_guiding(weights_low: ModelWeights, config_high: ModelConfig, grid: Optional[tuple] = None) -> ModelWeights:
-    """Start a high-resolution model from trained low-resolution weights.
+def init_from_guiding(weights_low: ModelWeights, grid: Optional[tuple] = None) -> ModelWeights:
+    """Start a model of the same config at `grid` (default: the config's
+    `grid_high`) from trained low-resolution weights.
 
     Every shared-shape parameter is copied; the two positional tables are
     extended by bilinear interpolation over their token-grid arrangement.
     """
-    src_cfg = weights_low.config
-    for field_ in dataclasses.fields(ModelConfig):
-        if field_.name in ("grid_high", "grid_low"):
-            continue
-        if getattr(src_cfg, field_.name) != getattr(config_high, field_.name):
-            raise ConfigError(f"config field {field_.name} differs between models")
-    target = tuple(grid) if grid is not None else config_high.grid_high
+    config = weights_low.config
+    target = tuple(grid) if grid is not None else config.grid_high
     params = {}
     for name, value in weights_low.params.items():
         arr = np.array(T.value_of(value))
@@ -533,7 +530,7 @@ def init_from_guiding(weights_low: ModelWeights, config_high: ModelConfig, grid:
             params[name] = bilinear_resize_table(arr, weights_low.grid, target)
         else:
             params[name] = arr.copy()
-    return ModelWeights(config_high, target, params)
+    return ModelWeights(config, target, params)
 
 
 # ---------------------------------------------------------------------------

@@ -213,12 +213,13 @@ def leakage_report(
     projection: np.ndarray,
     trials: int,
     seed: int,
-    patch: int = 16,
     encoder: Optional[Callable[[np.ndarray, int, np.ndarray], np.ndarray]] = None,
 ) -> LeakageReport:
     """Re-encode with fresh noise inside the masked area; report unmasked
-    tokens whose index changed. `encoder` defaults to the leakage-free patch
-    encoder; pass a different callable to demonstrate a leaking encoder.
+    tokens whose index changed. `mask` is the token grid: its cells split
+    the image into square patches, whose side is worked out from the two
+    shapes. `encoder` defaults to the leakage-free patch encoder; pass a
+    different callable to demonstrate a leaking encoder.
     """
     if trials < 1:
         raise ValidationError("trials must be >= 1")
@@ -226,8 +227,9 @@ def leakage_report(
     img = with_channels(image).copy()
     h, w, _ = img.shape
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != (h // patch, w // patch):
-        raise ShapeError(f"mask shape {mask.shape} != feature grid {(h // patch, w // patch)}")
+    patch = h // mask.shape[0] if mask.ndim == 2 and mask.shape[0] else 0
+    if patch < 1 or mask.shape[0] * patch != h or mask.shape[1] * patch != w:
+        raise ShapeError(f"mask shape {mask.shape} does not split image dims {(h, w)} into square patches")
 
     base = apply_mask(quantize(encode(img, patch, projection), codebook), mask)
     pixel_mask = np.kron(mask, np.ones((patch, patch), dtype=bool))

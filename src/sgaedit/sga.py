@@ -220,12 +220,12 @@ class SparseAttentionResult:
     weights: np.ndarray
 
 
-def sparse_attention(q, k, v, plans: Sequence[SparsityPlan], length: int) -> SparseAttentionResult:
+def sparse_attention(q, k, v, plans: Sequence[SparsityPlan]) -> SparseAttentionResult:
     """Multi-head attention evaluated only over kept key blocks.
 
-    `plans` holds one plan per head over `length` tokens in contiguous
-    blocks; q, k and v are length x (H * dh), heads side by side. Inputs
-    may be tape Tensors: the kernel is one differentiable op. Equals dense
+    q, k and v are L x (H * dh), heads side by side, and `plans` holds one
+    plan per head over the L tokens in contiguous blocks. Inputs may be
+    tape Tensors: the kernel is one differentiable op. Equals dense
     attention under the expanded plan mask to float rounding, and reports
     the exact score FLOPs spent over kept blocks, `score_flops_plan` summed
     over the heads.
@@ -233,8 +233,9 @@ def sparse_attention(q, k, v, plans: Sequence[SparsityPlan], length: int) -> Spa
     qv, kv = T.value_of(q), T.value_of(k)
     if qv.ndim != 2 or kv.ndim != 2 or not plans:
         raise ShapeError("q and k must be 2D, with at least one head plan")
-    if qv.shape[0] != length or kv.shape[0] != length:
-        raise ShapeError(f"q/k lengths {qv.shape[0]}/{kv.shape[0]} are not {length} tokens")
+    length = qv.shape[0]
+    if kv.shape[0] != length:
+        raise ShapeError(f"k has {kv.shape[0]} rows, q has {length}")
     keys = block_index(plans, length)
     weights = np.empty(keys.shape[:2] + (length // plans[0].n_blocks,) + keys.shape[2:])
     out = T.block_attention(q, k, v, keys, weights=weights)

@@ -35,7 +35,7 @@ SOURCES = ["guide_and_plan", "oracle_plans", "dense", "direct"] + [f"variant-{v}
 @pytest.fixture(scope="module")
 def weights():
     guide = mdl.init_weights(CFG, CFG.grid_low, substream(4, "causal-guide"))
-    return guide, mdl.init_from_guiding(guide, CFG)
+    return guide, mdl.init_from_guiding(guide)
 
 
 @pytest.fixture

@@ -40,7 +40,7 @@ TINY = {
     "quantizer": {"patch": 4, "corpus_images": 3},
     "ablation": {"variants": ["dense", "local"], "seeds": [0], "eval_instances": 2},
     "bench": {"lengths": [64], "d": 16, "variants": ["dense", "guided"], "repeats": 5, "blocks": 16},
-    "leakcheck": {"trials": 10, "image_size": 16},
+    "leakcheck": {"trials": 10},
 }
 
 
@@ -180,10 +180,8 @@ BAD_RUN_CONFIGS = [
     ("quantizer-channels-float", {"quantizer": {"channels": 3.0}}),
     ("leakcheck-trials-string", {"leakcheck": {"trials": "x"}}),
     ("leakcheck-trials-0", {"leakcheck": {"trials": 0}}),
-    ("leakcheck-image-size-0", {"leakcheck": {"image_size": 0}}),
-    ("leakcheck-image-size-one-patch", {"quantizer": {"patch": 16}, "leakcheck": {"image_size": 16}}),
-    ("leakcheck-image-size-indivisible", {"leakcheck": {"image_size": 18}}),
     # keys that are gone, each set to a value its old check accepted
+    ("leakcheck-image-size-removed", {"leakcheck": {"image_size": 128}}),
     ("train-stages-removed", {"train": {"stages": [[4, 4]]}}),
     ("ablation-steps-removed", {"ablation": {"steps": 2}}),
     ("ablation-lr-removed", {"ablation": {"lr": 0.2}}),
@@ -235,7 +233,7 @@ def test_every_config_leaf_has_a_bad_value_case():
     assert sorted(set(leaves(cfgmod.DEFAULTS)) - named) == []
 
 
-# leakcheck --image inputs that break the `leakcheck.image_size` rule, at quantizer.patch 4
+# leakcheck --image inputs that are not a whole number of patches, at least 2, a side, at quantizer.patch 4
 BAD_LEAKCHECK_IMAGES = [
     ("one-patch", (4, 4)),
     ("one-patch-tall", (4, 8)),
@@ -416,6 +414,35 @@ class TestEdit:
         assert rc == 2
         assert not (tmp_path / "fail" / "edit").exists()
 
+    @pytest.mark.parametrize(
+        "command,flag,kind",
+        [("edit", "--mask", "missing"), ("edit", "--image", "directory"), ("edit", "--guide", "file"),
+         ("leakcheck", "--image", "directory")],
+        ids=["edit-mask-missing", "edit-image-directory", "edit-guide-file", "leakcheck-image-directory"],
+    )
+    def test_bad_path_exit_2_with_one_line(self, trained, tmp_path, capsys, command, flag, kind):
+        """A missing file, a directory where a file belongs or a file where
+        a checkpoint directory belongs ends with one line naming the path,
+        and leaves no outputs."""
+        run, cfg = trained
+        image, semantic, mask = make_edit_inputs(tmp_path)
+        bad = tmp_path / "bad"
+        if kind == "directory":
+            bad.mkdir()
+        elif kind == "file":
+            bad.write_text("not a checkpoint")
+        paths = {"--image": image}
+        if command == "edit":
+            paths |= {"--guide": run / "run" / "guide", "--sga": run / "run" / "sga"}
+            paths |= {"--semantic": semantic, "--mask": mask}
+        paths[flag] = bad
+        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        rc = cli.main(argv + [arg for flag_path in paths.items() for arg in map(str, flag_path)])
+        err = capsys.readouterr().err
+        assert rc == 2, err
+        assert err.startswith("file error:") and err.count("\n") == 1 and str(bad) in err
+        assert not (tmp_path / "out" / command).exists()
+
     def test_guide_checkpoint_as_sga_exit_2(self, trained, capsys):
         tmp_path, cfg = trained
         image, semantic, mask = make_edit_inputs(tmp_path)
@@ -480,7 +507,7 @@ def edited(request, tmp_path_factory):
     RGB image, two of its tokens masked and two candidates kept."""
     channels = request.param
     tmp_path = tmp_path_factory.mktemp(f"edit-{channels}ch")
-    cfg = write_config(tmp_path, {"quantizer": {"patch": 16, "channels": channels}, "leakcheck": {"image_size": 32}})
+    cfg = write_config(tmp_path, {"quantizer": {"patch": 16, "channels": channels}})
     guide, sga = tmp_path / "run" / "guide", tmp_path / "run" / "sga"
     assert cli.main(["train-guide", "--config", str(cfg)]) == 0
     assert cli.main(["train-sga", "--config", str(cfg), "--guide", str(guide)]) == 0
@@ -539,6 +566,35 @@ class TestEditOutputImages:
             expected = tmp_path / row["image"]
             images.write_pnm(expected, blended)
             assert (out / row["image"]).read_bytes() == expected.read_bytes(), row["image"]
+
+
+def test_odd_sided_image_edits_at_one_level(tmp_path):
+    """A 12 x 9 px image (4 x 3 tokens of 3 px) edits: the blend works out
+    one pyramid level, which halves nothing, so no side needs to divide,
+    and each written image is the full-image blend of its tokens at one level."""
+    model = {"grid_high": [4, 3], "grid_low": [4, 3], "blocks": 4}
+    cfg = write_config(tmp_path, {"model": model, "quantizer": {"patch": 3}})
+    guide, sga = tmp_path / "run" / "guide", tmp_path / "run" / "sga"
+    assert cli.main(["train-guide", "--config", str(cfg)]) == 0
+    assert cli.main(["train-sga", "--config", str(cfg), "--guide", str(guide)]) == 0
+    image, semantic, mask = make_edit_inputs(tmp_path, grid=(4, 3), patch=3, mask_box=((6, 12), (0, 6)))
+    rc = cli.main(
+        ["edit", "--config", str(cfg), "--guide", str(guide), "--sga", str(sga), "--image", str(image),
+         "--semantic", str(semantic), "--mask", str(mask)]
+    )
+    assert rc == 0
+    out = tmp_path / "run" / "edit"
+    projection = read_sgat(guide / "projection.sgat")
+    codebook = Codebook(read_sgat(guide / "codebook.sgat"))
+    original, pixel_mask = images.read_pnm(image), images.read_pnm(mask)
+    assert original.shape == (12, 9)
+    for row in json.loads((out / "report.json").read_text())["candidates"]:
+        grid = TokenGrid.from_json((out / row["tokens"]).read_text())
+        recon = compositing.tokens_to_image(grid.tokens[None], codebook, projection, 3)[0]
+        blended = full_image_blend(np.where(pixel_mask > 0, recon, original), original, pixel_mask, 1)
+        expected = tmp_path / row["image"]
+        images.write_pnm(expected, blended)
+        assert (out / row["image"]).read_bytes() == expected.read_bytes(), row["image"]
 
 
 def _sgat_header(header: bytes) -> bytes:

@@ -30,30 +30,33 @@ class TestPyramid:
         assert pyr.residual.shape == (4, 4)
 
     def test_divisibility_enforced(self):
+        """`levels` levels halve the image `levels - 1` times, so each side
+        must divide by 2**(levels - 1)."""
+        assert comp.build_pyramid(np.zeros((12, 12)), 3).residual.shape == (3, 3)
         with pytest.raises(ShapeError):
-            comp.build_pyramid(np.zeros((12, 12)), 3)
+            comp.build_pyramid(np.zeros((12, 10)), 3)
 
 
 class TestLaplacianBlend:
     def test_blend_of_equals(self):
         rng = substream(4, "blend")
         a = rng.random((16, 16))
-        out = comp.laplacian_blend(a[None], a.copy(), rng.random((16, 16)), levels=2)[0]
+        out = comp.laplacian_blend(a[None], a.copy(), rng.random((16, 16)))[0]
         assert np.abs(out - np.clip(a, 0, 1)).max() <= 1e-5
 
     def test_mask_all_ones_returns_a(self):
         rng = substream(5, "blend2")
         a = rng.random((16, 16))
         b = rng.random((16, 16))
-        out = comp.laplacian_blend(a[None], b, np.ones((16, 16)), levels=3)[0]
+        out = comp.laplacian_blend(a[None], b, np.ones((16, 16)))[0]
         assert np.abs(out - a).max() <= 1e-4
 
     def test_single_level_closed_form(self):
         rng = substream(6, "blend3")
-        a = rng.random((16, 16))
-        b = rng.random((16, 16))
-        mask = (rng.random((16, 16)) > 0.5).astype(float)
-        out = comp.laplacian_blend(a[None], b, mask, levels=1)[0]
+        a = rng.random((15, 16))  # an odd side: one level
+        b = rng.random((15, 16))
+        mask = (rng.random((15, 16)) > 0.5).astype(float)
+        out = comp.laplacian_blend(a[None], b, mask)[0]
         blurred = comp._blur(mask)
         expected = np.clip(blurred * np.where(mask > 0, a, b) + (1 - blurred) * b, 0, 1)
         assert np.abs(out - expected).max() <= 1e-5
@@ -63,16 +66,38 @@ class TestLaplacianBlend:
         a = rng.random((16, 16)) * 1.0
         b = rng.random((16, 16))
         mask = rng.random((16, 16))
-        out = comp.laplacian_blend(a[None], b, mask, levels=4)[0]
+        out = comp.laplacian_blend(a[None], b, mask)[0]
         assert out.min() >= 0.0 and out.max() <= 1.0
+
+    @pytest.mark.parametrize(
+        "shape,levels",
+        [((2, 2), 1), ((9, 9), 1), ((12, 12), 2), ((18, 18), 1), ((24, 24), 3), ((64, 64), 4), ((256, 256), 4),
+         ((512, 512), 4), ((12, 9), 1)],
+        ids=lambda case: "x".join(map(str, case)) if isinstance(case, tuple) else str(case),
+    )
+    def test_depth_worked_out_from_image_size(self, shape, levels):
+        """The blend's depth is the deepest of 1 to 4 levels whose 2**levels
+        divides both sides, else 1: it equals the full-image blend at that
+        depth."""
+        assert comp._blend_levels(*shape) == levels
+        rng = substream(shape[0] * shape[1], "blend-depth")
+        b = rng.random(shape)
+        mask = np.zeros(shape)
+        mask[shape[0] // 2, shape[1] // 2 :] = 1.0
+        a = np.where(mask > 0, rng.random(shape), b)
+        out = comp.laplacian_blend(a[None], b, mask)[0]
+        assert np.abs(out - full_image_blend(a, b, mask, levels)).max() <= 1e-12
 
 
 def blend_case(seed, levels, channels, mask_kind, candidates=3):
     """(a, b, mask) for one windowed-blend case: `a` is a stack of random
-    candidates inside `mask` and `b` outside it."""
+    candidates inside `mask` and `b` outside it. Each side is 2**levels
+    times an odd number, so `laplacian_blend` works out `levels` levels;
+    levels 0 gives odd sides, which it blends at one level, drawn longer so
+    that the window crops them."""
     rng = substream(seed, f"blend-case-{levels}-{channels}-{mask_kind}")
-    step = 2**levels
-    h, w = step * int(rng.integers(2, 10)), step * int(rng.integers(2, 10))
+    step, odd = 2**levels, (5 if levels else 20)
+    h, w = step * int(2 * rng.integers(1, odd) + 1), step * int(2 * rng.integers(1, odd) + 1)
     shape = (h, w) if channels == 1 else (h, w, channels)
     b = np.rint(255 * rng.random(shape)) / 255  # an 8-bit image, as `read_pnm` gives
     mask = np.zeros((h, w))
@@ -100,27 +125,36 @@ class TestWindowedBlend:
     """The windowed, stacked blend against `full_image_blend`, the blend
     computed over the whole image one candidate at a time."""
 
+    @staticmethod
+    def check_against_oracle(a, b, mask, levels):
+        out = comp.laplacian_blend(a, b, mask)
+        assert out.shape == a.shape
+        for c in range(a.shape[0]):
+            ref = full_image_blend(a[c], b, mask, levels)
+            assert np.abs(out[c] - ref).max() <= 1e-12
+            assert np.array_equal(np.rint(255 * out[c]), np.rint(255 * ref))
+        outside = np.ones(mask.shape, bool)
+        window = comp.blend_window(mask, levels)
+        if window is not None:
+            outside[window] = False
+        assert np.array_equal(out[:, outside], np.broadcast_to(b[outside], (a.shape[0],) + b[outside].shape))
+        # the candidates' pixels outside the mask are never read
+        changed = a.copy()
+        changed[:, mask <= 0] = np.nan
+        assert np.array_equal(comp.laplacian_blend(changed, b, mask), out)
+
     @pytest.mark.parametrize("mask_kind", MASK_KINDS)
     @pytest.mark.parametrize("channels", [1, 3])
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
     def test_equals_full_image_oracle(self, levels, channels, mask_kind):
         for seed in range(3):
-            a, b, mask = blend_case(seed, levels, channels, mask_kind)
-            out = comp.laplacian_blend(a, b, mask, levels)
-            assert out.shape == a.shape
-            for c in range(a.shape[0]):
-                ref = full_image_blend(a[c], b, mask, levels)
-                assert np.abs(out[c] - ref).max() <= 1e-12
-                assert np.array_equal(np.rint(255 * out[c]), np.rint(255 * ref))
-            outside = np.ones(mask.shape, bool)
-            window = comp.blend_window(mask, levels)
-            if window is not None:
-                outside[window] = False
-            assert np.array_equal(out[:, outside], np.broadcast_to(b[outside], (a.shape[0],) + b[outside].shape))
-            # the candidates' pixels outside the mask are never read
-            changed = a.copy()
-            changed[:, mask <= 0] = np.nan
-            assert np.array_equal(comp.laplacian_blend(changed, b, mask, levels), out)
+            self.check_against_oracle(*blend_case(seed, levels, channels, mask_kind), levels)
+
+    @pytest.mark.parametrize("mask_kind", MASK_KINDS)
+    @pytest.mark.parametrize("channels", [1, 3])
+    def test_odd_sides_equal_one_level_oracle(self, channels, mask_kind):
+        for seed in range(3):
+            self.check_against_oracle(*blend_case(seed, 0, channels, mask_kind), 1)
 
     @pytest.mark.parametrize("levels", [1, 2, 3, 4])
     def test_window_covers_mask_with_aligned_margin(self, levels):
@@ -165,7 +199,7 @@ class TestWindowedBlend:
     def test_empty_mask_returns_clamped_original_per_candidate(self):
         rng = substream(12, "blend-empty")
         b = rng.random((16, 16, 3)) * 1.2 - 0.1
-        out = comp.laplacian_blend(rng.random((2, 16, 16, 3)), b, np.zeros((16, 16)), levels=4)
+        out = comp.laplacian_blend(rng.random((2, 16, 16, 3)), b, np.zeros((16, 16)))
         assert np.array_equal(out, np.stack([np.clip(b, 0, 1)] * 2))
 
     def test_shape_contract(self):
@@ -175,8 +209,6 @@ class TestWindowedBlend:
             comp.laplacian_blend(np.zeros((2, 16, 8)), np.zeros((16, 16)), np.zeros((16, 16)))
         with pytest.raises(ShapeError):
             comp.laplacian_blend(np.zeros((1, 16, 16)), np.zeros((16, 16)), np.zeros((8, 8)))
-        with pytest.raises(ShapeError):  # dims checked even where the window would fit
-            comp.laplacian_blend(np.zeros((1, 24, 24)), np.zeros((24, 24)), np.zeros((24, 24)), levels=4)
 
 
 class TestTokensToImage:

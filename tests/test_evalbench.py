@@ -236,34 +236,34 @@ class TestFreeFormMask:
                 assert got_rng.random() == want_rng.random(), (dims, seed, reg is not None)
 
     def test_seeded_determinism(self):
-        one = eb.free_form_mask((16, 16), 7)
-        two = eb.free_form_mask((16, 16), 7)
+        one = eb.free_form_mask((16, 16), substream(7, "mask"))
+        two = eb.free_form_mask((16, 16), substream(7, "mask"))
         assert np.array_equal(one, two)
 
     @pytest.mark.parametrize("dims", [(16, 16), (8, 8), (12, 20)])
     def test_fraction_bounds_100_seeds(self, dims):
         for seed in range(100):
-            mask = eb.free_form_mask(dims, seed)
+            mask = eb.free_form_mask(dims, substream(seed, "mask"))
             frac = mask.mean()
             assert 0.1 <= frac <= 0.6, (dims, seed, frac)
 
     @pytest.mark.parametrize("dims", [(16, 16), (8, 8)])
     def test_single_4connected_component(self, dims):
         for seed in range(50):
-            mask = eb.free_form_mask(dims, seed)
+            mask = eb.free_form_mask(dims, substream(seed, "mask"))
             assert flood_fill_4(mask) == int(mask.sum()), seed
 
     def test_region_confinement(self):
         region = np.zeros((8, 8), bool)
         region[4:, :] = True
         for seed in range(20):
-            mask = eb.free_form_mask((8, 8), seed, region=region)
+            mask = eb.free_form_mask((8, 8), substream(seed, "mask"), region=region)
             assert not mask[:4].any()
             assert 0.1 <= mask.mean() <= 0.6
 
     def test_tiny_grid(self):
         for seed in range(20):
-            mask = eb.free_form_mask((2, 2), seed)
+            mask = eb.free_form_mask((2, 2), substream(seed, "mask"))
             assert 0.1 <= mask.mean() <= 0.6
 
 
@@ -321,7 +321,7 @@ class TestTrain:
         task = eb.SyntheticTask("mirror", 8, 8, cfg.vocab, classes=cfg.vocab_map)
         task_low = eb.SyntheticTask("mirror", 4, 4, cfg.vocab, classes=cfg.vocab_map)
         guide = mdl.init_weights(cfg, cfg.grid_low, substream(8, "oracle-guide"))
-        init = mdl.init_from_guiding(guide, cfg)
+        init = mdl.init_from_guiding(guide)
 
         def guided_plans(step):
             x_low, p_low = task_low.sample(substream(step, "oracle-plans"))
@@ -492,6 +492,18 @@ class TestRollout:
     def test_non_stochastic_rejected(self):
         with pytest.raises(ValidationError):
             eb.attention_rollout([np.ones((3, 3))])
+
+    def test_head_averaged_maps_of_dense_pass_only(self):
+        """A dense encoder pass gives each layer's mean over its head maps;
+        a multi-block pass records no maps, which is a validation error."""
+        w = mdl.init_weights(CFG, CFG.grid_high, substream(16, "rollout-heads"))
+        x, p, mask = eb.SyntheticTask("mirror", *CFG.grid_high, CFG.vocab).instance(substream(17, "rollout-x"))
+        dense = mdl.encode(apply_mask(x, mask), p, w, DENSE)
+        (mean,) = eb.head_averaged_maps(dense)
+        assert np.abs(mean - sum(dense.attn[0][h] for h in range(CFG.heads)) / CFG.heads).max() <= 1e-15
+        blocked = mdl.encode(apply_mask(x, mask), p, w, mdl.PlanBundle.uniform(CFG, lambda *_: sga.full_plan(2)))
+        with pytest.raises(ValidationError):
+            eb.head_averaged_maps(blocked)
 
 
 class TestBenchmark:

@@ -53,7 +53,7 @@ def make_request(cfg, mask_high, seed=0):
 def make_weights(cfg, seed=0):
     guide = mdl.init_weights(cfg, cfg.grid_low, substream(seed, "incremental-guide"))
     randomize_norms(guide.params, substream(seed, "incremental-norms"))
-    return guide, mdl.init_from_guiding(guide, cfg)
+    return guide, mdl.init_from_guiding(guide)
 
 
 def make_plans(kind, cfg, guide, request):

@@ -152,7 +152,7 @@ class TestEncoderForward:
         for layer in dense.attn:
             assert layer.shape == (CFG.heads, CFG.l_high, CFG.l_high)
             assert not layer.flags.writeable
-        assert blocked.attn == [[None] * CFG.heads] * CFG.layers_enc
+        assert blocked.attn == [None] * CFG.layers_enc
         assert np.abs(dense.context - blocked.context).max() <= 1e-5
 
 
@@ -320,20 +320,20 @@ class TestGuidingForward:
 class TestInitFromGuiding:
     def test_same_grid_copies_everything(self):
         w = mdl.init_weights(CFG, CFG.grid_low, substream(22, "i"))
-        out = mdl.init_from_guiding(w, CFG, grid=CFG.grid_low)
+        out = mdl.init_from_guiding(w, grid=CFG.grid_low)
         for name in w.params:
             assert np.array_equal(out.params[name], w.params[name])
 
     def test_non_positional_bit_equal(self):
         w = mdl.init_weights(CFG, CFG.grid_low, substream(23, "i2"))
-        out = mdl.init_from_guiding(w, CFG)
+        out = mdl.init_from_guiding(w)
         for name in w.params:
             if name not in ("enc_pos", "dec_pos"):
                 assert np.array_equal(out.params[name], w.params[name])
 
     def test_positional_corners_equal_source(self):
         w = mdl.init_weights(CFG, CFG.grid_low, substream(24, "i3"))
-        out = mdl.init_from_guiding(w, CFG)
+        out = mdl.init_from_guiding(w)
         hs, ws = CFG.grid_low
         hd, wd = CFG.grid_high
         src = w.params["enc_pos"].reshape(hs, ws, -1)
@@ -350,11 +350,13 @@ class TestInitFromGuiding:
         assert grid[0, 0] == 0.0 and grid[0, 2] == 1.0 and grid[2, 0] == 2.0 and grid[2, 2] == 3.0
         assert grid[1, 1] == pytest.approx(1.5)  # center = mean of corners
 
-    def test_config_mismatch_raises(self):
+    def test_takes_the_guides_config(self):
+        """The new weights share the guide's config and, with no grid given,
+        sit at its `grid_high`."""
         w = mdl.init_weights(CFG, CFG.grid_low, substream(25, "i4"))
-        other = dataclasses.replace(CFG, d=32)
-        with pytest.raises(ConfigError):
-            mdl.init_from_guiding(w, other)
+        out = mdl.init_from_guiding(w)
+        assert out.config is w.config
+        assert out.grid == CFG.grid_high
 
 
 class TestCheckpoint:

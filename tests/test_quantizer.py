@@ -183,13 +183,13 @@ class TestLeakage:
 
     def test_patch_encoder_never_leaks(self):
         img, mask, cb, proj = self._setup()
-        report = qz.leakage_report(img, mask, cb, proj, trials=10, seed=1, patch=8)
+        report = qz.leakage_report(img, mask, cb, proj, trials=10, seed=1)
         assert report.is_clean
         assert report.changed_positions == []
 
     def test_empty_mask_is_clean(self):
         img, _, cb, proj = self._setup(1)
-        report = qz.leakage_report(img, np.zeros((4, 4), bool), cb, proj, trials=3, seed=2, patch=8)
+        report = qz.leakage_report(img, np.zeros((4, 4), bool), cb, proj, trials=3, seed=2)
         assert report.is_clean
 
     def test_global_encoder_double_leaks(self):
@@ -200,10 +200,22 @@ class TestLeakage:
         cb = qz.fit_codebook(feats, 8, iterations=5, seed=3)
         mask = np.zeros((4, 4), bool)
         mask[0, 0] = True
-        report = qz.leakage_report(img, mask, cb, proj, trials=20, seed=4, patch=8, encoder=global_average_encoder)
+        report = qz.leakage_report(img, mask, cb, proj, trials=20, seed=4, encoder=global_average_encoder)
         assert not report.is_clean
         # brute-force cross-check of one reported change
         assert all(not mask[r, c] for _, r, c in report.changed)
+
+    @pytest.mark.parametrize(
+        "shape", [(3, 4), (4, 8), (2, 4), (64, 64), (0, 4), (16,)],
+        ids=["indivisible", "wide-patches", "tall-patches", "finer-than-pixels", "empty", "one-dim"],
+    )
+    def test_mask_must_split_image_into_square_patches(self, shape):
+        """The patch side is worked out from the image and mask shapes, so a
+        mask that does not tile the 32 x 32 image into square patches is a
+        shape error."""
+        img, _, cb, proj = self._setup()
+        with pytest.raises(ShapeError):
+            qz.leakage_report(img, np.zeros(shape, bool), cb, proj, trials=1, seed=0)
 
     def test_unmasked_tokens_invariant_under_masked_noise(self):
         # the module-level leakage property, checked directly

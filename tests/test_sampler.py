@@ -48,7 +48,7 @@ def make_request(seed=0, mask_high=None, mask_low=None):
 @pytest.fixture(scope="module")
 def weights():
     guide = mdl.init_weights(CFG, CFG.grid_low, substream(1, "wg"))
-    high = mdl.init_from_guiding(guide, CFG)
+    high = mdl.init_from_guiding(guide)
     return guide, high
 
 

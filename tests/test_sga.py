@@ -170,14 +170,14 @@ class TestSparseAttention:
     def test_full_plan_reduces_to_dense(self):
         rng = substream(6, "sparse-full")
         q, k, v = (rng.normal(size=(16, 8)) for _ in range(3))
-        res = sga.sparse_attention(q, k, v, [sga.full_plan(4)], 16)
+        res = sga.sparse_attention(q, k, v, [sga.full_plan(4)])
         dense, _ = att.dense_attention(q, k, v, np.zeros((16, 16)))
         assert np.abs(res.output - dense).max() <= 1e-6
 
     def test_own_block_size_one_returns_own_value(self):
         rng = substream(7, "sparse-own")
         q, k, v = (rng.normal(size=(6, 4)) for _ in range(3))
-        res = sga.sparse_attention(q, k, v, [own_block_only(6)], 6)
+        res = sga.sparse_attention(q, k, v, [own_block_only(6)])
         assert np.abs(res.output - v).max() <= 1e-12
 
     @pytest.mark.parametrize("length,n_blocks", [(16, 4), (64, 8), (256, 16)])
@@ -186,7 +186,7 @@ class TestSparseAttention:
         for trial in range(5):
             q, k, v = (rng.normal(size=(length, 8)) for _ in range(3))
             plan = select(rng.random((n_blocks, n_blocks)), k=2, radius=1)
-            res = sga.sparse_attention(q, k, v, [plan], length)
+            res = sga.sparse_attention(q, k, v, [plan])
             dense, _ = att.dense_attention(q, k, v, sga.build_sparse_mask(plan, length))
             assert np.abs(res.output - dense).max() <= 1e-5
 
@@ -194,14 +194,14 @@ class TestSparseAttention:
         rng = substream(8, "sparse-peak")
         q, k, v = (rng.normal(size=(64, 8)) for _ in range(3))
         plan = select(rng.random((8, 8)), k=1, radius=1)
-        res = sga.sparse_attention(q, k, v, [plan], 64)
+        res = sga.sparse_attention(q, k, v, [plan])
         assert res.weights.size < 64 * 64
 
     def test_reported_flops_match_cost_model(self):
         rng = substream(9, "sparse-flops")
         q, k, v = (rng.normal(size=(64, 16)) for _ in range(3))
         plan = select(rng.random((8, 8)), k=2, radius=1)
-        res = sga.sparse_attention(q, k, v, [plan], 64)
+        res = sga.sparse_attention(q, k, v, [plan])
         assert res.score_flops == sga.score_flops_plan(plan, 64, 16)
         assert res.score_flops == 2 * 16 * plan.kept_count() * 8 * 8
 
@@ -225,10 +225,11 @@ class TestSparseAttention:
         assert (weights[np.isneginf(mask)] == 0.0).all()
 
     def test_q_and_k_must_be_the_whole_sequence(self):
+        """The length is q's rows, and k must have as many."""
         q = np.zeros((4, 2))
         for args in ((q[:2], q, q), (q, q[:2], q[:2])):
             with pytest.raises(ShapeError):
-                sga.sparse_attention(*args, [own_block_only(2)], 4)
+                sga.sparse_attention(*args, [own_block_only(2)])
 
 
 def head_plans(n_blocks, seed):
@@ -247,7 +248,7 @@ def kernel_pass(q, k, v, plans, length, causal):
     causal plans' index with rows from token 0, as the decoder's whole pass
     runs it."""
     if not causal:
-        return sga.sparse_attention(q, k, v, plans, length).output
+        return sga.sparse_attention(q, k, v, plans).output
     return T.block_attention(q, k, v, sga.block_index(causal_plans(plans), length), first=0)
 
 
@@ -310,14 +311,14 @@ class TestBlockGatherKernel:
         plans = head_plans(8, seed=5)
         rng = substream(12, "kernel-flops")
         q, k, v = (rng.normal(size=(64, 6)) for _ in range(3))
-        full = sga.sparse_attention(q, k, v, plans, 64)
+        full = sga.sparse_attention(q, k, v, plans)
         assert full.score_flops == sum(sga.score_flops_plan(p, 64, 2) for p in plans)
         assert full.score_flops == 2 * 2 * np.count_nonzero(sga.block_index(plans, 64) < 64) * 8
         live = sum(t <= r for p in plans for r, ks in enumerate(p.kept) for t in ks)
         causal = causal_plans(plans)
         assert sum(p.kept_count() for p in causal) == live
         assert np.count_nonzero(sga.block_index(causal, 64) < 64) == live * 8
-        assert sga.sparse_attention(q, k, v, causal, 64).score_flops == 2 * 2 * live * 8 * 8
+        assert sga.sparse_attention(q, k, v, causal).score_flops == 2 * 2 * live * 8 * 8
         assert live < sum(p.kept_count() for p in plans)
 
     @pytest.mark.parametrize("causal", [False, True], ids=["full", "causal"])
@@ -469,6 +470,6 @@ def test_full_kept_guided_plan_reproduces_dense_exactly():
     assert plan.kept == tuple(tuple(range(8)) for _ in range(8))
     rng = substream(15, "full-guided-qkv")
     q, k, v = (rng.normal(size=(32, 8)) for _ in range(3))
-    res = sga.sparse_attention(q, k, v, [plan], 32)
+    res = sga.sparse_attention(q, k, v, [plan])
     dense, _ = att.dense_attention(q, k, v, np.zeros((32, 32)))
     assert np.abs(res.output - dense).max() <= 1e-6

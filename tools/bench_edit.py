@@ -52,7 +52,7 @@ def main() -> None:
         mask_low=mask_low,
     )
     guide = mdl.init_weights(cfg, cfg.grid_low, substream(args.seed, "bench-guide"))
-    high = mdl.init_from_guiding(guide, cfg)
+    high = mdl.init_from_guiding(guide)
     plans = sampler.guide_and_plan(request, guide, cfg, seed=args.seed).plans
 
     seconds = []

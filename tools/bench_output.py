@@ -1,8 +1,8 @@
 """Time an edit's output stage: decode, blend and write C candidates.
 
 The stage is what `sgaedit edit` does after sampling: `tokens_to_image`
-and `laplacian_blend` at 4 levels over all kept candidates at once, and
-`write_pnm` for each. The input is a synthetic gray image of `--grid` x
+and `laplacian_blend` over all kept candidates at once (4 pyramid levels
+at every `--grid`), and `write_pnm` for each. The input is a synthetic gray image of `--grid` x
 `--grid` tokens of 16 px (perfbench's patch), a 64-d random projection
 and a 16-entry codebook fitted to the image's patches. The mask is the
 `edit-hires` workload's shape: 4 x 2 tokens over the last two token rows.
@@ -31,7 +31,6 @@ from sgaedit.quantizer import encode_patches, fit_codebook, quantize, random_pro
 from sgaedit.rng import substream
 
 PATCH = 16
-LEVELS = 4
 
 
 def output_stage(tokens, image, pixel_mask, codebook, projection, out: Path) -> list:
@@ -39,7 +38,7 @@ def output_stage(tokens, image, pixel_mask, codebook, projection, out: Path) -> 
     return the paths in order."""
     paths = [out / f"candidate_{rank:02d}.pgm" for rank in range(len(tokens))]
     recons = compositing.tokens_to_image(tokens, codebook, projection, PATCH)
-    for path, img in zip(paths, compositing.laplacian_blend(recons, image, pixel_mask.astype(np.float64), LEVELS)):
+    for path, img in zip(paths, compositing.laplacian_blend(recons, image, pixel_mask.astype(np.float64))):
         images.write_pnm(path, img)
     return paths
 

@@ -46,7 +46,7 @@ def dense_case(optimizer: str, lr: float, seed: int):
 def guided_case(seed: int):
     cfg = mdl.ModelConfig(grid_high=(16, 16), grid_low=(8, 8), blocks=16, layers_dec=2)
     guide = mdl.init_weights(cfg, cfg.grid_low, substream(seed, "bench-train-guide"))
-    init = mdl.init_from_guiding(guide, cfg)
+    init = mdl.init_from_guiding(guide)
     task = eb.SyntheticTask("mirror", 16, 16, cfg.vocab, classes=cfg.vocab_map)
     task_low = eb.SyntheticTask("mirror", 8, 8, cfg.vocab, classes=cfg.vocab_map)
 
