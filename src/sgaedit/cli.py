@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import compositing, config as cfgmod, evalbench, images, model as mdl, sampler
-from .errors import ConfigError, NumericalError, SgaError
+from .errors import ConfigError, InsufficientDataError, NumericalError, SgaError
 from .numerics import read_sgat, write_sgat
 from .quantizer import (
     Codebook,
@@ -59,7 +59,8 @@ def _derived_seed(seed: int, name: str) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _fit_assets(cfg: dict, directory: Path) -> None:
+def _fit_assets(cfg: dict) -> dict:
+    """The guide's quantizer assets as {file name: array}."""
     mconf = cfgmod.model_config(cfg)
     q = cfg["quantizer"]
     seed = cfg["seed"]
@@ -75,15 +76,21 @@ def _fit_assets(cfg: dict, directory: Path) -> None:
         feats.append(encode_patches(img, patch, proj).reshape(-1, mconf.d))
         cmap = images.synthetic_class_map(h_px, w_px, mconf.vocab_map, rng)
         sem_feats.append(encode_patches(images.one_hot_map(cmap, mconf.vocab_map), patch, sem_proj).reshape(-1, mconf.d))
-    codebook = fit_codebook(np.concatenate(feats), mconf.vocab, q["iterations"], _derived_seed(seed, "codebook-image"))
-    sem_codebook = fit_codebook(
-        np.concatenate(sem_feats), mconf.vocab_map, q["iterations"], _derived_seed(seed, "codebook-semantic")
-    )
-    write_sgat(directory / "projection.sgat", proj)
-    write_sgat(directory / "codebook.sgat", codebook.entries)
-    write_sgat(directory / "sem_projection.sgat", sem_proj)
-    write_sgat(directory / "sem_codebook.sgat", sem_codebook.entries)
-    (directory / "assets.json").write_text(json.dumps({"patch": patch, "channels": channels}, sort_keys=True))
+
+    def fit(features: list, key: str, size: int, name: str) -> Codebook:
+        try:
+            return fit_codebook(np.concatenate(features), size, q["iterations"], _derived_seed(seed, name))
+        except InsufficientDataError as exc:
+            raise ConfigError(f"{key} {size}: quantizer.corpus_images {q['corpus_images']} give {exc}")
+
+    codebook = fit(feats, "model.vocab", mconf.vocab, "codebook-image")
+    sem_codebook = fit(sem_feats, "model.vocab_map", mconf.vocab_map, "codebook-semantic")
+    return {
+        "projection.sgat": proj,
+        "codebook.sgat": codebook.entries,
+        "sem_projection.sgat": sem_proj,
+        "sem_codebook.sgat": sem_codebook.entries,
+    }
 
 
 def _load_assets(directory: Path):
@@ -112,6 +119,7 @@ def _load_assets(directory: Path):
 
 
 def cmd_train_guide(cfg: dict, args) -> int:
+    assets = _fit_assets(cfg)  # before any file is written: a too-small corpus fails here
     out = Path(cfg["out"]) / "guide"
     out.mkdir(parents=True, exist_ok=True)
     cfgmod.write_resolved(cfg, out)
@@ -131,7 +139,10 @@ def cmd_train_guide(cfg: dict, args) -> int:
     )
     mdl.save_checkpoint(out, result.weights)
     evalbench.write_loss_csv(out / "loss.csv", result.losses)
-    _fit_assets(cfg, out)
+    for name, array in assets.items():
+        write_sgat(out / name, array)
+    q = cfg["quantizer"]
+    (out / "assets.json").write_text(json.dumps({"patch": q["patch"], "channels": q["channels"]}, sort_keys=True))
     print(f"guide checkpoint written to {out} (final loss {result.losses[-1]:.4f})")
     return 0
 

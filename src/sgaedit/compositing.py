@@ -137,9 +137,11 @@ def laplacian_blend(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarra
     so 4 at 64, 256 or 512 px, and 1 for an odd side, which is a direct
     alpha blend under the blurred mask. Output is clamped to [0, 1].
 
-    Only the window `blend_window(mask, levels)` is blended; every pixel
-    outside it is `b`'s (clamped), bit-exactly. In exact arithmetic that is
-    the full-image blend at every pixel:
+    It is computed as `b` plus the collapse of the weighted pyramid of
+    `a - b` (0 outside the mask), over the window `blend_window(mask,
+    levels)` only; every pixel outside it is `b`'s (clamped), bit-exactly.
+    In exact arithmetic that is the full-image blend of the pyramids of
+    `a` and `b` at every pixel:
 
     - The blend is linear and `collapse(build_pyramid(b)) == b`, so it is
       `b` plus the collapse of the weighted pyramid of `a - b`, and
@@ -178,19 +180,16 @@ def laplacian_blend(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarra
         return np.repeat(np.clip(b, 0.0, 1.0)[None], a.shape[0], axis=0)
     rows, cols = window
     # the candidate axis rides after the spatial axes, where the pyramid
-    # carries it; `where` makes a new array, which the levels are mixed into
+    # carries it; `where` makes a new array, which the levels are weighted in
     b_win = b[rows, cols][:, :, None]
     inside = (mask[rows, cols] > 0).reshape(b_win.shape[:2] + (1,) * (b_win.ndim - 2))
-    pyr = build_pyramid(np.where(inside, np.moveaxis(a[:, rows, cols], 0, 2), b_win), levels)
-    pyr_b = build_pyramid(b_win, levels)
+    pyr = build_pyramid(np.where(inside, np.moveaxis(a[:, rows, cols], 0, 2) - b_win, 0.0), levels)
     weights = [_blur(mask[rows, cols])]
     for _ in range(levels - 1):
         weights.append(_down(weights[-1]))
-    for level, level_b, w in zip(pyr.bands + [pyr.residual], pyr_b.bands + [pyr_b.residual], weights):
-        w = w.reshape(w.shape + (1,) * (level.ndim - 2))
-        level *= w  # w * a + (1 - w) * b
-        level += (1.0 - w) * level_b
-    blended = np.clip(collapse(pyr), 0.0, 1.0)
+    for level, w in zip(pyr.bands + [pyr.residual], weights):
+        level *= w.reshape(w.shape + (1,) * (level.ndim - 2))
+    blended = np.clip(b_win + collapse(pyr), 0.0, 1.0)
     out = np.repeat(np.clip(b, 0.0, 1.0)[None], a.shape[0], axis=0)
     out[:, rows, cols] = np.moveaxis(blended, 2, 0)
     return out

@@ -16,6 +16,9 @@ Every setting has one source. The commands that read each block:
 - `sampling`: edit. `quantizer`: train-guide, leakcheck. `ablation`:
   ablate. `bench`: bench, whose `lengths`, `d` and `blocks` are its own
   because its sequences are not the model's.
+- Variants: ablate takes `dense`, `oracle` (the task's ideal plans) and
+  the fixed families `local`, `random`, `global`; bench, whose random
+  sequences have no task, takes `dense` and the fixed families.
 - `leakcheck`: leakcheck, which re-encodes its image `trials` times. Its
   image is `--image` or else synthetic, `cli.LEAKCHECK_PATCHES` = 8
   patches of `quantizer.patch` px a side (128 px at the default 16).
@@ -37,7 +40,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError, ShapeError
-from .evalbench import ABLATION_VARIANTS, TASK_KINDS, SyntheticTask
+from .evalbench import ABLATION_VARIANTS, BENCH_VARIANTS, TASK_KINDS, SyntheticTask
 from .model import ModelConfig, check_int
 
 DEFAULTS = {
@@ -56,14 +59,14 @@ DEFAULTS = {
     "sampling": {"top_k": 100, "n_samples": 50, "n_keep": 10},
     "quantizer": {"patch": 16, "iterations": 50, "channels": 1, "corpus_images": 6},
     "ablation": {
-        "variants": ["dense", "guided", "local"],
+        "variants": ["dense", "oracle", "local"],
         "seeds": [0, 1, 2],
         "eval_instances": 16,
     },
     "bench": {
         "lengths": [256, 1024],
         "d": 64,
-        "variants": ["dense", "guided"],
+        "variants": ["dense", "random"],
         "repeats": 5,
         "blocks": 64,
     },
@@ -87,7 +90,7 @@ INT_KEYS = {
     "quantizer.corpus_images": 1,
     "leakcheck.trials": 1,
 }
-VARIANT_KEYS = ("ablation.variants", "bench.variants")
+VARIANT_KEYS = {"ablation.variants": ABLATION_VARIANTS, "bench.variants": BENCH_VARIANTS}
 RATE_KEYS = ("train.lr", "train.clip")
 
 
@@ -133,10 +136,10 @@ def resolve(user: dict) -> dict:
         check_int(key, _value(cfg, key), low)
     if cfg["quantizer"]["channels"] not in (1, 3):
         raise ConfigError(f"quantizer.channels must be 1 or 3, got {cfg['quantizer']['channels']!r}")
-    for key in VARIANT_KEYS:
+    for key, known in VARIANT_KEYS.items():
         value = _value(cfg, key)
-        if not (isinstance(value, list) and value and all(v in ABLATION_VARIANTS for v in value)):
-            raise ConfigError(f"{key} must be a non-empty list of {', '.join(ABLATION_VARIANTS)}, got {value!r}")
+        if not (isinstance(value, list) and value and all(v in known for v in value)):
+            raise ConfigError(f"{key} must be a non-empty list of {', '.join(known)}, got {value!r}")
     for key, low in (("ablation.seeds", None), ("bench.lengths", 1)):
         value = _value(cfg, key)
         if not (isinstance(value, list) and value):

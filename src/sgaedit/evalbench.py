@@ -96,8 +96,10 @@ class SyntheticTask:
             return region
         return None
 
-    def source_position(self, i: int, j: int) -> tuple[int, int]:
-        """Where the ground truth of cell (i, j) can be read off."""
+    def source_position(self, i, j) -> tuple:
+        """Where the ground truth of cell (i, j) can be read off; i and j
+        may be int arrays of one shape, which give arrays (or one cell,
+        (0, 0), for every cell of constant-region)."""
         if self.kind == "mirror":
             return (self.height - 1 - i, j)
         if self.kind == "copy-corner":
@@ -105,20 +107,20 @@ class SyntheticTask:
         return (0, 0)
 
     def oracle_plans(self, config: mdl.ModelConfig) -> mdl.PlanBundle:
-        """Ideal guiding plans at the task's resolution: neighborhood plus the
-        blocks holding each query block's source positions (shifted by one for
-        the decoder's START offset), as a perfect guiding pass would select."""
+        """The `oracle` ablation variant: ideal guiding plans at the task's
+        resolution, the neighborhood plus the blocks holding each query
+        block's source positions (shifted by one for the decoder's START
+        offset, clamped to the sequence), as a perfect guiding pass would
+        select."""
         w = self.width
         length = self.height * w
-        part = sga.partition(length, config.blocks)
+        block_of = sga.partition(length, config.blocks).block_of
+        si, sj = self.source_position(*np.divmod(np.arange(length), w))
+        source = si * w + sj  # every token's, or one for all of them
 
         def plan_for(shift: int) -> sga.SparsityPlan:
             keep = sga.band(config.blocks, config.radius)
-            for r, tokens in enumerate(part.tokens):
-                for t in tokens:
-                    i, j = divmod(int(t), w)
-                    si, sj = self.source_position(i, j)
-                    keep[r, part.block_of[min(max(si * w + sj + shift, 0), length - 1)]] = True
+            keep[block_of, block_of[np.clip(source + shift, 0, length - 1)]] = True
             return sga.SparsityPlan(keep)
 
         plans = {shift: plan_for(shift) for shift in (0, 1)}
@@ -323,26 +325,23 @@ def write_loss_csv(path, losses) -> None:
 # ablation harness
 # ---------------------------------------------------------------------------
 
-ABLATION_VARIANTS = ("dense", "guided", "local", "random", "global")
+# `oracle` is `SyntheticTask.oracle_plans`; the fixed families are `sga.variant_plan`'s
+ABLATION_VARIANTS = ("dense", "oracle", "local", "random", "global")
+BENCH_VARIANTS = ("dense", "local", "random", "global")
 
 
-def variant_bundle(
-    kind: str,
-    config: mdl.ModelConfig,
-    task: SyntheticTask,
-    seed: int = 0,
-) -> mdl.PlanBundle:
-    """Plan bundle for one ablation variant at the task's resolution."""
+def variant_bundle(kind: str, config: mdl.ModelConfig, task: SyntheticTask, seed: int) -> mdl.PlanBundle:
+    """Plan bundle for one ablation variant at the task's resolution:
+    `dense`, the task's `oracle` plans, or one `sga.variant_plan` of `kind`
+    per (role, layer, head), each drawn from its own substream of `seed`."""
     if kind == "dense":
         return mdl.PlanBundle.dense(config)
-    if kind == "guided":
+    if kind == "oracle":
         return task.oracle_plans(config)
 
     def plan_for(role: str, layer: int, head: int) -> sga.SparsityPlan:
-        if kind in ("random", "global"):
-            rng = substream(seed, f"plan-{kind}-{role}-{layer}-{head}")
-            return sga.variant_plan(kind, config.blocks, radius=config.radius, k=config.top_k, rng=rng)
-        return sga.variant_plan(kind, config.blocks, radius=config.radius)
+        rng = substream(seed, f"plan-{kind}-{role}-{layer}-{head}")
+        return sga.variant_plan(kind, config.blocks, radius=config.radius, k=config.top_k, rng=rng)
 
     return mdl.PlanBundle.uniform(config, plan_for)
 
@@ -399,17 +398,16 @@ def run_ablation(
     lr: float,
     optimizer: str,
     eval_instances: int,
-    clip: float = 1.0,
+    clip: float,
 ) -> Table:
     """Train each attention variant under an identical budget (the same
     steps, lr, optimizer and gradient clip) and compare masked-token
-    accuracy on held-out instances."""
+    accuracy on held-out instances. Every variant's plans are made before
+    any training, so an unknown variant raises `ValidationError` first."""
     report = Table(ABLATION_COLUMNS, 14)
     length = task.height * task.width
-    for kind in variants:
-        if kind not in ABLATION_VARIANTS:
-            raise ValidationError(f"unknown ablation variant {kind!r}")
-        bundle = variant_bundle(kind, config, task, seed=seeds[0] if seeds else 0)
+    bundles = [variant_bundle(kind, config, task, seed=seeds[0] if seeds else 0) for kind in variants]
+    for kind, bundle in zip(variants, bundles):
         accs = []
         for seed in seeds:
             init = mdl.init_weights(config, task.dims, substream(seed, "init"))
@@ -480,21 +478,16 @@ def head_averaged_maps(encoder_out: mdl.EncoderOutput) -> list:
 
 
 def benchmark(
-    l_values: list,
-    d: int,
-    variants: list,
-    repeats: int = 5,
-    n_blocks: int = 64,
-    radius: int = 1,
-    k: int = 3,
-    seed: int = 0,
+    l_values: list, d: int, variants: list, repeats: int, n_blocks: int, radius: int, k: int, seed: int
 ) -> Table:
     """Wall-clock (median of >= repeats, one warm-up discarded) and exact
     score-FLOPs of the attention kernel, one head: the dense row is the
     plan of `model.PlanBundle.dense`, `full_plan(1)` on one block holding
-    every token; the others are sparse plans over `n_blocks` blocks.
-    `peak_entries` is the size of the kernel's softmax weights, the score
-    tiles of every query block against its padded kept keys, held at once."""
+    every token; every other row is one `sga.variant_plan` of its family
+    (`BENCH_VARIANTS`) over `n_blocks` blocks, drawn from the substream
+    `variant-plan-<family>` of `seed`. `peak_entries` is the size of the
+    kernel's softmax weights, the score tiles of every query block against
+    its padded kept keys, held at once."""
     if repeats < 5:
         raise ParameterError("repeats must be >= 5")
     report = Table(BENCH_COLUMNS, 12)
@@ -516,9 +509,6 @@ def benchmark(
         for variant in variants:
             if variant == "dense":
                 plans = [sga.full_plan(1)]
-            elif variant == "guided":
-                affinity = substream(seed, f"affinity-{length}").random((1, n_blocks, n_blocks))
-                plans = sga.select_plans(affinity, k=k, radius=radius)
             else:
                 rng = substream(seed, f"variant-plan-{variant}")
                 plans = [sga.variant_plan(variant, n_blocks, radius=radius, k=k, rng=rng)]

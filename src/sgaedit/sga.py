@@ -139,21 +139,16 @@ def select_plans(b: np.ndarray, k: int, radius: int) -> list[SparsityPlan]:
     return [SparsityPlan(m) for m in keep]
 
 
-def variant_plan(
-    kind: str,
-    n_blocks: int,
-    *,
-    radius: int = 1,
-    k: int = 3,
-    rng=None,
-) -> SparsityPlan:
-    """Ablation plan families: local, random, global.
+def variant_plan(kind: str, n_blocks: int, *, radius: int, k: int, rng=None) -> SparsityPlan:
+    """The fixed plan families that guided plans are compared with: local,
+    random, global; `evalbench`'s ablation and benchmark make every fixed
+    plan here.
 
     local: neighborhood only, the 2 * radius + 1 blocks centered on the
-    query block. random: neighborhood plus k uniformly chosen non-neighbor
-    blocks. global: random plan where additionally the first and last
-    blocks are kept by everyone and attend to everything. random and
-    global draw their blocks from the generator `rng`.
+    query block (k is not read). random: neighborhood plus k uniformly
+    chosen non-neighbor blocks. global: random plan where additionally the
+    first and last blocks are kept by everyone and attend to everything.
+    random and global draw their blocks from the generator `rng`.
     """
     if kind == "local":
         return SparsityPlan(band(n_blocks, radius))

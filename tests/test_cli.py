@@ -39,7 +39,7 @@ TINY = {
     "sampling": {"top_k": 100, "n_samples": 4, "n_keep": 2},
     "quantizer": {"patch": 4, "corpus_images": 3},
     "ablation": {"variants": ["dense", "local"], "seeds": [0], "eval_instances": 2},
-    "bench": {"lengths": [64], "d": 16, "variants": ["dense", "guided"], "repeats": 5, "blocks": 16},
+    "bench": {"lengths": [64], "d": 16, "variants": ["dense", "random"], "repeats": 5, "blocks": 16},
     "leakcheck": {"trials": 10},
 }
 
@@ -89,6 +89,21 @@ class TestTrainGuide:
             if f.name == "resolved_config.json":  # records the differing --out
                 continue
             assert f.read_bytes() == (b / f.name).read_bytes(), f.name
+
+    @pytest.mark.parametrize(
+        "model,key", [({"vocab": 512}, "model.vocab"), ({"vocab_map": 40}, "model.vocab_map")], ids=["vocab", "vocab_map"]
+    )
+    def test_corpus_too_small_for_codebook_exit_2_before_training(self, tmp_path, capsys, monkeypatch, model, key):
+        """A corpus with fewer distinct patches than a codebook's entries is
+        a config error found before training: one line naming the codebook's
+        size key and `quantizer.corpus_images`, and no files written."""
+        monkeypatch.setattr(cli.evalbench, "train", lambda *args, **kwargs: pytest.fail("trained before the check"))
+        cfg = write_config(tmp_path, {"model": model, "quantizer": {"corpus_images": 1}})
+        assert cli.main(["train-guide", "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {key} ") and err.count("\n") == 1 and "Traceback" not in err
+        assert "quantizer.corpus_images 1" in err
+        assert not (tmp_path / "run").exists()
 
     def test_missing_config_exits_2_no_outputs(self, tmp_path):
         rc = cli.main(["train-guide", "--config", str(tmp_path / "absent.json"), "--out", str(tmp_path / "o")])
@@ -159,6 +174,7 @@ BAD_RUN_CONFIGS = [
     ("ablation-eval-instances-0", {"ablation": {"eval_instances": 0}}),
     ("ablation-variants-unknown", {"ablation": {"variants": ["bogus"]}}),
     ("ablation-variants-sliding", {"ablation": {"variants": ["dense", "sliding"]}}),
+    ("ablation-variants-guided", {"ablation": {"variants": ["dense", "guided"]}}),
     ("ablation-variants-empty", {"ablation": {"variants": []}}),
     ("ablation-variants-string", {"ablation": {"variants": "dense"}}),
     ("ablation-seeds-empty", {"ablation": {"seeds": []}}),
@@ -166,6 +182,8 @@ BAD_RUN_CONFIGS = [
     ("bench-variants-unknown", {"bench": {"variants": ["bogus"]}}),
     ("bench-variants-empty", {"bench": {"variants": []}}),
     ("bench-variants-sliding", {"bench": {"variants": ["sliding"]}}),
+    ("bench-variants-guided", {"bench": {"variants": ["dense", "guided"]}}),
+    ("bench-variants-oracle", {"bench": {"variants": ["dense", "oracle"]}}),
     ("bench-lengths-indivisible", {"bench": {"lengths": [60]}}),
     ("bench-lengths-empty", {"bench": {"lengths": []}}),
     ("bench-lengths-not-list", {"bench": {"lengths": 64}}),

@@ -84,6 +84,28 @@ class TestTasks:
             si, sj = task.source_position(i, j)
             assert part.block_of[si * 8 + sj] in plan.kept[part.block_of[l]]
 
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    @pytest.mark.parametrize("grid,blocks", [((4, 4), 4), ((8, 8), 8), ((8, 8), 16), ((8, 4), 8), ((4, 8), 2)])
+    @pytest.mark.parametrize("kind", eb.TASK_KINDS)
+    def test_oracle_plans_equal_per_token_reference(self, kind, grid, blocks, radius):
+        """Each plan is the band plus, for every token, the block of its
+        source position shifted by 0 (encoder, cross) or 1 (decoder self,
+        before its lower triangle is taken), clamped to the last token."""
+        low = (grid[0] // 2, grid[1] // 2)
+        cfg = dataclasses.replace(CFG, grid_high=grid, grid_low=low, blocks=blocks, radius=radius)
+        task = eb.SyntheticTask(kind, *grid, CFG.vocab)
+        plans = task.oracle_plans(cfg)
+        length = grid[0] * grid[1]
+        block_of = sga.partition(length, blocks).block_of
+        for shift, plan in ((0, plans.enc[0][0]), (0, plans.dec_cross[0][0]), (1, plans.dec_self[0][0])):
+            want = sga.band(blocks, radius)
+            for token in range(length):
+                si, sj = task.source_position(*divmod(token, grid[1]))
+                want[block_of[token], block_of[min(si * grid[1] + sj + shift, length - 1)]] = True
+            if shift:
+                want &= np.tri(blocks, dtype=bool)
+            assert np.array_equal(plan.keep, want)
+
 
 def flood_fill_4(mask):
     seeds = np.argwhere(mask)
@@ -421,7 +443,8 @@ class TestAblationHarness:
     def test_rows_share_budget_and_include_dense(self):
         task = eb.SyntheticTask("mirror", *CFG.grid_high, CFG.vocab, classes=CFG.vocab_map)
         report = eb.run_ablation(
-            ["dense", "local", "random"], task, CFG, steps=2, seeds=[0, 1], lr=0.1, optimizer="adam", eval_instances=2
+            ["dense", "local", "random"], task, CFG, steps=2, seeds=[0, 1], lr=0.1, optimizer="adam", eval_instances=2,
+            clip=1.0,
         )
         assert [r["variant"] for r in report.rows] == ["dense", "local", "random"]
         assert all(r["steps"] == 2 and r["seeds"] == [0, 1] for r in report.rows)
@@ -432,10 +455,16 @@ class TestAblationHarness:
         assert "dense" in text and "random" in text
         assert report.to_json()
 
-    def test_unknown_variant_rejected(self):
+    def test_unknown_variant_rejected(self, monkeypatch):
+        """An unknown variant, the old name `guided` included, fails before
+        any variant trains."""
+        monkeypatch.setattr(eb, "train", lambda *args, **kwargs: pytest.fail("trained before the check"))
         task = eb.SyntheticTask("mirror", *CFG.grid_high, CFG.vocab)
-        with pytest.raises(ValidationError):
-            eb.run_ablation(["nope"], task, CFG, steps=1, seeds=[0], lr=0.1, optimizer="sgd", eval_instances=16)
+        for kind in ("nope", "guided"):
+            with pytest.raises(ValidationError):
+                eb.run_ablation(
+                    ["dense", kind], task, CFG, steps=1, seeds=[0], lr=0.1, optimizer="sgd", eval_instances=16, clip=1.0
+                )
 
 
 class TestTable:
@@ -444,7 +473,9 @@ class TestTable:
         table's width, floats in their column's format, a list's items joined
         by "/"."""
         task = eb.SyntheticTask("mirror", *CFG.grid_high, CFG.vocab)
-        ablation = eb.run_ablation(["dense"], task, CFG, steps=1, seeds=[0], lr=0.1, optimizer="sgd", eval_instances=1)
+        ablation = eb.run_ablation(
+            ["dense"], task, CFG, steps=1, seeds=[0], lr=0.1, optimizer="sgd", eval_instances=1, clip=1.0
+        )
         ablation.rows[:] = [
             {"variant": "dense", "accuracy": 0.5, "acc_per_seed": [0.25, 0.75], "sparsity": 1.0,
              "score_flops": 4096, "steps": 2, "seeds": [0, 1]}
@@ -453,14 +484,14 @@ class TestTable:
             "       variant        accuracy    acc_per_seed        sparsity     score_flops           steps           seeds",
             "         dense          0.5000     0.250/0.750          1.0000            4096               2             0/1",
         ]
-        bench = eb.benchmark([16], 4, ["dense"], n_blocks=4)
+        bench = eb.benchmark([16], 4, ["dense"], repeats=5, n_blocks=4, radius=1, k=3, seed=0)
         bench.rows[:] = [
-            {"variant": "guided", "L": 64, "d": 16, "score_flops": 123, "wall_s": 0.000123456, "sparsity": 0.5,
+            {"variant": "random", "L": 64, "d": 16, "score_flops": 123, "wall_s": 0.000123456, "sparsity": 0.5,
              "peak_entries": 77}
         ]
         assert bench.to_text().split("\n") == [
             "     variant             L             d   score_flops        wall_s      sparsity  peak_entries",
-            "      guided            64            16           123       0.00012       0.50000            77",
+            "      random            64            16           123       0.00012       0.50000            77",
         ]
 
 
@@ -508,19 +539,23 @@ class TestRollout:
 
 class TestBenchmark:
     def test_flops_exact_and_dense_baseline(self):
-        report = eb.benchmark([256], 32, ["dense", "guided", "local"], repeats=5, n_blocks=16, seed=0)
+        report = eb.benchmark([256], 32, ["dense", "random", "local"], repeats=5, n_blocks=16, radius=1, k=3, seed=0)
         by = {r["variant"]: r for r in report.rows}
         assert by["dense"]["score_flops"] == 2 * 256 * 256 * 32
         assert by["dense"]["peak_entries"] == 256 * 256
-        for variant in ("guided", "local"):
+        for variant in ("random", "local"):
             row = by[variant]
             assert row["score_flops"] == pytest.approx(row["sparsity"] * by["dense"]["score_flops"], abs=0.5)
             assert row["peak_entries"] < by["dense"]["peak_entries"]
 
     def test_guided_ratio_bound_at_paper_config(self):
-        report = eb.benchmark([256], 16, ["guided"], repeats=5, n_blocks=64, radius=1, k=3, seed=1)
+        """At the paper's plan shape (64 blocks, radius 1, top-3) the
+        `random` row keeps as many blocks as a guided plan: the band plus 3
+        outside blocks per query block."""
+        report = eb.benchmark([256], 16, ["random"], repeats=5, n_blocks=64, radius=1, k=3, seed=1)
         row = report.rows[0]
-        assert row["sparsity"] == 382 / 4096
+        (guided,) = sga.select_plans(substream(1, "ratio-affinity").random((1, 64, 64)), k=3, radius=1)
+        assert row["sparsity"] == sga.sparsity_ratio(guided) == 382 / 4096
         assert row["sparsity"] <= 0.09375
 
     def test_median_reproducibility(self, monkeypatch):
@@ -537,14 +572,14 @@ class TestBenchmark:
 
         monkeypatch.setattr(eb.time, "perf_counter", lambda: clock[0])
         monkeypatch.setattr(sga, "sparse_attention", advancing)
-        row = eb.benchmark([64], 8, ["dense"], repeats=5, n_blocks=8).rows[0]
+        row = eb.benchmark([64], 8, ["dense"], repeats=5, n_blocks=8, radius=1, k=3, seed=0).rows[0]
         assert next(steps, None) is None  # one result call, one warm-up, five repeats
         assert row["wall_s"] == 4.0  # the mean is 8.4; timing the warm-up too gives 4.5
 
     def test_forward_score_flops_cost_model(self):
         """Every kept block of the local plan, but of decoder self-attention
         only the blocks t <= r that the causal mask leaves visible."""
-        bundle = eb.variant_bundle("local", CFG, eb.SyntheticTask("mirror", *CFG.grid_high, CFG.vocab))
+        bundle = eb.variant_bundle("local", CFG, eb.SyntheticTask("mirror", *CFG.grid_high, CFG.vocab), seed=0)
         flops = eb.forward_score_flops(CFG, bundle, CFG.l_high)
         plan = bundle.enc[0][0]
         causal = sum(t <= r for r, ks in enumerate(plan.kept) for t in ks)

@@ -239,7 +239,7 @@ def head_plans(n_blocks, seed):
     return [
         select(rng.random((n_blocks, n_blocks)), k=1, radius=1),
         sga.variant_plan("global", n_blocks, radius=1, k=1, rng=rng),
-        sga.variant_plan("local", n_blocks, radius=1),
+        sga.variant_plan("local", n_blocks, radius=1, k=0),
     ]
 
 
@@ -388,7 +388,7 @@ class TestBlockGatherKernel:
         rng = substream(n_blocks * per_block + causal, "index-rows")
         families = [
             [sga.full_plan(n_blocks)],
-            [sga.variant_plan("local", n_blocks, radius=0)],
+            [sga.variant_plan("local", n_blocks, radius=0, k=0)],
             [sga.variant_plan("random", n_blocks, radius=0, k=1, rng=rng)],
             [sga.variant_plan("global", n_blocks, radius=0, k=1, rng=rng)],
             sga.select_plans(rng.random((2, n_blocks, n_blocks)), k=1, radius=0),
@@ -403,7 +403,7 @@ class TestBlockGatherKernel:
 class TestVariantPlans:
     def test_local_equals_select_plan_k0(self):
         b = substream(12, "var").random((8, 8))
-        assert sga.variant_plan("local", 8, radius=1).kept == select(b, k=0, radius=1).kept
+        assert sga.variant_plan("local", 8, radius=1, k=0).kept == select(b, k=0, radius=1).kept
 
     def test_global_first_and_last_blocks(self):
         plan = sga.variant_plan("global", 8, radius=1, k=2, rng=substream(3, "variant-plan-global"))
@@ -420,11 +420,12 @@ class TestVariantPlans:
         assert one.kept != other.kept  # overwhelmingly likely
 
     def test_local_window(self):
-        plan = sga.variant_plan("local", 8, radius=2)
+        plan = sga.variant_plan("local", 8, radius=2, k=0)
         assert plan.kept[4] == (2, 3, 4, 5, 6)
         assert plan.kept[0] == (0, 1, 2) and plan.kept[7] == (5, 6, 7)
-        with pytest.raises(ValidationError, match="unknown plan kind 'sliding'"):
-            sga.variant_plan("sliding", 8)
+        for kind in ("sliding", "oracle", "guided"):
+            with pytest.raises(ValidationError, match=f"unknown plan kind '{kind}'"):
+                sga.variant_plan(kind, 8, radius=1, k=3)
 
     def test_random_respects_neighborhood_and_k(self):
         plan = sga.variant_plan("random", 16, radius=1, k=3, rng=substream(0, "variant-plan-random"))
