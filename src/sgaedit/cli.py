@@ -1,8 +1,8 @@
 """Command-line surface for the full pipeline.
 
-Subcommands: train-guide, train-sga, edit, bench, ablate, rollout,
-leakcheck. Every command takes --config (JSON), optional --seed/--out
-overrides, and writes its resolved configuration beside its outputs.
+Subcommands: train-guide, train-sga, edit, ablate, leakcheck. Every
+command takes --config (JSON), optional --seed/--out overrides, and
+writes its resolved configuration beside its outputs.
 Exit codes: 0 success, 2 config error, 3 numerical/divergence error,
 4 invariant violation.
 """
@@ -317,35 +317,6 @@ def _run_edit(cfg: dict, args, out: Path) -> int:
     return 0
 
 
-def _write_table(table: evalbench.Table, out: Path) -> int:
-    (out / "report.json").write_text(table.to_json())
-    (out / "report.txt").write_text(table.to_text() + "\n")
-    print(table.to_text())
-    return 0
-
-
-def cmd_bench(cfg: dict, args) -> int:
-    out = Path(cfg["out"]) / "bench"
-    out.mkdir(parents=True, exist_ok=True)
-    cfgmod.write_resolved(cfg, out)
-    b = cfg["bench"]
-    mconf = cfgmod.model_config(cfg)
-    variants = b["variants"]
-    if "dense" not in variants:
-        variants = ["dense"] + list(variants)
-    report = evalbench.benchmark(
-        b["lengths"],
-        b["d"],
-        variants,
-        repeats=b["repeats"],
-        n_blocks=b["blocks"],
-        radius=mconf.radius,
-        k=mconf.top_k,
-        seed=cfg["seed"],
-    )
-    return _write_table(report, out)
-
-
 def cmd_ablate(cfg: dict, args) -> int:
     out = Path(cfg["out"]) / "ablate"
     out.mkdir(parents=True, exist_ok=True)
@@ -364,30 +335,10 @@ def cmd_ablate(cfg: dict, args) -> int:
         eval_instances=a["eval_instances"],
         clip=t["clip"],
     )
-    return _write_table(report, out)
-
-
-def cmd_rollout(cfg: dict, args) -> int:
-    mconf = cfgmod.model_config(cfg)
-    if mconf.layers_enc < 1:
-        raise ConfigError("rollout multiplies encoder attention maps, so it needs model.layers_enc >= 1")
-    if args.guide:
-        weights = _load_model(args.guide, mconf, "grid_low")
-    else:
-        weights = mdl.init_weights(mconf, mconf.grid_low, substream(cfg["seed"], "init-guide"))
-    out = Path(cfg["out"]) / "rollout"
-    out.mkdir(parents=True, exist_ok=True)
-    cfgmod.write_resolved(cfg, out)
-    task = _task_for(cfg, weights.grid)
-    x, p, mask = task.instance(substream(cfg["seed"], "rollout-instance"))
-    encoder = mdl.encode(apply_mask(x, mask), p, weights, mdl.PlanBundle.dense(weights.config))
-    rollout = evalbench.attention_rollout(evalbench.head_averaged_maps(encoder))
-    write_sgat(out / "rollout.sgat", rollout)
-    row_err = float(np.abs(rollout.sum(axis=1) - 1.0).max())
-    (out / "report.json").write_text(
-        json.dumps({"size": rollout.shape[0], "max_row_sum_error": row_err}, indent=2, sort_keys=True)
-    )
-    print(f"rollout {rollout.shape[0]}x{rollout.shape[0]} written, max row-sum error {row_err:.2e}")
+    text = report.to_text()
+    (out / "report.json").write_text(report.to_json())
+    (out / "report.txt").write_text(text + "\n")
+    print(text)
     return 0
 
 
@@ -455,13 +406,8 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--semantic", required=True, help="PGM class map")
     p.add_argument("--mask", required=True, help="PGM pixel mask (>=128 = edit)")
     p.add_argument("--workers", type=int, default=1, help="no effect: all candidates decode as one batch")
-    p = sub.add_parser("bench", help="attention cost benchmark")
-    common(p)
     p = sub.add_parser("ablate", help="attention-variant ablation on a synthetic task")
     common(p)
-    p = sub.add_parser("rollout", help="encoder attention rollout")
-    common(p)
-    p.add_argument("--guide", default=None, help="optional guide checkpoint")
     p = sub.add_parser("leakcheck", help="verify masked regions cannot change unmasked tokens")
     common(p)
     p.add_argument("--image", default=None, help="optional PGM/PPM input")
@@ -472,9 +418,7 @@ COMMANDS = {
     "train-guide": cmd_train_guide,
     "train-sga": cmd_train_sga,
     "edit": cmd_edit,
-    "bench": cmd_bench,
     "ablate": cmd_ablate,
-    "rollout": cmd_rollout,
     "leakcheck": cmd_leakcheck,
 }
 

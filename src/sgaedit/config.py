@@ -7,18 +7,14 @@ outputs so a run can be reproduced from it alone.
 Every setting has one source. The commands that read each block:
 
 - `model`: every command. Its plan shape (`blocks`, `radius`, `top_k`)
-  is read by train-sga, edit and ablate; bench plans with its `radius`
-  and `top_k`.
-- `task`: train-guide, train-sga, ablate, rollout.
+  is read by train-sga, edit and ablate.
+- `task`: train-guide, train-sga, ablate.
 - `train`, the one training recipe: train-guide and ablate train for
   `steps`, train-sga for `stage_steps` per stage, all three with `lr`,
   `optimizer` and `clip`.
 - `sampling`: edit. `quantizer`: train-guide, leakcheck. `ablation`:
-  ablate. `bench`: bench, whose `lengths`, `d` and `blocks` are its own
-  because its sequences are not the model's.
-- Variants: ablate takes `dense`, `oracle` (the task's ideal plans) and
-  the fixed families `local`, `random`, `global`; bench, whose random
-  sequences have no task, takes `dense` and the fixed families.
+  ablate, whose variants are `dense`, `oracle` (the task's ideal plans)
+  and the fixed families `local`, `random`, `global`.
 - `leakcheck`: leakcheck, which re-encodes its image `trials` times. Its
   image is `--image` or else synthetic, `cli.LEAKCHECK_PATCHES` = 8
   patches of `quantizer.patch` px a side (128 px at the default 16).
@@ -40,7 +36,7 @@ from dataclasses import fields
 from pathlib import Path
 
 from .errors import ConfigError, ShapeError
-from .evalbench import ABLATION_VARIANTS, BENCH_VARIANTS, TASK_KINDS, SyntheticTask
+from .evalbench import ABLATION_VARIANTS, TASK_KINDS, SyntheticTask
 from .model import ModelConfig, check_int
 
 DEFAULTS = {
@@ -63,13 +59,6 @@ DEFAULTS = {
         "seeds": [0, 1, 2],
         "eval_instances": 16,
     },
-    "bench": {
-        "lengths": [256, 1024],
-        "d": 64,
-        "variants": ["dense", "random"],
-        "repeats": 5,
-        "blocks": 64,
-    },
     "leakcheck": {"trials": 100},
 }
 
@@ -81,16 +70,12 @@ INT_KEYS = {
     "sampling.n_samples": 1,
     "sampling.n_keep": 1,
     "ablation.eval_instances": 1,
-    "bench.d": 1,
-    "bench.blocks": 1,
-    "bench.repeats": 5,
     "quantizer.patch": 1,
     "quantizer.iterations": 1,
     "quantizer.channels": 1,
     "quantizer.corpus_images": 1,
     "leakcheck.trials": 1,
 }
-VARIANT_KEYS = {"ablation.variants": ABLATION_VARIANTS, "bench.variants": BENCH_VARIANTS}
 RATE_KEYS = ("train.lr", "train.clip")
 
 
@@ -136,19 +121,15 @@ def resolve(user: dict) -> dict:
         check_int(key, _value(cfg, key), low)
     if cfg["quantizer"]["channels"] not in (1, 3):
         raise ConfigError(f"quantizer.channels must be 1 or 3, got {cfg['quantizer']['channels']!r}")
-    for key, known in VARIANT_KEYS.items():
-        value = _value(cfg, key)
-        if not (isinstance(value, list) and value and all(v in known for v in value)):
-            raise ConfigError(f"{key} must be a non-empty list of {', '.join(known)}, got {value!r}")
-    for key, low in (("ablation.seeds", None), ("bench.lengths", 1)):
-        value = _value(cfg, key)
-        if not (isinstance(value, list) and value):
-            raise ConfigError(f"{key} must be a non-empty list of ints, got {value!r}")
-        for item in value:
-            check_int(key, item, low)
-    for length in cfg["bench"]["lengths"]:
-        if length % cfg["bench"]["blocks"]:
-            raise ConfigError(f"bench.blocks {cfg['bench']['blocks']} does not divide bench length {length}")
+    variants, seeds = cfg["ablation"]["variants"], cfg["ablation"]["seeds"]
+    if not (isinstance(variants, list) and variants and all(v in ABLATION_VARIANTS for v in variants)):
+        raise ConfigError(
+            f"ablation.variants must be a non-empty list of {', '.join(ABLATION_VARIANTS)}, got {variants!r}"
+        )
+    if not (isinstance(seeds, list) and seeds):
+        raise ConfigError(f"ablation.seeds must be a non-empty list of ints, got {seeds!r}")
+    for seed in seeds:
+        check_int("ablation.seeds", seed)
     for key in RATE_KEYS:
         value = _value(cfg, key)
         if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and value >= 0):

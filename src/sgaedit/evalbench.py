@@ -1,4 +1,4 @@
-"""Synthetic long-range tasks, training, ablations, rollout, benchmarks.
+"""Synthetic long-range tasks, training and the attention-variant ablation.
 
 The mirror task is the canonical long-range probe: the bottom half of each
 grid is a vertical reflection of the top half, so the ground truth for a
@@ -10,7 +10,6 @@ half so the source content stays visible.
 from __future__ import annotations
 
 import json
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -327,7 +326,6 @@ def write_loss_csv(path, losses) -> None:
 
 # `oracle` is `SyntheticTask.oracle_plans`; the fixed families are `sga.variant_plan`'s
 ABLATION_VARIANTS = ("dense", "oracle", "local", "random", "global")
-BENCH_VARIANTS = ("dense", "local", "random", "global")
 
 
 def variant_bundle(kind: str, config: mdl.ModelConfig, task: SyntheticTask, seed: int) -> mdl.PlanBundle:
@@ -358,11 +356,10 @@ def forward_score_flops(config: mdl.ModelConfig, bundle: Optional[mdl.PlanBundle
 @dataclass
 class Table:
     """Result rows, one dict each. `to_json` writes the rows; `to_text`
-    right-aligns every cell in `width` characters, a row's value formatted
-    with its column's format spec and a list's items joined by "/"."""
+    right-aligns every cell in 14 characters, a row's value formatted with
+    its column's format spec and a list's items joined by "/"."""
 
     columns: tuple  # (name, format spec) pairs
-    width: int
     rows: list = field(default_factory=list)
 
     def to_json(self) -> str:
@@ -376,17 +373,20 @@ class Table:
 
         lines = [[name for name, _ in self.columns]]
         lines += [[cell(row[name], spec) for name, spec in self.columns] for row in self.rows]
-        return "\n".join("  ".join(f"{c:>{self.width}}" for c in line) for line in lines)
+        return "\n".join("  ".join(f"{c:>14}" for c in line) for line in lines)
 
 
 ABLATION_COLUMNS = (
     ("variant", ""), ("accuracy", ".4f"), ("acc_per_seed", ".3f"), ("sparsity", ".4f"),
     ("score_flops", ""), ("steps", ""), ("seeds", ""),
 )
-BENCH_COLUMNS = (
-    ("variant", ""), ("L", ""), ("d", ""), ("score_flops", ""), ("wall_s", ".5f"), ("sparsity", ".5f"),
-    ("peak_entries", ""),
-)
+
+
+def _seed_mean(values: list) -> float:
+    """Mean of a row's per-seed values, taken as offsets from the first so
+    that seeds that agree (the fixed bundles of `dense`, `oracle`, `local`)
+    give their common value exactly, where a plain mean can round it."""
+    return values[0] + float(np.mean(np.subtract(values, values[0])))
 
 
 def run_ablation(
@@ -402,127 +402,35 @@ def run_ablation(
 ) -> Table:
     """Train each attention variant under an identical budget (the same
     steps, lr, optimizer and gradient clip) and compare masked-token
-    accuracy on held-out instances. Every variant's plans are made before
-    any training, so an unknown variant raises `ValidationError` first."""
-    report = Table(ABLATION_COLUMNS, 14)
+    accuracy on held-out instances. Each seed trains under its own bundle
+    (`variant_bundle` of that seed), so `random` and `global` draw a fresh
+    pattern per seed; a row's `sparsity` and `score_flops` are the means
+    over its seeds' bundles. Every bundle is made before any training, so
+    an unknown variant raises `ValidationError` first."""
+    if not seeds:
+        raise ParameterError("seeds must be a non-empty list")
+    report = Table(ABLATION_COLUMNS)
     length = task.height * task.width
-    bundles = [variant_bundle(kind, config, task, seed=seeds[0] if seeds else 0) for kind in variants]
-    for kind, bundle in zip(variants, bundles):
+    bundles = [[variant_bundle(kind, config, task, seed=seed) for seed in seeds] for kind in variants]
+    for kind, per_seed in zip(variants, bundles):
         accs = []
-        for seed in seeds:
+        for seed, bundle in zip(seeds, per_seed):
             init = mdl.init_weights(config, task.dims, substream(seed, "init"))
             result = train(
                 init, task, steps=steps, lr=lr, seed=seed, plans=lambda step: bundle, optimizer=optimizer, clip=clip
             )
             accs.append(masked_accuracy(result.weights, task, bundle, eval_instances, seed=seed + 10_000))
+        sparsity = [float(np.mean(list(b.mean_sparsity().values()))) for b in per_seed]
+        flops = [forward_score_flops(config, b, length) for b in per_seed]
         report.rows.append(
             {
                 "variant": kind,
                 "accuracy": float(np.mean(accs)),
                 "acc_per_seed": [float(a) for a in accs],
-                "sparsity": float(np.mean(list(bundle.mean_sparsity().values()))),
-                "score_flops": forward_score_flops(config, bundle, length),
+                "sparsity": _seed_mean(sparsity),
+                "score_flops": round(_seed_mean(flops)),
                 "steps": steps,
                 "seeds": list(seeds),
             }
         )
-    return report
-
-
-# ---------------------------------------------------------------------------
-# attention rollout
-# ---------------------------------------------------------------------------
-
-
-def attention_rollout(layer_maps: list) -> np.ndarray:
-    """Product of residual-corrected, head-averaged attention maps.
-
-    Each input map must be row-stochastic; per layer the map becomes
-    0.5 * map + 0.5 * I, row-normalized, and the layers are multiplied
-    last-to-first.
-    """
-    if not layer_maps:
-        raise ValidationError("need at least one attention map")
-    size = None
-    rollout = None
-    for m in layer_maps:
-        m = np.asarray(m, dtype=np.float64)
-        if m.ndim != 2 or m.shape[0] != m.shape[1]:
-            raise ValidationError(f"attention map must be square, got {m.shape}")
-        if size is None:
-            size = m.shape[0]
-            rollout = np.eye(size)
-        if m.shape[0] != size:
-            raise ValidationError("attention maps differ in size")
-        if m.min() < -1e-9 or np.abs(m.sum(axis=1) - 1.0).max() > 1e-6:
-            raise ValidationError("attention map is not row-stochastic")
-        corrected = 0.5 * m + 0.5 * np.eye(size)
-        corrected /= corrected.sum(axis=1, keepdims=True)
-        rollout = corrected @ rollout
-    return rollout
-
-
-def head_averaged_maps(encoder_out: mdl.EncoderOutput) -> list:
-    """Per-layer mean over the head maps of a dense (one-block) encoder pass."""
-    maps = []
-    for layer in encoder_out.attn:
-        if layer is None:
-            raise ValidationError("encoder pass has no attention maps (multi-block plans)")
-        maps.append(layer.mean(axis=0))
-    return maps
-
-
-# ---------------------------------------------------------------------------
-# cost benchmark
-# ---------------------------------------------------------------------------
-
-
-def benchmark(
-    l_values: list, d: int, variants: list, repeats: int, n_blocks: int, radius: int, k: int, seed: int
-) -> Table:
-    """Wall-clock (median of >= repeats, one warm-up discarded) and exact
-    score-FLOPs of the attention kernel, one head: the dense row is the
-    plan of `model.PlanBundle.dense`, `full_plan(1)` on one block holding
-    every token; every other row is one `sga.variant_plan` of its family
-    (`BENCH_VARIANTS`) over `n_blocks` blocks, drawn from the substream
-    `variant-plan-<family>` of `seed`. `peak_entries` is the size of the
-    kernel's softmax weights, the score tiles of every query block against
-    its padded kept keys, held at once."""
-    if repeats < 5:
-        raise ParameterError("repeats must be >= 5")
-    report = Table(BENCH_COLUMNS, 12)
-    for length in l_values:
-        rng = substream(seed, f"bench-{length}")
-        q = rng.normal(size=(length, d))
-        kk = rng.normal(size=(length, d))
-        v = rng.normal(size=(length, d))
-
-        def timed(fn) -> float:
-            fn()  # warm-up
-            times = []
-            for _ in range(repeats):
-                t0 = time.perf_counter()
-                fn()
-                times.append(time.perf_counter() - t0)
-            return float(np.median(times))
-
-        for variant in variants:
-            if variant == "dense":
-                plans = [sga.full_plan(1)]
-            else:
-                rng = substream(seed, f"variant-plan-{variant}")
-                plans = [sga.variant_plan(variant, n_blocks, radius=radius, k=k, rng=rng)]
-            result = sga.sparse_attention(q, kk, v, plans)
-            wall = timed(lambda: sga.sparse_attention(q, kk, v, plans))
-            report.rows.append(
-                {
-                    "variant": variant,
-                    "L": length,
-                    "d": d,
-                    "score_flops": result.score_flops,
-                    "wall_s": wall,
-                    "sparsity": sga.sparsity_ratio(plans[0]),
-                    "peak_entries": result.weights.size,
-                }
-            )
     return report

@@ -141,8 +141,7 @@ def select_plans(b: np.ndarray, k: int, radius: int) -> list[SparsityPlan]:
 
 def variant_plan(kind: str, n_blocks: int, *, radius: int, k: int, rng=None) -> SparsityPlan:
     """The fixed plan families that guided plans are compared with: local,
-    random, global; `evalbench`'s ablation and benchmark make every fixed
-    plan here.
+    random, global; `evalbench`'s ablation makes every fixed plan here.
 
     local: neighborhood only, the 2 * radius + 1 blocks centered on the
     query block (k is not read). random: neighborhood plus k uniformly

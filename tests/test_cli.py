@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import shutil
@@ -39,7 +40,6 @@ TINY = {
     "sampling": {"top_k": 100, "n_samples": 4, "n_keep": 2},
     "quantizer": {"patch": 4, "corpus_images": 3},
     "ablation": {"variants": ["dense", "local"], "seeds": [0], "eval_instances": 2},
-    "bench": {"lengths": [64], "d": 16, "variants": ["dense", "random"], "repeats": 5, "blocks": 16},
     "leakcheck": {"trials": 10},
 }
 
@@ -179,18 +179,6 @@ BAD_RUN_CONFIGS = [
     ("ablation-variants-string", {"ablation": {"variants": "dense"}}),
     ("ablation-seeds-empty", {"ablation": {"seeds": []}}),
     ("ablation-seeds-float", {"ablation": {"seeds": [0.5]}}),
-    ("bench-variants-unknown", {"bench": {"variants": ["bogus"]}}),
-    ("bench-variants-empty", {"bench": {"variants": []}}),
-    ("bench-variants-sliding", {"bench": {"variants": ["sliding"]}}),
-    ("bench-variants-guided", {"bench": {"variants": ["dense", "guided"]}}),
-    ("bench-variants-oracle", {"bench": {"variants": ["dense", "oracle"]}}),
-    ("bench-lengths-indivisible", {"bench": {"lengths": [60]}}),
-    ("bench-lengths-empty", {"bench": {"lengths": []}}),
-    ("bench-lengths-not-list", {"bench": {"lengths": 64}}),
-    ("bench-lengths-0", {"bench": {"lengths": [0]}}),
-    ("bench-d-0", {"bench": {"d": 0}}),
-    ("bench-blocks-0", {"bench": {"blocks": 0}}),
-    ("bench-repeats-4", {"bench": {"repeats": 4}}),
     ("quantizer-patch-0", {"quantizer": {"patch": 0}}),
     ("quantizer-iterations-string", {"quantizer": {"iterations": "x"}}),
     ("quantizer-corpus-images-0", {"quantizer": {"corpus_images": 0}}),
@@ -205,8 +193,6 @@ BAD_RUN_CONFIGS = [
     ("ablation-lr-removed", {"ablation": {"lr": 0.2}}),
     ("ablation-optimizer-removed", {"ablation": {"optimizer": "sgd"}}),
     ("ablation-window-removed", {"ablation": {"window": 3}}),
-    ("bench-radius-removed", {"bench": {"radius": 1}}),
-    ("bench-top-k-removed", {"bench": {"top_k": 3}}),
     ("grid-low-mirror-odd", {"model": {"grid_low": [3, 4]}}),
     ("grid-high-mirror-odd", {"model": {"grid_high": [5, 4], "grid_low": [2, 4], "blocks": 4}}),
     ("grid-low-copy-corner-odd", {"task": {"kind": "copy-corner"}, "model": {"grid_low": [2, 3], "blocks": 2}}),
@@ -723,26 +709,6 @@ class TestOtherCommands:
         assert err.startswith("invariant violation:") and "Traceback" not in err
         assert "bad.pgm: header token" in err
 
-    def test_bench_includes_dense_row(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert cli.main(["bench", "--config", str(cfg)]) == 0
-        rows = json.loads((tmp_path / "run" / "bench" / "report.json").read_text())
-        assert any(r["variant"] == "dense" for r in rows)
-        assert (tmp_path / "run" / "bench" / "report.txt").exists()
-
-    def test_bench_plans_with_the_model_radius_and_top_k(self, tmp_path, monkeypatch):
-        calls = []
-
-        def recording(*args, **kwargs):
-            calls.append(kwargs)
-            return real(*args, **kwargs)
-
-        real = cli.evalbench.benchmark
-        monkeypatch.setattr(cli.evalbench, "benchmark", recording)
-        cfg = write_config(tmp_path, {"model": {"radius": 2, "top_k": 1}})
-        assert cli.main(["bench", "--config", str(cfg)]) == 0
-        assert [(c["radius"], c["k"]) for c in calls] == [(2, 1)]
-
     def test_ablate_rows_common_budget(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["ablate", "--config", str(cfg)]) == 0
@@ -767,13 +733,6 @@ class TestOtherCommands:
         rows = json.loads((tmp_path / "run" / "ablate" / "report.json").read_text())
         assert [r["steps"] for r in rows] == [3, 3]
 
-    def test_rollout_row_sums(self, tmp_path):
-        cfg = write_config(tmp_path)
-        assert cli.main(["rollout", "--config", str(cfg)]) == 0
-        report = json.loads((tmp_path / "run" / "rollout" / "report.json").read_text())
-        assert report["max_row_sum_error"] <= 1e-5
-        assert report["size"] == 4  # L_low
-
     def test_seed_override_changes_outputs(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["train-guide", "--config", str(cfg)]) == 0
@@ -783,26 +742,33 @@ class TestOtherCommands:
         assert a != b
 
 
-@pytest.mark.parametrize(
-    "change", [{"vocab": 9}, {"grid_low": (4, 4)}, {"vocab_map": 4}], ids=["vocab", "grid_low", "vocab_map"]
-)
-def test_rollout_guide_of_another_model_exit_2_without_traceback(tmp_path, capsys, change):
-    """`rollout --guide` checks the checkpoint against the run config, as `edit` does."""
+@pytest.mark.parametrize("command", ["bench", "rollout"])
+def test_removed_command_stops_at_argparse(tmp_path, capsys, command):
     cfg = write_config(tmp_path)
-    other = mdl.ModelConfig(**{**TINY["model"], **change})
-    mdl.save_checkpoint(tmp_path / "guide", mdl.init_weights(other, other.grid_low, substream(0, "other-guide")))
-    assert cli.main(["rollout", "--config", str(cfg), "--guide", str(tmp_path / "guide")]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "Traceback" not in err
-    assert not (tmp_path / "run" / "rollout").exists()
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
-def test_rollout_without_encoder_layer_exit_2_without_traceback(tmp_path, capsys):
-    cfg = write_config(tmp_path, {"model": {"layers_enc": 0}})
-    assert cli.main(["rollout", "--config", str(cfg)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "model.layers_enc" in err and "Traceback" not in err
-    assert not (tmp_path / "run" / "rollout").exists()
+def test_bench_block_rejected_exit_2_without_traceback(tmp_path, capsys):
+    """A resolved config written before the `bench` block went is rejected
+    until the block is dropped."""
+    bench = {"lengths": [256, 1024], "d": 64, "variants": ["dense", "random"], "repeats": 5, "blocks": 64}
+    cfg = write_config(tmp_path, {"bench": bench})
+    assert cli.main(["train-guide", "--config", str(cfg)]) == 2
+    assert capsys.readouterr().err == "config error: unknown config key: bench\n"
+    assert not (tmp_path / "run").exists()
+
+
+def test_doc_lists_the_subcommands():
+    """The module docstring's "Subcommands:" list is `COMMANDS` and the
+    parser's choices, in order."""
+    (listed,) = [line for line in cli.__doc__.split("\n\n") if line.startswith("Subcommands:")]
+    names = listed.removeprefix("Subcommands:").split(".")[0].replace("\n", " ").split(",")
+    (sub,) = [a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert [n.strip() for n in names] == list(cli.COMMANDS) == list(sub.choices)
 
 
 def test_console_entry_point_runs():

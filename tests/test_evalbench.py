@@ -467,115 +467,6 @@ class TestAblationHarness:
                 )
 
 
-class TestTable:
-    def test_text_layout(self):
-        """The ablation and benchmark tables' text: cells right-aligned in the
-        table's width, floats in their column's format, a list's items joined
-        by "/"."""
-        task = eb.SyntheticTask("mirror", *CFG.grid_high, CFG.vocab)
-        ablation = eb.run_ablation(
-            ["dense"], task, CFG, steps=1, seeds=[0], lr=0.1, optimizer="sgd", eval_instances=1, clip=1.0
-        )
-        ablation.rows[:] = [
-            {"variant": "dense", "accuracy": 0.5, "acc_per_seed": [0.25, 0.75], "sparsity": 1.0,
-             "score_flops": 4096, "steps": 2, "seeds": [0, 1]}
-        ]
-        assert ablation.to_text().split("\n") == [
-            "       variant        accuracy    acc_per_seed        sparsity     score_flops           steps           seeds",
-            "         dense          0.5000     0.250/0.750          1.0000            4096               2             0/1",
-        ]
-        bench = eb.benchmark([16], 4, ["dense"], repeats=5, n_blocks=4, radius=1, k=3, seed=0)
-        bench.rows[:] = [
-            {"variant": "random", "L": 64, "d": 16, "score_flops": 123, "wall_s": 0.000123456, "sparsity": 0.5,
-             "peak_entries": 77}
-        ]
-        assert bench.to_text().split("\n") == [
-            "     variant             L             d   score_flops        wall_s      sparsity  peak_entries",
-            "      random            64            16           123       0.00012       0.50000            77",
-        ]
-
-
-class TestRollout:
-    def test_single_identity_layer(self):
-        assert np.array_equal(eb.attention_rollout([np.eye(5)]), np.eye(5))
-
-    def test_two_identity_layers(self):
-        assert np.array_equal(eb.attention_rollout([np.eye(4), np.eye(4)]), np.eye(4))
-
-    def test_random_stochastic_stacks_row_sums(self):
-        rng = substream(7, "roll")
-        for _ in range(10):
-            maps = []
-            for _ in range(3):
-                m = rng.random((6, 6))
-                maps.append(m / m.sum(axis=1, keepdims=True))
-            out = eb.attention_rollout(maps)
-            assert np.abs(out.sum(axis=1) - 1.0).max() <= 1e-5
-
-    def test_extra_identity_layer_is_noop(self):
-        rng = substream(8, "roll2")
-        m = rng.random((5, 5))
-        m /= m.sum(axis=1, keepdims=True)
-        base = eb.attention_rollout([m])
-        extended = eb.attention_rollout([m, np.eye(5)])
-        assert np.abs(base - extended).max() <= 1e-12
-
-    def test_non_stochastic_rejected(self):
-        with pytest.raises(ValidationError):
-            eb.attention_rollout([np.ones((3, 3))])
-
-    def test_head_averaged_maps_of_dense_pass_only(self):
-        """A dense encoder pass gives each layer's mean over its head maps;
-        a multi-block pass records no maps, which is a validation error."""
-        w = mdl.init_weights(CFG, CFG.grid_high, substream(16, "rollout-heads"))
-        x, p, mask = eb.SyntheticTask("mirror", *CFG.grid_high, CFG.vocab).instance(substream(17, "rollout-x"))
-        dense = mdl.encode(apply_mask(x, mask), p, w, DENSE)
-        (mean,) = eb.head_averaged_maps(dense)
-        assert np.abs(mean - sum(dense.attn[0][h] for h in range(CFG.heads)) / CFG.heads).max() <= 1e-15
-        blocked = mdl.encode(apply_mask(x, mask), p, w, mdl.PlanBundle.uniform(CFG, lambda *_: sga.full_plan(2)))
-        with pytest.raises(ValidationError):
-            eb.head_averaged_maps(blocked)
-
-
-class TestBenchmark:
-    def test_flops_exact_and_dense_baseline(self):
-        report = eb.benchmark([256], 32, ["dense", "random", "local"], repeats=5, n_blocks=16, radius=1, k=3, seed=0)
-        by = {r["variant"]: r for r in report.rows}
-        assert by["dense"]["score_flops"] == 2 * 256 * 256 * 32
-        assert by["dense"]["peak_entries"] == 256 * 256
-        for variant in ("random", "local"):
-            row = by[variant]
-            assert row["score_flops"] == pytest.approx(row["sparsity"] * by["dense"]["score_flops"], abs=0.5)
-            assert row["peak_entries"] < by["dense"]["peak_entries"]
-
-    def test_guided_ratio_bound_at_paper_config(self):
-        """At the paper's plan shape (64 blocks, radius 1, top-3) the
-        `random` row keeps as many blocks as a guided plan: the band plus 3
-        outside blocks per query block."""
-        report = eb.benchmark([256], 16, ["random"], repeats=5, n_blocks=64, radius=1, k=3, seed=1)
-        row = report.rows[0]
-        (guided,) = sga.select_plans(substream(1, "ratio-affinity").random((1, 64, 64)), k=3, radius=1)
-        assert row["sparsity"] == sga.sparsity_ratio(guided) == 382 / 4096
-        assert row["sparsity"] <= 0.09375
-
-    def test_median_reproducibility(self, monkeypatch):
-        """`wall_s` is the median of the `repeats` timed calls, on a clock
-        that each kernel call advances by a scripted amount; the untimed
-        result call and the warm-up come first."""
-        steps = iter([1000.0, 500.0, 5.0, 1.0, 4.0, 2.0, 30.0])
-        clock = [0.0]
-        kernel = sga.sparse_attention
-
-        def advancing(*args, **kwargs):
-            clock[0] += next(steps)
-            return kernel(*args, **kwargs)
-
-        monkeypatch.setattr(eb.time, "perf_counter", lambda: clock[0])
-        monkeypatch.setattr(sga, "sparse_attention", advancing)
-        row = eb.benchmark([64], 8, ["dense"], repeats=5, n_blocks=8, radius=1, k=3, seed=0).rows[0]
-        assert next(steps, None) is None  # one result call, one warm-up, five repeats
-        assert row["wall_s"] == 4.0  # the mean is 8.4; timing the warm-up too gives 4.5
-
     def test_forward_score_flops_cost_model(self):
         """Every kept block of the local plan, but of decoder self-attention
         only the blocks t <= r that the causal mask leaves visible."""
@@ -587,3 +478,59 @@ class TestBenchmark:
         per_block = 2 * (CFG.d // CFG.heads) * (CFG.l_high // CFG.blocks) ** 2
         kept = plan.kept_count() * (CFG.layers_enc + CFG.layers_dec) + causal * CFG.layers_dec
         assert flops == per_block * CFG.heads * kept
+
+    def test_each_seed_trains_under_its_own_bundle(self, monkeypatch):
+        """Each seed trains under the bundle drawn from it: `random`'s seeds
+        0 and 1 differ, and seed 0's is the bundle every seed shared before.
+        A row's sparsity and score FLOPs are the means over its seeds'
+        bundles; a fixed family's equal its one bundle's values exactly, at
+        a seed count where a plain mean rounds them."""
+        cfg = mdl.ModelConfig()
+        task = eb.SyntheticTask("mirror", *cfg.grid_high, cfg.vocab, classes=cfg.vocab_map)
+        recorded = []
+
+        def recording(init, task, **kwargs):
+            recorded.append(kwargs["plans"](0))
+            return eb.TrainResult(init, [0.0])
+
+        monkeypatch.setattr(eb, "train", recording)
+        seeds = list(range(7))
+        oracle_row, random_row = eb.run_ablation(
+            ["oracle", "random"], task, cfg, steps=1, seeds=seeds, lr=0.1, optimizer="sgd", eval_instances=1, clip=1.0
+        ).rows
+
+        def keeps(bundle):
+            return [p.keep for role in (bundle.enc, bundle.dec_self, bundle.dec_cross) for layer in role for p in layer]
+
+        def same(a, b):
+            return all(np.array_equal(x, y) for x, y in zip(keeps(a), keeps(b)))
+
+        def sparsity(bundle):
+            return float(np.mean(list(bundle.mean_sparsity().values())))
+
+        length = cfg.l_high
+        oracle, random = recorded[: len(seeds)], recorded[len(seeds) :]
+        assert same(random[0], eb.variant_bundle("random", cfg, task, seed=0))
+        assert not same(random[0], random[1])
+        assert random_row["sparsity"] == pytest.approx(np.mean([sparsity(b) for b in random]), abs=1e-15)
+        assert random_row["score_flops"] == round(np.mean([eb.forward_score_flops(cfg, b, length) for b in random]))
+        fixed = eb.variant_bundle("oracle", cfg, task, seed=0)
+        assert float(np.mean([sparsity(fixed)] * len(seeds))) != sparsity(fixed)
+        assert all(same(b, fixed) for b in oracle)
+        assert oracle_row["sparsity"] == sparsity(fixed)
+        assert oracle_row["score_flops"] == eb.forward_score_flops(cfg, fixed, length)
+
+
+class TestTable:
+    def test_text_layout(self):
+        """The ablation table's text: cells right-aligned in 14 characters,
+        floats in their column's format, a list's items joined by "/"."""
+        ablation = eb.Table(eb.ABLATION_COLUMNS)
+        ablation.rows[:] = [
+            {"variant": "dense", "accuracy": 0.5, "acc_per_seed": [0.25, 0.75], "sparsity": 1.0,
+             "score_flops": 4096, "steps": 2, "seeds": [0, 1]}
+        ]
+        assert ablation.to_text().split("\n") == [
+            "       variant        accuracy    acc_per_seed        sparsity     score_flops           steps           seeds",
+            "         dense          0.5000     0.250/0.750          1.0000            4096               2             0/1",
+        ]

@@ -105,6 +105,9 @@ class TestSelectPlan:
         ratio = sga.sparsity_ratio(plan)
         assert ratio == 382 / 4096
         assert ratio <= 6 / 64 < 0.10
+        # the `random` baseline at the same shape keeps as many blocks
+        random = sga.variant_plan("random", 64, radius=1, k=3, rng=substream(1, "variant-plan-random"))
+        assert random.kept_count() == 382
 
     def test_explicit_row_example(self):
         b = np.zeros((8, 8))
