@@ -17,7 +17,6 @@ import numpy as np
 
 from . import tape as T
 from .errors import ShapeError
-from .numerics import as_array
 
 def dense_attention(q, k, v, mask):
     """softmax((q @ k^T) / sqrt(d) + mask) @ v.
@@ -32,7 +31,7 @@ def dense_attention(q, k, v, mask):
         raise ShapeError(f"q width {qv.shape[1]} != k width {kv.shape[1]}")
     if kv.shape[0] != vv.shape[0]:
         raise ShapeError(f"k rows {kv.shape[0]} != v rows {vv.shape[0]}")
-    mask = as_array(mask)
+    mask = T.value_of(mask)
     if mask.shape != (qv.shape[0], kv.shape[0]):
         raise ShapeError(f"mask shape {mask.shape} != {(qv.shape[0], kv.shape[0])}")
     scores = T.scale(T.matmul(q, k, transpose_b=True), 1.0 / np.sqrt(qv.shape[1]))

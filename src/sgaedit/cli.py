@@ -170,7 +170,7 @@ def cmd_train_sga(cfg: dict, args) -> int:
         def guided_plans(step: int, _si=si) -> mdl.PlanBundle:
             x_low, p_low, mask_low = task_low.instance(substream(seed, f"sga-plans-{_si}-{step}"))
             forced = mdl.guiding_forward(apply_mask(x_low, mask_low), p_low, guide_weights, decoder_tokens=x_low.flat())
-            return sampler.plans_from_maps(forced, mconf)
+            return sampler.plans_from_maps(forced.encoder.attn, forced.dec_self_attn, forced.dec_cross_attn, mconf)
 
         result = evalbench.train(
             weights,
@@ -358,12 +358,15 @@ def cmd_leakcheck(cfg: dict, args) -> int:
     else:
         size = LEAKCHECK_PATCHES * patch
         image = images.synthetic_image(size, size, channels, substream(seed, "leakcheck-image"))
+    proj = random_projection(patch, 1 if image.ndim == 2 else 3, mconf.d, seed, "projection-image")
+    feats = encode_patches(image, patch, proj).reshape(-1, mconf.d)
+    distinct = np.unique(feats, axis=0).shape[0]
+    if distinct < 2:
+        raise ConfigError(f"--image {args.image}: {distinct} distinct patch; a codebook needs at least 2")
     out = Path(cfg["out"]) / "leakcheck"
     out.mkdir(parents=True, exist_ok=True)
     cfgmod.write_resolved(cfg, out)
-    proj = random_projection(patch, 1 if image.ndim == 2 else 3, mconf.d, seed, "projection-image")
-    feats = encode_patches(image, patch, proj).reshape(-1, mconf.d)
-    size_cb = min(mconf.vocab, np.unique(feats, axis=0).shape[0])
+    size_cb = min(mconf.vocab, distinct)
     codebook = fit_codebook(feats, size_cb, q["iterations"], _derived_seed(seed, "codebook-leak"))
     grid_dims = (image.shape[0] // patch, image.shape[1] // patch)
     mask = evalbench.free_form_mask(grid_dims, substream(seed, "leakcheck-mask"))

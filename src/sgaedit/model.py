@@ -14,10 +14,10 @@ full-kept plans the two agree to float tolerance.
 Forward code is written against the tape ops, so passing weights
 wrapped in tape Tensors yields a differentiable graph while plain arrays
 give the inference path. `forward` is the one teacher-forced pass, for
-training, evaluation, rescoring and the guide's maps alike, and prepends
-START to its decoder input (`sampler`'s incremental decode prepends it
-to the shared prefix); `encode` is the one encoder pass over a masked
-grid, and `guiding_forward` is `forward` under `PlanBundle.dense`.
+training, evaluation and rescoring alike, and prepends START to its
+decoder input (`sampler`'s incremental decode prepends it to the shared
+prefix); `encode` is the one encoder pass over a masked grid, and
+`guiding_forward` is `forward` under `PlanBundle.dense`.
 
 The decoder is written once, as `IncrementalDecoder`, over a batch of
 candidates: it holds the decoder PEG rows, the cross-attention
@@ -25,7 +25,8 @@ keys/values shared by every candidate and a growing self-attention
 key/value cache per candidate, and runs the rows of each `extend`, for
 all candidates at once, through the block kernel. `decoder_forward`, the
 teacher-forced decoder pass, is one such decoder extended by the whole
-sequence at once; autoregressive inference extends one row by row.
+sequence at once; autoregressive inference extends one row by row. One
+dense candidate collects its attention maps either way.
 """
 
 from __future__ import annotations
@@ -242,12 +243,6 @@ def _peg_rows(rows, kernel, grid):
     return T.reshape(T.peg(T.reshape(rows, (h, w, d)), kernel), (h * w, d))
 
 
-def _maps(weights: np.ndarray):
-    """A layer's maps from its kernel weights [H, N, bs, K]: one H x L x L
-    view of them under one-block (dense) plans, None under multi-block plans."""
-    return weights[:, 0] if weights.shape[1] == 1 else None
-
-
 def _feed_forward(x, weights: ModelWeights, prefix: str):
     w = weights.params
     hidden = T.gelu(T.add_bias(T.matmul(x, w[f"{prefix}_ff1"]), w[f"{prefix}_ff1_b"]))
@@ -267,7 +262,7 @@ def encoder_forward(embeddings, weights: ModelWeights, plans: PlanBundle) -> Enc
         attn = sga.sparse_attention(q, k, v, plans.enc[i])
         h = T.layer_norm(T.add(h, T.matmul(attn.output, w[f"{p}_wo"])), w[f"{p}_ln1_g"], w[f"{p}_ln1_b"])
         h = T.layer_norm(T.add(h, _feed_forward(h, weights, p)), w[f"{p}_ln2_g"], w[f"{p}_ln2_b"])
-        all_maps.append(_maps(attn.weights))
+        all_maps.append(attn.weights[:, 0] if attn.weights.shape[1] == 1 else None)
     return EncoderOutput(context=h, attn=all_maps)
 
 
@@ -314,10 +309,14 @@ class IncrementalDecoder:
     vocab] logits; by the causal mask, any split of a sequence gives the
     rows of one call over the whole of it, to float rounding. That call
     (`decoder_forward`) takes its self-attention keys from its own rows,
-    writes no cache, accepts tape Tensors and collects every layer's maps
-    into `self_maps` and `cross_maps` (as `EncoderOutput.attn`: an H x L x
-    L view under one-block plans, None under multi-block plans); other
-    calls take plain arrays.
+    writes no cache and accepts tape Tensors; other calls take plain
+    arrays.
+
+    `self_maps` and `cross_maps` hold one entry per layer, as
+    `EncoderOutput.attn`: for one candidate under one-block (dense) plans
+    an H x L x L array, into which every call writes its rows' softmax
+    weights, read-only once all L rows are in; None under multi-block
+    plans and in a branched batch.
 
     Inside `extend` the rows are ordered (row, candidate). Attention runs
     `tape.block_attention` once per (layer, role) over one
@@ -339,7 +338,6 @@ class IncrementalDecoder:
         self.weights = weights
         self.n = 0
         self.candidates = 1
-        self.self_maps, self.cross_maps = [], []
         self._peg = _peg_rows(context, w["dec_peg"], weights.grid)
         self._cross_kv = [
             (T.matmul(context, w[f"dec{i}_cross_wk"]), T.matmul(context, w[f"dec{i}_cross_wv"]))
@@ -347,17 +345,23 @@ class IncrementalDecoder:
         ]
         self._self_index = [sga.block_index(layer_plans, weights.length) for layer_plans in plans.dec_self]
         self._cross_index = [sga.block_index(layer_plans, weights.length) for layer_plans in plans.dec_cross]
+        self.self_maps, self.cross_maps = (
+            [np.zeros((cfg.heads, weights.length, weights.length)) if keys.shape[1] == 1 else None for keys in index]
+            for index in (self._self_index, self._cross_index)
+        )
         # per layer, the self-attention keys and values: [L, C, d], candidate c in [:, c];
         # made by the first call that is not over the whole sequence
         self._k, self._v = [], []
 
     def branch(self, candidates: int) -> "IncrementalDecoder":
-        """A decoder of `candidates` candidates, each starting from this
-        single-candidate decoder's rows; this decoder is left unchanged."""
-        if self.candidates != 1 or candidates < 1:
+        """A decoder of `candidates` (at least 2) candidates, each starting
+        from this single-candidate decoder's rows; it records no maps, and
+        this decoder is left unchanged."""
+        if self.candidates != 1 or candidates < 2:
             raise ShapeError(f"cannot branch {self.candidates} candidates into {candidates}")
         other = copy.copy(self)
         other.candidates = candidates
+        other.self_maps, other.cross_maps = [None] * len(self.self_maps), [None] * len(self.cross_maps)
         other._k = [np.repeat(buf, candidates, axis=1) for buf in self._k]
         other._v = [np.repeat(buf, candidates, axis=1) for buf in self._v]
         return other
@@ -389,11 +393,11 @@ class IncrementalDecoder:
                 self._k[i][new] = k.reshape(m, c, d)
                 self._v[i][new] = v.reshape(m, c, d)
                 k, v = (buf.reshape(-1, c * d) for buf in (self._k[i], self._v[i]))
-            a = self._attention(T.reshape(q, (m, c * d)), k, v, self._self_index[i], self.self_maps, causal=True)
+            a = self._attention(T.reshape(q, (m, c * d)), k, v, self._self_index[i], self.self_maps[i], causal=True)
             a = T.matmul(T.reshape(a, (m * c, d)), w[f"{p}_self_wo"])
             h = T.layer_norm(T.add(h, a), w[f"{p}_ln1_g"], w[f"{p}_ln1_b"])
             q = T.matmul(h, w[f"{p}_cross_wq"])
-            a = self._attention(q, *self._cross_kv[i], self._cross_index[i], self.cross_maps, causal=False)
+            a = self._attention(q, *self._cross_kv[i], self._cross_index[i], self.cross_maps[i], causal=False)
             h = T.layer_norm(T.add(h, T.matmul(a, w[f"{p}_cross_wo"])), w[f"{p}_ln2_g"], w[f"{p}_ln2_b"])
             h = T.layer_norm(T.add(h, _feed_forward(h, self.weights, p)), w[f"{p}_ln3_g"], w[f"{p}_ln3_b"])
         self.n = new.stop
@@ -402,12 +406,13 @@ class IncrementalDecoder:
             return T.reshape(logits, (1, m, -1))
         return logits.reshape(m, c, -1).transpose(1, 0, 2)
 
-    def _attention(self, q, k, v, keys: np.ndarray, maps: list, causal: bool):
+    def _attention(self, q, k, v, keys: np.ndarray, maps: Optional[np.ndarray], causal: bool):
         """One kernel call for the query rows [n, n + m) over the index
-        `keys`; a call over the whole sequence appends the layer's maps to
-        `maps`. Causal self-attention tiles the index once per candidate,
-        and passes the kernel the token of q's first row, padded or not;
-        cross-attention has each query row once per candidate.
+        `keys`, which writes its softmax weights into those rows of the
+        layer's `maps` when there are maps. Causal self-attention tiles the
+        index once per candidate, and passes the kernel the token of q's
+        first row, padded or not; cross-attention has each query row once
+        per candidate.
 
         Query block b holds tokens [b * bs, (b + 1) * bs). A run inside one
         block passes exactly its rows; a run across blocks is padded with
@@ -422,12 +427,11 @@ class IncrementalDecoder:
         if any(pad):
             q = np.pad(q, ((pad[0] * rows, pad[1] * rows), (0, 0)))
         keys = np.tile(keys[:, blocks], (heads, 1, 1))
-        whole = stop - first == self.weights.length
-        weights = np.empty(keys.shape[:2] + (T.value_of(q).shape[0] // keys.shape[1], keys.shape[2])) if whole else None
+        # maps mean one unpadded query block: the kernel's [H, 1, m, L] weights are their rows
+        weights = None if maps is None else maps[:, None, first:stop]
         out = T.block_attention(q, k, v, keys, first - pad[0] if causal else None, weights)
-        if whole:
-            weights.flags.writeable = False
-            maps.append(_maps(weights))
+        if maps is not None and stop == self.weights.length:
+            maps.flags.writeable = False
         if any(pad):
             out = out[pad[0] * rows : (pad[0] + stop - first) * rows]
         return out
@@ -452,17 +456,11 @@ def forward(
     weights: ModelWeights,
     plans: PlanBundle,
     decoder_tokens,
-    encoder_out: Optional[EncoderOutput] = None,
 ) -> ForwardResult:
     """The teacher-forced pass: `encode(x, p)`, then the decoder forced over
     the L-token sequence `decoder_tokens` shifted right behind START, so
-    logits row l predicts decoder_tokens[l] from the tokens before it.
-
-    `encoder_out`, when given, is this model's encoder pass over (x, p)
-    under `plans`, already run by the caller; it is reused instead of
-    recomputed.
-    """
-    enc = encode(x, p, weights, plans) if encoder_out is None else encoder_out
+    logits row l predicts decoder_tokens[l] from the tokens before it."""
+    enc = encode(x, p, weights, plans)
     seq = np.asarray(decoder_tokens, dtype=np.int64)
     if seq.shape != (weights.length,):
         raise SequenceError(f"decoder tokens of shape {seq.shape} are not the {weights.length}-token sequence")
@@ -471,15 +469,9 @@ def forward(
     return ForwardResult(logits=logits, encoder=enc, dec_self_attn=self_maps, dec_cross_attn=cross_maps)
 
 
-def guiding_forward(
-    x: TokenGrid,
-    p: TokenGrid,
-    weights: ModelWeights,
-    decoder_tokens: np.ndarray,
-    encoder_out: Optional[EncoderOutput] = None,
-) -> ForwardResult:
+def guiding_forward(x: TokenGrid, p: TokenGrid, weights: ModelWeights, decoder_tokens: np.ndarray) -> ForwardResult:
     """`forward` under `PlanBundle.dense`, exposing every attention map."""
-    return forward(x, p, weights, PlanBundle.dense(weights.config), decoder_tokens, encoder_out)
+    return forward(x, p, weights, PlanBundle.dense(weights.config), decoder_tokens)
 
 
 # ---------------------------------------------------------------------------

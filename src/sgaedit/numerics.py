@@ -1,8 +1,9 @@
-"""Array coercion and the SGAT tensor file format.
+"""The SGAT tensor file format.
 
-The package computes in float64 throughout (`as_array`); checkpoints and
-quantizer assets are stored as SGAT files, whose payload is float32. The
-ops themselves, forward and backward, live in `tape`.
+The package computes in float64 throughout (`tape.value_of` coerces
+arrays); checkpoints and quantizer assets are stored as SGAT files, whose
+payload is float32. The ops themselves, forward and backward, live in
+`tape`.
 """
 
 from __future__ import annotations
@@ -17,10 +18,6 @@ import numpy as np
 from .errors import ValidationError
 
 SGAT_MAGIC = b"SGAT"
-
-
-def as_array(x) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64)
 
 
 # ---------------------------------------------------------------------------

@@ -16,9 +16,10 @@ extend the same rows at every step: the forced runs between masked
 positions and one row per sampled position, as one batch. Each such run is
 one call per layer and role of the block-gather kernel, and each sampled
 position is one `topk_sample` call over every candidate's logits. The
-guide's own decode is the same path with one candidate. `rescore` scores
-a candidate with one teacher-forced `model.forward` pass, whose decoder
-is the same one extended by the whole sequence at once.
+guide's own decode is the same path with one candidate, unbranched, whose
+decoder then runs the rows after the last masked position and holds the
+guide's maps. `rescore` scores a candidate with one teacher-forced
+`model.forward` pass, whose decoder is one extended by the whole sequence.
 """
 
 from __future__ import annotations
@@ -113,15 +114,16 @@ def _forced_decode(
     plans: mdl.PlanBundle,
     top_k: int,
     rngs: list,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, mdl.IncrementalDecoder]:
     """Decode one candidate per generator in `rngs`, all as one batch;
-    return their [C, L] token sequences and [C] log-probabilities.
+    return their [C, L] token sequences, [C] log-probabilities and the
+    decoder, which holds the rows up to the last masked position.
 
     Positions decode row-major: originals are forced at unmasked positions,
     masked positions are sampled with top-k and accumulate their log-probs.
     `enc_out` is the encoder pass over the masked grid. The rows up to and
     including the first masked position run once, for one candidate, and
-    the decoder then branches into all of them.
+    the decoder then branches into all of them, if there are more.
     """
     cfg = weights.config
     if top_k < 1:
@@ -130,10 +132,11 @@ def _forced_decode(
     seqs = np.tile(tokens.flat(), (len(rngs), 1))
     logprobs = np.zeros(len(rngs))
     positions = np.flatnonzero(np.asarray(mask, dtype=bool).ravel())
+    dec = mdl.IncrementalDecoder(enc_out, weights, plans)
     if positions.size:
-        shared = mdl.IncrementalDecoder(enc_out, weights, plans)
-        first = shared.extend(np.concatenate([[cfg.start_token], seqs[0, : positions[0]]])[None])[:, -1]
-        dec = shared.branch(len(rngs))
+        first = dec.extend(np.concatenate([[cfg.start_token], seqs[0, : positions[0]]])[None])[:, -1]
+        if len(rngs) > 1:
+            dec = dec.branch(len(rngs))
         rows = np.repeat(first, len(rngs), axis=0)
         for pos in positions:
             # row pos reads token pos - 1; the shared rows already hold row positions[0]
@@ -143,14 +146,14 @@ def _forced_decode(
                 raise NumericalError(f"non-finite logits at decoding position {pos}")
             seqs[:, pos], logprob = topk_sample(rows, k_eff, rngs)
             logprobs += logprob
-    return seqs, logprobs
+    return seqs, logprobs, dec
 
 
-def plans_from_maps(forced: mdl.ForwardResult, config: mdl.ModelConfig) -> mdl.PlanBundle:
-    """Pool every recorded attention map into block affinities and select
-    neighborhood+top-K plans, per role, layer, and head: each layer's heads
-    ([H, L, L] maps) are pooled and selected together. The bundle keeps
-    the lower triangle of each decoder self-attention plan."""
+def plans_from_maps(enc: list, dec_self: list, dec_cross: list, config: mdl.ModelConfig) -> mdl.PlanBundle:
+    """Pool every attention map (per role, one [H, L, L] entry per layer)
+    into block affinities and select neighborhood+top-K plans, per role,
+    layer, and head, a layer's heads together. The bundle keeps the lower
+    triangle of each decoder self-attention plan."""
 
     def role_plans(maps: list, layers: int) -> list:
         return [
@@ -159,9 +162,9 @@ def plans_from_maps(forced: mdl.ForwardResult, config: mdl.ModelConfig) -> mdl.P
         ]
 
     return mdl.PlanBundle(
-        enc=role_plans(forced.encoder.attn, config.layers_enc),
-        dec_self=role_plans(forced.dec_self_attn, config.layers_dec),
-        dec_cross=role_plans(forced.dec_cross_attn, config.layers_dec),
+        enc=role_plans(enc, config.layers_enc),
+        dec_self=role_plans(dec_self, config.layers_dec),
+        dec_cross=role_plans(dec_cross, config.layers_dec),
     )
 
 
@@ -180,23 +183,25 @@ def guide_and_plan(
 ) -> GuidePlanResult:
     """Run the low-resolution edit densely and turn its attention into plans.
 
-    The decoder maps come from one forced pass over the completed low-res
-    sequence, so every map is a full square matrix; each map is pooled into
-    a block-affinity matrix and converted to a neighborhood+top-K plan. One
-    dense encoder pass, whose maps come with it, serves both the sampling
-    and that forced pass. The guide samples with top-k `GUIDE_TOP_K`;
-    `config.top_k` and `config.radius` only shape the plans.
+    One dense decode samples the completion; extended past the last masked
+    position to all L rows, its decoder holds every layer's full causal
+    maps, which by the causal mask are a forced pass's over the completion.
+    Those maps and the dense encoder pass's are each pooled into a
+    block-affinity matrix and converted to a neighborhood+top-K plan. The
+    guide samples with top-k `GUIDE_TOP_K`; `config.top_k` and
+    `config.radius` only shape the plans.
     """
     dense = mdl.PlanBundle.dense(guiding_weights.config)
-    enc_in = apply_mask(request.tokens_low, request.mask_low)
-    enc = mdl.encode(enc_in, request.semantic_low, guiding_weights, dense)
-    seqs, logprobs = _forced_decode(
+    enc = mdl.encode(apply_mask(request.tokens_low, request.mask_low), request.semantic_low, guiding_weights, dense)
+    seqs, logprobs, dec = _forced_decode(
         enc, request.tokens_low, request.mask_low, guiding_weights, dense, GUIDE_TOP_K,
         [substream(seed, "guide-sample")],
     )
-    forced = mdl.guiding_forward(enc_in, request.semantic_low, guiding_weights, decoder_tokens=seqs[0], encoder_out=enc)
+    if dec.n < guiding_weights.length:  # the rows after the last masked position
+        dec.extend(np.concatenate([[guiding_weights.config.start_token], seqs[0, :-1]])[None, dec.n :])
     completion = TokenGrid(seqs[0].reshape(request.tokens_low.tokens.shape), request.tokens_low.vocab)
-    return GuidePlanResult(completion, plans_from_maps(forced, config), float(logprobs[0]))
+    plans = plans_from_maps(enc.attn, dec.self_maps, dec.cross_maps, config)
+    return GuidePlanResult(completion, plans, float(logprobs[0]))
 
 
 def autoregressive_edit(
@@ -216,7 +221,7 @@ def autoregressive_edit(
 
     enc_out = mdl.encode(apply_mask(request.tokens, request.mask), request.semantic, sga_weights, plans)
     rngs = [substream(seed, f"candidate-{i}") for i in range(n_samples)]
-    seqs, logprobs = _forced_decode(enc_out, request.tokens, request.mask, sga_weights, plans, top_k, rngs)
+    seqs, logprobs, _ = _forced_decode(enc_out, request.tokens, request.mask, sga_weights, plans, top_k, rngs)
 
     unmasked = ~np.asarray(request.mask, dtype=bool).ravel()
     if np.any(seqs[:, unmasked] != request.tokens.flat()[unmasked]):

@@ -34,7 +34,6 @@ import numpy as np
 
 from . import tape as T
 from .errors import ShapeError, ValidationError
-from .numerics import as_array
 
 NEG_INF = -np.inf
 
@@ -107,7 +106,7 @@ def band(n_blocks: int, radius: int) -> np.ndarray:
 def block_affinity(a_low: np.ndarray, n_blocks: int) -> np.ndarray:
     """Pool a dense low-resolution attention matrix into N x N block means,
     or a stack of them ([..., L, L], such as every head of a layer) at once."""
-    a_low = as_array(a_low)
+    a_low = T.value_of(a_low)
     if a_low.ndim < 2 or a_low.shape[-1] != a_low.shape[-2]:
         raise ShapeError(f"expected a square attention matrix, got {a_low.shape}")
     size = a_low.shape[-1]
@@ -126,7 +125,7 @@ def select_plans(b: np.ndarray, k: int, radius: int) -> list[SparsityPlan]:
     block index, which makes each plan a pure function of (b[h], k,
     radius); the first k of them join the neighborhood.
     """
-    b = as_array(b)
+    b = T.value_of(b)
     if b.ndim != 3 or b.shape[-1] != b.shape[-2]:
         raise ShapeError(f"expected H x N x N block affinities, got {b.shape}")
     if k < 0 or radius < 0:

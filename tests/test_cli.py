@@ -257,6 +257,18 @@ def test_invalid_leakcheck_image_exit_2_without_traceback(tmp_path, capsys, shap
     assert not (tmp_path / "run").exists()
 
 
+def test_flat_leakcheck_image_exit_2_without_traceback(tmp_path, capsys):
+    """An image whose patches are all alike cannot fit a codebook: bad input."""
+    cfg = write_config(tmp_path)
+    image = tmp_path / "flat.pgm"
+    images.write_pnm(image, np.full((64, 64), 0.5))
+    assert cli.main(["leakcheck", "--config", str(cfg), "--image", str(image)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"config error: --image {image}: 1 distinct patch; a codebook needs at least 2\n"
+    assert not (tmp_path / "run" / "leakcheck" / "report.json").exists()
+    assert not (tmp_path / "run").exists()
+
+
 def test_workers_is_an_edit_option_only(tmp_path, capsys):
     cfg = write_config(tmp_path)
     with pytest.raises(SystemExit) as exc:

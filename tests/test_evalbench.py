@@ -347,7 +347,8 @@ class TestTrain:
 
         def guided_plans(step):
             x_low, p_low = task_low.sample(substream(step, "oracle-plans"))
-            return sampler.plans_from_maps(mdl.guiding_forward(x_low, p_low, guide, x_low.flat()), cfg)
+            forced = mdl.guiding_forward(x_low, p_low, guide, x_low.flat())
+            return sampler.plans_from_maps(forced.encoder.attn, forced.dec_self_attn, forced.dec_cross_attn, cfg)
 
         def no_mask(*args):
             raise AssertionError("the model built an L x L plan mask")

@@ -307,3 +307,55 @@ def test_extend_validates_input():
         batch.extend([[1], [cfg.start_token]])  # START only at row 0, in every candidate
     with pytest.raises(ShapeError):
         batch.branch(2)  # only a single candidate branches
+
+
+@pytest.mark.parametrize("layers_dec", [1, 2])
+def test_dense_decoder_collects_the_full_pass_maps(layers_dec):
+    """A single dense candidate extended as a prefix, then single rows, then
+    the tail holds, after every call, the rows so far of the maps of one
+    call over the whole sequence; once complete they are read-only."""
+    cfg = make_config(layers_dec)
+    _, high = make_weights(cfg, layers_dec)
+    request = make_request(cfg, np.zeros(cfg.grid_high, bool))
+    dense = mdl.PlanBundle.dense(cfg)
+    enc = encode(request, high, dense)
+    prev = np.concatenate([[cfg.start_token], request.tokens.flat()[:-1]])
+    _, want_self, want_cross = mdl.decoder_forward(prev, enc, high, dense)
+    want = want_self + want_cross
+    dec = mdl.IncrementalDecoder(enc, high, dense)
+    for size in (11, 1, 1, 1, cfg.l_high - 14):
+        dec.extend(prev[None, dec.n : dec.n + size])
+        for got, full in zip(dec.self_maps + dec.cross_maps, want, strict=True):
+            assert got.shape == (cfg.heads, cfg.l_high, cfg.l_high)
+            assert np.abs(got[:, : dec.n] - full[:, : dec.n]).max() <= 1e-12
+    for maps in (dec.self_maps + dec.cross_maps, want):
+        assert len(maps) == 2 * layers_dec
+        for layer in maps:
+            with pytest.raises(ValueError, match="read-only"):
+                layer[0, 0, 0] = 0.5
+
+
+def test_multi_block_and_batched_decoders_hold_no_maps():
+    cfg = make_config(2)
+    guide, high = make_weights(cfg)
+    request = make_request(cfg, np.zeros(cfg.grid_high, bool))
+    prev = np.concatenate([[cfg.start_token], request.tokens.flat()[:-1]])
+    for kind in ("guided", "full"):
+        plans = make_plans(kind, cfg, guide, request)
+        enc = encode(request, high, plans)
+        dec = mdl.IncrementalDecoder(enc, high, plans)
+        dec.extend(prev[None, :5])
+        assert dec.self_maps == dec.cross_maps == [None, None]
+        _, self_maps, cross_maps = mdl.decoder_forward(prev, enc, high, plans)
+        assert self_maps == cross_maps == [None, None]
+    dense = mdl.PlanBundle.dense(cfg)
+    shared = mdl.IncrementalDecoder(encode(request, high, dense), high, dense)
+    shared.extend(prev[None, :5])
+    before = [m.copy() for m in shared.self_maps + shared.cross_maps]
+    batch = shared.branch(3)
+    assert batch.self_maps == batch.cross_maps == [None, None]
+    batch.extend(np.repeat(prev[None, 5:], 3, axis=0))
+    for maps, snapshot in zip(shared.self_maps + shared.cross_maps, before):
+        assert np.array_equal(maps, snapshot) and not maps[:, 5:].any()
+    with pytest.raises(ShapeError):
+        shared.branch(1)  # one candidate decodes on, unbranched

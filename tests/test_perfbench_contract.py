@@ -67,12 +67,13 @@ def test_traced_guide_and_plan_gives_plan_counts():
     try:
         with tracer.request_span("edit", 0):
             sampler.guide_and_plan(make_request(), guide, CFG, seed=0)
+            # `plan_counts`' forced `guiding_forward` pass is the span's one `decoder_forward` call
+            counts = checks.plan_counts(tracer.captured["sampler.guide_and_plan"])
     finally:
         tracer.uninstall()
     assert sampler.guide_and_plan.__module__ == "sgaedit.sampler"  # the originals are back
     summary = tracer.summarize()
     assert summary["model.decoder_forward"]["rows"] == CFG.l_low  # the tracer binds `prev_tokens`
-    counts = checks.plan_counts(tracer.captured["sampler.guide_and_plan"])
     assert sorted(counts) == sorted(PLAN_COUNTS)
     assert all(math.isfinite(value) for value in counts.values())
     assert 0.0 < counts["sga.score_flops_ratio"] < 1.0

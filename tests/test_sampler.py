@@ -5,8 +5,9 @@ import pytest
 
 from sgaedit import model as mdl
 from sgaedit import sampler, sga
+from sgaedit import tape as T
 from sgaedit.errors import NumericalError, ParameterError, ShapeError, ValidationError
-from sgaedit.quantizer import TokenGrid
+from sgaedit.quantizer import TokenGrid, apply_mask
 from sgaedit.rng import substream
 
 from conftest import affinities, per_row_sort_plan
@@ -186,19 +187,13 @@ class TestGuideAndPlan:
         enc = [affinities(kind, (heads, size, size), seed=blocks + i) for i in range(2)]
         dec_self = [affinities(kind, (heads, size, size), seed=blocks + 2)]
         dec_cross = [list(affinities(kind, (heads, size, size), seed=blocks + 3))]
-        forced = mdl.ForwardResult(
-            logits=None,
-            encoder=mdl.EncoderOutput(context=None, attn=enc),
-            dec_self_attn=dec_self,
-            dec_cross_attn=dec_cross,
-        )
         for k in (0, 1, 3, blocks):
             for radius in (0, 1, 2):
                 cfg = mdl.ModelConfig(
                     d=6, layers_enc=2, layers_dec=1, heads=heads, grid_high=(16, 16), grid_low=(8, 8),
                     blocks=blocks, top_k=k, radius=radius,
                 )
-                got = sampler.plans_from_maps(forced, cfg)
+                got = sampler.plans_from_maps(enc, dec_self, dec_cross, cfg)
                 for role, maps in (("enc", enc), ("dec_self", dec_self), ("dec_cross", dec_cross)):
                     seen = np.tri(blocks, dtype=bool) if role == "dec_self" else True
                     want = [[oracle(m[h], k, radius, seen) for h in range(heads)] for m in maps]
@@ -207,18 +202,92 @@ class TestGuideAndPlan:
     def test_uniform_maps_tie_break(self, weights):
         guide, _ = weights
         uniform = np.full((CFG.l_low, CFG.l_low), 1.0 / CFG.l_low)
-        forced = mdl.ForwardResult(
-            logits=np.zeros((CFG.l_low, CFG.vocab)),
-            encoder=mdl.EncoderOutput(context=np.zeros((CFG.l_low, CFG.d)), attn=[[uniform] * CFG.heads]),
-            dec_self_attn=[[uniform] * CFG.heads],
-            dec_cross_attn=[[uniform] * CFG.heads],
-        )
-        plans = sampler.plans_from_maps(forced, CFG)
+        maps = [[uniform] * CFG.heads]
+        plans = sampler.plans_from_maps(maps, maps, maps, CFG)
         plan = plans.enc[0][0]
         for r in range(plan.n_blocks):
             nb = set(range(max(0, r - 1), min(plan.n_blocks, r + 2)))
             expected_extra = [t for t in range(plan.n_blocks) if t not in nb][: CFG.top_k]
             assert set(plan.kept[r]) == nb | set(expected_extra)
+
+
+# a guide large enough for multi-row blocks: 4x4 low-res tokens in 4 blocks, 2 decoder layers
+GUIDE_CFG = dataclasses.replace(CFG, layers_dec=2, grid_high=(8, 8), grid_low=(4, 4), top_k=1, radius=0)
+
+
+def guide_mask(kind):
+    mask = np.zeros(GUIDE_CFG.grid_low, bool)
+    if kind == "last-token":
+        mask[-1, 1:] = True
+    elif kind == "mid-grid":
+        mask[1:3, 1:3] = True
+    return mask
+
+
+class TestGuideDecodesOnce:
+    """The guide's plans come from its sampling decode, extended past the
+    last masked position: no second decoder pass."""
+
+    @staticmethod
+    def guide_request(kind):
+        rng = substream(5, "guide-once")
+        g, gl = GUIDE_CFG.grid_high, GUIDE_CFG.grid_low
+        return sampler.EditRequest(
+            tokens=TokenGrid(rng.integers(0, CFG.vocab, size=g), CFG.vocab),
+            semantic=TokenGrid(rng.integers(0, CFG.vocab_map, size=g), CFG.vocab_map),
+            mask=np.zeros(g, bool),
+            tokens_low=TokenGrid(rng.integers(0, CFG.vocab, size=gl), CFG.vocab),
+            semantic_low=TokenGrid(rng.integers(0, CFG.vocab_map, size=gl), CFG.vocab_map),
+            mask_low=guide_mask(kind),
+        )
+
+    @pytest.fixture(scope="class")
+    def guide(self):
+        return mdl.init_weights(GUIDE_CFG, GUIDE_CFG.grid_low, substream(2, "guide-once"))
+
+    @pytest.mark.parametrize("kind", ["empty", "last-token", "mid-grid"])
+    def test_plans_equal_a_forced_pass_over_the_completion(self, guide, kind, monkeypatch):
+        """The oracle is the guide's former second pass: `guiding_forward`
+        over the masked low-res grid and the completion."""
+        req = self.guide_request(kind)
+        seen = []
+        real = sampler.plans_from_maps
+        monkeypatch.setattr(sampler, "plans_from_maps", lambda *maps: seen.append(maps[:3]) or real(*maps))
+        res = sampler.guide_and_plan(req, guide, GUIDE_CFG, seed=4)
+        monkeypatch.undo()
+        forced = mdl.guiding_forward(
+            apply_mask(req.tokens_low, req.mask_low), req.semantic_low, guide, res.completion_low.flat()
+        )
+        want_maps = (forced.encoder.attn, forced.dec_self_attn, forced.dec_cross_attn)
+        for got_role, want_role in zip(seen[0], want_maps):
+            for got, want in zip(got_role, want_role, strict=True):
+                assert np.abs(got - want).max() <= 1e-12
+        want = sampler.plans_from_maps(*want_maps, GUIDE_CFG)
+        for role in ("enc", "dec_self", "dec_cross"):
+            got_keeps = [[p.keep for p in layer] for layer in getattr(res.plans, role)]
+            want_keeps = [[p.keep for p in layer] for layer in getattr(want, role)]
+            assert np.array_equal(got_keeps, want_keeps), role
+
+    @pytest.mark.parametrize("kind", ["empty", "last-token", "mid-grid"])
+    def test_every_row_runs_once_per_layer_and_role(self, guide, kind, monkeypatch):
+        """The kernel sees each of the L rows once per (layer, role), encoder
+        included, and no teacher-forced pass runs."""
+        rows = []
+        kernel = T.block_attention
+
+        def counting(q, k, v, keys, *args, **kwargs):
+            rows.append(np.shape(q)[0])
+            return kernel(q, k, v, keys, *args, **kwargs)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("the guide ran a teacher-forced pass")
+
+        monkeypatch.setattr(T, "block_attention", counting)
+        for name in ("forward", "guiding_forward", "decoder_forward"):
+            monkeypatch.setattr(mdl, name, forbidden)
+        sampler.guide_and_plan(self.guide_request(kind), guide, GUIDE_CFG, seed=4)
+        cfg = GUIDE_CFG
+        assert sum(rows) == cfg.l_low * (cfg.layers_enc + 2 * cfg.layers_dec)
 
 
 class TestAutoregressiveEdit:
@@ -315,7 +384,7 @@ class TestRankCandidates:
         if seqs is None:
             seqs = np.tile(req.tokens.flat(), (n, 1))
             seqs[:, np.flatnonzero(req.mask.ravel())[0]] = np.arange(n) % CFG.vocab
-        monkeypatch.setattr(sampler, "_forced_decode", lambda *args: (seqs, np.asarray(logprobs, dtype=np.float64)))
+        monkeypatch.setattr(sampler, "_forced_decode", lambda *args: (seqs, np.asarray(logprobs, dtype=np.float64), None))
         return sampler.autoregressive_edit(req, high, mdl.PlanBundle.dense(CFG), n_samples=n, n_keep=n_keep or n)
 
     def test_explicit_order(self, weights, monkeypatch):

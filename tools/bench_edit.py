@@ -1,13 +1,14 @@
-"""Time one many-candidate `autoregressive_edit` on random weights.
+"""Time the guide and one many-candidate `autoregressive_edit` on random weights.
 
 The settings are the ROADMAP Baseline's: d 64, 4 heads, 2 encoder and 1
 decoder layer, vocab 16, the lower-left quarter of the token grid masked,
 the guide at half the side, `blocks` = min(64, guide length), top-k 100.
-The guide's plans are made once; each repeat times `autoregressive_edit`
-alone and the median is reported. The last line of output is one JSON
-object that also holds a digest of the candidate tokens and every
-candidate's log-probability, both in token order, so two checkouts can be
-compared for equal outputs. Run from a checkout's root, with that checkout's sources:
+Each repeat times `guide_and_plan`, then `autoregressive_edit` under its
+plans, and the medians of both are reported. The last line of output is
+one JSON object that also holds a digest of every plan's keep matrix, a
+digest of the candidate tokens and every candidate's log-probability,
+both in token order, so two checkouts can be compared for equal outputs.
+Run from a checkout's root, with that checkout's sources:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/bench_edit.py --grid 32 --samples 50 --repeats 5
 """
@@ -53,24 +54,31 @@ def main() -> None:
     )
     guide = mdl.init_weights(cfg, cfg.grid_low, substream(args.seed, "bench-guide"))
     high = mdl.init_from_guiding(guide)
-    plans = sampler.guide_and_plan(request, guide, cfg, seed=args.seed).plans
 
-    seconds = []
+    guide_seconds, seconds = [], []
     for _ in range(args.repeats):
+        t0 = time.perf_counter()
+        plans = sampler.guide_and_plan(request, guide, cfg, seed=args.seed).plans
+        guide_seconds.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         tokens, logprobs = sampler.autoregressive_edit(
             request, high, plans, top_k=100, n_samples=args.samples, n_keep=args.samples, seed=args.seed
         )
         seconds.append(time.perf_counter() - t0)
-        print(f"autoregressive_edit {seconds[-1]:.3f} s")
+        print(f"guide_and_plan {guide_seconds[-1]:.3f} s, autoregressive_edit {seconds[-1]:.3f} s")
+    roles = (plans.enc, plans.dec_self, plans.dec_cross)
+    keeps = [plan.keep.tobytes() for role in roles for layer in role for plan in layer]
     # in token order, not rank order: log-probabilities equal to rounding may rank near-ties either way
     cands = sorted((row.tobytes(), float(logprob)) for row, logprob in zip(tokens, logprobs))
     result = {
         "grid": side,
         "masked_tokens": int(mask.sum()),
         "n_samples": args.samples,
+        "guide_seconds": guide_seconds,
+        "guide_median_s": statistics.median(guide_seconds),
         "seconds": seconds,
         "median_s": statistics.median(seconds),
+        "plans_sha256": hashlib.sha256(b"".join(keeps)).hexdigest(),
         "tokens_sha256": hashlib.sha256(b"".join(tokens for tokens, _ in cands)).hexdigest(),
         "logprobs": [logprob for _, logprob in cands],
     }

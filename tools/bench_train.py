@@ -53,7 +53,7 @@ def guided_case(seed: int):
     def guided_plans(step):
         x_low, p_low, mask_low = task_low.instance(substream(seed, f"bench-train-plans-{step}"))
         forced = mdl.guiding_forward(apply_mask(x_low, mask_low), p_low, guide, decoder_tokens=x_low.flat())
-        return sampler.plans_from_maps(forced, cfg)
+        return sampler.plans_from_maps(forced.encoder.attn, forced.dec_self_attn, forced.dec_cross_attn, cfg)
 
     return lambda steps: eb.train(init, task, steps, 0.2, seed, guided_plans)
 
