@@ -19,9 +19,11 @@ block_attention; masked_softmax, and the scale and
 `matmul(transpose_b=True)` around it, serve `attention.dense_attention`,
 the dense reference the tests compare against.
 
-`GradTape.backward` hands its node list off as it runs, so once the caller
-drops the loss and the parameters, reference counting frees the step's
-graph; the cyclic collector is not needed.
+`GradTape.backward` uses up its node list as it walks it, releasing each
+op's backward closure (and the values it saved) once that backward has run,
+so reference counting frees the step's graph during the walk even while the
+caller still holds the loss; the cyclic collector is not needed. Afterwards
+only the leaves (`GradTape.param`) keep a .grad.
 """
 
 from __future__ import annotations
@@ -86,8 +88,12 @@ class GradTape:
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into every leaf's .grad.
 
-        The tape forgets its nodes here: every node refers to the tape, so a
-        tape that kept them would make the whole graph a reference cycle.
+        Only leaves keep a .grad. The walk pops each recorded op off the tape,
+        runs its backward, then drops that op's backward closure and .grad, so
+        the graph is freed while the walk runs even if the caller still holds
+        the loss or another intermediate. The tape forgets its nodes here:
+        every node refers to the tape, so a tape that kept them would make the
+        whole graph a reference cycle.
         """
         if loss.tape is not self:
             raise ValueError("loss was recorded on a different tape")
@@ -95,9 +101,13 @@ class GradTape:
             raise ShapeError("backward requires a scalar loss")
         loss.accumulate(np.asarray(1.0))
         nodes, self._nodes = self._nodes, []
-        for node in reversed(nodes):
-            if node.grad is not None and node._backward is not None:
+        while nodes:
+            node = nodes.pop()
+            if node._backward is None:  # a leaf keeps its gradient
+                continue
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward = node.grad = None
 
 
 def is_tensor(x) -> bool:
@@ -330,9 +340,9 @@ def block_attention(q, k, v, keys, first=None, weights=None):
     Every row must see at least one key; `sga.block_index` gives every row
     its own block. Each head's key and value rows are gathered straight
     from the n_k x (H * dh) arrays (padding reads row n_k - 1, with weight
-    0). The forward keeps the softmax weights for the backward, which
-    scatters the key and value gradients back to token rows with one
-    `bincount` each.
+    0). The forward saves only q, k, v, the key index and the softmax
+    weights for the backward, which gathers the keys and values again and
+    scatters their gradients back to token rows with one `bincount` each.
     `weights`, when given, is a float array of shape [H, N, bs, K] that the
     softmax weights are written into (they must stay unchanged while a
     backward pass may still read them).
@@ -372,7 +382,7 @@ def block_attention(q, k, v, keys, first=None, weights=None):
         return x.reshape(n_k, heads, dh)[keys, head]
 
     qb = by_block(qv)
-    # the gathered keys are dropped once scored and gathered again by the backward
+    # the gathered keys and values are dropped once used and gathered again by the backward
     w = np.matmul(qb, gather(kv).transpose(0, 1, 3, 2), out=weights)
     w *= scale_
     if hidden is not None:
@@ -387,7 +397,7 @@ def block_attention(q, k, v, keys, first=None, weights=None):
             return np.bincount(idx, weights=xb.ravel(), minlength=n_k * heads * dh).reshape(n_k, heads * dh)
 
         gb = by_block(g)
-        ds = np.matmul(gb, vb.transpose(0, 1, 3, 2))
+        ds = np.matmul(gb, gather(vv).transpose(0, 1, 3, 2))
         ds -= (ds * w).sum(axis=-1, keepdims=True)
         ds *= w
         ds *= scale_

@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 from collections import deque
 
@@ -424,6 +425,25 @@ class TestTrain:
         finally:
             gc.enable()
         assert all(g is not None for g in grads.values())
+
+    def test_steps_keep_one_graph_alive(self):
+        """Each step's graph is freed by its backward, before the next step
+        records one: three steps peak no higher than one step, to within 20%."""
+        cfg = mdl.ModelConfig(grid_high=(16, 16), grid_low=(8, 8), blocks=16, layers_dec=2)
+        local = mdl.PlanBundle.uniform(
+            cfg, lambda role, layer, head: sga.variant_plan("local", cfg.blocks, radius=cfg.radius, k=0)
+        )
+        init = mdl.init_weights(cfg, cfg.grid_high, substream(0, "one-graph"))
+        task = eb.SyntheticTask("mirror", 16, 16, cfg.vocab, classes=cfg.vocab_map)
+        peaks = {}
+        for steps in (1, 3):
+            tracemalloc.start()
+            try:
+                eb.train(init, task, steps, 0.2, 0, lambda step: local)
+                peaks[steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[3] <= 1.2 * peaks[1]
 
     def test_dense_model_learns_mirror(self):
         # 8x8 mirror, d 64, 1 encoder + 1 decoder layer, Adam at lr 1e-3:

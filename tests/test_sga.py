@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -307,6 +309,25 @@ class TestBlockGatherKernel:
             return dot(out, probe)
 
         assert T.grad_check(f, qkv[operand], step=1e-5) <= 1e-5
+
+    def test_forward_retains_only_output_and_weights(self):
+        """On tape tensors at 32x32 tokens, 4 heads and 64 blocks, what the
+        forward keeps for the backward is its output and softmax weights;
+        no gathered key or value copy outlives the call."""
+        rng = substream(0, "kernel-memory")
+        heads, n_blocks, length, dh = 4, 64, 1024, 16
+        keys = sga.block_index(sga.select_plans(rng.random((heads, n_blocks, n_blocks)), 3, 1), length)
+        tape = T.GradTape()
+        q, k, v = (tape.param(rng.normal(size=(length, heads * dh))) for _ in range(3))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            out = T.block_attention(q, k, v, keys)
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        weights = heads * n_blocks * (length // n_blocks) * keys.shape[-1] * 8
+        assert retained <= out.value.nbytes + weights + 256 * 1024
 
     def test_score_flops_count_live_blocks(self):
         """`sparse_attention` counts every kept block of its plans, which are

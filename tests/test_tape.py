@@ -1,4 +1,6 @@
 import ast
+import gc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -90,6 +92,29 @@ def test_backward_requires_scalar():
     out = T.add(a, a)
     with pytest.raises(Exception):
         tape.backward(out)
+
+
+def test_backward_releases_each_node_as_it_walks():
+    """Right after `backward`, with the loss, an intermediate and the leaves
+    still held, reference counting alone has freed the rest of the graph:
+    only the leaves keep a .grad."""
+    rng = substream(8, "tape-release")
+    gc.collect()
+    gc.disable()
+    try:
+        tape = T.GradTape()
+        x, w, b = tape.param(rng.normal(size=(5, 3))), tape.param(rng.normal(size=(3, 4))), tape.param(np.zeros(4))
+        h = T.matmul(x, w)
+        probe = weakref.ref(h)
+        y = T.gelu(h)
+        del h
+        loss = T.cross_entropy(T.add_bias(y, b), [0, 1, 2, 3, 0])
+        tape.backward(loss)
+        assert probe() is None
+        assert y.grad is None and loss.grad is None
+    finally:
+        gc.enable()
+    assert all(leaf.grad is not None and leaf.grad.shape == leaf.shape for leaf in (x, w, b))
 
 
 def test_numpy_fast_path_matches_tensor_path():
