@@ -21,16 +21,7 @@ import numpy as np
 from . import compositing, config as cfgmod, evalbench, images, model as mdl, sampler
 from .errors import ConfigError, InsufficientDataError, NumericalError, SgaError
 from .numerics import read_sgat, write_sgat
-from .quantizer import (
-    Codebook,
-    TokenGrid,
-    apply_mask,
-    encode_patches,
-    fit_codebook,
-    leakage_report,
-    quantize,
-    random_projection,
-)
+from .quantizer import Codebook, TokenGrid, encode_patches, fit_codebook, leakage_report, quantize, random_projection
 from .rng import substream
 
 
@@ -165,20 +156,13 @@ def cmd_train_sga(cfg: dict, args) -> int:
             f"stage {si}: grid {stage[0]}x{stage[1]}, positional tables interpolated "
             f"from {source_grid[0]}x{source_grid[1]}"
         )
-        task = _task_for(cfg, stage)
-
-        def guided_plans(step: int, _si=si) -> mdl.PlanBundle:
-            x_low, p_low, mask_low = task_low.instance(substream(seed, f"sga-plans-{_si}-{step}"))
-            forced = mdl.guiding_forward(apply_mask(x_low, mask_low), p_low, guide_weights, decoder_tokens=x_low.flat())
-            return sampler.plans_from_maps(forced.encoder.attn, forced.dec_self_attn, forced.dec_cross_attn, mconf)
-
         result = evalbench.train(
             weights,
-            task,
+            _task_for(cfg, stage),
             steps=cfg["train"]["stage_steps"],
             lr=cfg["train"]["lr"],
             seed=_derived_seed(seed, f"sga-stage-{si}"),
-            plans=guided_plans,
+            plans=evalbench.guided_plans(guide_weights, task_low, mconf, seed, f"sga-plans-{si}"),
             optimizer=cfg["train"]["optimizer"],
             clip=cfg["train"]["clip"],
         )
@@ -250,6 +234,26 @@ def cmd_edit(cfg: dict, args) -> int:
         raise
 
 
+def write_candidates(out: Path, tokens, logprobs, image, pixel_mask, assets: dict) -> list:
+    """Write each distinct ranked candidate once, at its first rank, as a token
+    file and `image` blended under `pixel_mask`; return the `report.json` rows."""
+    first = {}  # each distinct candidate's first index, in rank order
+    for i, row in enumerate(tokens):
+        first.setdefault(row.tobytes(), i)
+    keep = list(first.values())
+    tokens, logprobs = tokens[keep], logprobs[keep]
+    recons = compositing.tokens_to_image(tokens, assets["codebook"], assets["projection"], assets["patch"])
+    blended = compositing.laplacian_blend(recons, image, pixel_mask.astype(np.float64))
+    rows = []
+    for rank, (row, logprob, img) in enumerate(zip(tokens, logprobs, blended)):
+        tok_file = f"candidate_{rank:02d}.json"
+        img_file = f"candidate_{rank:02d}" + (".pgm" if image.ndim == 2 else ".ppm")
+        (out / tok_file).write_text(TokenGrid(row, assets["codebook"].size).to_json())
+        images.write_pnm(out / img_file, img)
+        rows.append({"rank": rank, "logprob": float(logprob), "tokens": tok_file, "image": img_file})
+    return rows
+
+
 def _run_edit(cfg: dict, args, out: Path) -> int:
     cfgmod.write_resolved(cfg, out)
     mconf = cfgmod.model_config(cfg)
@@ -274,20 +278,7 @@ def _run_edit(cfg: dict, args, out: Path) -> int:
     t_sga = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    first = {}  # each distinct candidate's first index, in rank order
-    for i, row in enumerate(tokens):
-        first.setdefault(row.tobytes(), i)
-    keep = list(first.values())
-    tokens, logprobs = tokens[keep], logprobs[keep]
-    recons = compositing.tokens_to_image(tokens, assets["codebook"], assets["projection"], assets["patch"])
-    blended = compositing.laplacian_blend(recons, image, pixel_mask.astype(np.float64))
-    rows = []
-    for rank, (row, logprob, img) in enumerate(zip(tokens, logprobs, blended)):
-        tok_file = f"candidate_{rank:02d}.json"
-        img_file = f"candidate_{rank:02d}" + (".pgm" if image.ndim == 2 else ".ppm")
-        (out / tok_file).write_text(TokenGrid(row, request.tokens.vocab).to_json())
-        images.write_pnm(out / img_file, img)
-        rows.append({"rank": rank, "logprob": float(logprob), "tokens": tok_file, "image": img_file})
+    rows = write_candidates(out, tokens, logprobs, image, pixel_mask, assets)
     t_output = time.perf_counter() - t0
 
     report = {

@@ -11,7 +11,8 @@ Every setting has one source. The commands that read each block:
 - `task`: train-guide, train-sga, ablate.
 - `train`, the one training recipe: train-guide and ablate train for
   `steps`, train-sga for `stage_steps` per stage, all three with `lr`,
-  `optimizer` and `clip`.
+  `optimizer` and `clip`, the global gradient-norm bound (0 turns
+  clipping off).
 - `sampling`: edit. `quantizer`: train-guide, leakcheck. `ablation`:
   ablate, whose variants are `dense`, `oracle` (the task's ideal plans)
   and the fixed families `local`, `random`, `global`.

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from . import sga
+from . import sampler, sga
 from . import model as mdl
 from . import tape as T
 from .errors import DivergenceError, ParameterError, ShapeError, ValidationError
@@ -242,9 +242,9 @@ def train(
     masked input under `plans(step)`, and take the mean cross-entropy of
     the decoder logits at masked positions against the ground truth.
     Gradients flow through the recorded tape; the global gradient norm is
-    clipped at `clip`. Fixed plans are a `plans` that ignores the step;
-    the guiding-driven fine-tuning path gives fresh plans per step. Adam
-    uses ADAM_BETAS and ADAM_EPS.
+    clipped at `clip`, and `clip` 0 turns clipping off. Fixed plans are a
+    `plans` that ignores the step; `guided_plans` gives fresh plans per
+    step. Adam uses ADAM_BETAS and ADAM_EPS.
     """
     if steps < 1:
         raise ParameterError("steps must be >= 1")
@@ -291,6 +291,21 @@ def train(
                 params[k] = params[k] - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
     return TrainResult(weights=mdl.ModelWeights(cfg, weights.grid, params), losses=losses)
+
+
+def guided_plans(
+    guide: mdl.ModelWeights, task_low: SyntheticTask, config: mdl.ModelConfig, seed: int, stream: str
+) -> Callable[[int], mdl.PlanBundle]:
+    """`train`'s `plans` for fine-tuning under a guide: step `step` draws a
+    masked `task_low` instance from substream `{stream}-{step}` of `seed`,
+    runs the guide over it teacher-forced, and pools its maps into plans."""
+
+    def plans(step: int) -> mdl.PlanBundle:
+        x_low, p_low, mask_low = task_low.instance(substream(seed, f"{stream}-{step}"))
+        forced = mdl.guiding_forward(apply_mask(x_low, mask_low), p_low, guide, decoder_tokens=x_low.flat())
+        return sampler.plans_from_maps(forced.encoder.attn, forced.dec_self_attn, forced.dec_cross_attn, config)
+
+    return plans
 
 
 def masked_accuracy(

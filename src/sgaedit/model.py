@@ -533,32 +533,30 @@ def init_from_guiding(weights_low: ModelWeights, grid: Optional[tuple] = None) -
 def save_checkpoint(directory, weights: ModelWeights) -> None:
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "config": dataclasses.asdict(weights.config),
-        "grid": list(weights.grid),
-        "params": {name: f"{name}.sgat" for name in sorted(weights.params)},
-    }
+    manifest = {"config": dataclasses.asdict(weights.config), "grid": list(weights.grid)}
     for name in sorted(weights.params):
         write_sgat(directory / f"{name}.sgat", T.value_of(weights.params[name]))
     (directory / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
 
 
 def load_checkpoint(directory) -> ModelWeights:
-    """Read a checkpoint directory. A malformed manifest raises ConfigError;
-    a malformed tensor file raises ValidationError (from `read_sgat`)."""
+    """Read a checkpoint directory: config and grid from `manifest.json` (an
+    older manifest's `params` map is ignored), each parameter from `{name}.sgat`.
+    A malformed manifest or a misshaped parameter raises ConfigError; a
+    malformed tensor file raises ValidationError (from `read_sgat`)."""
     directory = Path(directory)
     text = (directory / "manifest.json").read_bytes()
     try:
         manifest = json.loads(text)
         config = ModelConfig(**manifest["config"])
         grid = check_grid("grid", manifest["grid"])
-        files = {str(name): directory / str(fname) for name, fname in manifest["params"].items()}
     except (ValueError, TypeError, KeyError, AttributeError, ConfigError) as exc:
         # ValueError covers JSONDecodeError and UnicodeDecodeError; ConfigError an invalid config
         raise ConfigError(f"{directory / 'manifest.json'}: malformed manifest ({type(exc).__name__}: {exc})") from exc
-    params = {name: read_sgat(path) for name, path in files.items()}
-    expected = parameter_shapes(config, grid)
-    for name, shape in expected.items():
-        if name not in params or params[name].shape != shape:
-            raise ConfigError(f"checkpoint parameter {name} missing or misshaped")
+    params = {}
+    # sorted, as manifests listed the files: `evalbench.train` sums the gradient norm in this order
+    for name, shape in sorted(parameter_shapes(config, grid).items()):
+        params[name] = read_sgat(directory / f"{name}.sgat")
+        if params[name].shape != shape:
+            raise ConfigError(f"checkpoint parameter {name} misshaped")
     return ModelWeights(config, grid, params)

@@ -637,6 +637,7 @@ MALFORMED_CHECKPOINTS = [
     ("sgat-empty-shape-too-big", "out_head.sgat", _sgat_shape([0, 2**70]), 4),
     # the right shape for TINY's out_head (d x vocab), 4 bytes past its payload
     ("sgat-trailing-bytes", "out_head.sgat", _sgat_shape([16, 8]) + bytes(4 * 16 * 8 + 4), 4),
+    ("sgat-deleted", "out_head.sgat", None, 2),  # a file error, named in its one line
     ("manifest-garbled", "manifest.json", b'{"config": ', 2),
     ("manifest-binary", "manifest.json", b"\x80\x81", 2),
     ("manifest-missing-grid", "manifest.json", b'{"config": {}, "params": {}}', 2),
@@ -656,7 +657,10 @@ def test_malformed_checkpoint_exit_code_without_traceback(trained, tmp_path, tar
     run, cfg = trained
     guide = tmp_path / "guide"
     shutil.copytree(run / "run" / "guide", guide)
-    (guide / target).write_bytes(payload)
+    if payload is None:
+        (guide / target).unlink()
+    else:
+        (guide / target).write_bytes(payload)
     image, semantic, mask = make_edit_inputs(tmp_path)
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
@@ -668,6 +672,8 @@ def test_malformed_checkpoint_exit_code_without_traceback(trained, tmp_path, tar
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr
     assert target.split(".")[0] in result.stderr
+    if payload is None:
+        assert result.stderr.startswith("file error:") and target in result.stderr
 
 
 # (name, file of the guide checkpoint, key, a value that truncates to a valid one)

@@ -345,11 +345,7 @@ class TestTrain:
         task_low = eb.SyntheticTask("mirror", 4, 4, cfg.vocab, classes=cfg.vocab_map)
         guide = mdl.init_weights(cfg, cfg.grid_low, substream(8, "oracle-guide"))
         init = mdl.init_from_guiding(guide)
-
-        def guided_plans(step):
-            x_low, p_low = task_low.sample(substream(step, "oracle-plans"))
-            forced = mdl.guiding_forward(x_low, p_low, guide, x_low.flat())
-            return sampler.plans_from_maps(forced.encoder.attn, forced.dec_self_attn, forced.dec_cross_attn, cfg)
+        guided_plans = eb.guided_plans(guide, task_low, cfg, 8, "oracle-plans")
 
         def no_mask(*args):
             raise AssertionError("the model built an L x L plan mask")
@@ -369,6 +365,31 @@ class TestTrain:
         assert np.abs(np.array(got.losses) - np.array(want.losses)).max() <= 1e-10
         for name in want.weights.params:
             assert np.abs(got.weights.params[name] - want.weights.params[name]).max() <= 1e-10, name
+
+    def test_guided_plans_match_inline_closure(self):
+        """`guided_plans(...)(step)` is, keep matrix by keep matrix, the
+        closure that `train-sga` built inline: the guide run teacher-forced
+        over the step's masked low-res instance, its maps pooled into plans."""
+        cfg = mdl.ModelConfig(
+            d=16, layers_enc=1, layers_dec=2, heads=2, vocab=8, vocab_map=3,
+            grid_high=(8, 8), grid_low=(4, 4), blocks=8, top_k=1, radius=1, ffw=32,
+        )
+        task_low = eb.SyntheticTask("mirror", 4, 4, cfg.vocab, classes=cfg.vocab_map)
+        guide = mdl.init_weights(cfg, cfg.grid_low, substream(9, "closure-guide"))
+
+        def closure(step):
+            x_low, p_low, mask_low = task_low.instance(substream(3, f"sga-plans-0-{step}"))
+            forced = mdl.guiding_forward(apply_mask(x_low, mask_low), p_low, guide, decoder_tokens=x_low.flat())
+            return sampler.plans_from_maps(forced.encoder.attn, forced.dec_self_attn, forced.dec_cross_attn, cfg)
+
+        plans = eb.guided_plans(guide, task_low, cfg, 3, "sga-plans-0")
+        for step in range(3):
+            got, want = plans(step), closure(step)
+            assert got.mean_sparsity()["enc"] < 1.0  # the plans do drop blocks
+            for role, layers in (("enc", cfg.layers_enc), ("dec_self", cfg.layers_dec), ("dec_cross", cfg.layers_dec)):
+                pairs = [(g, w) for gl, wl in zip(getattr(got, role), getattr(want, role)) for g, w in zip(gl, wl)]
+                assert len(pairs) == layers * cfg.heads
+                assert all(np.array_equal(g.keep, w.keep) for g, w in pairs), (step, role)
 
     def test_dense_training_matches_per_head_oracle(self, monkeypatch):
         """Three dense training steps (`PlanBundle.dense`, the one-block plans)

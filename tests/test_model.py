@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -369,6 +370,42 @@ class TestCheckpoint:
         mdl.save_checkpoint(tmp_path / "b", loaded)
         for f in sorted((tmp_path / "a").iterdir()):
             assert f.read_bytes() == (tmp_path / "b" / f.name).read_bytes(), f.name
+
+    def test_manifest_cannot_redirect_a_parameter(self, tmp_path):
+        """A manifest's `params` map that points `enc_pos` at `dec_pos.sgat`
+        and `out_head` at another checkpoint's file is ignored: every
+        parameter loads from its own `{name}.sgat`."""
+        w = mdl.init_weights(CFG, CFG.grid_low, substream(28, "c3"))
+        other = mdl.init_weights(CFG, CFG.grid_low, substream(29, "c4"))
+        mdl.save_checkpoint(tmp_path / "a", w)
+        mdl.save_checkpoint(tmp_path / "b", other)
+        want = mdl.load_checkpoint(tmp_path / "a")
+        manifest = tmp_path / "a" / "manifest.json"
+        params = {name: f"{name}.sgat" for name in w.params}
+        params.update(enc_pos="dec_pos.sgat", out_head=str(tmp_path / "b" / "out_head.sgat"))
+        manifest.write_text(json.dumps({**json.loads(manifest.read_text()), "params": params}))
+        loaded = mdl.load_checkpoint(tmp_path / "a")
+        assert sorted(loaded.params) == sorted(want.params)
+        for name in want.params:
+            assert np.array_equal(loaded.params[name], want.params[name]), name
+
+    def test_manifest_with_params_map_loads_bit_exact(self, tmp_path):
+        """A checkpoint whose manifest lists its files under `params`, as
+        checkpoints written before the files were named by rule do, loads
+        bit-exactly; a new manifest has no `params`."""
+        w = mdl.init_weights(CFG, CFG.grid_low, substream(30, "c5"))
+        mdl.save_checkpoint(tmp_path / "a", w)
+        want = mdl.load_checkpoint(tmp_path / "a")
+        manifest = tmp_path / "a" / "manifest.json"
+        new = json.loads(manifest.read_text())
+        assert sorted(new) == ["config", "grid"]
+        old = {**new, "params": {name: f"{name}.sgat" for name in sorted(w.params)}}
+        manifest.write_text(json.dumps(old, indent=2, sort_keys=True))
+        loaded = mdl.load_checkpoint(tmp_path / "a")
+        assert loaded.config == CFG and loaded.grid == CFG.grid_low
+        assert list(loaded.params) == list(want.params)
+        for name in want.params:
+            assert loaded.params[name].tobytes() == want.params[name].tobytes(), name
 
     def test_missing_param_rejected(self, tmp_path):
         w = mdl.init_weights(CFG, CFG.grid_low, substream(27, "c2"))

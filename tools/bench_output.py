@@ -1,17 +1,19 @@
-"""Time an edit's output stage: decode, blend and write C candidates.
+"""Time an edit's output stage: dedup, decode, blend and write C candidates.
 
-The stage is what `sgaedit edit` does after sampling: `tokens_to_image`
-and `laplacian_blend` over all kept candidates at once (4 pyramid levels
-at every `--grid`), and `write_pnm` for each. The input is a synthetic gray image of `--grid` x
-`--grid` tokens of 16 px (perfbench's patch), a 64-d random projection
-and a 16-entry codebook fitted to the image's patches. The mask is the
-`edit-hires` workload's shape: 4 x 2 tokens over the last two token rows.
-Each candidate is the image's tokens with the masked ones redrawn at
-random. Each repeat runs the whole stage into a temporary directory and
-the median is reported. The last line of output is one JSON object that
-also holds a digest of the written image bytes in candidate order, so two
-checkouts can be compared for equal outputs. Run from a checkout's
-root, with that checkout's sources:
+The stage is `cli.write_candidates`, what `sgaedit edit` runs after
+sampling: it drops repeated token grids, runs `tokens_to_image` and
+`laplacian_blend` over all kept candidates at once (4 pyramid levels at
+every `--grid`), and writes each one's token file and image. The input
+is a synthetic gray image of `--grid` x `--grid` tokens of 16 px
+(perfbench's patch), a 64-d random projection and a 16-entry codebook
+fitted to the image's patches. The mask is the `edit-hires` workload's
+shape: 4 x 2 tokens over the last two token rows. Each candidate is the
+image's tokens with the masked ones redrawn at random. Each repeat runs
+the whole stage into a temporary directory and the median is reported.
+The last line of output is one JSON object that also holds digests of
+the written image bytes and token files in rank order, so two checkouts
+can be compared for equal outputs. Run from a checkout's root, with that
+checkout's sources:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/bench_output.py --grid 32 --candidates 10 --repeats 5
 """
@@ -26,21 +28,11 @@ from pathlib import Path
 
 import numpy as np
 
-from sgaedit import compositing, images
+from sgaedit import cli, images
 from sgaedit.quantizer import encode_patches, fit_codebook, quantize, random_projection
 from sgaedit.rng import substream
 
 PATCH = 16
-
-
-def output_stage(tokens, image, pixel_mask, codebook, projection, out: Path) -> list:
-    """Write the blended image of every grid of the stack `tokens` to `out`;
-    return the paths in order."""
-    paths = [out / f"candidate_{rank:02d}.pgm" for rank in range(len(tokens))]
-    recons = compositing.tokens_to_image(tokens, codebook, projection, PATCH)
-    for path, img in zip(paths, compositing.laplacian_blend(recons, image, pixel_mask.astype(np.float64))):
-        images.write_pnm(path, img)
-    return paths
 
 
 def main() -> None:
@@ -64,14 +56,19 @@ def main() -> None:
     for drawn in stack:
         drawn[mask] = rng.integers(0, codebook.size, size=int(mask.sum()))
     pixel_mask = np.kron(mask, np.ones((PATCH, PATCH), bool))
+    logprobs = -np.arange(args.candidates, dtype=np.float64)  # already ranked
+    assets = {"codebook": codebook, "projection": projection, "patch": PATCH}
 
     seconds = []
     for _ in range(args.repeats):
         with tempfile.TemporaryDirectory() as tmp:
             t0 = time.perf_counter()
-            paths = output_stage(stack, image, pixel_mask, codebook, projection, Path(tmp))
+            rows = cli.write_candidates(Path(tmp), stack, logprobs, image, pixel_mask, assets)
             seconds.append(time.perf_counter() - t0)
-            digest = hashlib.sha256(b"".join(path.read_bytes() for path in paths)).hexdigest()
+            digests = {
+                f"{key}_sha256": hashlib.sha256(b"".join((Path(tmp) / r[field]).read_bytes() for r in rows)).hexdigest()
+                for key, field in (("images", "image"), ("tokens", "tokens"))
+            }
         print(f"output stage {seconds[-1]:.4f} s")
     result = {
         "grid": side,
@@ -80,7 +77,7 @@ def main() -> None:
         "candidates": args.candidates,
         "seconds": seconds,
         "median_s": statistics.median(seconds),
-        "images_sha256": digest,
+        **digests,
     }
     print(json.dumps(result))
 

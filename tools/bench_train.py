@@ -6,8 +6,8 @@ Four cases:
   and with Adam at lr 1e-3;
 - `guided-16x16`: the config of perfbench's `train` workload (16x16 tokens,
   guide 8x8, 16 blocks, 2 decoder layers, other sizes at their defaults),
-  SGD at lr 0.2, with fresh guided plans per step from a random guide, as
-  `train-sga` makes them;
+  SGD at lr 0.2, with fresh guided plans per step from a random guide,
+  made by `evalbench.guided_plans` as in `train-sga`;
 - `guided-32x32`: the same at the config of perfbench's `edit-hires`
   workload (32x32 tokens, guide 16x16, 64 blocks, 1 decoder layer).
 
@@ -33,8 +33,6 @@ import tracemalloc
 
 from sgaedit import evalbench as eb
 from sgaedit import model as mdl
-from sgaedit import sampler
-from sgaedit.quantizer import apply_mask
 from sgaedit.rng import substream
 
 
@@ -54,13 +52,8 @@ def guided_case(cfg: mdl.ModelConfig, seed: int):
     init = mdl.init_from_guiding(guide)
     task = eb.SyntheticTask("mirror", *cfg.grid_high, cfg.vocab, classes=cfg.vocab_map)
     task_low = eb.SyntheticTask("mirror", *cfg.grid_low, cfg.vocab, classes=cfg.vocab_map)
-
-    def guided_plans(step):
-        x_low, p_low, mask_low = task_low.instance(substream(seed, f"bench-train-plans-{step}"))
-        forced = mdl.guiding_forward(apply_mask(x_low, mask_low), p_low, guide, decoder_tokens=x_low.flat())
-        return sampler.plans_from_maps(forced.encoder.attn, forced.dec_self_attn, forced.dec_cross_attn, cfg)
-
-    return lambda steps: eb.train(init, task, steps, 0.2, seed, guided_plans)
+    plans = eb.guided_plans(guide, task_low, cfg, seed, "bench-train-plans")
+    return lambda steps: eb.train(init, task, steps, 0.2, seed, plans)
 
 
 def digest(weights: mdl.ModelWeights) -> str:
