@@ -5,11 +5,11 @@ token grid. At high resolution its attention is restricted, per layer and
 head, to key blocks selected by pooling a low-resolution transformer's
 dense attention into block affinities (neighborhood + top-K). `tape` is
 the one op layer, forward and backward, for training and inference alike.
-The package also ships the verification harness: gradient checks,
-synthetic long-range tasks and the attention-variant ablation; the dense
-oracles the benchmark traces by name (`attention.dense_attention`,
-`sga.build_sparse_mask`, `tape.masked_softmax`) stay in it, and the other
-test oracles live in the test suite.
+The package also ships the synthetic long-range tasks and the
+attention-variant ablation (`evalbench`). The dense oracles the benchmark
+traces by name (`attention.dense_attention`, `sga.build_sparse_mask`,
+`tape.masked_softmax`) stay in it. The other test oracles, the gradient
+check and the encoder-locality check among them, live in the test suite.
 """
 
 __version__ = "0.1.0"

@@ -1,8 +1,8 @@
 """Command-line surface for the full pipeline.
 
-Subcommands: train-guide, train-sga, edit, ablate, leakcheck. Every
-command takes --config (JSON), optional --seed/--out overrides, and
-writes its resolved configuration beside its outputs.
+Subcommands: train-guide, train-sga, edit, ablate. Every command takes
+--config (JSON), optional --seed/--out overrides, and writes its
+resolved configuration beside its outputs.
 Exit codes: 0 success, 2 config error, 3 numerical/divergence error,
 4 invariant violation.
 """
@@ -21,7 +21,7 @@ import numpy as np
 from . import compositing, config as cfgmod, evalbench, images, model as mdl, sampler
 from .errors import ConfigError, InsufficientDataError, NumericalError, SgaError
 from .numerics import read_sgat, write_sgat
-from .quantizer import Codebook, TokenGrid, encode_patches, fit_codebook, leakage_report, quantize, random_projection
+from .quantizer import Codebook, TokenGrid, encode_patches, fit_codebook, quantize, random_projection
 from .rng import substream
 
 
@@ -84,7 +84,9 @@ def _fit_assets(cfg: dict) -> dict:
     }
 
 
-def _load_assets(directory: Path):
+def _load_assets(directory: Path, mconf: mdl.ModelConfig) -> dict:
+    """The guide's quantizer assets, each array checked against the shape
+    that `assets.json` and the run config give it."""
     try:
         meta = json.loads((directory / "assets.json").read_bytes())
         patch, channels = meta["patch"], meta["channels"]
@@ -94,14 +96,20 @@ def _load_assets(directory: Path):
             raise ConfigError(f"channels must be 1 or 3, got {channels}")
     except (ValueError, TypeError, KeyError, ConfigError) as exc:
         raise ConfigError(f"{directory / 'assets.json'}: malformed ({type(exc).__name__}: {exc})") from exc
-    return {
-        "patch": patch,
-        "channels": channels,
-        "projection": read_sgat(directory / "projection.sgat"),
-        "codebook": Codebook(read_sgat(directory / "codebook.sgat")),
-        "sem_projection": read_sgat(directory / "sem_projection.sgat"),
-        "sem_codebook": Codebook(read_sgat(directory / "sem_codebook.sgat")),
+    shapes = {
+        "projection": (patch * patch * channels, mconf.d),
+        "codebook": (mconf.vocab, mconf.d),
+        "sem_projection": (patch * patch * mconf.vocab_map, mconf.d),
+        "sem_codebook": (mconf.vocab_map, mconf.d),
     }
+    assets = {"patch": patch, "channels": channels}
+    for name, shape in shapes.items():
+        path = directory / f"{name}.sgat"
+        array = read_sgat(path)
+        if array.shape != shape:
+            raise ConfigError(f"{path}: shape {list(array.shape)}, the run config and assets.json need {list(shape)}")
+        assets[name] = Codebook(array) if name.endswith("codebook") else array
+    return assets
 
 
 # ---------------------------------------------------------------------------
@@ -259,7 +267,7 @@ def _run_edit(cfg: dict, args, out: Path) -> int:
     mconf = cfgmod.model_config(cfg)
     guide_weights = _load_model(args.guide, mconf, "grid_low")
     sga_weights = _load_model(args.sga, mconf, "grid_high")
-    assets = _load_assets(Path(args.guide))
+    assets = _load_assets(Path(args.guide), mconf)
     request, image, pixel_mask = _build_request(cfg, assets, args.image, args.semantic, args.mask)
 
     t0 = time.perf_counter()
@@ -333,46 +341,6 @@ def cmd_ablate(cfg: dict, args) -> int:
     return 0
 
 
-LEAKCHECK_PATCHES = 8  # patches a side of leakcheck's synthetic image: 128 px at quantizer.patch 16
-
-
-def cmd_leakcheck(cfg: dict, args) -> int:
-    mconf = cfgmod.model_config(cfg)
-    q = cfg["quantizer"]
-    seed = cfg["seed"]
-    patch, channels = q["patch"], q["channels"]
-    if args.image:
-        image = images.read_pnm(args.image)
-        # a codebook needs 2 entries, so at least 2 patches a side
-        if any(side % patch or side < 2 * patch for side in image.shape[:2]):
-            raise ConfigError(f"image dims {image.shape[:2]} must be multiples >= 2 x quantizer.patch {patch}")
-    else:
-        size = LEAKCHECK_PATCHES * patch
-        image = images.synthetic_image(size, size, channels, substream(seed, "leakcheck-image"))
-    proj = random_projection(patch, 1 if image.ndim == 2 else 3, mconf.d, seed, "projection-image")
-    feats = encode_patches(image, patch, proj).reshape(-1, mconf.d)
-    distinct = np.unique(feats, axis=0).shape[0]
-    if distinct < 2:
-        raise ConfigError(f"--image {args.image}: {distinct} distinct patch; a codebook needs at least 2")
-    out = Path(cfg["out"]) / "leakcheck"
-    out.mkdir(parents=True, exist_ok=True)
-    cfgmod.write_resolved(cfg, out)
-    size_cb = min(mconf.vocab, distinct)
-    codebook = fit_codebook(feats, size_cb, q["iterations"], _derived_seed(seed, "codebook-leak"))
-    grid_dims = (image.shape[0] // patch, image.shape[1] // patch)
-    mask = evalbench.free_form_mask(grid_dims, substream(seed, "leakcheck-mask"))
-    report = leakage_report(image, mask, codebook, proj, trials=cfg["leakcheck"]["trials"], seed=seed)
-    payload = {
-        "trials": report.trials,
-        "leaked_tokens": len(report.changed_positions),
-        "positions": [list(p) for p in report.changed_positions],
-        "clean": report.is_clean,
-    }
-    (out / "report.json").write_text(json.dumps(payload, indent=2, sort_keys=True))
-    print(f"{len(report.changed_positions)} leaked tokens over {report.trials} trials")
-    return 0 if report.is_clean else 4
-
-
 # ---------------------------------------------------------------------------
 # entry point
 # ---------------------------------------------------------------------------
@@ -402,9 +370,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--workers", type=int, default=1, help="no effect: all candidates decode as one batch")
     p = sub.add_parser("ablate", help="attention-variant ablation on a synthetic task")
     common(p)
-    p = sub.add_parser("leakcheck", help="verify masked regions cannot change unmasked tokens")
-    common(p)
-    p.add_argument("--image", default=None, help="optional PGM/PPM input")
     return parser
 
 
@@ -413,7 +378,6 @@ COMMANDS = {
     "train-sga": cmd_train_sga,
     "edit": cmd_edit,
     "ablate": cmd_ablate,
-    "leakcheck": cmd_leakcheck,
 }
 
 

@@ -13,12 +13,10 @@ Every setting has one source. The commands that read each block:
   `steps`, train-sga for `stage_steps` per stage, all three with `lr`,
   `optimizer` and `clip`, the global gradient-norm bound (0 turns
   clipping off).
-- `sampling`: edit. `quantizer`: train-guide, leakcheck. `ablation`:
-  ablate, whose variants are `dense`, `oracle` (the task's ideal plans)
-  and the fixed families `local`, `random`, `global`.
-- `leakcheck`: leakcheck, which re-encodes its image `trials` times. Its
-  image is `--image` or else synthetic, `cli.LEAKCHECK_PATCHES` = 8
-  patches of `quantizer.patch` px a side (128 px at the default 16).
+- `sampling`: edit. `quantizer`: train-guide, which fits the quantizer
+  assets that edit reads from the guide checkpoint. `ablation`: ablate,
+  whose variants are `dense`, `oracle` (the task's ideal plans) and the
+  fixed families `local`, `random`, `global`.
 
 `train-sga` fine-tunes through a ladder of grids that is worked out from
 the two grids, not configured (`stage_ladder`): start at
@@ -60,7 +58,6 @@ DEFAULTS = {
         "seeds": [0, 1, 2],
         "eval_instances": 16,
     },
-    "leakcheck": {"trials": 100},
 }
 
 # run-config values checked by `resolve`, as "block.name"; ints with their lower bound
@@ -75,7 +72,6 @@ INT_KEYS = {
     "quantizer.iterations": 1,
     "quantizer.channels": 1,
     "quantizer.corpus_images": 1,
-    "leakcheck.trials": 1,
 }
 RATE_KEYS = ("train.lr", "train.clip")
 

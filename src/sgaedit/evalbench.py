@@ -69,19 +69,10 @@ class SyntheticTask:
         return x, p, free_form_mask(self.dims, rng, region=self.mask_region())
 
     def check(self, grid: TokenGrid) -> bool:
-        """Exact defining constraint of the family."""
+        """Exact defining constraint of the family: every cell equals the
+        cell at its `source_position`."""
         t = grid.tokens
-        if self.kind == "mirror":
-            return bool(np.array_equal(t[: self.height // 2], t[self.height // 2 :][::-1]))
-        if self.kind == "constant-region":
-            return bool((t == t[0, 0]).all())
-        hh, hw = self.height // 2, self.width // 2
-        quad = t[:hh, :hw]
-        return bool(
-            np.array_equal(t[:hh, hw:], quad)
-            and np.array_equal(t[hh:, :hw], quad)
-            and np.array_equal(t[hh:, hw:], quad)
-        )
+        return bool((t == t[self.source_position(*np.indices(self.dims))]).all())
 
     def mask_region(self) -> Optional[np.ndarray]:
         """Region masks may be drawn in (None = anywhere). Chosen so the

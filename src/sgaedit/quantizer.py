@@ -3,16 +3,15 @@
 The encoder is a per-patch linear projection, so a token's feature depends
 only on the pixels of its own patch. That makes the no-leakage guarantee
 for masked regions exact: re-encoding with arbitrary noise inside the
-masked area can never change an unmasked token (`leakage_report` verifies
-this empirically, and a deliberately global encoder double shows the
-negative case).
+masked area can never change an unmasked token. The test suite checks
+this by re-encoding under noise, and shows with a deliberately global
+encoder double that the check catches a leak.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -189,58 +188,3 @@ def apply_mask(tokens: TokenGrid, mask: np.ndarray) -> TokenGrid:
         raise ValidationError("grid already contains MASK tokens")
     out = np.where(mask, tokens.vocab, tokens.tokens)
     return TokenGrid(out, tokens.vocab)
-
-
-@dataclass
-class LeakageReport:
-    trials: int
-    # (trial, row, col) for every unmasked token whose index changed
-    changed: list
-
-    @property
-    def changed_positions(self) -> list:
-        return sorted({(r, c) for _, r, c in self.changed})
-
-    @property
-    def is_clean(self) -> bool:
-        return not self.changed
-
-
-def leakage_report(
-    image: np.ndarray,
-    mask: np.ndarray,
-    codebook: Codebook,
-    projection: np.ndarray,
-    trials: int,
-    seed: int,
-    encoder: Optional[Callable[[np.ndarray, int, np.ndarray], np.ndarray]] = None,
-) -> LeakageReport:
-    """Re-encode with fresh noise inside the masked area; report unmasked
-    tokens whose index changed. `mask` is the token grid: its cells split
-    the image into square patches, whose side is worked out from the two
-    shapes. `encoder` defaults to the leakage-free patch encoder; pass a
-    different callable to demonstrate a leaking encoder.
-    """
-    if trials < 1:
-        raise ValidationError("trials must be >= 1")
-    encode = encoder or encode_patches
-    img = with_channels(image).copy()
-    h, w, _ = img.shape
-    mask = np.asarray(mask, dtype=bool)
-    patch = h // mask.shape[0] if mask.ndim == 2 and mask.shape[0] else 0
-    if patch < 1 or mask.shape[0] * patch != h or mask.shape[1] * patch != w:
-        raise ShapeError(f"mask shape {mask.shape} does not split image dims {(h, w)} into square patches")
-
-    base = apply_mask(quantize(encode(img, patch, projection), codebook), mask)
-    pixel_mask = np.kron(mask, np.ones((patch, patch), dtype=bool))
-    rng = substream(seed, "leakage-noise")
-    changed = []
-    for trial in range(trials):
-        noisy = img.copy()
-        noise = rng.random(size=img.shape)
-        noisy[pixel_mask] = noise[pixel_mask]
-        redone = apply_mask(quantize(encode(noisy, patch, projection), codebook), mask)
-        diff = (redone.tokens != base.tokens) & ~mask
-        for r, c in zip(*np.nonzero(diff)):
-            changed.append((trial, int(r), int(c)))
-    return LeakageReport(trials=trials, changed=changed)

@@ -45,7 +45,7 @@ def _top_k(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
         raise ShapeError(f"logits must be [rows, vocab], got {logits.shape}")
     if k < 1 or k > logits.shape[1]:
         raise ParameterError(f"top-k {k} out of range [1, {logits.shape[1]}]")
-    kept = np.lexsort((np.broadcast_to(np.arange(logits.shape[1]), logits.shape), -logits))[:, :k]
+    kept = np.argsort(-logits, axis=1, kind="stable")[:, :k]
     top = np.take_along_axis(logits, kept, axis=1)
     return kept, top - top[:, :1]
 

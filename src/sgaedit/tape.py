@@ -19,6 +19,9 @@ block_attention; masked_softmax, and the scale and
 `matmul(transpose_b=True)` around it, serve `attention.dense_attention`,
 the dense reference the tests compare against.
 
+Every op's backward is pinned against central differences by the test
+suite's `grad_check` (tests/conftest.py), over the cases of `op_grad_case`.
+
 `GradTape.backward` uses up its node list as it walks it, releasing each
 op's backward closure (and the values it saved) once that backward has run,
 so reference counting frees the step's graph during the walk even while the
@@ -32,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateRowError, NumericalError, ShapeError, ValidationError
+from .errors import DegenerateRowError, ShapeError, ValidationError
 
 # Ops with gradient support; the test suite checks every name listed here.
 DIFFERENTIABLE_OPS = (
@@ -460,44 +463,3 @@ def cross_entropy(logits, targets):
         logits.accumulate(p * (float(g) / tgt.shape[0]))
 
     return _record(np.asarray(-logp[rows, tgt].mean()), backward, logits)
-
-
-# ---------------------------------------------------------------------------
-# finite-difference verification
-# ---------------------------------------------------------------------------
-
-
-def grad_check(f, point, step: float = 1e-3) -> float:
-    """Max relative error between tape gradients of `f` and central differences.
-
-    `f` maps one array-like argument to a scalar; it is called with a Tensor
-    for the analytic pass and with plain numpy arrays for the probes.
-    """
-    if step <= 0:
-        raise ValueError("step must be positive")
-    point = np.array(point, dtype=np.float64)
-    tape = GradTape()
-    p = tape.param(point)
-    out = f(p)
-    out_value = float(value_of(out))
-    if not np.isfinite(out_value):
-        raise NumericalError("f(point) is not finite")
-    tape.backward(out)
-    analytic = np.zeros_like(point) if p.grad is None else p.grad
-    analytic = analytic.ravel()
-
-    numeric = np.empty_like(analytic)
-    flat = point.ravel()
-    for i in range(flat.size):
-        saved = flat[i]
-        flat[i] = saved + step
-        hi = float(value_of(f(point)))
-        flat[i] = saved - step
-        lo = float(value_of(f(point)))
-        flat[i] = saved
-        if not (np.isfinite(hi) and np.isfinite(lo)):
-            raise NumericalError(f"non-finite probe at coordinate {i}")
-        numeric[i] = (hi - lo) / (2.0 * step)
-
-    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
-    return float(np.max(np.abs(analytic - numeric) / denom))

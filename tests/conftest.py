@@ -4,9 +4,11 @@ import numpy as np
 
 from sgaedit import attention as att
 from sgaedit import model as mdl
+from sgaedit import quantizer as qz
 from sgaedit import sga
 from sgaedit import tape as T
-from sgaedit.errors import ShapeError
+from sgaedit.errors import NumericalError, ShapeError
+from sgaedit.images import with_channels
 from sgaedit.rng import substream
 
 _KERNEL = substream(1, "tape-ker").normal(size=(5, 5, 2))
@@ -72,6 +74,60 @@ def randomize_norms(params: dict, rng) -> None:
             params[name] = rng.normal(loc=1.0, scale=0.5, size=value.shape)
         elif name.endswith("_b") or "peg" in name:
             params[name] = rng.normal(scale=0.2, size=value.shape)
+
+
+def grad_check(f, point, step: float = 1e-3) -> float:
+    """Max relative error between tape gradients of `f` and central differences.
+
+    `f` maps one array-like argument to a scalar; it is called with a Tensor
+    for the analytic pass and with plain numpy arrays for the probes.
+    """
+    if step <= 0:
+        raise ValueError("step must be positive")
+    point = np.array(point, dtype=np.float64)
+    tape = T.GradTape()
+    p = tape.param(point)
+    out = f(p)
+    out_value = float(T.value_of(out))
+    if not np.isfinite(out_value):
+        raise NumericalError("f(point) is not finite")
+    tape.backward(out)
+    analytic = np.zeros_like(point) if p.grad is None else p.grad
+    analytic = analytic.ravel()
+
+    numeric = np.empty_like(analytic)
+    flat = point.ravel()
+    for i in range(flat.size):
+        saved = flat[i]
+        flat[i] = saved + step
+        hi = float(T.value_of(f(point)))
+        flat[i] = saved - step
+        lo = float(T.value_of(f(point)))
+        flat[i] = saved
+        if not (np.isfinite(hi) and np.isfinite(lo)):
+            raise NumericalError(f"non-finite probe at coordinate {i}")
+        numeric[i] = (hi - lo) / (2.0 * step)
+
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), 1e-8)
+    return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def masked_noise_changes(image, mask, patch, codebook, projection, trials, seed, encoder=qz.encode_patches):
+    """Re-encode `image` `trials` times with fresh noise under the token
+    mask `mask` (`patch` px a token) and quantize; return (trial, row, col)
+    for every unmasked token whose index differs from the clean encoding.
+    An encoder that reads only its own patch gives []."""
+    img = with_channels(image)
+    base = qz.quantize(encoder(img, patch, projection), codebook).tokens
+    pixel_mask = np.kron(mask, np.ones((patch, patch), dtype=bool))
+    rng = substream(seed, "leakage-noise")
+    changed = []
+    for trial in range(trials):
+        noisy = img.copy()
+        noisy[pixel_mask] = rng.random(size=img.shape)[pixel_mask]
+        redone = qz.quantize(encoder(noisy, patch, projection), codebook).tokens
+        changed += [(trial, int(r), int(c)) for r, c in zip(*np.nonzero((redone != base) & ~mask))]
+    return changed
 
 
 def op_grad_case(name):

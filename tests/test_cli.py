@@ -40,7 +40,6 @@ TINY = {
     "sampling": {"top_k": 100, "n_samples": 4, "n_keep": 2},
     "quantizer": {"patch": 4, "corpus_images": 3},
     "ablation": {"variants": ["dense", "local"], "seeds": [0], "eval_instances": 2},
-    "leakcheck": {"trials": 10},
 }
 
 
@@ -184,10 +183,7 @@ BAD_RUN_CONFIGS = [
     ("quantizer-corpus-images-0", {"quantizer": {"corpus_images": 0}}),
     ("quantizer-channels-2", {"quantizer": {"channels": 2}}),
     ("quantizer-channels-float", {"quantizer": {"channels": 3.0}}),
-    ("leakcheck-trials-string", {"leakcheck": {"trials": "x"}}),
-    ("leakcheck-trials-0", {"leakcheck": {"trials": 0}}),
     # keys that are gone, each set to a value its old check accepted
-    ("leakcheck-image-size-removed", {"leakcheck": {"image_size": 128}}),
     ("train-stages-removed", {"train": {"stages": [[4, 4]]}}),
     ("ablation-steps-removed", {"ablation": {"steps": 2}}),
     ("ablation-lr-removed", {"ablation": {"lr": 0.2}}),
@@ -235,38 +231,6 @@ def test_every_config_leaf_has_a_bad_value_case():
     named = {key for _, override in BAD_RUN_CONFIGS if isinstance(override, dict) for key in leaves(override)}
     named |= {key for _, override in BAD_MODEL_CONFIGS for key in leaves(override, "model.")}
     assert sorted(set(leaves(cfgmod.DEFAULTS)) - named) == []
-
-
-# leakcheck --image inputs that are not a whole number of patches, at least 2, a side, at quantizer.patch 4
-BAD_LEAKCHECK_IMAGES = [
-    ("one-patch", (4, 4)),
-    ("one-patch-tall", (4, 8)),
-    ("one-patch-wide", (8, 4)),
-    ("indivisible", (6, 8)),
-]
-
-
-@pytest.mark.parametrize("shape", [case[1] for case in BAD_LEAKCHECK_IMAGES], ids=[case[0] for case in BAD_LEAKCHECK_IMAGES])
-def test_invalid_leakcheck_image_exit_2_without_traceback(tmp_path, capsys, shape):
-    cfg = write_config(tmp_path)
-    image = tmp_path / "small.pgm"
-    images.write_pnm(image, images.synthetic_image(shape[0], shape[1], 1, substream(0, "leakcheck-small")))
-    assert cli.main(["leakcheck", "--config", str(cfg), "--image", str(image)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("config error:") and "Traceback" not in err
-    assert not (tmp_path / "run").exists()
-
-
-def test_flat_leakcheck_image_exit_2_without_traceback(tmp_path, capsys):
-    """An image whose patches are all alike cannot fit a codebook: bad input."""
-    cfg = write_config(tmp_path)
-    image = tmp_path / "flat.pgm"
-    images.write_pnm(image, np.full((64, 64), 0.5))
-    assert cli.main(["leakcheck", "--config", str(cfg), "--image", str(image)]) == 2
-    err = capsys.readouterr().err
-    assert err == f"config error: --image {image}: 1 distinct patch; a codebook needs at least 2\n"
-    assert not (tmp_path / "run" / "leakcheck" / "report.json").exists()
-    assert not (tmp_path / "run").exists()
 
 
 def test_workers_is_an_edit_option_only(tmp_path, capsys):
@@ -431,12 +395,11 @@ class TestEdit:
         assert not (tmp_path / "fail" / "edit").exists()
 
     @pytest.mark.parametrize(
-        "command,flag,kind",
-        [("edit", "--mask", "missing"), ("edit", "--image", "directory"), ("edit", "--guide", "file"),
-         ("leakcheck", "--image", "directory")],
-        ids=["edit-mask-missing", "edit-image-directory", "edit-guide-file", "leakcheck-image-directory"],
+        "flag,kind",
+        [("--mask", "missing"), ("--image", "directory"), ("--guide", "file"), ("--semantic", "directory")],
+        ids=["edit-mask-missing", "edit-image-directory", "edit-guide-file", "edit-semantic-directory"],
     )
-    def test_bad_path_exit_2_with_one_line(self, trained, tmp_path, capsys, command, flag, kind):
+    def test_bad_path_exit_2_with_one_line(self, trained, tmp_path, capsys, flag, kind):
         """A missing file, a directory where a file belongs or a file where
         a checkpoint directory belongs ends with one line naming the path,
         and leaves no outputs."""
@@ -447,17 +410,15 @@ class TestEdit:
             bad.mkdir()
         elif kind == "file":
             bad.write_text("not a checkpoint")
-        paths = {"--image": image}
-        if command == "edit":
-            paths |= {"--guide": run / "run" / "guide", "--sga": run / "run" / "sga"}
-            paths |= {"--semantic": semantic, "--mask": mask}
+        paths = {"--image": image, "--guide": run / "run" / "guide", "--sga": run / "run" / "sga"}
+        paths |= {"--semantic": semantic, "--mask": mask}
         paths[flag] = bad
-        argv = [command, "--config", str(cfg), "--out", str(tmp_path / "out")]
+        argv = ["edit", "--config", str(cfg), "--out", str(tmp_path / "out")]
         rc = cli.main(argv + [arg for flag_path in paths.items() for arg in map(str, flag_path)])
         err = capsys.readouterr().err
         assert rc == 2, err
         assert err.startswith("file error:") and err.count("\n") == 1 and str(bad) in err
-        assert not (tmp_path / "out" / command).exists()
+        assert not (tmp_path / "out" / "edit").exists()
 
     def test_guide_checkpoint_as_sga_exit_2(self, trained, capsys):
         tmp_path, cfg = trained
@@ -498,6 +459,43 @@ class TestEdit:
         )
         assert rc == 4
         assert "truncated" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("header", [b"P5\nabc 4\n255\n", b"P5\n-4 4\n255\n"], ids=["not-int", "negative"])
+    def test_malformed_image_header_exit_4(self, trained, capsys, header):
+        tmp_path, cfg = trained
+        _, semantic, mask = make_edit_inputs(tmp_path)
+        bad = tmp_path / "bad.pgm"
+        bad.write_bytes(header + bytes(16))
+        rc = cli.main(
+            ["edit", "--config", str(cfg), "--guide", str(tmp_path / "run" / "guide"),
+             "--sga", str(tmp_path / "run" / "sga"), "--image", str(bad),
+             "--semantic", str(semantic), "--mask", str(mask), "--out", str(tmp_path / "badhdr")]
+        )
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith("invariant violation:") and err.count("\n") == 1 and "Traceback" not in err
+        assert f"{bad}: header token" in err
+        assert not (tmp_path / "badhdr" / "edit").exists()
+
+    @pytest.mark.parametrize(
+        "shape", [(4, 4), (4, 8), (8, 4), (6, 8)], ids=["one-patch", "one-patch-tall", "one-patch-wide", "indivisible"]
+    )
+    def test_image_of_wrong_size_exit_2(self, trained, capsys, shape):
+        """An image that is not `grid_high` tokens of `quantizer.patch` px
+        (16 x 16 px here) a side is a config error, in one line."""
+        tmp_path, cfg = trained
+        _, semantic, mask = make_edit_inputs(tmp_path)
+        small = tmp_path / "small.pgm"
+        images.write_pnm(small, images.synthetic_image(shape[0], shape[1], 1, substream(0, "edit-small")))
+        rc = cli.main(
+            ["edit", "--config", str(cfg), "--guide", str(tmp_path / "run" / "guide"),
+             "--sga", str(tmp_path / "run" / "sga"), "--image", str(small),
+             "--semantic", str(semantic), "--mask", str(mask), "--out", str(tmp_path / "small")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert err == f"config error: image dims {shape} != expected (16, 16)\n"
+        assert not (tmp_path / "small" / "edit").exists()
 
     def test_resolved_config_reproduces_run(self, trained):
         tmp_path, cfg = trained
@@ -622,6 +620,11 @@ def _sgat_shape(shape: list) -> bytes:
     return _sgat_header(json.dumps({"dtype": "f32", "shape": shape}).encode())
 
 
+def _sgat_zeros(shape: list) -> bytes:
+    """A well-formed f32 SGAT file of zeros of `shape`."""
+    return _sgat_shape(shape) + bytes(4 * int(np.prod(shape)))
+
+
 # (name, file to replace in a copy of the guide checkpoint, its bytes, exit code)
 MALFORMED_CHECKPOINTS = [
     ("sgat-truncated-header", "out_head.sgat", b"SGAT\x10\x00", 4),
@@ -645,6 +648,11 @@ MALFORMED_CHECKPOINTS = [
     ("manifest-bad-config", "manifest.json",
      json.dumps({"config": {**TINY["model"], "blocks": 0}, "grid": [2, 2], "params": {}}).encode(), 2),
     ("assets-garbled", "assets.json", b"{patch", 2),
+    # well-formed quantizer assets of a shape TINY's model (vocab 8, vocab_map 3, d 16, patch 4) cannot use
+    ("codebook-too-few-entries", "codebook.sgat", _sgat_zeros([5, 16]), 2),
+    ("codebook-too-many-entries", "codebook.sgat", _sgat_zeros([12, 16]), 2),
+    ("projection-too-narrow", "projection.sgat", _sgat_zeros([16, 15]), 2),
+    ("sem-codebook-too-few-entries", "sem_codebook.sgat", _sgat_zeros([2, 16]), 2),
 ]
 
 
@@ -670,8 +678,10 @@ def test_malformed_checkpoint_exit_code_without_traceback(trained, tmp_path, tar
         capture_output=True, text=True, env=env, timeout=120,
     )
     assert result.returncode == code, result.stderr
-    assert "Traceback" not in result.stderr
+    assert "Traceback" not in result.stderr and result.stderr.count("\n") == 1
     assert target.split(".")[0] in result.stderr
+    if target.endswith("codebook.sgat") or target == "projection.sgat":
+        assert result.stderr.startswith(f"config error: {guide / target}: shape ")
     if payload is None:
         assert result.stderr.startswith("file error:") and target in result.stderr
 
@@ -709,24 +719,6 @@ def test_non_integer_checkpoint_field_exit_2_without_traceback(trained, tmp_path
 
 
 class TestOtherCommands:
-    def test_leakcheck_clean_exit_zero(self, tmp_path, capsys):
-        cfg = write_config(tmp_path)
-        assert cli.main(["leakcheck", "--config", str(cfg)]) == 0
-        report = json.loads((tmp_path / "run" / "leakcheck" / "report.json").read_text())
-        assert report["clean"] is True
-        assert report["leaked_tokens"] == 0
-        assert "0 leaked tokens" in capsys.readouterr().out
-
-    @pytest.mark.parametrize("header", [b"P5\nabc 4\n255\n", b"P5\n-4 4\n255\n"], ids=["not-int", "negative"])
-    def test_leakcheck_malformed_image_exit_4(self, tmp_path, capsys, header):
-        cfg = write_config(tmp_path)
-        bad = tmp_path / "bad.pgm"
-        bad.write_bytes(header + bytes(16))
-        assert cli.main(["leakcheck", "--config", str(cfg), "--image", str(bad)]) == 4
-        err = capsys.readouterr().err
-        assert err.startswith("invariant violation:") and "Traceback" not in err
-        assert "bad.pgm: header token" in err
-
     def test_ablate_rows_common_budget(self, tmp_path):
         cfg = write_config(tmp_path)
         assert cli.main(["ablate", "--config", str(cfg)]) == 0
@@ -760,7 +752,7 @@ class TestOtherCommands:
         assert a != b
 
 
-@pytest.mark.parametrize("command", ["bench", "rollout"])
+@pytest.mark.parametrize("command", ["bench", "leakcheck", "rollout"])
 def test_removed_command_stops_at_argparse(tmp_path, capsys, command):
     cfg = write_config(tmp_path)
     with pytest.raises(SystemExit) as exc:
@@ -771,13 +763,17 @@ def test_removed_command_stops_at_argparse(tmp_path, capsys, command):
 
 
 def test_bench_block_rejected_exit_2_without_traceback(tmp_path, capsys):
-    """A resolved config written before the `bench` block went is rejected
-    until the block is dropped."""
-    bench = {"lengths": [256, 1024], "d": 64, "variants": ["dense", "random"], "repeats": 5, "blocks": 64}
-    cfg = write_config(tmp_path, {"bench": bench})
-    assert cli.main(["train-guide", "--config", str(cfg)]) == 2
-    assert capsys.readouterr().err == "config error: unknown config key: bench\n"
-    assert not (tmp_path / "run").exists()
+    """A resolved config written before the `bench` or the `leakcheck`
+    block went is rejected until the block is dropped."""
+    removed = {
+        "bench": {"lengths": [256, 1024], "d": 64, "variants": ["dense", "random"], "repeats": 5, "blocks": 64},
+        "leakcheck": {"trials": 100},
+    }
+    for block, value in removed.items():
+        cfg = write_config(tmp_path, {block: value})
+        assert cli.main(["train-guide", "--config", str(cfg)]) == 2
+        assert capsys.readouterr().err == f"config error: unknown config key: {block}\n"
+        assert not (tmp_path / "run").exists()
 
 
 def test_doc_lists_the_subcommands():

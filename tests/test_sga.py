@@ -9,7 +9,16 @@ from sgaedit import tape as T
 from sgaedit.errors import ShapeError, ValidationError
 from sgaedit.rng import substream
 
-from conftest import affinities, causal_mask, causal_plans, combine_masks, dot, per_head_dense, per_row_sort_plan
+from conftest import (
+    affinities,
+    causal_mask,
+    causal_plans,
+    combine_masks,
+    dot,
+    grad_check,
+    per_head_dense,
+    per_row_sort_plan,
+)
 
 
 def select(b, k, radius):
@@ -308,7 +317,7 @@ class TestBlockGatherKernel:
             out = kernel_pass(*args, plans, 16, causal=True)
             return dot(out, probe)
 
-        assert T.grad_check(f, qkv[operand], step=1e-5) <= 1e-5
+        assert grad_check(f, qkv[operand], step=1e-5) <= 1e-5
 
     def test_forward_retains_only_output_and_weights(self):
         """On tape tensors at 32x32 tokens, 4 heads and 64 blocks, what the

@@ -10,14 +10,14 @@ from sgaedit import tape as T
 from sgaedit.attention import dense_attention
 from sgaedit.rng import substream
 
-from conftest import cols, dot, op_grad_case
+from conftest import cols, dot, grad_check, op_grad_case
 
 RNG = substream(0, "tape-tests")
 
 
 def test_quadratic_gradient_is_exact():
     point = RNG.normal(size=(3, 4))
-    err = T.grad_check(lambda x: dot(x, x), point, step=1e-3)
+    err = grad_check(lambda x: dot(x, x), point, step=1e-3)
     assert err <= 1e-5
 
 
@@ -32,7 +32,7 @@ def test_masked_softmax_cross_entropy_on_four_logits():
     for i in range(5):
         point = substream(i, "ce-point").normal(size=(1, 4))
         assert abs(f(point) + np.log(T.masked_softmax(point, mask)[0, 1])) <= 1e-12
-        assert T.grad_check(f, point, step=1e-4) <= 1e-4
+        assert grad_check(f, point, step=1e-4) <= 1e-4
 
 
 def test_one_layer_attention_loss_gradient():
@@ -49,7 +49,7 @@ def test_one_layer_attention_loss_gradient():
 
     for i in range(5):
         point = substream(i, "attn-point").normal(size=(3, 12))
-        assert T.grad_check(f, point, step=1e-4) <= 1e-4
+        assert grad_check(f, point, step=1e-4) <= 1e-4
 
 
 LN_GAIN = substream(2, "ln-gain").normal(size=4)
@@ -61,7 +61,7 @@ def test_every_registered_op_passes_grad_check(name):
     f, shape = op_grad_case(name)
     for i in range(10):
         point = substream(1000 + i, f"pt-{name}-{i}").normal(size=shape)
-        assert T.grad_check(f, point, step=1e-4) <= 1e-4, f"op {name} failed at point {i}"
+        assert grad_check(f, point, step=1e-4) <= 1e-4, f"op {name} failed at point {i}"
 
 
 def test_layer_norm_param_gradients():
@@ -73,8 +73,8 @@ def test_layer_norm_param_gradients():
     def f_bias(b):
         return dot(T.layer_norm(x, LN_GAIN, b), x)
 
-    assert T.grad_check(f_gain, RNG.normal(size=4), 1e-4) <= 1e-4
-    assert T.grad_check(f_bias, RNG.normal(size=4), 1e-4) <= 1e-4
+    assert grad_check(f_gain, RNG.normal(size=4), 1e-4) <= 1e-4
+    assert grad_check(f_bias, RNG.normal(size=4), 1e-4) <= 1e-4
 
 
 def test_peg_kernel_gradient():
@@ -83,7 +83,7 @@ def test_peg_kernel_gradient():
     def f(ker):
         return dot(T.peg(x, ker), T.peg(x, ker))
 
-    assert T.grad_check(f, RNG.normal(size=(5, 5, 2)), 1e-4) <= 1e-4
+    assert grad_check(f, RNG.normal(size=(5, 5, 2)), 1e-4) <= 1e-4
 
 
 def test_backward_requires_scalar():
