@@ -24,9 +24,12 @@ candidates: it holds the decoder PEG rows, the cross-attention
 keys/values shared by every candidate and a growing self-attention
 key/value cache per candidate, and runs the rows of each `extend`, for
 all candidates at once, through the block kernel. `decoder_forward`, the
-teacher-forced decoder pass, is one such decoder extended by the whole
-sequence at once; autoregressive inference extends one row by row. One
-dense candidate collects its attention maps either way.
+teacher-forced decoder pass, is one such decoder run over the whole
+sequence at once and returns every row's logits; autoregressive inference
+extends it run by run and reads only each run's last row, so a decoder
+that records no maps stops every other row at the last layer's
+self-attention keys and values. One dense candidate collects its
+attention maps either way, and so runs every row through every layer.
 """
 
 from __future__ import annotations
@@ -292,8 +295,7 @@ def decoder_forward(prev_tokens, encoder_out: EncoderOutput, weights: ModelWeigh
     if prev.shape != (weights.length,):
         raise SequenceError(f"decoder input of shape {prev.shape} is not the {weights.length}-token sequence")
     dec = IncrementalDecoder(encoder_out, weights, plans)
-    logits = dec.extend(prev[None])
-    return T.reshape(logits, (weights.length, -1)), dec.self_maps, dec.cross_maps
+    return dec._decode(prev[None], every_row=True), dec.self_maps, dec.cross_maps
 
 
 class IncrementalDecoder:
@@ -305,10 +307,18 @@ class IncrementalDecoder:
     query block is the whole sequence), for one candidate. `branch(C)`
     gives a decoder of C candidates that all continue from its rows.
     `extend(prev_rows)` takes a [C, m] block of input tokens, appends
-    decoder rows [n, n + m) to every candidate and returns their [C, m,
-    vocab] logits; by the causal mask, any split of a sequence gives the
-    rows of one call over the whole of it, to float rounding. That call
-    (`decoder_forward`) takes its self-attention keys from its own rows,
+    decoder rows [n, n + m) to every candidate and returns the [C, vocab]
+    logits of the last of them, row n + m - 1; by the causal mask, that
+    row and the cache equal those of one call over the whole sequence, to
+    float rounding, however the sequence is split. Later rows read the
+    earlier ones only through each layer's self-attention keys and values,
+    so a decoder that records no maps (multi-block plans, or a branched
+    batch) runs every layer but the last over all m rows, and the last
+    layer's keys and values over all m, but its queries, attention,
+    feed-forward and `out_head` over row n + m - 1 alone. A decoder that
+    records maps runs every row in full, since each row's weights go into
+    the maps. `decoder_forward` runs all L rows and returns every row's
+    logits; that call takes its self-attention keys from its own rows,
     writes no cache and accepts tape Tensors; other calls take plain
     arrays.
 
@@ -366,7 +376,17 @@ class IncrementalDecoder:
         other._v = [np.repeat(buf, candidates, axis=1) for buf in self._v]
         return other
 
-    def extend(self, prev_rows):
+    def extend(self, prev_rows) -> np.ndarray:
+        """Append rows [n, n + m) of a [C, m] block of input tokens to every
+        candidate; return the [C, vocab] logits of the block's last row."""
+        every_row = any(maps is not None for maps in self.self_maps + self.cross_maps)
+        return self._decode(prev_rows, every_row)[-self.candidates :]
+
+    def _decode(self, prev_rows, every_row: bool):
+        """Run rows [n, n + m) and return logits [rows * C, vocab] ordered
+        (row, candidate): every row's, or only the last row's when
+        `every_row` is false, whose last layer then runs its query side for
+        that row alone."""
         prev = np.asarray(prev_rows, dtype=np.int64)
         c = self.candidates
         if prev.ndim != 2 or prev.shape[0] != c:
@@ -385,29 +405,32 @@ class IncrementalDecoder:
         h = T.add(h, T.gather_rows(self._peg, rows))
         for i in range(cfg.layers_dec):
             p = f"dec{i}"
+            # later rows read only this layer's keys and values, so the last
+            # layer's query side can stop at the one row returned
+            x = h if every_row or i < cfg.layers_dec - 1 else h[-c:]
+            r = T.value_of(x).shape[0] // c
             # q first: the tape sums h's gradient in reverse recording order
-            q, k, v = (T.matmul(h, w[f"{p}_self_{name}"]) for name in ("wq", "wk", "wv"))
+            q, k, v = T.matmul(x, w[f"{p}_self_wq"]), T.matmul(h, w[f"{p}_self_wk"]), T.matmul(h, w[f"{p}_self_wv"])
             if whole:
                 k, v = T.reshape(k, (m, c * d)), T.reshape(v, (m, c * d))
             else:
                 self._k[i][new] = k.reshape(m, c, d)
                 self._v[i][new] = v.reshape(m, c, d)
                 k, v = (buf.reshape(-1, c * d) for buf in (self._k[i], self._v[i]))
-            a = self._attention(T.reshape(q, (m, c * d)), k, v, self._self_index[i], self.self_maps[i], causal=True)
-            a = T.matmul(T.reshape(a, (m * c, d)), w[f"{p}_self_wo"])
-            h = T.layer_norm(T.add(h, a), w[f"{p}_ln1_g"], w[f"{p}_ln1_b"])
+            first = new.stop - r
+            q = T.reshape(q, (r, c * d))
+            a = self._attention(q, k, v, self._self_index[i], self.self_maps[i], first, causal=True)
+            a = T.matmul(T.reshape(a, (r * c, d)), w[f"{p}_self_wo"])
+            h = T.layer_norm(T.add(x, a), w[f"{p}_ln1_g"], w[f"{p}_ln1_b"])
             q = T.matmul(h, w[f"{p}_cross_wq"])
-            a = self._attention(q, *self._cross_kv[i], self._cross_index[i], self.cross_maps[i], causal=False)
+            a = self._attention(q, *self._cross_kv[i], self._cross_index[i], self.cross_maps[i], first, causal=False)
             h = T.layer_norm(T.add(h, T.matmul(a, w[f"{p}_cross_wo"])), w[f"{p}_ln2_g"], w[f"{p}_ln2_b"])
             h = T.layer_norm(T.add(h, _feed_forward(h, self.weights, p)), w[f"{p}_ln3_g"], w[f"{p}_ln3_b"])
         self.n = new.stop
-        logits = T.matmul(h, w["out_head"])
-        if c == 1:  # a reshape, which a Tensor pass can take
-            return T.reshape(logits, (1, m, -1))
-        return logits.reshape(m, c, -1).transpose(1, 0, 2)
+        return T.matmul(h, w["out_head"])
 
-    def _attention(self, q, k, v, keys: np.ndarray, maps: Optional[np.ndarray], causal: bool):
-        """One kernel call for the query rows [n, n + m) over the index
+    def _attention(self, q, k, v, keys: np.ndarray, maps: Optional[np.ndarray], first: int, causal: bool):
+        """One kernel call for the query rows [first, first + m) over the index
         `keys`, which writes its softmax weights into those rows of the
         layer's `maps` when there are maps. Causal self-attention tiles the
         index once per candidate, and passes the kernel the token of q's
@@ -420,7 +443,7 @@ class IncrementalDecoder:
         (a run of whole blocks needs neither).
         """
         heads, rows = (self.candidates, 1) if causal else (1, self.candidates)
-        first, stop = self.n, self.n + T.value_of(q).shape[0] // rows
+        stop = first + T.value_of(q).shape[0] // rows
         bs = self.weights.length // keys.shape[1]
         blocks = slice(first // bs, (stop - 1) // bs + 1)
         pad = (first - blocks.start * bs, blocks.stop * bs - stop) if blocks.stop - blocks.start > 1 else (0, 0)

@@ -14,12 +14,16 @@ position, are the same for all candidates, so they run once per call. The
 decoder then branches into all candidates, which share the mask and so
 extend the same rows at every step: the forced runs between masked
 positions and one row per sampled position, as one batch. Each such run is
-one call per layer and role of the block-gather kernel, and each sampled
-position is one `topk_sample` call over every candidate's logits. The
-guide's own decode is the same path with one candidate, unbranched, whose
-decoder then runs the rows after the last masked position and holds the
-guide's maps. `rescore` scores a candidate with one teacher-forced
-`model.forward` pass, whose decoder is one extended by the whole sequence.
+one call per layer and role of the block-gather kernel and returns only
+the logits of its last row, the one sampled next; its forced rows stop at
+the last layer's self-attention keys and values, all that later rows
+read. Each sampled position is one `topk_sample` call over every
+candidate's logits. The guide's own decode is the same path with one
+candidate, unbranched, whose decoder then runs the rows after the last
+masked position and holds the guide's maps, so it runs every row in
+full. `rescore` scores a candidate with one teacher-forced
+`model.forward` pass, whose decoder returns the rows of the whole
+sequence.
 """
 
 from __future__ import annotations
@@ -134,14 +138,14 @@ def _forced_decode(
     positions = np.flatnonzero(np.asarray(mask, dtype=bool).ravel())
     dec = mdl.IncrementalDecoder(enc_out, weights, plans)
     if positions.size:
-        first = dec.extend(np.concatenate([[cfg.start_token], seqs[0, : positions[0]]])[None])[:, -1]
+        first = dec.extend(np.concatenate([[cfg.start_token], seqs[0, : positions[0]]])[None])
         if len(rngs) > 1:
             dec = dec.branch(len(rngs))
         rows = np.repeat(first, len(rngs), axis=0)
         for pos in positions:
             # row pos reads token pos - 1; the shared rows already hold row positions[0]
             if dec.n <= pos:
-                rows = dec.extend(seqs[:, dec.n - 1 : pos])[:, -1]
+                rows = dec.extend(seqs[:, dec.n - 1 : pos])
             if not np.all(np.isfinite(rows)):
                 raise NumericalError(f"non-finite logits at decoding position {pos}")
             seqs[:, pos], logprob = topk_sample(rows, k_eff, rngs)

@@ -1,7 +1,8 @@
 """The decoder extended row by row, one candidate or a batch, against the
 same decoder extended by the whole sequence at once (`decoder_forward`):
 its cache, its index slicing and its candidate layouts must give the
-whole-sequence rows."""
+whole-sequence rows. `extend` returns only the last row of each call, so
+the rows before it are checked through the key/value cache they leave."""
 
 import numpy as np
 import pytest
@@ -87,11 +88,11 @@ def test_every_step_matches_full_pass(kind, layers_dec):
     prev = np.concatenate([[cfg.start_token], request.tokens.flat()[:-1]])
     dec = mdl.IncrementalDecoder(enc, high, plans)
     full, _, _ = mdl.decoder_forward(prev, enc, high, plans)
-    got = []
     # single rows, runs inside one block, and runs across block boundaries
     for size in (1, 1, 3, 6, 1, 9, 2, 1, 7, 1):
-        got.append(dec.extend(prev[None, dec.n : dec.n + size])[0])
-        assert np.abs(np.concatenate(got) - full[: dec.n]).max() <= TOLERANCE
+        got = dec.extend(prev[None, dec.n : dec.n + size])
+        assert got.shape == (1, cfg.vocab)
+        assert np.abs(got[0] - full[dec.n - 1]).max() <= TOLERANCE
     assert dec.n == cfg.l_high
 
 
@@ -99,7 +100,9 @@ def test_every_step_matches_full_pass(kind, layers_dec):
 @pytest.mark.parametrize("kind", ["dense", "guided"])
 def test_extend_runs_the_block_kernel_once_per_role_and_layer(kind, layers_dec, monkeypatch):
     """Every `extend` is one `tape.block_attention` call per (role, layer);
-    a run inside one block passes exactly its rows, as one query block."""
+    a run inside one block passes exactly its rows, as one query block. A
+    decoder that records maps (one dense candidate) runs every row in every
+    layer; one that records none runs only the returned row in the last."""
     cfg = make_config(layers_dec)
     guide, high = make_weights(cfg)
     request = make_request(cfg, np.zeros(cfg.grid_high, bool))
@@ -108,6 +111,8 @@ def test_extend_runs_the_block_kernel_once_per_role_and_layer(kind, layers_dec, 
     prev = np.concatenate([[cfg.start_token], request.tokens.flat()[:-1]])
     dec = mdl.IncrementalDecoder(enc, high, plans)
     bs = cfg.l_high // cfg.blocks
+    every_row = kind == "dense"
+    assert (dec.self_maps[0] is not None) == every_row
     rows_seen = []
     kernel = T.block_attention
 
@@ -122,8 +127,11 @@ def test_extend_runs_the_block_kernel_once_per_role_and_layer(kind, layers_dec, 
         first = dec.n
         dec.extend(prev[None, first : first + size])
         assert len(rows_seen) == 2 * layers_dec
+        if not every_row:  # the last layer runs the returned row alone
+            assert rows_seen[-2:] == [(1, 1), (1, 1)]
+            del rows_seen[-2:]
         if first // bs == (first + size - 1) // bs:
-            assert set(rows_seen) == {(size, 1)}
+            assert set(rows_seen) <= {(size, 1)}
     assert dec.n == cfg.l_high
 
 
@@ -138,11 +146,12 @@ def candidate_inputs(prev, candidates, split, vocab):
 @pytest.mark.parametrize("layers_dec", [1, 2])
 @pytest.mark.parametrize("kind", PLAN_KINDS)
 def test_batched_extend_matches_each_candidates_full_pass(kind, layers_dec, monkeypatch):
-    """A batch branched after a shared prefix: each candidate's rows equal
-    its own full pass, for single rows, runs inside one block and runs
-    across blocks, and every `extend` is one kernel call per (role, layer)
-    for all candidates: self-attention with the candidates on the head
-    axis, cross-attention with them on the query rows."""
+    """A batch branched after a shared prefix: each call's last row equals
+    each candidate's own full pass, for single rows, runs inside one block
+    and runs across blocks, and every `extend` is one kernel call per
+    (role, layer) for all candidates: self-attention with the candidates on
+    the head axis, cross-attention with them on the query rows. A batch
+    records no maps, so its last layer gets one query row per candidate."""
     cfg = make_config(layers_dec)
     guide, high = make_weights(cfg, layers_dec)
     request = make_request(cfg, np.zeros(cfg.grid_high, bool))
@@ -160,8 +169,9 @@ def test_batched_extend_matches_each_candidates_full_pass(kind, layers_dec, monk
 
     for split in (1, 6):
         seqs = candidate_inputs(prev, c, split, cfg.vocab)
+        fulls = np.stack([mdl.decoder_forward(seq, enc, high, plans)[0] for seq in seqs])
         shared = mdl.IncrementalDecoder(enc, high, plans)
-        got = [np.repeat(shared.extend(prev[None, :split]), c, axis=0)]
+        assert np.abs(shared.extend(prev[None, :split]) - fulls[:, split - 1]).max() <= TOLERANCE
         dec = shared.branch(c)
         monkeypatch.setattr(T, "block_attention", counting)
         for size in (1, 2, 1, 5, 3, 1, 7, 2, 9, 32):
@@ -170,17 +180,59 @@ def test_batched_extend_matches_each_candidates_full_pass(kind, layers_dec, monk
             size = min(size, cfg.l_high - dec.n)
             first = dec.n
             calls.clear()
-            got.append(dec.extend(seqs[:, first : first + size]))
+            got = dec.extend(seqs[:, first : first + size])
+            assert got.shape == (c, cfg.vocab)
+            assert np.abs(got - fulls[:, dec.n - 1]).max() <= TOLERANCE
             assert len(calls) == 2 * layers_dec
             assert sorted(h for _, h in calls) == [heads] * layers_dec + [c * heads] * layers_dec
             if first // bs == (first + size - 1) // bs:
-                assert set(calls) == {(size, c * heads), (c * size, heads)}
+                assert set(calls[:-2]) <= {(size, c * heads), (c * size, heads)}
+            assert calls[-2:] == [(1, c * heads), (c, heads)]
         monkeypatch.undo()
-        rows = np.concatenate(got, axis=1)
-        assert dec.n == cfg.l_high and rows.shape == (c, cfg.l_high, cfg.vocab)
-        for seq, row in zip(seqs, rows):
-            full, _, _ = mdl.decoder_forward(seq, enc, high, plans)
-            assert np.abs(full - row).max() <= TOLERANCE
+        assert dec.n == cfg.l_high
+
+
+@pytest.mark.parametrize("candidates", [1, 3])
+@pytest.mark.parametrize("layers_dec", [1, 2])
+@pytest.mark.parametrize("kind", PLAN_KINDS)
+def test_trimmed_extend_matches_full_pass_and_row_by_row_cache(kind, layers_dec, candidates):
+    """However a sequence is split into `extend` calls, each call returns
+    the full pass's row at its last position, and the key/value cache holds
+    the rows of a decoder extended one row at a time, whose calls each
+    return their only row and so trim nothing; one dense candidate still
+    records the full pass's maps."""
+    cfg = make_config(layers_dec)
+    guide, high = make_weights(cfg, layers_dec)
+    request = make_request(cfg, np.zeros(cfg.grid_high, bool))
+    plans = make_plans(kind, cfg, guide, request)
+    enc = encode(request, high, plans)
+    prev = np.concatenate([[cfg.start_token], request.tokens.flat()[:-1]])
+    split = 6
+    seqs = candidate_inputs(prev, candidates, split, cfg.vocab)
+    fulls = [mdl.decoder_forward(seq, enc, high, plans) for seq in seqs]
+
+    def decoder(sizes):
+        dec = mdl.IncrementalDecoder(enc, high, plans)
+        for size in sizes:
+            if dec.n == split and candidates > 1:
+                dec = dec.branch(candidates)
+            first = dec.n
+            got = dec.extend(seqs[: dec.candidates, first : first + size])
+            assert got.shape == (dec.candidates, cfg.vocab)
+            for c, row in enumerate(got):
+                assert np.abs(row - fulls[c][0][dec.n - 1]).max() <= 1e-12
+        assert dec.n == cfg.l_high
+        return dec
+
+    # single rows, runs inside one block, and runs across block boundaries
+    trimmed = decoder((1, 3, 2, 1, 5, 3, 1, 7, 9))
+    reference = decoder([1] * cfg.l_high)
+    for got, want in zip(trimmed._k + trimmed._v, reference._k + reference._v, strict=True):
+        assert got.shape == want.shape == (cfg.l_high, candidates, cfg.d)
+        assert np.abs(got - want).max() <= 1e-12
+    if kind == "dense" and candidates == 1:
+        for got, want in zip(trimmed.self_maps + trimmed.cross_maps, fulls[0][1] + fulls[0][2], strict=True):
+            assert np.abs(got - want).max() <= 1e-12
 
 
 def first_zero_mask(cfg):
@@ -267,9 +319,15 @@ def test_batch_candidates_do_not_alias():
     for buf, before in zip(batch._k + batch._v, snapshot):
         assert np.array_equal(buf[:10, 0], before[:10, 0]) and np.array_equal(buf[:10, 1], before[:10, 0])
         assert not np.any(np.all(buf[10:, 0] == buf[10:, 1], axis=-1))
-    for seq, rows in zip(seqs, got):
+    for c, seq in enumerate(seqs):
         full, _, _ = mdl.decoder_forward(seq, enc, high, plans)
-        assert np.abs(full[10:] - rows).max() <= TOLERANCE
+        assert np.abs(full[-1] - got[c]).max() <= TOLERANCE
+        # each candidate's cache holds the rows of a decoder that ran it alone, row by row
+        alone = mdl.IncrementalDecoder(enc, high, plans)
+        for row in range(cfg.l_high):
+            alone.extend(seq[None, row : row + 1])
+        for buf, ref in zip(batch._k + batch._v, alone._k + alone._v):
+            assert np.abs(buf[:, c] - ref[:, 0]).max() <= TOLERANCE
 
 
 def test_dense_bundle_decodes_over_one_block():

@@ -22,7 +22,7 @@ def digests(result: dict, key: str) -> list:
     "tool,argv,keys,timings",
     [
         ("bench_edit.py", ["--grid", "16", "--samples", "2", "--repeats", "1"], ("tokens_sha256", "plans_sha256"),
-         ("median_s", "guide_median_s")),
+         ("median_s", "guide_median_s", "encode_median_s")),
         ("bench_train.py", ["--steps", "1", "--repeats", "1"], ("weights_sha256",), ("median_ms", "peak_mb")),
         ("bench_output.py", ["--grid", "16", "--candidates", "2", "--repeats", "1"], ("images_sha256", "tokens_sha256"),
          ("median_s",)),

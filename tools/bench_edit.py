@@ -3,11 +3,13 @@
 The settings are the ROADMAP Baseline's: d 64, 4 heads, 2 encoder and 1
 decoder layer, vocab 16, the lower-left quarter of the token grid masked,
 the guide at half the side, `blocks` = min(64, guide length), top-k 100.
-Each repeat times `guide_and_plan`, then `autoregressive_edit` under its
-plans, and the medians of both are reported. The last line of output is
-one JSON object that also holds a digest of every plan's keep matrix, a
-digest of the candidate tokens and every candidate's log-probability,
-both in token order, so two checkouts can be compared for equal outputs.
+Each repeat times `guide_and_plan`, then the edit's encoder pass
+(`model.encode`) on its own, then `autoregressive_edit` under the plans,
+which runs that encoder pass again and decodes; the medians of all three
+are reported. The last line of output is one JSON object that also holds
+a digest of every plan's keep matrix, a digest of the candidate tokens
+and every candidate's log-probability, both in token order, so two
+checkouts can be compared for equal outputs.
 Run from a checkout's root, with that checkout's sources:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/bench_edit.py --grid 32 --samples 50 --repeats 5
@@ -23,7 +25,7 @@ import numpy as np
 
 from sgaedit import model as mdl
 from sgaedit import sampler
-from sgaedit.quantizer import TokenGrid
+from sgaedit.quantizer import TokenGrid, apply_mask
 from sgaedit.rng import substream
 
 
@@ -55,17 +57,23 @@ def main() -> None:
     guide = mdl.init_weights(cfg, cfg.grid_low, substream(args.seed, "bench-guide"))
     high = mdl.init_from_guiding(guide)
 
-    guide_seconds, seconds = [], []
+    guide_seconds, encode_seconds, seconds = [], [], []
     for _ in range(args.repeats):
         t0 = time.perf_counter()
         plans = sampler.guide_and_plan(request, guide, cfg, seed=args.seed).plans
         guide_seconds.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
+        mdl.encode(apply_mask(request.tokens, request.mask), request.semantic, high, plans)
+        encode_seconds.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
         tokens, logprobs = sampler.autoregressive_edit(
             request, high, plans, top_k=100, n_samples=args.samples, n_keep=args.samples, seed=args.seed
         )
         seconds.append(time.perf_counter() - t0)
-        print(f"guide_and_plan {guide_seconds[-1]:.3f} s, autoregressive_edit {seconds[-1]:.3f} s")
+        print(
+            f"guide_and_plan {guide_seconds[-1]:.3f} s, encode {encode_seconds[-1]:.3f} s, "
+            f"autoregressive_edit {seconds[-1]:.3f} s"
+        )
     roles = (plans.enc, plans.dec_self, plans.dec_cross)
     keeps = [plan.keep.tobytes() for role in roles for layer in role for plan in layer]
     # in token order, not rank order: log-probabilities equal to rounding may rank near-ties either way
@@ -76,6 +84,8 @@ def main() -> None:
         "n_samples": args.samples,
         "guide_seconds": guide_seconds,
         "guide_median_s": statistics.median(guide_seconds),
+        "encode_seconds": encode_seconds,
+        "encode_median_s": statistics.median(encode_seconds),
         "seconds": seconds,
         "median_s": statistics.median(seconds),
         "plans_sha256": hashlib.sha256(b"".join(keeps)).hexdigest(),
