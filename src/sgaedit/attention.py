@@ -7,8 +7,11 @@ block-gather kernel `tape.block_attention`: a dense head is its one-block
 full plan, and the kernel's softmax weights are that head's attention
 map. Like `sga.build_sparse_mask`, it is a test oracle that stays in the
 package because the benchmark traces it by name. It is written against
-the tape ops, so the same code serves untaped (numpy in, numpy out) and
-taped (Tensor in, Tensor out) comparisons.
+the tape ops the model runs, so the same code serves untaped (numpy in,
+numpy out) and taped (Tensor in, Tensor out) comparisons. It builds k^T
+by reshaping k to one column, gathering that column's rows in
+column-major order and reshaping the result to d x n, and it scales the
+queries by 1/sqrt(d) with a matmul by the scaled identity.
 """
 
 from __future__ import annotations
@@ -21,8 +24,8 @@ from .errors import ShapeError
 def dense_attention(q, k, v, mask):
     """softmax((q @ k^T) / sqrt(d) + mask) @ v.
 
-    Returns (output, weights). Weights are returned because the guiding
-    pass harvests them for block-affinity pooling.
+    Returns (output, weights): the weights are the reference for the
+    kernel's softmax weights, which are a dense head's attention map.
     """
     qv, kv, vv = T.value_of(q), T.value_of(k), T.value_of(v)
     if qv.ndim != 2 or kv.ndim != 2 or vv.ndim != 2:
@@ -34,6 +37,8 @@ def dense_attention(q, k, v, mask):
     mask = T.value_of(mask)
     if mask.shape != (qv.shape[0], kv.shape[0]):
         raise ShapeError(f"mask shape {mask.shape} != {(qv.shape[0], kv.shape[0])}")
-    scores = T.scale(T.matmul(q, k, transpose_b=True), 1.0 / np.sqrt(qv.shape[1]))
+    n, d = kv.shape
+    k_t = T.reshape(T.gather_rows(T.reshape(k, (n * d, 1)), np.arange(n * d).reshape(n, d).T.ravel()), (d, n))
+    scores = T.matmul(T.matmul(q, np.eye(d) / np.sqrt(d)), k_t)
     weights = T.masked_softmax(scores, mask)
     return T.matmul(weights, v), weights

@@ -123,7 +123,9 @@ def select_plans(b: np.ndarray, k: int, radius: int) -> list[SparsityPlan]:
     One stable sort per query row orders the blocks outside the
     neighborhood first, by descending affinity, ties toward the lowest
     block index, which makes each plan a pure function of (b[h], k,
-    radius); the first k of them join the neighborhood.
+    radius); the first k of them join the neighborhood. The neighborhood
+    sorts last under the key +inf, above every affinity: affinities are
+    block means of softmax weights, so they are finite and >= 0.
     """
     b = T.value_of(b)
     if b.ndim != 3 or b.shape[-1] != b.shape[-2]:
@@ -131,7 +133,7 @@ def select_plans(b: np.ndarray, k: int, radius: int) -> list[SparsityPlan]:
     if k < 0 or radius < 0:
         raise ValidationError("k and radius must be non-negative")
     near = band(b.shape[-1], radius)
-    order = np.lexsort((-b, np.broadcast_to(near, b.shape)), axis=-1)
+    order = np.argsort(np.where(near, np.inf, -b), axis=-1, kind="stable")
     keep = np.array(np.broadcast_to(near, b.shape))
     # a k past the outside blocks picks neighbors too, which are kept already
     np.put_along_axis(keep, order[..., :k], True, axis=-1)

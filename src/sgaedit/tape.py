@@ -9,14 +9,13 @@ written once against these functions and works in both modes.
 
 This module is the package's one op layer: each op's forward and
 backward arithmetic are both written here. The op set is deliberately
-closed, and is `DIFFERENTIABLE_OPS`: add, add_bias, scale, matmul,
+closed, and is `DIFFERENTIABLE_OPS`: add, add_bias, matmul,
 masked_softmax, layer_norm, peg, gather_rows, reshape, block_attention
 (the attention kernel of every head, dense or block-sparse, which works
 out its padding and causal mask from key and query token indices), gelu
 and cross_entropy, each called by some other module of the package. There
 is no general broadcasting engine. The model's attention uses only
-block_attention; masked_softmax, and the scale and
-`matmul(transpose_b=True)` around it, serve `attention.dense_attention`,
+block_attention; masked_softmax serves only `attention.dense_attention`,
 the dense reference the tests compare against.
 
 Every op's backward is pinned against central differences by the test
@@ -25,8 +24,9 @@ suite's `grad_check` (tests/conftest.py), over the cases of `op_grad_case`.
 `GradTape.backward` uses up its node list as it walks it, releasing each
 op's backward closure (and the values it saved) once that backward has run,
 so reference counting frees the step's graph during the walk even while the
-caller still holds the loss; the cyclic collector is not needed. Afterwards
-only the leaves (`GradTape.param`) keep a .grad.
+caller still holds the loss; the cyclic collector is not needed. Leaves
+(`GradTape.param`) are never on the node list, and afterwards only they
+keep a .grad.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .errors import DegenerateRowError, ShapeError, ValidationError
 DIFFERENTIABLE_OPS = (
     "add",
     "add_bias",
-    "scale",
     "matmul",
     "masked_softmax",
     "layer_norm",
@@ -71,10 +70,6 @@ class Tensor:
         else:
             self.grad += g
 
-    @property
-    def shape(self):
-        return self.value.shape
-
 
 class GradTape:
     """Ordered record of primitive ops, walked in reverse by `backward`."""
@@ -83,10 +78,8 @@ class GradTape:
         self._nodes: list[Tensor] = []
 
     def param(self, value) -> Tensor:
-        """Register a leaf whose gradient will be accumulated."""
-        node = Tensor(np.array(value, dtype=np.float64, copy=True), self)
-        self._nodes.append(node)
-        return node
+        """A leaf whose gradient will be accumulated; it is not on the node list."""
+        return Tensor(np.array(value, dtype=np.float64, copy=True), self)
 
     def backward(self, loss: Tensor) -> None:
         """Accumulate d(loss)/d(leaf) into every leaf's .grad.
@@ -106,8 +99,6 @@ class GradTape:
         nodes, self._nodes = self._nodes, []
         while nodes:
             node = nodes.pop()
-            if node._backward is None:  # a leaf keeps its gradient
-                continue
             if node.grad is not None:
                 node._backward(node.grad)
             node._backward = node.grad = None
@@ -177,37 +168,20 @@ def reshape(x, shape: tuple):
     return _record(xv.reshape(shape), backward, x)
 
 
-def scale(a, c: float):
-    """Multiply by a python constant."""
-    c = float(c)
-
-    def backward(g):
-        a.accumulate(g * c)
-
-    return _record(value_of(a) * c, backward, a)
-
-
-def matmul(a, b, transpose_b: bool = False):
+def matmul(a, b):
     av, bv = value_of(a), value_of(b)
     if av.ndim != 2 or bv.ndim != 2:
         raise ShapeError(f"matmul expects 2D operands, got {av.shape} and {bv.shape}")
-    inner_b = bv.shape[1] if transpose_b else bv.shape[0]
-    if av.shape[1] != inner_b:
-        raise ShapeError(f"inner dimensions differ: {av.shape} vs {bv.shape} (transpose_b={transpose_b})")
+    if av.shape[1] != bv.shape[0]:
+        raise ShapeError(f"inner dimensions differ: {av.shape} vs {bv.shape}")
 
     def backward(g):
-        if transpose_b:
-            if is_tensor(a):
-                a.accumulate(g @ bv)
-            if is_tensor(b):
-                b.accumulate(g.T @ av)
-        else:
-            if is_tensor(a):
-                a.accumulate(g @ bv.T)
-            if is_tensor(b):
-                b.accumulate(av.T @ g)
+        if is_tensor(a):
+            a.accumulate(g @ bv.T)
+        if is_tensor(b):
+            b.accumulate(av.T @ g)
 
-    return _record(av @ bv.T if transpose_b else av @ bv, backward, a, b)
+    return _record(av @ bv, backward, a, b)
 
 
 def masked_softmax(scores, mask):

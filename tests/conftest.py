@@ -146,8 +146,7 @@ def op_grad_case(name):
     cases = {
         "add": (lambda x: dot(T.add(x, const_a), T.add(x, const_a)), (3, 4)),
         "add_bias": (lambda x: dot(T.add_bias(const_a, x), T.add_bias(const_a, x)), (4,)),
-        "scale": (lambda x: dot(T.scale(x, -2.5), T.scale(x, -2.5)), (3, 4)),
-        "matmul": (lambda x: dot(T.matmul(x, const_a), T.matmul(x, const_a.T, transpose_b=True)), (3, 3)),
+        "matmul": (lambda x: dot(T.matmul(x, const_a), T.matmul(T.matmul(x, x), const_a)), (3, 3)),
         "masked_softmax": (lambda x: dot(T.masked_softmax(x, mask), const_a), (3, 4)),
         "layer_norm": (lambda x: dot(T.layer_norm(x, _LN_GAIN, _LN_BIAS), const_a), (3, 4)),
         "peg": (lambda x: dot(T.peg(x, _KERNEL), T.peg(x, _KERNEL)), (3, 4, 2)),
@@ -242,7 +241,10 @@ def per_row_sort_plan(b, k, radius):
 
 
 def affinities(kind, shape, seed):
-    """Random affinities: "random", "rounded" (many exact ties) or "zero" (mostly zeros)."""
+    """Random affinities: "random", "rounded" (many exact ties), "zero"
+    (mostly zeros) or "equal" (every entry tied)."""
+    if kind == "equal":
+        return np.full(shape, 0.5)
     rng = substream(seed, f"affinity-{kind}")
     b = rng.random(shape)
     if kind == "rounded":

@@ -786,7 +786,7 @@ def test_doc_lists_the_subcommands():
 
 
 def test_console_entry_point_runs():
-    env = dict(os.environ)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")]))
     result = subprocess.run(
         [sys.executable, "-m", "sgaedit.cli", "--help"], capture_output=True, text=True, env=env
     )

@@ -290,6 +290,45 @@ class TestGuideDecodesOnce:
         assert sum(rows) == cfg.l_low * (cfg.layers_enc + 2 * cfg.layers_dec)
 
 
+def test_edit_of_only_the_last_token():
+    """With only the last token masked at both resolutions, the first
+    `extend` covers the whole sequence: the guide's decoder then holds all
+    L rows, and the edit branches into its candidates with nothing left to
+    extend. The guide's plans are still a forced pass's over its
+    completion, and each candidate keeps its unmasked tokens and the
+    log-probability a teacher-forced rescore gives it."""
+    guide = mdl.init_weights(GUIDE_CFG, GUIDE_CFG.grid_low, substream(2, "guide-once"))
+    high = mdl.init_from_guiding(guide)
+    rng = substream(6, "last-token-edit")
+    g, gl = GUIDE_CFG.grid_high, GUIDE_CFG.grid_low
+    mask, mask_low = np.zeros(g, bool), np.zeros(gl, bool)
+    mask[-1, -1] = mask_low[-1, -1] = True
+    req = sampler.EditRequest(
+        tokens=TokenGrid(rng.integers(0, CFG.vocab, size=g), CFG.vocab),
+        semantic=TokenGrid(rng.integers(0, CFG.vocab_map, size=g), CFG.vocab_map),
+        mask=mask,
+        tokens_low=TokenGrid(rng.integers(0, CFG.vocab, size=gl), CFG.vocab),
+        semantic_low=TokenGrid(rng.integers(0, CFG.vocab_map, size=gl), CFG.vocab_map),
+        mask_low=mask_low,
+    )
+    res = sampler.guide_and_plan(req, guide, GUIDE_CFG, seed=4)
+    forced = mdl.guiding_forward(
+        apply_mask(req.tokens_low, req.mask_low), req.semantic_low, guide, res.completion_low.flat()
+    )
+    want = sampler.plans_from_maps(forced.encoder.attn, forced.dec_self_attn, forced.dec_cross_attn, GUIDE_CFG)
+    for role in ("enc", "dec_self", "dec_cross"):
+        got_keeps = [[p.keep for p in layer] for layer in getattr(res.plans, role)]
+        want_keeps = [[p.keep for p in layer] for layer in getattr(want, role)]
+        assert np.array_equal(got_keeps, want_keeps), role
+
+    tokens, logprobs = sampler.autoregressive_edit(req, high, res.plans, top_k=100, n_samples=3, n_keep=3, seed=7)
+    assert tokens.shape == (3,) + g
+    for row, logprob in zip(tokens, logprobs):
+        assert np.array_equal(row[~mask], req.tokens.tokens[~mask])
+        redo = sampler.rescore(req, high, res.plans, TokenGrid(row, CFG.vocab), top_k=100)
+        assert abs(redo - logprob) <= 1e-9
+
+
 class TestAutoregressiveEdit:
     def test_empty_mask_single_unique_candidate(self, weights):
         _, high = weights

@@ -143,7 +143,7 @@ class TestSelectPlan:
             for factor in (0.25, 3.0, 1e6):
                 assert select(b * factor, k=2, radius=1).kept == base.kept
 
-    @pytest.mark.parametrize("kind", ["random", "rounded", "zero"])
+    @pytest.mark.parametrize("kind", ["random", "rounded", "zero", "equal"])
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_matches_per_row_sort_oracle(self, kind, n):
         """The one-sort selection over a stack of heads equals a per-row

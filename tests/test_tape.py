@@ -104,6 +104,7 @@ def test_backward_releases_each_node_as_it_walks():
     try:
         tape = T.GradTape()
         x, w, b = tape.param(rng.normal(size=(5, 3))), tape.param(rng.normal(size=(3, 4))), tape.param(np.zeros(4))
+        assert tape._nodes == []  # leaves record no op
         h = T.matmul(x, w)
         probe = weakref.ref(h)
         y = T.gelu(h)
@@ -114,7 +115,7 @@ def test_backward_releases_each_node_as_it_walks():
         assert y.grad is None and loss.grad is None
     finally:
         gc.enable()
-    assert all(leaf.grad is not None and leaf.grad.shape == leaf.shape for leaf in (x, w, b))
+    assert all(leaf.grad is not None and leaf.grad.shape == leaf.value.shape for leaf in (x, w, b))
 
 
 def test_numpy_fast_path_matches_tensor_path():
