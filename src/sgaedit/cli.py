@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import compositing, config as cfgmod, evalbench, images, model as mdl, sampler
-from .errors import ConfigError, InsufficientDataError, NumericalError, SgaError
+from .errors import ConfigError, InsufficientDataError, NumericalError, SgaError, ValidationError
 from .numerics import read_sgat, write_sgat
 from .quantizer import Codebook, TokenGrid, encode_patches, fit_codebook, quantize, random_projection
 from .rng import substream
@@ -108,6 +108,8 @@ def _load_assets(directory: Path, mconf: mdl.ModelConfig) -> dict:
         array = read_sgat(path)
         if array.shape != shape:
             raise ConfigError(f"{path}: shape {list(array.shape)}, the run config and assets.json need {list(shape)}")
+        if not np.all(np.isfinite(array)):
+            raise ValidationError(f"{path}: non-finite values")
         assets[name] = Codebook(array) if name.endswith("codebook") else array
     return assets
 
@@ -120,7 +122,6 @@ def _load_assets(directory: Path, mconf: mdl.ModelConfig) -> dict:
 def cmd_train_guide(cfg: dict, args) -> int:
     assets = _fit_assets(cfg)  # before any file is written: a too-small corpus fails here
     out = Path(cfg["out"]) / "guide"
-    out.mkdir(parents=True, exist_ok=True)
     cfgmod.write_resolved(cfg, out)
     mconf = cfgmod.model_config(cfg)
     task = _task_for(cfg, mconf.grid_low)
@@ -148,7 +149,6 @@ def cmd_train_guide(cfg: dict, args) -> int:
 
 def cmd_train_sga(cfg: dict, args) -> int:
     out = Path(cfg["out"]) / "sga"
-    out.mkdir(parents=True, exist_ok=True)
     cfgmod.write_resolved(cfg, out)
     mconf = cfgmod.model_config(cfg)
     guide_weights = _load_model(args.guide, mconf, "grid_low")
@@ -234,7 +234,6 @@ def cmd_edit(cfg: dict, args) -> int:
     out = Path(cfg["out"]) / "edit"
     if out.exists():
         shutil.rmtree(out)
-    out.mkdir(parents=True, exist_ok=True)
     try:
         return _run_edit(cfg, args, out)
     except Exception:
@@ -318,7 +317,6 @@ def _run_edit(cfg: dict, args, out: Path) -> int:
 
 def cmd_ablate(cfg: dict, args) -> int:
     out = Path(cfg["out"]) / "ablate"
-    out.mkdir(parents=True, exist_ok=True)
     cfgmod.write_resolved(cfg, out)
     mconf = cfgmod.model_config(cfg)
     a, t = cfg["ablation"], cfg["train"]

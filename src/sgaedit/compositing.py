@@ -16,8 +16,6 @@ images in and C out; the blend's pyramids cover only the window
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import IncompleteGridError, ShapeError, VocabularyError
@@ -59,14 +57,6 @@ def _up(img: np.ndarray) -> np.ndarray:
     return _pass(_pass(img, 0, up=True), 1, up=True)
 
 
-@dataclass
-class Pyramid:
-    """Band-pass levels (finest first) plus the lowest-resolution residual."""
-
-    bands: list
-    residual: np.ndarray
-
-
 def _check_levels(h: int, w: int, levels: int) -> None:
     """A pyramid of `levels` levels halves the image `levels - 1` times."""
     if levels < 1:
@@ -84,26 +74,28 @@ def _blend_levels(h: int, w: int) -> int:
     return levels
 
 
-def build_pyramid(img: np.ndarray, levels: int) -> Pyramid:
-    """Laplacian decomposition with `levels` levels (1 = just the image).
+def build_pyramid(img: np.ndarray, levels: int) -> list:
+    """Laplacian decomposition into a list of `levels` levels (1 = just
+    the image): the band-pass levels, finest first, then the
+    lowest-resolution residual.
 
     The first two axes are the image's rows and columns; channel or
     candidate axes after them are carried through every level.
     """
     img = np.asarray(img, dtype=np.float64)
     _check_levels(img.shape[0], img.shape[1], levels)
-    bands = []
-    current = img
+    pyramid = []
     for _ in range(levels - 1):
-        smaller = _down(current)
-        bands.append(current - _up(smaller))
-        current = smaller
-    return Pyramid(bands=bands, residual=current)
+        smaller = _down(img)
+        pyramid.append(img - _up(smaller))
+        img = smaller
+    return pyramid + [img]
 
 
-def collapse(pyr: Pyramid) -> np.ndarray:
-    out = pyr.residual
-    for band in reversed(pyr.bands):
+def collapse(pyramid: list) -> np.ndarray:
+    """The image a `build_pyramid` list of levels decomposes."""
+    out = pyramid[-1]
+    for band in reversed(pyramid[:-1]):
         out = _up(out) + band
     return out
 
@@ -187,7 +179,7 @@ def laplacian_blend(a: np.ndarray, b: np.ndarray, mask: np.ndarray) -> np.ndarra
     weights = [_blur(mask[rows, cols])]
     for _ in range(levels - 1):
         weights.append(_down(weights[-1]))
-    for level, w in zip(pyr.bands + [pyr.residual], weights):
+    for level, w in zip(pyr, weights):
         level *= w.reshape(w.shape + (1,) * (level.ndim - 2))
     blended = np.clip(b_win + collapse(pyr), 0.0, 1.0)
     out = np.repeat(np.clip(b, 0.0, 1.0)[None], a.shape[0], axis=0)

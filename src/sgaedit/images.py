@@ -59,6 +59,8 @@ def read_pnm(path) -> np.ndarray:
         raise ValidationError(f"{path}: only 8-bit images supported (maxval {maxval})")
     count = w * h * channels
     raw = _body(path, data, offset, count)
+    if raw.max() > maxval:
+        raise ValidationError(f"{path}: sample {raw.max()} above the header's maxval {maxval}")
     img = raw.astype(np.float64) / maxval
     return img.reshape(h, w) if channels == 1 else img.reshape(h, w, 3)
 

@@ -16,8 +16,8 @@ wrapped in tape Tensors yields a differentiable graph while plain arrays
 give the inference path. `forward` is the one teacher-forced pass, for
 training, evaluation and rescoring alike, and prepends START to its
 decoder input (`sampler`'s incremental decode prepends it to the shared
-prefix); `encode` is the one encoder pass over a masked grid, and
-`guiding_forward` is `forward` under `PlanBundle.dense`.
+prefix); `encoder_forward` is the one encoder pass over a masked grid,
+and `guiding_forward` is `forward` under `PlanBundle.dense`.
 
 The decoder is written once, as `IncrementalDecoder`, over a batch of
 candidates: it holds the decoder PEG rows, the cross-attention
@@ -252,10 +252,12 @@ def _feed_forward(x, weights: ModelWeights, prefix: str):
     return T.add_bias(T.matmul(hidden, w[f"{prefix}_ff2"]), w[f"{prefix}_ff2_b"])
 
 
-def encoder_forward(embeddings, weights: ModelWeights, plans: PlanBundle) -> EncoderOutput:
-    """PEG -> self-attention -> add & norm -> feed-forward -> add & norm, per layer."""
+def encoder_forward(x: TokenGrid, p: TokenGrid, weights: ModelWeights, plans: PlanBundle) -> EncoderOutput:
+    """The encoder pass over a (masked) token grid `x` and its semantic grid
+    `p`: `embed_encoder`, then PEG -> self-attention -> add & norm ->
+    feed-forward -> add & norm, per layer."""
     cfg = weights.config
-    h = embeddings
+    h = embed_encoder(x, p, weights)
     all_maps = []
     w = weights.params
     for i in range(cfg.layers_enc):
@@ -460,11 +462,6 @@ class IncrementalDecoder:
         return out
 
 
-def encode(x: TokenGrid, p: TokenGrid, weights: ModelWeights, plans: PlanBundle) -> EncoderOutput:
-    """The encoder pass over a (masked) token grid `x` and its semantic grid `p`."""
-    return encoder_forward(embed_encoder(x, p, weights), weights, plans)
-
-
 @dataclass
 class ForwardResult:
     logits: object  # L x vocab array or Tensor
@@ -480,10 +477,11 @@ def forward(
     plans: PlanBundle,
     decoder_tokens,
 ) -> ForwardResult:
-    """The teacher-forced pass: `encode(x, p)`, then the decoder forced over
-    the L-token sequence `decoder_tokens` shifted right behind START, so
-    logits row l predicts decoder_tokens[l] from the tokens before it."""
-    enc = encode(x, p, weights, plans)
+    """The teacher-forced pass: `encoder_forward(x, p)`, then the decoder
+    forced over the L-token sequence `decoder_tokens` shifted right behind
+    START, so logits row l predicts decoder_tokens[l] from the tokens
+    before it."""
+    enc = encoder_forward(x, p, weights, plans)
     seq = np.asarray(decoder_tokens, dtype=np.int64)
     if seq.shape != (weights.length,):
         raise SequenceError(f"decoder tokens of shape {seq.shape} are not the {weights.length}-token sequence")

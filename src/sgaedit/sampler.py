@@ -9,19 +9,19 @@ summed (joint) log-probability. An edit's candidates stay arrays: one
 `[C, h, w]` token stack and its `[C]` log-probabilities, highest first.
 
 Decoding is incremental (`model.IncrementalDecoder`). The encoder pass
-(`model.encode`) and the forced prefix, every row up to the first masked
-position, are the same for all candidates, so they run once per call. The
-decoder then branches into all candidates, which share the mask and so
-extend the same rows at every step: the forced runs between masked
-positions and one row per sampled position, as one batch. Each such run is
-one call per layer and role of the block-gather kernel and returns only
-the logits of its last row, the one sampled next; its forced rows stop at
-the last layer's self-attention keys and values, all that later rows
-read. Each sampled position is one `topk_sample` call over every
-candidate's logits. The guide's own decode is the same path with one
-candidate, unbranched, whose decoder then runs the rows after the last
-masked position and holds the guide's maps, so it runs every row in
-full. `rescore` scores a candidate with one teacher-forced
+(`model.encoder_forward`) and the forced prefix, every row up to the
+first masked position, are the same for all candidates, so they run once
+per call. The decoder then branches into all candidates, which share the
+mask and so extend the same rows at every step: the forced runs between
+masked positions and one row per sampled position, as one batch. Each
+such run is one call per layer and role of the block-gather kernel and
+returns only the logits of its last row, the one sampled next; its
+forced rows stop at the last layer's self-attention keys and values, all
+that later rows read. Each sampled position is one `topk_sample` call
+over every candidate's logits. The guide's own decode is the same path
+with one candidate, unbranched, whose decoder then runs the rows after
+the last masked position and holds the guide's maps, so it runs every
+row in full. `rescore` scores a candidate with one teacher-forced
 `model.forward` pass, whose decoder returns the rows of the whole
 sequence.
 """
@@ -196,7 +196,8 @@ def guide_and_plan(
     `config.radius` only shape the plans.
     """
     dense = mdl.PlanBundle.dense(guiding_weights.config)
-    enc = mdl.encode(apply_mask(request.tokens_low, request.mask_low), request.semantic_low, guiding_weights, dense)
+    masked = apply_mask(request.tokens_low, request.mask_low)
+    enc = mdl.encoder_forward(masked, request.semantic_low, guiding_weights, dense)
     seqs, logprobs, dec = _forced_decode(
         enc, request.tokens_low, request.mask_low, guiding_weights, dense, GUIDE_TOP_K,
         [substream(seed, "guide-sample")],
@@ -223,7 +224,7 @@ def autoregressive_edit(
     if n_samples < 1 or n_keep < 1:
         raise ParameterError("n_samples and n_keep must be >= 1")
 
-    enc_out = mdl.encode(apply_mask(request.tokens, request.mask), request.semantic, sga_weights, plans)
+    enc_out = mdl.encoder_forward(apply_mask(request.tokens, request.mask), request.semantic, sga_weights, plans)
     rngs = [substream(seed, f"candidate-{i}") for i in range(n_samples)]
     seqs, logprobs, _ = _forced_decode(enc_out, request.tokens, request.mask, sga_weights, plans, top_k, rngs)
 

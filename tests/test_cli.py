@@ -460,6 +460,25 @@ class TestEdit:
         assert rc == 4
         assert "truncated" in capsys.readouterr().err
 
+    def test_image_sample_above_maxval_exit_4(self, trained, capsys):
+        """A sample above the header's maxval is a malformed file, not a
+        pixel brighter than white."""
+        tmp_path, cfg = trained
+        image, semantic, mask = make_edit_inputs(tmp_path)
+        over = tmp_path / "over.pgm"
+        body = image.read_bytes()
+        over.write_bytes(body.replace(b"\n255\n", b"\n100\n", 1))
+        assert max(body[-16 * 16 :]) > 100  # the 16 x 16 body has samples above the new maxval
+        rc = cli.main(
+            ["edit", "--config", str(cfg), "--guide", str(tmp_path / "run" / "guide"),
+             "--sga", str(tmp_path / "run" / "sga"), "--image", str(over),
+             "--semantic", str(semantic), "--mask", str(mask), "--out", str(tmp_path / "over")]
+        )
+        assert rc == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"invariant violation: {over}: sample ") and "maxval 100" in err
+        assert not (tmp_path / "over" / "edit").exists()
+
     @pytest.mark.parametrize("header", [b"P5\nabc 4\n255\n", b"P5\n-4 4\n255\n"], ids=["not-int", "negative"])
     def test_malformed_image_header_exit_4(self, trained, capsys, header):
         tmp_path, cfg = trained
@@ -625,6 +644,11 @@ def _sgat_zeros(shape: list) -> bytes:
     return _sgat_shape(shape) + bytes(4 * int(np.prod(shape)))
 
 
+def _sgat_one(shape: list, value: float) -> bytes:
+    """A well-formed f32 SGAT file of `shape` whose last entry is `value`, all others 0."""
+    return _sgat_zeros(shape)[:-4] + np.float32(value).astype("<f4").tobytes()
+
+
 # (name, file to replace in a copy of the guide checkpoint, its bytes, exit code)
 MALFORMED_CHECKPOINTS = [
     ("sgat-truncated-header", "out_head.sgat", b"SGAT\x10\x00", 4),
@@ -653,6 +677,11 @@ MALFORMED_CHECKPOINTS = [
     ("codebook-too-many-entries", "codebook.sgat", _sgat_zeros([12, 16]), 2),
     ("projection-too-narrow", "projection.sgat", _sgat_zeros([16, 15]), 2),
     ("sem-codebook-too-few-entries", "sem_codebook.sgat", _sgat_zeros([2, 16]), 2),
+    # quantizer assets of the right shape holding one non-finite value
+    ("projection-inf", "projection.sgat", _sgat_one([16, 16], np.inf), 4),
+    ("projection-nan", "projection.sgat", _sgat_one([16, 16], np.nan), 4),
+    ("sem-projection-nan", "sem_projection.sgat", _sgat_one([48, 16], np.nan), 4),
+    ("sem-codebook-nan", "sem_codebook.sgat", _sgat_one([3, 16], np.nan), 4),
 ]
 
 
@@ -680,8 +709,9 @@ def test_malformed_checkpoint_exit_code_without_traceback(trained, tmp_path, tar
     assert result.returncode == code, result.stderr
     assert "Traceback" not in result.stderr and result.stderr.count("\n") == 1
     assert target.split(".")[0] in result.stderr
-    if target.endswith("codebook.sgat") or target == "projection.sgat":
-        assert result.stderr.startswith(f"config error: {guide / target}: shape ")
+    if target.endswith(("codebook.sgat", "projection.sgat")):
+        want = "invariant violation: {}: non-finite values" if code == 4 else "config error: {}: shape "
+        assert result.stderr.startswith(want.format(guide / target))
     if payload is None:
         assert result.stderr.startswith("file error:") and target in result.stderr
 

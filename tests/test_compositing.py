@@ -23,16 +23,16 @@ class TestPyramid:
         assert np.abs(comp.collapse(comp.build_pyramid(img, 3)) - img).max() <= 1e-4
 
     def test_level_structure(self):
-        pyr = comp.build_pyramid(np.zeros((16, 16)), 3)
-        assert len(pyr.bands) == 2
-        assert pyr.bands[0].shape == (16, 16)
-        assert pyr.bands[1].shape == (8, 8)
-        assert pyr.residual.shape == (4, 4)
+        *bands, residual = comp.build_pyramid(np.zeros((16, 16)), 3)
+        assert len(bands) == 2
+        assert bands[0].shape == (16, 16)
+        assert bands[1].shape == (8, 8)
+        assert residual.shape == (4, 4)
 
     def test_divisibility_enforced(self):
         """`levels` levels halve the image `levels - 1` times, so each side
         must divide by 2**(levels - 1)."""
-        assert comp.build_pyramid(np.zeros((12, 12)), 3).residual.shape == (3, 3)
+        assert comp.build_pyramid(np.zeros((12, 12)), 3)[-1].shape == (3, 3)
         with pytest.raises(ShapeError):
             comp.build_pyramid(np.zeros((12, 10)), 3)
 

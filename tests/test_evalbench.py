@@ -433,7 +433,7 @@ class TestTrain:
         try:
             tape = T.GradTape()
             tw = mdl.ModelWeights(CFG, weights.grid, {k: tape.param(v) for k, v in weights.params.items()})
-            enc = mdl.encoder_forward(mdl.embed_encoder(apply_mask(x, mask), p, tw), tw, dense)
+            enc = mdl.encoder_forward(apply_mask(x, mask), p, tw, dense)
             probe = weakref.ref(enc.context)
             prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])
             logits, _, _ = mdl.decoder_forward(prev, enc, tw, dense)

@@ -43,6 +43,21 @@ def test_truncated_body_rejected(tmp_path, reader):
         reader(path)
 
 
+@pytest.mark.parametrize("magic,channels", [(b"P5", 1), (b"P6", 3)], ids=["pgm", "ppm"])
+def test_sample_above_maxval_rejected(tmp_path, magic, channels):
+    """A sample above the header's maxval would read above 1.0: the file is
+    malformed. One at maxval reads 1.0; class maps read raw bytes."""
+    path = tmp_path / "over.pnm"
+    path.write_bytes(magic + b"\n3 2\n100\n" + bytes([0, 100] * 3 * channels))
+    assert images.read_pnm(path).max() == 1.0
+    path.write_bytes(magic + b"\n3 2\n100\n" + bytes([0, 100] * 3 * channels)[:-1] + bytes([255]))
+    with pytest.raises(ValidationError) as info:
+        images.read_pnm(path)
+    assert str(info.value) == f"{path}: sample 255 above the header's maxval 100"
+    if channels == 1:
+        assert images.read_class_map(path).max() == 255
+
+
 @pytest.mark.parametrize("reader", [images.read_pnm, images.read_class_map])
 @pytest.mark.parametrize(
     "header",

@@ -73,8 +73,7 @@ def make_plans(kind, cfg, guide, request):
 
 
 def encode(request, weights, plans):
-    enc_in = apply_mask(request.tokens, request.mask)
-    return mdl.encoder_forward(mdl.embed_encoder(enc_in, request.semantic, weights), weights, plans=plans)
+    return mdl.encoder_forward(apply_mask(request.tokens, request.mask), request.semantic, weights, plans=plans)
 
 
 @pytest.mark.parametrize("layers_dec", [1, 2])

@@ -111,31 +111,30 @@ class TestEncoderForward:
         w = mdl.init_weights(cfg, cfg.grid_high, substream(5, "w0"))
         x, p = random_grids(cfg.grid_high, 6)
         emb = mdl.embed_encoder(x, p, w)
-        out = mdl.encoder_forward(emb, w, mdl.PlanBundle.dense(cfg))
+        out = mdl.encoder_forward(x, p, w, mdl.PlanBundle.dense(cfg))
         assert np.array_equal(out.context, emb)
         assert out.attn == []
 
     def test_dense_vs_full_kept_plan(self):
         w = mdl.init_weights(CFG, CFG.grid_high, substream(6, "w1"))
         x, p = random_grids(CFG.grid_high, 7)
-        emb = mdl.embed_encoder(x, p, w)
-        dense = mdl.encoder_forward(emb, w, DENSE).context
+        dense = mdl.encoder_forward(x, p, w, DENSE).context
         full = mdl.PlanBundle.uniform(CFG, lambda role, i, h: sga.full_plan(CFG.blocks))
-        sparse = mdl.encoder_forward(emb, w, plans=full).context
+        sparse = mdl.encoder_forward(x, p, w, plans=full).context
         assert np.abs(dense - sparse).max() <= 1e-5
 
     def test_one_layer_matches_primitive_composition(self):
         w = mdl.init_weights(CFG, CFG.grid_high, substream(7, "w2"))
         x, p = random_grids(CFG.grid_high, 8)
         emb = mdl.embed_encoder(x, p, w)
-        out = mdl.encoder_forward(emb, w, DENSE).context
+        out = mdl.encoder_forward(x, p, w, DENSE).context
         expected = manual_encoder_layer(emb, w.params, CFG, CFG.grid_high)
         assert np.abs(out - expected).max() <= 1e-5
 
     def test_recorded_maps_row_stochastic(self):
         w = mdl.init_weights(CFG, CFG.grid_high, substream(8, "w3"))
         x, p = random_grids(CFG.grid_high, 9)
-        out = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w, DENSE)
+        out = mdl.encoder_forward(x, p, w, DENSE)
         assert len(out.attn) == CFG.layers_enc
         for layer in out.attn:
             assert len(layer) == CFG.heads
@@ -146,10 +145,9 @@ class TestEncoderForward:
     def test_record_returns_maps_for_one_block_plans_only(self):
         w = mdl.init_weights(CFG, CFG.grid_high, substream(24, "w4"))
         x, p = random_grids(CFG.grid_high, 25)
-        emb = mdl.embed_encoder(x, p, w)
-        dense = mdl.encoder_forward(emb, w, DENSE)
+        dense = mdl.encoder_forward(x, p, w, DENSE)
         full = mdl.PlanBundle.uniform(CFG, lambda role, i, h: sga.full_plan(CFG.blocks))
-        blocked = mdl.encoder_forward(emb, w, full)
+        blocked = mdl.encoder_forward(x, p, w, full)
         for layer in dense.attn:
             assert layer.shape == (CFG.heads, CFG.l_high, CFG.l_high)
             assert not layer.flags.writeable
@@ -172,13 +170,13 @@ class TestDecoderForward:
         w = mdl.init_weights(CFG, grid, substream(seed, "dec"))
         randomize_norms(w.params, substream(seed, "dec-norms"))
         x, p = random_grids(grid, seed + 50)
-        enc = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w, DENSE)
+        enc = mdl.encoder_forward(x, p, w, DENSE)
         return w, x, enc
 
     def test_zero_weights_zero_logits(self):
         w = zero_weights(CFG, CFG.grid_high)
         x, p = random_grids(CFG.grid_high, 10)
-        enc = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w, DENSE)
+        enc = mdl.encoder_forward(x, p, w, DENSE)
         prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])
         logits, _, _ = mdl.decoder_forward(prev, enc, w, DENSE)
         assert np.abs(logits).max() == 0.0
@@ -251,7 +249,7 @@ class TestGuidingForward:
         x, p = random_grids(CFG.grid_low, 17)
         dense = mdl.guiding_forward(x, p, w, x.flat())
         full = mdl.PlanBundle.uniform(CFG, lambda role, i, h: sga.full_plan(CFG.blocks))
-        enc = mdl.encoder_forward(mdl.embed_encoder(x, p, w), w, plans=full)
+        enc = mdl.encoder_forward(x, p, w, plans=full)
         prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])
         logits, _, _ = mdl.decoder_forward(prev, enc, w, full)
         assert np.abs(dense.logits - logits).max() <= 1e-6
@@ -289,7 +287,7 @@ class TestGuidingForward:
         dense = mdl.PlanBundle.dense(CFG)
         got = mdl.forward(x, p, w, dense, x.flat())
         prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])
-        want, _, _ = mdl.decoder_forward(prev, mdl.encode(x, p, w, dense), w, dense)
+        want, _, _ = mdl.decoder_forward(prev, mdl.encoder_forward(x, p, w, dense), w, dense)
         assert np.array_equal(got.logits, want)
         for tokens in (x.flat()[:-1], np.append(x.flat(), 0), []):
             with pytest.raises(SequenceError):

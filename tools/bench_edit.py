@@ -1,15 +1,15 @@
 """Time the guide and one many-candidate `autoregressive_edit` on random weights.
 
 The settings are the ROADMAP Baseline's: d 64, 4 heads, 2 encoder and 1
-decoder layer, vocab 16, the lower-left quarter of the token grid masked,
-the guide at half the side, `blocks` = min(64, guide length), top-k 100.
-Each repeat times `guide_and_plan`, then the edit's encoder pass
-(`model.encode`) on its own, then `autoregressive_edit` under the plans,
-which runs that encoder pass again and decodes; the medians of all three
-are reported. The last line of output is one JSON object that also holds
-a digest of every plan's keep matrix, a digest of the candidate tokens
-and every candidate's log-probability, both in token order, so two
-checkouts can be compared for equal outputs.
+decoder layer, vocab 16, the lower-left quarter of the token grid
+masked, the guide at half the side, `blocks` = min(64, guide length),
+top-k 100. Each repeat times `guide_and_plan`, then the edit's encoder
+pass (`model.encoder_forward`) on its own, then `autoregressive_edit`
+under the plans, which runs that encoder pass again and decodes; the
+medians of all three are reported. The last line of output is one JSON
+object that also holds a digest of every plan's keep matrix, a digest of
+the candidate tokens and every candidate's log-probability, both in
+token order, so two checkouts can be compared for equal outputs.
 Run from a checkout's root, with that checkout's sources:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/bench_edit.py --grid 32 --samples 50 --repeats 5
@@ -63,7 +63,7 @@ def main() -> None:
         plans = sampler.guide_and_plan(request, guide, cfg, seed=args.seed).plans
         guide_seconds.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
-        mdl.encode(apply_mask(request.tokens, request.mask), request.semantic, high, plans)
+        mdl.encoder_forward(apply_mask(request.tokens, request.mask), request.semantic, high, plans)
         encode_seconds.append(time.perf_counter() - t0)
         t0 = time.perf_counter()
         tokens, logprobs = sampler.autoregressive_edit(
