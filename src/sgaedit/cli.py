@@ -298,20 +298,15 @@ def _run_edit(cfg: dict, args, out: Path) -> int:
         "guide_logprob": guided.logprob_low,
     }
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True))
-    total = t_guide + t_sga
+    guide_share = t_guide / (t_guide + t_sga)
     (out / "timings.json").write_text(
         json.dumps(
-            {
-                "guide_s": t_guide,
-                "sga_s": t_sga,
-                "guide_share": t_guide / total if total else 0.0,
-                "output_s": t_output,
-            },
+            {"guide_s": t_guide, "sga_s": t_sga, "guide_share": guide_share, "output_s": t_output},
             indent=2,
             sort_keys=True,
         )
     )
-    print(f"wrote {len(rows)} candidate(s) to {out} (guide share {t_guide / total:.1%})")
+    print(f"wrote {len(rows)} candidate(s) to {out} (guide share {guide_share:.1%})")
     return 0
 
 

@@ -104,12 +104,13 @@ class SyntheticTask:
         select."""
         w = self.width
         length = self.height * w
-        block_of = sga.partition(length, config.blocks).block_of
+        layout = sga.partition(length, config.blocks)
+        block_of = layout.block_of
         si, sj = self.source_position(*np.divmod(np.arange(length), w))
         source = si * w + sj  # every token's, or one for all of them
 
         def plan_for(shift: int) -> sga.SparsityPlan:
-            keep = sga.band(config.blocks, config.radius)
+            keep = layout.near(config.radius)
             keep[block_of, block_of[np.clip(source + shift, 0, length - 1)]] = True
             return sga.SparsityPlan(keep)
 
@@ -342,10 +343,11 @@ def variant_bundle(kind: str, config: mdl.ModelConfig, task: SyntheticTask, seed
         return mdl.PlanBundle.dense(config)
     if kind == "oracle":
         return task.oracle_plans(config)
+    near = sga.partition(task.height * task.width, config.blocks).near(config.radius)
 
     def plan_for(role: str, layer: int, head: int) -> sga.SparsityPlan:
         rng = substream(seed, f"plan-{kind}-{role}-{layer}-{head}")
-        return sga.variant_plan(kind, config.blocks, radius=config.radius, k=config.top_k, rng=rng)
+        return sga.variant_plan(kind, near, k=config.top_k, rng=rng)
 
     return mdl.PlanBundle.uniform(config, plan_for)
 

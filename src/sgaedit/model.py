@@ -190,8 +190,9 @@ class PlanBundle:
 
     @staticmethod
     def dense(config: ModelConfig) -> "PlanBundle":
-        """Dense attention for every head: `sga.full_plan(1)`."""
-        return PlanBundle.uniform(config, lambda role, layer, head: sga.full_plan(1))
+        """Dense attention for every head: the one-block plan that keeps its block."""
+        full = sga.SparsityPlan(np.ones((1, 1), bool))
+        return PlanBundle.uniform(config, lambda role, layer, head: full)
 
     @staticmethod
     def uniform(config: ModelConfig, plan_fn) -> "PlanBundle":
@@ -205,7 +206,8 @@ class PlanBundle:
     def mean_sparsity(self) -> dict:
         out = {}
         for name, role in (("enc", self.enc), ("dec_self", self.dec_self), ("dec_cross", self.dec_cross)):
-            ratios = [sga.sparsity_ratio(p) for layer in role for p in layer]
+            # the share of the block grid each plan keeps
+            ratios = [p.kept_count() / p.n_blocks**2 for layer in role for p in layer]
             out[name] = float(np.mean(ratios)) if ratios else 1.0
         return out
 

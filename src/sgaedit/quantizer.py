@@ -11,7 +11,7 @@ encoder double that the check catches a leak.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -71,7 +71,6 @@ class Codebook:
     """Dictionary of d-dimensional vectors used for quantization."""
 
     entries: np.ndarray  # size x d
-    energy_history: list = field(default_factory=list, compare=False, repr=False)
 
     def __post_init__(self):
         self.entries = np.asarray(self.entries, dtype=np.float64)
@@ -130,8 +129,7 @@ def fit_codebook(features: np.ndarray, size: int, iterations: int = 50, seed: in
 
     Assignment energy (sum of squared distances to the nearest centroid) is
     non-increasing over Lloyd iterations; empty clusters keep their previous
-    centroid. The per-iteration energies are recorded on the returned
-    codebook's `energy_history`.
+    centroid.
     """
     x = np.asarray(features, dtype=np.float64)
     if x.ndim != 2:
@@ -153,18 +151,13 @@ def fit_codebook(features: np.ndarray, size: int, iterations: int = 50, seed: in
         centers[i] = x[idx]
         best = np.minimum(best, np.square(x - centers[i]).sum(axis=1))
 
-    history = []
     for _ in range(iterations):
-        dists = _pairwise_sq_dists(x, centers)
-        assign = dists.argmin(axis=1)
-        history.append(float(dists[np.arange(x.shape[0]), assign].sum()))
+        assign = _pairwise_sq_dists(x, centers).argmin(axis=1)
         for c in range(size):
             members = x[assign == c]
             if members.shape[0]:
                 centers[c] = members.mean(axis=0)
-    dists = _pairwise_sq_dists(x, centers)
-    history.append(float(dists.min(axis=1).sum()))
-    return Codebook(centers, energy_history=history)
+    return Codebook(centers)
 
 
 def quantize(features: np.ndarray, codebook: Codebook) -> TokenGrid:

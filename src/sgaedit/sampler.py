@@ -154,16 +154,16 @@ def _forced_decode(
 
 
 def plans_from_maps(enc: list, dec_self: list, dec_cross: list, config: mdl.ModelConfig) -> mdl.PlanBundle:
-    """Pool every attention map (per role, one [H, L, L] entry per layer)
-    into block affinities and select neighborhood+top-K plans, per role,
-    layer, and head, a layer's heads together. The bundle keeps the lower
-    triangle of each decoder self-attention plan."""
+    """Pool every attention map (per role, one [H, L, L] entry per layer,
+    over the guide's `config.l_low` tokens) into block affinities and select
+    neighborhood+top-K plans, per role, layer, and head, a layer's heads
+    together; one partition gives the pooling and the neighborhood. The
+    bundle keeps the lower triangle of each decoder self-attention plan."""
+    layout = sga.partition(config.l_low, config.blocks)
+    near = layout.near(config.radius)
 
     def role_plans(maps: list, layers: int) -> list:
-        return [
-            sga.select_plans(sga.block_affinity(maps[layer], config.blocks), config.top_k, config.radius)
-            for layer in range(layers)
-        ]
+        return [sga.select_plans(layout.pool(maps[layer]), config.top_k, near) for layer in range(layers)]
 
     return mdl.PlanBundle(
         enc=role_plans(enc, config.layers_enc),

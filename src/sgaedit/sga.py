@@ -1,27 +1,30 @@
 """Block-sparse attention guided by pooled low-resolution attention.
 
-The mechanism: split the row-major token sequence into N equal contiguous
-blocks, pool a dense low-resolution attention matrix into an N x N
-block-affinity matrix, and for each query block keep its neighborhood (a
-`band` of blocks) plus the top-K highest-affinity blocks outside it
-(`select_plans` does this for every head of a layer in one sort). A plan,
-`SparsityPlan`, is nothing but that N x N boolean keep matrix; its block
-layout is fixed by N and the sequence length, and it holds only what its
-attention can see (`model.PlanBundle` makes causal plans lower
-triangular). Attention is then evaluated only over kept blocks by
-`sparse_attention`: one block-gather kernel over every head of a layer
+`BlockPartition` is the one owner of the block layout: `partition(length,
+N)` splits the row-major token sequence into N equal contiguous blocks,
+`near(radius)` is the N x N neighborhood of every query block (the blocks
+within `radius` of it), and `pool(maps)` averages dense [..., L, L]
+attention maps into N x N block affinities. Per query block a plan keeps
+its neighborhood plus the top-K highest-affinity blocks outside it
+(`select_plans`, every head of a layer in one sort); `variant_plan` makes
+the fixed families that guided plans are compared with from the same
+neighborhood. A plan, `SparsityPlan`, is nothing but that N x N boolean
+keep matrix; its block layout is fixed by N and the sequence length, and
+it holds only what its attention can see (`model.PlanBundle` makes causal
+plans lower triangular). Attention is then evaluated only over kept blocks
+by `sparse_attention`: one block-gather kernel over every head of a layer
 (`block_index`, one int array, lists each query block's kept key tokens
 padded with the sentinel token `length`, and `tape.block_attention`
 evaluates them with one batched matmul, reading query block n as rows
 [n * bs, (n + 1) * bs) and masking the padding and, when asked, the keys
 after each query token). One kernel serves every head (the decoder calls
 `tape.block_attention` over a `block_index` it builds once), and it
-never materializes the full score matrix. Dense
-attention is not a separate path but the plan that keeps every block:
-`full_plan(1)`, one block holding every token, runs the same kernel, and
-its softmax weights are then the full attention maps. `build_sparse_mask`
-expands a plan into the equivalent L x L mask for the dense reference that
-the tests compare against.
+never materializes the full score matrix. Dense attention is not a
+separate path but the one-block plan that keeps its block
+(`model.PlanBundle.dense`): it runs the same kernel, and its softmax
+weights are then the full attention maps. `build_sparse_mask` expands a
+plan into the equivalent L x L mask for the dense reference that the tests
+compare against.
 """
 
 from __future__ import annotations
@@ -41,7 +44,9 @@ NEG_INF = -np.inf
 @dataclass(frozen=True)
 class BlockPartition:
     """`length` row-major tokens split into `n_blocks` equal contiguous runs:
-    block b holds tokens [b * block_size, (b + 1) * block_size)."""
+    block b holds tokens [b * block_size, (b + 1) * block_size). The one
+    place the block layout is decided: which blocks neighbor (`near`) and
+    how token maps pool into blocks (`pool`)."""
 
     length: int
     n_blocks: int
@@ -59,6 +64,22 @@ class BlockPartition:
     def tokens(self) -> np.ndarray:
         """n_blocks x block_size: the ascending token indices of every block."""
         return np.arange(self.length, dtype=np.int64).reshape(self.n_blocks, self.block_size)
+
+    def near(self, radius: int) -> np.ndarray:
+        """N x N keep matrix of the neighborhoods, a new array per call:
+        every block within `radius` of the query block."""
+        blocks = np.arange(self.n_blocks)
+        return np.abs(blocks[:, None] - blocks[None, :]) <= radius
+
+    def pool(self, maps) -> np.ndarray:
+        """Block means of a dense attention matrix over the partitioned
+        tokens, or of a stack of them ([..., L, L], such as every head of a
+        layer) at once: [..., N, N] block affinities."""
+        maps = T.value_of(maps)
+        if maps.shape[-2:] != (self.length, self.length):
+            raise ShapeError(f"expected [..., {self.length}, {self.length}] attention maps, got {maps.shape}")
+        n, bs = self.n_blocks, self.block_size
+        return maps.reshape(maps.shape[:-2] + (n, bs, n, bs)).mean(axis=(-3, -1))
 
 
 def partition(length: int, n_blocks: int) -> BlockPartition:
@@ -97,42 +118,25 @@ class SparsityPlan:
         return int(self.keep.sum())
 
 
-def band(n_blocks: int, radius: int) -> np.ndarray:
-    """N x N keep matrix of the neighborhoods: every block within `radius` of the query block."""
-    blocks = np.arange(n_blocks)
-    return np.abs(blocks[:, None] - blocks[None, :]) <= radius
-
-
-def block_affinity(a_low: np.ndarray, n_blocks: int) -> np.ndarray:
-    """Pool a dense low-resolution attention matrix into N x N block means,
-    or a stack of them ([..., L, L], such as every head of a layer) at once."""
-    a_low = T.value_of(a_low)
-    if a_low.ndim < 2 or a_low.shape[-1] != a_low.shape[-2]:
-        raise ShapeError(f"expected a square attention matrix, got {a_low.shape}")
-    size = a_low.shape[-1]
-    if n_blocks < 1 or size % n_blocks != 0:
-        raise ShapeError(f"{n_blocks} blocks do not divide attention size {size}")
-    bs = size // n_blocks
-    return a_low.reshape(a_low.shape[:-2] + (n_blocks, bs, n_blocks, bs)).mean(axis=(-3, -1))
-
-
-def select_plans(b: np.ndarray, k: int, radius: int) -> list[SparsityPlan]:
+def select_plans(b: np.ndarray, k: int, near: np.ndarray) -> list[SparsityPlan]:
     """Per head of one layer (b is H x N x N block affinities), keep the
-    neighborhood blocks plus the top-k affinities outside it.
+    neighborhood blocks `near` (N x N, `BlockPartition.near`) plus the
+    top-k affinities outside it.
 
     One stable sort per query row orders the blocks outside the
     neighborhood first, by descending affinity, ties toward the lowest
     block index, which makes each plan a pure function of (b[h], k,
-    radius); the first k of them join the neighborhood. The neighborhood
+    near); the first k of them join the neighborhood. The neighborhood
     sorts last under the key +inf, above every affinity: affinities are
     block means of softmax weights, so they are finite and >= 0.
     """
     b = T.value_of(b)
     if b.ndim != 3 or b.shape[-1] != b.shape[-2]:
         raise ShapeError(f"expected H x N x N block affinities, got {b.shape}")
-    if k < 0 or radius < 0:
-        raise ValidationError("k and radius must be non-negative")
-    near = band(b.shape[-1], radius)
+    if near.shape != b.shape[-2:]:
+        raise ShapeError(f"neighborhood {near.shape} does not match {b.shape[-1]} blocks")
+    if k < 0:
+        raise ValidationError("k must be non-negative")
     order = np.argsort(np.where(near, np.inf, -b), axis=-1, kind="stable")
     keep = np.array(np.broadcast_to(near, b.shape))
     # a k past the outside blocks picks neighbors too, which are kept already
@@ -140,21 +144,21 @@ def select_plans(b: np.ndarray, k: int, radius: int) -> list[SparsityPlan]:
     return [SparsityPlan(m) for m in keep]
 
 
-def variant_plan(kind: str, n_blocks: int, *, radius: int, k: int, rng=None) -> SparsityPlan:
+def variant_plan(kind: str, near: np.ndarray, *, k: int, rng=None) -> SparsityPlan:
     """The fixed plan families that guided plans are compared with: local,
     random, global; `evalbench`'s ablation makes every fixed plan here.
 
-    local: neighborhood only, the 2 * radius + 1 blocks centered on the
-    query block (k is not read). random: neighborhood plus k uniformly
-    chosen non-neighbor blocks. global: random plan where additionally the
-    first and last blocks are kept by everyone and attend to everything.
-    random and global draw their blocks from the generator `rng`.
+    local: the neighborhood `near` only (N x N, `BlockPartition.near`; k
+    is not read). random: neighborhood plus k uniformly chosen non-neighbor
+    blocks. global: random plan where additionally the first and last
+    blocks are kept by everyone and attend to everything. random and
+    global draw their blocks from the generator `rng`.
     """
     if kind == "local":
-        return SparsityPlan(band(n_blocks, radius))
+        return SparsityPlan(near)
     if kind in ("random", "global"):
-        keep = band(n_blocks, radius)
-        for r in range(n_blocks):
+        keep = np.array(near)
+        for r in range(len(keep)):
             outside = np.flatnonzero(~keep[r])
             if outside.size:
                 keep[r, rng.choice(outside, size=min(k, outside.size), replace=False)] = True
@@ -163,16 +167,6 @@ def variant_plan(kind: str, n_blocks: int, *, radius: int, k: int, rng=None) -> 
             keep[[0, -1]] = True
         return SparsityPlan(keep)
     raise ValidationError(f"unknown plan kind {kind!r}")
-
-
-def full_plan(n_blocks: int) -> SparsityPlan:
-    """Degenerate plan keeping every block (reduces to dense attention)."""
-    return SparsityPlan(band(n_blocks, n_blocks))
-
-
-def sparsity_ratio(plan: SparsityPlan) -> float:
-    """Fraction of the block grid that stays visible: sum |kept(r)| / N^2."""
-    return plan.kept_count() / float(plan.n_blocks**2)
 
 
 def build_sparse_mask(plan: SparsityPlan, length: int) -> np.ndarray:

@@ -31,6 +31,17 @@ def causal_plans(plans):
     return mdl.PlanBundle(enc=[], dec_self=[list(plans)], dec_cross=[]).dec_self[0]
 
 
+def full_plan(n_blocks: int) -> sga.SparsityPlan:
+    """The plan keeping every block: dense attention over `n_blocks` blocks."""
+    return sga.SparsityPlan(np.ones((n_blocks, n_blocks), dtype=bool))
+
+
+def near(n_blocks: int, radius: int) -> np.ndarray:
+    """The neighborhood matrix `sga.BlockPartition.near` gives `n_blocks`
+    blocks (it does not depend on the block size)."""
+    return sga.partition(n_blocks, n_blocks).near(radius)
+
+
 def combine_masks(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Entrywise AND of two additive masks (keep only if kept in both)."""
     a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)

@@ -14,6 +14,8 @@ from sgaedit import tape as T
 from sgaedit.quantizer import TokenGrid, apply_mask
 from sgaedit.rng import substream
 
+from conftest import full_plan, near
+
 CFG = mdl.ModelConfig(
     d=16,
     layers_enc=1,
@@ -77,7 +79,7 @@ def make_bundle(source, guide):
         return mdl.PlanBundle.dense(CFG)
     if source == "direct":
         rng = substream(6, "causal-direct")
-        layer = [sga.full_plan(CFG.blocks), sga.variant_plan("global", CFG.blocks, radius=1, k=2, rng=rng)]
+        layer = [full_plan(CFG.blocks), sga.variant_plan("global", near(CFG.blocks, 1), k=2, rng=rng)]
         return mdl.PlanBundle(enc=[layer], dec_self=[layer, layer[::-1]], dec_cross=[layer, layer])
     return eb.variant_bundle(source.removeprefix("variant-"), CFG, task, seed=7)
 
@@ -138,7 +140,7 @@ def test_forward_score_flops_count_the_kernel_keys(source, weights, monkeypatch)
 def test_guided_dec_self_plan_is_the_selection_over_past_blocks(seed, weights):
     """The guide's causal maps give every later key block an affinity of
     exactly 0, and the selection breaks ties toward the lower block, so
-    the lower triangle of a guided `dec_self` plan is the band plus the
+    the lower triangle of a guided `dec_self` plan is the neighborhood plus the
     top-K blocks t <= r: keeping the triangle drops no pick a selection
     over the visible blocks alone would make."""
     guide, _ = weights
@@ -150,7 +152,7 @@ def test_guided_dec_self_plan_is_the_selection_over_past_blocks(seed, weights):
     )
     n = CFG.blocks
     for layer, maps in zip(result.plans.dec_self, forced.dec_self_attn):
-        for plan, b in zip(layer, sga.block_affinity(np.stack(maps), n)):
+        for plan, b in zip(layer, sga.partition(CFG.l_low, n).pool(np.stack(maps))):
             assert (b[np.triu_indices(n, 1)] == 0).all()
             for r in range(n):
                 near = [t for t in range(r + 1) if r - t <= CFG.radius]

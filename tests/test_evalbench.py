@@ -16,7 +16,7 @@ from sgaedit.errors import DivergenceError, ValidationError
 from sgaedit.quantizer import apply_mask
 from sgaedit.rng import substream
 
-from conftest import DenseBlockAttention, plan_masks
+from conftest import DenseBlockAttention, near, plan_masks
 
 CFG = mdl.ModelConfig(
     d=16,
@@ -89,7 +89,7 @@ class TestTasks:
     @pytest.mark.parametrize("grid,blocks", [((4, 4), 4), ((8, 8), 8), ((8, 8), 16), ((8, 4), 8), ((4, 8), 2)])
     @pytest.mark.parametrize("kind", eb.TASK_KINDS)
     def test_oracle_plans_equal_per_token_reference(self, kind, grid, blocks, radius):
-        """Each plan is the band plus, for every token, the block of its
+        """Each plan is the neighborhood plus, for every token, the block of its
         source position shifted by 0 (encoder, cross) or 1 (decoder self,
         before its lower triangle is taken), clamped to the last token."""
         low = (grid[0] // 2, grid[1] // 2)
@@ -99,7 +99,7 @@ class TestTasks:
         length = grid[0] * grid[1]
         block_of = sga.partition(length, blocks).block_of
         for shift, plan in ((0, plans.enc[0][0]), (0, plans.dec_cross[0][0]), (1, plans.dec_self[0][0])):
-            want = sga.band(blocks, radius)
+            want = near(blocks, radius)
             for token in range(length):
                 si, sj = task.source_position(*divmod(token, grid[1]))
                 want[block_of[token], block_of[min(si * grid[1] + sj + shift, length - 1)]] = True
@@ -452,7 +452,7 @@ class TestTrain:
         records one: three steps peak no higher than one step, to within 20%."""
         cfg = mdl.ModelConfig(grid_high=(16, 16), grid_low=(8, 8), blocks=16, layers_dec=2)
         local = mdl.PlanBundle.uniform(
-            cfg, lambda role, layer, head: sga.variant_plan("local", cfg.blocks, radius=cfg.radius, k=0)
+            cfg, lambda role, layer, head: sga.variant_plan("local", near(cfg.blocks, cfg.radius), k=0)
         )
         init = mdl.init_weights(cfg, cfg.grid_high, substream(0, "one-graph"))
         task = eb.SyntheticTask("mirror", 16, 16, cfg.vocab, classes=cfg.vocab_map)

@@ -14,7 +14,7 @@ from sgaedit.errors import SequenceError, ShapeError
 from sgaedit.quantizer import TokenGrid, apply_mask
 from sgaedit.rng import substream
 
-from conftest import randomize_norms
+from conftest import full_plan, near, randomize_norms
 
 TOLERANCE = 1e-10
 PLAN_KINDS = ("dense", "guided", "random", "local", "full")
@@ -63,11 +63,11 @@ def make_plans(kind, cfg, guide, request):
     if kind == "guided":
         return sampler.guide_and_plan(request, guide, cfg, seed=3).plans
     if kind == "full":
-        return mdl.PlanBundle.uniform(cfg, lambda role, i, h: sga.full_plan(cfg.blocks))
+        return mdl.PlanBundle.uniform(cfg, lambda role, i, h: full_plan(cfg.blocks))
     seeds = iter(range(1000))
     return mdl.PlanBundle.uniform(
         cfg, lambda role, i, h: sga.variant_plan(
-            kind, cfg.blocks, radius=1, k=2, rng=substream(next(seeds), f"variant-plan-{kind}")
+            kind, near(cfg.blocks, 1), k=2, rng=substream(next(seeds), f"variant-plan-{kind}")
         )
     )
 

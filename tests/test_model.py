@@ -5,13 +5,12 @@ import numpy as np
 import pytest
 
 from sgaedit import model as mdl
-from sgaedit import sga
 from sgaedit import tape as T
 from sgaedit.errors import ConfigError, SequenceError, VocabularyError
 from sgaedit.quantizer import TokenGrid
 from sgaedit.rng import substream
 
-from conftest import DenseBlockAttention, plan_masks, randomize_norms
+from conftest import DenseBlockAttention, full_plan, plan_masks, randomize_norms
 
 CFG = mdl.ModelConfig(
     d=16,
@@ -119,7 +118,7 @@ class TestEncoderForward:
         w = mdl.init_weights(CFG, CFG.grid_high, substream(6, "w1"))
         x, p = random_grids(CFG.grid_high, 7)
         dense = mdl.encoder_forward(x, p, w, DENSE).context
-        full = mdl.PlanBundle.uniform(CFG, lambda role, i, h: sga.full_plan(CFG.blocks))
+        full = mdl.PlanBundle.uniform(CFG, lambda role, i, h: full_plan(CFG.blocks))
         sparse = mdl.encoder_forward(x, p, w, plans=full).context
         assert np.abs(dense - sparse).max() <= 1e-5
 
@@ -146,7 +145,7 @@ class TestEncoderForward:
         w = mdl.init_weights(CFG, CFG.grid_high, substream(24, "w4"))
         x, p = random_grids(CFG.grid_high, 25)
         dense = mdl.encoder_forward(x, p, w, DENSE)
-        full = mdl.PlanBundle.uniform(CFG, lambda role, i, h: sga.full_plan(CFG.blocks))
+        full = mdl.PlanBundle.uniform(CFG, lambda role, i, h: full_plan(CFG.blocks))
         blocked = mdl.encoder_forward(x, p, w, full)
         for layer in dense.attn:
             assert layer.shape == (CFG.heads, CFG.l_high, CFG.l_high)
@@ -159,7 +158,7 @@ class TestPlanBundle:
     def test_dense_is_the_one_block_full_plan(self):
         plans = [p for role in (DENSE.enc, DENSE.dec_self, DENSE.dec_cross) for layer in role for p in layer]
         assert len(plans) == (CFG.layers_enc + 2 * CFG.layers_dec) * CFG.heads
-        assert all(np.array_equal(p.keep, sga.full_plan(1).keep) for p in plans)
+        assert all(np.array_equal(p.keep, full_plan(1).keep) for p in plans)
         assert plans[0].kept == ((0,),)
         assert DENSE.mean_sparsity() == {"enc": 1.0, "dec_self": 1.0, "dec_cross": 1.0}
 
@@ -248,7 +247,7 @@ class TestGuidingForward:
         w = mdl.init_weights(CFG, CFG.grid_low, substream(16, "g"))
         x, p = random_grids(CFG.grid_low, 17)
         dense = mdl.guiding_forward(x, p, w, x.flat())
-        full = mdl.PlanBundle.uniform(CFG, lambda role, i, h: sga.full_plan(CFG.blocks))
+        full = mdl.PlanBundle.uniform(CFG, lambda role, i, h: full_plan(CFG.blocks))
         enc = mdl.encoder_forward(x, p, w, plans=full)
         prev = np.concatenate([[CFG.start_token], x.flat()[:-1]])
         logits, _, _ = mdl.decoder_forward(prev, enc, w, full)

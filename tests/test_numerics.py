@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from sgaedit import numerics as nm
-from sgaedit import sga
 from sgaedit import tape as T
 from sgaedit.errors import DegenerateRowError, ShapeError, ValidationError
 from sgaedit.rng import substream
@@ -48,35 +47,6 @@ class TestMaskedSoftmax:
     def test_mask_values_validated(self):
         with pytest.raises(ValidationError):
             T.masked_softmax(np.zeros((1, 2)), np.array([[0.0, -1.0]]))
-
-
-class TestAvgPool:
-    """Non-overlapping mean pooling of a square matrix, `sga.block_affinity`."""
-
-    def test_constant(self):
-        out = sga.block_affinity(np.full((8, 8), 3.25), 2)
-        assert np.allclose(out, 3.25)
-        assert out.shape == (2, 2)
-
-    def test_two_by_two(self):
-        out = sga.block_affinity(np.array([[1.0, 2.0], [3.0, 4.0]]), 1)
-        assert out.shape == (1, 1)
-        assert out[0, 0] == pytest.approx(2.5)
-
-    def test_paper_shape_256_to_64(self):
-        out = sga.block_affinity(np.zeros((256, 256)), 64)
-        assert out.shape == (64, 64)
-
-    def test_full_kernel_equals_global_mean(self):
-        rng = substream(3, "pool")
-        m = rng.normal(size=(12, 12))
-        out = sga.block_affinity(m, 1)
-        assert out.shape == (1, 1)
-        assert out[0, 0] == pytest.approx(m.mean(), abs=1e-12)
-
-    def test_non_divisible(self):
-        with pytest.raises(ShapeError):
-            sga.block_affinity(np.zeros((6, 6)), 4)
 
 
 def conv_oracle(x, ker):

@@ -182,7 +182,7 @@ class TestGuideAndPlan:
         heads, size = 3, 64
 
         def oracle(m, k, radius, seen):
-            return sga.SparsityPlan(per_row_sort_plan(sga.block_affinity(m, blocks), k, radius).keep & seen).kept
+            return sga.SparsityPlan(per_row_sort_plan(sga.partition(size, blocks).pool(m), k, radius).keep & seen).kept
 
         enc = [affinities(kind, (heads, size, size), seed=blocks + i) for i in range(2)]
         dec_self = [affinities(kind, (heads, size, size), seed=blocks + 2)]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from sgaedit import attention as att
+from sgaedit import model as mdl
 from sgaedit import sga
 from sgaedit import tape as T
 from sgaedit.errors import ShapeError, ValidationError
@@ -15,7 +16,9 @@ from conftest import (
     causal_plans,
     combine_masks,
     dot,
+    full_plan,
     grad_check,
+    near,
     per_head_dense,
     per_row_sort_plan,
 )
@@ -23,7 +26,12 @@ from conftest import (
 
 def select(b, k, radius):
     """The plan `select_plans` gives one head with affinities b."""
-    return sga.select_plans(np.asarray(b)[None], k, radius)[0]
+    return sga.select_plans(np.asarray(b)[None], k, near(len(b), radius))[0]
+
+
+def sparsity(plan):
+    """The share of the block grid `plan` keeps, as `PlanBundle.mean_sparsity` reports it."""
+    return mdl.PlanBundle(enc=[[plan]], dec_self=[], dec_cross=[]).mean_sparsity()["enc"]
 
 
 def own_block_only(n_blocks):
@@ -54,22 +62,59 @@ class TestPartition:
 
 
 class TestBlockAffinity:
+    """`BlockPartition.pool` of attention maps into block affinities."""
+
     def test_constant(self):
-        b = sga.block_affinity(np.full((16, 16), 0.7), 4)
+        b = sga.partition(16, 4).pool(np.full((16, 16), 0.7))
         assert b.shape == (4, 4)
         assert np.allclose(b, 0.7)
 
     def test_paper_shape(self):
-        assert sga.block_affinity(np.zeros((256, 256)), 64).shape == (64, 64)
+        assert sga.partition(256, 64).pool(np.zeros((256, 256))).shape == (64, 64)
 
     def test_against_block_mean_oracle(self):
         rng = substream(0, "affinity")
         a = rng.random((8, 8))
-        b = sga.block_affinity(a, 2)
+        b = sga.partition(8, 2).pool(a)
         for r in range(2):
             for t in range(2):
                 expected = a[4 * r : 4 * r + 4, 4 * t : 4 * t + 4].mean()
                 assert b[r, t] == pytest.approx(expected, abs=1e-12)
+
+
+class TestPool:
+    """`BlockPartition.pool` as non-overlapping mean pooling of a square matrix."""
+
+    def test_constant(self):
+        out = sga.partition(8, 2).pool(np.full((8, 8), 3.25))
+        assert np.allclose(out, 3.25)
+        assert out.shape == (2, 2)
+
+    def test_two_by_two(self):
+        out = sga.partition(2, 1).pool(np.array([[1.0, 2.0], [3.0, 4.0]]))
+        assert out.shape == (1, 1)
+        assert out[0, 0] == pytest.approx(2.5)
+
+    def test_paper_shape_256_to_64(self):
+        out = sga.partition(256, 64).pool(np.zeros((256, 256)))
+        assert out.shape == (64, 64)
+
+    def test_full_kernel_equals_global_mean(self):
+        rng = substream(3, "pool")
+        m = rng.normal(size=(12, 12))
+        out = sga.partition(12, 1).pool(m)
+        assert out.shape == (1, 1)
+        assert out[0, 0] == pytest.approx(m.mean(), abs=1e-12)
+
+    def test_non_divisible(self):
+        with pytest.raises(ShapeError):
+            sga.partition(6, 4)
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 4), (4, 6, 6), (3, 8, 8)], ids=str)
+    def test_maps_must_span_the_partition(self, shape):
+        """Only square maps over exactly the partition's tokens pool."""
+        with pytest.raises(ShapeError):
+            sga.partition(4, 2).pool(np.zeros(shape))
 
 
 class TestSparsityPlan:
@@ -113,11 +158,11 @@ class TestSelectPlan:
         plan = select(b, k=3, radius=1)
         # 62 interior blocks keep 3+3, the 2 edge blocks keep 2+3.
         assert plan.kept_count() == 62 * 6 + 2 * 5 == 382
-        ratio = sga.sparsity_ratio(plan)
+        ratio = sparsity(plan)
         assert ratio == 382 / 4096
         assert ratio <= 6 / 64 < 0.10
         # the `random` baseline at the same shape keeps as many blocks
-        random = sga.variant_plan("random", 64, radius=1, k=3, rng=substream(1, "variant-plan-random"))
+        random = sga.variant_plan("random", near(64, 1), k=3, rng=substream(1, "variant-plan-random"))
         assert random.kept_count() == 382
 
     def test_explicit_row_example(self):
@@ -143,6 +188,16 @@ class TestSelectPlan:
             for factor in (0.25, 3.0, 1e6):
                 assert select(b * factor, k=2, radius=1).kept == base.kept
 
+    @pytest.mark.parametrize("size", [3, 5])
+    def test_near_must_match_block_count(self, size):
+        b = substream(5, "plan-near").random((2, 4, 4))
+        with pytest.raises(ShapeError):
+            sga.select_plans(b, 1, near(size, 1))
+
+    def test_negative_k_rejected(self):
+        with pytest.raises(ValidationError):
+            sga.select_plans(np.zeros((1, 4, 4)), -1, near(4, 1))
+
     @pytest.mark.parametrize("kind", ["random", "rounded", "zero", "equal"])
     @pytest.mark.parametrize("n", [4, 16, 64])
     def test_matches_per_row_sort_oracle(self, kind, n):
@@ -152,7 +207,7 @@ class TestSelectPlan:
         for k in (0, 1, 3, n):
             for radius in (0, 1, 2):
                 want = [per_row_sort_plan(b[h], k, radius) for h in range(3)]
-                got = sga.select_plans(b, k, radius)
+                got = sga.select_plans(b, k, near(n, radius))
                 assert [p.kept for p in got] == [p.kept for p in want]
                 for h in range(3):
                     assert np.array_equal(got[h].keep, want[h].keep)
@@ -160,7 +215,7 @@ class TestSelectPlan:
 
 class TestBuildSparseMask:
     def test_full_plan_is_dense(self):
-        mask = sga.build_sparse_mask(sga.full_plan(4), 12)
+        mask = sga.build_sparse_mask(full_plan(4), 12)
         assert (mask == 0.0).all()
 
     def test_own_block_only_is_block_diagonal(self):
@@ -184,7 +239,7 @@ class TestSparseAttention:
     def test_full_plan_reduces_to_dense(self):
         rng = substream(6, "sparse-full")
         q, k, v = (rng.normal(size=(16, 8)) for _ in range(3))
-        res = sga.sparse_attention(q, k, v, [sga.full_plan(4)])
+        res = sga.sparse_attention(q, k, v, [full_plan(4)])
         dense, _ = att.dense_attention(q, k, v, np.zeros((16, 16)))
         assert np.abs(res.output - dense).max() <= 1e-6
 
@@ -252,8 +307,8 @@ def head_plans(n_blocks, seed):
     rng = substream(seed, "kernel-plans")
     return [
         select(rng.random((n_blocks, n_blocks)), k=1, radius=1),
-        sga.variant_plan("global", n_blocks, radius=1, k=1, rng=rng),
-        sga.variant_plan("local", n_blocks, radius=1, k=0),
+        sga.variant_plan("global", near(n_blocks, 1), k=1, rng=rng),
+        sga.variant_plan("local", near(n_blocks, 1), k=0),
     ]
 
 
@@ -325,7 +380,7 @@ class TestBlockGatherKernel:
         no gathered key or value copy outlives the call."""
         rng = substream(0, "kernel-memory")
         heads, n_blocks, length, dh = 4, 64, 1024, 16
-        keys = sga.block_index(sga.select_plans(rng.random((heads, n_blocks, n_blocks)), 3, 1), length)
+        keys = sga.block_index(sga.select_plans(rng.random((heads, n_blocks, n_blocks)), 3, near(n_blocks, 1)), length)
         tape = T.GradTape()
         q, k, v = (tape.param(rng.normal(size=(length, heads * dh))) for _ in range(3))
         tracemalloc.start()
@@ -403,8 +458,12 @@ class TestBlockGatherKernel:
         with pytest.raises(ShapeError):
             T.block_attention(q, q, q, keys)
 
+    def test_head_plans_must_share_block_count(self):
+        with pytest.raises(ShapeError, match="block count"):
+            sga.block_index([full_plan(4), full_plan(8)], 32)
+
     def test_causal_index_drops_dead_blocks(self):
-        keys = sga.block_index(causal_plans([sga.full_plan(8)]), 32)
+        keys = sga.block_index(causal_plans([full_plan(8)]), 32)
         assert np.count_nonzero(keys < 32) == 4 * 8 * 9 // 2  # key blocks t <= r
         for r in range(8):
             live = 4 * (r + 1)
@@ -420,11 +479,11 @@ class TestBlockGatherKernel:
         under the causal mask, is not after the row's own token."""
         rng = substream(n_blocks * per_block + causal, "index-rows")
         families = [
-            [sga.full_plan(n_blocks)],
-            [sga.variant_plan("local", n_blocks, radius=0, k=0)],
-            [sga.variant_plan("random", n_blocks, radius=0, k=1, rng=rng)],
-            [sga.variant_plan("global", n_blocks, radius=0, k=1, rng=rng)],
-            sga.select_plans(rng.random((2, n_blocks, n_blocks)), k=1, radius=0),
+            [full_plan(n_blocks)],
+            [sga.variant_plan("local", near(n_blocks, 0), k=0)],
+            [sga.variant_plan("random", near(n_blocks, 0), k=1, rng=rng)],
+            [sga.variant_plan("global", near(n_blocks, 0), k=1, rng=rng)],
+            sga.select_plans(rng.random((2, n_blocks, n_blocks)), k=1, near=near(n_blocks, 0)),
         ]
         for plans in families + [[p for family in families for p in family]]:
             length = n_blocks * per_block
@@ -436,37 +495,44 @@ class TestBlockGatherKernel:
 class TestVariantPlans:
     def test_local_equals_select_plan_k0(self):
         b = substream(12, "var").random((8, 8))
-        assert sga.variant_plan("local", 8, radius=1, k=0).kept == select(b, k=0, radius=1).kept
+        assert sga.variant_plan("local", near(8, 1), k=0).kept == select(b, k=0, radius=1).kept
 
     def test_global_first_and_last_blocks(self):
-        plan = sga.variant_plan("global", 8, radius=1, k=2, rng=substream(3, "variant-plan-global"))
+        plan = sga.variant_plan("global", near(8, 1), k=2, rng=substream(3, "variant-plan-global"))
         assert plan.kept[0] == tuple(range(8))
         assert plan.kept[7] == tuple(range(8))
         for r in range(1, 7):
             assert 0 in plan.kept[r] and 7 in plan.kept[r]
 
     def test_random_seeded_reproducible(self):
-        one = sga.variant_plan("random", 16, radius=1, k=3, rng=substream(11, "variant-plan-random"))
-        two = sga.variant_plan("random", 16, radius=1, k=3, rng=substream(11, "variant-plan-random"))
-        other = sga.variant_plan("random", 16, radius=1, k=3, rng=substream(12, "variant-plan-random"))
+        one = sga.variant_plan("random", near(16, 1), k=3, rng=substream(11, "variant-plan-random"))
+        two = sga.variant_plan("random", near(16, 1), k=3, rng=substream(11, "variant-plan-random"))
+        other = sga.variant_plan("random", near(16, 1), k=3, rng=substream(12, "variant-plan-random"))
         assert one.kept == two.kept
         assert one.kept != other.kept  # overwhelmingly likely
 
     def test_local_window(self):
-        plan = sga.variant_plan("local", 8, radius=2, k=0)
+        plan = sga.variant_plan("local", near(8, 2), k=0)
         assert plan.kept[4] == (2, 3, 4, 5, 6)
         assert plan.kept[0] == (0, 1, 2) and plan.kept[7] == (5, 6, 7)
         for kind in ("sliding", "oracle", "guided"):
             with pytest.raises(ValidationError, match=f"unknown plan kind '{kind}'"):
-                sga.variant_plan(kind, 8, radius=1, k=3)
+                sga.variant_plan(kind, near(8, 1), k=3)
 
     def test_random_respects_neighborhood_and_k(self):
-        plan = sga.variant_plan("random", 16, radius=1, k=3, rng=substream(0, "variant-plan-random"))
+        plan = sga.variant_plan("random", near(16, 1), k=3, rng=substream(0, "variant-plan-random"))
         for r in range(16):
             kept = set(plan.kept[r])
-            near = set(range(max(0, r - 1), min(16, r + 2)))
-            assert near <= kept
-            assert len(kept - near) <= 3
+            window = set(range(max(0, r - 1), min(16, r + 2)))
+            assert window <= kept
+            assert len(kept - window) <= 3
+
+    @pytest.mark.parametrize("kind", ["local", "random", "global"])
+    def test_near_is_not_modified(self, kind):
+        """One neighborhood serves every head's plan, so no plan writes to it."""
+        window = near(8, 1)
+        sga.variant_plan(kind, window, k=3, rng=substream(5, "variant-near"))
+        assert np.array_equal(window, near(8, 1))
 
     @pytest.mark.parametrize("kind", ["random", "global"])
     def test_draws_match_set_based_reference(self, kind):
@@ -476,25 +542,25 @@ class TestVariantPlans:
         rng = substream(17, "variant-reference")
         kept = []
         for r in range(n):
-            near = set(range(max(0, r - radius), min(n, r + radius + 1)))
-            outside = np.array([t for t in range(n) if t not in near], dtype=np.int64)
-            kept.append(near | {int(t) for t in rng.choice(outside, size=min(k, outside.size), replace=False)})
+            window = set(range(max(0, r - radius), min(n, r + radius + 1)))
+            outside = np.array([t for t in range(n) if t not in window], dtype=np.int64)
+            kept.append(window | {int(t) for t in rng.choice(outside, size=min(k, outside.size), replace=False)})
         if kind == "global":
             kept = [set(range(n)) if r in (0, n - 1) else s | {0, n - 1} for r, s in enumerate(kept)]
-        plan = sga.variant_plan(kind, n, radius=radius, k=k, rng=substream(17, "variant-reference"))
+        plan = sga.variant_plan(kind, near(n, radius), k=k, rng=substream(17, "variant-reference"))
         assert plan.kept == tuple(tuple(sorted(s)) for s in kept)
 
 
 class TestSparsityRatio:
     def test_full_plan(self):
-        assert sga.sparsity_ratio(sga.full_plan(8)) == 1.0
+        assert sparsity(full_plan(8)) == 1.0
 
     def test_own_block_only(self):
-        assert sga.sparsity_ratio(own_block_only(8)) == 1.0 / 8
+        assert sparsity(own_block_only(8)) == 1.0 / 8
 
     def test_guided_bound(self):
         plan = select(substream(13, "ratio").random((64, 64)), k=3, radius=1)
-        assert sga.sparsity_ratio(plan) <= 6 / 64
+        assert sparsity(plan) <= 6 / 64
 
 
 def test_full_kept_guided_plan_reproduces_dense_exactly():

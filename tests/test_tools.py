@@ -35,7 +35,7 @@ def digests(result: dict, key: str) -> list:
                 "plans_sha256": "685ee5cad5d14b7e3b396489e0538f209583f69821c0ed5af613416bee52a255",
                 "tokens_sha256": "3bd17039fddd71c6f2b24bdcc2ad5d77de03c541853af5ea951f8fa81613a91b",
             },
-            ("median_s", "guide_median_s", "encode_median_s"),
+            ("median_s", "guide_median_s", "encode_median_s", "plans_median_s"),
         ),
         (
             "bench_train.py",

@@ -5,11 +5,14 @@ decoder layer, vocab 16, the lower-left quarter of the token grid
 masked, the guide at half the side, `blocks` = min(64, guide length),
 top-k 100. Each repeat times `guide_and_plan`, then the edit's encoder
 pass (`model.encoder_forward`) on its own, then `autoregressive_edit`
-under the plans, which runs that encoder pass again and decodes; the
-medians of all three are reported. The last line of output is one JSON
-object that also holds a digest of every plan's keep matrix, a digest of
-the candidate tokens and every candidate's log-probability, both in
-token order, so two checkouts can be compared for equal outputs.
+under the plans, which runs that encoder pass again and decodes. After
+the repeats, one untimed `model.guiding_forward` over the guide's own
+completion gives its attention maps, and `sampler.plans_from_maps` over
+them is timed as often. The medians of all four are reported. The last
+line of output is one JSON object that also holds a digest of every
+plan's keep matrix, a digest of the candidate tokens and every
+candidate's log-probability, both in token order, so two checkouts can
+be compared for equal outputs.
 Run from a checkout's root, with that checkout's sources:
 
     PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python3 tools/bench_edit.py --grid 32 --samples 50 --repeats 5
@@ -60,8 +63,9 @@ def main() -> None:
     guide_seconds, encode_seconds, seconds = [], [], []
     for _ in range(args.repeats):
         t0 = time.perf_counter()
-        plans = sampler.guide_and_plan(request, guide, cfg, seed=args.seed).plans
+        guided = sampler.guide_and_plan(request, guide, cfg, seed=args.seed)
         guide_seconds.append(time.perf_counter() - t0)
+        plans = guided.plans
         t0 = time.perf_counter()
         mdl.encoder_forward(apply_mask(request.tokens, request.mask), request.semantic, high, plans)
         encode_seconds.append(time.perf_counter() - t0)
@@ -74,6 +78,13 @@ def main() -> None:
             f"guide_and_plan {guide_seconds[-1]:.3f} s, encode {encode_seconds[-1]:.3f} s, "
             f"autoregressive_edit {seconds[-1]:.3f} s"
         )
+    masked_low = apply_mask(request.tokens_low, request.mask_low)
+    forced = mdl.guiding_forward(masked_low, request.semantic_low, guide, guided.completion_low.flat())
+    plans_seconds = []
+    for _ in range(args.repeats):
+        t0 = time.perf_counter()
+        sampler.plans_from_maps(forced.encoder.attn, forced.dec_self_attn, forced.dec_cross_attn, cfg)
+        plans_seconds.append(time.perf_counter() - t0)
     roles = (plans.enc, plans.dec_self, plans.dec_cross)
     keeps = [plan.keep.tobytes() for role in roles for layer in role for plan in layer]
     # in token order, not rank order: log-probabilities equal to rounding may rank near-ties either way
@@ -86,6 +97,8 @@ def main() -> None:
         "guide_median_s": statistics.median(guide_seconds),
         "encode_seconds": encode_seconds,
         "encode_median_s": statistics.median(encode_seconds),
+        "plans_seconds": plans_seconds,
+        "plans_median_s": statistics.median(plans_seconds),
         "seconds": seconds,
         "median_s": statistics.median(seconds),
         "plans_sha256": hashlib.sha256(b"".join(keeps)).hexdigest(),
