@@ -3,8 +3,11 @@
 Subcommands: train-guide, train-sga, edit, ablate. Every command takes
 --config (JSON), optional --seed/--out overrides, and writes its
 resolved configuration beside its outputs.
-Exit codes: 0 success, 2 config error, 3 numerical/divergence error,
-4 invariant violation.
+Exit codes: 0 success, 2 config error (ConfigError, or a file that
+cannot be opened), 3 numerical error (NumericalError: non-finite logits
+or loss), 4 invariant violation (any other SgaError). Every error ends
+with one stderr line and no traceback; `errors.py` holds one class per
+exit code, plus the classes some `except` clause tells apart.
 """
 
 from __future__ import annotations

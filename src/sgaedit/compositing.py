@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IncompleteGridError, ShapeError, VocabularyError
+from .errors import ShapeError, ValidationError
 from .quantizer import Codebook
 
 # Separable binomial smoothing kernel (Burt-Adelson).
@@ -200,9 +200,9 @@ def tokens_to_image(tokens: np.ndarray, codebook: Codebook, projection: np.ndarr
     if tokens.ndim != 3 or tokens.size == 0 or not np.issubdtype(tokens.dtype, np.integer):
         raise ShapeError(f"tokens must be a non-empty int array [C, h, w], got {tokens.dtype} {tokens.shape}")
     if np.any(tokens == codebook.size):
-        raise IncompleteGridError("grid still contains MASK tokens")
+        raise ValidationError("grid still contains MASK tokens")
     if tokens.min() < 0 or tokens.max() >= codebook.size:
-        raise VocabularyError(f"token outside the codebook's {codebook.size} entries")
+        raise ValidationError(f"token outside the codebook's {codebook.size} entries")
     projection = np.asarray(projection, dtype=np.float64)
     n_in = projection.shape[0]
     channels = n_in // (patch * patch)

@@ -1,7 +1,13 @@
 """Exception hierarchy shared across the package.
 
-The CLI maps these onto exit codes: ConfigError -> 2, DivergenceError and
-NumericalError -> 3, everything else derived from SgaError -> 4.
+The exit code is the error contract, and there is one class per exit
+code: `cli.main` maps ConfigError to 2, NumericalError to 3, and every
+other SgaError (ValidationError, ShapeError, InsufficientDataError) to 4.
+A class beyond those exit-code classes exists only if some `except`
+clause in the package catches it by name: `config.resolve` turns a
+ShapeError into a ConfigError, and `cli` turns an InsufficientDataError
+into one. Every `raise` in the package raises one of these classes.
+`tests/test_errors.py` checks both rules.
 """
 
 
@@ -13,32 +19,14 @@ class ShapeError(SgaError):
     """Array shapes or divisibility constraints violated."""
 
 
-class DegenerateRowError(SgaError):
-    """A softmax row had every entry masked out."""
-
-
-class VocabularyError(SgaError):
-    """A token index fell outside its embedding table."""
-
-
-class SequenceError(SgaError):
-    """Decoder input sequence malformed (e.g. START not at position 0)."""
-
-
-class ParameterError(SgaError):
-    """A numeric parameter was out of its legal range."""
-
-
 class InsufficientDataError(SgaError):
     """Not enough distinct samples to fit the requested codebook."""
 
 
-class IncompleteGridError(SgaError):
-    """A token grid still contains MASK entries where none are allowed."""
-
-
 class ValidationError(SgaError):
-    """An input failed a documented invariant (e.g. non-stochastic rows)."""
+    """An input failed a documented invariant: a token outside its table,
+    a malformed decoder sequence, a parameter out of range, a grid that
+    still holds MASK, a fully masked softmax row, or a malformed file."""
 
 
 class ConfigError(SgaError):
@@ -46,12 +34,4 @@ class ConfigError(SgaError):
 
 
 class NumericalError(SgaError):
-    """A computation produced non-finite values."""
-
-
-class DivergenceError(NumericalError):
-    """Training loss became non-finite."""
-
-    def __init__(self, step: int, message: str = ""):
-        self.step = step
-        super().__init__(message or f"non-finite loss at step {step}")
+    """A computation produced non-finite values (logits or the training loss)."""

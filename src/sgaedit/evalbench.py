@@ -18,7 +18,7 @@ import numpy as np
 from . import sampler, sga
 from . import model as mdl
 from . import tape as T
-from .errors import DivergenceError, ParameterError, ShapeError, ValidationError
+from .errors import NumericalError, ShapeError, ValidationError
 from .quantizer import TokenGrid, apply_mask
 from .rng import substream
 
@@ -239,9 +239,9 @@ def train(
     step. Adam uses ADAM_BETAS and ADAM_EPS.
     """
     if steps < 1:
-        raise ParameterError("steps must be >= 1")
+        raise ValidationError("steps must be >= 1")
     if optimizer not in ("sgd", "adam"):
-        raise ParameterError(f"unknown optimizer {optimizer!r}")
+        raise ValidationError(f"unknown optimizer {optimizer!r}")
     if (task.height, task.width) != weights.grid:
         raise ShapeError(f"task dims {task.dims} != model grid {weights.grid}")
     cfg = weights.config
@@ -259,7 +259,7 @@ def train(
         loss = T.cross_entropy(T.gather_rows(logits, rows), x.flat()[rows])
         loss_val = float(loss.value)
         if not np.isfinite(loss_val):
-            raise DivergenceError(step)
+            raise NumericalError(f"non-finite loss at step {step}")
         losses.append(loss_val)
         tape.backward(loss)
 
@@ -416,7 +416,7 @@ def run_ablation(
     over its seeds' bundles. Every bundle is made before any training, so
     an unknown variant raises `ValidationError` first."""
     if not seeds:
-        raise ParameterError("seeds must be a non-empty list")
+        raise ValidationError("seeds must be a non-empty list")
     report = Table(ABLATION_COLUMNS)
     length = task.height * task.width
     bundles = [[variant_bundle(kind, config, task, seed=seed) for seed in seeds] for kind in variants]

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import sga
 from . import tape as T
-from .errors import ConfigError, SequenceError, ShapeError, VocabularyError
+from .errors import ConfigError, ShapeError, ValidationError
 from .numerics import read_sgat, write_sgat
 from .quantizer import TokenGrid
 
@@ -224,7 +224,7 @@ class EncoderOutput:
 def _check_tokens(grid: TokenGrid, limit: int, what: str) -> np.ndarray:
     flat = grid.flat()
     if flat.min() < 0 or flat.max() >= limit:
-        raise VocabularyError(f"{what} token outside embedding table (limit {limit})")
+        raise ValidationError(f"{what} token outside embedding table (limit {limit})")
     return flat
 
 
@@ -278,13 +278,13 @@ def _check_decoder_input(prev: np.ndarray, start: int, weights: ModelWeights) ->
     cfg = weights.config
     m = prev.shape[1]
     if m < 1 or start + m > weights.length:
-        raise SequenceError(f"decoder prefix length {start + m} invalid (max {weights.length})")
+        raise ValidationError(f"decoder prefix length {start + m} invalid (max {weights.length})")
     if start == 0 and np.any(prev[:, 0] != cfg.start_token):
-        raise SequenceError("decoder input must begin with START")
+        raise ValidationError("decoder input must begin with START")
     if np.any(prev[:, 1 if start == 0 else 0 :] == cfg.start_token):
-        raise SequenceError("START appears after position 0")
+        raise ValidationError("START appears after position 0")
     if prev.min() < 0 or prev.max() > cfg.start_token:
-        raise VocabularyError("decoder token outside embedding table")
+        raise ValidationError("decoder token outside embedding table")
 
 
 def decoder_forward(prev_tokens, encoder_out: EncoderOutput, weights: ModelWeights, plans: PlanBundle):
@@ -297,7 +297,7 @@ def decoder_forward(prev_tokens, encoder_out: EncoderOutput, weights: ModelWeigh
     """
     prev = np.asarray(prev_tokens, dtype=np.int64)
     if prev.shape != (weights.length,):
-        raise SequenceError(f"decoder input of shape {prev.shape} is not the {weights.length}-token sequence")
+        raise ValidationError(f"decoder input of shape {prev.shape} is not the {weights.length}-token sequence")
     dec = IncrementalDecoder(encoder_out, weights, plans)
     return dec._decode(prev[None], every_row=True), dec.self_maps, dec.cross_maps
 
@@ -394,7 +394,7 @@ class IncrementalDecoder:
         prev = np.asarray(prev_rows, dtype=np.int64)
         c = self.candidates
         if prev.ndim != 2 or prev.shape[0] != c:
-            raise SequenceError(f"decoder input of shape {prev.shape} is not [{c}, rows]")
+            raise ValidationError(f"decoder input of shape {prev.shape} is not [{c}, rows]")
         _check_decoder_input(prev, self.n, self.weights)
         w = self.weights.params
         cfg = self.weights.config
@@ -486,7 +486,7 @@ def forward(
     enc = encoder_forward(x, p, weights, plans)
     seq = np.asarray(decoder_tokens, dtype=np.int64)
     if seq.shape != (weights.length,):
-        raise SequenceError(f"decoder tokens of shape {seq.shape} are not the {weights.length}-token sequence")
+        raise ValidationError(f"decoder tokens of shape {seq.shape} are not the {weights.length}-token sequence")
     prev = np.concatenate([[weights.config.start_token], seq[:-1]])
     logits, self_maps, cross_maps = decoder_forward(prev, enc, weights, plans)
     return ForwardResult(logits=logits, encoder=enc, dec_self_attn=self_maps, dec_cross_attn=cross_maps)

@@ -34,7 +34,7 @@ import numpy as np
 
 from . import model as mdl
 from . import sga
-from .errors import NumericalError, ParameterError, ShapeError, ValidationError
+from .errors import NumericalError, ShapeError, ValidationError
 from .quantizer import TokenGrid, apply_mask
 from .rng import substream
 
@@ -48,7 +48,7 @@ def _top_k(logits: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     if logits.ndim != 2:
         raise ShapeError(f"logits must be [rows, vocab], got {logits.shape}")
     if k < 1 or k > logits.shape[1]:
-        raise ParameterError(f"top-k {k} out of range [1, {logits.shape[1]}]")
+        raise ValidationError(f"top-k {k} out of range [1, {logits.shape[1]}]")
     kept = np.argsort(-logits, axis=1, kind="stable")[:, :k]
     top = np.take_along_axis(logits, kept, axis=1)
     return kept, top - top[:, :1]
@@ -131,7 +131,7 @@ def _forced_decode(
     """
     cfg = weights.config
     if top_k < 1:
-        raise ParameterError(f"top-k must be >= 1, got {top_k}")
+        raise ValidationError(f"top-k must be >= 1, got {top_k}")
     k_eff = min(top_k, cfg.vocab)
     seqs = np.tile(tokens.flat(), (len(rngs), 1))
     logprobs = np.zeros(len(rngs))
@@ -222,7 +222,7 @@ def autoregressive_edit(
     keep n_keep: their int64 tokens `[n_keep, h, w]` and log-probs
     `[n_keep]`, highest first, ties in generation order."""
     if n_samples < 1 or n_keep < 1:
-        raise ParameterError("n_samples and n_keep must be >= 1")
+        raise ValidationError("n_samples and n_keep must be >= 1")
 
     enc_out = mdl.encoder_forward(apply_mask(request.tokens, request.mask), request.semantic, sga_weights, plans)
     rngs = [substream(seed, f"candidate-{i}") for i in range(n_samples)]

@@ -35,7 +35,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DegenerateRowError, ShapeError, ValidationError
+from .errors import ShapeError, ValidationError
 
 # Ops with gradient support; the test suite checks every name listed here.
 DIFFERENTIABLE_OPS = (
@@ -92,7 +92,7 @@ class GradTape:
         whole graph a reference cycle.
         """
         if loss.tape is not self:
-            raise ValueError("loss was recorded on a different tape")
+            raise ValidationError("loss was recorded on a different tape")
         if loss.value.shape != ():
             raise ShapeError("backward requires a scalar loss")
         loss.accumulate(np.asarray(1.0))
@@ -202,7 +202,7 @@ def masked_softmax(scores, mask):
     rowmax = shifted.max(axis=-1, keepdims=True)
     dead = np.isneginf(rowmax)
     if dead.any():
-        raise DegenerateRowError(f"softmax row {int(np.argmax(dead.ravel()))} is fully masked")
+        raise ValidationError(f"softmax row {int(np.argmax(dead.ravel()))} is fully masked")
     expd = np.exp(shifted - rowmax)
     y = expd / expd.sum(axis=-1, keepdims=True)
 

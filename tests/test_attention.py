@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sgaedit import attention as att
-from sgaedit.errors import DegenerateRowError, ShapeError
+from sgaedit.errors import ShapeError, ValidationError
 from sgaedit.rng import substream
 
 from conftest import causal_mask, combine_masks
@@ -75,7 +75,7 @@ class TestDenseAttention:
     def test_degenerate_row_propagates(self):
         mask = np.zeros((2, 2))
         mask[1] = -np.inf
-        with pytest.raises(DegenerateRowError):
+        with pytest.raises(ValidationError, match="fully masked"):
             att.dense_attention(np.zeros((2, 2)), np.zeros((2, 2)), np.zeros((2, 2)), mask)
 
     def test_shape_checks(self):

@@ -233,6 +233,15 @@ def test_every_config_leaf_has_a_bad_value_case():
     assert sorted(set(leaves(cfgmod.DEFAULTS)) - named) == []
 
 
+def test_mirror_adam_config_is_the_defaults_with_the_adam_recipe():
+    """`configs/mirror-adam.json`, the recipe that learns the mirror task,
+    changes only `train`: Adam at lr 3e-4 for 2000 steps, clip 1."""
+    cfg = cfgmod.load(Path(SRC).parent / "configs" / "mirror-adam.json")
+    defaults = cfgmod.resolve({})
+    assert [key for key in cfg if cfg[key] != defaults[key]] == ["train"]
+    assert cfg["train"] == defaults["train"] | {"optimizer": "adam", "lr": 3e-4, "steps": 2000, "clip": 1.0}
+
+
 def test_workers_is_an_edit_option_only(tmp_path, capsys):
     cfg = write_config(tmp_path)
     with pytest.raises(SystemExit) as exc:

@@ -4,7 +4,7 @@ import pytest
 from conftest import full_image_blend
 from sgaedit import compositing as comp
 from sgaedit import quantizer as qz
-from sgaedit.errors import IncompleteGridError, ShapeError, VocabularyError
+from sgaedit.errors import ShapeError, ValidationError
 from sgaedit.quantizer import TokenGrid
 from sgaedit.rng import substream
 
@@ -284,7 +284,7 @@ class TestTokensToImage:
     def test_mask_rejected(self):
         patch, proj, cb, _ = self._setup()
         grid = qz.apply_mask(TokenGrid(np.zeros((2, 2), dtype=int), cb.size), np.array([[True, False], [False, False]]))
-        with pytest.raises(IncompleteGridError):
+        with pytest.raises(ValidationError, match="still contains MASK"):
             comp.tokens_to_image(grid.tokens[None], cb, proj, patch)
 
     @pytest.mark.parametrize("bad", [-1, -8, 9], ids=["minus-one", "minus-vocab", "past-mask"])
@@ -294,5 +294,5 @@ class TestTokensToImage:
         assert cb.size == 8
         tokens = np.zeros((2, 2, 2), dtype=np.int64)
         tokens[1, 1, 0] = bad
-        with pytest.raises(VocabularyError):
+        with pytest.raises(ValidationError, match="outside the codebook"):
             comp.tokens_to_image(tokens, cb, proj, patch)

@@ -2,7 +2,7 @@ import dataclasses
 import gc
 import tracemalloc
 import weakref
-from collections import deque
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -12,7 +12,7 @@ from sgaedit import evalbench as eb
 from sgaedit import model as mdl
 from sgaedit import sampler, sga
 from sgaedit import tape as T
-from sgaedit.errors import DivergenceError, ValidationError
+from sgaedit.errors import NumericalError, ValidationError
 from sgaedit.quantizer import apply_mask
 from sgaedit.rng import substream
 
@@ -125,9 +125,12 @@ def flood_fill_4(mask):
     return int(seen.sum())
 
 
-def full_grid_stamp_walk(dims, rng, region=None):
+def full_grid_stamp_walk(dims, rng, taken, region=None):
     """`free_form_mask`'s walk with a full-grid stamp and `mask | stamp`
-    fraction per move, as it was before it stamped the brush window only."""
+    fraction per move, as it was before it stamped the brush window only.
+
+    `taken` (a Counter) counts the size guard's branches: "shrink" per
+    brush too large for the 0.6 bound, "stop" when even the smallest one is."""
     h, w = dims
     area = h * w
     r_min, r_max = eb._brush_limits(area)
@@ -158,8 +161,10 @@ def full_grid_stamp_walk(dims, rng, region=None):
                 mask |= stamp
                 stamped = True
                 break
+            taken["shrink"] += 1
             r -= 1
         if not stamped and float(mask.sum()) / mask.size >= 0.1:
+            taken["stop"] += 1
             break
         dy, dx = moves[int(rng.integers(len(moves)))]
         pos[0] = int(np.clip(pos[0] + dy, lo[0], hi[0]))
@@ -244,31 +249,42 @@ class TestFreeFormMask:
                 # the unbounded walk draws at least 2 numbers per move, 100 * area in all
                 assert got_rng.draws < 10 * got.size, (kind, dims, seed, got_rng.draws)
 
-    @pytest.mark.parametrize("dims", [(2, 2), (4, 16), (8, 8), (16, 16), (32, 32)])
+    # the size guard's branches that the walks at these dims take: a brush
+    # shrinks to keep the fraction at most 0.6, or the walk stops when even
+    # the smallest brush would pass it (at 6x6 only under the seeds below)
+    GUARD_BRANCHES = {(10, 10): {"shrink"}, (6, 6): {"shrink", "stop"}}
+
+    @pytest.mark.parametrize("dims", [(2, 2), (4, 16), (8, 8), (16, 16), (32, 32), (10, 10), (6, 6)])
     def test_matches_full_grid_stamp_walk(self, dims):
         """Stamping only the brush window gives the same masks and draws the
-        same random numbers as stamping the full grid."""
+        same random numbers as stamping the full grid, also where a brush
+        shrinks or the walk stops."""
         region = np.zeros(dims, bool)
         region[dims[0] // 2 :, :] = True
-        for seed in range(50):
+        taken = Counter()
+        for seed in range(600, 650) if dims == (6, 6) else range(50):  # seed 624 stops a 6x6 walk
             for reg in (None, region):
                 got_rng, want_rng = substream(seed, "walk"), substream(seed, "walk")
                 got = eb.free_form_mask(dims, got_rng, region=reg)
-                want = full_grid_stamp_walk(dims, want_rng, region=reg)
+                want = full_grid_stamp_walk(dims, want_rng, taken, region=reg)
                 assert np.array_equal(got, want), (dims, seed, reg is not None)
                 assert got_rng.random() == want_rng.random(), (dims, seed, reg is not None)
+        assert set(taken) == self.GUARD_BRANCHES.get(dims, set())
 
     def test_seeded_determinism(self):
         one = eb.free_form_mask((16, 16), substream(7, "mask"))
         two = eb.free_form_mask((16, 16), substream(7, "mask"))
         assert np.array_equal(one, two)
 
-    @pytest.mark.parametrize("dims", [(16, 16), (8, 8), (12, 20)])
+    @pytest.mark.parametrize("dims", [(16, 16), (8, 8), (12, 20), (10, 10), (6, 6)])
     def test_fraction_bounds_100_seeds(self, dims):
-        for seed in range(100):
+        taken = Counter()
+        for seed in range(900, 1000) if dims == (6, 6) else range(100):  # seed 971 stops a 6x6 walk
             mask = eb.free_form_mask(dims, substream(seed, "mask"))
             frac = mask.mean()
             assert 0.1 <= frac <= 0.6, (dims, seed, frac)
+            assert np.array_equal(mask, full_grid_stamp_walk(dims, substream(seed, "mask"), taken)), (dims, seed)
+        assert set(taken) == self.GUARD_BRANCHES.get(dims, set())
 
     @pytest.mark.parametrize("dims", [(16, 16), (8, 8)])
     def test_single_4connected_component(self, dims):
@@ -301,6 +317,14 @@ class TestTrain:
             assert np.array_equal(result.weights.params[name], init.params[name])
         assert len(result.losses) == 3
 
+    @pytest.mark.parametrize(
+        "options, message", [({"steps": 0}, "steps must be >= 1"), ({"optimizer": "rmsprop"}, "unknown optimizer 'rmsprop'")]
+    )
+    def test_bad_steps_or_optimizer_rejected(self, options, message):
+        init = mdl.init_weights(CFG, CFG.grid_high, substream(2, "t0"))
+        with pytest.raises(ValidationError, match=message):
+            eb.train(init, self._task(), **{"steps": 1, "lr": 0.1, "seed": 0, "plans": dense_plans, **options})
+
     def test_initial_loss_near_log_vocab(self):
         # exactly uniform logits with a zeroed model
         shapes = mdl.parameter_shapes(CFG, CFG.grid_high)
@@ -323,10 +347,9 @@ class TestTrain:
     def test_divergence_reports_step(self):
         init = mdl.init_weights(CFG, CFG.grid_high, substream(5, "t3"))
         init.params["out_head"][:] = 1e308  # logits overflow -> non-finite loss
-        with pytest.raises(DivergenceError) as err:
+        with pytest.raises(NumericalError, match="^non-finite loss at step 0$"):
             with np.errstate(over="ignore", invalid="ignore"):
                 eb.train(init, self._task(), steps=2, lr=1e-2, seed=0, plans=dense_plans, clip=0.0)
-        assert err.value.step == 0
 
     def test_adam_option_updates(self):
         init = mdl.init_weights(CFG, CFG.grid_high, substream(6, "t4"))
@@ -503,10 +526,15 @@ class TestAblationHarness:
         monkeypatch.setattr(eb, "train", lambda *args, **kwargs: pytest.fail("trained before the check"))
         task = eb.SyntheticTask("mirror", *CFG.grid_high, CFG.vocab)
         for kind in ("nope", "guided"):
-            with pytest.raises(ValidationError):
+            with pytest.raises(ValidationError, match=f"unknown plan kind '{kind}'"):
                 eb.run_ablation(
                     ["dense", kind], task, CFG, steps=1, seeds=[0], lr=0.1, optimizer="sgd", eval_instances=16, clip=1.0
                 )
+
+    def test_empty_seeds_rejected(self):
+        task = eb.SyntheticTask("mirror", *CFG.grid_high, CFG.vocab)
+        with pytest.raises(ValidationError, match="seeds must be a non-empty list"):
+            eb.run_ablation(["dense"], task, CFG, steps=1, seeds=[], lr=0.1, optimizer="sgd", eval_instances=1, clip=1.0)
 
 
     def test_forward_score_flops_cost_model(self):

@@ -10,7 +10,7 @@ import pytest
 from sgaedit import model as mdl
 from sgaedit import sampler, sga
 from sgaedit import tape as T
-from sgaedit.errors import SequenceError, ShapeError
+from sgaedit.errors import ShapeError, ValidationError
 from sgaedit.quantizer import TokenGrid, apply_mask
 from sgaedit.rng import substream
 
@@ -348,19 +348,22 @@ def test_extend_validates_input():
     dense = mdl.PlanBundle.dense(cfg)
     enc = encode(request, high, dense)
     dec = mdl.IncrementalDecoder(enc, high, dense)
-    with pytest.raises(SequenceError):
+    with pytest.raises(ValidationError, match="must begin with START"):
         dec.extend([[1, 2]])  # row 0 must read START
-    with pytest.raises(SequenceError):
+    with pytest.raises(ValidationError, match=r"is not \[1, rows\]"):
         dec.extend([cfg.start_token, 1])  # not a [candidates, rows] block
     dec.extend([[cfg.start_token, 1]])
-    with pytest.raises(SequenceError):
+    with pytest.raises(ValidationError, match="START appears after position 0"):
         dec.extend([[cfg.start_token]])  # START only at row 0
-    with pytest.raises(SequenceError):
+    for token in (-1, cfg.start_token + 1):
+        with pytest.raises(ValidationError, match="decoder token outside embedding table"):
+            dec.extend([[token]])
+    with pytest.raises(ValidationError, match="prefix length"):
         dec.extend(np.ones((1, cfg.l_high - 1), dtype=int))  # past the grid
     batch = dec.branch(2)
-    with pytest.raises(SequenceError):
+    with pytest.raises(ValidationError, match=r"is not \[2, rows\]"):
         batch.extend([[1]])  # one row block for two candidates
-    with pytest.raises(SequenceError):
+    with pytest.raises(ValidationError, match="START appears after position 0"):
         batch.extend([[1], [cfg.start_token]])  # START only at row 0, in every candidate
     with pytest.raises(ShapeError):
         batch.branch(2)  # only a single candidate branches

@@ -6,7 +6,7 @@ import pytest
 
 from sgaedit import model as mdl
 from sgaedit import tape as T
-from sgaedit.errors import ConfigError, SequenceError, VocabularyError
+from sgaedit.errors import ConfigError, ValidationError
 from sgaedit.quantizer import TokenGrid
 from sgaedit.rng import substream
 
@@ -74,7 +74,7 @@ class TestEmbedEncoder:
         x.tokens[0, 0] = CFG.vocab  # MASK is legal for the image grid
         mdl.embed_encoder(x, p, w)
         p_bad = TokenGrid(np.full(CFG.grid_high, CFG.vocab_map, dtype=int), CFG.vocab_map + 1)
-        with pytest.raises(VocabularyError):
+        with pytest.raises(ValidationError, match="semantic token outside embedding table"):
             mdl.embed_encoder(x, p_bad, w)
 
 
@@ -194,14 +194,14 @@ class TestDecoderForward:
 
     def test_start_position_validation(self):
         w, x, enc = self._inputs(13)
-        with pytest.raises(SequenceError):
+        with pytest.raises(ValidationError, match="must begin with START"):
             mdl.decoder_forward(np.zeros(CFG.l_high, dtype=int), enc, w, DENSE)  # no START
         good = np.concatenate([[CFG.start_token], x.flat()[:-1]])
         bad = good.copy()
         bad[5] = CFG.start_token
-        with pytest.raises(SequenceError):
+        with pytest.raises(ValidationError, match="START appears after position 0"):
             mdl.decoder_forward(bad, enc, w, DENSE)
-        with pytest.raises(SequenceError):
+        with pytest.raises(ValidationError, match="-token sequence"):
             mdl.decoder_forward(good[:6], enc, w, DENSE)  # a prefix, not the whole sequence
 
     def test_output_dimension_is_vocab(self):
@@ -289,7 +289,7 @@ class TestGuidingForward:
         want, _, _ = mdl.decoder_forward(prev, mdl.encoder_forward(x, p, w, dense), w, dense)
         assert np.array_equal(got.logits, want)
         for tokens in (x.flat()[:-1], np.append(x.flat(), 0), []):
-            with pytest.raises(SequenceError):
+            with pytest.raises(ValidationError, match="decoder tokens of shape"):
                 mdl.forward(x, p, w, dense, tokens)
 
     def test_all_maps_recorded_and_stochastic(self):

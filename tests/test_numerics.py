@@ -3,7 +3,7 @@ import pytest
 
 from sgaedit import numerics as nm
 from sgaedit import tape as T
-from sgaedit.errors import DegenerateRowError, ShapeError, ValidationError
+from sgaedit.errors import ShapeError, ValidationError
 from sgaedit.rng import substream
 
 
@@ -41,7 +41,7 @@ class TestMaskedSoftmax:
             assert (out >= 0).all()
 
     def test_fully_masked_row_raises(self):
-        with pytest.raises(DegenerateRowError):
+        with pytest.raises(ValidationError, match="row 1 is fully masked"):
             T.masked_softmax(np.zeros((2, 2)), np.array([[0.0, 0.0], [-np.inf, -np.inf]]))
 
     def test_mask_values_validated(self):

@@ -6,7 +6,7 @@ import pytest
 from sgaedit import model as mdl
 from sgaedit import sampler, sga
 from sgaedit import tape as T
-from sgaedit.errors import NumericalError, ParameterError, ShapeError, ValidationError
+from sgaedit.errors import NumericalError, ShapeError, ValidationError
 from sgaedit.quantizer import TokenGrid, apply_mask
 from sgaedit.rng import substream
 
@@ -108,9 +108,9 @@ class TestTopkSample:
 
     def test_k_out_of_range(self):
         rng = substream(7, "topk6")
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match=r"top-k 0 out of range \[1, 4\]"):
             sampler.topk_sample(np.zeros((1, 4)), 0, [rng])
-        with pytest.raises(ParameterError):
+        with pytest.raises(ValidationError, match=r"top-k 5 out of range \[1, 4\]"):
             sampler.topk_sample(np.zeros((1, 4)), 5, [rng])
         with pytest.raises(ShapeError):
             sampler.topk_sample(np.zeros((2, 4)), 2, [rng])  # one generator per row
@@ -398,6 +398,19 @@ class TestAutoregressiveEdit:
         first = int(np.flatnonzero(req.mask.ravel())[0])
         with pytest.raises(NumericalError, match=f"position {first}"):
             sampler.autoregressive_edit(req, broken, mdl.PlanBundle.dense(CFG), n_samples=2, n_keep=1, seed=0)
+
+    @pytest.mark.parametrize(
+        "option, message",
+        [
+            ({"n_samples": 0}, "n_samples and n_keep must be >= 1"),
+            ({"n_keep": 0}, "n_samples and n_keep must be >= 1"),
+            ({"top_k": 0}, "top-k must be >= 1, got 0"),
+        ],
+    )
+    def test_counts_below_one_rejected(self, weights, option, message):
+        _, high = weights
+        with pytest.raises(ValidationError, match=message):
+            sampler.autoregressive_edit(make_request(9), high, mdl.PlanBundle.dense(CFG), **{"n_samples": 2, "n_keep": 1, **option})
 
     def test_logprobs_non_increasing(self, weights):
         _, high = weights

@@ -8,6 +8,7 @@ import pytest
 
 from sgaedit import tape as T
 from sgaedit.attention import dense_attention
+from sgaedit.errors import ShapeError, ValidationError
 from sgaedit.rng import substream
 
 from conftest import cols, dot, grad_check, op_grad_case
@@ -90,8 +91,14 @@ def test_backward_requires_scalar():
     tape = T.GradTape()
     a = tape.param(np.zeros((2, 2)))
     out = T.add(a, a)
-    with pytest.raises(Exception):
+    with pytest.raises(ShapeError, match="scalar loss"):
         tape.backward(out)
+
+
+def test_backward_rejects_a_loss_from_another_tape():
+    loss = T.cross_entropy(T.GradTape().param(np.zeros((1, 2))), np.array([0]))
+    with pytest.raises(ValidationError, match="loss was recorded on a different tape"):
+        T.GradTape().backward(loss)
 
 
 def test_backward_releases_each_node_as_it_walks():
